@@ -18,6 +18,7 @@ from .symfun import (
     elem_sym,
     elem_sym_all,
     elem_sym_excl,
+    elem_sym_excl_all,
     elem_sym_stack,
     gen_sym,
     gen_sym_table,
@@ -81,7 +82,7 @@ from .subsol import (
 
 __all__ = [
     "NewtonReport", "elem_sym", "elem_sym_all", "elem_sym_excl",
-    "elem_sym_stack", "gen_sym", "gen_sym_table", "newton_check",
+    "elem_sym_excl_all", "elem_sym_stack", "gen_sym", "gen_sym_table", "newton_check",
     "product_decomposition", "signed_odd_binomial_sum", "sigma_rank_one",
     "LEVEL_TOL", "PhaseSpec", "RayRootCertificate", "alternating_parts",
     "alternating_parts_weighted", "level_value", "level_value_weighted",

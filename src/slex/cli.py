@@ -88,6 +88,8 @@ def _suite(name: str, cases: int, failures: int, worst: str,
 def _run_verify(cfg: RunConfig) -> tuple:
     rng = np.random.default_rng(cfg.seed)
     trials = cfg.params["trials"]
+    if trials < 1:
+        raise ValueError("verify grid needs at least 1 vector")
     vectors = []
     for t in range(trials):
         n = 3 + t % 6
@@ -119,18 +121,25 @@ def _run_verify(cfg: RunConfig) -> tuple:
     suites.append(_suite("wronskian_modes", cases, fails,
                          "0" if fails == 0 else "exact mismatch", ce))
 
-    # sigma split and weighted-sum recurrences, exact
-    fails = 0
-    ce = None
-    cases = 0
+    # sigma split and weighted-sum recurrences, and the pairwise exclusion
+    # difference identity, exact.  Both suites read the rows sigma(a | i)
+    # and sigma(a | i, n), built once per vector; the trailing 0 on each row
+    # is the zero convention at both ends, as row[-1] and row[len] read it.
+    fails = pair_fails = 0
+    ce = pair_ce = None
+    cases = pair_cases = 0
     for vec in vectors:
         n = len(vec)
         sig = symfun.elem_sym_all(vec)
+        rows = [symfun.elem_sym_excl_all(vec, (i,)) + [0]
+                for i in range(1, n + 1)]
+        pairs = [symfun.elem_sym_excl_all(vec, (i, n)) + [0]
+                 for i in range(1, n)]
         for k in range(0, n + 1):
             acc = 0
             for i in range(1, n + 1):
-                excl = symfun.elem_sym_excl(vec, k, (i,))
-                excl1 = symfun.elem_sym_excl(vec, k - 1, (i,))
+                excl = rows[i - 1][k]
+                excl1 = rows[i - 1][k - 1]
                 cases += 1
                 if sig[k] != excl + vec[i - 1] * excl1:
                     fails += 1
@@ -144,30 +153,23 @@ def _run_verify(cfg: RunConfig) -> tuple:
                 if ce is None:
                     ce = {"a": [_frac_str(v) for v in vec], "k": k,
                           "identity": "weighted_sum"}
-    suites.append(_suite("sigma_recurrences", cases, fails,
-                         "0" if fails == 0 else "exact mismatch", ce))
-
-    # pairwise exclusion difference identity, exact
-    fails = 0
-    ce = None
-    cases = 0
-    for vec in vectors:
-        n = len(vec)
         for k in range(1, n + 1):
             for i in range(1, n):
                 j = n
-                lhs = (vec[i - 1] * symfun.elem_sym_excl(vec, k - 1, (i,))
-                       - vec[j - 1] * symfun.elem_sym_excl(vec, k - 1, (j,)))
-                rhs = ((vec[i - 1] - vec[j - 1])
-                       * symfun.elem_sym_excl(vec, k - 1, (i, j)))
-                cases += 1
+                lhs = (vec[i - 1] * rows[i - 1][k - 1]
+                       - vec[j - 1] * rows[j - 1][k - 1])
+                rhs = (vec[i - 1] - vec[j - 1]) * pairs[i - 1][k - 1]
+                pair_cases += 1
                 if lhs != rhs:
-                    fails += 1
-                    if ce is None:
-                        ce = {"a": [_frac_str(v) for v in vec],
-                              "k": k, "i": i, "j": j}
-    suites.append(_suite("pair_exclusion_difference", cases, fails,
+                    pair_fails += 1
+                    if pair_ce is None:
+                        pair_ce = {"a": [_frac_str(v) for v in vec],
+                                   "k": k, "i": i, "j": j}
+    suites.append(_suite("sigma_recurrences", cases, fails,
                          "0" if fails == 0 else "exact mismatch", ce))
+    suites.append(_suite("pair_exclusion_difference", pair_cases, pair_fails,
+                         "0" if pair_fails == 0 else "exact mismatch",
+                         pair_ce))
 
     # product decompositions, exact, all (j, k) per vector
     fails = 0
@@ -453,6 +455,9 @@ def _parse_theta(text, n: int) -> float:
 
 def _run_solve(cfg: RunConfig) -> tuple:
     params = cfg.params
+    for name in ("beta", "gamma", "alpha", "rmax"):
+        if not math.isfinite(params[name]):
+            raise ValueError(f"--{name} must be finite")
     vec, n, theta = _resolve_vector(cfg)
     pspec = phasepoly.PhaseSpec(n, theta)
     adm = weights.classify(pspec, vec)

@@ -51,10 +51,13 @@ from .weights import decay_exponent, weight_profile
 
 BETA_CAP = 1.0e6
 BETA_WARN = 1.0e3
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def _check_beta(beta: float) -> float:
     beta = float(beta)
+    if not math.isfinite(beta):
+        raise ValueError("beta must be finite")
     if beta < 1.0:
         raise ValueError("beta must be at least 1")
     if beta > BETA_CAP:
@@ -149,6 +152,8 @@ def _log_b(pf: PartialFractions, nu: float) -> float:
 def tail_amplitude(pf: PartialFractions, beta: float) -> float:
     """(beta-1) B(beta)/B(1): the limit of (psi - 1) r^m along the tail."""
     beta = float(beta)
+    if not math.isfinite(beta):
+        raise ValueError("beta must be finite")
     if beta < 1.0:
         raise ValueError("beta must be at least 1")
     if beta == 1.0:
@@ -249,8 +254,8 @@ def solve_profile(spec: PhaseSpec, a: Sequence, beta: float,
     steps.  route="implicit" evaluates the closed form pointwise.
     """
     beta = _check_beta(beta)
-    if r_max <= 1.0:
-        raise ValueError("r_max must exceed 1")
+    if not (1.0 < r_max < math.inf):
+        raise ValueError("r_max must be finite and exceed 1")
     rs = np.geomspace(1.0, r_max, num_samples)
     rs[0] = 1.0
     m = decay_exponent(spec, a)
@@ -300,7 +305,7 @@ def tail_integral(spec: PhaseSpec, a: Sequence, beta: float, R: float,
     integrand is C tau^(1-m) to leading order and is added analytically.
     """
     beta = _check_beta(beta)
-    if R < 1.0:
+    if not R >= 1.0:
         raise ValueError("R must be at least 1")
     if pf is None:
         pf = partial_fractions(spec, a)
@@ -309,6 +314,8 @@ def tail_integral(spec: PhaseSpec, a: Sequence, beta: float, R: float,
     if beta == 1.0:
         return 0.0
     r_cut = max(1.0e3, 1.0e2 * R)
+    if 2.0 * math.log(r_cut) > _LOG_FLOAT_MAX:
+        raise ValueError("R too large: the quadrature weight tau^2 overflows")
 
     def integrand(s: float) -> float:
         return math.exp(2.0 * s) * _implicit_excess(pf, beta, math.exp(s))

@@ -66,9 +66,11 @@ class SubsolutionSpec:
                            np.sort(np.asarray(self.diag, dtype=float)))
         if self.diag.ndim != 1 or not np.all(self.diag > 0):
             raise ValueError("diagonal entries must all be positive")
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
         _check_beta(self.beta)
-        if self.gamma < 1.0:
-            raise ValueError("gamma must be at least 1")
+        if not 1.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and at least 1")
         if abs(phase(self.diag) - self.theta) > LEVEL_TOL:
             raise ValueError("a not on the phase level set")
         if self.m <= 2.0:

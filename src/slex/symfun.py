@@ -10,8 +10,12 @@ float entries give the ordinary fast path.  Evaluation always goes through
 the coefficient recurrence for prod_i (1 + t*a_i), never through explicit
 subset enumeration; enumeration appears only in test oracles.
 
-Exclusion indices (``elem_sym_excl``) are 1-based, matching the classical
-subscript notation for "sigma_k with the i-th variable removed".
+Exclusion indices are 1-based, matching the classical subscript notation
+for "sigma_k with the i-th variable removed".  ``elem_sym_excl_all`` returns
+the whole row sigma_0 .. sigma_{n-|excl|} of the reduced vector in one
+recurrence pass; a caller that needs many k for the same exclusion set
+builds that row once and indexes it.  ``elem_sym_excl`` is the single-k
+view of the same row, with the zero convention outside it.
 """
 
 from __future__ import annotations
@@ -42,11 +46,14 @@ def elem_sym(a: Sequence, k: int):
     return elem_sym_all(a)[k]
 
 
-def elem_sym_excl(a: Sequence, k: int, excl: Sequence[int] = ()):
-    """sigma_k of a with the (1-based) indices in excl removed.
+def elem_sym_excl_all(a: Sequence, excl: Sequence[int] = ()) -> list:
+    """sigma_0 .. sigma_{n-len(excl)} of a with the (1-based) indices in excl
+    removed.
 
     At most two indices may be excluded; they must be distinct and in range.
-    An empty exclusion set reduces to plain sigma_k.
+    The reduced vector keeps the order of a, so every entry equals what
+    elem_sym_all gives on that reduced list.  An empty exclusion set
+    reduces to elem_sym_all(a).
     """
     n = len(a)
     idx = list(excl)
@@ -58,8 +65,19 @@ def elem_sym_excl(a: Sequence, k: int, excl: Sequence[int] = ()):
         if not (1 <= i <= n):
             raise ValueError("exclusion index out of range or repeated")
     drop = {i - 1 for i in idx}
-    reduced = [x for pos, x in enumerate(a) if pos not in drop]
-    return elem_sym(reduced, k)
+    return elem_sym_all([x for pos, x in enumerate(a) if pos not in drop])
+
+
+def elem_sym_excl(a: Sequence, k: int, excl: Sequence[int] = ()):
+    """sigma_k of a with the (1-based) indices in excl removed.
+
+    One entry of elem_sym_excl_all(a, excl), with the zero convention for
+    k < 0 and k > n - len(excl).
+    """
+    row = elem_sym_excl_all(a, excl)
+    if k < 0 or k >= len(row):
+        return 0
+    return row[k]
 
 
 def gen_sym_table(a: Sequence) -> list:
@@ -116,8 +134,7 @@ def sigma_rank_one(p: Sequence, q: Sequence, s, k: int):
     base = elem_sym(p, k)
     corr = 0
     for i in range(n):
-        reduced = list(p[:i]) + list(p[i + 1:])
-        corr = corr + elem_sym(reduced, k - 1) * q[i] * q[i]
+        corr = corr + elem_sym_excl_all(p, (i + 1,))[k - 1] * q[i] * q[i]
     return base + s * corr
 
 

@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .phasepoly import LEVEL_TOL, PhaseSpec, phase, phase_coeffs
-from .symfun import elem_sym_all
+from .symfun import elem_sym_all, elem_sym_excl, elem_sym_excl_all
 
 
 def _ascending_positive(a, n: Optional[int] = None) -> np.ndarray:
@@ -51,16 +51,6 @@ def _ascending_positive(a, n: Optional[int] = None) -> np.ndarray:
     if n is not None and arr.size != n:
         raise ValueError("vector length does not match the phase dimension")
     return arr
-
-
-def _excl_sigma(a: Sequence[float], k: int, i: int) -> float:
-    # sigma_k of a with 0-based position i removed
-    if k < 0:
-        return 0.0
-    reduced = list(a[:i]) + list(a[i + 1:])
-    if k > len(reduced):
-        return 0.0
-    return elem_sym_all(reduced)[k]
 
 
 def direction_weight(a: Sequence, x: Sequence, k: int) -> float:
@@ -79,10 +69,32 @@ def direction_weight(a: Sequence, x: Sequence, k: int) -> float:
     if k == 0:
         return 0.0
     al = a.tolist()
-    num = math.fsum(_excl_sigma(al, k - 1, i) * a[i] ** 2 * x[i] ** 2
+    num = math.fsum(elem_sym_excl(al, k - 1, (i + 1,)) * a[i] ** 2 * x[i] ** 2
                     for i in range(n))
     den = elem_sym_all(al)[k] * math.fsum(a[i] * x[i] ** 2 for i in range(n))
     return num / den
+
+
+def _chains(arr: np.ndarray) -> tuple:
+    """(sigma, lower, upper) of an ascending positive vector.
+
+    sigma is the full row sigma_0..sigma_n; lower and upper are both weight
+    chains for k = 0..n, built from one exclusion row for the smallest and
+    one for the largest entry.
+    """
+    al = arr.tolist()
+    n = len(al)
+    sig = elem_sym_all(al)
+    less_min = elem_sym_excl_all(al, (1,))
+    less_max = elem_sym_excl_all(al, (n,))
+    lower = np.empty(n + 1)
+    upper = np.empty(n + 1)
+    lower[0] = upper[0] = 0.0
+    for k in range(1, n):
+        lower[k] = arr[0] * less_min[k - 1] / sig[k]
+        upper[k] = arr[-1] * less_max[k - 1] / sig[k]
+    lower[n] = upper[n] = 1.0
+    return sig, lower, upper
 
 
 def weight_bounds(a: Sequence, k: int) -> tuple:
@@ -91,18 +103,10 @@ def weight_bounds(a: Sequence, k: int) -> tuple:
     k = 0 and k = n are structural: (0, 0) and (1, 1) exactly.
     """
     arr = _ascending_positive(a)
-    n = arr.size
-    if not (0 <= k <= n):
+    if not (0 <= k <= arr.size):
         raise ValueError("need 0 <= k <= n")
-    if k == 0:
-        return (0.0, 0.0)
-    if k == n:
-        return (1.0, 1.0)
-    al = arr.tolist()
-    sk = elem_sym_all(al)[k]
-    lower = arr[0] * _excl_sigma(al, k - 1, 0) / sk
-    upper = arr[-1] * _excl_sigma(al, k - 1, n - 1) / sk
-    return (float(lower), float(upper))
+    _sig, lower, upper = _chains(arr)
+    return (float(lower[k]), float(upper[k]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,26 +130,21 @@ def weight_profile(spec: PhaseSpec, a: Sequence) -> WeightProfile:
     where c_k = 0).
     """
     arr = _ascending_positive(a, spec.n)
-    n = spec.n
-    lower = np.empty(n + 1)
-    upper = np.empty(n + 1)
-    for k in range(n + 1):
-        lower[k], upper[k] = weight_bounds(arr, k)
+    return _profile(spec, arr, abs(phase(arr) - spec.theta) <= LEVEL_TOL)
+
+
+def _profile(spec: PhaseSpec, arr: np.ndarray, with_m: bool) -> WeightProfile:
+    # arr is ascending and positive; m is filled in only when with_m is set
+    sig, lower, upper = _chains(arr)
     c = phase_coeffs(spec)
     selected = np.where(np.asarray(c) > 0, upper, lower)
     m = None
-    if abs(phase(arr) - spec.theta) <= LEVEL_TOL:
-        m = _exponent_from_profile(spec, arr, selected)
+    if with_m:
+        num = math.fsum(k * c[k] * sig[k] for k in range(1, spec.n + 1))
+        den = math.fsum(selected[k] * c[k] * sig[k]
+                        for k in range(1, spec.n + 1))
+        m = num / den
     return WeightProfile(lower=lower, upper=upper, selected=selected, m=m)
-
-
-def _exponent_from_profile(spec: PhaseSpec, arr: np.ndarray,
-                           selected: np.ndarray) -> float:
-    sig = elem_sym_all(arr.tolist())
-    c = phase_coeffs(spec)
-    num = math.fsum(k * c[k] * sig[k] for k in range(1, spec.n + 1))
-    den = math.fsum(selected[k] * c[k] * sig[k] for k in range(1, spec.n + 1))
-    return num / den
 
 
 def decay_exponent(spec: PhaseSpec, a: Sequence,
@@ -159,11 +158,7 @@ def decay_exponent(spec: PhaseSpec, a: Sequence,
     arr = _ascending_positive(a, spec.n)
     if abs(phase(arr) - spec.theta) > tol:
         raise ValueError("a not on the phase level set")
-    profile = weight_profile(spec, arr)
-    if profile.m is not None:
-        return profile.m
-    # caller passed a looser tolerance than the profile's default
-    return _exponent_from_profile(spec, arr, profile.selected)
+    return _profile(spec, arr, True).m
 
 
 @dataclass(frozen=True)

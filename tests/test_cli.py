@@ -189,6 +189,41 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize("flag", ["--beta", "--gamma", "--alpha", "--rmax"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_solve_non_finite_parameter_exits_two(tmp_path, capsys, flag, value):
+    code, path = run(tmp_path, ["solve", "--family", "iso", "--n", "3",
+                                "--theta", "critical", f"{flag}={value}"])
+    assert code == 2
+    assert f"invalid input: {flag} must be finite" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_solve_huge_gamma_exits_two(tmp_path, capsys):
+    code, _ = run(tmp_path, ["solve", "--family", "iso", "--n", "3",
+                             "--theta", "critical", "--gamma", "1e300"])
+    assert code == 2
+    assert "invalid input: R too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_verify_grid_below_one_exits_two(tmp_path, capsys, grid):
+    code, path = run(tmp_path, ["verify", f"--grid={grid}"])
+    assert code == 2
+    assert "invalid input" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_verify_exclusion_suite_case_counts(tmp_path):
+    code, path = run(tmp_path, ["verify", "--grid", "60"])
+    assert code == 0
+    cases = {s["name"]: s["cases"]
+             for s in json.loads(path.read_text())["suites"]}
+    # n = 3..8, ten vectors each: sum (n+1)^2 and sum n(n-1)
+    assert cases["sigma_recurrences"] == 2710
+    assert cases["pair_exclusion_difference"] == 1660
+
+
 def test_stderr_status_lines(tmp_path, capsys):
     run(tmp_path, ["verify", "--grid", "10"])
     assert "PASS" in capsys.readouterr().err

@@ -210,6 +210,23 @@ def test_tail_integral_properties():
                              2.0, 5.0)
 
 
+def test_non_finite_and_overflowing_inputs_rejected():
+    with pytest.raises(ValueError, match="beta must be finite"):
+        radial.solve_profile(SPEC3, A3, float("nan"))
+    with pytest.raises(ValueError, match="r_max must be finite"):
+        radial.solve_profile(SPEC3, A3, 2.0, r_max=float("nan"))
+    with pytest.raises(ValueError, match="r_max must be finite"):
+        radial.solve_profile(SPEC3, A3, 2.0, r_max=float("inf"))
+    with pytest.raises(ValueError, match="R must be at least 1"):
+        radial.tail_integral(SPEC3, A3, 2.0, float("nan"))
+    with pytest.raises(ValueError, match="beta must be finite"):
+        radial.tail_amplitude(radial.partial_fractions(SPEC3, A3),
+                              float("nan"))
+    # tau^2 at the quadrature cutoff 100 R would overflow a float
+    with pytest.raises(ValueError, match="R too large"):
+        radial.tail_integral(SPEC3, A3, 2.0, 1e300)
+
+
 def test_tail_integral_scaling_in_cutoff():
     # mu_R * R^(m-2) stabilizes: the ratio across R in [1e2, 1e4] moves
     # by less than 10%

@@ -29,6 +29,12 @@ def test_subsolution_spec_validation():
     with pytest.raises(ValueError):
         subsol.SubsolutionSpec(alpha=0.0, beta=0.5, gamma=1.0,
                                diag=A3, theta=math.pi / 2)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        closed_spec(alpha=float("nan"))
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        closed_spec(gamma=float("inf"))
+    with pytest.raises(ValueError, match="beta must be finite"):
+        closed_spec(beta=float("nan"))
     # slow-decay vector: exponent at the endpoint is below 2
     with pytest.raises(ValueError):
         subsol.SubsolutionSpec(alpha=0.0, beta=2.0, gamma=1.0,

@@ -86,6 +86,34 @@ def test_elem_sym_excl_known_and_enumerated():
                 enum_elem_sym(rest_ij, k)
 
 
+def test_elem_sym_excl_all_is_the_single_k_row():
+    rng = np.random.default_rng(16)
+    for n in range(1, 11):
+        exact = rational_vector(rng, n)
+        floats = (rng.standard_normal(n) * 2.0).tolist()
+        excls = [()] + [(i,) for i in range(1, n + 1)] + \
+            [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        for vals in (exact, floats):
+            for excl in excls:
+                row = symfun.elem_sym_excl_all(vals, excl)
+                rest = [v for t, v in enumerate(vals, start=1)
+                        if t not in excl]
+                assert len(row) == n - len(excl) + 1
+                # same reduced list, same order, same recurrence: equal bits
+                assert row == symfun.elem_sym_all(rest)
+                for k in range(-2, n + 3):
+                    expect = row[k] if 0 <= k < len(row) else 0
+                    assert symfun.elem_sym_excl(vals, k, excl) == expect
+
+
+def test_elem_sym_excl_all_validates():
+    for excl in ((1, 2, 3), (2, 2), (0,), (4,), (1, 4)):
+        with pytest.raises(ValueError):
+            symfun.elem_sym_excl_all((1, 2, 3), excl)
+        with pytest.raises(ValueError):
+            symfun.elem_sym_excl((1, 2, 3), 1, excl)
+
+
 def test_split_and_weighted_sum_identities_exact():
     rng = np.random.default_rng(14)
     for _ in range(30):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from slex import phasepoly, weights
+from slex import phasepoly, symfun, weights
 
 
 SQRT3 = math.sqrt(3.0)
@@ -130,6 +130,27 @@ def test_weight_profile_selection_rule():
     # c = (-1, 0, 1, 0): upper only at k = 2
     assert prof.selected[2] == pytest.approx(prof.upper[2], rel=1e-14)
     assert prof.selected[1] == pytest.approx(prof.lower[1], rel=1e-14)
+
+
+def test_weight_profile_chains_equal_weight_bounds_bitwise():
+    rng = np.random.default_rng(37)
+    for _ in range(60):
+        n = int(rng.integers(3, 11))
+        a = np.exp(1.5 * rng.standard_normal(n))
+        spec = phasepoly.PhaseSpec(n, phasepoly.phase(a))
+        prof = weights.weight_profile(spec, a)
+        srt = np.sort(a)
+        sig = symfun.elem_sym_all(srt.tolist())
+        for k in range(n + 1):
+            assert (prof.lower[k], prof.upper[k]) == \
+                weights.weight_bounds(a, k)
+            if 0 < k < n:
+                # the per-k formula on the sorted vector, bit for bit
+                less_min = symfun.elem_sym_all(srt[1:].tolist())[k - 1]
+                less_max = symfun.elem_sym_all(srt[:-1].tolist())[k - 1]
+                assert prof.lower[k] == float(srt[0] * less_min / sig[k])
+                assert prof.upper[k] == float(srt[-1] * less_max / sig[k])
+        assert prof.m == weights.decay_exponent(spec, a)
 
 
 def test_weight_profile_dominates_direction_weights():
