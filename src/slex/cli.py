@@ -484,9 +484,9 @@ def _run_solve(cfg: RunConfig) -> tuple:
 
     pf = radial.partial_fractions(pspec, vec)
     sol_num = radial.solve_profile(pspec, vec, beta, r_max=r_max,
-                                   route="numeric")
+                                   route="numeric", pf=pf)
     sol_imp = radial.solve_profile(pspec, vec, beta, r_max=r_max,
-                                   route="implicit")
+                                   route="implicit", pf=pf)
     gap = float(np.max(np.abs(sol_num.psi - sol_imp.psi)))
 
     fit = None
@@ -499,7 +499,7 @@ def _run_solve(cfg: RunConfig) -> tuple:
                                              10.0 * gamma, pf=pf)}
 
     sspec = subsol.SubsolutionSpec(alpha=alpha, beta=beta, gamma=gamma,
-                                   diag=vec, theta=theta)
+                                   diag=vec, theta=theta, pf=pf)
     grid = subsol.ShellGrid(shells=params["grid"], directions=96,
                             r_max=50.0 * gamma)
     rep = subsol.verify_subsolution(sspec, grid)

@@ -27,6 +27,16 @@ m = -g'(1) is the decay exponent.  Two independent routes are implemented:
     whose left side is strictly increasing in psi on [1, beta]; each radius
     is solved by bracketed root finding on the log of the excess.
 
+One problem (theta, a) is analysed once: partial_fractions certifies the
+ray roots, builds the slope-field pair (num, den), the residues and m, and
+stores the sub-unit terms (root_j, m K_j) of log B as Python floats.  The
+returned PartialFractions is passed on (pf=...) to both profile routes, the
+tail integrals and the subsol module, and
+PartialFractions.implicit_excess(beta) fixes log(beta - 1) + log B(beta)
+and log B(1) once per beta.  Polynomials in the hot loops are evaluated by
+Horner's rule on Python floats, in numpy's polyval order, so every value is
+bit-identical to the array evaluation.
+
 The tail integral int_R^inf tau * (psi(tau) - 1) dtau (finite for m > 2)
 is evaluated by quadrature up to a cutoff plus the analytic tail
 C * R_cut^(2-m)/(m-2), with C = (beta-1) B(beta)/B(1) the limit of
@@ -37,8 +47,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -52,9 +62,15 @@ from .weights import decay_exponent, weight_profile
 BETA_CAP = 1.0e6
 BETA_WARN = 1.0e3
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_BRENT_RTOL = 4 * np.finfo(float).eps
 
 
-def _check_beta(beta: float) -> float:
+def check_beta(beta: float) -> float:
+    """beta as a float, after checking 1 <= beta <= BETA_CAP.
+
+    Warns (RuntimeWarning) above BETA_WARN, where the residues lose
+    conditioning.
+    """
     beta = float(beta)
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
@@ -105,16 +121,100 @@ def slope_field_deriv(spec: PhaseSpec, a: Sequence, nu: float) -> float:
     return -(dz * w - z * dw) / (w * w)
 
 
+def _horner(coeffs: Sequence, x: float) -> float:
+    """Ascending coefficients evaluated at x in numpy polyval's order.
+
+    Same operations as npoly.polyval on a scalar (c0 = c[i] + c0*x, started
+    from c[-1] + x*0), so the result is bit-identical, without the array
+    overhead.
+    """
+    acc = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        acc = c + acc * x
+    return acc
+
+
 @dataclass(frozen=True, eq=False)
 class PartialFractions:
-    """Residue data of num/den: roots ascending with 1.0 last, weights aligned.
+    """The analysis of one problem (spec, a) that every route reuses.
 
-    weights[-1], the residue at the root 1, equals 1/m; the full set
-    recombines to num/den away from the poles.
+    a is the sorted vector; roots are the certified ray roots ascending
+    with 1.0 last, weights the residues aligned with them.  weights[-1],
+    the residue at the root 1, equals 1/m; the full set recombines to
+    num/den away from the poles.  num and den are the ascending
+    coefficients of the slope-field pair, as Python floats.  terms holds
+    the sub-unit pairs (root_j, m*K_j), the data of log B.
     """
+    spec: PhaseSpec
+    a: np.ndarray
     roots: np.ndarray
     weights: np.ndarray
     m: float
+    num: tuple
+    den: tuple
+    terms: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # m * weights[:-1] rounds each product exactly as m * K_j does
+        object.__setattr__(self, "terms", tuple(zip(
+            self.roots[:-1].tolist(), (self.m * self.weights[:-1]).tolist())))
+
+    def check_problem(self, spec: PhaseSpec, a: Sequence) -> None:
+        """Raise ValueError unless this is the analysis of (spec, a)."""
+        if spec != self.spec or not np.array_equal(
+                self.a, np.sort(np.asarray(a, dtype=float))):
+            raise ValueError("partial fractions of another problem")
+
+    def slope(self, nu: float) -> float:
+        """g(nu) = -den(nu)/num(nu), for nu >= 1 where num is positive."""
+        return -_horner(self.den, nu) / _horner(self.num, nu)
+
+    def implicit_excess(self, beta: float) -> Callable[[float], float]:
+        """The map r -> psi(r, beta) - 1, for r >= 1, by the implicit form.
+
+        Solves (delta) B(1+delta) = (beta-1) B(beta) r^(-m) for the excess.
+        The left side is strictly increasing in delta, so the root in
+        [0, beta-1] is unique; it is found by Brent's method on the log of
+        the excess, where the equation is well-scaled even when delta
+        underflows toward 1e-300.  log(beta-1) + log B(beta) and log B(1)
+        are computed once here, in the order the single-radius formula
+        uses, so each radius costs one bracket and one brentq.
+        """
+        if beta == 1.0:
+            return _no_excess
+        terms = self.terms
+        m = self.m
+        u_hi = math.log(beta - 1.0)
+        head = u_hi + _log_b(terms, beta)
+        log_b_one = _log_b(terms, 1.0)
+
+        def gap(u: float, target: float) -> float:
+            return u + _log_b(terms, 1.0 + math.exp(u)) - target
+
+        def excess(r: float) -> float:
+            if r < 1.0:
+                raise ValueError("r must be at least 1")
+            if r == 1.0:
+                return beta - 1.0
+            target = head - m * math.log(r)
+            u_lo = min(target - log_b_one, u_hi - 1.0)
+            for _ in range(400):
+                if gap(u_lo, target) <= 0.0:
+                    break
+                u_lo -= 2.0
+            else:
+                raise RuntimeError("implicit bracket not found")
+            u = brentq(gap, u_lo, u_hi, args=(target,), xtol=1e-14,
+                       rtol=_BRENT_RTOL)
+            return math.exp(u)
+
+        return excess
+
+
+def _no_excess(r: float) -> float:
+    if r < 1.0:
+        raise ValueError("r must be at least 1")
+    return 0.0
 
 
 def partial_fractions(spec: PhaseSpec, a: Sequence) -> PartialFractions:
@@ -135,17 +235,19 @@ def partial_fractions(spec: PhaseSpec, a: Sequence) -> PartialFractions:
     m = decay_exponent(spec, arr)
     if abs(weights[-1] - 1.0 / m) > 1e-10:
         raise ValueError("partial-fraction residue at 1 disagrees with 1/m")
-    return PartialFractions(roots=roots, weights=weights, m=float(m))
+    return PartialFractions(spec=spec, a=arr, roots=roots, weights=weights,
+                            m=float(m), num=tuple(num.tolist()),
+                            den=tuple(den.tolist()))
 
 
-def _log_b(pf: PartialFractions, nu: float) -> float:
+def _log_b(terms: tuple, nu: float) -> float:
     """log of B(nu) = prod over sub-unit roots of (nu - root)^(m * K)."""
     total = 0.0
-    for root, k in zip(pf.roots[:-1], pf.weights[:-1]):
+    for root, mk in terms:
         gap = nu - root
         if gap <= 0.0:
             raise ValueError("B(nu) undefined at or below the second root")
-        total += pf.m * k * math.log(gap)
+        total += mk * math.log(gap)
     return total
 
 
@@ -158,51 +260,29 @@ def tail_amplitude(pf: PartialFractions, beta: float) -> float:
         raise ValueError("beta must be at least 1")
     if beta == 1.0:
         return 0.0
-    return (beta - 1.0) * math.exp(_log_b(pf, beta) - _log_b(pf, 1.0))
+    return (beta - 1.0) * math.exp(_log_b(pf.terms, beta)
+                                   - _log_b(pf.terms, 1.0))
 
 
-def _implicit_excess(pf: PartialFractions, beta: float, r: float) -> float:
-    """Solve (delta) B(1+delta) = (beta-1) B(beta) r^(-m) for the excess.
-
-    The left side is strictly increasing in delta, so the root in
-    [0, beta-1] is unique; it is found by Brent's method on the log of the
-    excess, where the equation is well-scaled even when delta underflows
-    toward 1e-300.
-    """
-    if r < 1.0:
-        raise ValueError("r must be at least 1")
-    if beta == 1.0:
-        return 0.0
-    target = math.log(beta - 1.0) + _log_b(pf, beta) - pf.m * math.log(r)
-    u_hi = math.log(beta - 1.0)
-    if r == 1.0:
-        return beta - 1.0
-
-    def gap(u: float) -> float:
-        return u + _log_b(pf, 1.0 + math.exp(u)) - target
-
-    u_lo = min(target - _log_b(pf, 1.0), u_hi - 1.0)
-    for _ in range(400):
-        if gap(u_lo) <= 0.0:
-            break
-        u_lo -= 2.0
-    else:
-        raise RuntimeError("implicit bracket not found")
-    u = brentq(gap, u_lo, u_hi, xtol=1e-14, rtol=4 * np.finfo(float).eps)
-    return math.exp(u)
+def _analysis(spec: PhaseSpec, a: Sequence,
+              pf: Optional[PartialFractions]) -> PartialFractions:
+    """pf checked against (spec, a), or a fresh analysis when pf is None."""
+    if pf is None:
+        return partial_fractions(spec, a)
+    pf.check_problem(spec, a)
+    return pf
 
 
 def profile_implicit(spec: PhaseSpec, a: Sequence, beta: float, r,
                      pf: Optional[PartialFractions] = None):
     """psi(r, beta) by the implicit closed form; r may be scalar or array."""
-    beta = _check_beta(beta)
-    if pf is None:
-        pf = partial_fractions(spec, a)
+    beta = check_beta(beta)
+    pf = _analysis(spec, a, pf)
     rs = np.asarray(r, dtype=float)
     if np.any(rs < 1.0):
         raise ValueError("r must be at least 1")
-    flat = np.atleast_1d(rs)
-    out = np.array([1.0 + _implicit_excess(pf, beta, rr) for rr in flat])
+    excess = pf.implicit_excess(beta)
+    out = np.array([1.0 + excess(rr) for rr in np.atleast_1d(rs)])
     if rs.ndim == 0:
         return float(out[0])
     return out
@@ -239,8 +319,8 @@ class ProfileSolution:
 
 def solve_profile(spec: PhaseSpec, a: Sequence, beta: float,
                   r_max: float = 1.0e4, tol: float = 1e-12,
-                  num_samples: int = 241, route: str = "numeric"
-                  ) -> ProfileSolution:
+                  num_samples: int = 241, route: str = "numeric",
+                  pf: Optional[PartialFractions] = None) -> ProfileSolution:
     """Sample the profile on log-spaced radii in [1, r_max] by either route.
 
     route="numeric" integrates the log of the excess with an adaptive
@@ -252,13 +332,19 @@ def solve_profile(spec: PhaseSpec, a: Sequence, beta: float,
     machine epsilon).  In log variables the slope is smooth and O(1), so
     the route stays accurate down to excesses far below 1e-16 without tiny
     steps.  route="implicit" evaluates the closed form pointwise.
+
+    pf, the problem's partial_fractions(spec, a), supplies m and the
+    slope-field pair to both routes; without it the numeric route builds
+    only the pair and m, never the ray roots.
     """
-    beta = _check_beta(beta)
+    beta = check_beta(beta)
     if not (1.0 < r_max < math.inf):
         raise ValueError("r_max must be finite and exceed 1")
     rs = np.geomspace(1.0, r_max, num_samples)
     rs[0] = 1.0
-    m = decay_exponent(spec, a)
+    if pf is not None:
+        pf.check_problem(spec, a)
+    m = decay_exponent(spec, a) if pf is None else pf.m
 
     if beta == 1.0:
         excess = np.zeros_like(rs)
@@ -266,17 +352,19 @@ def solve_profile(spec: PhaseSpec, a: Sequence, beta: float,
                                excess=excess, route=route, m=m)
 
     if route == "numeric":
-        num, den = _poly_pair(spec, a)
-        shifted = den.copy()
-        for j in range(shifted.size):
-            for i in range(shifted.size - 2, j - 1, -1):
+        if pf is None:
+            num, den = (tuple(c.tolist()) for c in _poly_pair(spec, a))
+        else:
+            num, den = pf.num, pf.den
+        shifted = list(den)
+        for j in range(len(shifted)):
+            for i in range(len(shifted) - 2, j - 1, -1):
                 shifted[i] += shifted[i + 1]
-        reduced = shifted[1:]
+        reduced = tuple(shifted[1:])
 
         def rhs(_s, y):
             d = math.exp(y[0])
-            return (-npoly.polyval(d, reduced)
-                    / npoly.polyval(1.0 + d, num),)
+            return (-_horner(reduced, d) / _horner(num, 1.0 + d),)
 
         sol = solve_ivp(rhs, (0.0, math.log(r_max)),
                         (math.log(beta - 1.0),), method="DOP853",
@@ -288,8 +376,10 @@ def solve_profile(spec: PhaseSpec, a: Sequence, beta: float,
                                excess=excess, route="numeric", m=m)
 
     if route == "implicit":
-        pf = partial_fractions(spec, a)
-        excess = np.array([_implicit_excess(pf, beta, rr) for rr in rs])
+        if pf is None:
+            pf = partial_fractions(spec, a)
+        solver = pf.implicit_excess(beta)
+        excess = np.array([solver(rr) for rr in rs])
         return ProfileSolution(beta=beta, r=rs, psi=1.0 + excess,
                                excess=excess, route="implicit", m=m, pf=pf)
 
@@ -304,11 +394,10 @@ def tail_integral(spec: PhaseSpec, a: Sequence, beta: float, R: float,
     [R, R_cut] with R_cut = max(1e3, 1e2 * R); beyond the cutoff the
     integrand is C tau^(1-m) to leading order and is added analytically.
     """
-    beta = _check_beta(beta)
+    beta = check_beta(beta)
     if not R >= 1.0:
         raise ValueError("R must be at least 1")
-    if pf is None:
-        pf = partial_fractions(spec, a)
+    pf = _analysis(spec, a, pf)
     if pf.m <= 2.0:
         raise ValueError("integral may diverge")
     if beta == 1.0:
@@ -316,9 +405,10 @@ def tail_integral(spec: PhaseSpec, a: Sequence, beta: float, R: float,
     r_cut = max(1.0e3, 1.0e2 * R)
     if 2.0 * math.log(r_cut) > _LOG_FLOAT_MAX:
         raise ValueError("R too large: the quadrature weight tau^2 overflows")
+    excess = pf.implicit_excess(beta)
 
     def integrand(s: float) -> float:
-        return math.exp(2.0 * s) * _implicit_excess(pf, beta, math.exp(s))
+        return math.exp(2.0 * s) * excess(math.exp(s))
 
     body, _err = quad(integrand, math.log(R), math.log(r_cut),
                       epsabs=1e-13, epsrel=1e-11, limit=200)

@@ -37,15 +37,12 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 from scipy.special import ndtri
 
 from .phasepoly import LEVEL_TOL, PhaseSpec, phase, phase_coeffs
-from .radial import PartialFractions, _check_beta, _implicit_excess, \
-    _poly_pair, partial_fractions
+from .radial import PartialFractions, check_beta, partial_fractions
 from .symfun import elem_sym_stack, sigma_rank_one
-from .weights import decay_exponent
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,13 +50,15 @@ class SubsolutionSpec:
     """Parameters (alpha, beta, gamma, diag(a), theta) of one candidate.
 
     Requires beta >= 1, gamma >= 1, positive diagonal entries on the phase
-    level set (within 1e-10), and decay exponent above 2.
+    level set (within 1e-10), and decay exponent above 2.  pf is the
+    problem's radial.partial_fractions; it is built here when not given.
     """
     alpha: float
     beta: float
     gamma: float
     diag: np.ndarray
     theta: float
+    pf: Optional[PartialFractions] = None
 
     def __post_init__(self):
         object.__setattr__(self, "diag",
@@ -68,11 +67,16 @@ class SubsolutionSpec:
             raise ValueError("diagonal entries must all be positive")
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
-        _check_beta(self.beta)
+        check_beta(self.beta)
         if not 1.0 <= self.gamma < math.inf:
             raise ValueError("gamma must be finite and at least 1")
         if abs(phase(self.diag) - self.theta) > LEVEL_TOL:
             raise ValueError("a not on the phase level set")
+        if self.pf is None:
+            object.__setattr__(self, "pf", partial_fractions(self.phase_spec,
+                                                             self.diag))
+        else:
+            self.pf.check_problem(self.phase_spec, self.diag)
         if self.m <= 2.0:
             raise ValueError("decay exponent must exceed 2")
 
@@ -80,25 +84,19 @@ class SubsolutionSpec:
     def phase_spec(self) -> PhaseSpec:
         return PhaseSpec(self.diag.size, self.theta)
 
-    @cached_property
+    @property
     def m(self) -> float:
-        return decay_exponent(self.phase_spec, self.diag)
+        return self.pf.m
 
     @cached_property
-    def pf(self) -> PartialFractions:
-        return partial_fractions(self.phase_spec, self.diag)
-
-    @cached_property
-    def _field(self):
-        return _poly_pair(self.phase_spec, self.diag)
+    def excess(self):
+        """r -> psi(r) - 1 by the implicit route, for r >= 1."""
+        return self.pf.implicit_excess(self.beta)
 
     def profile_at(self, r: float) -> tuple:
         """(psi, psi') at radius r >= 1, from the implicit route."""
-        excess = _implicit_excess(self.pf, self.beta, float(r))
-        nu = 1.0 + excess
-        num, den = self._field
-        slope = -float(npoly.polyval(nu, den)) / float(npoly.polyval(nu, num))
-        return nu, slope / float(r)
+        nu = 1.0 + self.excess(float(r))
+        return nu, self.pf.slope(nu) / float(r)
 
 
 def ellipsoid_radius(A, x) -> float:
@@ -137,11 +135,10 @@ def radial_value(spec: SubsolutionSpec, r: float) -> float:
     quadratic = spec.alpha + 0.5 * (r * r - spec.gamma ** 2)
     if spec.beta == 1.0 or r == spec.gamma:
         return quadratic
-    pf = spec.pf
+    excess = spec.excess
 
     def integrand(s: float) -> float:
-        return math.exp(2.0 * s) * _implicit_excess(pf, spec.beta,
-                                                    math.exp(s))
+        return math.exp(2.0 * s) * excess(math.exp(s))
 
     body, _err = quad(integrand, math.log(spec.gamma), math.log(r),
                       epsabs=1e-13, epsrel=1e-11, limit=200)

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from numpy.polynomial import polynomial as npoly
+from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from slex import phasepoly, radial, weights
 
@@ -262,3 +264,153 @@ def test_decay_fit_requires_decaying_tail():
         radial.decay_fit(radial.solve_profile(SPEC3, A3, 1.0))
     with pytest.raises(ValueError):
         radial.decay_fit(radial.solve_profile(SPEC3, A3, 2.0, r_max=100.0))
+
+
+# -------------------------------------------------- bit-identity oracles
+#
+# The implicit route and the numeric route's right-hand side run on
+# precomputed Python-float data.  The oracles below are the plain
+# formulas: numpy-scalar residues and coefficient arrays, with every
+# constant recomputed on each call.  Equal float operations in an equal
+# order must give equal bits, so these comparisons are exact.
+
+def admissible_point(rng, n):
+    """A random admissible level-set point of dimension n (3..12 here)."""
+    crit = (n - 2) * math.pi / 2
+    while True:
+        theta = crit if rng.uniform() < 0.5 else \
+            crit + float(rng.uniform(0.05, 0.95)) * math.pi
+        spec = phasepoly.PhaseSpec(n, theta)
+        deficit = n * math.pi / 2 - theta
+        delta = rng.dirichlet(np.full(n, 4.0)) * deficit
+        if np.any(delta < 1e-3) or np.any(delta > math.pi / 2 - 0.05):
+            continue
+        try:
+            a = weights.complete_to_phase(1.0 / np.tan(delta[:-1]), spec)
+        except ValueError:
+            continue
+        if weights.classify(spec, a).klass == "admissible":
+            return spec, a
+
+
+def oracle_log_b(pf, nu):
+    total = 0.0
+    for root, k in zip(pf.roots[:-1], pf.weights[:-1]):
+        total += pf.m * k * math.log(nu - root)
+    return total
+
+
+def oracle_excess(pf, beta, r):
+    if beta == 1.0:
+        return 0.0
+    target = math.log(beta - 1.0) + oracle_log_b(pf, beta) \
+        - pf.m * math.log(r)
+    u_hi = math.log(beta - 1.0)
+    if r == 1.0:
+        return beta - 1.0
+
+    def gap(u):
+        return u + oracle_log_b(pf, 1.0 + math.exp(u)) - target
+
+    u_lo = min(target - oracle_log_b(pf, 1.0), u_hi - 1.0)
+    while gap(u_lo) > 0.0:
+        u_lo -= 2.0
+    return math.exp(brentq(gap, u_lo, u_hi, xtol=1e-14,
+                           rtol=4 * np.finfo(float).eps))
+
+
+def oracle_numeric(spec, a, beta, r_max=1.0e4, num_samples=241):
+    """The numeric route with its right-hand side on npoly.polyval."""
+    num, den = radial._poly_pair(spec, a)
+    shifted = den.copy()
+    for j in range(shifted.size):
+        for i in range(shifted.size - 2, j - 1, -1):
+            shifted[i] += shifted[i + 1]
+    reduced = shifted[1:]
+
+    def rhs(_s, y):
+        d = math.exp(y[0])
+        return (-npoly.polyval(d, reduced) / npoly.polyval(1.0 + d, num),)
+
+    rs = np.geomspace(1.0, r_max, num_samples)
+    rs[0] = 1.0
+    sol = solve_ivp(rhs, (0.0, math.log(r_max)), (math.log(beta - 1.0),),
+                    method="DOP853", rtol=1e-12, atol=1e-13,
+                    t_eval=np.log(rs))
+    return np.exp(sol.y[0])
+
+
+def test_implicit_excess_bit_identical_to_plain_brentq():
+    rng = np.random.default_rng(91)
+    radii = np.concatenate(([1.0, 1.0 + 1e-12], np.geomspace(1.001, 1e5, 12),
+                            rng.uniform(1.0, 1e5, 4)))
+    for n in range(3, 13):
+        spec, a = admissible_point(rng, n)
+        pf = radial.partial_fractions(spec, a)
+        for beta in (1.0, 1.01, 2.0, float(rng.uniform(1.5, 50.0)), 900.0):
+            excess = pf.implicit_excess(beta)
+            for r in radii:
+                r = float(r)
+                assert excess(r) == oracle_excess(pf, beta, r), (n, beta, r)
+
+
+def test_log_b_terms_and_slope_bit_identical():
+    rng = np.random.default_rng(92)
+    for n in range(3, 13):
+        spec, a = admissible_point(rng, n)
+        pf = radial.partial_fractions(spec, a)
+        num, den = radial._poly_pair(spec, a)
+        for nu in (1.0, 1.0 + 1e-13, 1.7, 42.0, 1e6):
+            assert radial.tail_amplitude(pf, nu) == \
+                (nu - 1.0) * math.exp(oracle_log_b(pf, nu)
+                                      - oracle_log_b(pf, 1.0))
+            assert pf.slope(nu) == \
+                -float(npoly.polyval(nu, den)) / float(npoly.polyval(nu, num))
+
+
+def test_numeric_route_bit_identical_to_polyval_rhs():
+    rng = np.random.default_rng(93)
+    for n in (3, 5, 8, 12):
+        spec, a = admissible_point(rng, n)
+        beta = float(rng.uniform(1.5, 4.0))
+        expect = oracle_numeric(spec, a, beta)
+        pf = radial.partial_fractions(spec, a)
+        for shared in (None, pf):
+            sol = radial.solve_profile(spec, a, beta, route="numeric",
+                                       pf=shared)
+            assert np.array_equal(sol.excess, expect)
+
+
+def test_shared_analysis_gives_identical_results():
+    rng = np.random.default_rng(94)
+    for n in (3, 6, 9, 12):
+        spec, a = admissible_point(rng, n)
+        beta = float(rng.uniform(1.5, 4.0))
+        pf = radial.partial_fractions(spec, a)
+        for route in ("numeric", "implicit"):
+            fresh = radial.solve_profile(spec, a, beta, route=route)
+            shared = radial.solve_profile(spec, a, beta, route=route, pf=pf)
+            assert np.array_equal(fresh.excess, shared.excess)
+            assert fresh.m == shared.m
+        for R in (1.0, 10.0):
+            assert radial.tail_integral(spec, a, beta, R) == \
+                radial.tail_integral(spec, a, beta, R, pf=pf)
+        assert np.array_equal(radial.profile_implicit(spec, a, beta, 7.5),
+                              radial.profile_implicit(spec, a, beta, 7.5,
+                                                      pf=pf))
+
+
+def test_analysis_of_another_problem_rejected():
+    pf = radial.partial_fractions(SPEC3, A3)
+    spec4 = phasepoly.PhaseSpec(4, 3.6)
+    a4 = weights.iso_point(spec4)
+    for route in ("numeric", "implicit"):
+        with pytest.raises(ValueError, match="another problem"):
+            radial.solve_profile(spec4, a4, 2.0, route=route, pf=pf)
+    with pytest.raises(ValueError, match="another problem"):
+        radial.tail_integral(spec4, a4, 2.0, 1.0, pf=pf)
+    # the same problem with its entries in another order is accepted
+    rng = np.random.default_rng(95)
+    spec, a = admissible_point(rng, 5)
+    pf5 = radial.partial_fractions(spec, a)
+    radial.profile_implicit(spec, a[::-1], 2.0, 3.0, pf=pf5)

@@ -298,3 +298,32 @@ def test_rotation_invariance_of_phase():
                           abs=1e-10)
         assert subsol.ellipsoid_radius(full, x) == \
             pytest.approx(subsol.ellipsoid_radius(a, x_tilde), rel=1e-12)
+
+
+def test_shared_analysis_gives_identical_verification():
+    rng = np.random.default_rng(96)
+    for n in (3, 7, 11):
+        spec = phasepoly.PhaseSpec(n, (n - 2) * math.pi / 2 + 0.4)
+        a = weights.iso_point(spec) * np.exp(rng.uniform(-0.05, 0.05, n))
+        a = weights.complete_to_phase(a[:-1], spec)
+        pf = radial.partial_fractions(spec, a)
+        grid = subsol.ShellGrid(shells=8, directions=16)
+        reps = [subsol.verify_subsolution(
+                    subsol.SubsolutionSpec(alpha=0.0, beta=2.5, gamma=1.2,
+                                           diag=a, theta=spec.theta, pf=p),
+                    grid)
+                for p in (None, pf)]
+        fresh, shared = reps
+        assert fresh.points == shared.points
+        assert fresh.min_phase_gap == shared.min_phase_gap
+        assert fresh.min_level_value == shared.min_level_value
+        assert np.array_equal(fresh.worst_point, shared.worst_point)
+        assert fresh.passed == shared.passed
+
+
+def test_subsolution_spec_rejects_analysis_of_another_problem():
+    spec4 = phasepoly.PhaseSpec(4, 3.6)
+    pf4 = radial.partial_fractions(spec4, weights.iso_point(spec4))
+    with pytest.raises(ValueError, match="another problem"):
+        subsol.SubsolutionSpec(alpha=0.0, beta=2.0, gamma=1.0, diag=A3,
+                               theta=math.pi / 2, pf=pf4)
