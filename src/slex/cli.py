@@ -440,6 +440,8 @@ def _resolve_vector(cfg: RunConfig) -> tuple:
     if n is None or theta is None:
         raise ValueError("--a needs --n and --theta")
     vec = np.array([float(v) for v in a_text.split(",")])
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("--a entries must be finite")
     if vec.size != n:
         raise ValueError("--a length disagrees with --n")
     return vec, n, _parse_theta(theta, n)
@@ -458,6 +460,8 @@ def _run_solve(cfg: RunConfig) -> tuple:
     for name in ("beta", "gamma", "alpha", "rmax"):
         if not math.isfinite(params[name]):
             raise ValueError(f"--{name} must be finite")
+    grid = subsol.ShellGrid(shells=params["grid"], directions=96,
+                            r_max=50.0 * params["gamma"])
     vec, n, theta = _resolve_vector(cfg)
     pspec = phasepoly.PhaseSpec(n, theta)
     adm = weights.classify(pspec, vec)
@@ -500,8 +504,6 @@ def _run_solve(cfg: RunConfig) -> tuple:
 
     sspec = subsol.SubsolutionSpec(alpha=alpha, beta=beta, gamma=gamma,
                                    diag=vec, theta=theta, pf=pf)
-    grid = subsol.ShellGrid(shells=params["grid"], directions=96,
-                            r_max=50.0 * gamma)
     rep = subsol.verify_subsolution(sspec, grid)
 
     base.update({

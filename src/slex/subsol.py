@@ -199,11 +199,21 @@ class ShellGrid:
 
     Radii run from gamma * r_min_scale to r_max; directions are the 2n
     signed coordinate axes plus `directions` low-discrepancy points.
+    Requires at least one shell, no negative direction count and finite
+    radii.
     """
     shells: int = 120
     directions: int = 96
     r_max: float = 50.0
     r_min_scale: float = 1.0 + 1e-6
+
+    def __post_init__(self):
+        if self.shells < 1:
+            raise ValueError("the grid needs at least one shell")
+        if self.directions < 0:
+            raise ValueError("the direction count must not be negative")
+        if not (math.isfinite(self.r_max) and math.isfinite(self.r_min_scale)):
+            raise ValueError("grid radii must be finite")
 
 
 @dataclass(frozen=True, eq=False)

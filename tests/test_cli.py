@@ -206,6 +206,30 @@ def test_solve_huge_gamma_exits_two(tmp_path, capsys):
     assert "invalid input: R too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entries", ["nan,1,1", "inf,1,1", "1,-inf,1"])
+def test_solve_non_finite_entry_exits_two(tmp_path, capsys, entries):
+    code, path = run(tmp_path, ["solve", f"--a={entries}", "--n", "3",
+                                "--theta", "critical"])
+    assert code == 2
+    assert "invalid input: --a entries must be finite" in \
+        capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("family", ["iso", "eps:0.25"])
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_solve_grid_below_one_exits_two(tmp_path, capsys, family, grid):
+    # eps:0.25 is inadmissible: the grid is rejected before classification
+    code, path = run(tmp_path, ["solve", "--family", family, "--n",
+                                "3" if family == "iso" else "5", "--theta",
+                                "critical" if family == "iso" else
+                                repr(5 * math.pi / 3), f"--grid={grid}"])
+    assert code == 2
+    assert "invalid input: the grid needs at least one shell" in \
+        capsys.readouterr().err
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("grid", ["0", "-3"])
 def test_verify_grid_below_one_exits_two(tmp_path, capsys, grid):
     code, path = run(tmp_path, ["verify", f"--grid={grid}"])

@@ -207,6 +207,16 @@ def test_verify_subsolution_grid_guard():
                                                    r_min_scale=1.0))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"shells": 0}, {"shells": -2}, {"directions": -1},
+    {"r_max": float("inf")}, {"r_max": float("nan")},
+    {"r_min_scale": float("nan")}])
+def test_shell_grid_validation(kwargs):
+    with pytest.raises(ValueError):
+        subsol.ShellGrid(**kwargs)
+    subsol.ShellGrid(shells=1, directions=0)  # smallest valid grid
+
+
 def test_domination_inequality():
     # Phi(x) <= x^T A x / 2 + (mu_gamma + alpha - gamma^2/2)
     for beta, gamma, alpha in ((2.0, 1.0, 0.0), (10.0, 1.5, 2.0)):
