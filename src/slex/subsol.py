@@ -222,12 +222,16 @@ class VerificationReport:
 
     min_phase_gap is the smallest H(lambda(D2Phi)) - theta over the grid,
     min_level_value the smallest algebraic level value; worst_point is the
-    sample attaining the smaller of the two.  passed requires both minima
+    sample attaining the smaller of the two.  The level value equals
+    prod_j sqrt(1 + lambda_j^2) * sin(H - theta), so its size grows with
+    the eigenvalues; min_level_scaled is the smallest level value divided
+    by that product.  passed requires min_phase_gap and min_level_scaled
     to clear -tolerance.
     """
     points: int
     min_phase_gap: float
     min_level_value: float
+    min_level_scaled: float
     worst_point: np.ndarray
     passed: bool
 
@@ -241,6 +245,9 @@ def verify_subsolution(spec: SubsolutionSpec,
     touching it is rejected).  Eigenvalues come from batched symmetric
     eigendecompositions of the rank-one Hessians; the phase gap and the
     level value are evaluated at every point and their minima reported.
+    The level inequality is gated on the scale-free level value (divided by
+    prod_j sqrt(1 + lambda_j^2)), so the verdict does not depend on the
+    size of the eigenvalues.
     """
     if grid is None:
         grid = ShellGrid()
@@ -274,18 +281,23 @@ def verify_subsolution(spec: SubsolutionSpec,
     gaps = np.arctan(lam).sum(axis=1) - spec.theta
     c = np.asarray(phase_coeffs(spec.phase_spec))
     levels = elem_sym_stack(lam) @ c
+    # divide by prod sqrt(1 + lam^2) >= 1, formed as a log so it cannot
+    # overflow
+    scaled = levels * np.exp(-np.log(np.hypot(1.0, lam)).sum(axis=1))
 
     i_gap = int(np.argmin(gaps))
     i_lev = int(np.argmin(levels))
     worst = points[i_gap] if gaps[i_gap] <= levels[i_lev] else points[i_lev]
     min_gap = float(gaps[i_gap])
     min_level = float(levels[i_lev])
+    min_scaled = float(scaled.min())
     return VerificationReport(points=stack.shape[0],
                               min_phase_gap=min_gap,
                               min_level_value=min_level,
+                              min_level_scaled=min_scaled,
                               worst_point=worst,
                               passed=bool(min_gap >= -tolerance
-                                          and min_level >= -tolerance))
+                                          and min_scaled >= -tolerance))
 
 
 def normalize_problem(A, b=None) -> tuple:

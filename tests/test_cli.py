@@ -154,6 +154,17 @@ def test_solve_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_solve_large_eigenvalues_pass_the_scale_free_gate(tmp_path):
+    # the raw level minimum is about -6.6e-8 here; the scaled one ~ -5e-15
+    code, path = run(tmp_path, ["solve", "--family", "iso", "--n", "8",
+                                "--theta", "11", "--grid", "24"])
+    assert code == 0
+    report = json.loads(path.read_text())
+    assert report["verification"]["min_level_value"] < -1e-9
+    assert report["passed"] is True
+    assert report["verification"]["passed"] is True
+
+
 def test_solve_slow_decay_exits_one(tmp_path):
     code, path = run(tmp_path, ["solve", "--family", "eps:0.25"],
                      "slow.json")

@@ -1,6 +1,7 @@
 """Tests for generalized radially symmetric functions and verification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,42 @@ def test_rotation_invariance_of_phase():
                           abs=1e-10)
         assert subsol.ellipsoid_radius(full, x) == \
             pytest.approx(subsol.ellipsoid_radius(a, x_tilde), rel=1e-12)
+
+
+# Isotropic problems whose raw level minimum lies far below -1e-9 only
+# because prod sqrt(1 + lambda^2) is large; the phase gap is ~1e-13.
+@pytest.mark.parametrize("n,theta,beta", [
+    (8, 11.0, 2.0), (12, 17.0, 2.0), (20, 30.0, 2.0), (4, 3.6, 2000.0),
+    (6, 7.0, 50.0)])
+def test_level_gate_is_scale_free(n, theta, beta):
+    spec = phasepoly.PhaseSpec(n, theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sspec = subsol.SubsolutionSpec(alpha=0.0, beta=beta, gamma=1.0,
+                                       diag=weights.iso_point(spec),
+                                       theta=theta)
+    rep = subsol.verify_subsolution(sspec, subsol.ShellGrid())
+    assert rep.min_level_value < -1e-9  # raw value, reported unchanged
+    assert rep.min_level_scaled >= -4.7e-13
+    assert rep.min_level_scaled >= rep.min_level_value
+    assert rep.min_phase_gap >= -1e-9
+    assert rep.passed
+
+
+def test_level_gate_still_fails_a_negative_level(monkeypatch):
+    # flip the sign of every level value: the phase gap still passes, so a
+    # FAIL can only come from the level gate
+    pspec = phasepoly.PhaseSpec(3, math.pi / 2)
+    a = weights.complete_to_phase((0.4, 0.9), pspec)
+    spec = subsol.SubsolutionSpec(alpha=0.0, beta=3.0, gamma=1.0, diag=a,
+                                  theta=math.pi / 2)
+    real = subsol.elem_sym_stack
+    monkeypatch.setattr(subsol, "elem_sym_stack", lambda lam: -real(lam))
+    rep = subsol.verify_subsolution(spec, subsol.ShellGrid(shells=10,
+                                                           directions=8))
+    assert rep.min_phase_gap >= -1e-9
+    assert rep.min_level_scaled < -1e-9
+    assert not rep.passed
 
 
 def test_shared_analysis_gives_identical_verification():
