@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .symfun import elem_sym_all
+from .symfun import elem_sym_all, gen_sym_table
 
 # |H(a) - theta| at or below this counts as membership in the level set.
 LEVEL_TOL = 1e-10
@@ -90,8 +90,12 @@ def alternating_parts(lam: Sequence):
 
     Exact for int/Fraction entries.
     """
-    sig = elem_sym_all(lam)
-    n = len(lam)
+    return _parts(elem_sym_all(lam))
+
+
+def _parts(sig: list):
+    # (X, Y) from the sigma row sigma_0..sigma_n
+    n = len(sig) - 1
     x = 0
     y = 0
     for k in range(n + 1):
@@ -105,8 +109,12 @@ def alternating_parts(lam: Sequence):
 
 def alternating_parts_weighted(lam: Sequence):
     """(Xw, Yw): degree-weighted parts, the ray derivatives of (X, Y) at t=1."""
-    sig = elem_sym_all(lam)
-    n = len(lam)
+    return _weighted_parts(elem_sym_all(lam))
+
+
+def _weighted_parts(sig: list):
+    # (Xw, Yw) from the sigma row sigma_0..sigma_n
+    n = len(sig) - 1
     xw = 0
     yw = 0
     for k in range(1, n + 1):
@@ -166,11 +174,11 @@ def ray_wronskian(lam: Sequence, mode: str = "product"):
     n * 2^(n-1).
     """
     if mode == "product":
-        x, y = alternating_parts(lam)
-        xw, yw = alternating_parts_weighted(lam)
+        sig = elem_sym_all(lam)
+        x, y = _parts(sig)
+        xw, yw = _weighted_parts(sig)
         return x * yw - y * xw
     if mode == "closed_form":
-        from .symfun import gen_sym_table
         table = gen_sym_table(lam)
         total = 0
         for p in range(len(lam)):

@@ -10,6 +10,17 @@ float entries give the ordinary fast path.  Evaluation always goes through
 the coefficient recurrence for prod_i (1 + t*a_i), never through explicit
 subset enumeration; enumeration appears only in test oracles.
 
+Exact input runs on integers.  When the first entry is a ``Fraction`` and
+every entry is an int or a ``Fraction``, ``elem_sym_all`` and
+``gen_sym_table`` write a_i = p_i / D with D the lcm of the denominators,
+run their recurrence on the integer numerators p_i, and divide each
+entry by the power of D that matches its degree.  ``Fraction`` is
+canonical, so the returned values (and types: sigma_0 and T[0][0] stay the
+int 1, every other entry is a ``Fraction``) are exactly those of the plain
+``Fraction`` recurrence, at a fraction of its cost.  Every other kernel
+here reaches the recurrence through ``elem_sym_all`` and inherits this
+path; float, numpy and all-int input keep the plain loop.
+
 Exclusion indices are 1-based, matching the classical subscript notation
 for "sigma_k with the i-th variable removed".  ``elem_sym_excl_all`` returns
 the whole row sigma_0 .. sigma_{n-|excl|} of the reduced vector in one
@@ -22,13 +33,38 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 
+def _cleared(a: Sequence):
+    """(numerators, D) with a_i == numerators[i] / D, or None.
+
+    D is the lcm of the denominators.  Only exact input qualifies: the first
+    entry must be a Fraction and every entry an int or a Fraction.
+    """
+    if len(a) == 0 or type(a[0]) is not Fraction:
+        return None
+    d = 1
+    for x in a:
+        t = type(x)
+        if t is Fraction:
+            d = math.lcm(d, x.denominator)
+        elif t is not int:
+            return None
+    return [x.numerator * (d // x.denominator) for x in a], d
+
+
 def elem_sym_all(a: Sequence) -> list:
     """All values sigma_0(a) .. sigma_n(a) via the product recurrence."""
+    cleared = _cleared(a)
+    if cleared is not None:
+        # sigma_k is homogeneous of degree k
+        nums, d = cleared
+        e = elem_sym_all(nums)
+        return [e[0]] + [Fraction(v, d ** k) for k, v in enumerate(e[1:], 1)]
     n = len(a)
     e = [0] * (n + 1)
     e[0] = 1
@@ -86,6 +122,14 @@ def gen_sym_table(a: Sequence) -> list:
     T[k][j] is the coefficient of x^k y^j in prod_i (1 + a_i x + a_i^2 x y),
     built by one pass of the bivariate product recurrence.
     """
+    cleared = _cleared(a)
+    if cleared is not None:
+        # T[k][j] is homogeneous of degree k + j
+        nums, d = cleared
+        table = gen_sym_table(nums)
+        return [[table[0][0]]] + [[Fraction(v, d ** (k + j))
+                                   for j, v in enumerate(row)]
+                                  for k, row in enumerate(table[1:], 1)]
     n = len(a)
     table = [[0] * (k + 1) for k in range(n + 1)]
     table[0][0] = 1

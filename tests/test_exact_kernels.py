@@ -1,0 +1,191 @@
+"""Oracle tests for the exact and float paths of the sigma kernels.
+
+Exact (int/Fraction) input runs on integer numerators over one common
+denominator inside symfun; these tests hold every kernel built on that path
+to a plain Fraction recurrence written out here, in value and in type, and
+hold float and numpy input to the plain loop bit for bit.  Examples are
+drawn by hypothesis with a fixed derandomized seed, so every run checks the
+same cases.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slex import phasepoly, symfun
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=80)
+
+ints = st.integers(min_value=-10**6, max_value=10**6)
+fracs = st.builds(Fraction, st.integers(min_value=-10**6, max_value=10**6),
+                  st.integers(min_value=1, max_value=10**6))
+small = st.one_of(st.integers(min_value=-3, max_value=3),
+                  st.builds(Fraction, st.integers(min_value=-3, max_value=3),
+                            st.integers(min_value=1, max_value=4)))
+entry = st.one_of(ints, fracs, small)
+# exact vectors of length 0..12; most lead with a Fraction, the case the
+# common-denominator path takes, the rest lead with an int
+exact_vectors = st.one_of(
+    st.builds(lambda lead, rest: [lead] + rest, fracs,
+              st.lists(entry, max_size=11)),
+    st.lists(entry, max_size=12))
+floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
+                   allow_infinity=False)
+float_vectors = st.lists(floats, max_size=12)
+
+
+def plain_sigma(a):
+    n = len(a)
+    e = [0] * (n + 1)
+    e[0] = 1
+    for x in a:
+        for j in range(n, 0, -1):
+            e[j] = e[j] + x * e[j - 1]
+    return e
+
+
+def plain_gen_table(a):
+    n = len(a)
+    table = [[0] * (k + 1) for k in range(n + 1)]
+    table[0][0] = 1
+    for x in a:
+        x2 = x * x
+        for k in range(n, 0, -1):
+            for j in range(k, -1, -1):
+                acc = table[k][j]
+                if j <= k - 1:
+                    acc = acc + x * table[k - 1][j]
+                if j >= 1:
+                    acc = acc + x2 * table[k - 1][j - 1]
+                table[k][j] = acc
+    return table
+
+
+def plain_parts(sig):
+    x = y = xw = yw = 0
+    for k in range(len(sig)):
+        j, odd = divmod(k, 2)
+        if odd:
+            y = y + (-1) ** j * sig[k]
+        else:
+            x = x + (-1) ** j * sig[k]
+    for k in range(1, len(sig)):
+        j, odd = divmod(k, 2)
+        if odd:
+            yw = yw + (-1) ** j * k * sig[k]
+        else:
+            xw = xw + (-1) ** j * k * sig[k]
+    return (x, y), (xw, yw)
+
+
+def same(got, want):
+    """Equal values of identical types, entry by entry (nested containers
+    too)."""
+    if isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want)
+        for g, w in zip(got, want):
+            same(g, w)
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            same(got[key], want[key])
+    else:
+        assert type(got) is type(want), (got, want)
+        # repr also tells -0.0 from 0.0, so floats must match bit for bit
+        assert got == want and repr(got) == repr(want)
+
+
+def without(a, drop):
+    return [x for pos, x in enumerate(a) if pos + 1 not in drop]
+
+
+@SETTINGS
+@given(exact_vectors)
+def test_sigma_row_matches_plain_fraction_recurrence(a):
+    sig = plain_sigma(a)
+    same(symfun.elem_sym_all(a), sig)
+    for k in range(-1, len(a) + 2):
+        want = sig[k] if 0 <= k <= len(a) else 0
+        same(symfun.elem_sym(a, k), want)
+
+
+@SETTINGS
+@given(exact_vectors)
+def test_exclusion_rows_match_plain_fraction_recurrence(a):
+    n = len(a)
+    same(symfun.elem_sym_excl_all(a), plain_sigma(a))
+    for i in range(1, n + 1):
+        same(symfun.elem_sym_excl_all(a, (i,)), plain_sigma(without(a, {i})))
+    for i, j in combinations(range(1, n + 1), 2):
+        same(symfun.elem_sym_excl_all(a, (j, i)),
+             plain_sigma(without(a, {i, j})))
+
+
+@SETTINGS
+@given(exact_vectors)
+def test_gen_sym_table_matches_plain_fraction_recurrence(a):
+    same(symfun.gen_sym_table(a), plain_gen_table(a))
+
+
+@SETTINGS
+@given(exact_vectors)
+def test_phase_parts_and_wronskians_match_plain_recurrence(a):
+    sig = plain_sigma(a)
+    parts, weighted = plain_parts(sig)
+    same(phasepoly.alternating_parts(a), parts)
+    same(phasepoly.alternating_parts_weighted(a), weighted)
+    (x, y), (xw, yw) = parts, weighted
+    same(phasepoly.ray_wronskian(a, mode="product"), x * yw - y * xw)
+    table = plain_gen_table(a)
+    closed = 0
+    for p in range(len(a)):
+        closed = closed + table[p + 1][p]
+    same(phasepoly.ray_wronskian(a, mode="closed_form"), closed)
+    assert x * yw - y * xw == closed
+
+
+@SETTINGS
+@given(exact_vectors)
+def test_newton_margins_match_plain_recurrence(a):
+    sig = plain_sigma(a)
+    margins = {k: sig[k] * sig[k] - sig[k - 1] * sig[k + 1]
+               for k in range(1, len(a))}
+    report = symfun.newton_check(a)
+    same(report.margins, margins)
+    assert report.passed == all(v >= 0 for v in margins.values())
+
+
+@SETTINGS
+@given(exact_vectors)
+def test_exact_results_keep_their_types(a):
+    # sigma_0 and T[0][0] are the int 1; once a Fraction entry is in, every
+    # other entry is a Fraction; all-int input stays all-int
+    sig = symfun.elem_sym_all(a)
+    table = symfun.gen_sym_table(a)
+    assert type(sig[0]) is int and sig[0] == 1
+    assert type(table[0][0]) is int and table[0][0] == 1
+    rest = sig[1:] + [v for row in table[1:] for v in row]
+    if any(type(x) is Fraction for x in a):
+        assert all(type(v) is Fraction for v in rest)
+    else:
+        assert all(type(v) is int for v in rest)
+
+
+@SETTINGS
+@given(float_vectors)
+def test_float_and_numpy_input_keep_the_plain_loop(a):
+    arr = np.array(a, dtype=float)
+    for vec in (a, arr):
+        same(symfun.elem_sym_all(vec), plain_sigma(vec))
+        same(symfun.gen_sym_table(vec), plain_gen_table(vec))
+        parts, weighted = plain_parts(plain_sigma(vec))
+        same(phasepoly.alternating_parts(vec), parts)
+        same(phasepoly.alternating_parts_weighted(vec), weighted)
+        (x, y), (xw, yw) = parts, weighted
+        same(phasepoly.ray_wronskian(vec, mode="product"), x * yw - y * xw)
+    for i in range(1, len(a) + 1):
+        same(symfun.elem_sym_excl_all(a, (i,)), plain_sigma(without(a, {i})))
