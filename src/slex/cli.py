@@ -86,10 +86,12 @@ def _suite(name: str, cases: int, failures: int, worst: str,
 
 
 def _run_verify(cfg: RunConfig) -> tuple:
-    rng = np.random.default_rng(cfg.seed)
+    if cfg.seed < 0:
+        raise ValueError("--seed must be a non-negative integer")
     trials = cfg.params["trials"]
     if trials < 1:
         raise ValueError("verify grid needs at least 1 vector")
+    rng = np.random.default_rng(cfg.seed)
     vectors = []
     for t in range(trials):
         n = 3 + t % 6

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -72,6 +73,48 @@ def test_verify_fault_injection(tmp_path, monkeypatch):
     broken = [s for s in report["suites"] if s["failures"] > 0]
     assert broken
     assert any("counterexample" in s for s in broken)
+
+
+def _failing_suites(path):
+    report = json.loads(path.read_text())
+    assert report["passed"] is False
+    broken = {s["name"] for s in report["suites"] if s["failures"] > 0}
+    assert all("counterexample" in s for s in report["suites"]
+               if s["name"] in broken)
+    return broken
+
+
+def test_verify_fault_injection_exclusion_rows(tmp_path, monkeypatch):
+    real = cli.symfun.elem_sym_excl_all
+
+    def lying(values, excl=()):
+        # only sigma_1(a | 1): a change to every row could cancel out of
+        # the pair identity
+        row = real(values, excl)
+        if tuple(excl) == (1,) and isinstance(values[0], Fraction):
+            row[1] = row[1] + 1
+        return row
+
+    monkeypatch.setattr(cli.symfun, "elem_sym_excl_all", lying)
+    code, path = run(tmp_path, ["verify", "--grid", "10"], "bad.json")
+    assert code == 1
+    assert _failing_suites(path) == {"sigma_recurrences",
+                                     "pair_exclusion_difference"}
+
+
+def test_verify_fault_injection_gen_sym_table(tmp_path, monkeypatch):
+    real = cli.symfun.gen_sym_table
+
+    def lying(values):
+        table = real(values)
+        if isinstance(values[0], Fraction):
+            table[1][1] = table[1][1] + 1
+        return table
+
+    monkeypatch.setattr(cli.symfun, "gen_sym_table", lying)
+    code, path = run(tmp_path, ["verify", "--grid", "10"], "bad.json")
+    assert code == 1
+    assert _failing_suites(path) == {"product_decomposition"}
 
 
 def test_scan_eps_csv(tmp_path):
@@ -246,6 +289,14 @@ def test_verify_grid_below_one_exits_two(tmp_path, capsys, grid):
     code, path = run(tmp_path, ["verify", f"--grid={grid}"])
     assert code == 2
     assert "invalid input" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_verify_negative_seed_exits_two(tmp_path, capsys):
+    code, path = run(tmp_path, ["verify", "--seed=-1", "--grid", "5"])
+    assert code == 2
+    assert "invalid input: --seed must be a non-negative integer" in \
+        capsys.readouterr().err
     assert not path.exists()
 
 
