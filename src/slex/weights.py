@@ -28,8 +28,8 @@ which lies in (0, n], equals n exactly for the isotropic point
 tan(theta/n) * ones, and governs the tail rate r^(-decay) of the radial
 profile built in the radial module.  Classification: eigenvalue data with a
 definite sign on the level set is "admissible" when the exponent exceeds 2
-(the tail integral converges) and "slow_decay" otherwise; anything else is
-"outside".
+(the tail integral converges) and "slow_decay" otherwise; anything else,
+a subcritical phase target included, is "outside".
 """
 
 from __future__ import annotations
@@ -165,8 +165,9 @@ def decay_exponent(spec: PhaseSpec, a: Sequence,
 class Admissibility:
     """Classification of eigenvalue data against a phase target.
 
-    klass is "admissible" (definite sign, on the level set, exponent > 2),
-    "slow_decay" (same but exponent <= 2), or "outside".  near_boundary
+    klass is "admissible" (definite sign, critical or supercritical phase,
+    on the level set, exponent > 2), "slow_decay" (same but exponent <= 2),
+    or "outside".  near_boundary
     flags an exponent within 1e-12 of the strict threshold 2.
     """
     klass: str
@@ -180,7 +181,9 @@ def classify(spec: PhaseSpec, lam: Sequence,
 
     All-negative data is handled through the sign reflection: negating the
     unknown flips both the eigenvalues and the phase target, so lam < 0 is
-    classified via the exponent of (-theta, -lam).
+    classified via the exponent of (-theta, -lam).  A subcritical phase
+    target (after the reflection) is "outside": the construction, and
+    every later stage, covers only the critical and supercritical range.
     """
     arr = np.asarray(lam, dtype=float)
     if arr.ndim != 1 or arr.size != spec.n:
@@ -191,7 +194,10 @@ def classify(spec: PhaseSpec, lam: Sequence,
         work_spec, work = PhaseSpec(spec.n, -spec.theta), -arr
     else:
         return Admissibility(klass="outside", m=None)
-    if not (0.0 < work_spec.theta < spec.n * math.pi / 2):
+    # the phase range the ray polynomial supports (phasepoly.ray_degree):
+    # the positive critical angle and the supercritical band above it
+    if not (work_spec.theta > 0.0
+            and work_spec.classification != "subcritical"):
         return Admissibility(klass="outside", m=None)
     if abs(phase(work) - work_spec.theta) > tol:
         return Admissibility(klass="outside", m=None)

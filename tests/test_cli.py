@@ -229,6 +229,20 @@ def test_solve_off_level_exits_one(tmp_path):
     assert report["admissibility"]["m"] is None
 
 
+@pytest.mark.parametrize("source", [["--family", "iso"],
+                                    ["--a", "1,1,1"]])
+def test_solve_subcritical_phase_exits_one(tmp_path, capsys, source):
+    # the iso point is on the level set, (1, 1, 1) is not; both are outside
+    code, path = run(tmp_path, ["solve"] + source + ["--n", "3", "--theta",
+                                                     "0.5"], "sub.json")
+    assert code == 1
+    report = json.loads(path.read_text())
+    assert report["admissibility"] == {"klass": "outside", "m": None}
+    assert report["passed"] is False
+    assert "verification" not in report
+    assert "inadmissible: klass=outside" in capsys.readouterr().err
+
+
 def test_invalid_inputs_exit_two(tmp_path, capsys):
     assert cli.main(["solve", "--a", ISO3, "--family", "iso", "--n", "3",
                      "--theta", "critical"]) == 2

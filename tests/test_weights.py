@@ -268,6 +268,25 @@ def test_classify_outside():
         "outside"
 
 
+def test_classify_subcritical_phase_is_outside():
+    # level-set points exist below the critical angle, but no later stage
+    # supports that range, so classify must not call them admissible
+    for n in range(3, 9):
+        crit = (n - 2) * math.pi / 2
+        for theta in (0.5, 0.5 * crit, crit - 1e-6):
+            spec = phasepoly.PhaseSpec(n, theta)
+            a = weights.iso_point(spec)
+            assert weights.classify(spec, a) == \
+                weights.Admissibility(klass="outside", m=None)
+            neg = weights.classify(phasepoly.PhaseSpec(n, -theta), -a)
+            assert neg.klass == "outside"
+            with pytest.raises(ValueError, match="phase out of supported"):
+                phasepoly.ray_degree(spec)
+        spec = phasepoly.PhaseSpec(n, crit)
+        assert weights.classify(spec, weights.iso_point(spec)).klass == \
+            "admissible"
+
+
 def test_classify_negative_cone_reduction():
     rng = np.random.default_rng(58)
     count = 0
