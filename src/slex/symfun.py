@@ -17,7 +17,7 @@ run their recurrence on the integer numerators p_i, and divide each
 entry by the power of D that matches its degree.  ``Fraction`` is
 canonical, so the returned values (and types: sigma_0 and T[0][0] stay the
 int 1, every other entry is a ``Fraction``) are exactly those of the plain
-``Fraction`` recurrence, at a fraction of its cost.  Every other kernel
+``Fraction`` recurrence, for much less work.  Every other kernel
 here reaches the recurrence through ``elem_sym_all`` and inherits this
 path; float, numpy and all-int input keep the plain loop.
 
@@ -61,7 +61,8 @@ def elem_sym_all(a: Sequence) -> list:
     """All values sigma_0(a) .. sigma_n(a) via the product recurrence."""
     cleared = _cleared(a)
     if cleared is not None:
-        # sigma_k is homogeneous of degree k
+        # sigma_k is homogeneous of degree k; the integer numerators take
+        # the plain loop below
         nums, d = cleared
         e = elem_sym_all(nums)
         return [e[0]] + [Fraction(v, d ** k) for k, v in enumerate(e[1:], 1)]
@@ -124,7 +125,8 @@ def gen_sym_table(a: Sequence) -> list:
     """
     cleared = _cleared(a)
     if cleared is not None:
-        # T[k][j] is homogeneous of degree k + j
+        # T[k][j] is homogeneous of degree k + j; the integer numerators
+        # take the plain loop below
         nums, d = cleared
         table = gen_sym_table(nums)
         return [[table[0][0]]] + [[Fraction(v, d ** (k + j))

@@ -167,8 +167,8 @@ class Admissibility:
 
     klass is "admissible" (definite sign, critical or supercritical phase,
     on the level set, exponent > 2), "slow_decay" (same but exponent <= 2),
-    or "outside".  near_boundary
-    flags an exponent within 1e-12 of the strict threshold 2.
+    or "outside".  near_boundary flags an exponent within 1e-12 of the
+    strict threshold 2.
     """
     klass: str
     m: Optional[float]
