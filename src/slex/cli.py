@@ -354,8 +354,7 @@ def _closed_form_exponent(eps: float) -> float:
     return num / den
 
 
-def _family_exponent(eps: float) -> float:
-    spec = phasepoly.PhaseSpec(5, 5 * math.pi / 3)
+def _family_exponent(spec: phasepoly.PhaseSpec, eps: float) -> float:
     return weights.decay_exponent(spec, weights.epsilon_family(eps))
 
 
@@ -364,10 +363,11 @@ def _run_scan(cfg: RunConfig) -> tuple:
     if grid_n < 2:
         raise ValueError("scan grid needs at least 2 points")
     eps_grid = np.linspace(0.0, math.pi / 12, grid_n)
+    spec = phasepoly.PhaseSpec(5, 5 * math.pi / 3)
     rows = []
     pipe = []
     for eps in eps_grid:
-        mp = _family_exponent(float(eps))
+        mp = _family_exponent(spec, float(eps))
         mc = _closed_form_exponent(float(eps))
         pipe.append(mp)
         rows.append((float(eps), mp, mc))
@@ -377,7 +377,7 @@ def _run_scan(cfg: RunConfig) -> tuple:
     lo, hi = 0.0, math.pi / 12
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _family_exponent(mid) > 2.0:
+        if _family_exponent(spec, mid) > 2.0:
             lo = mid
         else:
             hi = mid

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -78,6 +79,22 @@ class PhaseSpec:
         if self.is_supercritical:
             return "supercritical"
         return "subcritical"
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        """The level coefficients c_0..c_n; see phase_coeffs."""
+        s = math.sin(self.theta)
+        c = math.cos(self.theta)
+        if self.is_critical:
+            if self.n % 2 == 0:
+                s, c = 0.0, math.copysign(1.0, c)
+            else:
+                s, c = math.copysign(1.0, s), 0.0
+        out = []
+        for k in range(self.n + 1):
+            j, odd = divmod(k, 2)
+            out.append(((-1) ** j * c if odd else (-1) ** (j + 1) * s) + 0.0)
+        return tuple(out)
 
 
 def phase(lam: Sequence) -> float:
@@ -133,20 +150,9 @@ def phase_coeffs(spec: PhaseSpec) -> tuple:
     critical angle the vanishing trig factor is snapped to exactly 0 (and
     its partner to +-1), keyed off the criticality flag rather than a float
     comparison, so the leading coefficient of the ray polynomial vanishes
-    exactly there.
+    exactly there.  Computed once per PhaseSpec (PhaseSpec.coeffs).
     """
-    s = math.sin(spec.theta)
-    c = math.cos(spec.theta)
-    if spec.is_critical:
-        if spec.n % 2 == 0:
-            s, c = 0.0, math.copysign(1.0, c)
-        else:
-            s, c = math.copysign(1.0, s), 0.0
-    out = []
-    for k in range(spec.n + 1):
-        j, odd = divmod(k, 2)
-        out.append(((-1) ** j * c if odd else (-1) ** (j + 1) * s) + 0.0)
-    return tuple(out)
+    return spec.coeffs
 
 
 def level_value(spec: PhaseSpec, lam: Sequence) -> float:

@@ -30,6 +30,8 @@ m = -g'(1) is the decay exponent.  Two independent routes are implemented:
 One problem (theta, a) is analysed once: partial_fractions certifies the
 ray roots, builds the slope-field pair (num, den), the residues and m, and
 stores the sub-unit terms (root_j, m K_j) of log B as Python floats.  The
+pair and m come from one weights.weight_profile, whose sigma row also gives
+den, the ray polynomial's coefficients.  The
 returned PartialFractions is passed on (pf=...) to both profile routes, the
 tail integrals and the subsol module, and
 PartialFractions.implicit_excess(beta) fixes log(beta - 1) + log B(beta)
@@ -55,9 +57,8 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from .phasepoly import PhaseSpec, phase_coeffs, ray_poly, ray_roots
-from .symfun import elem_sym_all
-from .weights import decay_exponent, weight_profile
+from .phasepoly import PhaseSpec, phase_coeffs, ray_degree, ray_roots
+from .weights import WeightProfile, decay_exponent, weight_profile
 
 BETA_CAP = 1.0e6
 BETA_WARN = 1.0e3
@@ -84,16 +85,23 @@ def check_beta(beta: float) -> float:
     return beta
 
 
-def _poly_pair(spec: PhaseSpec, a: Sequence):
-    """(num, den) ascending coefficient arrays of the slope-field fraction."""
-    arr = np.sort(np.asarray(a, dtype=float))
-    den = ray_poly(spec, arr)
-    deg = len(den) - 1
-    sig = elem_sym_all(arr.tolist())
+def _slope_pair(spec: PhaseSpec, prof: WeightProfile):
+    """(num, den) from a weight profile's sigma row and selected chain.
+
+    den holds ray_poly's coefficients c_k sigma_k, k = 0..N.
+    """
+    deg = ray_degree(spec)
     c = phase_coeffs(spec)
-    sel = weight_profile(spec, arr).selected
+    sig = prof.sigma
+    sel = prof.selected
+    den = np.array([c[k] * sig[k] for k in range(deg + 1)])
     num = np.array([sel[k] * c[k] * sig[k] for k in range(1, deg + 1)])
     return num, den
+
+
+def _poly_pair(spec: PhaseSpec, a: Sequence):
+    """(num, den) ascending coefficient arrays of the slope-field fraction."""
+    return _slope_pair(spec, weight_profile(spec, a))
 
 
 def slope_field(spec: PhaseSpec, a: Sequence, nu: float) -> float:
@@ -230,9 +238,12 @@ def partial_fractions(spec: PhaseSpec, a: Sequence) -> PartialFractions:
         raise ValueError("a not on the phase level set")
     roots = cert.roots.copy()
     roots[-1] = 1.0
-    num, den = _poly_pair(spec, arr)
+    prof = weight_profile(spec, arr)
+    if prof.m is None:
+        raise ValueError("a not on the phase level set")
+    num, den = _slope_pair(spec, prof)
     weights = npoly.polyval(roots, num) / npoly.polyval(roots, npoly.polyder(den))
-    m = decay_exponent(spec, arr)
+    m = prof.m
     if abs(weights[-1] - 1.0 / m) > 1e-10:
         raise ValueError("partial-fraction residue at 1 disagrees with 1/m")
     return PartialFractions(spec=spec, a=arr, roots=roots, weights=weights,

@@ -30,27 +30,47 @@ profile built in the radial module.  Classification: eigenvalue data with a
 definite sign on the level set is "admissible" when the exponent exceeds 2
 (the tail integral converges) and "slow_decay" otherwise; anything else,
 a subcritical phase target included, is "outside".
+
+The chains and the exponent run on one ascending list of Python floats,
+without numpy arrays.  One recurrence pass builds sigma(a); its state just
+before the last (largest) entry is sigma(a less max), the same operations
+as elem_sym_all on the shortened list and so the same bits.  sigma(a less
+min) takes a second pass.  The coefficients c_k are computed once per
+PhaseSpec.  Arrays appear only in the WeightProfile that weight_profile
+returns; it also carries the sigma row, so the radial module builds its
+slope-field pair and takes m from one profile.  Python floats overflow
+silently, so a sigma row outside (0, F/(2n^2)), F the largest float, is
+rejected with ValueError before any chain or exponent is formed.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .phasepoly import LEVEL_TOL, PhaseSpec, phase, phase_coeffs
-from .symfun import elem_sym_all, elem_sym_excl, elem_sym_excl_all
+from .symfun import elem_sym_all, elem_sym_excl
+
+_FLOAT_MAX = sys.float_info.max
 
 
-def _ascending_positive(a, n: Optional[int] = None) -> np.ndarray:
-    arr = np.sort(np.asarray(a, dtype=float))
-    if arr.ndim != 1 or arr.size == 0 or not np.all(arr > 0):
+def _ascending_positive(a, n: Optional[int] = None) -> list:
+    """The entries of a as an ascending list of positive Python floats."""
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
         raise ValueError("vector must have all entries positive")
-    if n is not None and arr.size != n:
+    vals = arr.tolist()
+    for v in vals:
+        if not v > 0.0:
+            raise ValueError("vector must have all entries positive")
+    if n is not None and len(vals) != n:
         raise ValueError("vector length does not match the phase dimension")
-    return arr
+    vals.sort()
+    return vals
 
 
 def direction_weight(a: Sequence, x: Sequence, k: int) -> float:
@@ -75,25 +95,35 @@ def direction_weight(a: Sequence, x: Sequence, k: int) -> float:
     return num / den
 
 
-def _chains(arr: np.ndarray) -> tuple:
-    """(sigma, lower, upper) of an ascending positive vector.
+def _chains(vals: list) -> tuple:
+    """(sigma, lower, upper) of an ascending positive list, as float lists.
 
     sigma is the full row sigma_0..sigma_n; lower and upper are both weight
-    chains for k = 0..n, built from one exclusion row for the smallest and
-    one for the largest entry.
+    chains for k = 0..n.  sigma(a | max) is the state of sigma's own
+    recurrence just before its last entry, and sigma(a | min) has a pass of
+    its own.  Raises ValueError unless every sigma_k lies in (0, F/(2n^2)),
+    F the largest float: the exponent's sums add n terms of size up to
+    n * sigma_k, so this leaves none of them room to overflow.
     """
-    al = arr.tolist()
-    n = len(al)
-    sig = elem_sym_all(al)
-    less_min = elem_sym_excl_all(al, (1,))
-    less_max = elem_sym_excl_all(al, (n,))
-    lower = np.empty(n + 1)
-    upper = np.empty(n + 1)
-    lower[0] = upper[0] = 0.0
+    n = len(vals)
+    less_max = elem_sym_all(vals[:-1])
+    sig = less_max + [0]
+    x = vals[-1]
+    for j in range(n, 0, -1):
+        sig[j] = sig[j] + x * sig[j - 1]
+    top = _FLOAT_MAX / (2 * n * n)
+    if not all(0.0 < s < top for s in sig):
+        raise ValueError("sigma row of the vector leaves the float range")
+    less_min = elem_sym_all(vals[1:])
+    lo = vals[0]
+    hi = x
+    lower = [0.0]
+    upper = [0.0]
     for k in range(1, n):
-        lower[k] = arr[0] * less_min[k - 1] / sig[k]
-        upper[k] = arr[-1] * less_max[k - 1] / sig[k]
-    lower[n] = upper[n] = 1.0
+        lower.append(lo * less_min[k - 1] / sig[k])
+        upper.append(hi * less_max[k - 1] / sig[k])
+    lower.append(1.0)
+    upper.append(1.0)
     return sig, lower, upper
 
 
@@ -102,11 +132,11 @@ def weight_bounds(a: Sequence, k: int) -> tuple:
 
     k = 0 and k = n are structural: (0, 0) and (1, 1) exactly.
     """
-    arr = _ascending_positive(a)
-    if not (0 <= k <= arr.size):
+    vals = _ascending_positive(a)
+    if not (0 <= k <= len(vals)):
         raise ValueError("need 0 <= k <= n")
-    _sig, lower, upper = _chains(arr)
-    return (float(lower[k]), float(upper[k]))
+    _sig, lower, upper = _chains(vals)
+    return (lower[k], upper[k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,11 +145,14 @@ class WeightProfile:
 
     lower/upper/selected have length n+1 (index k = 0..n).  The exponent m
     is present only when the input vector lies on the phase level set.
+    sigma is the row sigma_0..sigma_n of the sorted vector the chains were
+    built from, as elem_sym_all gives it (Python floats after sigma_0 = 1).
     """
     lower: np.ndarray
     upper: np.ndarray
     selected: np.ndarray
     m: Optional[float]
+    sigma: tuple
 
 
 def weight_profile(spec: PhaseSpec, a: Sequence) -> WeightProfile:
@@ -129,22 +162,27 @@ def weight_profile(spec: PhaseSpec, a: Sequence) -> WeightProfile:
     c_k(theta) > 0 and lower_k otherwise (the choice is value-irrelevant
     where c_k = 0).
     """
-    arr = _ascending_positive(a, spec.n)
-    return _profile(spec, arr, abs(phase(arr) - spec.theta) <= LEVEL_TOL)
-
-
-def _profile(spec: PhaseSpec, arr: np.ndarray, with_m: bool) -> WeightProfile:
-    # arr is ascending and positive; m is filled in only when with_m is set
-    sig, lower, upper = _chains(arr)
+    vals = _ascending_positive(a, spec.n)
+    sig, lower, upper = _chains(vals)
     c = phase_coeffs(spec)
-    selected = np.where(np.asarray(c) > 0, upper, lower)
+    selected = _select(c, lower, upper)
     m = None
-    if with_m:
-        num = math.fsum(k * c[k] * sig[k] for k in range(1, spec.n + 1))
-        den = math.fsum(selected[k] * c[k] * sig[k]
-                        for k in range(1, spec.n + 1))
-        m = num / den
-    return WeightProfile(lower=lower, upper=upper, selected=selected, m=m)
+    if abs(phase(vals) - spec.theta) <= LEVEL_TOL:
+        m = _exponent(c, sig, selected)
+    return WeightProfile(lower=np.array(lower), upper=np.array(upper),
+                         selected=np.array(selected), m=m, sigma=tuple(sig))
+
+
+def _select(c: tuple, lower: list, upper: list) -> list:
+    return [u if ck > 0 else lo for ck, lo, u in zip(c, lower, upper)]
+
+
+def _exponent(c: tuple, sig: list, selected: list) -> float:
+    # sum_k k c_k sigma_k / sum_k selected_k c_k sigma_k over k = 1..n
+    ks = range(1, len(sig))
+    num = math.fsum([k * c[k] * sig[k] for k in ks])
+    den = math.fsum([selected[k] * c[k] * sig[k] for k in ks])
+    return num / den
 
 
 def decay_exponent(spec: PhaseSpec, a: Sequence,
@@ -155,10 +193,12 @@ def decay_exponent(spec: PhaseSpec, a: Sequence,
     """
     if not (0.0 < spec.theta < spec.n * math.pi / 2):
         raise ValueError("phase out of supported range")
-    arr = _ascending_positive(a, spec.n)
-    if abs(phase(arr) - spec.theta) > tol:
+    vals = _ascending_positive(a, spec.n)
+    if abs(phase(vals) - spec.theta) > tol:
         raise ValueError("a not on the phase level set")
-    return _profile(spec, arr, True).m
+    sig, lower, upper = _chains(vals)
+    c = phase_coeffs(spec)
+    return _exponent(c, sig, _select(c, lower, upper))
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,12 @@
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from slex import cli
+from slex import cli, weights
 
 
 ISO3 = ",".join([repr(1.0 / math.sqrt(3.0))] * 3)
@@ -150,6 +151,26 @@ def test_scan_eps_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_scan_eps_one_exponent_call_per_row_in_row_order(tmp_path,
+                                                        monkeypatch):
+    # the traced benchmark replay reads the scan rows from these calls
+    results = []
+    real = weights.decay_exponent
+
+    def counted(*args, **kwargs):
+        m = real(*args, **kwargs)
+        results.append(m)
+        return m
+
+    monkeypatch.setattr(weights, "decay_exponent", counted)
+    code, path = run(tmp_path, ["scan-eps", "--grid", "25", "--format",
+                                "json"], "scan.json")
+    assert code == 0
+    rows = json.loads(path.read_text())["rows"]
+    assert len(results) == 25 + 60
+    assert results[:25] == [row["m_pipeline"] for row in rows]
+
+
 def test_solve_closed_case(tmp_path):
     code, path = run(tmp_path, ["solve", "--a", ISO3, "--n", "3",
                                 "--theta", "critical", "--beta", "2.0",
@@ -272,6 +293,21 @@ def test_solve_huge_gamma_exits_two(tmp_path, capsys):
                              "--theta", "critical", "--gamma", "1e300"])
     assert code == 2
     assert "invalid input: R too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, theta", [("170", "266"), ("200", "critical")])
+def test_solve_sigma_overflow_exits_two(tmp_path, capsys, n, theta):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, path = run(tmp_path, ["solve", "--family", "iso", "--n", n,
+                                    "--theta", theta])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "invalid input: sigma row of the vector leaves the float range" \
+        in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("entries", ["nan,1,1", "inf,1,1", "1,-inf,1"])

@@ -100,6 +100,20 @@ def test_partial_fractions_residues_recombine():
             assert recombined == pytest.approx(direct, rel=1e-9)
 
 
+def test_poly_pair_and_m_from_one_weight_profile_bitwise():
+    # den, built from the profile's sigma row, is ray_poly's own array, and
+    # the analysis' m is the decay exponent's
+    rng = np.random.default_rng(64)
+    for n in range(3, 13):
+        spec, a = admissible_point(rng, n)
+        num, den = radial._poly_pair(spec, a)
+        assert den.tobytes() == phasepoly.ray_poly(spec, a).tobytes()
+        pf = radial.partial_fractions(spec, a)
+        assert pf.m == weights.decay_exponent(spec, a)
+        assert pf.num == tuple(num.tolist())
+        assert pf.den == tuple(den.tolist())
+
+
 def test_partial_fractions_requires_level_membership():
     with pytest.raises(ValueError, match="a not on the phase level set"):
         radial.partial_fractions(SPEC3, np.array([1.0, 2.0, 3.0]))

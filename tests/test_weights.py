@@ -352,3 +352,190 @@ def test_iso_point_phase_membership():
         spec = phasepoly.PhaseSpec(n, theta)
         a = weights.iso_point(spec)
         assert abs(phasepoly.phase(a) - theta) <= 1e-12
+
+
+# ------------------------------------------------- float path vs numpy formula
+# An in-test copy of the numpy formula the weights layer used before it ran on
+# Python floats: sorted float64 array, three separate sigma rows, chains filled
+# into np.empty arrays, np.where selection.  The float path must give the same
+# bits and the same error messages.
+
+def numpy_ascending_positive(a, n=None):
+    arr = np.sort(np.asarray(a, dtype=float))
+    if arr.ndim != 1 or arr.size == 0 or not np.all(arr > 0):
+        raise ValueError("vector must have all entries positive")
+    if n is not None and arr.size != n:
+        raise ValueError("vector length does not match the phase dimension")
+    return arr
+
+
+def numpy_chains(arr):
+    al = arr.tolist()
+    n = len(al)
+    sig = symfun.elem_sym_all(al)
+    less_min = symfun.elem_sym_excl_all(al, (1,))
+    less_max = symfun.elem_sym_excl_all(al, (n,))
+    lower = np.empty(n + 1)
+    upper = np.empty(n + 1)
+    lower[0] = upper[0] = 0.0
+    for k in range(1, n):
+        lower[k] = arr[0] * less_min[k - 1] / sig[k]
+        upper[k] = arr[-1] * less_max[k - 1] / sig[k]
+    lower[n] = upper[n] = 1.0
+    return sig, lower, upper
+
+
+def numpy_profile(spec, arr, with_m):
+    sig, lower, upper = numpy_chains(arr)
+    c = phasepoly.phase_coeffs(spec)
+    selected = np.where(np.asarray(c) > 0, upper, lower)
+    m = None
+    if with_m:
+        num = math.fsum(k * c[k] * sig[k] for k in range(1, spec.n + 1))
+        den = math.fsum(selected[k] * c[k] * sig[k]
+                        for k in range(1, spec.n + 1))
+        m = num / den
+    return sig, lower, upper, selected, m
+
+
+def numpy_weight_profile(spec, a):
+    arr = numpy_ascending_positive(a, spec.n)
+    return numpy_profile(
+        spec, arr, abs(phasepoly.phase(arr) - spec.theta) <= phasepoly.LEVEL_TOL)
+
+
+def numpy_decay_exponent(spec, a, tol=phasepoly.LEVEL_TOL):
+    if not (0.0 < spec.theta < spec.n * math.pi / 2):
+        raise ValueError("phase out of supported range")
+    arr = numpy_ascending_positive(a, spec.n)
+    if abs(phasepoly.phase(arr) - spec.theta) > tol:
+        raise ValueError("a not on the phase level set")
+    return numpy_profile(spec, arr, True)[4]
+
+
+def numpy_weight_bounds(a, k):
+    arr = numpy_ascending_positive(a)
+    if not (0 <= k <= arr.size):
+        raise ValueError("need 0 <= k <= n")
+    _sig, lower, upper = numpy_chains(arr)
+    return (float(lower[k]), float(upper[k]))
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def assert_profile_bits(spec, a):
+    got = weights.weight_profile(spec, a)
+    sig, lower, upper, selected, m = numpy_weight_profile(spec, a)
+    assert bits(got.lower) == bits(lower)
+    assert bits(got.upper) == bits(upper)
+    assert bits(got.selected) == bits(selected)
+    assert bits(got.sigma) == bits(sig)
+    assert (got.m is None) == (m is None)
+    if m is not None:
+        assert bits(got.m) == bits(m)
+
+
+def level_points(rng, n, count):
+    """count permuted level points in dimension n, critical and
+    supercritical in turn, as (spec, a) with a an ndarray."""
+    out = []
+    while len(out) < count:
+        # D = n*pi/2 - theta: pi at the critical angle, less above it
+        if len(out) % 2 == 0:
+            gap = math.pi
+        else:
+            gap = float(rng.uniform(0.05 * n + 0.1, math.pi - 0.05))
+        spec = phasepoly.PhaseSpec(n, n * math.pi / 2 - gap)
+        ang = math.pi / 2 - (0.02 + (gap - 0.02 * n)
+                             * rng.dirichlet(np.ones(n)))
+        if np.any(ang <= 0.02):
+            continue
+        try:
+            a = weights.complete_to_phase(np.tan(ang[:-1]), spec)
+        except ValueError:
+            continue
+        out.append((spec, rng.permutation(a)))
+    return out
+
+
+def test_float_path_bit_identical_on_the_scan_grid():
+    for i, eps in enumerate(np.linspace(0.0, math.pi / 12, 8000)):
+        a = weights.epsilon_family(float(eps))
+        assert bits(weights.decay_exponent(SPEC5, a)) == \
+            bits(numpy_decay_exponent(SPEC5, a)), eps
+        if i % 16 == 0:
+            assert_profile_bits(SPEC5, a)
+            for k in range(6):
+                assert bits(weights.weight_bounds(a, k)) == \
+                    bits(numpy_weight_bounds(a, k))
+
+
+def test_float_path_bit_identical_on_random_level_points():
+    rng = np.random.default_rng(2024)
+    for n in range(3, 13):
+        for spec, a in level_points(rng, n, 12):
+            for form in (a.tolist(), tuple(a.tolist()), a):
+                assert bits(weights.decay_exponent(spec, form)) == \
+                    bits(numpy_decay_exponent(spec, form)), (n, spec.theta)
+                assert_profile_bits(spec, form)
+                for k in range(n + 1):
+                    assert bits(weights.weight_bounds(form, k)) == \
+                        bits(numpy_weight_bounds(form, k))
+            # off the level set: the chains but no exponent
+            assert_profile_bits(spec, 1.01 * a)
+
+
+def message(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("a", [
+    [], (), np.array([]), [1.0, -1.0, 2.0], [1.0, float("nan"), 2.0],
+    [0.0, 1.0, 1.0], np.array([-0.0, 1.0, 2.0]), [1.0, 1.0],
+    [1.0, 1.0, 1.0, 1.0], [[1.0, 2.0, 3.0]], np.ones((3, 1)),
+])
+def test_float_path_error_messages_match(a):
+    for spec in (phasepoly.PhaseSpec(3, math.pi / 2),
+                 phasepoly.PhaseSpec(3, -math.pi / 2)):
+        assert message(weights.decay_exponent, spec, a) == \
+            message(numpy_decay_exponent, spec, a)
+        assert message(weights.weight_profile, spec, a) == \
+            message(numpy_weight_profile, spec, a)
+
+
+def test_float_path_error_messages_match_off_level_and_out_of_range():
+    spec = phasepoly.PhaseSpec(3, math.pi / 2)
+    for fn in (weights.decay_exponent, numpy_decay_exponent):
+        assert message(fn, spec, [1.0, 2.0, 3.0]) == \
+            "a not on the phase level set"
+        assert message(fn, phasepoly.PhaseSpec(3, -math.pi / 2),
+                       np.ones(3)) == "phase out of supported range"
+    for k in (-1, 4):
+        assert message(weights.weight_bounds, [1.0, 2.0, 3.0], k) == \
+            message(numpy_weight_bounds, [1.0, 2.0, 3.0], k)
+    for bad in ([], [1.0, 0.0], [float("nan"), 1.0]):
+        assert message(weights.weight_bounds, bad, 1) == \
+            message(numpy_weight_bounds, bad, 1)
+
+
+@pytest.mark.parametrize("n, theta", [(170, 266.0), (200, 99 * math.pi)])
+def test_decay_exponent_rejects_a_sigma_row_out_of_float_range(n, theta):
+    # the iso point's sigma row overflows; the numpy formula turned it into
+    # inf - inf inside fsum
+    spec = phasepoly.PhaseSpec(n, theta)
+    with pytest.raises(ValueError,
+                       match="sigma row of the vector leaves the float range"):
+        weights.decay_exponent(spec, weights.iso_point(spec))
+
+
+def test_chains_reject_a_sigma_row_out_of_float_range():
+    with pytest.raises(ValueError, match="leaves the float range"):
+        weights.weight_bounds([1e200, 1e200, 1.0], 1)
+    with pytest.raises(ValueError, match="leaves the float range"):
+        weights.weight_bounds([1e-200, 1e-200, 1e-200], 1)
+    with pytest.raises(ValueError, match="leaves the float range"):
+        weights.weight_bounds([float("inf"), 1.0, 2.0], 1)
