@@ -96,7 +96,7 @@ def direction_weight(a: Sequence, x: Sequence, k: int) -> float:
 
 
 def _chains(vals: list) -> tuple:
-    """(sigma, lower, upper) of an ascending positive list, as float lists.
+    """(sigma, lower, upper) of an ascending positive list, as lists.
 
     sigma is the full row sigma_0..sigma_n; lower and upper are both weight
     chains for k = 0..n.  sigma(a | max) is the state of sigma's own
