@@ -81,6 +81,15 @@ class PhaseSpec:
         return "subcritical"
 
     @cached_property
+    def ray_degree(self) -> int:
+        """The degree N of the ray polynomial; see ray_degree."""
+        if self.theta > 0 and self.is_critical:
+            return self.n - 1
+        if self.theta > self.critical_angle:
+            return self.n
+        raise ValueError("phase out of supported range")
+
+    @cached_property
     def coeffs(self) -> tuple:
         """The level coefficients c_0..c_n; see phase_coeffs."""
         s = math.sin(self.theta)
@@ -199,11 +208,7 @@ def ray_degree(spec: PhaseSpec) -> int:
     N = n-1 at the (positive) critical angle, N = n in the supercritical
     band up to n*pi/2.  Angles below critical (or negative) are rejected.
     """
-    if spec.theta > 0 and spec.is_critical:
-        return spec.n - 1
-    if spec.theta > spec.critical_angle:
-        return spec.n
-    raise ValueError("phase out of supported range")
+    return spec.ray_degree
 
 
 def _check_positive(a) -> np.ndarray:

@@ -34,11 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from statistics import NormalDist
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtri
 
 from .phasepoly import LEVEL_TOL, PhaseSpec, phase, phase_coeffs
 from .radial import PartialFractions, check_beta, partial_fractions
@@ -88,15 +87,11 @@ class SubsolutionSpec:
     def m(self) -> float:
         return self.pf.m
 
-    @cached_property
-    def excess(self):
-        """r -> psi(r) - 1 by the implicit route, for r >= 1."""
-        return self.pf.implicit_excess(self.beta)
-
     def profile_at(self, r: float) -> tuple:
         """(psi, psi') at radius r >= 1, from the implicit route."""
-        nu = 1.0 + self.excess(float(r))
-        return nu, self.pf.slope(nu) / float(r)
+        r = float(r)
+        nu = 1.0 + float(self.pf.excess_at(self.beta, r))
+        return nu, self.pf.slope(nu) / r
 
 
 def ellipsoid_radius(A, x) -> float:
@@ -125,24 +120,15 @@ def ellipsoid_radius(A, x) -> float:
 def radial_value(spec: SubsolutionSpec, r: float) -> float:
     """phi(r) = alpha + int_gamma^r tau psi(tau) dtau, for r >= gamma.
 
-    Splitting psi = 1 + excess gives the exact quadratic part plus a
-    quadrature of the excess (in log radius, profile values from the
-    implicit route).
+    Splitting psi = 1 + excess gives the exact quadratic part plus the
+    excess integral of the implicit route (PartialFractions.excess_integral,
+    Gauss-Legendre in log radius).
     """
     r = float(r)
     if r < spec.gamma:
         raise ValueError("radius inside the excised ellipsoid")
     quadratic = spec.alpha + 0.5 * (r * r - spec.gamma ** 2)
-    if spec.beta == 1.0 or r == spec.gamma:
-        return quadratic
-    excess = spec.excess
-
-    def integrand(s: float) -> float:
-        return math.exp(2.0 * s) * excess(math.exp(s))
-
-    body, _err = quad(integrand, math.log(spec.gamma), math.log(r),
-                      epsabs=1e-13, epsrel=1e-11, limit=200)
-    return quadratic + body
+    return quadratic + spec.pf.excess_integral(spec.beta, spec.gamma, r)
 
 
 def hessian(spec: SubsolutionSpec, x: Sequence) -> np.ndarray:
@@ -172,12 +158,16 @@ def hessian_sigma(spec: SubsolutionSpec, x: Sequence, k: int) -> float:
     return float(sigma_rank_one(p, q, dpsi / r, k))
 
 
+_NORMAL = NormalDist()
+
+
 def sphere_directions(n: int, count: int) -> np.ndarray:
     """Deterministic low-discrepancy directions on the unit sphere.
 
     Uses the additive lattice driven by the generalized golden ratio (the
-    positive root of x^(n+1) = x + 1), mapped through the normal quantile
-    so the normalized rows are spread uniformly on the sphere.
+    positive root of x^(n+1) = x + 1), mapped through the standard normal
+    quantile (statistics.NormalDist.inv_cdf) so the normalized rows are
+    spread uniformly on the sphere.
     """
     if count <= 0:
         return np.zeros((0, n))
@@ -187,7 +177,7 @@ def sphere_directions(n: int, count: int) -> np.ndarray:
     alpha = np.array([(1.0 / g) ** (j + 1) for j in range(n)])
     idx = np.arange(1, count + 1)[:, None]
     u = (0.5 + idx * alpha) % 1.0
-    z = ndtri(u)
+    z = np.array([[_NORMAL.inv_cdf(v) for v in row] for row in u.tolist()])
     norms = np.linalg.norm(z, axis=1)
     norms[norms < 1e-12] = 1.0
     return z / norms[:, None]
@@ -264,11 +254,13 @@ def verify_subsolution(spec: SubsolutionSpec,
     ra = np.sqrt((dirs * dirs) @ a)
     radii = np.geomspace(r_min, grid.r_max, grid.shells)
 
+    nus = (1.0 + spec.pf.excess_at(spec.beta, radii)).tolist()
+
     blocks = []
     pts = []
-    for rho in radii:
+    for rho, nu in zip(radii.tolist(), nus):
         x = (rho / ra)[:, None] * dirs
-        nu, dpsi = spec.profile_at(rho)
+        dpsi = spec.pf.slope(nu) / rho
         q = x * a
         m = (dpsi / rho) * q[:, :, None] * q[:, None, :]
         m[:, np.arange(n), np.arange(n)] += nu * a

@@ -29,7 +29,9 @@ tan(theta/n) * ones, and governs the tail rate r^(-decay) of the radial
 profile built in the radial module.  Classification: eigenvalue data with a
 definite sign on the level set is "admissible" when the exponent exceeds 2
 (the tail integral converges) and "slow_decay" otherwise; anything else,
-a subcritical phase target included, is "outside".
+a subcritical phase target included, is "outside".  decay_exponent and
+weight_profile reject a subcritical phase with phasepoly.ray_degree's
+ValueError, so no stage computes an exponent classify would not give.
 
 The chains and the exponent run on one ascending list of Python floats,
 without numpy arrays.  One recurrence pass builds sigma(a); its state just
@@ -52,7 +54,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .phasepoly import LEVEL_TOL, PhaseSpec, phase, phase_coeffs
+from .phasepoly import LEVEL_TOL, PhaseSpec, phase, phase_coeffs, ray_degree
 from .symfun import elem_sym_all, elem_sym_excl
 
 _FLOAT_MAX = sys.float_info.max
@@ -160,9 +162,11 @@ def weight_profile(spec: PhaseSpec, a: Sequence) -> WeightProfile:
 
     The input is sorted internally; selected_k is upper_k where
     c_k(theta) > 0 and lower_k otherwise (the choice is value-irrelevant
-    where c_k = 0).
+    where c_k = 0).  The phase must lie in ray_degree's range (the positive
+    critical angle or above it); a subcritical one raises ValueError.
     """
     vals = _ascending_positive(a, spec.n)
+    ray_degree(spec)
     sig, lower, upper = _chains(vals)
     c = phase_coeffs(spec)
     selected = _select(c, lower, upper)
@@ -189,10 +193,10 @@ def decay_exponent(spec: PhaseSpec, a: Sequence,
                    tol: float = LEVEL_TOL) -> float:
     """Decay exponent of a level-set point a; lies in (0, n].
 
-    Requires 0 < theta < n*pi/2 and |H(a) - theta| <= tol.
+    Requires theta in ray_degree's range (the positive critical angle or
+    above it; every PhaseSpec lies below n*pi/2) and |H(a) - theta| <= tol.
     """
-    if not (0.0 < spec.theta < spec.n * math.pi / 2):
-        raise ValueError("phase out of supported range")
+    ray_degree(spec)
     vals = _ascending_positive(a, spec.n)
     if abs(phase(vals) - spec.theta) > tol:
         raise ValueError("a not on the phase level set")

@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -365,3 +369,41 @@ def test_stderr_status_lines(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().err
     run(tmp_path, ["solve", "--family", "eps:0.25"], "s.json")
     assert "inadmissible" in capsys.readouterr().err
+
+
+IMPORT_GUARD = """
+import contextlib, io, json, sys
+import slex.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = {"import": scipy_modules(),
+        "lazy": [m for m in ("numpy.random", "locale") if m in sys.modules]}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = slex.cli.main(argv)
+    seen[" ".join(argv)] = [code, scipy_modules()]
+print(json.dumps(seen))
+"""
+
+
+def test_no_command_imports_scipy():
+    # a cold `slex` pays no scipy import; numpy.random and locale (which
+    # argparse imports on first use) are loaded with the package, so no
+    # command imports them inside its run
+    argvs = [["solve", "--family", "iso", "--n", "5", "--theta", "critical",
+              "--grid", "4"],
+             ["solve", "--family", "eps:0.1", "--grid", "4"],
+             ["verify", "--grid", "2"], ["scan-eps", "--grid", "5"]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD,
+                           json.dumps(argvs)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen.pop("import") == []
+    assert seen.pop("lazy") == ["numpy.random", "locale"]
+    assert seen == {" ".join(argv): [0, []] for argv in argvs}

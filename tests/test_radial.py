@@ -1,6 +1,7 @@
 """Tests for the radial profile equation and its two solution routes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from slex import phasepoly, radial, weights
+from slex import phasepoly, radial, subsol, weights
 
 
 SQRT3 = math.sqrt(3.0)
@@ -280,13 +281,19 @@ def test_decay_fit_requires_decaying_tail():
         radial.decay_fit(radial.solve_profile(SPEC3, A3, 2.0, r_max=100.0))
 
 
-# -------------------------------------------------- bit-identity oracles
+# ------------------------------------------------------------- oracles
 #
-# The implicit route and the numeric route's right-hand side run on
-# precomputed Python-float data.  The oracles below are the plain
-# formulas: numpy-scalar residues and coefficient arrays, with every
-# constant recomputed on each call.  Equal float operations in an equal
-# order must give equal bits, so these comparisons are exact.
+# The routes run on precomputed Python-float data.  The oracles below are
+# the plain formulas: numpy-scalar residues and coefficient arrays, with
+# every constant recomputed on each call, solved by scipy's brentq,
+# DOP853 and quad.  Where the arithmetic is the same (log B, the slope,
+# the integrator under a polyval right-hand side) the comparison is exact;
+# against scipy's solvers it is to a tolerance.
+
+# iso (n, theta, beta) whose eigenvalues, or whose beta, are large
+LARGE_EIGENVALUE_CASES = [(8, 11.0, 2.0), (12, 17.0, 2.0), (20, 30.0, 2.0),
+                          (4, 3.6, 2000.0), (6, 7.0, 50.0)]
+
 
 def admissible_point(rng, n):
     """A random admissible level-set point of dimension n (3..12 here)."""
@@ -333,8 +340,8 @@ def oracle_excess(pf, beta, r):
                            rtol=4 * np.finfo(float).eps))
 
 
-def oracle_numeric(spec, a, beta, r_max=1.0e4, num_samples=241):
-    """The numeric route with its right-hand side on npoly.polyval."""
+def oracle_rhs(spec, a):
+    """The numeric route's right-hand side on npoly.polyval arrays."""
     num, den = radial._poly_pair(spec, a)
     shifted = den.copy()
     for j in range(shifted.size):
@@ -342,19 +349,41 @@ def oracle_numeric(spec, a, beta, r_max=1.0e4, num_samples=241):
             shifted[i] += shifted[i + 1]
     reduced = shifted[1:]
 
-    def rhs(_s, y):
-        d = math.exp(y[0])
-        return (-npoly.polyval(d, reduced) / npoly.polyval(1.0 + d, num),)
+    def rhs(y):
+        d = math.exp(y)
+        return -npoly.polyval(d, reduced) / npoly.polyval(1.0 + d, num)
 
+    return rhs
+
+
+def sample_radii(r_max=1.0e4, num_samples=241):
     rs = np.geomspace(1.0, r_max, num_samples)
     rs[0] = 1.0
-    sol = solve_ivp(rhs, (0.0, math.log(r_max)), (math.log(beta - 1.0),),
-                    method="DOP853", rtol=1e-12, atol=1e-13,
-                    t_eval=np.log(rs))
+    return rs
+
+
+def oracle_dop853(spec, a, beta):
+    """The numeric route's ODE integrated by scipy's DOP853."""
+    rhs = oracle_rhs(spec, a)
+    rs = sample_radii()
+    sol = solve_ivp(lambda _s, y: (rhs(y[0]),), (0.0, math.log(rs[-1])),
+                    (math.log(beta - 1.0),), method="DOP853", rtol=1e-12,
+                    atol=1e-13, t_eval=np.log(rs))
+    assert sol.success
     return np.exp(sol.y[0])
 
 
-def test_implicit_excess_bit_identical_to_plain_brentq():
+def oracle_excess_integral(pf, beta, r_lo, r_hi):
+    """int_{r_lo}^{r_hi} tau * excess by quad over the brentq oracle."""
+    def integrand(s):
+        return math.exp(2.0 * s) * oracle_excess(pf, beta, math.exp(s))
+
+    body, _err = quad(integrand, math.log(r_lo), math.log(r_hi),
+                      epsabs=1e-14, epsrel=1e-12, limit=400)
+    return body
+
+
+def test_implicit_excess_matches_brentq_oracle():
     rng = np.random.default_rng(91)
     radii = np.concatenate(([1.0, 1.0 + 1e-12], np.geomspace(1.001, 1e5, 12),
                             rng.uniform(1.0, 1e5, 4)))
@@ -362,10 +391,51 @@ def test_implicit_excess_bit_identical_to_plain_brentq():
         spec, a = admissible_point(rng, n)
         pf = radial.partial_fractions(spec, a)
         for beta in (1.0, 1.01, 2.0, float(rng.uniform(1.5, 50.0)), 900.0):
-            excess = pf.implicit_excess(beta)
-            for r in radii:
-                r = float(r)
-                assert excess(r) == oracle_excess(pf, beta, r), (n, beta, r)
+            got = pf.excess_at(beta, radii)
+            assert got.shape == radii.shape
+            for r, value in zip(radii.tolist(), got.tolist()):
+                expect = oracle_excess(pf, beta, r)
+                if r == 1.0 or beta == 1.0:
+                    assert value == expect, (n, beta, r)
+                else:
+                    assert abs(value - expect) <= 1e-13 * expect, (n, beta, r)
+                # one radius alone gives the same bits as in the batch
+                assert float(pf.excess_at(beta, r)) == value
+
+
+def crafted_analysis(roots, mks, m=3.0):
+    """A PartialFractions with hand-made sub-unit terms (root_j, m K_j)."""
+    return radial.PartialFractions(
+        spec=SPEC3, a=A3, roots=np.array(list(roots) + [1.0]),
+        weights=np.array([k / m for k in mks] + [1.0 / m]), m=m,
+        num=(1.0,), den=(1.0,))
+
+
+def test_excess_at_safeguards_newton():
+    # residues of both signs: F' is about 1 on both sides of a steep middle,
+    # where plain Newton from log(beta - 1) overshoots and never settles;
+    # and a nearly flat F (F' down to 0.01), where Newton cycles between
+    # two floats at rounding level (so the tolerance is wider)
+    cases = [(crafted_analysis([0.9, 1.0 - 1e-4], [-20.0, 20.0]),
+              (1.5, 10.0, 1e3), np.geomspace(1.0, 1e8, 200), 1e-13),
+             (crafted_analysis([0.99], [-0.99]), (1.5,),
+              np.geomspace(1.0, 1e6, 60), 1e-11)]
+    for pf, betas, radii, tol in cases:
+        for beta in betas:
+            got = pf.excess_at(beta, radii)
+            for r, value in zip(radii.tolist(), got.tolist()):
+                expect = oracle_excess(pf, beta, r)
+                assert abs(value - expect) <= tol * expect, (beta, r)
+
+
+def test_excess_at_validates_radii():
+    pf = radial.partial_fractions(SPEC3, A3)
+    for bad in (0.5, float("nan"), [2.0, 0.999]):
+        with pytest.raises(ValueError, match="r must be at least 1"):
+            pf.excess_at(2.0, bad)
+    grid = np.geomspace(1.0, 50.0, 6).reshape(2, 3)
+    assert np.array_equal(pf.excess_at(2.0, grid),
+                          pf.excess_at(2.0, grid.ravel()).reshape(2, 3))
 
 
 def test_log_b_terms_and_slope_bit_identical():
@@ -383,16 +453,76 @@ def test_log_b_terms_and_slope_bit_identical():
 
 
 def test_numeric_route_bit_identical_to_polyval_rhs():
+    # the integrator driven by the polyval right-hand side gives the route's
+    # own bits; against scipy's DOP853 the excess agrees to 1e-10 relative
     rng = np.random.default_rng(93)
     for n in (3, 5, 8, 12):
         spec, a = admissible_point(rng, n)
         beta = float(rng.uniform(1.5, 4.0))
-        expect = oracle_numeric(spec, a, beta)
+        rs = sample_radii()
+        expect = np.exp(radial._dormand_prince(
+            oracle_rhs(spec, a), math.log(beta - 1.0), np.log(rs).tolist(),
+            1e-12, 0.1 * 1e-12))
         pf = radial.partial_fractions(spec, a)
         for shared in (None, pf):
             sol = radial.solve_profile(spec, a, beta, route="numeric",
                                        pf=shared)
             assert np.array_equal(sol.excess, expect)
+        scipy_excess = oracle_dop853(spec, a, beta)
+        assert np.max(np.abs(sol.excess - scipy_excess) / scipy_excess) \
+            <= 1e-10
+
+
+def test_excess_integrals_match_quad_oracle():
+    rng = np.random.default_rng(97)
+    for n in (3, 5, 8, 12):
+        spec, a = admissible_point(rng, n)
+        pf = radial.partial_fractions(spec, a)
+        beta = float(rng.uniform(1.5, 4.0))
+        for R in (1.0, 10.0):
+            r_cut = max(1.0e3, 1.0e2 * R)
+            tail = radial.tail_amplitude(pf, beta) * r_cut ** (2.0 - pf.m) \
+                / (pf.m - 2.0)
+            expect = oracle_excess_integral(pf, beta, R, r_cut) + tail
+            got = radial.tail_integral(spec, a, beta, R, pf=pf)
+            assert abs(got - expect) <= 1e-10 * abs(expect), (n, R)
+        sspec = subsol.SubsolutionSpec(alpha=0.5, beta=beta, gamma=1.3,
+                                       diag=a, theta=spec.theta, pf=pf)
+        for r in (1.3 + 1e-9, 2.0, 40.0):
+            quadratic = 0.5 + 0.5 * (r * r - 1.3 ** 2)
+            expect = quadratic + oracle_excess_integral(pf, beta, 1.3, r)
+            got = subsol.radial_value(sspec, r)
+            assert abs(got - expect) <= 1e-10 * abs(expect), (n, r)
+
+
+@pytest.mark.parametrize("n,theta,beta", [
+    (n, (n - 2) * math.pi / 2, 2.0) for n in range(3, 13)]
+    + LARGE_EIGENVALUE_CASES)
+def test_route_gap_within_1e_10(n, theta, beta):
+    # the numeric route steps onto every sample radius, so the routes agree
+    # far inside acceptance criterion 5's 1e-8
+    spec = phasepoly.PhaseSpec(n, theta)
+    a = weights.iso_point(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # beta above 1e3
+        pf = radial.partial_fractions(spec, a)
+        sn = radial.solve_profile(spec, a, beta, route="numeric", pf=pf)
+        si = radial.solve_profile(spec, a, beta, route="implicit", pf=pf)
+    assert np.max(np.abs(sn.psi - si.psi)) <= 1e-10
+
+
+def test_dormand_prince_failures():
+    with pytest.raises(RuntimeError, match="integration failed"):
+        radial._dormand_prince(lambda y: float("nan"), 0.0, [0.0, 1.0],
+                               1e-12, 1e-13)
+    # a blow-up y' = y^2 from y = 1 cannot pass s = 1: the step collapses
+    with pytest.raises(RuntimeError, match="integration failed"):
+        radial._dormand_prince(lambda y: y * y, 1.0, [0.0, 2.0], 1e-12, 1e-13)
+    # y' = -y lands on every output point
+    s_out = [0.0, 0.5, 1.0, 3.0]
+    ys = radial._dormand_prince(lambda y: -y, 1.0, s_out, 1e-12, 1e-13)
+    assert ys[0] == 1.0
+    assert np.allclose(ys, np.exp(-np.array(s_out)), rtol=1e-10, atol=0.0)
 
 
 def test_shared_analysis_gives_identical_results():

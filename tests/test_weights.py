@@ -138,6 +138,12 @@ def test_weight_profile_chains_equal_weight_bounds_bitwise():
         n = int(rng.integers(3, 11))
         a = np.exp(1.5 * rng.standard_normal(n))
         spec = phasepoly.PhaseSpec(n, phasepoly.phase(a))
+        if spec.classification == "subcritical":
+            # out of range: the chains come from a supported phase, at
+            # which a is off the level set
+            with pytest.raises(ValueError, match="out of supported range"):
+                weights.weight_profile(spec, a)
+            spec = phasepoly.PhaseSpec(n, (n - 1) * math.pi / 2)
         prof = weights.weight_profile(spec, a)
         srt = np.sort(a)
         sig = symfun.elem_sym_all(srt.tolist())
@@ -150,7 +156,8 @@ def test_weight_profile_chains_equal_weight_bounds_bitwise():
                 less_max = symfun.elem_sym_all(srt[:-1].tolist())[k - 1]
                 assert prof.lower[k] == float(srt[0] * less_min / sig[k])
                 assert prof.upper[k] == float(srt[-1] * less_max / sig[k])
-        assert prof.m == weights.decay_exponent(spec, a)
+        if prof.m is not None:
+            assert prof.m == weights.decay_exponent(spec, a)
 
 
 def test_weight_profile_dominates_direction_weights():
@@ -163,6 +170,10 @@ def test_weight_profile_dominates_direction_weights():
         if a is None:
             continue
         spec = phasepoly.PhaseSpec(n, theta)
+        if spec.classification == "subcritical":
+            with pytest.raises(ValueError, match="out of supported range"):
+                weights.weight_profile(spec, a)
+            continue
         prof = weights.weight_profile(spec, a)
         c = phasepoly.phase_coeffs(spec)
         for _ in range(25):
@@ -219,17 +230,57 @@ def test_decay_exponent_theta_pi_identity():
 
 
 def test_decay_exponent_range_on_level_samples():
+    # the draws reach below the critical angle for n = 5, 6: those phases
+    # are out of range, the rest give 0 < m <= n
     rng = np.random.default_rng(57)
     count = 0
+    subcritical = 0
     while count < 200:
         n = int(rng.integers(3, 7))
         theta = float(rng.uniform(0.55, 0.95)) * n * math.pi / 2
         a = level_sample(rng, n, theta)
         if a is None:
             continue
-        m = weights.decay_exponent(phasepoly.PhaseSpec(n, theta), a)
-        assert 0.0 < m <= n + 1e-10
+        spec = phasepoly.PhaseSpec(n, theta)
+        if spec.classification == "subcritical":
+            with pytest.raises(ValueError,
+                               match="phase out of supported range"):
+                weights.decay_exponent(spec, a)
+            subcritical += 1
+        else:
+            m = weights.decay_exponent(spec, a)
+            assert 0.0 < m <= n + 1e-10
         count += 1
+    assert 0 < subcritical < count
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_subcritical_phase_rejected_like_ray_degree(n):
+    # the range of phasepoly.ray_degree, which classify screens and
+    # partial_fractions enforces; the critical angle and the eps family's
+    # supercritical phase still give an exponent
+    crit = (n - 2) * math.pi / 2
+    for theta in (0.5 * crit if n > 2 else 0.5, crit - 0.05):
+        if theta <= 0.0:
+            continue
+        spec = phasepoly.PhaseSpec(n, theta)
+        a = weights.iso_point(spec)
+        with pytest.raises(ValueError, match="phase out of supported range"):
+            phasepoly.ray_degree(spec)
+        with pytest.raises(ValueError, match="phase out of supported range"):
+            weights.decay_exponent(spec, a)
+        with pytest.raises(ValueError, match="phase out of supported range"):
+            weights.weight_profile(spec, a)
+        assert weights.classify(spec, a).klass == "outside"
+    spec = phasepoly.PhaseSpec(n, crit)
+    a = weights.iso_point(spec)
+    assert weights.decay_exponent(spec, a) == pytest.approx(n, rel=1e-12)
+    assert weights.weight_profile(spec, a).m == weights.decay_exponent(spec, a)
+    for eps in (0.0, 0.1, math.pi / 12):
+        a5 = weights.epsilon_family(eps)
+        m = weights.decay_exponent(SPEC5, a5)
+        assert weights.weight_profile(SPEC5, a5).m == m
+        assert 0.0 < m <= 5.0
 
 
 def test_decay_exponent_errors():
