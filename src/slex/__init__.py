@@ -4,7 +4,7 @@ Submodules:
 
   symfun     elementary and generalized symmetric polynomials, exclusion
              variants, rank-one updates, Newton margins, combinatorial sums
-  phasepoly  phase polynomials along rays, level values, root certificates
+  phasepoly  phase polynomials along rays, level values, ray roots
   weights    extremal direction weights, decay exponents, admissibility
   radial     the radial profile equation solved by two independent routes,
              tail integrals, decay fits

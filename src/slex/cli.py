@@ -652,7 +652,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             print("PASS" if rep.passed else "FAIL", file=sys.stderr)
             return 0 if rep.passed else 1
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     return 2

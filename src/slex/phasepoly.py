@@ -1,4 +1,4 @@
-"""Phase function, alternating phase polynomials, and certified ray roots.
+"""Phase function, alternating phase polynomials, and ray roots.
 
 The phase of a real vector lam is H(lam) = sum_i arctan(lam_i), the argument
 of prod_i (1 + i*lam_i).  Expanding that product gives the alternating
@@ -19,10 +19,9 @@ with c_{2j} = (-1)^(j+1) sin(theta) and c_{2j+1} = (-1)^j cos(theta).  It
 vanishes exactly on the level set {H = theta}.  Restricted to a ray t*a with
 a positive, the combination is a polynomial in t of degree N: N = n-1 at the
 critical angle (n-2)*pi/2 (where the leading coefficient vanishes
-structurally) and N = n for supercritical angles below n*pi/2.  Its roots
-are certified real and simple by two independent mechanisms: companion
-matrix eigenvalues polished by Newton iteration, and sign alternation of the
-polynomial between the polished roots.
+structurally) and N = n for supercritical angles below n*pi/2.  As H(t*a)
+increases strictly in t, its roots are the solutions of H(t*a) = theta -
+k*pi, k = 0..N-1, real and simple by construction (ray_roots).
 """
 
 from __future__ import annotations
@@ -42,6 +41,14 @@ LEVEL_TOL = 1e-10
 
 # criticality is decided from the angle itself, never from coefficients
 _CRITICAL_TOL = 1e-12
+
+# Newton on the ray roots: a step no larger than _ROOT_RTOL * |x| ends it
+_ROOT_RTOL = 4 * np.finfo(float).eps
+_ROOT_NEWTON_CAP = 100
+# pi/2 to 4e-27 in two parts (fdlibm's pio2_1, pio2_1t): the first has 33
+# bits, so its integer multiples are exact
+_HALF_PI_HI = 1.57079632673412561417e+00
+_HALF_PI_LO = 6.07710050650619224932e-11
 
 
 @dataclass(frozen=True)
@@ -235,75 +242,75 @@ def ray_poly(spec: PhaseSpec, a: Sequence) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RayRootCertificate:
-    """Certified real simple roots of the ray polynomial.
+    """The real simple roots of the ray polynomial, sorted ascending.
 
-    roots are sorted ascending; degree and leading_coeff describe the
-    polynomial; simplicity_margin is the smallest gap between consecutive
+    degree is N; simplicity_margin is the smallest gap between consecutive
     roots; max_root_is_one records that the input lies on the level set and
     the largest root equals 1 within 1e-9.
     """
     roots: np.ndarray
     degree: int
-    leading_coeff: float
     max_root_is_one: bool
     simplicity_margin: float
 
 
 def ray_roots(spec: PhaseSpec, a: Sequence, level_tol: float = LEVEL_TOL
               ) -> RayRootCertificate:
-    """All N roots of the ray polynomial, certified real and simple.
+    """All N roots of the ray polynomial, real and simple by construction.
 
-    Companion-matrix eigenvalues seed a Newton polish on the exact
-    coefficients; the polished roots are then certified independently by
-    checking N sign alternations of the polynomial across them.  Root
-    collisions (gap at or below 1e-7 * (1 + root scale)), a miscounted
-    sign pattern, or a level-set input whose largest root strays from 1 by
-    more than 1e-9 all raise "root certification failed".
+    level_value(t*a) = |prod_j (1 + i t a_j)| sin(H(t*a) - theta) with H(t*a)
+    = sum_j arctan(t a_j) strictly increasing, so root k solves H(t*a) =
+    phi_k = theta - k*pi, k = 0..N-1.  Where |phi_k| > n*pi/4 H saturates,
+    and x = -1/t is solved for from sum_j arctan(x/a_j) = phi_k -+ n*pi/2
+    (pi/2 in two parts keeps that small target accurate).  The root of
+    sum_j arctan(x b_j) = psi lies between tan(psi/n)/max b and
+    tan(psi/n)/min b; Newton's method runs from the end nearer 0, where the
+    sum's convexity makes it monotone, bisects when a step would leave the
+    bracket, and stops after a step of at most 4 eps |x| or one landing on
+    an end of the bracket.  A level-set input whose largest root strays
+    from 1 by more than 1e-9 raises "root certification failed".
     """
     arr = _check_positive(a)
-    coeffs = ray_poly(spec, arr)
-    deg = len(coeffs) - 1
-    der = npoly.polyder(coeffs)
-
-    roots = np.sort(npoly.polyroots(coeffs).real.astype(float))
-    for idx in range(deg):
-        t = roots[idx]
-        for _ in range(12):
-            dp = npoly.polyval(t, der)
-            if dp == 0.0:
-                break
-            step = npoly.polyval(t, coeffs) / dp
-            t -= step
-            if abs(step) <= 4e-16 * (1.0 + abs(t)):
-                break
-        roots[idx] = t
-    roots = np.sort(roots)
-
-    scale = 1.0 + float(np.max(np.abs(roots)))
-    margin = float(np.min(np.diff(roots)))
-    if not margin > 1e-7 * scale:
-        raise ValueError("root certification failed")
-
-    # independent certification: the polynomial must alternate in sign on a
-    # grid that straddles every polished root
-    pad = max(1.0, roots[-1] - roots[0])
-    probes = np.concatenate(([roots[0] - pad],
-                             0.5 * (roots[:-1] + roots[1:]),
-                             [roots[-1] + pad]))
-    vals = npoly.polyval(probes, coeffs)
-    signs = np.sign(vals)
-    if np.any(signs == 0) or np.any(signs[1:] * signs[:-1] >= 0):
-        raise ValueError("root certification failed")
+    n = arr.size
+    if n != spec.n:
+        raise ValueError("vector length does not match the phase dimension")
+    # phi_k = theta0 - j*pi/2; a critical angle counts as exactly
+    # (n-2)*pi/2, the angle of its snapped coefficients
+    theta0, j0 = (0.0, n - 2) if spec.is_critical else (spec.theta, 0)
+    j = 2.0 * np.arange(ray_degree(spec) - 1, -1, -1) - j0
+    phi = theta0 - j * (math.pi / 2)
+    shift = np.where(np.abs(phi) > n * math.pi / 4, n * np.sign(phi), 0.0)
+    psi = (theta0 - (j + shift) * _HALF_PI_HI) - (j + shift) * _HALF_PI_LO
+    b = np.where(shift[:, None] != 0.0, 1.0 / arr, arr)
+    scale = np.tan(psi / n)
+    x = scale / b.max(axis=1)
+    lo, hi = np.sort([x, scale / b.min(axis=1)], axis=0)
+    active = np.ones(psi.shape, dtype=bool)
+    for _ in range(_ROOT_NEWTON_CAP):
+        xb = x[:, None] * b
+        f = np.arctan(xb).sum(axis=1) - psi
+        lo = np.where(f <= 0.0, x, lo)
+        hi = np.where(f >= 0.0, x, hi)
+        newton = x - f / (b / (1.0 + xb * xb)).sum(axis=1)
+        landed = (newton == lo) | (newton == hi)
+        step = np.where(landed | ((lo < newton) & (newton < hi)), newton,
+                        0.5 * (lo + hi))
+        done = landed | (np.abs(step - x) <= _ROOT_RTOL * np.abs(step))
+        x = np.where(active, step, x)
+        active &= ~done
+        if not active.any():
+            break
+    else:
+        raise RuntimeError("ray root iteration did not converge")
+    roots = np.divide(-1.0, x, out=x, where=shift != 0.0)
 
     on_level = abs(phase(arr) - spec.theta) <= level_tol
     max_root_is_one = bool(on_level and abs(roots[-1] - 1.0) <= 1e-9)
     if on_level and not max_root_is_one:
         raise ValueError("root certification failed")
-
-    return RayRootCertificate(roots=roots, degree=deg,
-                              leading_coeff=float(coeffs[-1]),
+    return RayRootCertificate(roots=roots, degree=len(roots),
                               max_root_is_one=max_root_is_one,
-                              simplicity_margin=margin)
+                              simplicity_margin=float(np.min(np.diff(roots))))
 
 
 def ray_derivative(spec: PhaseSpec, a: Sequence, t: float,

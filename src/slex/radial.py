@@ -30,8 +30,8 @@ m = -g'(1) is the decay exponent.  Two independent routes are implemented:
     are solved at once by a safeguarded Newton iteration on the log of the
     excess.
 
-One problem (theta, a) is analysed once: partial_fractions certifies the
-ray roots, builds the slope-field pair (num, den), the residues and m, and
+One problem (theta, a) is analysed once: partial_fractions finds the ray
+roots, builds the slope-field pair (num, den), the residues and m, and
 stores the sub-unit terms (root_j, m K_j) of log B as Python floats.  The
 pair and m come from one weights.weight_profile, whose sigma row also gives
 den, the ray polynomial's coefficients.  The returned PartialFractions is
@@ -226,7 +226,7 @@ def _dormand_prince(f: Callable[[float], float], y0: float, s_out: list,
 class PartialFractions:
     """The analysis of one problem (spec, a) that every route reuses.
 
-    a is the sorted vector; roots are the certified ray roots ascending
+    a is the sorted vector; roots are the real simple ray roots ascending
     with 1.0 last, weights the residues aligned with them.  weights[-1],
     the residue at the root 1, equals 1/m; the full set recombines to
     num/den away from the poles.  num and den are the ascending
@@ -361,11 +361,11 @@ class PartialFractions:
 
 
 def partial_fractions(spec: PhaseSpec, a: Sequence) -> PartialFractions:
-    """Residues K_j = num(root_j)/den'(root_j) at the certified ray roots.
+    """Residues K_j = num(root_j)/den'(root_j) at the ray roots.
 
-    Requires a on the level set (so that 1 is the largest root); the root
-    certificate guarantees simple poles.  The residue at 1 is checked
-    against 1/m to 1e-10.
+    Requires a on the level set (so that 1 is the largest root); the poles
+    are simple, one per phase target of phasepoly.ray_roots.  The residue at
+    1 is checked against 1/m to 1e-10.
     """
     arr = np.sort(np.asarray(a, dtype=float))
     cert = ray_roots(spec, arr)
@@ -398,7 +398,7 @@ def _log_b(terms: tuple, nu: float) -> float:
 
 
 def tail_amplitude(pf: PartialFractions, beta: float) -> float:
-    """(beta-1) B(beta)/B(1): the limit of (psi - 1) r^m along the tail."""
+    """(beta-1) B(beta)/B(1), the tail's limit of (psi - 1) r^m, if finite."""
     beta = float(beta)
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
@@ -406,8 +406,10 @@ def tail_amplitude(pf: PartialFractions, beta: float) -> float:
         raise ValueError("beta must be at least 1")
     if beta == 1.0:
         return 0.0
-    return (beta - 1.0) * math.exp(_log_b(pf.terms, beta)
-                                   - _log_b(pf.terms, 1.0))
+    log_ratio = _log_b(pf.terms, beta) - _log_b(pf.terms, 1.0)
+    if math.log(beta - 1.0) + log_ratio > _LOG_FLOAT_MAX:
+        raise RuntimeError("tail amplitude overflows the float range")
+    return (beta - 1.0) * math.exp(log_ratio)
 
 
 def _analysis(spec: PhaseSpec, a: Sequence,
@@ -555,14 +557,17 @@ def decay_fit(sol: ProfileSolution) -> tuple:
 
     Requires a trajectory with beta > 1 reaching r >= 1e3 so the tail is in
     its power-law regime; returns the fitted exponent and amplitude of
-    excess = amp * r^(-m_est).
+    excess = amp * r^(-m_est).  Where the excess underflows to 0 (a suffix,
+    as it is nonincreasing) the fit covers the last decade of the positive
+    samples instead, and needs 5 of them.
     """
     if sol.beta <= 1.0:
         raise ValueError("no decay to fit at beta = 1")
     if sol.r[-1] < 1.0e3:
         raise ValueError("trajectory must reach r = 1e3")
-    mask = sol.r >= sol.r[-1] / 10.0
-    if np.count_nonzero(mask) < 5 or np.any(sol.excess[mask] <= 0.0):
+    pos = sol.excess > 0.0
+    mask = pos & (sol.r >= np.max(sol.r, where=pos, initial=0.0) / 10.0)
+    if np.count_nonzero(mask) < 5:
         raise ValueError("not enough positive tail samples to fit")
     slope, intercept = np.polyfit(np.log(sol.r[mask]),
                                   np.log(sol.excess[mask]), 1)

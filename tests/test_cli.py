@@ -314,6 +314,23 @@ def test_solve_sigma_overflow_exits_two(tmp_path, capsys, n, theta):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("n, message", [
+    (142, "tail amplitude overflows the float range"),
+    (156, "integration failed"), (170, "integration failed")])
+def test_solve_radial_failure_exits_two(n, message):
+    # the radial solvers' RuntimeErrors are reported like invalid input, in
+    # a fresh process, with no traceback
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "slex.cli", "solve",
+                           "--family", "iso", "--n", str(n), "--theta",
+                           "critical", "--grid", "4"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == f"invalid input: {message}\n"
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("entries", ["nan,1,1", "inf,1,1", "1,-inf,1"])
 def test_solve_non_finite_entry_exits_two(tmp_path, capsys, entries):
     code, path = run(tmp_path, ["solve", f"--a={entries}", "--n", "3",

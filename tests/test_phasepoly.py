@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from slex import phasepoly, weights
 
@@ -267,6 +268,93 @@ def test_ray_roots_random_level_points():
         assert np.all(np.diff(cert.roots) >= cert.simplicity_margin)
         assert cert.roots[-2] < 1.0 - 1e-9
         count += 1
+
+
+def _level_point(rng, n):
+    """A random level-set point: a_j = tan(pi/2 - delta_j), with delta a
+    Dirichlet draw over the slack n*pi/2 - theta."""
+    crit = (n - 2) * math.pi / 2
+    while True:
+        theta = crit if rng.uniform() < 0.5 else \
+            crit + float(rng.uniform(0.05, 0.95)) * math.pi
+        delta = rng.dirichlet(np.full(n, 4.0)) * (n * math.pi / 2 - theta)
+        if np.all(delta < math.pi / 2 - 0.01):
+            return phasepoly.PhaseSpec(n, theta), np.tan(math.pi / 2 - delta)
+
+
+def test_ray_roots_hit_their_phase_targets():
+    # root k solves H(t*a) = theta - k*pi to a few ulps times n, up to n = 64
+    rng = np.random.default_rng(42)
+    for n in range(3, 65):
+        iso = [phasepoly.PhaseSpec(n, (n - 2 + j) * math.pi / 2)
+               for j in (0, 1)]
+        cases = [(spec, weights.iso_point(spec)) for spec in iso]
+        cases += [_level_point(rng, n) for _ in range(2)]
+        for spec, a in cases:
+            cert = phasepoly.ray_roots(spec, a)
+            assert cert.degree == len(cert.roots) == phasepoly.ray_degree(spec)
+            assert cert.max_root_is_one
+            assert cert.simplicity_margin > 0.0
+            for k, t in enumerate(cert.roots[::-1]):
+                target = spec.theta - k * math.pi
+                got = math.fsum(math.atan(t * v) for v in a)
+                assert abs(got - target) <= 4 * n * math.ulp(
+                    max(abs(target), 1.0)), (n, spec.theta, k)
+
+
+def test_ray_roots_far_roots_keep_relative_accuracy():
+    # just above the critical angle the lowest root is about -n/(slack*a),
+    # where H saturates; solved through -1/t it keeps full relative accuracy.
+    # On the iso point every root has the closed form tan(phi_k/n)/a_1.
+    pi = Fraction("3.14159265358979323846264338327950288419716939937510")
+    for n in (4, 5, 8, 12):
+        for slack in (1e-3, 1e-6, 1e-9):
+            spec = phasepoly.PhaseSpec(n, (n - 2) * math.pi / 2 + slack)
+            a = weights.iso_point(spec)
+            exact = float(Fraction(spec.theta) - (n - 2) * pi / 2)
+            expect = -1.0 / (a[0] * math.tan(exact / n))
+            root = phasepoly.ray_roots(spec, a).roots[0]
+            assert abs(root - expect) <= 2e-15 * abs(expect), (n, slack)
+        # at an even critical angle c_0 = 0, so t = 0 is a root exactly
+        spec = phasepoly.PhaseSpec(n, (n - 2) * math.pi / 2)
+        roots = phasepoly.ray_roots(spec, weights.iso_point(spec)).roots
+        assert (0.0 in roots) == (n % 2 == 0)
+
+
+def test_ray_roots_wide_spread_vectors():
+    # entries spread over many decades, off the level set: Newton alone
+    # can step out of a root's bracket here, and the bisection keeps it in
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(3, 40))
+        a = np.exp(rng.standard_normal(n) * 12.0)
+        crit = (n - 2) * math.pi / 2
+        spec = phasepoly.PhaseSpec(
+            n, float(rng.uniform(crit + 0.01, n * math.pi / 2 - 0.01)))
+        roots = phasepoly.ray_roots(spec, a).roots
+        assert len(roots) == phasepoly.ray_degree(spec)
+        for k, t in enumerate(roots[::-1]):
+            target = spec.theta - k * math.pi
+            got = math.fsum(math.atan(t * v) for v in a)
+            assert abs(got - target) <= 4 * n * math.ulp(
+                max(abs(target), 1.0)), (n, spec.theta, k)
+
+
+def test_ray_roots_match_companion_oracle():
+    # the companion-matrix eigenvalues of ray_poly, a test-only oracle
+    rng = np.random.default_rng(43)
+    for n in range(3, 13):
+        for spec, a in [_level_point(rng, n) for _ in range(10)]:
+            cert = phasepoly.ray_roots(spec, a)
+            oracle = np.sort(npoly.polyroots(phasepoly.ray_poly(spec, a)).real)
+            np.testing.assert_allclose(cert.roots, oracle, rtol=1e-12,
+                                       atol=1e-15)
+
+
+def test_ray_roots_rejects_a_length_mismatch():
+    for a in ([1.0, 1.0], [1.0, 1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="does not match the phase"):
+            phasepoly.ray_roots(SPEC3, np.array(a))
 
 
 def test_ray_roots_off_level_and_invalid_inputs():

@@ -1,5 +1,6 @@
 """Tests for the radial profile equation and its two solution routes."""
 
+import json
 import math
 import warnings
 
@@ -9,7 +10,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from slex import phasepoly, radial, subsol, weights
+from slex import cli, phasepoly, radial, subsol, weights
 
 
 SQRT3 = math.sqrt(3.0)
@@ -281,6 +282,31 @@ def test_decay_fit_requires_decaying_tail():
         radial.decay_fit(radial.solve_profile(SPEC3, A3, 2.0, r_max=100.0))
 
 
+def test_decay_fit_window_on_positive_tail():
+    # a positive tail keeps the last decade of the trajectory
+    sol = radial.solve_profile(SPEC3, A3, 2.0, route="implicit")
+    assert np.all(sol.excess > 0.0)
+    mask = sol.r >= sol.r[-1] / 10.0
+    slope, intercept = np.polyfit(np.log(sol.r[mask]),
+                                  np.log(sol.excess[mask]), 1)
+    assert radial.decay_fit(sol) == (-slope, math.exp(intercept))
+    # iso n = 36 underflows to 0 long before r = 1e30: the fit covers the
+    # last decade of the radii whose excess is positive
+    spec = phasepoly.PhaseSpec(36, 17 * math.pi)
+    a = weights.iso_point(spec)
+    sol = radial.solve_profile(spec, a, 2.0, r_max=1e30, route="implicit")
+    assert sol.excess[-1] == 0.0
+    m_est, _amp = radial.decay_fit(sol)
+    assert m_est == pytest.approx(36.0, rel=2e-2)
+    # fewer than 5 positive samples cannot be fitted
+    rs = np.geomspace(1.0, 1e4, 241)
+    excess = np.where(np.arange(241) < 4, 1.0 / rs, 0.0)
+    thin = radial.ProfileSolution(beta=2.0, r=rs, psi=1.0 + excess,
+                                  excess=excess, route="implicit", m=1.0)
+    with pytest.raises(ValueError, match="not enough positive tail samples"):
+        radial.decay_fit(thin)
+
+
 # ------------------------------------------------------------- oracles
 #
 # The routes run on precomputed Python-float data.  The oracles below are
@@ -296,7 +322,11 @@ LARGE_EIGENVALUE_CASES = [(8, 11.0, 2.0), (12, 17.0, 2.0), (20, 30.0, 2.0),
 
 
 def admissible_point(rng, n):
-    """A random admissible level-set point of dimension n (3..12 here)."""
+    """A random admissible level-set point of dimension n.
+
+    The angles pi/2 - arctan(a_j) are a Dirichlet draw over the slack
+    n*pi/2 - theta, so a_j = tan(pi/2 - delta_j).
+    """
     crit = (n - 2) * math.pi / 2
     while True:
         theta = crit if rng.uniform() < 0.5 else \
@@ -509,6 +539,34 @@ def test_route_gap_within_1e_10(n, theta, beta):
         sn = radial.solve_profile(spec, a, beta, route="numeric", pf=pf)
         si = radial.solve_profile(spec, a, beta, route="implicit", pf=pf)
     assert np.max(np.abs(sn.psi - si.psi)) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["critical", "supercritical"])
+@pytest.mark.parametrize("n", list(range(3, 65)))
+def test_iso_solve_passes_up_to_dimension_64(tmp_path, n, kind):
+    # regression cases: critical n = 37 and n = 39, where companion-matrix
+    # roots failed certification
+    theta = "critical" if kind == "critical" else repr((n - 1) * math.pi / 2)
+    path = tmp_path / "solve.json"
+    code = cli.main(["solve", "--family", "iso", "--n", str(n),
+                     f"--theta={theta}", "--grid", "4", "--out", str(path)])
+    report = json.loads(path.read_text())
+    assert code == 0 and report["passed"] is True
+    assert report["route_gap_max"] <= 1e-8
+
+
+def test_route_gap_random_points_up_to_dimension_32():
+    # random level points (not iso) keep criterion 5's 1e-8 up to n = 32;
+    # beyond, the residue denominators den'(t_k), evaluated in the monomial
+    # basis, limit the agreement
+    rng = np.random.default_rng(2032)
+    for n in (16, 20, 24, 28, 32):
+        for _ in range(2):
+            spec, a = admissible_point(rng, n)
+            pf = radial.partial_fractions(spec, a)
+            sn = radial.solve_profile(spec, a, 2.0, route="numeric", pf=pf)
+            si = radial.solve_profile(spec, a, 2.0, route="implicit", pf=pf)
+            assert np.max(np.abs(sn.psi - si.psi)) <= 1e-8, (n, spec.theta)
 
 
 def test_dormand_prince_failures():
