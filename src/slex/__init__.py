@@ -3,7 +3,9 @@
 Submodules:
 
   symfun     elementary and generalized symmetric polynomials, exclusion
-             variants, rank-one updates, Newton margins, combinatorial sums
+             variants, rank-one updates (sigma values, and the phase and
+             level of stacked rank-one Hessians), Newton margins,
+             combinatorial sums
   phasepoly  phase polynomials along rays, level values, ray roots
   weights    extremal direction weights, decay exponents, admissibility
   radial     the radial profile equation solved by two independent routes,
@@ -24,6 +26,7 @@ from .symfun import (
     gen_sym_table,
     newton_check,
     product_decomposition,
+    rank_one_phase_level,
     signed_odd_binomial_sum,
     sigma_rank_one,
 )
@@ -83,7 +86,8 @@ from .subsol import (
 __all__ = [
     "NewtonReport", "elem_sym", "elem_sym_all", "elem_sym_excl",
     "elem_sym_excl_all", "elem_sym_stack", "gen_sym", "gen_sym_table", "newton_check",
-    "product_decomposition", "signed_odd_binomial_sum", "sigma_rank_one",
+    "product_decomposition", "rank_one_phase_level", "signed_odd_binomial_sum",
+    "sigma_rank_one",
     "LEVEL_TOL", "PhaseSpec", "RayRootCertificate", "alternating_parts",
     "alternating_parts_weighted", "level_value", "level_value_weighted",
     "phase", "phase_coeffs", "ray_degree", "ray_derivative", "ray_poly",

@@ -11,7 +11,9 @@ Three subcommands:
             plus bisection for the crossing of the admissibility threshold.
   solve     one full problem: classification, partial fractions, both
             profile routes, tail integrals, decay fit, and the subsolution
-            verification report, emitted as a single JSON document.
+            verification report, emitted as a single JSON document.  It
+            passes when the grid verification passes and the two profile
+            routes agree within ROUTE_GAP_TOL.
 
 Exit codes: 0 success, 1 check failure (including inadmissible input to
 solve), 2 invalid input.  Identical configuration and seed produce
@@ -42,6 +44,8 @@ from . import phasepoly, radial, subsol, symfun, weights
 
 SCHEMA_VERSION = 1
 RNG_NAME = "numpy.random.default_rng(PCG64)"
+# the two profile routes of `solve` must agree this closely (criterion 5)
+ROUTE_GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -538,7 +542,7 @@ def _run_solve(cfg: RunConfig) -> tuple:
             "worst_point": [float(v) for v in rep.worst_point],
             "passed": rep.passed,
         },
-        "passed": rep.passed,
+        "passed": rep.passed and gap <= ROUTE_GAP_TOL,
     })
     return base, rep
 
@@ -650,8 +654,8 @@ def main(argv=None) -> int:
                   f"min_level_value="
                   f"{_fmt(report['verification']['min_level_value'])}",
                   file=sys.stderr)
-            print("PASS" if rep.passed else "FAIL", file=sys.stderr)
-            return 0 if rep.passed else 1
+            print("PASS" if report["passed"] else "FAIL", file=sys.stderr)
+            return 0 if report["passed"] else 1
     except (ValueError, RuntimeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

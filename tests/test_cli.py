@@ -1,5 +1,6 @@
 """Tests for the command line interface: exit codes, formats, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from slex import cli, weights
+from slex import cli, radial, weights
 
 
 ISO3 = ",".join([repr(1.0 / math.sqrt(3.0))] * 3)
@@ -233,6 +234,45 @@ def test_solve_large_eigenvalues_pass_the_scale_free_gate(tmp_path):
     assert report["verification"]["passed"] is True
 
 
+@pytest.mark.parametrize("n", [80, 100])
+def test_solve_route_gap_above_criterion_fails(tmp_path, capsys, n):
+    # past n = 64 the grid still passes, but the two profile routes part by
+    # 2.1e-7 (n = 80) and 1.9e-4 (n = 100): the verdict must say FAIL
+    code, path = run(tmp_path, ["solve", "--family", "iso", "--n", str(n),
+                                "--theta", "critical", "--grid", "4"])
+    report = json.loads(path.read_text())
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "FAIL"
+    assert report["route_gap_max"] > cli.ROUTE_GAP_TOL
+    assert report["verification"]["passed"] is True
+    assert report["passed"] is False
+
+
+def test_solve_fails_a_numeric_route_off_by_1e7(tmp_path, capsys,
+                                                monkeypatch):
+    args = ["solve", "--family", "iso", "--n", "5", "--theta", "critical",
+            "--grid", "4"]
+    code, path = run(tmp_path, args, "good.json")
+    assert code == 0 and json.loads(path.read_text())["passed"] is True
+    real = radial.solve_profile
+
+    def shifted(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        if kwargs.get("route") == "numeric":
+            sol = dataclasses.replace(sol, psi=sol.psi + 1e-7)
+        return sol
+
+    monkeypatch.setattr(radial, "solve_profile", shifted)
+    capsys.readouterr()
+    code, path = run(tmp_path, args, "bad.json")
+    report = json.loads(path.read_text())
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "FAIL"
+    assert report["route_gap_max"] == pytest.approx(1e-7, rel=1e-6)
+    assert report["verification"]["passed"] is True
+    assert report["passed"] is False
+
+
 def test_solve_slow_decay_exits_one(tmp_path):
     code, path = run(tmp_path, ["solve", "--family", "eps:0.25"],
                      "slow.json")
@@ -315,7 +355,8 @@ def test_solve_sigma_overflow_exits_two(tmp_path, capsys, n, theta):
 
 
 @pytest.mark.parametrize("n, message", [
-    (142, "tail amplitude overflows the float range"),
+    (132, "tail amplitude overflows the float range"),
+    (137, "fitted tail amplitude overflows the float range"),
     (156, "integration failed"), (170, "integration failed")])
 def test_solve_radial_failure_exits_two(n, message):
     # the radial solvers' RuntimeErrors are reported like invalid input, in

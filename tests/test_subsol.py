@@ -338,13 +338,82 @@ def test_level_gate_still_fails_a_negative_level(monkeypatch):
     a = weights.complete_to_phase((0.4, 0.9), pspec)
     spec = subsol.SubsolutionSpec(alpha=0.0, beta=3.0, gamma=1.0, diag=a,
                                   theta=math.pi / 2)
-    real = subsol.elem_sym_stack
-    monkeypatch.setattr(subsol, "elem_sym_stack", lambda lam: -real(lam))
+    real = symfun.elem_sym_stack
+    monkeypatch.setattr(symfun, "elem_sym_stack", lambda lam: -real(lam))
     rep = subsol.verify_subsolution(spec, subsol.ShellGrid(shells=10,
                                                            directions=8))
     assert rep.min_phase_gap >= -1e-9
     assert rep.min_level_scaled < -1e-9
     assert not rep.passed
+
+
+def test_phase_gate_fails_a_doubled_rank_one_share(monkeypatch):
+    # count the rank-one share Arg(w) of every phase twice: the level values
+    # are untouched and still pass, so a FAIL can only come from the phase
+    # gate.  (Flipping that share's sign could not fail: s <= 0 on every
+    # shell, so Arg(w) <= 0 and -Arg(w) only raises the phase.)
+    pspec = phasepoly.PhaseSpec(3, math.pi / 2)
+    a = weights.complete_to_phase((0.4, 0.9), pspec)
+    spec = subsol.SubsolutionSpec(alpha=0.0, beta=3.0, gamma=1.0, diag=a,
+                                  theta=math.pi / 2)
+    real = subsol.rank_one_phase_level
+
+    def doubled(p, s, q2, c):
+        phase, level, scaled = real(p, s, q2, c)
+        return 2.0 * phase - np.arctan(p).sum(axis=1)[:, None], level, scaled
+
+    monkeypatch.setattr(subsol, "rank_one_phase_level", doubled)
+    rep = subsol.verify_subsolution(spec, subsol.ShellGrid(shells=10,
+                                                           directions=8))
+    assert rep.min_level_scaled >= -1e-9
+    assert rep.min_phase_gap < -1e-9
+    assert not rep.passed
+
+
+def dense_phase_level(spec, x):
+    """Test-only dense path: (H - theta, scaled level) from eigvalsh."""
+    lam = np.linalg.eigvalsh(subsol.hessian(spec, x))
+    c = np.asarray(phasepoly.phase_coeffs(spec.phase_spec))
+    level = symfun.elem_sym_stack(lam[None])[0] @ c
+    return (float(np.arctan(lam).sum()) - spec.theta,
+            float(level * np.exp(-np.log(np.hypot(1.0, lam)).sum())))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 16, 24, 32, 48, 64])
+def test_rank_one_phase_level_matches_dense_hessian_oracle(n):
+    # the kernel on subsol.hessian's own (nu, psi'/r, a o x), point by
+    # point: iso critical and supercritical problems and a perturbed
+    # supercritical one, on axis points and generic directions from just
+    # outside the ellipsoid to r = 100
+    rng = np.random.default_rng(400 + n)
+    crit = (n - 2) * math.pi / 2
+    problems = [(crit, None), (crit + math.pi / 2, None),
+                (crit + 0.4, np.exp(rng.uniform(-0.1, 0.1, n)))]
+    for theta, scale in problems:
+        pspec = phasepoly.PhaseSpec(n, theta)
+        a = weights.iso_point(pspec)
+        if scale is not None:
+            a = weights.complete_to_phase((a * scale)[:-1], pspec)
+        spec = subsol.SubsolutionSpec(alpha=0.0, beta=2.5, gamma=1.0,
+                                      diag=a, theta=theta)
+        dirs = np.vstack([np.eye(n)[rng.permutation(n)[:3]],
+                          rng.standard_normal((9, n))])
+        radii = 10.0 ** rng.uniform(1e-7, 2.0, len(dirs))
+        xs = radii[:, None] * dirs / np.sqrt((dirs * dirs) @ spec.diag)[:, None]
+        p, s, q2 = [], [], []
+        for x in xs:
+            r = subsol.ellipsoid_radius(spec.diag, x)
+            nu, dpsi = spec.profile_at(r)
+            p.append(nu * spec.diag)
+            s.append(dpsi / r)
+            q2.append((spec.diag * x) ** 2)
+        phase, _, scaled = symfun.rank_one_phase_level(
+            np.array(p), np.array(s), np.array(q2)[:, None, :],
+            phasepoly.phase_coeffs(spec.phase_spec))
+        for i, x in enumerate(xs):
+            gap, lev_scaled = dense_phase_level(spec, x)
+            assert abs(phase[i, 0] - spec.theta - gap) <= 1e-12, (theta, i)
+            assert abs(scaled[i, 0] - lev_scaled) <= 1e-12, (theta, i)
 
 
 def test_shared_analysis_gives_identical_verification():

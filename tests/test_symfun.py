@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from slex import symfun
+from slex import phasepoly, symfun, weights
 
 
 def enum_elem_sym(vals, k):
@@ -312,3 +312,72 @@ def test_elem_sym_stack_matches_scalar_path():
         sig = symfun.elem_sym_all(lam[row].tolist())
         assert np.allclose(table[row], [float(v) for v in sig],
                            rtol=1e-12, atol=1e-12)
+
+
+def level_set_vector(rng, n):
+    """A level-set point (spec, a) whose entries spread over 1e-3 .. 1e6.
+
+    The angles pi/2 - arctan(a_j) are a Dirichlet draw (concentration 0.3)
+    over the slack n*pi/2 - theta of a critical or supercritical theta.
+    """
+    crit = (n - 2) * math.pi / 2
+    while True:
+        spec = phasepoly.PhaseSpec(n, crit + float(rng.uniform(0.0, 0.95))
+                                   * math.pi)
+        delta = rng.dirichlet(np.full(n, 0.3)) * (n * math.pi / 2 - spec.theta)
+        if np.any(delta < 1e-6) or np.any(delta > math.pi / 2 - 1e-3):
+            continue
+        try:
+            return spec, weights.complete_to_phase(1.0 / np.tan(delta[:-1]),
+                                                   spec)
+        except ValueError:
+            continue
+
+
+def mp_phase_level(p, s, q, c):
+    """(H, L / prod sqrt(1 + lambda^2)) from 40-digit eigenvalues."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        n = len(p)
+        mat = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                mat[i, j] = mp.mpf(s) * mp.mpf(q[i]) * mp.mpf(q[j])
+            mat[i, i] += mp.mpf(p[i])
+        lam = list(mp.eigsy(mat, eigvals_only=True))
+        sig = [mp.mpf(1)] + [mp.mpf(0)] * n
+        for x in lam:
+            for k in range(n, 0, -1):
+                sig[k] += x * sig[k - 1]
+        level = mp.fsum(mp.mpf(c[k]) * sig[k] for k in range(n + 1))
+        scale = mp.fprod(mp.sqrt(1 + x * x) for x in lam)
+        return float(mp.fsum(mp.atan(x) for x in lam)), float(level / scale)
+
+
+def test_rank_one_phase_level_matches_high_precision_oracle():
+    # both signs of s, s |q|^2 from 1e-8 to 1e8 in size, entries of a from
+    # 1e-3 to 1e6 in one vector: there a float eigvalsh is off by up to
+    # 2e-10 (its error is eps * |M| on every eigenvalue), so the oracle
+    # runs at 40 digits.  s |q|^2 = -1e8 on large entries takes Arg(w) to
+    # within 1e-6 of -pi; with p > 0 it stays below pi/2, so the mixed-sign
+    # diagonals take it near +pi.
+    rng = np.random.default_rng(31)
+    for n in (3, 4, 5, 8, 12, 16, 24):
+        for case in range(8):
+            spec, a = level_set_vector(rng, n)
+            c = phasepoly.phase_coeffs(spec)
+            p = float(rng.uniform(1.0, 10.0)) * a
+            if case == 7:
+                p = p * np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
+            q = a * rng.standard_normal(n)
+            size = 10.0 ** rng.uniform(-8.0, 8.0)
+            sign = float(rng.choice([-1.0, 1.0]))
+            if case >= 5:
+                size, sign = 1e8, (-1.0, 1.0, 1.0)[case - 5]
+            s = sign * size / float(q @ q)
+            phase, level, scaled = symfun.rank_one_phase_level(
+                p[None], np.array([s]), (q * q)[None, None], c)
+            assert phase.shape == level.shape == scaled.shape == (1, 1)
+            h, lev_scaled = mp_phase_level(p, s, q, c)
+            assert abs(phase[0, 0] - h) <= 1e-12, (n, case)
+            assert abs(scaled[0, 0] - lev_scaled) <= 1e-12, (n, case)
