@@ -13,13 +13,20 @@ Three subcommands:
             profile routes, tail integrals, decay fit, and the subsolution
             verification report, emitted as a single JSON document.  It
             passes when the grid verification passes and the two profile
-            routes agree within ROUTE_GAP_TOL.
+            routes agree within ROUTE_GAP_TOL.  All-negative data runs as
+            its sign reflection (-theta, -a), the problem classify
+            analyses, and the report marks it reflected.
 
 Exit codes: 0 success, 1 check failure (including inadmissible input to
 solve), 2 invalid input.  Identical configuration and seed produce
 byte-identical output; all numbers are emitted in shortest round-trip
 decimal form.  Identity suites always run in exact rational arithmetic;
---exact records that request explicitly in the report.
+--exact records that request explicitly in the report.  The homogeneous
+ones (sigma recurrences, pair exclusion differences, product
+decompositions) compare Python ints: each drawn vector is put on one
+integer scale, every kernel value of degree d multiplied by D**d with D
+the lcm of the vector's denominators, which leaves every verdict as it
+is and saves a gcd per Fraction operation.
 """
 
 from __future__ import annotations
@@ -86,6 +93,33 @@ def _rational_vector(rng, n: int) -> list:
             for _ in range(n)]
 
 
+def _integer_scale(vec: list) -> tuple:
+    """(p, powers) for a Fraction vector a: with D the lcm of its
+    denominators, p_i = a_i * D as ints and powers[e] = D**e, e = 0..2n."""
+    d = 1
+    for x in vec:
+        d = math.lcm(d, x.denominator)
+    powers = [1]
+    for _ in range(2 * len(vec)):
+        powers.append(powers[-1] * d)
+    return [x.numerator * (d // x.denominator) for x in vec], powers
+
+
+def _scaled_row(row: list, powers: list) -> list:
+    """Entry e of row times powers[e], as an int.
+
+    Kernel outputs of degree e on a vector with denominators D have
+    denominators dividing D**e; an entry that does not (only a faulty
+    kernel gives one) stays the exact Fraction, so every comparison on the
+    scaled values decides as the unscaled one would.
+    """
+    out = []
+    for v, pw in zip(row, powers):
+        q, r = divmod(pw, v.denominator)
+        out.append(v.numerator * q if r == 0 else v * pw)
+    return out
+
+
 def _suite(name: str, cases: int, failures: int, worst: str,
            counterexample=None) -> dict:
     entry = {"name": name, "cases": cases, "failures": failures,
@@ -137,40 +171,45 @@ def _run_verify(cfg: RunConfig) -> tuple:
     # difference identity, exact.  Both suites read the rows sigma(a | i)
     # and sigma(a | i, n), built once per vector; the trailing 0 on each row
     # is the zero convention at both ends, as row[-1] and row[len] read it.
+    # The identities are checked on each vector's integer scale (see
+    # _integer_scale): every one is homogeneous, so scaling both sides by
+    # D**degree keeps each verdict.
+    scales = [_integer_scale(vec) for vec in vectors]
     fails = pair_fails = 0
     ce = pair_ce = None
     cases = pair_cases = 0
-    for vec in vectors:
+    for vec, (p, powers) in zip(vectors, scales):
         n = len(vec)
-        sig = symfun.elem_sym_all(vec)
-        rows = [symfun.elem_sym_excl_all(vec, (i,)) + [0]
+        sig = _scaled_row(symfun.elem_sym_all(vec), powers)
+        rows = [_scaled_row(symfun.elem_sym_excl_all(vec, (i,)) + [0], powers)
                 for i in range(1, n + 1)]
-        pairs = [symfun.elem_sym_excl_all(vec, (i, n)) + [0]
+        pairs = [_scaled_row(symfun.elem_sym_excl_all(vec, (i, n)) + [0],
+                             powers)
                  for i in range(1, n)]
         for k in range(0, n + 1):
             acc = 0
             for i in range(1, n + 1):
-                excl = rows[i - 1][k]
-                excl1 = rows[i - 1][k - 1]
+                row = rows[i - 1]
+                term = p[i - 1] * row[k - 1]
                 cases += 1
-                if sig[k] != excl + vec[i - 1] * excl1:
+                if sig[k] != row[k] + term:
                     fails += 1
                     if ce is None:
                         ce = {"a": [_frac_str(v) for v in vec],
                               "k": k, "i": i, "identity": "split"}
-                acc = acc + vec[i - 1] * excl1
+                acc += term
             cases += 1
             if acc != k * sig[k]:
                 fails += 1
                 if ce is None:
                     ce = {"a": [_frac_str(v) for v in vec], "k": k,
                           "identity": "weighted_sum"}
+        j = n
         for k in range(1, n + 1):
+            last = p[j - 1] * rows[j - 1][k - 1]
             for i in range(1, n):
-                j = n
-                lhs = (vec[i - 1] * rows[i - 1][k - 1]
-                       - vec[j - 1] * rows[j - 1][k - 1])
-                rhs = (vec[i - 1] - vec[j - 1]) * pairs[i - 1][k - 1]
+                lhs = p[i - 1] * rows[i - 1][k - 1] - last
+                rhs = (p[i - 1] - p[j - 1]) * pairs[i - 1][k - 1]
                 pair_cases += 1
                 if lhs != rhs:
                     pair_fails += 1
@@ -183,19 +222,22 @@ def _run_verify(cfg: RunConfig) -> tuple:
                          "0" if pair_fails == 0 else "exact mismatch",
                          pair_ce))
 
-    # product decompositions, exact, all (j, k) per vector
+    # product decompositions, exact, all (j, k) per vector, on the same
+    # integer scale: T[K][J] has degree K + J, which is j + k for every
+    # term of the (j, k) expansion
     fails = 0
     ce = None
     cases = 0
-    for vec in vectors:
+    for vec, (_p, powers) in zip(vectors, scales):
         n = len(vec)
-        sig = symfun.elem_sym_all(vec)
-        table = symfun.gen_sym_table(vec)
+        sig = _scaled_row(symfun.elem_sym_all(vec), powers)
+        table = [_scaled_row(row, powers[k:])
+                 for k, row in enumerate(symfun.gen_sym_table(vec))]
         for j in range(0, n + 1):
             for k in range(j, n + 1):
                 combo = 0
                 for coeff, (kk, jj) in symfun.product_decomposition(j, k, n):
-                    combo = combo + coeff * table[kk][jj]
+                    combo += coeff * table[kk][jj]
                 cases += 1
                 if combo != sig[j] * sig[k]:
                     fails += 1
@@ -489,6 +531,13 @@ def _run_solve(cfg: RunConfig) -> tuple:
         },
         "admissibility": {"klass": adm.klass, "m": adm.m},
     }
+    if adm.reflected:
+        # all-negative data: every stage runs on the reflected problem
+        # (-theta, -a), the one classify analysed
+        base["admissibility"]["reflected"] = True
+        theta = -theta
+        pspec = phasepoly.PhaseSpec(n, theta)
+        vec = -vec
     if adm.klass != "admissible":
         base["passed"] = False
         return base, None
@@ -498,7 +547,7 @@ def _run_solve(cfg: RunConfig) -> tuple:
     alpha = params["alpha"]
     r_max = params["rmax"]
 
-    pf = radial.partial_fractions(pspec, vec)
+    pf = radial.partial_fractions(pspec, vec, profile=adm.profile)
     sol_num = radial.solve_profile(pspec, vec, beta, r_max=r_max,
                                    route="numeric", pf=pf)
     sol_imp = radial.solve_profile(pspec, vec, beta, r_max=r_max,
@@ -581,7 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--theta", type=str, default=None,
                     help="radians, or the literal 'critical'")
     po.add_argument("--a", type=str, default=None,
-                    help="comma separated positive entries")
+                    help="comma separated entries, all positive or all "
+                         "negative (solved through the sign reflection)")
     po.add_argument("--family", type=str, default=None,
                     help="'iso' or 'eps:<value>'")
     po.add_argument("--beta", type=float, default=2.0)

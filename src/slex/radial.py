@@ -360,12 +360,16 @@ class PartialFractions:
         raise RuntimeError("excess quadrature did not converge")
 
 
-def partial_fractions(spec: PhaseSpec, a: Sequence) -> PartialFractions:
+def partial_fractions(spec: PhaseSpec, a: Sequence,
+                      profile: Optional[WeightProfile] = None
+                      ) -> PartialFractions:
     """Residues K_j = num(root_j)/den'(root_j) at the ray roots.
 
     Requires a on the level set (so that 1 is the largest root); the poles
     are simple, one per phase target of phasepoly.ray_roots.  The residue at
-    1 is checked against 1/m to 1e-10.
+    1 is checked against 1/m to 1e-10.  profile, when given, must be
+    weight_profile(spec, a) or the one weights.classify built for
+    (spec, a); it saves building the weight chains again.
 
     The denominators come in closed form, not from den's coefficients: den
     is the ray polynomial R(t) sin(H(t a) - theta), R(t) =
@@ -383,7 +387,7 @@ def partial_fractions(spec: PhaseSpec, a: Sequence) -> PartialFractions:
         raise ValueError("a not on the phase level set")
     roots = cert.roots.copy()
     roots[-1] = 1.0
-    prof = weight_profile(spec, arr)
+    prof = weight_profile(spec, arr) if profile is None else profile
     if prof.m is None:
         raise ValueError("a not on the phase level set")
     num, den = _slope_pair(spec, prof)

@@ -40,16 +40,18 @@ as elem_sym_all on the shortened list and so the same bits.  sigma(a less
 min) takes a second pass.  The coefficients c_k are computed once per
 PhaseSpec.  Arrays appear only in the WeightProfile that weight_profile
 returns; it also carries the sigma row, so the radial module builds its
-slope-field pair and takes m from one profile.  Python floats overflow
-silently, so a sigma row outside (0, F/(2n^2)), F the largest float, is
-rejected with ValueError before any chain or exponent is formed.
+slope-field pair and takes m from one profile.  classify returns the
+profile its exponent came from, so one solve builds the chains once.
+Python floats overflow silently, so a sigma row outside (0, F/(2n^2)), F
+the largest float, is rejected with ValueError before any chain or
+exponent is formed.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -167,12 +169,16 @@ def weight_profile(spec: PhaseSpec, a: Sequence) -> WeightProfile:
     """
     vals = _ascending_positive(a, spec.n)
     ray_degree(spec)
+    return _profile(spec, vals,
+                    abs(phase(vals) - spec.theta) <= LEVEL_TOL)
+
+
+def _profile(spec: PhaseSpec, vals: list, on_level: bool) -> WeightProfile:
+    # the profile of an ascending positive list; m only when on_level
     sig, lower, upper = _chains(vals)
     c = phase_coeffs(spec)
     selected = _select(c, lower, upper)
-    m = None
-    if abs(phase(vals) - spec.theta) <= LEVEL_TOL:
-        m = _exponent(c, sig, selected)
+    m = _exponent(c, sig, selected) if on_level else None
     return WeightProfile(lower=np.array(lower), upper=np.array(upper),
                          selected=np.array(selected), m=m, sigma=tuple(sig))
 
@@ -212,11 +218,18 @@ class Admissibility:
     klass is "admissible" (definite sign, critical or supercritical phase,
     on the level set, exponent > 2), "slow_decay" (same but exponent <= 2),
     or "outside".  near_boundary flags an exponent within 1e-12 of the
-    strict threshold 2.
+    strict threshold 2.  reflected is true when the data was all negative
+    and was classified as the problem (-theta, -lam).  profile is the
+    WeightProfile the exponent m was taken from (None when there is no m),
+    built for the classified problem, so a later stage need not build the
+    chains again.
     """
     klass: str
     m: Optional[float]
     near_boundary: bool = False
+    reflected: bool = False
+    profile: Optional[WeightProfile] = field(default=None, compare=False,
+                                             repr=False)
 
 
 def classify(spec: PhaseSpec, lam: Sequence,
@@ -232,22 +245,25 @@ def classify(spec: PhaseSpec, lam: Sequence,
     arr = np.asarray(lam, dtype=float)
     if arr.ndim != 1 or arr.size != spec.n:
         raise ValueError("vector length does not match the phase dimension")
-    if np.all(arr > 0):
-        work_spec, work = spec, arr
-    elif np.all(arr < 0):
+    reflected = bool(np.all(arr < 0))
+    if reflected:
         work_spec, work = PhaseSpec(spec.n, -spec.theta), -arr
+    elif np.all(arr > 0):
+        work_spec, work = spec, arr
     else:
         return Admissibility(klass="outside", m=None)
     # the phase range the ray polynomial supports (phasepoly.ray_degree):
     # the positive critical angle and the supercritical band above it
     if not (work_spec.theta > 0.0
             and work_spec.classification != "subcritical"):
-        return Admissibility(klass="outside", m=None)
+        return Admissibility(klass="outside", m=None, reflected=reflected)
     if abs(phase(work) - work_spec.theta) > tol:
-        return Admissibility(klass="outside", m=None)
-    m = decay_exponent(work_spec, work, tol)
+        return Admissibility(klass="outside", m=None, reflected=reflected)
+    profile = _profile(work_spec, _ascending_positive(work), True)
+    m = profile.m
     klass = "admissible" if m > 2.0 else "slow_decay"
-    return Admissibility(klass=klass, m=m, near_boundary=abs(m - 2.0) <= 1e-12)
+    return Admissibility(klass=klass, m=m, near_boundary=abs(m - 2.0) <= 1e-12,
+                         reflected=reflected, profile=profile)
 
 
 def complete_to_phase(prefix: Sequence, spec: PhaseSpec) -> np.ndarray:

@@ -273,6 +273,54 @@ def test_solve_fails_a_numeric_route_off_by_1e7(tmp_path, capsys,
     assert report["passed"] is False
 
 
+def test_solve_all_negative_data_runs_the_reflected_problem(tmp_path):
+    # classify reflects all-negative data to (-theta, -a); every later stage
+    # must run on that problem too, and the report says it did
+    iso = repr(1.0 / math.sqrt(3.0))
+    right = repr(math.pi / 2)
+    code, pos_path = run(tmp_path, ["solve", f"--a={iso},{iso},{iso}",
+                                    "--n", "3", f"--theta={right}",
+                                    "--grid", "8"], "pos.json")
+    assert code == 0
+    code, neg_path = run(tmp_path, ["solve", f"--a=-{iso},-{iso},-{iso}",
+                                    "--n", "3", f"--theta=-{right}",
+                                    "--grid", "8"], "neg.json")
+    assert code == 0
+    pos = json.loads(pos_path.read_text())
+    neg = json.loads(neg_path.read_text())
+    assert "reflected" not in pos["admissibility"]
+    assert neg["admissibility"] == {**pos["admissibility"], "reflected": True}
+    assert neg["config"]["a"] == [-v for v in pos["config"]["a"]]
+    assert neg["config"]["theta"] == -pos["config"]["theta"]
+    for key in ("partial_fractions", "trajectory", "verification"):
+        assert neg[key] == pos[key]
+    assert neg["passed"] is True
+
+
+def test_solve_builds_the_weight_chains_once(tmp_path, monkeypatch):
+    # classify's WeightProfile is handed on to partial_fractions
+    real = weights._chains
+    calls = []
+
+    def counted(vals):
+        calls.append(len(vals))
+        return real(vals)
+
+    monkeypatch.setattr(weights, "_chains", counted)
+    iso = repr(1.0 / math.sqrt(3.0))
+    for args in (["--family", "iso", "--n", "5", "--theta", "critical"],
+                 ["--family", "eps:0.1"],
+                 ["--a", ISO3, "--n", "3", "--theta", "critical"],
+                 [f"--a=-{iso},-{iso},-{iso}", "--n", "3",
+                  f"--theta={-math.pi / 2!r}"]):
+        calls.clear()
+        code, path = run(tmp_path, ["solve", *args, "--grid", "4"])
+        assert code == 0
+        assert json.loads(path.read_text())["admissibility"]["klass"] == \
+            "admissible"
+        assert len(calls) == 1, args
+
+
 def test_solve_slow_decay_exits_one(tmp_path):
     code, path = run(tmp_path, ["solve", "--family", "eps:0.25"],
                      "slow.json")
