@@ -18,9 +18,13 @@ Three subcommands:
             analyses, and the report marks it reflected.
 
 Exit codes: 0 success, 1 check failure (including inadmissible input to
-solve), 2 invalid input.  Identical configuration and seed produce
-byte-identical output; all numbers are emitted in shortest round-trip
-decimal form.  Identity suites always run in exact rational arithmetic;
+solve), 2 invalid input (an --out path that cannot be written included).
+Identical configuration and seed produce byte-identical output; all
+numbers are emitted in shortest round-trip decimal form.  JSON reports go
+through a small recursive writer (_json_text) whose output is byte for
+byte json.dumps(report, indent=2, sort_keys=True): with indent the stdlib
+takes its pure-Python encoder, which cost a quarter to a third of a large
+scan-eps.  Identity suites always run in exact rational arithmetic;
 --exact records that request explicitly in the report.  The homogeneous
 ones (sigma recurrences, pair exclusion differences, product
 decompositions) compare Python ints: each drawn vector is put on one
@@ -73,17 +77,84 @@ def _frac_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def _write_text(path: Optional[str], text: str) -> None:
-    if path:
-        with open(path, "w") as fh:
+def _json_text(value) -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it.
+
+    Byte for byte: dict keys in sorted order; keys and strings through the
+    stdlib's ASCII escaper, which raises TypeError on a non-str key; ints
+    and floats (float subclasses such as np.float64 included) through
+    int.__repr__ and float.__repr__, with NaN/Infinity/-Infinity for the
+    non-finite floats as the stdlib writes them.  Anything else raises
+    TypeError.
+    """
+    parts = []
+    _json_parts(value, "\n", parts.append)
+    return "".join(parts)
+
+
+def _json_parts(o, nl: str, put) -> None:
+    # nl is the newline plus the indent of the current depth
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        put(_NONFINITE.get(text, text))
+    elif isinstance(o, str):
+        put(_json_str(o))
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            put(sep + _json_str(key) + ": ")
+            _json_parts(o[key], inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in o:
+            put(sep)
+            _json_parts(item, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} "
+                        f"is not JSON serializable")
+
+
+# float.__repr__ spells the non-finite floats as Python literals; JSON text
+# takes the stdlib's spelling
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _emit(text: str, out: Optional[str]) -> None:
+    """text to the --out file, or to stdout without one."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out}: "
+                         f"{exc.strerror or exc}") from exc
 
 
 def _emit_json(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    _write_text(out, text)
-    if not out:
-        sys.stdout.write(text)
+    _emit(_json_text(report) + "\n", out)
 
 
 # ---------------------------------------------------------------- verify
@@ -173,14 +244,17 @@ def _run_verify(cfg: RunConfig) -> tuple:
     # is the zero convention at both ends, as row[-1] and row[len] read it.
     # The identities are checked on each vector's integer scale (see
     # _integer_scale): every one is homogeneous, so scaling both sides by
-    # D**degree keeps each verdict.
+    # D**degree keeps each verdict.  Each vector's scaled sigma row is kept
+    # for the product suite below.
     scales = [_integer_scale(vec) for vec in vectors]
+    sigs = []
     fails = pair_fails = 0
     ce = pair_ce = None
     cases = pair_cases = 0
     for vec, (p, powers) in zip(vectors, scales):
         n = len(vec)
         sig = _scaled_row(symfun.elem_sym_all(vec), powers)
+        sigs.append(sig)
         rows = [_scaled_row(symfun.elem_sym_excl_all(vec, (i,)) + [0], powers)
                 for i in range(1, n + 1)]
         pairs = [_scaled_row(symfun.elem_sym_excl_all(vec, (i, n)) + [0],
@@ -228,9 +302,8 @@ def _run_verify(cfg: RunConfig) -> tuple:
     fails = 0
     ce = None
     cases = 0
-    for vec, (_p, powers) in zip(vectors, scales):
+    for vec, (_p, powers), sig in zip(vectors, scales, sigs):
         n = len(vec)
-        sig = _scaled_row(symfun.elem_sym_all(vec), powers)
         table = [_scaled_row(row, powers[k:])
                  for k, row in enumerate(symfun.gen_sym_table(vec))]
         for j in range(0, n + 1):
@@ -414,15 +487,15 @@ def _run_scan(cfg: RunConfig) -> tuple:
     grid_n = cfg.params["grid"]
     if grid_n < 2:
         raise ValueError("scan grid needs at least 2 points")
-    eps_grid = np.linspace(0.0, math.pi / 12, grid_n)
+    eps_grid = np.linspace(0.0, math.pi / 12, grid_n).tolist()
     spec = phasepoly.PhaseSpec(5, 5 * math.pi / 3)
     rows = []
     pipe = []
     for eps in eps_grid:
-        mp = _family_exponent(spec, float(eps))
-        mc = _closed_form_exponent(float(eps))
+        mp = _family_exponent(spec, eps)
+        mc = _closed_form_exponent(eps)
         pipe.append(mp)
-        rows.append((float(eps), mp, mc))
+        rows.append((eps, mp, mc))
     disc = max(abs(mp - mc) for _e, mp, mc in rows)
     monotone = all(pipe[i] > pipe[i + 1] for i in range(len(pipe) - 1))
 
@@ -659,9 +732,7 @@ def main(argv=None) -> int:
             cfg.params["trials"] = cfg.params.pop("grid")
             report, ok = _run_verify(cfg)
             if cfg.fmt == "csv":
-                _write_text(cfg.out, _verify_csv(report))
-                if not cfg.out:
-                    sys.stdout.write(_verify_csv(report))
+                _emit(_verify_csv(report), cfg.out)
             else:
                 _emit_json(report, cfg.out)
             for s in report["suites"]:
@@ -676,10 +747,7 @@ def main(argv=None) -> int:
             if cfg.fmt == "json":
                 _emit_json(report, cfg.out)
             else:
-                text = _scan_csv(report)
-                _write_text(cfg.out, text)
-                if not cfg.out:
-                    sys.stdout.write(text)
+                _emit(_scan_csv(report), cfg.out)
             s = report["summary"]
             print(f"m(0)={_fmt(s['m_at_zero'])} "
                   f"m(pi/12)={_fmt(s['m_at_endpoint'])} "

@@ -115,7 +115,7 @@ class PhaseSpec:
 
 def phase(lam: Sequence) -> float:
     """H(lam) = sum of arctan(lam_i), by compensated summation."""
-    return math.fsum(math.atan(float(v)) for v in lam)
+    return math.fsum(map(math.atan, map(float, lam)))
 
 
 def alternating_parts(lam: Sequence):

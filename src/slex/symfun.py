@@ -69,9 +69,10 @@ def elem_sym_all(a: Sequence) -> list:
     n = len(a)
     e = [0] * (n + 1)
     e[0] = 1
+    down = range(n, 0, -1)
     for x in a:
-        for j in range(n, 0, -1):
-            e[j] = e[j] + x * e[j - 1]
+        for j in down:
+            e[j] += x * e[j - 1]
     return e
 
 

@@ -37,11 +37,14 @@ The chains and the exponent run on one ascending list of Python floats,
 without numpy arrays.  One recurrence pass builds sigma(a); its state just
 before the last (largest) entry is sigma(a less max), the same operations
 as elem_sym_all on the shortened list and so the same bits.  sigma(a less
-min) takes a second pass.  The coefficients c_k are computed once per
-PhaseSpec.  Arrays appear only in the WeightProfile that weight_profile
-returns; it also carries the sigma row, so the radial module builds its
-slope-field pair and takes m from one profile.  classify returns the
-profile its exponent came from, so one solve builds the chains once.
+min) takes a second pass.  decay_exponent forms only the selected chain:
+for each k the one weight the sign of c_k picks, by the chains' own
+expression, straight from those rows, so its sums are term for term (and
+bit for bit) the ones the full chains give.  The coefficients c_k are
+computed once per PhaseSpec.  Arrays appear only in the WeightProfile that
+weight_profile returns; it also carries the sigma row, so the radial module
+builds its slope-field pair and takes m from one profile.  classify returns
+the profile its exponent came from, so one solve builds the chains once.
 Python floats overflow silently, so a sigma row outside (0, F/(2n^2)), F
 the largest float, is rejected with ValueError before any chain or
 exponent is formed.
@@ -68,9 +71,9 @@ def _ascending_positive(a, n: Optional[int] = None) -> list:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("vector must have all entries positive")
     vals = arr.tolist()
-    for v in vals:
-        if not v > 0.0:
-            raise ValueError("vector must have all entries positive")
+    # 0.0 < v is False for NaN, so NaN entries are rejected too
+    if not all(map((0.0).__lt__, vals)):
+        raise ValueError("vector must have all entries positive")
     if n is not None and len(vals) != n:
         raise ValueError("vector length does not match the phase dimension")
     vals.sort()
@@ -99,28 +102,40 @@ def direction_weight(a: Sequence, x: Sequence, k: int) -> float:
     return num / den
 
 
-def _chains(vals: list) -> tuple:
-    """(sigma, lower, upper) of an ascending positive list, as lists.
+def _sigma_rows(vals: list) -> tuple:
+    """(sigma(a), sigma(a | max), sigma(a | min)) of an ascending positive
+    list, each a row sigma_0..sigma_len.
 
-    sigma is the full row sigma_0..sigma_n; lower and upper are both weight
-    chains for k = 0..n.  sigma(a | max) is the state of sigma's own
-    recurrence just before its last entry, and sigma(a | min) has a pass of
-    its own.  Raises ValueError unless every sigma_k lies in (0, F/(2n^2)),
-    F the largest float: the exponent's sums add n terms of size up to
-    n * sigma_k, so this leaves none of them room to overflow.
+    sigma(a | max) is the state of sigma's own recurrence just before its
+    last entry, and sigma(a | min) has a pass of its own.  Raises
+    ValueError unless every sigma_k lies in (0, F/(2n^2)), F the largest
+    float: the exponent's sums add n terms of size up to n * sigma_k, so
+    this leaves none of them room to overflow.
     """
     n = len(vals)
     less_max = elem_sym_all(vals[:-1])
     sig = less_max + [0]
     x = vals[-1]
     for j in range(n, 0, -1):
-        sig[j] = sig[j] + x * sig[j - 1]
+        sig[j] += x * sig[j - 1]
     top = _FLOAT_MAX / (2 * n * n)
-    if not all(0.0 < s < top for s in sig):
-        raise ValueError("sigma row of the vector leaves the float range")
-    less_min = elem_sym_all(vals[1:])
+    for s in sig:
+        if not 0.0 < s < top:
+            raise ValueError("sigma row of the vector leaves the float "
+                             "range")
+    return sig, less_max, elem_sym_all(vals[1:])
+
+
+def _chains(vals: list) -> tuple:
+    """(sigma, lower, upper) of an ascending positive list, as lists.
+
+    sigma is the full row sigma_0..sigma_n; lower and upper are both weight
+    chains for k = 0..n.  The range guard is _sigma_rows'.
+    """
+    sig, less_max, less_min = _sigma_rows(vals)
+    n = len(vals)
     lo = vals[0]
-    hi = x
+    hi = vals[-1]
     lower = [0.0]
     upper = [0.0]
     for k in range(1, n):
@@ -206,9 +221,27 @@ def decay_exponent(spec: PhaseSpec, a: Sequence,
     vals = _ascending_positive(a, spec.n)
     if abs(phase(vals) - spec.theta) > tol:
         raise ValueError("a not on the phase level set")
-    sig, lower, upper = _chains(vals)
+    sig, less_max, less_min = _sigma_rows(vals)
     c = phase_coeffs(spec)
-    return _exponent(c, sig, _select(c, lower, upper))
+    # only the selected chain, with _chains' expressions; the terms and
+    # their order are _exponent's, so the sums round identically
+    n = len(vals)
+    lo = vals[0]
+    hi = vals[-1]
+    num = []
+    den = []
+    for k in range(1, n):
+        ck = c[k]
+        s = sig[k]
+        if ck > 0:
+            sel = hi * less_max[k - 1] / s
+        else:
+            sel = lo * less_min[k - 1] / s
+        num.append(k * ck * s)
+        den.append(sel * ck * s)
+    num.append(n * c[n] * sig[n])
+    den.append(1.0 * c[n] * sig[n])
+    return math.fsum(num) / math.fsum(den)
 
 
 @dataclass(frozen=True)

@@ -207,12 +207,25 @@ def test_solve_iso_family(tmp_path):
 
 
 def test_solve_round_trip_bytes(tmp_path):
-    _, path = run(tmp_path, ["solve", "--a", ISO3, "--n", "3", "--theta",
-                             "critical", "--grid", "20"], "rt.json")
-    text = path.read_text()
-    # every float reparses and re-serializes to the identical document
-    assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" \
-        == text
+    neg3 = ",".join([repr(-1.0 / math.sqrt(3.0))] * 3)
+    commands = [
+        ["solve", "--a", ISO3, "--n", "3", "--theta", "critical",
+         "--grid", "20"],
+        # inadmissible: slow decay past the crossing, and off the level set
+        ["solve", "--family", "eps:0.25", "--grid", "20"],
+        ["solve", "--a", "1,2,3", "--n", "3", "--theta", "critical"],
+        # all-negative data, solved through the sign reflection
+        ["solve", f"--a={neg3}", "--n", "3",
+         "--theta=-1.5707963267948966", "--grid", "20"],
+        ["verify", "--grid", "12", "--seed", "3"],
+        ["scan-eps", "--grid", "40", "--format", "json"],
+    ]
+    for i, args in enumerate(commands):
+        _, path = run(tmp_path, args, f"rt{i}.json")
+        text = path.read_text()
+        # every float reparses and re-serializes to the identical document
+        assert json.dumps(json.loads(text), indent=2, sort_keys=True) \
+            + "\n" == text, args
 
 
 def test_solve_deterministic_bytes(tmp_path):
@@ -354,6 +367,27 @@ def test_solve_subcritical_phase_exits_one(tmp_path, capsys, source):
     assert report["passed"] is False
     assert "verification" not in report
     assert "inadmissible: klass=outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--grid", "2"],
+    ["scan-eps", "--grid", "3"],
+    ["scan-eps", "--grid", "3", "--format", "json"],
+    ["solve", "--family", "iso", "--n", "3", "--theta", "critical",
+     "--grid", "4"],
+])
+def test_unwritable_out_exits_two(tmp_path, args):
+    # a fresh process: the OSError must not escape as a traceback (exit 1)
+    out = tmp_path / "missing" / "x.json"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "slex.cli", *args,
+                           "--out", str(out)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"invalid input: cannot write --out {out}: "
+                           "No such file or directory\n")
 
 
 def test_invalid_inputs_exit_two(tmp_path, capsys):

@@ -590,3 +590,118 @@ def test_chains_reject_a_sigma_row_out_of_float_range():
         weights.weight_bounds([1e-200, 1e-200, 1e-200], 1)
     with pytest.raises(ValueError, match="leaves the float range"):
         weights.weight_bounds([float("inf"), 1.0, 2.0], 1)
+
+
+# --------------------------------------------- exponent vs both full chains
+# decay_exponent forms only the theta-selected weight of each k.  The oracle
+# here is the formula it replaced: the three sigma rows by the plain
+# recurrence, both chains in full, the c_k-sign selection, then the same two
+# fsums.  The exponent must equal it bit for bit.
+
+def recurrence_row(vals):
+    e = [0] * (len(vals) + 1)
+    e[0] = 1
+    for x in vals:
+        for j in range(len(vals), 0, -1):
+            e[j] = e[j] + x * e[j - 1]
+    return e
+
+
+def chain_exponent(spec, a):
+    vals = sorted(float(v) for v in a)
+    n = len(vals)
+    sig = recurrence_row(vals)
+    less_max = recurrence_row(vals[:-1])
+    less_min = recurrence_row(vals[1:])
+    lower = ([0.0] + [vals[0] * less_min[k - 1] / sig[k]
+                      for k in range(1, n)] + [1.0])
+    upper = ([0.0] + [vals[-1] * less_max[k - 1] / sig[k]
+                      for k in range(1, n)] + [1.0])
+    c = phasepoly.phase_coeffs(spec)
+    selected = [u if ck > 0 else lo for ck, lo, u in zip(c, lower, upper)]
+    num = math.fsum([k * c[k] * sig[k] for k in range(1, n + 1)])
+    den = math.fsum([selected[k] * c[k] * sig[k] for k in range(1, n + 1)])
+    return num / den
+
+
+def wide_level_points(rng, n, count):
+    """count permuted level points in dimension n (any n >= 3), critical
+    and supercritical in turn: the angles pi/2 - arctan(a_i) split the gap
+    n*pi/2 - theta, pi at the critical angle and less above it."""
+    out = []
+    while len(out) < count:
+        gap = (math.pi if len(out) % 2 == 0
+               else float(rng.uniform(0.1, math.pi - 0.05)))
+        spec = phasepoly.PhaseSpec(n, n * math.pi / 2 - gap)
+        rest = gap * rng.dirichlet(np.ones(n))
+        if np.any(rest >= math.pi / 2 - 0.02) or np.any(rest <= 1e-6):
+            continue
+        try:
+            a = weights.complete_to_phase(1.0 / np.tan(rest[:-1]), spec)
+        except ValueError:
+            continue
+        if abs(phasepoly.phase(a) - spec.theta) > phasepoly.LEVEL_TOL:
+            continue
+        out.append((spec, rng.permutation(a)))
+    return out
+
+
+def test_exponent_equals_chain_oracle_on_random_level_points():
+    rng = np.random.default_rng(1709)
+    for n in range(3, 65):
+        for spec, a in wide_level_points(rng, n, 4):
+            assert spec.classification in ("critical", "supercritical")
+            assert bits(weights.decay_exponent(spec, a)) == \
+                bits(chain_exponent(spec, a)), (n, spec.theta)
+
+
+def test_exponent_equals_chain_oracle_on_iso_points():
+    for n in range(3, 65):
+        for theta in ((n - 2) * math.pi / 2, (n - 1) * math.pi / 2):
+            spec = phasepoly.PhaseSpec(n, theta)
+            a = weights.iso_point(spec)
+            assert bits(weights.decay_exponent(spec, a)) == \
+                bits(chain_exponent(spec, a)), (n, theta)
+
+
+def test_exponent_equals_chain_oracle_on_the_scan_eps_points():
+    # the rows of scan-eps --grid 97 and --grid 8000, then the bisection
+    # midpoints of the crossing, each steered by the exponent just checked
+    for grid in (97, 8000):
+        for eps in np.linspace(0.0, math.pi / 12, grid).tolist():
+            a = weights.epsilon_family(eps)
+            assert bits(weights.decay_exponent(SPEC5, a)) == \
+                bits(chain_exponent(SPEC5, a)), (grid, eps)
+    lo, hi = 0.0, math.pi / 12
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        a = weights.epsilon_family(mid)
+        m = weights.decay_exponent(SPEC5, a)
+        assert bits(m) == bits(chain_exponent(SPEC5, a)), mid
+        if m > 2.0:
+            lo = mid
+        else:
+            hi = mid
+    assert 0.206 <= lo and hi <= 0.208
+
+
+@pytest.mark.parametrize("spec, a, text", [
+    (phasepoly.PhaseSpec(3, 1.0), [0.5, 0.5, 0.5],
+     "phase out of supported range"),
+    (phasepoly.PhaseSpec(3, -math.pi / 2), [1.0, 1.0, 1.0],
+     "phase out of supported range"),
+    (SPEC5, [1.0, 2.0, 3.0, 4.0, 5.0], "a not on the phase level set"),
+    (phasepoly.PhaseSpec(3, math.pi / 2), [1.0, 0.0, 2.0],
+     "vector must have all entries positive"),
+    (phasepoly.PhaseSpec(3, math.pi / 2), [1.0, -1.0, 2.0],
+     "vector must have all entries positive"),
+    (phasepoly.PhaseSpec(3, math.pi / 2), [1.0, float("nan"), 2.0],
+     "vector must have all entries positive"),
+    (phasepoly.PhaseSpec(3, math.pi / 2), [1.0, 1.0],
+     "vector length does not match the phase dimension"),
+    (phasepoly.PhaseSpec(170, 266.0),
+     weights.iso_point(phasepoly.PhaseSpec(170, 266.0)),
+     "sigma row of the vector leaves the float range"),
+])
+def test_exponent_error_messages(spec, a, text):
+    assert message(weights.decay_exponent, spec, a) == text
