@@ -63,9 +63,6 @@ from .radial import (
     ProfileSolution,
     decay_fit,
     partial_fractions,
-    profile_implicit,
-    slope_field,
-    slope_field_deriv,
     solve_profile,
     tail_amplitude,
     tail_integral,
@@ -96,8 +93,7 @@ __all__ = [
     "decay_exponent", "direction_weight", "epsilon_family", "iso_point",
     "weight_bounds", "weight_profile",
     "PartialFractions", "ProfileSolution", "decay_fit", "partial_fractions",
-    "profile_implicit", "slope_field", "slope_field_deriv", "solve_profile",
-    "tail_amplitude", "tail_integral",
+    "solve_profile", "tail_amplitude", "tail_integral",
     "ShellGrid", "SubsolutionSpec", "VerificationReport", "ellipsoid_radius",
     "hessian", "hessian_sigma", "normalize_problem", "radial_value",
     "sphere_directions", "verify_subsolution",

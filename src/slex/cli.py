@@ -18,7 +18,8 @@ Three subcommands:
             analyses, and the report marks it reflected.
 
 Exit codes: 0 success, 1 check failure (including inadmissible input to
-solve), 2 invalid input (an --out path that cannot be written included).
+solve), 2 invalid input (an --out path or a stdout that cannot be written
+included).
 Identical configuration and seed produce byte-identical output; all
 numbers are emitted in shortest round-trip decimal form.  JSON reports go
 through a small recursive writer (_json_text) whose output is byte for
@@ -41,6 +42,7 @@ import json
 # one-time import, kept out of each command's run time
 import locale  # noqa: F401
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,15 +143,28 @@ _json_str = json.encoder.encode_basestring_ascii
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    """text to the --out file, or to stdout without one."""
-    if not out:
-        sys.stdout.write(text)
-        return
+    """text to the --out file, or to stdout without one.
+
+    A failed write, to either, is invalid input (ValueError).  stdout is
+    flushed here so that its error, too, surfaces inside the command.
+    """
     try:
-        with open(out, "w") as fh:
-            fh.write(text)
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        raise ValueError(f"cannot write --out {out}: "
+        if not out:
+            # the unwritten text stays buffered, and the interpreter flushes
+            # stdout again at exit: point the descriptor at devnull so that
+            # flush succeeds (the recipe of the signal module's SIGPIPE note)
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        where = f"--out {out}" if out else "stdout"
+        raise ValueError(f"cannot write {where}: "
                          f"{exc.strerror or exc}") from exc
 
 
@@ -191,13 +206,200 @@ def _scaled_row(row: list, powers: list) -> list:
     return out
 
 
-def _suite(name: str, cases: int, failures: int, worst: str,
-           counterexample=None) -> dict:
-    entry = {"name": name, "cases": cases, "failures": failures,
-             "worst": worst}
+def _scaled_rows(vec: list) -> tuple:
+    """(p, powers, sig, rows, pairs) of a Fraction vector, scaled.
+
+    p and powers are _integer_scale's; sig is sigma(a), rows[i-1] is
+    sigma(a | i) and pairs[i-1] is sigma(a | i, n), each entry of degree e
+    times D**e.  The trailing 0 on each exclusion row is the zero
+    convention at both ends, as row[-1] and row[len] read it.
+    """
+    n = len(vec)
+    p, powers = _integer_scale(vec)
+    sig = _scaled_row(symfun.elem_sym_all(vec), powers)
+    rows = [_scaled_row(symfun.elem_sym_excl_all(vec, (i,)) + [0], powers)
+            for i in range(1, n + 1)]
+    pairs = [_scaled_row(symfun.elem_sym_excl_all(vec, (i, n)) + [0], powers)
+             for i in range(1, n)]
+    return p, powers, sig, rows, pairs
+
+
+def _fracs(vec) -> list:
+    return [_frac_str(v) for v in vec]
+
+
+def _floats(vec) -> list:
+    return [_fmt(v) for v in vec]
+
+
+def _suite(name: str, cases, label: Optional[str] = "exact mismatch"
+           ) -> dict:
+    """The report entry of one suite, tallied from its cases.
+
+    A case is (ok, counterexample), the counterexample None unless the case
+    failed; the first failure's is reported.  worst reads "0" while every
+    case passes and label once one fails.  With label None a case is
+    (ok, counterexample, margin) and worst is the largest margin.
+    """
+    count = failures = 0
+    counterexample = None
+    worst = 0.0
+    for case in cases:
+        count += 1
+        if label is None:
+            worst = max(worst, case[2])
+        if not case[0]:
+            failures += 1
+            if counterexample is None:
+                counterexample = case[1]
+    entry = {"name": name, "cases": count, "failures": failures,
+             "worst": (_fmt(worst) if label is None
+                       else "0" if failures == 0 else label)}
     if counterexample is not None:
         entry["counterexample"] = counterexample
     return entry
+
+
+# Each suite below yields its cases for _suite; a counterexample is built
+# only for a failing case.  The exact suites that read _scaled_rows compare
+# Python ints: every identity is homogeneous, so scaling both sides by
+# D**degree keeps each verdict.
+
+def _wronskian_cases(vectors: list):
+    # product mode vs all-positive closed form, exact; plus the known
+    # all-ones values n * 2^(n-1)
+    for vec in vectors:
+        prod = phasepoly.ray_wronskian(vec, mode="product")
+        closed = phasepoly.ray_wronskian(vec, mode="closed_form")
+        ok = prod == closed and closed > 0
+        yield ok, None if ok else {
+            "a": _fracs(vec), "product": _frac_str(Fraction(prod)),
+            "closed_form": _frac_str(Fraction(closed))}
+    for n in range(3, 13):
+        ok = (phasepoly.ray_wronskian([1] * n, mode="closed_form")
+              == n * 2 ** (n - 1))
+        yield ok, None if ok else {"a": ["1"] * n}
+
+
+def _recurrence_cases(vectors: list, scaled: list):
+    # sigma split and weighted-sum recurrences, exact
+    for vec, (p, _powers, sig, rows, _pairs) in zip(vectors, scaled):
+        n = len(vec)
+        for k in range(0, n + 1):
+            acc = 0
+            for i in range(1, n + 1):
+                row = rows[i - 1]
+                term = p[i - 1] * row[k - 1]
+                acc += term
+                ok = sig[k] == row[k] + term
+                yield ok, None if ok else {"a": _fracs(vec), "k": k, "i": i,
+                                           "identity": "split"}
+            ok = acc == k * sig[k]
+            yield ok, None if ok else {"a": _fracs(vec), "k": k,
+                                       "identity": "weighted_sum"}
+
+
+def _pair_cases(vectors: list, scaled: list):
+    # pairwise exclusion difference against the last entry j = n, exact
+    for vec, (p, _powers, _sig, rows, pairs) in zip(vectors, scaled):
+        j = len(vec)
+        for k in range(1, j + 1):
+            last = p[j - 1] * rows[j - 1][k - 1]
+            for i in range(1, j):
+                ok = (p[i - 1] * rows[i - 1][k - 1] - last
+                      == (p[i - 1] - p[j - 1]) * pairs[i - 1][k - 1])
+                yield ok, None if ok else {"a": _fracs(vec), "k": k, "i": i,
+                                           "j": j}
+
+
+def _product_cases(vectors: list, scaled: list):
+    # product decompositions, exact, all (j, k) per vector, on the same
+    # integer scale: T[K][J] has degree K + J, which is j + k for every
+    # term of the (j, k) expansion
+    for vec, (_p, powers, sig, _rows, _pairs) in zip(vectors, scaled):
+        n = len(vec)
+        table = [_scaled_row(row, powers[k:])
+                 for k, row in enumerate(symfun.gen_sym_table(vec))]
+        for j in range(0, n + 1):
+            for k in range(j, n + 1):
+                combo = 0
+                for coeff, (kk, jj) in symfun.product_decomposition(j, k, n):
+                    combo += coeff * table[kk][jj]
+                ok = combo == sig[j] * sig[k]
+                yield ok, None if ok else {"a": _fracs(vec), "j": j, "k": k}
+
+
+def _combinatorial_cases():
+    # signed odd binomial sum and all-ones gen_sym counts, exact
+    for q in range(0, 21):
+        ok = symfun.signed_odd_binomial_sum(q) == (1 if q == 0 else 0)
+        yield ok, None if ok else {"Q": q}
+    for n in range(1, 11):
+        table = symfun.gen_sym_table([1] * n)
+        for k in range(n + 1):
+            for j in range(k + 1):
+                ok = table[k][j] == math.comb(n, k) * math.comb(k, j)
+                yield ok, None if ok else {"n": n, "k": k, "j": j}
+
+
+def _tangent_cases(rng, trials: int):
+    # sampled float properties; the sign cases carry no margin
+    for t in range(trials):
+        lam = rng.standard_normal(3 + t % 6) * 2.0
+        x, y = phasepoly.alternating_parts(lam.tolist())
+        h = phasepoly.phase(lam)
+        if abs(math.cos(h)) > 1e-6 and abs(x) > 1e-6:
+            margin = abs(y / x - math.tan(h)) / max(1.0, abs(math.tan(h)))
+            ok = not margin > 1e-10
+            yield ok, None if ok else {"lam": _floats(lam)}, margin
+        if abs(math.cos(h)) > 1e-6:
+            ok = math.copysign(1, x) == math.copysign(1, math.cos(h))
+            yield ok, None if ok else {"lam": _floats(lam), "part": "cos"}, 0.0
+        if abs(math.sin(h)) > 1e-6:
+            ok = math.copysign(1, y) == math.copysign(1, math.sin(h))
+            yield ok, None if ok else {"lam": _floats(lam), "part": "sin"}, 0.0
+
+
+def _implication_cases(rng, trials: int):
+    # positive-cone implication: wronskian > 0 forces the weighted level
+    # combination at theta = H(lam) to be positive
+    for t in range(trials):
+        lam = np.exp(rng.standard_normal(3 + t % 6))
+        wron = phasepoly.ray_wronskian(lam.tolist(), mode="closed_form")
+        h = phasepoly.phase(lam)
+        xw, yw = phasepoly.alternating_parts_weighted(lam.tolist())
+        ok = wron > 0 and math.cos(h) * yw - math.sin(h) * xw > 0
+        yield ok, None if ok else {"lam": _floats(lam)}
+
+
+def _rank_one_cases(rng, trials: int):
+    # rank-one update vs dense eigenvalue oracle, float
+    for t in range(trials):
+        n = 3 + t % 6
+        p = np.exp(rng.standard_normal(n))
+        q = rng.standard_normal(n)
+        s = float(rng.standard_normal())
+        lam = np.linalg.eigvalsh(np.diag(p) + s * np.outer(q, q))
+        for k in range(1, n + 1):
+            direct = symfun.sigma_rank_one(p.tolist(), q.tolist(), s, k)
+            oracle = symfun.elem_sym(lam.tolist(), k)
+            margin = abs(direct - oracle) / max(1.0, abs(oracle))
+            ok = not margin > 1e-10
+            yield ok, None if ok else {"p": _floats(p), "q": _floats(q),
+                                       "s": _fmt(s), "k": k}, margin
+
+
+def _newton_cases(vectors: list, rng, trials: int):
+    # Newton inequality margins: exact on rationals, tolerant on floats
+    for vec in vectors:
+        ok = symfun.newton_check(vec).passed
+        yield ok, None if ok else {"a": _fracs(vec)}
+    for t in range(trials):
+        lam = rng.standard_normal(3 + t % 6) * 3.0
+        margins = symfun.newton_check(lam.tolist()).margins.values()
+        scale = max(1.0, max(map(abs, margins)) if margins else 1.0)
+        ok = not any(v < -1e-9 * scale for v in margins)
+        yield ok, None if ok else {"lam": _floats(lam)}
 
 
 def _run_verify(cfg: RunConfig) -> tuple:
@@ -207,243 +409,23 @@ def _run_verify(cfg: RunConfig) -> tuple:
     if trials < 1:
         raise ValueError("verify grid needs at least 1 vector")
     rng = np.random.default_rng(cfg.seed)
-    vectors = []
-    for t in range(trials):
-        n = 3 + t % 6
-        vectors.append(_rational_vector(rng, n))
-
-    suites = []
-
-    # wronskian: product mode vs all-positive closed form, exact; plus the
-    # known all-ones values n * 2^(n-1)
-    fails = 0
-    ce = None
-    cases = 0
-    for vec in vectors:
-        cases += 1
-        prod = phasepoly.ray_wronskian(vec, mode="product")
-        closed = phasepoly.ray_wronskian(vec, mode="closed_form")
-        if prod != closed or closed <= 0:
-            fails += 1
-            if ce is None:
-                ce = {"a": [_frac_str(v) for v in vec],
-                      "product": _frac_str(Fraction(prod)),
-                      "closed_form": _frac_str(Fraction(closed))}
-    for n in range(3, 13):
-        cases += 1
-        if phasepoly.ray_wronskian([1] * n, mode="closed_form") != n * 2 ** (n - 1):
-            fails += 1
-            if ce is None:
-                ce = {"a": ["1"] * n}
-    suites.append(_suite("wronskian_modes", cases, fails,
-                         "0" if fails == 0 else "exact mismatch", ce))
-
-    # sigma split and weighted-sum recurrences, and the pairwise exclusion
-    # difference identity, exact.  Both suites read the rows sigma(a | i)
-    # and sigma(a | i, n), built once per vector; the trailing 0 on each row
-    # is the zero convention at both ends, as row[-1] and row[len] read it.
-    # The identities are checked on each vector's integer scale (see
-    # _integer_scale): every one is homogeneous, so scaling both sides by
-    # D**degree keeps each verdict.  Each vector's scaled sigma row is kept
-    # for the product suite below.
-    scales = [_integer_scale(vec) for vec in vectors]
-    sigs = []
-    fails = pair_fails = 0
-    ce = pair_ce = None
-    cases = pair_cases = 0
-    for vec, (p, powers) in zip(vectors, scales):
-        n = len(vec)
-        sig = _scaled_row(symfun.elem_sym_all(vec), powers)
-        sigs.append(sig)
-        rows = [_scaled_row(symfun.elem_sym_excl_all(vec, (i,)) + [0], powers)
-                for i in range(1, n + 1)]
-        pairs = [_scaled_row(symfun.elem_sym_excl_all(vec, (i, n)) + [0],
-                             powers)
-                 for i in range(1, n)]
-        for k in range(0, n + 1):
-            acc = 0
-            for i in range(1, n + 1):
-                row = rows[i - 1]
-                term = p[i - 1] * row[k - 1]
-                cases += 1
-                if sig[k] != row[k] + term:
-                    fails += 1
-                    if ce is None:
-                        ce = {"a": [_frac_str(v) for v in vec],
-                              "k": k, "i": i, "identity": "split"}
-                acc += term
-            cases += 1
-            if acc != k * sig[k]:
-                fails += 1
-                if ce is None:
-                    ce = {"a": [_frac_str(v) for v in vec], "k": k,
-                          "identity": "weighted_sum"}
-        j = n
-        for k in range(1, n + 1):
-            last = p[j - 1] * rows[j - 1][k - 1]
-            for i in range(1, n):
-                lhs = p[i - 1] * rows[i - 1][k - 1] - last
-                rhs = (p[i - 1] - p[j - 1]) * pairs[i - 1][k - 1]
-                pair_cases += 1
-                if lhs != rhs:
-                    pair_fails += 1
-                    if pair_ce is None:
-                        pair_ce = {"a": [_frac_str(v) for v in vec],
-                                   "k": k, "i": i, "j": j}
-    suites.append(_suite("sigma_recurrences", cases, fails,
-                         "0" if fails == 0 else "exact mismatch", ce))
-    suites.append(_suite("pair_exclusion_difference", pair_cases, pair_fails,
-                         "0" if pair_fails == 0 else "exact mismatch",
-                         pair_ce))
-
-    # product decompositions, exact, all (j, k) per vector, on the same
-    # integer scale: T[K][J] has degree K + J, which is j + k for every
-    # term of the (j, k) expansion
-    fails = 0
-    ce = None
-    cases = 0
-    for vec, (_p, powers), sig in zip(vectors, scales, sigs):
-        n = len(vec)
-        table = [_scaled_row(row, powers[k:])
-                 for k, row in enumerate(symfun.gen_sym_table(vec))]
-        for j in range(0, n + 1):
-            for k in range(j, n + 1):
-                combo = 0
-                for coeff, (kk, jj) in symfun.product_decomposition(j, k, n):
-                    combo += coeff * table[kk][jj]
-                cases += 1
-                if combo != sig[j] * sig[k]:
-                    fails += 1
-                    if ce is None:
-                        ce = {"a": [_frac_str(v) for v in vec],
-                              "j": j, "k": k}
-    suites.append(_suite("product_decomposition", cases, fails,
-                         "0" if fails == 0 else "exact mismatch", ce))
-
-    # signed odd binomial sum and all-ones gen_sym counts, exact
-    fails = 0
-    ce = None
-    cases = 0
-    for q in range(0, 21):
-        cases += 1
-        expect = 1 if q == 0 else 0
-        if symfun.signed_odd_binomial_sum(q) != expect:
-            fails += 1
-            if ce is None:
-                ce = {"Q": q}
-    for n in range(1, 11):
-        ones = [1] * n
-        table = symfun.gen_sym_table(ones)
-        for k in range(n + 1):
-            for j in range(k + 1):
-                cases += 1
-                if table[k][j] != math.comb(n, k) * math.comb(k, j):
-                    fails += 1
-                    if ce is None:
-                        ce = {"n": n, "k": k, "j": j}
-    suites.append(_suite("combinatorial_sums", cases, fails,
-                         "0" if fails == 0 else "exact mismatch", ce))
-
-    # sampled float properties
-    fails = 0
-    ce = None
-    cases = 0
-    worst = 0.0
-    for t in range(trials):
-        n = 3 + t % 6
-        lam = rng.standard_normal(n) * 2.0
-        x, y = phasepoly.alternating_parts(lam.tolist())
-        h = phasepoly.phase(lam)
-        if abs(math.cos(h)) > 1e-6 and abs(x) > 1e-6:
-            cases += 1
-            margin = abs(y / x - math.tan(h)) / max(1.0, abs(math.tan(h)))
-            worst = max(worst, margin)
-            if margin > 1e-10:
-                fails += 1
-                if ce is None:
-                    ce = {"lam": [_fmt(v) for v in lam]}
-        if abs(math.cos(h)) > 1e-6:
-            cases += 1
-            if math.copysign(1, x) != math.copysign(1, math.cos(h)):
-                fails += 1
-                if ce is None:
-                    ce = {"lam": [_fmt(v) for v in lam], "part": "cos"}
-        if abs(math.sin(h)) > 1e-6:
-            cases += 1
-            if math.copysign(1, y) != math.copysign(1, math.sin(h)):
-                fails += 1
-                if ce is None:
-                    ce = {"lam": [_fmt(v) for v in lam], "part": "sin"}
-    suites.append(_suite("tangent_and_sign", cases, fails, _fmt(worst), ce))
-
-    # positive-cone implication: wronskian > 0 forces the weighted level
-    # combination at theta = H(lam) to be positive
-    fails = 0
-    ce = None
-    cases = 0
-    for t in range(trials):
-        n = 3 + t % 6
-        lam = np.exp(rng.standard_normal(n))
-        wron = phasepoly.ray_wronskian(lam.tolist(), mode="closed_form")
-        h = phasepoly.phase(lam)
-        xw, yw = phasepoly.alternating_parts_weighted(lam.tolist())
-        cases += 1
-        if not (wron > 0 and math.cos(h) * yw - math.sin(h) * xw > 0):
-            fails += 1
-            if ce is None:
-                ce = {"lam": [_fmt(v) for v in lam]}
-    suites.append(_suite("wronskian_implication", cases, fails,
-                         "0" if fails == 0 else "implication failed", ce))
-
-    # rank-one update vs dense eigenvalue oracle, float
-    fails = 0
-    ce = None
-    cases = 0
-    worst = 0.0
-    for t in range(trials):
-        n = 3 + t % 6
-        p = np.exp(rng.standard_normal(n))
-        q = rng.standard_normal(n)
-        s = float(rng.standard_normal())
-        mat = np.diag(p) + s * np.outer(q, q)
-        lam = np.linalg.eigvalsh(mat)
-        for k in range(1, n + 1):
-            cases += 1
-            direct = symfun.sigma_rank_one(p.tolist(), q.tolist(), s, k)
-            oracle = symfun.elem_sym(lam.tolist(), k)
-            margin = abs(direct - oracle) / max(1.0, abs(oracle))
-            worst = max(worst, margin)
-            if margin > 1e-10:
-                fails += 1
-                if ce is None:
-                    ce = {"p": [_fmt(v) for v in p],
-                          "q": [_fmt(v) for v in q], "s": _fmt(s), "k": k}
-    suites.append(_suite("rank_one_vs_eigen", cases, fails, _fmt(worst), ce))
-
-    # Newton inequality margins: exact on rationals, tolerant on floats
-    fails = 0
-    ce = None
-    cases = 0
-    for vec in vectors:
-        cases += 1
-        if not symfun.newton_check(vec).passed:
-            fails += 1
-            if ce is None:
-                ce = {"a": [_frac_str(v) for v in vec]}
-    for t in range(trials):
-        n = 3 + t % 6
-        lam = rng.standard_normal(n) * 3.0
-        report = symfun.newton_check(lam.tolist())
-        scale = max(1.0, max(abs(v) for v in report.margins.values())
-                    if report.margins else 1.0)
-        cases += 1
-        if any(v < -1e-9 * scale for v in report.margins.values()):
-            fails += 1
-            if ce is None:
-                ce = {"lam": [_fmt(v) for v in lam]}
-    suites.append(_suite("newton_margins", cases, fails,
-                         "0" if fails == 0 else "margin negative", ce))
-
+    vectors = [_rational_vector(rng, 3 + t % 6) for t in range(trials)]
+    # one build of each vector's rows serves the recurrence, pair and
+    # product suites; the float suites then draw from rng in list order
+    scaled = [_scaled_rows(vec) for vec in vectors]
+    suites = [
+        _suite("wronskian_modes", _wronskian_cases(vectors)),
+        _suite("sigma_recurrences", _recurrence_cases(vectors, scaled)),
+        _suite("pair_exclusion_difference", _pair_cases(vectors, scaled)),
+        _suite("product_decomposition", _product_cases(vectors, scaled)),
+        _suite("combinatorial_sums", _combinatorial_cases()),
+        _suite("tangent_and_sign", _tangent_cases(rng, trials), None),
+        _suite("wronskian_implication", _implication_cases(rng, trials),
+               "implication failed"),
+        _suite("rank_one_vs_eigen", _rank_one_cases(rng, trials), None),
+        _suite("newton_margins", _newton_cases(vectors, rng, trials),
+               "margin negative"),
+    ]
     passed = all(s["failures"] == 0 for s in suites)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -621,10 +603,9 @@ def _run_solve(cfg: RunConfig) -> tuple:
     r_max = params["rmax"]
 
     pf = radial.partial_fractions(pspec, vec, profile=adm.profile)
-    sol_num = radial.solve_profile(pspec, vec, beta, r_max=r_max,
-                                   route="numeric", pf=pf)
-    sol_imp = radial.solve_profile(pspec, vec, beta, r_max=r_max,
-                                   route="implicit", pf=pf)
+    sspec = subsol.SubsolutionSpec(alpha, beta, gamma, pf)
+    sol_num = radial.solve_profile(pf, beta, r_max=r_max, route="numeric")
+    sol_imp = radial.solve_profile(pf, beta, r_max=r_max, route="implicit")
     gap = float(np.max(np.abs(sol_num.psi - sol_imp.psi)))
 
     fit = None
@@ -632,12 +613,8 @@ def _run_solve(cfg: RunConfig) -> tuple:
         m_est, amp_est = radial.decay_fit(sol_imp)
         fit = {"m_est": m_est, "amp_est": amp_est}
 
-    mu = {"at_gamma": radial.tail_integral(pspec, vec, beta, gamma, pf=pf),
-          "at_10gamma": radial.tail_integral(pspec, vec, beta,
-                                             10.0 * gamma, pf=pf)}
-
-    sspec = subsol.SubsolutionSpec(alpha=alpha, beta=beta, gamma=gamma,
-                                   diag=vec, theta=theta, pf=pf)
+    mu = {"at_gamma": radial.tail_integral(pf, beta, gamma),
+          "at_10gamma": radial.tail_integral(pf, beta, 10.0 * gamma)}
     rep = subsol.verify_subsolution(sspec, grid)
 
     base.update({

@@ -35,10 +35,11 @@ roots, builds the slope-field pair (num, den), the residues and m, and
 stores the sub-unit terms (root_j, m K_j) of log B as Python floats.  The
 pair and m come from one weights.weight_profile, whose sigma row also gives
 den, the ray polynomial's coefficients.  The returned PartialFractions is
-passed on (pf=...) to both profile routes, the tail integrals and the
-subsol module.  Polynomials in the numeric route are evaluated by Horner's
-rule on Python floats, in numpy's polyval order, so every value is
-bit-identical to the array evaluation.
+the only problem input of both profile routes, the tail integrals and the
+subsol module; it also evaluates the slope field g and g'.  Polynomials in
+the numeric route are evaluated by Horner's rule on Python floats, in
+numpy's polyval order, so every value is bit-identical to the array
+evaluation.
 
 The tail integral int_R^inf tau * (psi(tau) - 1) dtau (finite for m > 2)
 is evaluated by composite Gauss-Legendre quadrature in log radius up to a
@@ -58,7 +59,7 @@ from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
 
 from .phasepoly import PhaseSpec, phase_coeffs, ray_degree, ray_roots
-from .weights import WeightProfile, decay_exponent, weight_profile
+from .weights import WeightProfile, weight_profile
 
 BETA_CAP = 1.0e6
 BETA_WARN = 1.0e3
@@ -108,36 +109,6 @@ def _slope_pair(spec: PhaseSpec, prof: WeightProfile):
     den = np.array([c[k] * sig[k] for k in range(deg + 1)])
     num = np.array([sel[k] * c[k] * sig[k] for k in range(1, deg + 1)])
     return num, den
-
-
-def _poly_pair(spec: PhaseSpec, a: Sequence):
-    """(num, den) ascending coefficient arrays of the slope-field fraction."""
-    return _slope_pair(spec, weight_profile(spec, a))
-
-
-def slope_field(spec: PhaseSpec, a: Sequence, nu: float) -> float:
-    """g(nu) = -den(nu)/num(nu); zero at nu = 1, negative beyond.
-
-    The denominator is positive for nu >= 1; it can only fail to be for
-    nu < 1, which is rejected.
-    """
-    num, den = _poly_pair(spec, a)
-    w = float(npoly.polyval(nu, num))
-    if w <= 0.0:
-        raise ValueError("slope-field denominator not positive below nu = 1")
-    return -float(npoly.polyval(nu, den)) / w
-
-
-def slope_field_deriv(spec: PhaseSpec, a: Sequence, nu: float) -> float:
-    """g'(nu); equals -m at nu = 1 and tends to -1/selected_N as nu grows."""
-    num, den = _poly_pair(spec, a)
-    w = float(npoly.polyval(nu, num))
-    if w <= 0.0:
-        raise ValueError("slope-field denominator not positive below nu = 1")
-    z = float(npoly.polyval(nu, den))
-    dw = float(npoly.polyval(nu, npoly.polyder(num)))
-    dz = float(npoly.polyval(nu, npoly.polyder(den)))
-    return -(dz * w - z * dw) / (w * w)
 
 
 def _horner(coeffs: Sequence, x: float) -> float:
@@ -247,15 +218,28 @@ class PartialFractions:
         object.__setattr__(self, "terms", tuple(zip(
             self.roots[:-1].tolist(), (self.m * self.weights[:-1]).tolist())))
 
-    def check_problem(self, spec: PhaseSpec, a: Sequence) -> None:
-        """Raise ValueError unless this is the analysis of (spec, a)."""
-        if spec != self.spec or not np.array_equal(
-                self.a, np.sort(np.asarray(a, dtype=float))):
-            raise ValueError("partial fractions of another problem")
+    def _num_at(self, nu: float) -> float:
+        w = _horner(self.num, nu)
+        if w <= 0.0:
+            raise ValueError("slope-field denominator not positive below "
+                             "nu = 1")
+        return w
 
     def slope(self, nu: float) -> float:
-        """g(nu) = -den(nu)/num(nu), for nu >= 1 where num is positive."""
-        return -_horner(self.den, nu) / _horner(self.num, nu)
+        """g(nu) = -den(nu)/num(nu); zero at nu = 1, negative beyond.
+
+        num is positive for nu >= 1; it can only fail to be for nu < 1,
+        which is rejected.
+        """
+        return -_horner(self.den, nu) / self._num_at(nu)
+
+    def slope_deriv(self, nu: float) -> float:
+        """g'(nu): -m at nu = 1, tending to -1/selected_N as nu grows."""
+        w = self._num_at(nu)
+        z = _horner(self.den, nu)
+        dw = float(npoly.polyval(nu, npoly.polyder(self.num)))
+        dz = float(npoly.polyval(nu, npoly.polyder(self.den)))
+        return -(dz * w - z * dw) / (w * w)
 
     def excess_at(self, beta: float, r) -> np.ndarray:
         """psi(r, beta) - 1 at every radius of r (all >= 1), same shape.
@@ -431,26 +415,6 @@ def tail_amplitude(pf: PartialFractions, beta: float) -> float:
     return (beta - 1.0) * math.exp(log_ratio)
 
 
-def _analysis(spec: PhaseSpec, a: Sequence,
-              pf: Optional[PartialFractions]) -> PartialFractions:
-    """pf checked against (spec, a), or a fresh analysis when pf is None."""
-    if pf is None:
-        return partial_fractions(spec, a)
-    pf.check_problem(spec, a)
-    return pf
-
-
-def profile_implicit(spec: PhaseSpec, a: Sequence, beta: float, r,
-                     pf: Optional[PartialFractions] = None):
-    """psi(r, beta) by the implicit closed form; r may be scalar or array."""
-    beta = check_beta(beta)
-    pf = _analysis(spec, a, pf)
-    psi = 1.0 + pf.excess_at(beta, r)
-    if psi.ndim == 0:
-        return float(psi)
-    return psi
-
-
 @dataclass(frozen=True, eq=False)
 class ProfileSolution:
     """A sampled trajectory of the profile.
@@ -465,7 +429,6 @@ class ProfileSolution:
     excess: np.ndarray
     route: str
     m: float
-    pf: Optional[PartialFractions] = None
 
     def __post_init__(self):
         if self.route not in ("numeric", "implicit"):
@@ -480,52 +443,40 @@ class ProfileSolution:
             raise ValueError("profile is not nonincreasing")
 
 
-def solve_profile(spec: PhaseSpec, a: Sequence, beta: float,
-                  r_max: float = 1.0e4, tol: float = 1e-12,
-                  num_samples: int = 241, route: str = "numeric",
-                  pf: Optional[PartialFractions] = None) -> ProfileSolution:
-    """Sample the profile on log-spaced radii in [1, r_max] by either route.
+def solve_profile(pf: PartialFractions, beta: float, r_max: float = 1.0e4,
+                  tol: float = 1e-12, num_samples: int = 241,
+                  route: str = "numeric") -> ProfileSolution:
+    """Sample the profile of the problem pf on log-spaced radii in [1, r_max].
 
-    route="numeric" integrates the log of the excess with the
-    Dormand-Prince 5(4) pair (rtol=tol, atol=tol/10), stepping exactly onto
-    every sample radius.  The equilibrium factor of the ray polynomial is
-    extracted exactly first (Taylor shift to nu = 1, the constant term
-    dropped: it is the float-rounding residue of the level membership
-    already certified, and keeping it would move the fixed point off
-    psi = 1 and stall the step controller once the excess decays below
-    machine epsilon).  In log variables the slope is smooth and O(1), so
-    the route stays accurate down to excesses far below 1e-16 without tiny
-    steps.  route="implicit" solves the closed form at all sample radii at
-    once (PartialFractions.excess_at).
-
-    pf, the problem's partial_fractions(spec, a), supplies m and the
-    slope-field pair to both routes; without it the numeric route builds
-    only the pair and m, never the ray roots.
+    pf, the problem's partial_fractions, supplies m and the slope-field
+    pair to both routes.  route="numeric" integrates the log of the excess
+    with the Dormand-Prince 5(4) pair (rtol=tol, atol=tol/10), stepping
+    exactly onto every sample radius; it reads only pf.num, pf.den and
+    pf.m, never the roots or residues.  The equilibrium factor of the ray
+    polynomial is extracted exactly first (Taylor shift to nu = 1, the
+    constant term dropped: it is the float-rounding residue of the level
+    membership already certified, and keeping it would move the fixed
+    point off psi = 1 and stall the step controller once the excess decays
+    below machine epsilon).  In log variables the slope is smooth and O(1),
+    so the route stays accurate down to excesses far below 1e-16 without
+    tiny steps.  route="implicit" solves the closed form at all sample
+    radii at once (PartialFractions.excess_at).
     """
     beta = check_beta(beta)
     if not (1.0 < r_max < math.inf):
         raise ValueError("r_max must be finite and exceed 1")
     rs = np.geomspace(1.0, r_max, num_samples)
     rs[0] = 1.0
-    if pf is not None:
-        pf.check_problem(spec, a)
-    m = decay_exponent(spec, a) if pf is None else pf.m
 
     if beta == 1.0:
         excess = np.zeros_like(rs)
-        return ProfileSolution(beta=beta, r=rs, psi=1.0 + excess,
-                               excess=excess, route=route, m=m)
-
-    if route == "numeric":
-        if pf is None:
-            num, den = (tuple(c.tolist()) for c in _poly_pair(spec, a))
-        else:
-            num, den = pf.num, pf.den
-        shifted = list(den)
+    elif route == "numeric":
+        shifted = list(pf.den)
         for j in range(len(shifted)):
             for i in range(len(shifted) - 2, j - 1, -1):
                 shifted[i] += shifted[i + 1]
         reduced = tuple(shifted[1:])
+        num = pf.num
 
         def rhs(y):
             d = math.exp(y)
@@ -533,32 +484,25 @@ def solve_profile(spec: PhaseSpec, a: Sequence, beta: float,
 
         excess = np.exp(_dormand_prince(rhs, math.log(beta - 1.0),
                                         np.log(rs).tolist(), tol, 0.1 * tol))
-        return ProfileSolution(beta=beta, r=rs, psi=1.0 + excess,
-                               excess=excess, route="numeric", m=m)
-
-    if route == "implicit":
-        if pf is None:
-            pf = partial_fractions(spec, a)
+    elif route == "implicit":
         excess = pf.excess_at(beta, rs)
-        return ProfileSolution(beta=beta, r=rs, psi=1.0 + excess,
-                               excess=excess, route="implicit", m=m, pf=pf)
+    else:
+        raise ValueError("route must be 'numeric' or 'implicit'")
+    return ProfileSolution(beta=beta, r=rs, psi=1.0 + excess, excess=excess,
+                           route=route, m=pf.m)
 
-    raise ValueError("route must be 'numeric' or 'implicit'")
 
+def tail_integral(pf: PartialFractions, beta: float, R: float) -> float:
+    """int_R^inf tau (psi(tau, beta) - 1) dtau for the problem pf.
 
-def tail_integral(spec: PhaseSpec, a: Sequence, beta: float, R: float,
-                  pf: Optional[PartialFractions] = None) -> float:
-    """int_R^inf tau (psi(tau, beta) - 1) dtau, finite exactly when m > 2.
-
-    Gauss-Legendre quadrature in log radius against the implicit route
-    (PartialFractions.excess_integral) covers [R, R_cut] with
-    R_cut = max(1e3, 1e2 * R); beyond the cutoff the integrand is
-    C tau^(1-m) to leading order and is added analytically.
+    Finite exactly when m > 2.  Gauss-Legendre quadrature in log radius
+    against the implicit route (PartialFractions.excess_integral) covers
+    [R, R_cut] with R_cut = max(1e3, 1e2 * R); beyond the cutoff the
+    integrand is C tau^(1-m) to leading order and is added analytically.
     """
     beta = check_beta(beta)
     if not R >= 1.0:
         raise ValueError("R must be at least 1")
-    pf = _analysis(spec, a, pf)
     if pf.m <= 2.0:
         raise ValueError("integral may diverge")
     if beta == 1.0:

@@ -36,55 +36,50 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from statistics import NormalDist
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .phasepoly import LEVEL_TOL, PhaseSpec, phase, phase_coeffs
-from .radial import PartialFractions, check_beta, partial_fractions
+from .phasepoly import PhaseSpec, phase_coeffs
+from .radial import PartialFractions, check_beta
 from .symfun import rank_one_phase_level, sigma_rank_one
 
 
 @dataclass(frozen=True, eq=False)
 class SubsolutionSpec:
-    """Parameters (alpha, beta, gamma, diag(a), theta) of one candidate.
+    """Parameters (alpha, beta, gamma) of one candidate for the problem pf.
 
-    Requires beta >= 1, gamma >= 1, positive diagonal entries on the phase
-    level set (within 1e-10), and decay exponent above 2.  pf is the
-    problem's radial.partial_fractions; it is built here when not given.
+    pf is the problem's radial.partial_fractions: diag(a), theta and the
+    phase spec are read from it, and building it already checked that the
+    entries are positive and on the phase level set.  Requires alpha
+    finite, beta >= 1, gamma >= 1 and decay exponent above 2.
     """
     alpha: float
     beta: float
     gamma: float
-    diag: np.ndarray
-    theta: float
-    pf: Optional[PartialFractions] = None
+    pf: PartialFractions
 
     def __post_init__(self):
-        object.__setattr__(self, "diag",
-                           np.sort(np.asarray(self.diag, dtype=float)))
-        if self.diag.ndim != 1 or not np.all(self.diag > 0):
-            raise ValueError("diagonal entries must all be positive")
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
         check_beta(self.beta)
         if not 1.0 <= self.gamma < math.inf:
             raise ValueError("gamma must be finite and at least 1")
-        if abs(phase(self.diag) - self.theta) > LEVEL_TOL:
-            raise ValueError("a not on the phase level set")
-        if self.pf is None:
-            object.__setattr__(self, "pf", partial_fractions(self.phase_spec,
-                                                             self.diag))
-        else:
-            self.pf.check_problem(self.phase_spec, self.diag)
         if self.m <= 2.0:
             raise ValueError("decay exponent must exceed 2")
 
-    @cached_property
+    @property
+    def diag(self) -> np.ndarray:
+        return self.pf.a
+
+    @property
+    def theta(self) -> float:
+        return self.pf.spec.theta
+
+    @property
     def phase_spec(self) -> PhaseSpec:
-        return PhaseSpec(self.diag.size, self.theta)
+        return self.pf.spec
 
     @property
     def m(self) -> float:

@@ -184,7 +184,7 @@ def test_criterion_4_closed_form_profile():
 
     for beta in (1.5, 2.0, 10.0):
         for route in ("numeric", "implicit"):
-            sol = radial.solve_profile(spec, a, beta, r_max=1.0e4,
+            sol = radial.solve_profile(pf, beta, r_max=1.0e4,
                                        num_samples=50, route=route)
             exact = np.sqrt(1.0 + (beta * beta - 1.0) * sol.r ** -3.0)
             gap = float(np.max(np.abs(sol.psi - exact)))
@@ -204,10 +204,8 @@ def test_criterion_5_route_agreement_and_decay(admissible_cases):
     for spec, a, beta in admissible_cases:
         m = weights.decay_exponent(spec, a)
         pf = radial.partial_fractions(spec, a)
-        num = radial.solve_profile(spec, a, beta, r_max=1.0e4,
-                                   route="numeric")
-        imp = radial.solve_profile(spec, a, beta, r_max=1.0e4,
-                                   route="implicit")
+        num = radial.solve_profile(pf, beta, r_max=1.0e4, route="numeric")
+        imp = radial.solve_profile(pf, beta, r_max=1.0e4, route="implicit")
         gap = float(np.max(np.abs(num.psi - imp.psi)))
         if gap > 1e-8:
             bad.append(("route_gap", spec.n, spec.theta, gap))
@@ -261,18 +259,15 @@ def test_criterion_7_subsolution_verification():
         if a4 is not None and weights.classify(spec4, a4).klass != \
                 "admissible":
             a4 = None
+    pf3 = radial.partial_fractions(phasepoly.PhaseSpec(3, math.pi / 2), iso3)
     specs = [
-        subsol.SubsolutionSpec(alpha=0.0, beta=1.0, gamma=1.0, diag=iso3,
-                               theta=math.pi / 2),
-        subsol.SubsolutionSpec(alpha=0.0, beta=10.0, gamma=1.0, diag=iso3,
-                               theta=math.pi / 2),
-        subsol.SubsolutionSpec(alpha=2.0, beta=2.0, gamma=1.5, diag=iso3,
-                               theta=math.pi / 2),
-        subsol.SubsolutionSpec(alpha=0.0, beta=2.0, gamma=1.0,
-                               diag=np.sort(a4), theta=spec4.theta),
-        subsol.SubsolutionSpec(alpha=0.0, beta=3.0, gamma=1.0,
-                               diag=weights.iso_point(spec5),
-                               theta=spec5.theta),
+        subsol.SubsolutionSpec(0.0, 1.0, 1.0, pf3),
+        subsol.SubsolutionSpec(0.0, 10.0, 1.0, pf3),
+        subsol.SubsolutionSpec(2.0, 2.0, 1.5, pf3),
+        subsol.SubsolutionSpec(0.0, 2.0, 1.0,
+                               radial.partial_fractions(spec4, a4)),
+        subsol.SubsolutionSpec(0.0, 3.0, 1.0, radial.partial_fractions(
+            spec5, weights.iso_point(spec5))),
     ]
     bad = []
     for i, sspec in enumerate(specs):
@@ -363,10 +358,10 @@ def test_criterion_8_property_suites():
     # domination inequality in place of the Perron construction:
     # Phi(x) <= x^T A x / 2 + (mu_gamma + alpha - gamma^2 / 2)
     iso3 = np.full(3, 1.0 / math.sqrt(3.0))
+    pf3 = radial.partial_fractions(phasepoly.PhaseSpec(3, math.pi / 2), iso3)
     for beta, gamma, alpha in ((2.0, 1.0, 0.0), (10.0, 1.5, 2.0)):
-        sspec = subsol.SubsolutionSpec(alpha=alpha, beta=beta, gamma=gamma,
-                                       diag=iso3, theta=math.pi / 2)
-        mu_gamma = radial.tail_integral(sspec.phase_spec, iso3, beta, gamma)
+        sspec = subsol.SubsolutionSpec(alpha, beta, gamma, pf3)
+        mu_gamma = radial.tail_integral(sspec.pf, beta, gamma)
         const = mu_gamma + alpha - gamma * gamma / 2.0
         for _ in range(100):
             x = rng.standard_normal(3) * rng.uniform(1.0, 40.0)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from slex import cli, radial, weights
+from slex import cli, radial, symfun, weights
 
 
 ISO3 = ",".join([repr(1.0 / math.sqrt(3.0))] * 3)
@@ -121,6 +121,92 @@ def test_verify_fault_injection_gen_sym_table(tmp_path, monkeypatch):
     code, path = run(tmp_path, ["verify", "--grid", "10"], "bad.json")
     assert code == 1
     assert _failing_suites(path) == {"product_decomposition"}
+
+
+def _product_plus_one(real):
+    def lying(values, mode="product"):
+        out = real(values, mode=mode)
+        return out + 1 if mode == "product" else out
+    return lying
+
+
+def _excl_row_plus_one(excl_len):
+    # sigma_1 of the exact rows that exclude excl_len entries, plus one
+    def fault(real):
+        def lying(values, excl=()):
+            row = real(values, excl)
+            if len(excl) == excl_len and isinstance(values[0], Fraction):
+                row[1] = row[1] + 1
+            return row
+        return lying
+    return fault
+
+
+def _table_11_plus_one(real):
+    def lying(values):
+        table = real(values)
+        if isinstance(values[0], Fraction):
+            table[1][1] = table[1][1] + 1
+        return table
+    return lying
+
+
+def _flip_y(real):
+    def lying(values):
+        x, y = real(values)
+        return x, -y
+    return lying
+
+
+def _negated(real):
+    def lying(values):
+        x, y = real(values)
+        return -x, -y
+    return lying
+
+
+# verify suite -> (cli layer, kernel, fault): the fault breaks that suite
+VERIFY_FAULTS = {
+    "wronskian_modes": ("phasepoly", "ray_wronskian", _product_plus_one),
+    "sigma_recurrences": ("symfun", "elem_sym_excl_all",
+                          _excl_row_plus_one(1)),
+    "pair_exclusion_difference": ("symfun", "elem_sym_excl_all",
+                                  _excl_row_plus_one(2)),
+    "product_decomposition": ("symfun", "gen_sym_table", _table_11_plus_one),
+    "combinatorial_sums": ("symfun", "signed_odd_binomial_sum",
+                           lambda real: lambda q: real(q) + 1),
+    "tangent_and_sign": ("phasepoly", "alternating_parts", _flip_y),
+    "wronskian_implication": ("phasepoly", "alternating_parts_weighted",
+                              _negated),
+    "rank_one_vs_eigen": ("symfun", "sigma_rank_one",
+                          lambda real: lambda *args: real(*args) + 1.0),
+    "newton_margins": ("symfun", "newton_check",
+                       lambda real: lambda values: symfun.NewtonReport(
+                           margins={1: -1.0}, passed=False)),
+}
+
+
+def test_every_verify_suite_has_a_fault(tmp_path):
+    code, path = run(tmp_path, ["verify", "--grid", "2"])
+    assert code == 0
+    assert [s["name"] for s in json.loads(path.read_text())["suites"]] == \
+        list(VERIFY_FAULTS)
+
+
+@pytest.mark.parametrize("suite", list(VERIFY_FAULTS))
+def test_verify_fault_injection_every_suite(tmp_path, monkeypatch, capsys,
+                                            suite):
+    layer, kernel, fault = VERIFY_FAULTS[suite]
+    module = getattr(cli, layer)
+    monkeypatch.setattr(module, kernel, fault(getattr(module, kernel)))
+    code, path = run(tmp_path, ["verify", "--grid", "10"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "FAIL"
+    report = json.loads(path.read_text())
+    assert report["passed"] is False
+    entry = {s["name"]: s for s in report["suites"]}[suite]
+    assert entry["failures"] > 0
+    assert entry["counterexample"]
 
 
 def test_scan_eps_csv(tmp_path):
@@ -419,6 +505,43 @@ def test_solve_huge_gamma_exits_two(tmp_path, capsys):
                              "--theta", "critical", "--gamma", "1e300"])
     assert code == 2
     assert "invalid input: R too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", ["0.5", "0.999"])
+def test_solve_gamma_below_one_names_gamma(tmp_path, capsys, gamma):
+    code, path = run(tmp_path, ["solve", "--family", "iso", "--n", "3",
+                                "--theta", "critical", "--gamma", gamma])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "invalid input: gamma must be finite and at least 1\n"
+    assert not path.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+@pytest.mark.parametrize("args", [
+    ["scan-eps", "--grid", "3000"],
+    ["scan-eps", "--grid", "3"],
+    ["solve", "--family", "iso", "--n", "3", "--theta", "critical",
+     "--grid", "4"],
+])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_unwritable_stdout_exits_two(args, unbuffered):
+    # a fresh process whose stdout is full: the write error is invalid
+    # input, reported on one line, with no traceback.  Block-buffered, a short
+    # report fails only when flushed; unbuffered, at the write itself.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "slex.cli", *args],
+                              stdout=full, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == ("invalid input: cannot write stdout: "
+                           "No space left on device\n")
 
 
 @pytest.mark.parametrize("n, theta", [("170", "266"), ("200", "critical")])

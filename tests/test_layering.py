@@ -1,0 +1,103 @@
+"""Module hygiene of the slex package, checked with the stdlib's ast.
+
+Two rules, for every module under src/slex:
+
+  * no module reaches into another slex module's private names, neither
+    by importing one (`from .radial import _horner`) nor by reading one
+    off an imported module (`radial._horner`);
+  * no module leaves an import unused.  A line marked `# noqa: F401`
+    keeps its import on purpose; `__init__.py` re-exports and is skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import slex
+
+PACKAGE = Path(slex.__file__).resolve().parent
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _slex_import(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "slex"
+
+
+def private_reads(source: str) -> list:
+    """(line, text) of every private name taken from another slex module."""
+    tree = ast.parse(source)
+    modules = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _slex_import(node):
+            for alias in node.names:
+                if node.module in (None, "slex"):
+                    # `from . import radial`: the names are modules
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append((getattr(alias, "lineno", node.lineno),
+                                  f"imports {alias.name}"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "slex" and alias.asname:
+                    modules.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.append((node.lineno, f"reads {node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of every imported name the module never reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                line = getattr(alias, "lineno", node.lineno)
+                if "# noqa: F401" in lines[line - 1]:
+                    continue
+                name = alias.asname or alias.name.split(".")[0]
+                bound.append((line, name))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in used]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_names_across_modules(module):
+    assert private_reads((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES
+                                    if m != "__init__.py"])
+def test_no_unused_imports(module):
+    assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_checks_find_what_they_look_for():
+    source = "\n".join([
+        "import math",
+        "import locale  # noqa: F401",
+        "from fractions import Fraction",
+        "from . import radial, weights as w",
+        "from .phasepoly import _HALF_PI_LO, phase",
+        "from .symfun import (elem_sym,",
+        "                     _prune)",
+        "x = radial._horner((1.0,), 2.0) + w._chains + radial.check_beta",
+        "y = phase(math.pi) + Fraction(1)",
+    ])
+    assert private_reads(source) == [
+        (5, "imports _HALF_PI_LO"), (7, "imports _prune"),
+        (8, "reads radial._horner"), (8, "reads w._chains")]
+    assert unused_imports(source) == [(5, "_HALF_PI_LO"), (6, "elem_sym"),
+                                      (7, "_prune")]

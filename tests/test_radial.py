@@ -16,6 +16,7 @@ from slex import cli, phasepoly, radial, subsol, weights
 SQRT3 = math.sqrt(3.0)
 SPEC3 = phasepoly.PhaseSpec(3, math.pi / 2)
 A3 = np.full(3, 1.0 / SQRT3)
+PF3 = radial.partial_fractions(SPEC3, A3)
 
 
 def closed_excess(r, beta):
@@ -44,23 +45,21 @@ def admissible_sample(rng, n_low=3, n_high=6, m_floor=2.05):
 
 
 def test_slope_field_known_values():
-    assert radial.slope_field(SPEC3, A3, 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert radial.slope_field(SPEC3, A3, 2.0) == pytest.approx(-9.0 / 4.0,
-                                                               rel=1e-12)
+    assert PF3.slope(1.0) == pytest.approx(0.0, abs=1e-12)
+    assert PF3.slope(2.0) == pytest.approx(-9.0 / 4.0, rel=1e-12)
     for nu in (1.5, 3.0, 10.0):
-        assert radial.slope_field(SPEC3, A3, nu) < 0.0
+        assert PF3.slope(nu) < 0.0
 
 
 def test_slope_field_derivative_at_one_is_minus_m():
     rng = np.random.default_rng(61)
     for _ in range(15):
         spec, a, m = admissible_sample(rng)
+        pf = radial.partial_fractions(spec, a)
         h = 1e-6
-        fd = (radial.slope_field(spec, a, 1.0 + h)
-              - radial.slope_field(spec, a, 1.0 - h)) / (2 * h)
+        fd = (pf.slope(1.0 + h) - pf.slope(1.0 - h)) / (2 * h)
         assert fd == pytest.approx(-m, rel=1e-5)
-        assert radial.slope_field_deriv(spec, a, 1.0) == \
-            pytest.approx(-m, rel=1e-9)
+        assert pf.slope_deriv(1.0) == pytest.approx(-m, rel=1e-9)
         assert -spec.n - 1e-9 <= -m < -2.0
 
 
@@ -69,15 +68,15 @@ def test_slope_field_limit_slope_band():
     for _ in range(15):
         spec, a, _m = admissible_sample(rng)
         n = spec.n
-        limit = radial.slope_field_deriv(spec, a, 1.0e9)
+        limit = radial.partial_fractions(spec, a).slope_deriv(1.0e9)
         assert -(n / (n - 1.0)) * (1.0 + 1e-6) <= limit <= -(1.0 - 1e-6)
 
 
 def test_slope_field_denominator_guard():
-    with pytest.raises(ValueError):
-        radial.slope_field(SPEC3, A3, 0.0)
-    with pytest.raises(ValueError):
-        radial.slope_field(SPEC3, A3, -1.0)
+    for method in (PF3.slope, PF3.slope_deriv):
+        for nu in (0.0, -1.0):
+            with pytest.raises(ValueError, match="denominator not positive"):
+                method(nu)
 
 
 def test_partial_fractions_closed_case():
@@ -94,8 +93,7 @@ def test_partial_fractions_residues_recombine():
         spec, a, m = admissible_sample(rng)
         pf = radial.partial_fractions(spec, a)
         assert pf.weights[-1] == pytest.approx(1.0 / m, abs=1e-10)
-        num, den = radial._poly_pair(spec, a)
-        from numpy.polynomial import polynomial as npoly
+        num, den = pf.num, pf.den
         for nu in (1.37, 2.0, 5.0, 9.3):
             direct = npoly.polyval(nu, num) / npoly.polyval(nu, den)
             recombined = float(np.sum(pf.weights / (nu - pf.roots)))
@@ -108,7 +106,7 @@ def test_poly_pair_and_m_from_one_weight_profile_bitwise():
     rng = np.random.default_rng(64)
     for n in range(3, 13):
         spec, a = admissible_point(rng, n)
-        num, den = radial._poly_pair(spec, a)
+        num, den = radial._slope_pair(spec, weights.weight_profile(spec, a))
         assert den.tobytes() == phasepoly.ray_poly(spec, a).tobytes()
         pf = radial.partial_fractions(spec, a)
         assert pf.m == weights.decay_exponent(spec, a)
@@ -122,13 +120,14 @@ def test_partial_fractions_requires_level_membership():
 
 
 def test_profile_implicit_closed_case_values():
-    assert radial.profile_implicit(SPEC3, A3, 2.0, 1.0) == \
-        pytest.approx(2.0, abs=1e-12)
-    assert radial.profile_implicit(SPEC3, A3, 1.0, 57.0) == 1.0
-    assert radial.profile_implicit(SPEC3, A3, 2.0, 2.0) == \
-        pytest.approx(math.sqrt(11.0 / 8.0), abs=1e-12)
-    assert radial.profile_implicit(SPEC3, A3, 2.0, 10.0) == \
-        pytest.approx(math.sqrt(1.0 + 3.0e-3), abs=1e-12)
+    def psi(beta, r):
+        return 1.0 + float(PF3.excess_at(beta, r))
+
+    assert psi(2.0, 1.0) == pytest.approx(2.0, abs=1e-12)
+    assert psi(1.0, 57.0) == 1.0
+    assert psi(2.0, 2.0) == pytest.approx(math.sqrt(11.0 / 8.0), abs=1e-12)
+    assert psi(2.0, 10.0) == pytest.approx(math.sqrt(1.0 + 3.0e-3),
+                                           abs=1e-12)
 
 
 def test_both_routes_match_closed_form():
@@ -136,7 +135,7 @@ def test_both_routes_match_closed_form():
     for beta in (1.5, 2.0, 10.0):
         expect = 1.0 + closed_excess(rs, beta)
         for route in ("numeric", "implicit"):
-            sol = radial.solve_profile(SPEC3, A3, beta, route=route,
+            sol = radial.solve_profile(PF3, beta, route=route,
                                        num_samples=50)
             assert np.allclose(sol.r, rs)
             assert np.max(np.abs(sol.psi - expect)) <= 1e-8
@@ -147,13 +146,14 @@ def test_routes_agree_on_random_admissible_cases():
     for _ in range(8):
         spec, a, _m = admissible_sample(rng)
         beta = float(rng.uniform(1.1, 10.0))
-        sn = radial.solve_profile(spec, a, beta, route="numeric")
-        si = radial.solve_profile(spec, a, beta, route="implicit")
+        pf = radial.partial_fractions(spec, a)
+        sn = radial.solve_profile(pf, beta, route="numeric")
+        si = radial.solve_profile(pf, beta, route="implicit")
         assert np.max(np.abs(sn.psi - si.psi)) <= 1e-8
         # squeeze and slope-decay invariants on the numeric trajectory
         assert np.all(sn.psi[1:] < beta)
         assert np.all(sn.psi >= 1.0)
-        assert abs(radial.slope_field(spec, a, float(sn.psi[-1]))) < 1e-3
+        assert abs(pf.slope(float(sn.psi[-1]))) < 1e-3
         count_checked = True
     assert count_checked
 
@@ -162,15 +162,15 @@ def test_profile_monotone_in_beta():
     rng = np.random.default_rng(65)
     spec, a, _m = admissible_sample(rng)
     betas = (1.5, 2.5, 4.0, 9.0)
-    sols = [radial.solve_profile(spec, a, b, route="implicit")
-            for b in betas]
+    pf = radial.partial_fractions(spec, a)
+    sols = [radial.solve_profile(pf, b, route="implicit") for b in betas]
     for lo, hi in zip(sols, sols[1:]):
         assert np.all(hi.psi[1:] > lo.psi[1:])
         assert hi.psi[0] > lo.psi[0]
 
 
 def test_profile_solution_invariants():
-    sol = radial.solve_profile(SPEC3, A3, 2.0, route="numeric")
+    sol = radial.solve_profile(PF3, 2.0, route="numeric")
     assert sol.r[0] == 1.0
     assert sol.psi[0] == pytest.approx(2.0, rel=1e-12)
     assert np.all(np.diff(sol.r) > 0)
@@ -181,18 +181,18 @@ def test_profile_solution_invariants():
 
 def test_solve_profile_validates_inputs():
     with pytest.raises(ValueError):
-        radial.solve_profile(SPEC3, A3, 0.5)
+        radial.solve_profile(PF3, 0.5)
     with pytest.raises(ValueError):
-        radial.solve_profile(SPEC3, A3, 2.0, r_max=0.5)
+        radial.solve_profile(PF3, 2.0, r_max=0.5)
     with pytest.raises(ValueError):
-        radial.solve_profile(SPEC3, A3, 2.0, route="magic")
+        radial.solve_profile(PF3, 2.0, route="magic")
     with pytest.raises(ValueError):
-        radial.solve_profile(SPEC3, A3, 2.0e6)
+        radial.solve_profile(PF3, 2.0e6)
 
 
 def test_beta_warning_threshold():
     with pytest.warns(RuntimeWarning):
-        radial.solve_profile(SPEC3, A3, 2.0e3, route="implicit")
+        radial.solve_profile(PF3, 2.0e3, route="implicit")
 
 
 def test_tail_amplitude_closed_case():
@@ -214,35 +214,34 @@ def test_tail_integral_against_quadrature_oracle():
     t_cut = 1.0e4
     series_tail = 1.5 / t_cut - (9.0 / 32.0) * t_cut ** -4.0
     oracle = body + series_tail
-    val = radial.tail_integral(SPEC3, A3, 2.0, 10.0)
+    val = radial.tail_integral(PF3, 2.0, 10.0)
     assert val == pytest.approx(oracle, rel=1e-6)
 
 
 def test_tail_integral_properties():
-    assert radial.tail_integral(SPEC3, A3, 1.0, 5.0) == 0.0
-    assert radial.tail_integral(SPEC3, A3, 2.0, 3.0) < \
-        radial.tail_integral(SPEC3, A3, 3.0, 3.0)
+    assert radial.tail_integral(PF3, 1.0, 5.0) == 0.0
+    assert radial.tail_integral(PF3, 2.0, 3.0) < \
+        radial.tail_integral(PF3, 3.0, 3.0)
     with pytest.raises(ValueError, match="integral may diverge"):
         spec = phasepoly.PhaseSpec(5, 5 * math.pi / 3)
-        radial.tail_integral(spec, weights.epsilon_family(math.pi / 12),
-                             2.0, 5.0)
+        radial.tail_integral(radial.partial_fractions(
+            spec, weights.epsilon_family(math.pi / 12)), 2.0, 5.0)
 
 
 def test_non_finite_and_overflowing_inputs_rejected():
     with pytest.raises(ValueError, match="beta must be finite"):
-        radial.solve_profile(SPEC3, A3, float("nan"))
+        radial.solve_profile(PF3, float("nan"))
     with pytest.raises(ValueError, match="r_max must be finite"):
-        radial.solve_profile(SPEC3, A3, 2.0, r_max=float("nan"))
+        radial.solve_profile(PF3, 2.0, r_max=float("nan"))
     with pytest.raises(ValueError, match="r_max must be finite"):
-        radial.solve_profile(SPEC3, A3, 2.0, r_max=float("inf"))
+        radial.solve_profile(PF3, 2.0, r_max=float("inf"))
     with pytest.raises(ValueError, match="R must be at least 1"):
-        radial.tail_integral(SPEC3, A3, 2.0, float("nan"))
+        radial.tail_integral(PF3, 2.0, float("nan"))
     with pytest.raises(ValueError, match="beta must be finite"):
-        radial.tail_amplitude(radial.partial_fractions(SPEC3, A3),
-                              float("nan"))
+        radial.tail_amplitude(PF3, float("nan"))
     # tau^2 at the quadrature cutoff 100 R would overflow a float
     with pytest.raises(ValueError, match="R too large"):
-        radial.tail_integral(SPEC3, A3, 2.0, 1e300)
+        radial.tail_integral(PF3, 2.0, 1e300)
 
 
 def test_tail_integral_scaling_in_cutoff():
@@ -250,16 +249,16 @@ def test_tail_integral_scaling_in_cutoff():
     # by less than 10%
     vals = []
     for R in (1.0e2, 1.0e3, 1.0e4):
-        vals.append(radial.tail_integral(SPEC3, A3, 2.0, R) * R ** (3.0 - 2.0))
+        vals.append(radial.tail_integral(PF3, 2.0, R) * R ** (3.0 - 2.0))
     assert max(vals) / min(vals) < 1.10
 
 
 def test_decay_fit_closed_case():
-    sol = radial.solve_profile(SPEC3, A3, 2.0, route="implicit")
+    sol = radial.solve_profile(PF3, 2.0, route="implicit")
     m_est, amp_est = radial.decay_fit(sol)
     assert m_est == pytest.approx(3.0, rel=2e-2)
     assert amp_est == pytest.approx(1.5, rel=5e-2)
-    sol10 = radial.solve_profile(SPEC3, A3, 10.0, route="implicit")
+    sol10 = radial.solve_profile(PF3, 10.0, route="implicit")
     m10, amp10 = radial.decay_fit(sol10)
     assert m10 == pytest.approx(3.0, rel=2e-2)
     assert amp10 == pytest.approx(49.5, rel=5e-2)
@@ -269,22 +268,22 @@ def test_decay_fit_iso_recovers_dimension():
     for n in (3, 4, 5):
         theta = 0.85 * n * math.pi / 2
         spec = phasepoly.PhaseSpec(n, theta)
-        a = weights.iso_point(spec)
-        sol = radial.solve_profile(spec, a, 2.0, route="numeric")
+        pf = radial.partial_fractions(spec, weights.iso_point(spec))
+        sol = radial.solve_profile(pf, 2.0, route="numeric")
         m_est, _amp = radial.decay_fit(sol)
         assert m_est == pytest.approx(n, rel=2e-2)
 
 
 def test_decay_fit_requires_decaying_tail():
     with pytest.raises(ValueError):
-        radial.decay_fit(radial.solve_profile(SPEC3, A3, 1.0))
+        radial.decay_fit(radial.solve_profile(PF3, 1.0))
     with pytest.raises(ValueError):
-        radial.decay_fit(radial.solve_profile(SPEC3, A3, 2.0, r_max=100.0))
+        radial.decay_fit(radial.solve_profile(PF3, 2.0, r_max=100.0))
 
 
 def test_decay_fit_window_on_positive_tail():
     # a positive tail keeps the last decade of the trajectory
-    sol = radial.solve_profile(SPEC3, A3, 2.0, route="implicit")
+    sol = radial.solve_profile(PF3, 2.0, route="implicit")
     assert np.all(sol.excess > 0.0)
     mask = sol.r >= sol.r[-1] / 10.0
     slope, intercept = np.polyfit(np.log(sol.r[mask]),
@@ -293,8 +292,8 @@ def test_decay_fit_window_on_positive_tail():
     # iso n = 36 underflows to 0 long before r = 1e30: the fit covers the
     # last decade of the radii whose excess is positive
     spec = phasepoly.PhaseSpec(36, 17 * math.pi)
-    a = weights.iso_point(spec)
-    sol = radial.solve_profile(spec, a, 2.0, r_max=1e30, route="implicit")
+    pf = radial.partial_fractions(spec, weights.iso_point(spec))
+    sol = radial.solve_profile(pf, 2.0, r_max=1e30, route="implicit")
     assert sol.excess[-1] == 0.0
     m_est, _amp = radial.decay_fit(sol)
     assert m_est == pytest.approx(36.0, rel=2e-2)
@@ -372,7 +371,7 @@ def oracle_excess(pf, beta, r):
 
 def oracle_rhs(spec, a):
     """The numeric route's right-hand side on npoly.polyval arrays."""
-    num, den = radial._poly_pair(spec, a)
+    num, den = radial._slope_pair(spec, weights.weight_profile(spec, a))
     shifted = den.copy()
     for j in range(shifted.size):
         for i in range(shifted.size - 2, j - 1, -1):
@@ -473,7 +472,7 @@ def test_log_b_terms_and_slope_bit_identical():
     for n in range(3, 13):
         spec, a = admissible_point(rng, n)
         pf = radial.partial_fractions(spec, a)
-        num, den = radial._poly_pair(spec, a)
+        num, den = radial._slope_pair(spec, weights.weight_profile(spec, a))
         for nu in (1.0, 1.0 + 1e-13, 1.7, 42.0, 1e6):
             assert radial.tail_amplitude(pf, nu) == \
                 (nu - 1.0) * math.exp(oracle_log_b(pf, nu)
@@ -493,11 +492,9 @@ def test_numeric_route_bit_identical_to_polyval_rhs():
         expect = np.exp(radial._dormand_prince(
             oracle_rhs(spec, a), math.log(beta - 1.0), np.log(rs).tolist(),
             1e-12, 0.1 * 1e-12))
-        pf = radial.partial_fractions(spec, a)
-        for shared in (None, pf):
-            sol = radial.solve_profile(spec, a, beta, route="numeric",
-                                       pf=shared)
-            assert np.array_equal(sol.excess, expect)
+        sol = radial.solve_profile(radial.partial_fractions(spec, a), beta,
+                                   route="numeric")
+        assert np.array_equal(sol.excess, expect)
         scipy_excess = oracle_dop853(spec, a, beta)
         assert np.max(np.abs(sol.excess - scipy_excess) / scipy_excess) \
             <= 1e-10
@@ -514,10 +511,9 @@ def test_excess_integrals_match_quad_oracle():
             tail = radial.tail_amplitude(pf, beta) * r_cut ** (2.0 - pf.m) \
                 / (pf.m - 2.0)
             expect = oracle_excess_integral(pf, beta, R, r_cut) + tail
-            got = radial.tail_integral(spec, a, beta, R, pf=pf)
+            got = radial.tail_integral(pf, beta, R)
             assert abs(got - expect) <= 1e-10 * abs(expect), (n, R)
-        sspec = subsol.SubsolutionSpec(alpha=0.5, beta=beta, gamma=1.3,
-                                       diag=a, theta=spec.theta, pf=pf)
+        sspec = subsol.SubsolutionSpec(0.5, beta, 1.3, pf)
         for r in (1.3 + 1e-9, 2.0, 40.0):
             quadratic = 0.5 + 0.5 * (r * r - 1.3 ** 2)
             expect = quadratic + oracle_excess_integral(pf, beta, 1.3, r)
@@ -536,8 +532,8 @@ def test_route_gap_within_1e_10(n, theta, beta):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # beta above 1e3
         pf = radial.partial_fractions(spec, a)
-        sn = radial.solve_profile(spec, a, beta, route="numeric", pf=pf)
-        si = radial.solve_profile(spec, a, beta, route="implicit", pf=pf)
+        sn = radial.solve_profile(pf, beta, route="numeric")
+        si = radial.solve_profile(pf, beta, route="implicit")
     assert np.max(np.abs(sn.psi - si.psi)) <= 1e-10
 
 
@@ -564,8 +560,8 @@ def test_route_gap_random_points_up_to_dimension_32():
         for _ in range(2):
             spec, a = admissible_point(rng, n)
             pf = radial.partial_fractions(spec, a)
-            sn = radial.solve_profile(spec, a, 2.0, route="numeric", pf=pf)
-            si = radial.solve_profile(spec, a, 2.0, route="implicit", pf=pf)
+            sn = radial.solve_profile(pf, 2.0, route="numeric")
+            si = radial.solve_profile(pf, 2.0, route="implicit")
             assert np.max(np.abs(sn.psi - si.psi)) <= 1e-8, (n, spec.theta)
 
 
@@ -581,38 +577,3 @@ def test_dormand_prince_failures():
     ys = radial._dormand_prince(lambda y: -y, 1.0, s_out, 1e-12, 1e-13)
     assert ys[0] == 1.0
     assert np.allclose(ys, np.exp(-np.array(s_out)), rtol=1e-10, atol=0.0)
-
-
-def test_shared_analysis_gives_identical_results():
-    rng = np.random.default_rng(94)
-    for n in (3, 6, 9, 12):
-        spec, a = admissible_point(rng, n)
-        beta = float(rng.uniform(1.5, 4.0))
-        pf = radial.partial_fractions(spec, a)
-        for route in ("numeric", "implicit"):
-            fresh = radial.solve_profile(spec, a, beta, route=route)
-            shared = radial.solve_profile(spec, a, beta, route=route, pf=pf)
-            assert np.array_equal(fresh.excess, shared.excess)
-            assert fresh.m == shared.m
-        for R in (1.0, 10.0):
-            assert radial.tail_integral(spec, a, beta, R) == \
-                radial.tail_integral(spec, a, beta, R, pf=pf)
-        assert np.array_equal(radial.profile_implicit(spec, a, beta, 7.5),
-                              radial.profile_implicit(spec, a, beta, 7.5,
-                                                      pf=pf))
-
-
-def test_analysis_of_another_problem_rejected():
-    pf = radial.partial_fractions(SPEC3, A3)
-    spec4 = phasepoly.PhaseSpec(4, 3.6)
-    a4 = weights.iso_point(spec4)
-    for route in ("numeric", "implicit"):
-        with pytest.raises(ValueError, match="another problem"):
-            radial.solve_profile(spec4, a4, 2.0, route=route, pf=pf)
-    with pytest.raises(ValueError, match="another problem"):
-        radial.tail_integral(spec4, a4, 2.0, 1.0, pf=pf)
-    # the same problem with its entries in another order is accepted
-    rng = np.random.default_rng(95)
-    spec, a = admissible_point(rng, 5)
-    pf5 = radial.partial_fractions(spec, a)
-    radial.profile_implicit(spec, a[::-1], 2.0, 3.0, pf=pf5)

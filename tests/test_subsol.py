@@ -13,23 +13,30 @@ SQRT3 = math.sqrt(3.0)
 A3 = np.full(3, 1.0 / SQRT3)
 
 
+def candidate(a, theta, alpha=0.0, beta=2.0, gamma=1.0):
+    pf = radial.partial_fractions(phasepoly.PhaseSpec(len(a), theta), a)
+    return subsol.SubsolutionSpec(alpha, beta, gamma, pf)
+
+
 def closed_spec(beta=2.0, gamma=1.0, alpha=0.0):
-    return subsol.SubsolutionSpec(alpha=alpha, beta=beta, gamma=gamma,
-                                  diag=A3, theta=math.pi / 2)
+    return candidate(A3, math.pi / 2, alpha=alpha, beta=beta, gamma=gamma)
 
 
 def test_subsolution_spec_validation():
-    closed_spec()  # valid
+    spec = closed_spec()  # valid
+    assert spec.diag is spec.pf.a
+    assert spec.theta == math.pi / 2
+    assert spec.phase_spec == phasepoly.PhaseSpec(3, math.pi / 2)
+    # the analysis rejects an off-level vector before any spec exists
     with pytest.raises(ValueError, match="a not on the phase level set"):
-        subsol.SubsolutionSpec(alpha=0.0, beta=2.0, gamma=1.0,
-                               diag=np.array([1.0, 2.0, 3.0]),
-                               theta=math.pi / 2)
-    with pytest.raises(ValueError):
-        subsol.SubsolutionSpec(alpha=0.0, beta=2.0, gamma=0.5,
-                               diag=A3, theta=math.pi / 2)
-    with pytest.raises(ValueError):
-        subsol.SubsolutionSpec(alpha=0.0, beta=0.5, gamma=1.0,
-                               diag=A3, theta=math.pi / 2)
+        radial.partial_fractions(phasepoly.PhaseSpec(3, math.pi / 2),
+                                 np.array([1.0, 2.0, 3.0]))
+    for gamma in (0.5, 0.999):
+        with pytest.raises(ValueError,
+                           match="gamma must be finite and at least 1"):
+            closed_spec(gamma=gamma)
+    with pytest.raises(ValueError, match="beta must be at least 1"):
+        closed_spec(beta=0.5)
     with pytest.raises(ValueError, match="alpha must be finite"):
         closed_spec(alpha=float("nan"))
     with pytest.raises(ValueError, match="gamma must be finite"):
@@ -37,10 +44,8 @@ def test_subsolution_spec_validation():
     with pytest.raises(ValueError, match="beta must be finite"):
         closed_spec(beta=float("nan"))
     # slow-decay vector: exponent at the endpoint is below 2
-    with pytest.raises(ValueError):
-        subsol.SubsolutionSpec(alpha=0.0, beta=2.0, gamma=1.0,
-                               diag=weights.epsilon_family(math.pi / 12),
-                               theta=5 * math.pi / 3)
+    with pytest.raises(ValueError, match="decay exponent must exceed 2"):
+        candidate(weights.epsilon_family(math.pi / 12), 5 * math.pi / 3)
 
 
 def test_ellipsoid_radius():
@@ -89,11 +94,11 @@ def test_radial_value_asymptote():
     # phi(r) - r^2/2 climbs to mu_gamma + alpha - gamma^2/2, and the
     # shortfall at finite r is exactly the remaining tail integral
     spec = closed_spec(beta=2.0)
-    mu_gamma = radial.tail_integral(spec.phase_spec, A3, 2.0, 1.0)
+    mu_gamma = radial.tail_integral(spec.pf, 2.0, 1.0)
     limit = mu_gamma + 0.0 - 0.5
     for r in (1.0e3, 1.0e4):
         gap = subsol.radial_value(spec, r) - r * r / 2.0
-        mu_r = radial.tail_integral(spec.phase_spec, A3, 2.0, r)
+        mu_r = radial.tail_integral(spec.pf, 2.0, r)
         assert gap < limit
         assert gap + mu_r == pytest.approx(limit, rel=1e-9)
 
@@ -222,7 +227,7 @@ def test_domination_inequality():
     # Phi(x) <= x^T A x / 2 + (mu_gamma + alpha - gamma^2/2)
     for beta, gamma, alpha in ((2.0, 1.0, 0.0), (10.0, 1.5, 2.0)):
         spec = closed_spec(beta=beta, gamma=gamma, alpha=alpha)
-        mu_gamma = radial.tail_integral(spec.phase_spec, A3, beta, gamma)
+        mu_gamma = radial.tail_integral(spec.pf, beta, gamma)
         const = mu_gamma + alpha - gamma * gamma / 2.0
         rng = np.random.default_rng(75)
         for _ in range(200):
@@ -238,7 +243,7 @@ def test_domination_inequality():
 def test_asymptotic_constant_residual_rate():
     # [phi - r^2/2] approaches its limit like r^(2-m); fit the rate
     spec = closed_spec(beta=2.0)
-    mu_gamma = radial.tail_integral(spec.phase_spec, A3, 2.0, 1.0)
+    mu_gamma = radial.tail_integral(spec.pf, 2.0, 1.0)
     limit = mu_gamma - 0.5
     rs = np.geomspace(1.0e2, 1.0e4, 25)
     resid = np.array([limit - (subsol.radial_value(spec, float(r))
@@ -288,8 +293,7 @@ def test_rotation_invariance_of_phase():
     rng = np.random.default_rng(77)
     pspec = phasepoly.PhaseSpec(3, math.pi / 2)
     a = np.sort(weights.complete_to_phase((0.4, 0.9), pspec))
-    spec = subsol.SubsolutionSpec(alpha=0.0, beta=2.0, gamma=1.0,
-                                  diag=a, theta=math.pi / 2)
+    spec = candidate(a, math.pi / 2)
     base = rng.standard_normal((3, 3))
     q, _ = np.linalg.qr(base)
     full = q.T @ np.diag(a) @ q  # non-diagonal SPD with eigenvalues a
@@ -320,9 +324,7 @@ def test_level_gate_is_scale_free(n, theta, beta):
     spec = phasepoly.PhaseSpec(n, theta)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        sspec = subsol.SubsolutionSpec(alpha=0.0, beta=beta, gamma=1.0,
-                                       diag=weights.iso_point(spec),
-                                       theta=theta)
+        sspec = candidate(weights.iso_point(spec), theta, beta=beta)
     rep = subsol.verify_subsolution(sspec, subsol.ShellGrid())
     assert rep.min_level_value < -1e-9  # raw value, reported unchanged
     assert rep.min_level_scaled >= -4.7e-13
@@ -336,8 +338,7 @@ def test_level_gate_still_fails_a_negative_level(monkeypatch):
     # FAIL can only come from the level gate
     pspec = phasepoly.PhaseSpec(3, math.pi / 2)
     a = weights.complete_to_phase((0.4, 0.9), pspec)
-    spec = subsol.SubsolutionSpec(alpha=0.0, beta=3.0, gamma=1.0, diag=a,
-                                  theta=math.pi / 2)
+    spec = candidate(a, math.pi / 2, beta=3.0)
     real = symfun.elem_sym_stack
     monkeypatch.setattr(symfun, "elem_sym_stack", lambda lam: -real(lam))
     rep = subsol.verify_subsolution(spec, subsol.ShellGrid(shells=10,
@@ -354,8 +355,7 @@ def test_phase_gate_fails_a_doubled_rank_one_share(monkeypatch):
     # shell, so Arg(w) <= 0 and -Arg(w) only raises the phase.)
     pspec = phasepoly.PhaseSpec(3, math.pi / 2)
     a = weights.complete_to_phase((0.4, 0.9), pspec)
-    spec = subsol.SubsolutionSpec(alpha=0.0, beta=3.0, gamma=1.0, diag=a,
-                                  theta=math.pi / 2)
+    spec = candidate(a, math.pi / 2, beta=3.0)
     real = subsol.rank_one_phase_level
 
     def doubled(p, s, q2, c):
@@ -394,8 +394,7 @@ def test_rank_one_phase_level_matches_dense_hessian_oracle(n):
         a = weights.iso_point(pspec)
         if scale is not None:
             a = weights.complete_to_phase((a * scale)[:-1], pspec)
-        spec = subsol.SubsolutionSpec(alpha=0.0, beta=2.5, gamma=1.0,
-                                      diag=a, theta=theta)
+        spec = candidate(a, theta, beta=2.5)
         dirs = np.vstack([np.eye(n)[rng.permutation(n)[:3]],
                           rng.standard_normal((9, n))])
         radii = 10.0 ** rng.uniform(1e-7, 2.0, len(dirs))
@@ -414,32 +413,3 @@ def test_rank_one_phase_level_matches_dense_hessian_oracle(n):
             gap, lev_scaled = dense_phase_level(spec, x)
             assert abs(phase[i, 0] - spec.theta - gap) <= 1e-12, (theta, i)
             assert abs(scaled[i, 0] - lev_scaled) <= 1e-12, (theta, i)
-
-
-def test_shared_analysis_gives_identical_verification():
-    rng = np.random.default_rng(96)
-    for n in (3, 7, 11):
-        spec = phasepoly.PhaseSpec(n, (n - 2) * math.pi / 2 + 0.4)
-        a = weights.iso_point(spec) * np.exp(rng.uniform(-0.05, 0.05, n))
-        a = weights.complete_to_phase(a[:-1], spec)
-        pf = radial.partial_fractions(spec, a)
-        grid = subsol.ShellGrid(shells=8, directions=16)
-        reps = [subsol.verify_subsolution(
-                    subsol.SubsolutionSpec(alpha=0.0, beta=2.5, gamma=1.2,
-                                           diag=a, theta=spec.theta, pf=p),
-                    grid)
-                for p in (None, pf)]
-        fresh, shared = reps
-        assert fresh.points == shared.points
-        assert fresh.min_phase_gap == shared.min_phase_gap
-        assert fresh.min_level_value == shared.min_level_value
-        assert np.array_equal(fresh.worst_point, shared.worst_point)
-        assert fresh.passed == shared.passed
-
-
-def test_subsolution_spec_rejects_analysis_of_another_problem():
-    spec4 = phasepoly.PhaseSpec(4, 3.6)
-    pf4 = radial.partial_fractions(spec4, weights.iso_point(spec4))
-    with pytest.raises(ValueError, match="another problem"):
-        subsol.SubsolutionSpec(alpha=0.0, beta=2.0, gamma=1.0, diag=A3,
-                               theta=math.pi / 2, pf=pf4)
