@@ -44,6 +44,7 @@ import locale  # noqa: F401
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -54,6 +55,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from . import phasepoly, radial, subsol, symfun, weights
+from .symfun import clear_denominators  # by name: not a traced layer call
 
 SCHEMA_VERSION = 1
 RNG_NAME = "numpy.random.default_rng(PCG64)"
@@ -179,18 +181,6 @@ def _rational_vector(rng, n: int) -> list:
             for _ in range(n)]
 
 
-def _integer_scale(vec: list) -> tuple:
-    """(p, powers) for a Fraction vector a: with D the lcm of its
-    denominators, p_i = a_i * D as ints and powers[e] = D**e, e = 0..2n."""
-    d = 1
-    for x in vec:
-        d = math.lcm(d, x.denominator)
-    powers = [1]
-    for _ in range(2 * len(vec)):
-        powers.append(powers[-1] * d)
-    return [x.numerator * (d // x.denominator) for x in vec], powers
-
-
 def _scaled_row(row: list, powers: list) -> list:
     """Entry e of row times powers[e], as an int.
 
@@ -209,13 +199,16 @@ def _scaled_row(row: list, powers: list) -> list:
 def _scaled_rows(vec: list) -> tuple:
     """(p, powers, sig, rows, pairs) of a Fraction vector, scaled.
 
-    p and powers are _integer_scale's; sig is sigma(a), rows[i-1] is
-    sigma(a | i) and pairs[i-1] is sigma(a | i, n), each entry of degree e
-    times D**e.  The trailing 0 on each exclusion row is the zero
-    convention at both ends, as row[-1] and row[len] read it.
+    With D the lcm of the denominators, p_i = a_i * D as ints (from
+    symfun.clear_denominators) and powers[e] = D**e, e = 0..2n; sig is
+    sigma(a), rows[i-1] is sigma(a | i) and pairs[i-1] is sigma(a | i, n),
+    each entry of degree e times D**e.  The trailing 0 on each exclusion
+    row is the zero convention at both ends, as row[-1] and row[len] read
+    it.
     """
     n = len(vec)
-    p, powers = _integer_scale(vec)
+    p, d = clear_denominators(vec)
+    powers = [d ** e for e in range(2 * n + 1)]
     sig = _scaled_row(symfun.elem_sym_all(vec), powers)
     rows = [_scaled_row(symfun.elem_sym_excl_all(vec, (i,)) + [0], powers)
             for i in range(1, n + 1)]
@@ -597,24 +590,23 @@ def _run_solve(cfg: RunConfig) -> tuple:
         base["passed"] = False
         return base, None
 
-    beta = params["beta"]
     gamma = params["gamma"]
-    alpha = params["alpha"]
     r_max = params["rmax"]
 
-    pf = radial.partial_fractions(pspec, vec, profile=adm.profile)
-    sspec = subsol.SubsolutionSpec(alpha, beta, gamma, pf)
-    sol_num = radial.solve_profile(pf, beta, r_max=r_max, route="numeric")
-    sol_imp = radial.solve_profile(pf, beta, r_max=r_max, route="implicit")
+    pf = radial.partial_fractions(pspec, vec, params["beta"],
+                                  profile=adm.profile)
+    sspec = subsol.SubsolutionSpec(params["alpha"], gamma, pf)
+    sol_num = radial.solve_profile(pf, r_max=r_max, route="numeric")
+    sol_imp = radial.solve_profile(pf, r_max=r_max, route="implicit")
     gap = float(np.max(np.abs(sol_num.psi - sol_imp.psi)))
 
     fit = None
-    if beta > 1.0 and r_max >= 1.0e3:
+    if pf.beta > 1.0 and r_max >= 1.0e3:
         m_est, amp_est = radial.decay_fit(sol_imp)
         fit = {"m_est": m_est, "amp_est": amp_est}
 
-    mu = {"at_gamma": radial.tail_integral(pf, beta, gamma),
-          "at_10gamma": radial.tail_integral(pf, beta, 10.0 * gamma)}
+    mu = {"at_gamma": radial.tail_integral(pf, gamma),
+          "at_10gamma": radial.tail_integral(pf, 10.0 * gamma)}
     rep = subsol.verify_subsolution(sspec, grid)
 
     base.update({
@@ -631,7 +623,7 @@ def _run_solve(cfg: RunConfig) -> tuple:
             "excess_implicit": [float(v) for v in sol_imp.excess],
         },
         "route_gap_max": gap,
-        "tail_amplitude": radial.tail_amplitude(pf, beta),
+        "tail_amplitude": radial.tail_amplitude(pf),
         "mu": mu,
         "decay_fit": fit,
         "verification": {
@@ -647,6 +639,16 @@ def _run_solve(cfg: RunConfig) -> tuple:
 
 
 # ------------------------------------------------------------------- main
+
+def _recorded(run, cfg: RunConfig) -> tuple:
+    """run(cfg), then print each warning it raised as "warning: <message>"."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return run(cfg)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -707,7 +709,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             cfg.params["trials"] = cfg.params.pop("grid")
-            report, ok = _run_verify(cfg)
+            report, ok = _recorded(_run_verify, cfg)
             if cfg.fmt == "csv":
                 _emit(_verify_csv(report), cfg.out)
             else:
@@ -720,7 +722,7 @@ def main(argv=None) -> int:
             return 0 if ok else 1
 
         if args.command == "scan-eps":
-            report, ok = _run_scan(cfg)
+            report, ok = _recorded(_run_scan, cfg)
             if cfg.fmt == "json":
                 _emit_json(report, cfg.out)
             else:
@@ -738,7 +740,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             if cfg.fmt == "csv":
                 raise ValueError("solve emits JSON only")
-            report, rep = _run_solve(cfg)
+            report, rep = _recorded(_run_solve, cfg)
             _emit_json(report, cfg.out)
             if rep is None:
                 print(f"inadmissible: klass={report['admissibility']['klass']}"

@@ -254,8 +254,7 @@ class RayRootCertificate:
     simplicity_margin: float
 
 
-def ray_roots(spec: PhaseSpec, a: Sequence, level_tol: float = LEVEL_TOL
-              ) -> RayRootCertificate:
+def ray_roots(spec: PhaseSpec, a: Sequence) -> RayRootCertificate:
     """All N roots of the ray polynomial, real and simple by construction.
 
     level_value(t*a) = |prod_j (1 + i t a_j)| sin(H(t*a) - theta) with H(t*a)
@@ -304,7 +303,7 @@ def ray_roots(spec: PhaseSpec, a: Sequence, level_tol: float = LEVEL_TOL
         raise RuntimeError("ray root iteration did not converge")
     roots = np.divide(-1.0, x, out=x, where=shift != 0.0)
 
-    on_level = abs(phase(arr) - spec.theta) <= level_tol
+    on_level = abs(phase(arr) - spec.theta) <= LEVEL_TOL
     max_root_is_one = bool(on_level and abs(roots[-1] - 1.0) <= 1e-9)
     if on_level and not max_root_is_one:
         raise ValueError("root certification failed")

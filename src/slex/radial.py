@@ -31,15 +31,15 @@ m = -g'(1) is the decay exponent.  Two independent routes are implemented:
     excess.
 
 One problem (theta, a) is analysed once: partial_fractions finds the ray
-roots, builds the slope-field pair (num, den), the residues and m, and
-stores the sub-unit terms (root_j, m K_j) of log B as Python floats.  The
-pair and m come from one weights.weight_profile, whose sigma row also gives
-den, the ray polynomial's coefficients.  The returned PartialFractions is
-the only problem input of both profile routes, the tail integrals and the
-subsol module; it also evaluates the slope field g and g'.  Polynomials in
-the numeric route are evaluated by Horner's rule on Python floats, in
-numpy's polyval order, so every value is bit-identical to the array
-evaluation.
+roots, builds the slope-field pair (num, den), the residues and m, stores
+the sub-unit terms (root_j, m K_j) of log B as Python floats, and binds
+beta, checked there once.  The pair and m come from one
+weights.weight_profile, whose sigma row also gives den.  The returned
+PartialFractions is the only input of both profile routes, the tail
+integrals and the subsol module, none of which takes beta; it also
+evaluates g and g'.  Polynomials in the numeric route are evaluated by
+Horner's rule on Python floats, in numpy's polyval order, so every value
+is bit-identical to the array evaluation.
 
 The tail integral int_R^inf tau * (psi(tau) - 1) dtau (finite for m > 2)
 is evaluated by composite Gauss-Legendre quadrature in log radius up to a
@@ -76,6 +76,7 @@ _GL_PANELS = 8
 _GL_MAX_PANELS = 4096
 _QUAD_EPSABS = 1e-13
 _QUAD_EPSREL = 1e-11
+_PROFILE_TOL = 1e-12  # numeric route: rtol, and atol a tenth of it
 
 
 def check_beta(beta: float) -> float:
@@ -92,8 +93,9 @@ def check_beta(beta: float) -> float:
     if beta > BETA_CAP:
         raise ValueError("beta above the supported cap 1e6")
     if beta > BETA_WARN:
+        # names the caller of partial_fractions (or dataclasses.replace)
         warnings.warn("beta above 1e3: residue conditioning degrades",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=5)
     return beta
 
 
@@ -201,7 +203,9 @@ class PartialFractions:
     with 1.0 last, weights the residues aligned with them.  weights[-1],
     the residue at the root 1, equals 1/m; the full set recombines to
     num/den away from the poles.  num and den are the ascending
-    coefficients of the slope-field pair, as Python floats.  terms holds
+    coefficients of the slope-field pair, as Python floats.  beta = psi(1)
+    passes check_beta on construction, the only place it is checked;
+    dataclasses.replace(pf, beta=b) rebinds the analysis to b.  terms holds
     the sub-unit pairs (root_j, m*K_j), the data of log B.
     """
     spec: PhaseSpec
@@ -211,9 +215,11 @@ class PartialFractions:
     m: float
     num: tuple
     den: tuple
+    beta: float
     terms: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "beta", check_beta(self.beta))
         # m * weights[:-1] rounds each product exactly as m * K_j does
         object.__setattr__(self, "terms", tuple(zip(
             self.roots[:-1].tolist(), (self.m * self.weights[:-1]).tolist())))
@@ -241,7 +247,7 @@ class PartialFractions:
         dz = float(npoly.polyval(nu, npoly.polyder(self.den)))
         return -(dz * w - z * dw) / (w * w)
 
-    def excess_at(self, beta: float, r) -> np.ndarray:
+    def excess_at(self, r) -> np.ndarray:
         """psi(r, beta) - 1 at every radius of r (all >= 1), same shape.
 
         Solves F(u) = u + log B(1 + e^u) - log(beta-1) - log B(beta)
@@ -260,11 +266,11 @@ class PartialFractions:
         rs = np.asarray(r, dtype=float)
         if not np.all(rs >= 1.0):
             raise ValueError("r must be at least 1")
-        if beta == 1.0:
+        if self.beta == 1.0:
             return np.zeros_like(rs)
         flat = rs.ravel()
-        u_hi = math.log(beta - 1.0)
-        target = u_hi + _log_b(self.terms, beta) - self.m * np.log(flat)
+        u_hi = math.log(self.beta - 1.0)
+        target = u_hi + _log_b(self.terms, self.beta) - self.m * np.log(flat)
 
         def residual(u):
             # F and F' term by term, in _log_b's order, so that every radius
@@ -311,10 +317,10 @@ class PartialFractions:
         else:
             raise RuntimeError("implicit Newton iteration did not converge")
         out = np.exp(u)
-        out[flat == 1.0] = beta - 1.0
+        out[flat == 1.0] = self.beta - 1.0
         return out.reshape(rs.shape)
 
-    def excess_integral(self, beta: float, r_lo: float, r_hi: float) -> float:
+    def excess_integral(self, r_lo: float, r_hi: float) -> float:
         """int_{r_lo}^{r_hi} tau (psi(tau, beta) - 1) dtau, 1 <= r_lo <= r_hi.
 
         Composite 16-point Gauss-Legendre in s = log tau on the analytic
@@ -323,7 +329,7 @@ class PartialFractions:
         successive estimates agree within 1e-13 absolute or 1e-11
         relative; the finer estimate is returned.
         """
-        if beta == 1.0 or r_lo == r_hi:
+        if self.beta == 1.0 or r_lo == r_hi:
             return 0.0
         s_lo = math.log(r_lo)
         width = math.log(r_hi) - s_lo
@@ -335,7 +341,7 @@ class PartialFractions:
                      + (0.5 * h) * (1.0 + _GL_X)).ravel()
             tau = np.exp(nodes)
             est = 0.5 * h * float(np.dot(np.tile(_GL_W, panels),
-                                         tau * tau * self.excess_at(beta, tau)))
+                                         tau * tau * self.excess_at(tau)))
             if prev is not None and abs(est - prev) <= max(
                     _QUAD_EPSABS, _QUAD_EPSREL * abs(est)):
                 return est
@@ -344,16 +350,16 @@ class PartialFractions:
         raise RuntimeError("excess quadrature did not converge")
 
 
-def partial_fractions(spec: PhaseSpec, a: Sequence,
+def partial_fractions(spec: PhaseSpec, a: Sequence, beta: float,
                       profile: Optional[WeightProfile] = None
                       ) -> PartialFractions:
-    """Residues K_j = num(root_j)/den'(root_j) at the ray roots.
+    """Residues K_j = num(root_j)/den'(root_j) at the ray roots, with beta.
 
     Requires a on the level set (so that 1 is the largest root); the poles
     are simple, one per phase target of phasepoly.ray_roots.  The residue at
-    1 is checked against 1/m to 1e-10.  profile, when given, must be
-    weight_profile(spec, a) or the one weights.classify built for
-    (spec, a); it saves building the weight chains again.
+    1 is checked against 1/m to 1e-10, then beta by check_beta.  profile,
+    when given, must be weight_profile(spec, a) or the one weights.classify
+    built for (spec, a); it saves building the weight chains again.
 
     The denominators come in closed form, not from den's coefficients: den
     is the ray polynomial R(t) sin(H(t a) - theta), R(t) =
@@ -386,7 +392,7 @@ def partial_fractions(spec: PhaseSpec, a: Sequence,
         raise ValueError("partial-fraction residue at 1 disagrees with 1/m")
     return PartialFractions(spec=spec, a=arr, roots=roots, weights=weights,
                             m=float(m), num=tuple(num.tolist()),
-                            den=tuple(den.tolist()))
+                            den=tuple(den.tolist()), beta=beta)
 
 
 def _log_b(terms: tuple, nu: float) -> float:
@@ -400,13 +406,9 @@ def _log_b(terms: tuple, nu: float) -> float:
     return total
 
 
-def tail_amplitude(pf: PartialFractions, beta: float) -> float:
+def tail_amplitude(pf: PartialFractions) -> float:
     """(beta-1) B(beta)/B(1), the tail's limit of (psi - 1) r^m, if finite."""
-    beta = float(beta)
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
-    if beta < 1.0:
-        raise ValueError("beta must be at least 1")
+    beta = pf.beta
     if beta == 1.0:
         return 0.0
     log_ratio = _log_b(pf.terms, beta) - _log_b(pf.terms, 1.0)
@@ -421,18 +423,14 @@ class ProfileSolution:
 
     r is increasing from 1; psi = 1 + excess is nonincreasing with
     1 <= psi <= beta; excess carries the tail at full precision where psi
-    itself would round to 1.  route records which solver produced it.
+    itself would round to 1.
     """
     beta: float
     r: np.ndarray
     psi: np.ndarray
     excess: np.ndarray
-    route: str
-    m: float
 
     def __post_init__(self):
-        if self.route not in ("numeric", "implicit"):
-            raise ValueError("route must be 'numeric' or 'implicit'")
         if np.any(np.diff(self.r) <= 0) or self.r[0] < 1.0:
             raise ValueError("sample radii must increase from at least 1")
         if np.any(self.excess < 0.0):
@@ -443,16 +441,16 @@ class ProfileSolution:
             raise ValueError("profile is not nonincreasing")
 
 
-def solve_profile(pf: PartialFractions, beta: float, r_max: float = 1.0e4,
-                  tol: float = 1e-12, num_samples: int = 241,
-                  route: str = "numeric") -> ProfileSolution:
+def solve_profile(pf: PartialFractions, r_max: float = 1.0e4,
+                  num_samples: int = 241, route: str = "numeric"
+                  ) -> ProfileSolution:
     """Sample the profile of the problem pf on log-spaced radii in [1, r_max].
 
-    pf, the problem's partial_fractions, supplies m and the slope-field
+    pf, the problem's partial_fractions, supplies beta and the slope-field
     pair to both routes.  route="numeric" integrates the log of the excess
-    with the Dormand-Prince 5(4) pair (rtol=tol, atol=tol/10), stepping
-    exactly onto every sample radius; it reads only pf.num, pf.den and
-    pf.m, never the roots or residues.  The equilibrium factor of the ray
+    with the Dormand-Prince 5(4) pair (rtol 1e-12, atol 1e-13), stepping
+    exactly onto every sample radius; it reads only pf.beta, pf.num and
+    pf.den, never the roots or residues.  The equilibrium factor of the ray
     polynomial is extracted exactly first (Taylor shift to nu = 1, the
     constant term dropped: it is the float-rounding residue of the level
     membership already certified, and keeping it would move the fixed
@@ -462,15 +460,14 @@ def solve_profile(pf: PartialFractions, beta: float, r_max: float = 1.0e4,
     tiny steps.  route="implicit" solves the closed form at all sample
     radii at once (PartialFractions.excess_at).
     """
-    beta = check_beta(beta)
     if not (1.0 < r_max < math.inf):
         raise ValueError("r_max must be finite and exceed 1")
+    if route not in ("numeric", "implicit"):
+        raise ValueError("route must be 'numeric' or 'implicit'")
     rs = np.geomspace(1.0, r_max, num_samples)
     rs[0] = 1.0
 
-    if beta == 1.0:
-        excess = np.zeros_like(rs)
-    elif route == "numeric":
+    if route == "numeric" and pf.beta > 1.0:
         shifted = list(pf.den)
         for j in range(len(shifted)):
             for i in range(len(shifted) - 2, j - 1, -1):
@@ -482,36 +479,34 @@ def solve_profile(pf: PartialFractions, beta: float, r_max: float = 1.0e4,
             d = math.exp(y)
             return -_horner(reduced, d) / _horner(num, 1.0 + d)
 
-        excess = np.exp(_dormand_prince(rhs, math.log(beta - 1.0),
-                                        np.log(rs).tolist(), tol, 0.1 * tol))
-    elif route == "implicit":
-        excess = pf.excess_at(beta, rs)
+        excess = np.exp(_dormand_prince(rhs, math.log(pf.beta - 1.0),
+                                        np.log(rs).tolist(), _PROFILE_TOL,
+                                        0.1 * _PROFILE_TOL))
     else:
-        raise ValueError("route must be 'numeric' or 'implicit'")
-    return ProfileSolution(beta=beta, r=rs, psi=1.0 + excess, excess=excess,
-                           route=route, m=pf.m)
+        # the implicit route, and the constant profile at beta = 1
+        excess = pf.excess_at(rs)
+    return ProfileSolution(beta=pf.beta, r=rs, psi=1.0 + excess,
+                           excess=excess)
 
 
-def tail_integral(pf: PartialFractions, beta: float, R: float) -> float:
+def tail_integral(pf: PartialFractions, R: float) -> float:
     """int_R^inf tau (psi(tau, beta) - 1) dtau for the problem pf.
 
     Finite exactly when m > 2.  Gauss-Legendre quadrature in log radius
     against the implicit route (PartialFractions.excess_integral) covers
     [R, R_cut] with R_cut = max(1e3, 1e2 * R); beyond the cutoff the
-    integrand is C tau^(1-m) to leading order and is added analytically.
+    integrand is C tau^(1-m) to leading order and is added analytically;
+    at beta = 1 both parts are 0.0.
     """
-    beta = check_beta(beta)
     if not R >= 1.0:
         raise ValueError("R must be at least 1")
     if pf.m <= 2.0:
         raise ValueError("integral may diverge")
-    if beta == 1.0:
-        return 0.0
     r_cut = max(1.0e3, 1.0e2 * R)
     if 2.0 * math.log(r_cut) > _LOG_FLOAT_MAX:
         raise ValueError("R too large: the quadrature weight tau^2 overflows")
-    body = pf.excess_integral(beta, R, r_cut)
-    tail = tail_amplitude(pf, beta) * r_cut ** (2.0 - pf.m) / (pf.m - 2.0)
+    body = pf.excess_integral(R, r_cut)
+    tail = tail_amplitude(pf) * r_cut ** (2.0 - pf.m) / (pf.m - 2.0)
     return body + tail
 
 

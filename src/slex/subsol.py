@@ -42,28 +42,25 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .phasepoly import PhaseSpec, phase_coeffs
-from .radial import PartialFractions, check_beta
+from .radial import PartialFractions
 from .symfun import rank_one_phase_level, sigma_rank_one
 
 
 @dataclass(frozen=True, eq=False)
 class SubsolutionSpec:
-    """Parameters (alpha, beta, gamma) of one candidate for the problem pf.
+    """Parameters (alpha, gamma) of one candidate for the problem pf.
 
-    pf is the problem's radial.partial_fractions: diag(a), theta and the
-    phase spec are read from it, and building it already checked that the
-    entries are positive and on the phase level set.  Requires alpha
-    finite, beta >= 1, gamma >= 1 and decay exponent above 2.
+    pf is the problem's radial.partial_fractions: diag(a), theta, the phase
+    spec and beta are read from it, and building it already checked them.
+    Requires alpha finite, gamma >= 1 and decay exponent above 2.
     """
     alpha: float
-    beta: float
     gamma: float
     pf: PartialFractions
 
     def __post_init__(self):
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
-        check_beta(self.beta)
         if not 1.0 <= self.gamma < math.inf:
             raise ValueError("gamma must be finite and at least 1")
         if self.m <= 2.0:
@@ -88,7 +85,7 @@ class SubsolutionSpec:
     def profile_at(self, r: float) -> tuple:
         """(psi, psi') at radius r >= 1, from the implicit route."""
         r = float(r)
-        nu = 1.0 + float(self.pf.excess_at(self.beta, r))
+        nu = 1.0 + float(self.pf.excess_at(r))
         return nu, self.pf.slope(nu) / r
 
 
@@ -126,7 +123,7 @@ def radial_value(spec: SubsolutionSpec, r: float) -> float:
     if r < spec.gamma:
         raise ValueError("radius inside the excised ellipsoid")
     quadratic = spec.alpha + 0.5 * (r * r - spec.gamma ** 2)
-    return quadratic + spec.pf.excess_integral(spec.beta, spec.gamma, r)
+    return quadratic + spec.pf.excess_integral(spec.gamma, r)
 
 
 def hessian(spec: SubsolutionSpec, x: Sequence) -> np.ndarray:
@@ -157,6 +154,7 @@ def hessian_sigma(spec: SubsolutionSpec, x: Sequence, k: int) -> float:
 
 
 _NORMAL = NormalDist()
+_PASS_TOL = 1e-9  # verify_subsolution's minima must clear -_PASS_TOL
 
 
 def sphere_directions(n: int, count: int) -> np.ndarray:
@@ -214,7 +212,7 @@ class VerificationReport:
     prod_j sqrt(1 + lambda_j^2) * sin(H - theta), so its size grows with
     the eigenvalues; min_level_scaled is the smallest level value divided
     by that product.  passed requires min_phase_gap and min_level_scaled
-    to clear -tolerance.
+    to clear -1e-9.
     """
     points: int
     min_phase_gap: float
@@ -225,8 +223,7 @@ class VerificationReport:
 
 
 def verify_subsolution(spec: SubsolutionSpec,
-                       grid: Optional[ShellGrid] = None,
-                       tolerance: float = 1e-9) -> VerificationReport:
+                       grid: Optional[ShellGrid] = None) -> VerificationReport:
     """Check both subsolution inequalities on the shell grid.
 
     Every grid point sits strictly outside the excised ellipsoid (a grid
@@ -253,7 +250,7 @@ def verify_subsolution(spec: SubsolutionSpec,
     ra = np.sqrt((dirs * dirs) @ a)
     radii = np.geomspace(r_min, grid.r_max, grid.shells)
 
-    nus = 1.0 + spec.pf.excess_at(spec.beta, radii)
+    nus = 1.0 + spec.pf.excess_at(radii)
     # the update scale s = psi'(rho)/rho of each shell, psi' = slope/rho
     s = np.array([spec.pf.slope(nu) / rho / rho
                   for rho, nu in zip(radii.tolist(), nus.tolist())])
@@ -276,8 +273,8 @@ def verify_subsolution(spec: SubsolutionSpec,
                               min_level_value=min_level,
                               min_level_scaled=min_scaled,
                               worst_point=worst,
-                              passed=bool(min_gap >= -tolerance
-                                          and min_scaled >= -tolerance))
+                              passed=bool(min_gap >= -_PASS_TOL
+                                          and min_scaled >= -_PASS_TOL))
 
 
 def normalize_problem(A, b=None) -> tuple:

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 
-def _cleared(a: Sequence):
+def clear_denominators(a: Sequence):
     """(numerators, D) with a_i == numerators[i] / D, or None.
 
     D is the lcm of the denominators.  Only exact input qualifies: the first
@@ -59,7 +59,7 @@ def _cleared(a: Sequence):
 
 def elem_sym_all(a: Sequence) -> list:
     """All values sigma_0(a) .. sigma_n(a) via the product recurrence."""
-    cleared = _cleared(a)
+    cleared = clear_denominators(a)
     if cleared is not None:
         # sigma_k is homogeneous of degree k; the integer numerators take
         # the plain loop below
@@ -124,7 +124,7 @@ def gen_sym_table(a: Sequence) -> list:
     T[k][j] is the coefficient of x^k y^j in prod_i (1 + a_i x + a_i^2 x y),
     built by one pass of the bivariate product recurrence.
     """
-    cleared = _cleared(a)
+    cleared = clear_denominators(a)
     if cleared is not None:
         # T[k][j] is homogeneous of degree k + j; the integer numerators
         # take the plain loop below

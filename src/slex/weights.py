@@ -39,8 +39,8 @@ before the last (largest) entry is sigma(a less max), the same operations
 as elem_sym_all on the shortened list and so the same bits.  sigma(a less
 min) takes a second pass.  decay_exponent forms only the selected chain:
 for each k the one weight the sign of c_k picks, by the chains' own
-expression, straight from those rows, so its sums are term for term (and
-bit for bit) the ones the full chains give.  The coefficients c_k are
+expression, straight from those rows, and hands it to the same two sums
+(_exponent), so its bits are the ones the full chains give.  The coefficients c_k are
 computed once per PhaseSpec.  Arrays appear only in the WeightProfile that
 weight_profile returns; it also carries the sigma row, so the radial module
 builds its slope-field pair and takes m from one profile.  classify returns
@@ -192,56 +192,42 @@ def _profile(spec: PhaseSpec, vals: list, on_level: bool) -> WeightProfile:
     # the profile of an ascending positive list; m only when on_level
     sig, lower, upper = _chains(vals)
     c = phase_coeffs(spec)
-    selected = _select(c, lower, upper)
+    selected = [u if ck > 0 else lo for ck, lo, u in zip(c, lower, upper)]
     m = _exponent(c, sig, selected) if on_level else None
     return WeightProfile(lower=np.array(lower), upper=np.array(upper),
                          selected=np.array(selected), m=m, sigma=tuple(sig))
 
 
-def _select(c: tuple, lower: list, upper: list) -> list:
-    return [u if ck > 0 else lo for ck, lo, u in zip(c, lower, upper)]
-
-
 def _exponent(c: tuple, sig: list, selected: list) -> float:
     # sum_k k c_k sigma_k / sum_k selected_k c_k sigma_k over k = 1..n
-    ks = range(1, len(sig))
-    num = math.fsum([k * c[k] * sig[k] for k in ks])
-    den = math.fsum([selected[k] * c[k] * sig[k] for k in ks])
-    return num / den
+    num = []
+    den = []
+    for k in range(1, len(sig)):
+        num.append(k * c[k] * sig[k])
+        den.append(selected[k] * c[k] * sig[k])
+    return math.fsum(num) / math.fsum(den)
 
 
-def decay_exponent(spec: PhaseSpec, a: Sequence,
-                   tol: float = LEVEL_TOL) -> float:
+def decay_exponent(spec: PhaseSpec, a: Sequence) -> float:
     """Decay exponent of a level-set point a; lies in (0, n].
 
     Requires theta in ray_degree's range (the positive critical angle or
-    above it; every PhaseSpec lies below n*pi/2) and |H(a) - theta| <= tol.
+    above it; every PhaseSpec lies below n*pi/2) and
+    |H(a) - theta| <= LEVEL_TOL.
     """
     ray_degree(spec)
     vals = _ascending_positive(a, spec.n)
-    if abs(phase(vals) - spec.theta) > tol:
+    if abs(phase(vals) - spec.theta) > LEVEL_TOL:
         raise ValueError("a not on the phase level set")
     sig, less_max, less_min = _sigma_rows(vals)
     c = phase_coeffs(spec)
-    # only the selected chain, with _chains' expressions; the terms and
-    # their order are _exponent's, so the sums round identically
-    n = len(vals)
     lo = vals[0]
     hi = vals[-1]
-    num = []
-    den = []
-    for k in range(1, n):
-        ck = c[k]
-        s = sig[k]
-        if ck > 0:
-            sel = hi * less_max[k - 1] / s
-        else:
-            sel = lo * less_min[k - 1] / s
-        num.append(k * ck * s)
-        den.append(sel * ck * s)
-    num.append(n * c[n] * sig[n])
-    den.append(1.0 * c[n] * sig[n])
-    return math.fsum(num) / math.fsum(den)
+    # only the selected chain, with _chains' expressions
+    selected = [0.0] + [hi * less_max[k - 1] / sig[k] if c[k] > 0
+                        else lo * less_min[k - 1] / sig[k]
+                        for k in range(1, len(vals))] + [1.0]
+    return _exponent(c, sig, selected)
 
 
 @dataclass(frozen=True)
@@ -265,8 +251,7 @@ class Admissibility:
                                              repr=False)
 
 
-def classify(spec: PhaseSpec, lam: Sequence,
-             tol: float = LEVEL_TOL) -> Admissibility:
+def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
     """Classify eigenvalue data lam (any order, either sign orientation).
 
     All-negative data is handled through the sign reflection: negating the
@@ -290,7 +275,7 @@ def classify(spec: PhaseSpec, lam: Sequence,
     if not (work_spec.theta > 0.0
             and work_spec.classification != "subcritical"):
         return Admissibility(klass="outside", m=None, reflected=reflected)
-    if abs(phase(work) - work_spec.theta) > tol:
+    if abs(phase(work) - work_spec.theta) > LEVEL_TOL:
         return Admissibility(klass="outside", m=None, reflected=reflected)
     profile = _profile(work_spec, _ascending_positive(work), True)
     m = profile.m

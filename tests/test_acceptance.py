@@ -7,6 +7,7 @@ package contract; none may be loosened.
 
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -174,7 +175,7 @@ def test_criterion_4_closed_form_profile():
     a = np.full(3, 1.0 / math.sqrt(3.0))
     bad = []
 
-    pf = radial.partial_fractions(spec, a)
+    pf = radial.partial_fractions(spec, a, 2.0)
     if not np.allclose(pf.roots, [-1.0, 1.0], atol=1e-12):
         bad.append(("roots", pf.roots))
     if not np.allclose(pf.weights, [1 / 3, 1 / 3], atol=1e-12):
@@ -184,7 +185,7 @@ def test_criterion_4_closed_form_profile():
 
     for beta in (1.5, 2.0, 10.0):
         for route in ("numeric", "implicit"):
-            sol = radial.solve_profile(pf, beta, r_max=1.0e4,
+            sol = radial.solve_profile(replace(pf, beta=beta), r_max=1.0e4,
                                        num_samples=50, route=route)
             exact = np.sqrt(1.0 + (beta * beta - 1.0) * sol.r ** -3.0)
             gap = float(np.max(np.abs(sol.psi - exact)))
@@ -203,16 +204,16 @@ def test_criterion_5_route_agreement_and_decay(admissible_cases):
     bad = []
     for spec, a, beta in admissible_cases:
         m = weights.decay_exponent(spec, a)
-        pf = radial.partial_fractions(spec, a)
-        num = radial.solve_profile(pf, beta, r_max=1.0e4, route="numeric")
-        imp = radial.solve_profile(pf, beta, r_max=1.0e4, route="implicit")
+        pf = radial.partial_fractions(spec, a, beta)
+        num = radial.solve_profile(pf, r_max=1.0e4, route="numeric")
+        imp = radial.solve_profile(pf, r_max=1.0e4, route="implicit")
         gap = float(np.max(np.abs(num.psi - imp.psi)))
         if gap > 1e-8:
             bad.append(("route_gap", spec.n, spec.theta, gap))
         m_est, amp_est = radial.decay_fit(imp)
         if abs(m_est - m) > 0.02 * m:
             bad.append(("fitted_exponent", spec.n, m, m_est))
-        amp = radial.tail_amplitude(pf, beta)
+        amp = radial.tail_amplitude(pf)
         if abs(amp_est - amp) > 0.05 * amp:
             bad.append(("fitted_amplitude", spec.n, amp, amp_est))
     elapsed = time.perf_counter() - t0
@@ -259,15 +260,16 @@ def test_criterion_7_subsolution_verification():
         if a4 is not None and weights.classify(spec4, a4).klass != \
                 "admissible":
             a4 = None
-    pf3 = radial.partial_fractions(phasepoly.PhaseSpec(3, math.pi / 2), iso3)
+    pf3 = radial.partial_fractions(phasepoly.PhaseSpec(3, math.pi / 2), iso3,
+                                   1.0)
     specs = [
-        subsol.SubsolutionSpec(0.0, 1.0, 1.0, pf3),
-        subsol.SubsolutionSpec(0.0, 10.0, 1.0, pf3),
-        subsol.SubsolutionSpec(2.0, 2.0, 1.5, pf3),
-        subsol.SubsolutionSpec(0.0, 2.0, 1.0,
-                               radial.partial_fractions(spec4, a4)),
-        subsol.SubsolutionSpec(0.0, 3.0, 1.0, radial.partial_fractions(
-            spec5, weights.iso_point(spec5))),
+        subsol.SubsolutionSpec(0.0, 1.0, pf3),
+        subsol.SubsolutionSpec(0.0, 1.0, replace(pf3, beta=10.0)),
+        subsol.SubsolutionSpec(2.0, 1.5, replace(pf3, beta=2.0)),
+        subsol.SubsolutionSpec(0.0, 1.0,
+                               radial.partial_fractions(spec4, a4, 2.0)),
+        subsol.SubsolutionSpec(0.0, 1.0, radial.partial_fractions(
+            spec5, weights.iso_point(spec5), 3.0)),
     ]
     bad = []
     for i, sspec in enumerate(specs):
@@ -358,10 +360,11 @@ def test_criterion_8_property_suites():
     # domination inequality in place of the Perron construction:
     # Phi(x) <= x^T A x / 2 + (mu_gamma + alpha - gamma^2 / 2)
     iso3 = np.full(3, 1.0 / math.sqrt(3.0))
-    pf3 = radial.partial_fractions(phasepoly.PhaseSpec(3, math.pi / 2), iso3)
+    pf3 = radial.partial_fractions(phasepoly.PhaseSpec(3, math.pi / 2), iso3,
+                                   2.0)
     for beta, gamma, alpha in ((2.0, 1.0, 0.0), (10.0, 1.5, 2.0)):
-        sspec = subsol.SubsolutionSpec(alpha, beta, gamma, pf3)
-        mu_gamma = radial.tail_integral(sspec.pf, beta, gamma)
+        sspec = subsol.SubsolutionSpec(alpha, gamma, replace(pf3, beta=beta))
+        mu_gamma = radial.tail_integral(sspec.pf, gamma)
         const = mu_gamma + alpha - gamma * gamma / 2.0
         for _ in range(100):
             x = rng.standard_normal(3) * rng.uniform(1.0, 40.0)

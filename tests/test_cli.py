@@ -501,10 +501,13 @@ def test_solve_non_finite_parameter_exits_two(tmp_path, capsys, flag, value):
 
 
 def test_solve_huge_gamma_exits_two(tmp_path, capsys):
-    code, _ = run(tmp_path, ["solve", "--family", "iso", "--n", "3",
-                             "--theta", "critical", "--gamma", "1e300"])
-    assert code == 2
-    assert "invalid input: R too large" in capsys.readouterr().err
+    # beta = 1 too: its zero tail no longer skips the range check
+    for beta in ("2", "1"):
+        code, _ = run(tmp_path, ["solve", "--family", "iso", "--n", "3",
+                                 "--theta", "critical", "--gamma", "1e300",
+                                 "--beta", beta])
+        assert code == 2
+        assert "invalid input: R too large" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("gamma", ["0.5", "0.999"])
@@ -575,6 +578,27 @@ def test_solve_radial_failure_exits_two(n, message):
     assert proc.returncode == 2
     assert proc.stderr == f"invalid input: {message}\n"
     assert proc.stdout == ""
+
+
+def test_solve_large_beta_warns_once_without_a_path():
+    # a fresh process with the default warning filters: the one check of
+    # beta warns once, as one fixed line before the summary
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "slex.cli", "solve",
+                           "--family", "iso", "--n", "4", "--theta", "3.6",
+                           "--beta", "2000", "--grid", "4"],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert [line for line in lines if line.startswith("warning:")] == \
+        ["warning: beta above 1e3: residue conditioning degrades"]
+    assert lines[0].startswith("warning:") and lines[-1] == "PASS"
+    for text in ("RuntimeWarning", ".py:", "<string>"):
+        assert text not in proc.stderr
+    assert json.loads(proc.stdout)["config"]["beta"] == 2000.0
 
 
 @pytest.mark.parametrize("entries", ["nan,1,1", "inf,1,1", "1,-inf,1"])

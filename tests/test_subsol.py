@@ -14,8 +14,9 @@ A3 = np.full(3, 1.0 / SQRT3)
 
 
 def candidate(a, theta, alpha=0.0, beta=2.0, gamma=1.0):
-    pf = radial.partial_fractions(phasepoly.PhaseSpec(len(a), theta), a)
-    return subsol.SubsolutionSpec(alpha, beta, gamma, pf)
+    pf = radial.partial_fractions(phasepoly.PhaseSpec(len(a), theta), a,
+                                  beta)
+    return subsol.SubsolutionSpec(alpha, gamma, pf)
 
 
 def closed_spec(beta=2.0, gamma=1.0, alpha=0.0):
@@ -27,22 +28,25 @@ def test_subsolution_spec_validation():
     assert spec.diag is spec.pf.a
     assert spec.theta == math.pi / 2
     assert spec.phase_spec == phasepoly.PhaseSpec(3, math.pi / 2)
-    # the analysis rejects an off-level vector before any spec exists
+    assert not hasattr(spec, "beta")  # beta lives on the analysis only
+    # the analysis rejects an off-level vector, or a beta out of range,
+    # before any spec exists
     with pytest.raises(ValueError, match="a not on the phase level set"):
         radial.partial_fractions(phasepoly.PhaseSpec(3, math.pi / 2),
-                                 np.array([1.0, 2.0, 3.0]))
+                                 np.array([1.0, 2.0, 3.0]), 2.0)
+    with pytest.raises(ValueError, match="beta must be at least 1"):
+        radial.partial_fractions(phasepoly.PhaseSpec(3, math.pi / 2), A3, 0.5)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        radial.partial_fractions(phasepoly.PhaseSpec(3, math.pi / 2), A3,
+                                 float("nan"))
     for gamma in (0.5, 0.999):
         with pytest.raises(ValueError,
                            match="gamma must be finite and at least 1"):
             closed_spec(gamma=gamma)
-    with pytest.raises(ValueError, match="beta must be at least 1"):
-        closed_spec(beta=0.5)
     with pytest.raises(ValueError, match="alpha must be finite"):
         closed_spec(alpha=float("nan"))
     with pytest.raises(ValueError, match="gamma must be finite"):
         closed_spec(gamma=float("inf"))
-    with pytest.raises(ValueError, match="beta must be finite"):
-        closed_spec(beta=float("nan"))
     # slow-decay vector: exponent at the endpoint is below 2
     with pytest.raises(ValueError, match="decay exponent must exceed 2"):
         candidate(weights.epsilon_family(math.pi / 12), 5 * math.pi / 3)
@@ -94,11 +98,11 @@ def test_radial_value_asymptote():
     # phi(r) - r^2/2 climbs to mu_gamma + alpha - gamma^2/2, and the
     # shortfall at finite r is exactly the remaining tail integral
     spec = closed_spec(beta=2.0)
-    mu_gamma = radial.tail_integral(spec.pf, 2.0, 1.0)
+    mu_gamma = radial.tail_integral(spec.pf, 1.0)
     limit = mu_gamma + 0.0 - 0.5
     for r in (1.0e3, 1.0e4):
         gap = subsol.radial_value(spec, r) - r * r / 2.0
-        mu_r = radial.tail_integral(spec.pf, 2.0, r)
+        mu_r = radial.tail_integral(spec.pf, r)
         assert gap < limit
         assert gap + mu_r == pytest.approx(limit, rel=1e-9)
 
@@ -227,7 +231,7 @@ def test_domination_inequality():
     # Phi(x) <= x^T A x / 2 + (mu_gamma + alpha - gamma^2/2)
     for beta, gamma, alpha in ((2.0, 1.0, 0.0), (10.0, 1.5, 2.0)):
         spec = closed_spec(beta=beta, gamma=gamma, alpha=alpha)
-        mu_gamma = radial.tail_integral(spec.pf, beta, gamma)
+        mu_gamma = radial.tail_integral(spec.pf, gamma)
         const = mu_gamma + alpha - gamma * gamma / 2.0
         rng = np.random.default_rng(75)
         for _ in range(200):
@@ -243,7 +247,7 @@ def test_domination_inequality():
 def test_asymptotic_constant_residual_rate():
     # [phi - r^2/2] approaches its limit like r^(2-m); fit the rate
     spec = closed_spec(beta=2.0)
-    mu_gamma = radial.tail_integral(spec.pf, 2.0, 1.0)
+    mu_gamma = radial.tail_integral(spec.pf, 1.0)
     limit = mu_gamma - 0.5
     rs = np.geomspace(1.0e2, 1.0e4, 25)
     resid = np.array([limit - (subsol.radial_value(spec, float(r))
