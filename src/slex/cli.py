@@ -572,7 +572,7 @@ def _run_solve(cfg: RunConfig) -> tuple:
         "command": "solve",
         "seed": cfg.seed,
         "config": {
-            "n": n, "theta": theta, "a": [float(v) for v in np.sort(vec)],
+            "n": n, "theta": theta, "a": np.sort(vec).tolist(),
             "beta": params["beta"], "gamma": params["gamma"],
             "alpha": params["alpha"], "rmax": params["rmax"],
             "grid": params["grid"],
@@ -605,22 +605,22 @@ def _run_solve(cfg: RunConfig) -> tuple:
         m_est, amp_est = radial.decay_fit(sol_imp)
         fit = {"m_est": m_est, "amp_est": amp_est}
 
-    mu = {"at_gamma": radial.tail_integral(pf, gamma),
-          "at_10gamma": radial.tail_integral(pf, 10.0 * gamma)}
+    mu_gamma, mu_10gamma = radial.tail_integral(pf, (gamma, 10.0 * gamma))
+    mu = {"at_gamma": mu_gamma, "at_10gamma": mu_10gamma}
     rep = subsol.verify_subsolution(sspec, grid)
 
     base.update({
         "partial_fractions": {
-            "roots": [float(v) for v in pf.roots],
-            "weights": [float(v) for v in pf.weights],
+            "roots": pf.roots.tolist(),
+            "weights": pf.weights.tolist(),
             "m": pf.m,
         },
         "trajectory": {
-            "r": [float(v) for v in sol_num.r],
-            "psi_numeric": [float(v) for v in sol_num.psi],
-            "psi_implicit": [float(v) for v in sol_imp.psi],
-            "excess_numeric": [float(v) for v in sol_num.excess],
-            "excess_implicit": [float(v) for v in sol_imp.excess],
+            "r": sol_num.r.tolist(),
+            "psi_numeric": sol_num.psi.tolist(),
+            "psi_implicit": sol_imp.psi.tolist(),
+            "excess_numeric": sol_num.excess.tolist(),
+            "excess_implicit": sol_imp.excess.tolist(),
         },
         "route_gap_max": gap,
         "tail_amplitude": radial.tail_amplitude(pf),
@@ -630,7 +630,7 @@ def _run_solve(cfg: RunConfig) -> tuple:
             "points": rep.points,
             "min_phase_gap": rep.min_phase_gap,
             "min_level_value": rep.min_level_value,
-            "worst_point": [float(v) for v in rep.worst_point],
+            "worst_point": rep.worst_point.tolist(),
             "passed": rep.passed,
         },
         "passed": rep.passed and gap <= ROUTE_GAP_TOL,

@@ -28,7 +28,10 @@ m = -g'(1) is the decay exponent.  Two independent routes are implemented:
 
     whose left side is strictly increasing in psi on [1, beta]; all radii
     are solved at once by a safeguarded Newton iteration on the log of the
-    excess.
+    excess, which stops on a small step or on a step that overshoots its
+    bracket by at most the tolerance (excess_at).  The terms of log B and
+    of its slope form (terms x radii) arrays whose rows are added in term
+    order, so one radius alone gets the bits it gets in a batch.
 
 One problem (theta, a) is analysed once: partial_fractions finds the ray
 roots, builds the slope-field pair (num, den), the residues and m, stores
@@ -44,7 +47,9 @@ is bit-identical to the array evaluation.
 The tail integral int_R^inf tau * (psi(tau) - 1) dtau (finite for m > 2)
 is evaluated by composite Gauss-Legendre quadrature in log radius up to a
 cutoff plus the analytic tail C * R_cut^(2-m)/(m-2), with
-C = (beta-1) B(beta)/B(1) the limit of (psi - 1) * r^m.
+C = (beta-1) B(beta)/B(1) the limit of (psi - 1) * r^m.  Several radii
+share one pass: each quadrature level solves the nodes of every radius
+not yet converged in one call of the implicit route.
 """
 
 from __future__ import annotations
@@ -154,6 +159,12 @@ def _dormand_prince(f: Callable[[float], float], y0: float, s_out: list,
     step is the first output interval.  Raises RuntimeError when the error
     estimate is not finite or the step collapses below 10 ulps of s.
     """
+    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    ulp, isfinite = math.ulp, math.isfinite
     ys = [y0]
     s, y = s_out[0], y0
     k1 = f(y)
@@ -163,21 +174,21 @@ def _dormand_prince(f: Callable[[float], float], y0: float, s_out: list,
         while s < s_next:
             last = h >= s_next - s
             step = s_next - s if last else h
-            if step < 10.0 * math.ulp(s):
+            if step < 10.0 * ulp(s):
                 raise RuntimeError("integration failed")
-            k2 = f(y + step * (_A21 * k1))
-            k3 = f(y + step * (_A31 * k1 + _A32 * k2))
-            k4 = f(y + step * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-            k5 = f(y + step * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-            k6 = f(y + step * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                               + _A65 * k5))
-            y_new = y + step * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5
-                                + _B6 * k6)
+            k2 = f(y + step * (a21 * k1))
+            k3 = f(y + step * (a31 * k1 + a32 * k2))
+            k4 = f(y + step * (a41 * k1 + a42 * k2 + a43 * k3))
+            k5 = f(y + step * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4))
+            k6 = f(y + step * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4
+                               + a65 * k5))
+            y_new = y + step * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5
+                                + b6 * k6)
             k7 = f(y_new)
-            err = step * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5
-                          + _E6 * k6 + _E7 * k7)
+            err = step * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5
+                          + e6 * k6 + e7 * k7)
             norm = abs(err) / (atol + rtol * max(abs(y), abs(y_new)))
-            if not math.isfinite(norm):
+            if not isfinite(norm):
                 raise RuntimeError("integration failed")
             if norm < 1.0:
                 factor = (_MAX_FACTOR if norm == 0.0 else
@@ -261,7 +272,12 @@ class PartialFractions:
         bracket (the residues m K_j can have mixed signs, so plain Newton
         may overshoot).  A radius stops after a step no larger than
         1e-14 + 4 eps |u|, or when a step lands on an end of its bracket
-        (a cycle at rounding level); r = 1 gives beta - 1 exactly.
+        or overshoots it by at most that tolerance (a cycle at rounding
+        level; the step is clipped to the end, where bisection would crawl
+        back from the far end); r = 1 gives beta - 1 exactly.  The terms'
+        rows are added in _log_b's order, not by a numpy reduction (which
+        sums one radius's column pairwise from 8 terms on), so that each
+        radius gets the same bits alone as in a batch.
         """
         rs = np.asarray(r, dtype=float)
         if not np.all(rs >= 1.0):
@@ -271,19 +287,20 @@ class PartialFractions:
         flat = rs.ravel()
         u_hi = math.log(self.beta - 1.0)
         target = u_hi + _log_b(self.terms, self.beta) - self.m * np.log(flat)
+        roots = self.roots[:-1, None]
+        mks = (self.m * self.weights[:-1])[:, None]
+
+        def rows_summed(rows):
+            total = np.zeros_like(target)
+            for row in rows:
+                total += row
+            return total
 
         def residual(u):
-            # F and F' term by term, in _log_b's order, so that every radius
-            # gets the same bits alone as in a batch
+            # F, e^u and the gaps nu - root_j (terms x radii)
             e = np.exp(u)
-            nu = 1.0 + e
-            log_b = np.zeros_like(u)
-            slope = np.zeros_like(u)
-            for root, mk in self.terms:
-                gap = nu - root
-                log_b += mk * np.log(gap)
-                slope += mk / gap
-            return u + log_b - target, 1.0 + e * slope
+            gap = (1.0 + e) - roots
+            return u + rows_summed(mks * np.log(gap)) - target, e, gap
 
         lo = np.minimum(target - _log_b(self.terms, 1.0), u_hi - 1.0)
         for _ in range(_BRACKET_CAP):
@@ -299,17 +316,22 @@ class PartialFractions:
         for _ in range(_NEWTON_CAP):
             if not active.any():
                 break
-            f, df = residual(u)
+            f, e, gap = residual(u)
+            df = 1.0 + e * rows_summed(mks / gap)
             lo = np.where(f <= 0.0, u, lo)
             hi = np.where(f > 0.0, u, hi)
             # a slope that rounding made non-positive gives a NaN step; a
-            # step landing on an end of the bracket is a cycle at rounding
-            # level, so the radius has converged; any other step that
-            # leaves the bracket is replaced by bisection
+            # step landing on an end of the bracket, or past it by at most
+            # the stopping tolerance, is clipped there and has converged
+            # (a cycle at rounding level); any other step that leaves the
+            # bracket is replaced by bisection
             newton = u - f / np.where(df > 0.0, df, np.nan)
-            landed = (newton == lo) | (newton == hi)
+            near = np.clip(newton, lo, hi)
+            landed = (((near == lo) | (near == hi))
+                      & (np.abs(newton - near)
+                         <= _U_XTOL + _U_RTOL * np.abs(near)))
             inside = landed | ((lo < newton) & (newton < hi))
-            step = np.where(inside, newton, 0.5 * (lo + hi))
+            step = np.where(inside, near, 0.5 * (lo + hi))
             done = landed | (np.abs(step - u)
                              <= _U_XTOL + _U_RTOL * np.abs(step))
             u = np.where(active, step, u)
@@ -329,25 +351,43 @@ class PartialFractions:
         successive estimates agree within 1e-13 absolute or 1e-11
         relative; the finer estimate is returned.
         """
-        if self.beta == 1.0 or r_lo == r_hi:
-            return 0.0
-        s_lo = math.log(r_lo)
-        width = math.log(r_hi) - s_lo
-        prev = None
-        panels = _GL_PANELS
-        while panels <= _GL_MAX_PANELS:
+        return _excess_integrals(self, ((r_lo, r_hi),))[0]
+
+
+def _excess_integrals(pf: PartialFractions, bounds: Sequence) -> list:
+    """PartialFractions.excess_integral over each (r_lo, r_hi) of bounds.
+
+    At each panel count one excess_at call solves the nodes of every
+    interval not yet converged; each interval stops on its own test, so
+    its value has the same bits as when it is integrated alone.
+    """
+    out = [0.0] * len(bounds)
+    # log radius: the start and width of each interval still to integrate
+    span = {i: (math.log(r_lo), math.log(r_hi) - math.log(r_lo))
+            for i, (r_lo, r_hi) in enumerate(bounds)
+            if pf.beta != 1.0 and r_lo != r_hi}
+    prev = {}
+    panels = _GL_PANELS
+    while span:
+        if panels > _GL_MAX_PANELS:
+            raise RuntimeError("excess quadrature did not converge")
+        batch = []
+        for i, (s_lo, width) in span.items():
             h = width / panels
             nodes = ((s_lo + h * np.arange(panels))[:, None]
                      + (0.5 * h) * (1.0 + _GL_X)).ravel()
-            tau = np.exp(nodes)
-            est = 0.5 * h * float(np.dot(np.tile(_GL_W, panels),
-                                         tau * tau * self.excess_at(tau)))
-            if prev is not None and abs(est - prev) <= max(
+            batch.append((i, h, np.exp(nodes)))
+        excess = pf.excess_at(np.concatenate([tau for _, _, tau in batch]))
+        w = np.tile(_GL_W, panels)
+        for (i, h, tau), ex in zip(batch, np.split(excess, len(batch))):
+            est = 0.5 * h * float(np.dot(w, tau * tau * ex))
+            if i in prev and abs(est - prev[i]) <= max(
                     _QUAD_EPSABS, _QUAD_EPSREL * abs(est)):
-                return est
-            prev = est
-            panels *= 2
-        raise RuntimeError("excess quadrature did not converge")
+                out[i] = est
+                del span[i]
+            prev[i] = est
+        panels *= 2
+    return out
 
 
 def partial_fractions(spec: PhaseSpec, a: Sequence, beta: float,
@@ -472,12 +512,21 @@ def solve_profile(pf: PartialFractions, r_max: float = 1.0e4,
         for j in range(len(shifted)):
             for i in range(len(shifted) - 2, j - 1, -1):
                 shifted[i] += shifted[i + 1]
-        reduced = tuple(shifted[1:])
-        num = pf.num
+        # _horner inlined: the coefficients below the leading one, reversed
+        red_top, red_rest = shifted[-1], shifted[-2:0:-1]
+        num_top, num_rest = pf.num[-1], pf.num[-2::-1]
+        exp = math.exp
 
         def rhs(y):
-            d = math.exp(y)
-            return -_horner(reduced, d) / _horner(num, 1.0 + d)
+            d = exp(y)
+            p = red_top + d * 0
+            for c in red_rest:
+                p = c + p * d
+            x = 1.0 + d
+            q = num_top + x * 0
+            for c in num_rest:
+                q = c + q * x
+            return -p / q
 
         excess = np.exp(_dormand_prince(rhs, math.log(pf.beta - 1.0),
                                         np.log(rs).tolist(), _PROFILE_TOL,
@@ -489,25 +538,29 @@ def solve_profile(pf: PartialFractions, r_max: float = 1.0e4,
                            excess=excess)
 
 
-def tail_integral(pf: PartialFractions, R: float) -> float:
-    """int_R^inf tau (psi(tau, beta) - 1) dtau for the problem pf.
+def tail_integral(pf: PartialFractions, radii: Sequence) -> tuple:
+    """int_R^inf tau (psi(tau, beta) - 1) dtau for the problem pf, at each R.
 
-    Finite exactly when m > 2.  Gauss-Legendre quadrature in log radius
-    against the implicit route (PartialFractions.excess_integral) covers
-    [R, R_cut] with R_cut = max(1e3, 1e2 * R); beyond the cutoff the
-    integrand is C tau^(1-m) to leading order and is added analytically;
-    at beta = 1 both parts are 0.0.
+    radii is a sequence of R >= 1 (a 1-tuple for one radius); the values
+    come back as a tuple in its order.  Finite exactly when m > 2.
+    Gauss-Legendre quadrature in log radius against the implicit route
+    (the one behind PartialFractions.excess_integral, every radius's nodes
+    in one excess_at call per panel count) covers [R, R_cut] with
+    R_cut = max(1e3, 1e2 * R); beyond the cutoff the integrand is
+    C tau^(1-m) to leading order and is added analytically; at beta = 1
+    both parts are 0.0.
     """
-    if not R >= 1.0:
+    if not all(R >= 1.0 for R in radii):
         raise ValueError("R must be at least 1")
     if pf.m <= 2.0:
         raise ValueError("integral may diverge")
-    r_cut = max(1.0e3, 1.0e2 * R)
-    if 2.0 * math.log(r_cut) > _LOG_FLOAT_MAX:
+    cuts = [max(1.0e3, 1.0e2 * R) for R in radii]
+    if any(2.0 * math.log(r_cut) > _LOG_FLOAT_MAX for r_cut in cuts):
         raise ValueError("R too large: the quadrature weight tau^2 overflows")
-    body = pf.excess_integral(R, r_cut)
-    tail = tail_amplitude(pf) * r_cut ** (2.0 - pf.m) / (pf.m - 2.0)
-    return body + tail
+    bodies = _excess_integrals(pf, tuple(zip(radii, cuts)))
+    amp = tail_amplitude(pf)
+    return tuple(body + amp * r_cut ** (2.0 - pf.m) / (pf.m - 2.0)
+                 for body, r_cut in zip(bodies, cuts))
 
 
 def decay_fit(sol: ProfileSolution) -> tuple:

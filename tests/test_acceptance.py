@@ -364,7 +364,7 @@ def test_criterion_8_property_suites():
                                    2.0)
     for beta, gamma, alpha in ((2.0, 1.0, 0.0), (10.0, 1.5, 2.0)):
         sspec = subsol.SubsolutionSpec(alpha, gamma, replace(pf3, beta=beta))
-        mu_gamma = radial.tail_integral(sspec.pf, gamma)
+        mu_gamma = radial.tail_integral(sspec.pf, (gamma,))[0]
         const = mu_gamma + alpha - gamma * gamma / 2.0
         for _ in range(100):
             x = rng.standard_normal(3) * rng.uniform(1.0, 40.0)

@@ -225,7 +225,7 @@ def test_beta_warning_threshold():
         pf = radial.partial_fractions(SPEC3, A3, 2.0e3)
         for route in ("numeric", "implicit"):
             radial.solve_profile(pf, route=route)
-        radial.tail_integral(pf, 1.0)
+        radial.tail_integral(pf, (1.0,))
         radial.tail_amplitude(pf)
         pf.excess_integral(1.0, 2.0)
     assert len(record) == 1
@@ -252,18 +252,18 @@ def test_tail_integral_against_quadrature_oracle():
     t_cut = 1.0e4
     series_tail = 1.5 / t_cut - (9.0 / 32.0) * t_cut ** -4.0
     oracle = body + series_tail
-    val = radial.tail_integral(PF3, 10.0)
+    val = radial.tail_integral(PF3, (10.0,))[0]
     assert val == pytest.approx(oracle, rel=1e-6)
 
 
 def test_tail_integral_properties():
-    assert radial.tail_integral(replace(PF3, beta=1.0), 5.0) == 0.0
-    assert radial.tail_integral(PF3, 3.0) < \
-        radial.tail_integral(replace(PF3, beta=3.0), 3.0)
+    assert radial.tail_integral(replace(PF3, beta=1.0), (5.0,))[0] == 0.0
+    assert radial.tail_integral(PF3, (3.0,))[0] < \
+        radial.tail_integral(replace(PF3, beta=3.0), (3.0,))[0]
     with pytest.raises(ValueError, match="integral may diverge"):
         spec = phasepoly.PhaseSpec(5, 5 * math.pi / 3)
         radial.tail_integral(radial.partial_fractions(
-            spec, weights.epsilon_family(math.pi / 12), 2.0), 5.0)
+            spec, weights.epsilon_family(math.pi / 12), 2.0), (5.0,))
 
 
 def test_non_finite_and_overflowing_inputs_rejected():
@@ -273,12 +273,27 @@ def test_non_finite_and_overflowing_inputs_rejected():
     with pytest.raises(ValueError, match="r_max must be finite"):
         radial.solve_profile(PF3, r_max=float("inf"))
     with pytest.raises(ValueError, match="R must be at least 1"):
-        radial.tail_integral(PF3, float("nan"))
+        radial.tail_integral(PF3, (float("nan"),))
     # tau^2 at the quadrature cutoff 100 R would overflow a float, at
     # beta = 1 too
     for pf in (PF3, replace(PF3, beta=1.0)):
         with pytest.raises(ValueError, match="R too large"):
-            radial.tail_integral(pf, 1e300)
+            radial.tail_integral(pf, (1e300,))
+
+
+def test_tail_integral_radii_in_one_pass_match_one_at_a_time():
+    # both radii share each quadrature level's excess_at call and still
+    # get the bits of their own one-radius calls; iso critical n = 8 at
+    # beta = 2.7 is a case where Newton overshoots its bracket by an ulp
+    rng = np.random.default_rng(99)
+    cases = [admissible_point(rng, n) for n in range(3, 13)]
+    spec8 = phasepoly.PhaseSpec(8, 3 * math.pi)
+    cases.append((spec8, weights.iso_point(spec8)))
+    for spec, a in cases:
+        pf = radial.partial_fractions(spec, a, 2.7)
+        one_at_a_time = (radial.tail_integral(pf, (1.0,))
+                         + radial.tail_integral(pf, (10.0,)))
+        assert radial.tail_integral(pf, (1.0, 10.0)) == one_at_a_time
 
 
 def test_tail_integral_scaling_in_cutoff():
@@ -286,7 +301,7 @@ def test_tail_integral_scaling_in_cutoff():
     # by less than 10%
     vals = []
     for R in (1.0e2, 1.0e3, 1.0e4):
-        vals.append(radial.tail_integral(PF3, R) * R ** (3.0 - 2.0))
+        vals.append(radial.tail_integral(PF3, (R,))[0] * R ** (3.0 - 2.0))
     assert max(vals) / min(vals) < 1.10
 
 
@@ -468,6 +483,17 @@ def test_implicit_excess_matches_brentq_oracle():
                     assert abs(value - expect) <= 1e-13 * expect, (n, beta, r)
                 # one radius alone gives the same bits as in the batch
                 assert float(pf.excess_at(r)) == value
+    # the bit check alone at 16 or more sub-unit terms, where numpy sums
+    # one radius's column pairwise, not in term order
+    for n in (18, 24):
+        spec, a = admissible_point(rng, n)
+        pf = radial.partial_fractions(spec, a, 2.0)
+        assert len(pf.terms) >= 16
+        for beta in (1.01, 2.0, 900.0):
+            pf = replace(pf, beta=beta)
+            got = pf.excess_at(radii)
+            for r, value in zip(radii.tolist(), got.tolist()):
+                assert float(pf.excess_at(r)) == value, (n, beta, r)
 
 
 def crafted_analysis(roots, mks, beta, m=3.0):
@@ -493,6 +519,20 @@ def test_excess_at_safeguards_newton():
             for r, value in zip(radii.tolist(), got.tolist()):
                 expect = oracle_excess(pf, beta, r)
                 assert abs(value - expect) <= tol * expect, (beta, r)
+
+
+def test_excess_at_stops_on_newton_overshoot_by_an_ulp(monkeypatch):
+    # iso critical n = 8, beta = 2.7: at r = 177.83 the bracket's lower end
+    # is the root to an ulp and Newton proposes one ulp below it; bisecting
+    # from the upper end instead took 38 more steps for the whole batch
+    monkeypatch.setattr(radial, "_NEWTON_CAP", 15)
+    spec = phasepoly.PhaseSpec(8, 3 * math.pi)
+    pf = radial.partial_fractions(spec, weights.iso_point(spec), 2.7)
+    radii = np.geomspace(1.0, 1e4, 241)
+    got = pf.excess_at(radii)
+    for r, value in zip(radii.tolist(), got.tolist()):
+        expect = oracle_excess(pf, 2.7, r)
+        assert abs(value - expect) <= 1e-13 * expect, r
 
 
 def test_excess_at_validates_radii():
@@ -551,7 +591,7 @@ def test_excess_integrals_match_quad_oracle():
             tail = radial.tail_amplitude(pf) * r_cut ** (2.0 - pf.m) \
                 / (pf.m - 2.0)
             expect = oracle_excess_integral(pf, beta, R, r_cut) + tail
-            got = radial.tail_integral(pf, R)
+            got = radial.tail_integral(pf, (R,))[0]
             assert abs(got - expect) <= 1e-10 * abs(expect), (n, R)
         sspec = subsol.SubsolutionSpec(0.5, 1.3, pf)
         for r in (1.3 + 1e-9, 2.0, 40.0):

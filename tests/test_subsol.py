@@ -98,11 +98,11 @@ def test_radial_value_asymptote():
     # phi(r) - r^2/2 climbs to mu_gamma + alpha - gamma^2/2, and the
     # shortfall at finite r is exactly the remaining tail integral
     spec = closed_spec(beta=2.0)
-    mu_gamma = radial.tail_integral(spec.pf, 1.0)
+    mu_gamma = radial.tail_integral(spec.pf, (1.0,))[0]
     limit = mu_gamma + 0.0 - 0.5
     for r in (1.0e3, 1.0e4):
         gap = subsol.radial_value(spec, r) - r * r / 2.0
-        mu_r = radial.tail_integral(spec.pf, r)
+        mu_r = radial.tail_integral(spec.pf, (r,))[0]
         assert gap < limit
         assert gap + mu_r == pytest.approx(limit, rel=1e-9)
 
@@ -231,7 +231,7 @@ def test_domination_inequality():
     # Phi(x) <= x^T A x / 2 + (mu_gamma + alpha - gamma^2/2)
     for beta, gamma, alpha in ((2.0, 1.0, 0.0), (10.0, 1.5, 2.0)):
         spec = closed_spec(beta=beta, gamma=gamma, alpha=alpha)
-        mu_gamma = radial.tail_integral(spec.pf, gamma)
+        mu_gamma = radial.tail_integral(spec.pf, (gamma,))[0]
         const = mu_gamma + alpha - gamma * gamma / 2.0
         rng = np.random.default_rng(75)
         for _ in range(200):
@@ -247,7 +247,7 @@ def test_domination_inequality():
 def test_asymptotic_constant_residual_rate():
     # [phi - r^2/2] approaches its limit like r^(2-m); fit the rate
     spec = closed_spec(beta=2.0)
-    mu_gamma = radial.tail_integral(spec.pf, 1.0)
+    mu_gamma = radial.tail_integral(spec.pf, (1.0,))[0]
     limit = mu_gamma - 0.5
     rs = np.geomspace(1.0e2, 1.0e4, 25)
     resid = np.array([limit - (subsol.radial_value(spec, float(r))
