@@ -17,21 +17,27 @@ Three subcommands:
             its sign reflection (-theta, -a), the problem classify
             analyses, and the report marks it reflected.
 
-Exit codes: 0 success, 1 check failure (including inadmissible input to
-solve), 2 invalid input (an --out path or a stdout that cannot be written
-included).
+One path through main serves every subcommand.  Its subparser records
+four things: the runner, which turns the parsed arguments into a report
+dict; the csv writer (none for solve, which emits JSON only); the summary,
+which gives the stderr lines; and the --format default.  main runs the
+runner, prints each warning it raised as "warning: <message>", writes the
+report, prints the summary and returns the exit code: 0 success, 1 check
+failure (including inadmissible input to solve), 2 invalid input (an --out
+path or a stdout that cannot be written included).  A subcommand accepts
+only the flags it reads, so argparse exits 2 on any other.
 Identical configuration and seed produce byte-identical output; all
 numbers are emitted in shortest round-trip decimal form.  JSON reports go
 through a small recursive writer (_json_text) whose output is byte for
 byte json.dumps(report, indent=2, sort_keys=True): with indent the stdlib
 takes its pure-Python encoder, which cost a quarter to a third of a large
 scan-eps.  Identity suites always run in exact rational arithmetic;
---exact records that request explicitly in the report.  The homogeneous
-ones (sigma recurrences, pair exclusion differences, product
+verify --exact records that request explicitly in the report.  The
+homogeneous ones (sigma recurrences, pair exclusion differences, product
 decompositions) compare Python ints: each drawn vector is put on one
 integer scale, every kernel value of degree d multiplied by D**d with D
-the lcm of the vector's denominators, which leaves every verdict as it
-is and saves a gcd per Fraction operation.
+the lcm of the vector's denominators, which leaves every verdict as it is
+and saves a gcd per Fraction operation.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -63,18 +68,12 @@ RNG_NAME = "numpy.random.default_rng(PCG64)"
 ROUTE_GAP_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    seed: int
-    fmt: str
-    out: Optional[str]
-    exact: bool
-    params: dict
-
-
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+def _verdict(report: dict) -> str:
+    return "PASS" if report["passed"] else "FAIL"
 
 
 def _frac_str(v: Fraction) -> str:
@@ -168,10 +167,6 @@ def _emit(text: str, out: Optional[str]) -> None:
         where = f"--out {out}" if out else "stdout"
         raise ValueError(f"cannot write {where}: "
                          f"{exc.strerror or exc}") from exc
-
-
-def _emit_json(report: dict, out: Optional[str]) -> None:
-    _emit(_json_text(report) + "\n", out)
 
 
 # ---------------------------------------------------------------- verify
@@ -395,13 +390,13 @@ def _newton_cases(vectors: list, rng, trials: int):
         yield ok, None if ok else {"lam": _floats(lam)}
 
 
-def _run_verify(cfg: RunConfig) -> tuple:
-    if cfg.seed < 0:
+def _run_verify(args: argparse.Namespace) -> dict:
+    if args.seed < 0:
         raise ValueError("--seed must be a non-negative integer")
-    trials = cfg.params["trials"]
+    trials = args.grid
     if trials < 1:
         raise ValueError("verify grid needs at least 1 vector")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     vectors = [_rational_vector(rng, 3 + t % 6) for t in range(trials)]
     # one build of each vector's rows serves the recurrence, pair and
     # product suites; the float suites then draw from rng in list order
@@ -419,21 +414,19 @@ def _run_verify(cfg: RunConfig) -> tuple:
         _suite("newton_margins", _newton_cases(vectors, rng, trials),
                "margin negative"),
     ]
-    passed = all(s["failures"] == 0 for s in suites)
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
-        "seed": cfg.seed,
+        "seed": args.seed,
         "rng": RNG_NAME,
         "trials": trials,
         "arithmetic": "exact rational identities + float property samples",
-        "exact_requested": cfg.exact,
+        "exact_requested": args.exact,
         "zstar_unit6": int(phasepoly.ray_wronskian([1] * 6,
                                                    mode="closed_form")),
         "suites": suites,
-        "passed": passed,
+        "passed": all(s["failures"] == 0 for s in suites),
     }
-    return report, passed
 
 
 def _verify_csv(report: dict) -> str:
@@ -442,6 +435,12 @@ def _verify_csv(report: dict) -> str:
         lines.append(f"{s['name']},{s['cases']},{s['failures']},{s['worst']}")
     lines.append(f"passed,,,{str(report['passed']).lower()}")
     return "\n".join(lines) + "\n"
+
+
+def _verify_summary(report: dict) -> list:
+    return [f"{s['name']}: cases={s['cases']} failures={s['failures']} "
+            f"worst={s['worst']}" for s in report["suites"]] + [
+        _verdict(report)]
 
 
 # --------------------------------------------------------------- scan-eps
@@ -458,8 +457,8 @@ def _family_exponent(spec: phasepoly.PhaseSpec, eps: float) -> float:
     return weights.decay_exponent(spec, weights.epsilon_family(eps))
 
 
-def _run_scan(cfg: RunConfig) -> tuple:
-    grid_n = cfg.params["grid"]
+def _run_scan(args: argparse.Namespace) -> dict:
+    grid_n = args.grid
     if grid_n < 2:
         raise ValueError("scan grid needs at least 2 points")
     eps_grid = np.linspace(0.0, math.pi / 12, grid_n).tolist()
@@ -482,11 +481,10 @@ def _run_scan(cfg: RunConfig) -> tuple:
         else:
             hi = mid
 
-    ok = (disc <= 1e-9 and monotone and 0.206 <= lo and hi <= 0.208)
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": "scan-eps",
-        "seed": cfg.seed,
+        "seed": args.seed,
         "grid": grid_n,
         "rows": [{"eps": e, "m_pipeline": mp, "m_closed_form": mc}
                  for e, mp, mc in rows],
@@ -498,9 +496,8 @@ def _run_scan(cfg: RunConfig) -> tuple:
             "crossing_low": lo,
             "crossing_high": hi,
         },
-        "passed": ok,
+        "passed": disc <= 1e-9 and monotone and 0.206 <= lo and hi <= 0.208,
     }
-    return report, ok
 
 
 def _scan_csv(report: dict) -> str:
@@ -511,14 +508,20 @@ def _scan_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _scan_summary(report: dict) -> list:
+    s = report["summary"]
+    return [f"m(0)={_fmt(s['m_at_zero'])} "
+            f"m(pi/12)={_fmt(s['m_at_endpoint'])} "
+            f"max_discrepancy={_fmt(s['max_discrepancy'])} "
+            f"monotone={s['monotone_decreasing']} "
+            f"crossing=[{_fmt(s['crossing_low'])}, "
+            f"{_fmt(s['crossing_high'])}]", _verdict(report)]
+
+
 # ------------------------------------------------------------------ solve
 
-def _resolve_vector(cfg: RunConfig) -> tuple:
-    params = cfg.params
-    family = params.get("family")
-    a_text = params.get("a")
-    theta = params.get("theta")
-    n = params.get("n")
+def _resolve_vector(args: argparse.Namespace) -> tuple:
+    family, a_text, theta, n = args.family, args.a, args.theta, args.n
     if (family is None) == (a_text is None):
         raise ValueError("provide exactly one of --a or --family")
     if family is not None:
@@ -549,53 +552,46 @@ def _resolve_vector(cfg: RunConfig) -> tuple:
     return vec, n, _parse_theta(theta, n)
 
 
-def _parse_theta(text, n: int) -> float:
-    if isinstance(text, (int, float)):
-        return float(text)
+def _parse_theta(text: str, n: int) -> float:
     if text == "critical":
         return (n - 2) * math.pi / 2
     return float(text)
 
 
-def _run_solve(cfg: RunConfig) -> tuple:
-    params = cfg.params
+def _run_solve(args: argparse.Namespace) -> dict:
+    if args.fmt == "csv":
+        raise ValueError("solve emits JSON only")
     for name in ("beta", "gamma", "alpha", "rmax"):
-        if not math.isfinite(params[name]):
+        if not math.isfinite(getattr(args, name)):
             raise ValueError(f"--{name} must be finite")
-    grid = subsol.ShellGrid(shells=params["grid"], directions=96,
-                            r_max=50.0 * params["gamma"])
-    vec, n, theta = _resolve_vector(cfg)
-    pspec = phasepoly.PhaseSpec(n, theta)
-    adm = weights.classify(pspec, vec)
+    gamma = args.gamma
+    r_max = args.rmax
+    grid = subsol.ShellGrid(shells=args.grid, directions=96,
+                            r_max=50.0 * gamma)
+    vec, n, theta = _resolve_vector(args)
+    adm = weights.classify(phasepoly.PhaseSpec(n, theta), vec)
     base = {
         "schema_version": SCHEMA_VERSION,
         "command": "solve",
-        "seed": cfg.seed,
+        "seed": args.seed,
         "config": {
             "n": n, "theta": theta, "a": np.sort(vec).tolist(),
-            "beta": params["beta"], "gamma": params["gamma"],
-            "alpha": params["alpha"], "rmax": params["rmax"],
-            "grid": params["grid"],
+            "beta": args.beta, "gamma": gamma, "alpha": args.alpha,
+            "rmax": r_max, "grid": args.grid,
         },
         "admissibility": {"klass": adm.klass, "m": adm.m},
     }
     if adm.reflected:
-        # all-negative data: every stage runs on the reflected problem
-        # (-theta, -a), the one classify analysed
         base["admissibility"]["reflected"] = True
-        theta = -theta
-        pspec = phasepoly.PhaseSpec(n, theta)
-        vec = -vec
     if adm.klass != "admissible":
         base["passed"] = False
-        return base, None
+        return base
 
-    gamma = params["gamma"]
-    r_max = params["rmax"]
-
-    pf = radial.partial_fractions(pspec, vec, params["beta"],
+    # every stage runs on the problem classify analysed: for all-negative
+    # data the reflection (-theta, -a)
+    pf = radial.partial_fractions(adm.spec, adm.a, args.beta,
                                   profile=adm.profile)
-    sspec = subsol.SubsolutionSpec(params["alpha"], gamma, pf)
+    sspec = subsol.SubsolutionSpec(args.alpha, gamma, pf)
     sol_num = radial.solve_profile(pf, r_max=r_max, route="numeric")
     sol_imp = radial.solve_profile(pf, r_max=r_max, route="implicit")
     gap = float(np.max(np.abs(sol_num.psi - sol_imp.psi)))
@@ -635,20 +631,21 @@ def _run_solve(cfg: RunConfig) -> tuple:
         },
         "passed": rep.passed and gap <= ROUTE_GAP_TOL,
     })
-    return base, rep
+    return base
+
+
+def _solve_summary(report: dict) -> list:
+    adm = report["admissibility"]
+    if adm["klass"] != "admissible":
+        return [f"inadmissible: klass={adm['klass']} m={adm['m']}"]
+    check = report["verification"]
+    return [f"route_gap_max={_fmt(report['route_gap_max'])} "
+            f"min_phase_gap={_fmt(check['min_phase_gap'])} "
+            f"min_level_value={_fmt(check['min_level_value'])}",
+            _verdict(report)]
 
 
 # ------------------------------------------------------------------- main
-
-def _recorded(run, cfg: RunConfig) -> tuple:
-    """run(cfg), then print each warning it raised as "warning: <message>"."""
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            return run(cfg)
-        finally:
-            for w in caught:
-                print(f"warning: {w.message}", file=sys.stderr)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -657,27 +654,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "runs for the exterior special Lagrangian construction")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, text, run, to_csv, summary, fmt):
+        # the runner turns the parsed arguments into a report, to_csv (None:
+        # JSON only) writes it as csv and summary gives its stderr lines
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run, to_csv=to_csv, summary=summary)
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default=None)
-        p.add_argument("--exact", action="store_true",
-                       help="request exact rational arithmetic where "
-                            "supported (identity suites always use it)")
+                       default=fmt)
+        return p
 
-    pv = sub.add_parser("verify", help="run identity and property suites")
-    common(pv)
+    pv = command("verify", "run identity and property suites",
+                 _run_verify, _verify_csv, _verify_summary, "json")
+    pv.add_argument("--exact", action="store_true",
+                    help="request exact rational arithmetic (the identity "
+                         "suites always use it)")
     pv.add_argument("--grid", type=int, default=200,
                     help="number of random vectors per suite")
 
-    ps = sub.add_parser("scan-eps", help="scan the five-point family")
-    common(ps)
+    ps = command("scan-eps", "scan the five-point family",
+                 _run_scan, _scan_csv, _scan_summary, "csv")
     ps.add_argument("--grid", type=int, default=97,
                     help="number of eps points on [0, pi/12]")
 
-    po = sub.add_parser("solve", help="solve and verify one problem")
-    common(po)
+    po = command("solve", "solve and verify one problem",
+                 _run_solve, None, _solve_summary, "json")
     po.add_argument("--n", type=int, default=None)
     po.add_argument("--theta", type=str, default=None,
                     help="radians, or the literal 'critical'")
@@ -696,67 +698,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(command=args.command, seed=args.seed,
-                    fmt=args.fmt or ("json" if args.command == "solve"
-                                     else "csv" if args.command == "scan-eps"
-                                     else "json"),
-                    out=args.out, exact=args.exact,
-                    params={k: v for k, v in vars(args).items()
-                            if k not in ("command", "seed", "out", "fmt",
-                                         "exact")})
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            cfg.params["trials"] = cfg.params.pop("grid")
-            report, ok = _recorded(_run_verify, cfg)
-            if cfg.fmt == "csv":
-                _emit(_verify_csv(report), cfg.out)
-            else:
-                _emit_json(report, cfg.out)
-            for s in report["suites"]:
-                print(f"{s['name']}: cases={s['cases']} "
-                      f"failures={s['failures']} worst={s['worst']}",
-                      file=sys.stderr)
-            print("PASS" if ok else "FAIL", file=sys.stderr)
-            return 0 if ok else 1
-
-        if args.command == "scan-eps":
-            report, ok = _recorded(_run_scan, cfg)
-            if cfg.fmt == "json":
-                _emit_json(report, cfg.out)
-            else:
-                _emit(_scan_csv(report), cfg.out)
-            s = report["summary"]
-            print(f"m(0)={_fmt(s['m_at_zero'])} "
-                  f"m(pi/12)={_fmt(s['m_at_endpoint'])} "
-                  f"max_discrepancy={_fmt(s['max_discrepancy'])} "
-                  f"monotone={s['monotone_decreasing']} "
-                  f"crossing=[{_fmt(s['crossing_low'])}, "
-                  f"{_fmt(s['crossing_high'])}]", file=sys.stderr)
-            print("PASS" if ok else "FAIL", file=sys.stderr)
-            return 0 if ok else 1
-
-        if args.command == "solve":
-            if cfg.fmt == "csv":
-                raise ValueError("solve emits JSON only")
-            report, rep = _recorded(_run_solve, cfg)
-            _emit_json(report, cfg.out)
-            if rep is None:
-                print(f"inadmissible: klass={report['admissibility']['klass']}"
-                      f" m={report['admissibility']['m']}", file=sys.stderr)
-                return 1
-            print(f"route_gap_max={_fmt(report['route_gap_max'])} "
-                  f"min_phase_gap={_fmt(report['verification']['min_phase_gap'])} "
-                  f"min_level_value="
-                  f"{_fmt(report['verification']['min_level_value'])}",
-                  file=sys.stderr)
-            print("PASS" if report["passed"] else "FAIL", file=sys.stderr)
-            return 0 if report["passed"] else 1
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                report = args.run(args)
+            finally:
+                for w in caught:
+                    print(f"warning: {w.message}", file=sys.stderr)
+        _emit(args.to_csv(report) if args.fmt == "csv"
+              else _json_text(report) + "\n", args.out)
+        for line in args.summary(report):
+            print(line, file=sys.stderr)
     except (ValueError, RuntimeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    return 2
+    return 0 if report["passed"] else 1
 
 
 if __name__ == "__main__":

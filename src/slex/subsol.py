@@ -155,6 +155,7 @@ def hessian_sigma(spec: SubsolutionSpec, x: Sequence, k: int) -> float:
 
 _NORMAL = NormalDist()
 _PASS_TOL = 1e-9  # verify_subsolution's minima must clear -_PASS_TOL
+_R_MIN_SCALE = 1.0 + 1e-6  # the innermost shell, relative to gamma
 
 
 def sphere_directions(n: int, count: int) -> np.ndarray:
@@ -183,23 +184,22 @@ def sphere_directions(n: int, count: int) -> np.ndarray:
 class ShellGrid:
     """Sampling layout: log-spaced shells times a fixed direction set.
 
-    Radii run from gamma * r_min_scale to r_max; directions are the 2n
-    signed coordinate axes plus `directions` low-discrepancy points.
-    Requires at least one shell, no negative direction count and finite
-    radii.
+    Radii run from gamma * _R_MIN_SCALE, just outside the excised
+    ellipsoid, to r_max; directions are the 2n signed coordinate axes plus
+    `directions` low-discrepancy points.  Requires at least one shell, no
+    negative direction count and a finite r_max.
     """
     shells: int = 120
     directions: int = 96
     r_max: float = 50.0
-    r_min_scale: float = 1.0 + 1e-6
 
     def __post_init__(self):
         if self.shells < 1:
             raise ValueError("the grid needs at least one shell")
         if self.directions < 0:
             raise ValueError("the direction count must not be negative")
-        if not (math.isfinite(self.r_max) and math.isfinite(self.r_min_scale)):
-            raise ValueError("grid radii must be finite")
+        if not math.isfinite(self.r_max):
+            raise ValueError("r_max must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,8 +226,8 @@ def verify_subsolution(spec: SubsolutionSpec,
                        grid: Optional[ShellGrid] = None) -> VerificationReport:
     """Check both subsolution inequalities on the shell grid.
 
-    Every grid point sits strictly outside the excised ellipsoid (a grid
-    touching it is rejected).  On the shell of radius rho the Hessian is
+    Every grid point sits strictly outside the excised ellipsoid.  On the
+    shell of radius rho the Hessian is
     diag(p) + s q q^T with p = psi a, s = psi'/rho and q = a o x, and
     symfun.rank_one_phase_level evaluates the phase gap and the level value
     of every point from (p, s, q o q) without an eigenvalue; their minima
@@ -237,9 +237,7 @@ def verify_subsolution(spec: SubsolutionSpec,
     """
     if grid is None:
         grid = ShellGrid()
-    if grid.r_min_scale <= 1.0:
-        raise ValueError("grid touching the excised ellipsoid")
-    r_min = spec.gamma * grid.r_min_scale
+    r_min = spec.gamma * _R_MIN_SCALE
     if grid.r_max <= r_min:
         raise ValueError("r_max must exceed the innermost shell")
     n = spec.diag.size

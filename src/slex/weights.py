@@ -238,15 +238,18 @@ class Admissibility:
     on the level set, exponent > 2), "slow_decay" (same but exponent <= 2),
     or "outside".  near_boundary flags an exponent within 1e-12 of the
     strict threshold 2.  reflected is true when the data was all negative
-    and was classified as the problem (-theta, -lam).  profile is the
-    WeightProfile the exponent m was taken from (None when there is no m),
-    built for the classified problem, so a later stage need not build the
-    chains again.
+    and was classified as the problem (-theta, -lam).  With an exponent m,
+    spec and a are that classified problem (the reflection of the input
+    when reflected) and profile is the WeightProfile m was taken from, so
+    a later stage takes the problem from here and need not build the
+    chains again; without one all three are None.
     """
     klass: str
     m: Optional[float]
     near_boundary: bool = False
     reflected: bool = False
+    spec: Optional[PhaseSpec] = field(default=None, compare=False, repr=False)
+    a: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
     profile: Optional[WeightProfile] = field(default=None, compare=False,
                                              repr=False)
 
@@ -281,7 +284,8 @@ def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
     m = profile.m
     klass = "admissible" if m > 2.0 else "slow_decay"
     return Admissibility(klass=klass, m=m, near_boundary=abs(m - 2.0) <= 1e-12,
-                         reflected=reflected, profile=profile)
+                         reflected=reflected, spec=work_spec, a=work,
+                         profile=profile)
 
 
 def complete_to_phase(prefix: Sequence, spec: PhaseSpec) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for the command line interface: exit codes, formats, determinism."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -45,6 +46,35 @@ def test_verify_exact_flag_and_seed(tmp_path):
     report = json.loads(path.read_text())
     assert report["exact_requested"] is True
     assert report["seed"] == 7
+
+
+def _options(parser):
+    return {opt for action in parser._actions
+            for opt in action.option_strings} - {"-h", "--help"}
+
+
+def test_cli_surface(tmp_path, capsys):
+    # each subcommand takes only the flags it reads
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    common = {"--seed", "--out", "--format"}
+    assert {name: _options(p) for name, p in commands.items()} == {
+        "verify": common | {"--exact", "--grid"},
+        "scan-eps": common | {"--grid"},
+        "solve": common | {"--n", "--theta", "--a", "--family", "--beta",
+                           "--gamma", "--alpha", "--rmax", "--grid"},
+    }
+    for argv in (["scan-eps", "--grid", "5"],
+                 ["solve", "--family", "iso", "--n", "3", "--theta",
+                  "critical", "--grid", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--exact", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --exact" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+    code, path = run(tmp_path, ["verify", "--grid", "3", "--exact"])
+    assert code == 0
+    assert json.loads(path.read_text())["exact_requested"] is True
 
 
 def test_verify_deterministic_bytes(tmp_path):
@@ -651,11 +681,81 @@ def test_verify_exclusion_suite_case_counts(tmp_path):
     assert cases["pair_exclusion_difference"] == 1660
 
 
-def test_stderr_status_lines(tmp_path, capsys):
-    run(tmp_path, ["verify", "--grid", "10"])
-    assert "PASS" in capsys.readouterr().err
-    run(tmp_path, ["solve", "--family", "eps:0.25"], "s.json")
-    assert "inadmissible" in capsys.readouterr().err
+def _status_lines(tmp_path, capsys, argv):
+    # (exit code, report, stderr lines) of one run with a JSON report
+    capsys.readouterr()
+    (tmp_path / "status.json").unlink(missing_ok=True)
+    code, path = run(tmp_path, argv, "status.json")
+    report = json.loads(path.read_text()) if path.exists() else None
+    return code, report, capsys.readouterr().err.splitlines()
+
+
+def _verify_status(report):
+    return [f"{s['name']}: cases={s['cases']} failures={s['failures']} "
+            f"worst={s['worst']}" for s in report["suites"]]
+
+
+def _solve_status(report):
+    check = report["verification"]
+    return [f"route_gap_max={report['route_gap_max']!r} "
+            f"min_phase_gap={check['min_phase_gap']!r} "
+            f"min_level_value={check['min_level_value']!r}"]
+
+
+def test_stderr_status_lines(tmp_path, capsys, monkeypatch):
+    # the exact stderr of each outcome; the numbers come from the report
+    code, report, lines = _status_lines(tmp_path, capsys,
+                                        ["verify", "--grid", "10"])
+    assert code == 0 and len(report["suites"]) == 9
+    assert lines == _verify_status(report) + ["PASS"]
+
+    code, report, lines = _status_lines(
+        tmp_path, capsys, ["scan-eps", "--grid", "5", "--format", "json"])
+    s = report["summary"]
+    assert code == 0
+    assert lines == [f"m(0)={s['m_at_zero']!r} "
+                     f"m(pi/12)={s['m_at_endpoint']!r} "
+                     f"max_discrepancy={s['max_discrepancy']!r} "
+                     f"monotone=True "
+                     f"crossing=[{s['crossing_low']!r}, "
+                     f"{s['crossing_high']!r}]", "PASS"]
+
+    iso = ["solve", "--family", "iso", "--n", "4", "--theta", "3.6",
+           "--grid", "4"]
+    code, report, lines = _status_lines(tmp_path, capsys, iso)
+    assert code == 0
+    assert lines == _solve_status(report) + ["PASS"]
+
+    # the beta warning is a RuntimeWarning, an error under the test
+    # filters: a fresh process with the default ones
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "slex.cli", *iso,
+                           "--beta", "2000"], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == (
+        ["warning: beta above 1e3: residue conditioning degrades"]
+        + _solve_status(json.loads(proc.stdout)) + ["PASS"])
+
+    code, report, lines = _status_lines(
+        tmp_path, capsys, ["solve", "--family", "eps:0.25", "--grid", "4"])
+    assert code == 1 and report["admissibility"]["klass"] == "slow_decay"
+    assert lines == [f"inadmissible: klass=slow_decay "
+                     f"m={report['admissibility']['m']!r}"]
+
+    code, report, lines = _status_lines(tmp_path, capsys,
+                                        ["solve", "--n", "3"])
+    assert (code, report) == (2, None)
+    assert lines == ["invalid input: provide exactly one of --a or --family"]
+
+    monkeypatch.setattr(cli.phasepoly, "ray_wronskian", _product_plus_one(
+        cli.phasepoly.ray_wronskian))
+    code, report, lines = _status_lines(tmp_path, capsys,
+                                        ["verify", "--grid", "10"])
+    assert code == 1 and report["suites"][0]["failures"] > 0
+    assert lines == _verify_status(report) + ["FAIL"]
 
 
 IMPORT_GUARD = """

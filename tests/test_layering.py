@@ -1,12 +1,15 @@
 """Module hygiene of the slex package, checked with the stdlib's ast.
 
-Two rules, for every module under src/slex:
+Three rules, for every module under src/slex:
 
   * no module reaches into another slex module's private names, neither
     by importing one (`from .radial import _horner`) nor by reading one
     off an imported module (`radial._horner`);
   * no module leaves an import unused.  A line marked `# noqa: F401`
-    keeps its import on purpose; `__init__.py` re-exports and is skipped.
+    keeps its import on purpose; `__init__.py` re-exports and is skipped;
+  * no module defines a private name at module level (function, class or
+    constant) that it never reads: no other module may read it, so it is
+    dead code.
 """
 
 import ast
@@ -73,6 +76,26 @@ def unused_imports(source: str) -> list:
     return [(line, name) for line, name in bound if name not in used]
 
 
+def unread_privates(source: str) -> list:
+    """(line, name) of each module-level private name the module never
+    reads."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            defined += [(t.lineno, t.id) for t in targets
+                        if isinstance(t, ast.Name)]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(line, name) for line, name in defined
+            if _private(name) and name not in read]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_private_names_across_modules(module):
     assert private_reads((PACKAGE / module).read_text()) == []
@@ -82,6 +105,11 @@ def test_no_private_names_across_modules(module):
                                     if m != "__init__.py"])
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unread_private_names(module):
+    assert unread_privates((PACKAGE / module).read_text()) == []
 
 
 def test_checks_find_what_they_look_for():
@@ -101,3 +129,18 @@ def test_checks_find_what_they_look_for():
         (8, "reads radial._horner"), (8, "reads w._chains")]
     assert unused_imports(source) == [(5, "_HALF_PI_LO"), (6, "elem_sym"),
                                       (7, "_prune")]
+    source = "\n".join([
+        "_TOL = 1e-9",
+        "_UNREAD: float = 2.0",
+        "PUBLIC = 3",
+        "def _helper(x):",
+        "    return _TOL * x",
+        "def _recursive(x):",
+        "    return _recursive(x - 1) if x else _helper(x)",
+        "class _Hidden:",
+        "    _field = 1",
+        "def run():",
+        "    _local = 4",
+        "    return _local",
+    ])
+    assert unread_privates(source) == [(2, "_UNREAD"), (8, "_Hidden")]

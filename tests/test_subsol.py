@@ -211,16 +211,16 @@ def test_verify_subsolution_closed_case():
 
 
 def test_verify_subsolution_grid_guard():
-    with pytest.raises(ValueError):
+    # gamma = 1: a grid ending inside the innermost shell
+    with pytest.raises(ValueError, match="r_max must exceed the innermost"):
         subsol.verify_subsolution(closed_spec(),
                                   subsol.ShellGrid(shells=10, directions=8,
-                                                   r_min_scale=1.0))
+                                                   r_max=1.0))
 
 
 @pytest.mark.parametrize("kwargs", [
     {"shells": 0}, {"shells": -2}, {"directions": -1},
-    {"r_max": float("inf")}, {"r_max": float("nan")},
-    {"r_min_scale": float("nan")}])
+    {"r_max": float("inf")}, {"r_max": float("nan")}])
 def test_shell_grid_validation(kwargs):
     with pytest.raises(ValueError):
         subsol.ShellGrid(**kwargs)

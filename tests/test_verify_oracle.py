@@ -141,10 +141,9 @@ def test_scaled_suites_match_the_fraction_oracle(monkeypatch, fault):
     inject(monkeypatch)
     for seed in (0, 5, 42, 2024):
         for trials in (1, 7, 30):
-            cfg = cli.RunConfig(command="verify", seed=seed, fmt="json",
-                                out=None, exact=False,
-                                params={"trials": trials})
-            report, _ok = cli._run_verify(cfg)
+            args = cli.build_parser().parse_args(
+                ["verify", "--grid", str(trials), "--seed", str(seed)])
+            report = cli._run_verify(args)
             got = {s["name"]: {k: v for k, v in s.items() if k != "name"}
                    for s in report["suites"] if s["name"] in SUITES}
             assert got == _fraction_oracle(seed, trials), (seed, trials)
