@@ -24,8 +24,9 @@ which gives the stderr lines; and the --format default.  main runs the
 runner, prints each warning it raised as "warning: <message>", writes the
 report, prints the summary and returns the exit code: 0 success, 1 check
 failure (including inadmissible input to solve), 2 invalid input (an --out
-path or a stdout that cannot be written included).  A subcommand accepts
-only the flags it reads, so argparse exits 2 on any other.
+path or a stdout that cannot be written, or a warning made an error by
+python -W error, included).  A subcommand accepts only the flags it
+reads, so argparse exits 2 on any other.
 Identical configuration and seed produce byte-identical output; all
 numbers are emitted in shortest round-trip decimal form.  JSON reports go
 through a small recursive writer (_json_text) whose output is byte for
@@ -589,8 +590,7 @@ def _run_solve(args: argparse.Namespace) -> dict:
 
     # every stage runs on the problem classify analysed: for all-negative
     # data the reflection (-theta, -a)
-    pf = radial.partial_fractions(adm.spec, adm.a, args.beta,
-                                  profile=adm.profile)
+    pf = radial.partial_fractions(adm.spec, adm.a, args.beta)
     sspec = subsol.SubsolutionSpec(args.alpha, gamma, pf)
     sol_num = radial.solve_profile(pf, r_max=r_max, route="numeric")
     sol_imp = radial.solve_profile(pf, r_max=r_max, route="implicit")
@@ -710,7 +710,7 @@ def main(argv=None) -> int:
               else _json_text(report) + "\n", args.out)
         for line in args.summary(report):
             print(line, file=sys.stderr)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, Warning) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     return 0 if report["passed"] else 1

@@ -33,11 +33,11 @@ m = -g'(1) is the decay exponent.  Two independent routes are implemented:
     of its slope form (terms x radii) arrays whose rows are added in term
     order, so one radius alone gets the bits it gets in a batch.
 
-One problem (theta, a) is analysed once: partial_fractions finds the ray
-roots, builds the slope-field pair (num, den), the residues and m, stores
-the sub-unit terms (root_j, m K_j) of log B as Python floats, and binds
-beta, checked there once.  The pair and m come from one
-weights.weight_profile, whose sigma row also gives den.  The returned
+One problem (theta, a) is analysed once: partial_fractions checks it
+with weights.weight_profile, finds the ray roots, builds the slope-field
+pair (num, den), the residues and m, and binds beta, checked there once,
+with the two constants log B(beta) and log B(1).  The pair and m come from
+that one profile, whose sigma row also gives den.  The returned
 PartialFractions is the only input of both profile routes, the tail
 integrals and the subsol module, none of which takes beta; it also
 evaluates g and g'.  Polynomials in the numeric route are evaluated by
@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -82,6 +82,7 @@ _GL_MAX_PANELS = 4096
 _QUAD_EPSABS = 1e-13
 _QUAD_EPSREL = 1e-11
 _PROFILE_TOL = 1e-12  # numeric route: rtol, and atol a tenth of it
+_PROFILE_SAMPLES = 241  # log-spaced sample radii of solve_profile
 
 
 def check_beta(beta: float) -> float:
@@ -216,8 +217,9 @@ class PartialFractions:
     num/den away from the poles.  num and den are the ascending
     coefficients of the slope-field pair, as Python floats.  beta = psi(1)
     passes check_beta on construction, the only place it is checked;
-    dataclasses.replace(pf, beta=b) rebinds the analysis to b.  terms holds
-    the sub-unit pairs (root_j, m*K_j), the data of log B.
+    dataclasses.replace(pf, beta=b) rebinds the analysis to b.  log_b_beta
+    and log_b_one are log B(beta) and log B(1), summed once from the
+    sub-unit pairs (root_j, m*K_j).
     """
     spec: PhaseSpec
     a: np.ndarray
@@ -227,13 +229,17 @@ class PartialFractions:
     num: tuple
     den: tuple
     beta: float
-    terms: tuple = field(init=False, repr=False)
+    log_b_beta: float = field(init=False, repr=False)
+    log_b_one: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", check_beta(self.beta))
+        beta = check_beta(self.beta)
         # m * weights[:-1] rounds each product exactly as m * K_j does
-        object.__setattr__(self, "terms", tuple(zip(
-            self.roots[:-1].tolist(), (self.m * self.weights[:-1]).tolist())))
+        terms = tuple(zip(self.roots[:-1].tolist(),
+                          (self.m * self.weights[:-1]).tolist()))
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "log_b_beta", _log_b(terms, beta))
+        object.__setattr__(self, "log_b_one", _log_b(terms, 1.0))
 
     def _num_at(self, nu: float) -> float:
         w = _horner(self.num, nu)
@@ -286,7 +292,7 @@ class PartialFractions:
             return np.zeros_like(rs)
         flat = rs.ravel()
         u_hi = math.log(self.beta - 1.0)
-        target = u_hi + _log_b(self.terms, self.beta) - self.m * np.log(flat)
+        target = u_hi + self.log_b_beta - self.m * np.log(flat)
         roots = self.roots[:-1, None]
         mks = (self.m * self.weights[:-1])[:, None]
 
@@ -302,7 +308,7 @@ class PartialFractions:
             gap = (1.0 + e) - roots
             return u + rows_summed(mks * np.log(gap)) - target, e, gap
 
-        lo = np.minimum(target - _log_b(self.terms, 1.0), u_hi - 1.0)
+        lo = np.minimum(target - self.log_b_one, u_hi - 1.0)
         for _ in range(_BRACKET_CAP):
             high = residual(lo)[0] > 0.0
             if not high.any():
@@ -390,16 +396,15 @@ def _excess_integrals(pf: PartialFractions, bounds: Sequence) -> list:
     return out
 
 
-def partial_fractions(spec: PhaseSpec, a: Sequence, beta: float,
-                      profile: Optional[WeightProfile] = None
+def partial_fractions(spec: PhaseSpec, a: Sequence, beta: float
                       ) -> PartialFractions:
     """Residues K_j = num(root_j)/den'(root_j) at the ray roots, with beta.
 
-    Requires a on the level set (so that 1 is the largest root); the poles
-    are simple, one per phase target of phasepoly.ray_roots.  The residue at
-    1 is checked against 1/m to 1e-10, then beta by check_beta.  profile,
-    when given, must be weight_profile(spec, a) or the one weights.classify
-    built for (spec, a); it saves building the weight chains again.
+    (spec, a) must pass weights.weight_profile's check, the one
+    weights.decay_exponent and weights.classify make, so that 1 is the
+    largest root; the poles are simple, one per phase target of
+    phasepoly.ray_roots.  The residue at 1 is checked against 1/m to
+    1e-10, then beta by check_beta.
 
     The denominators come in closed form, not from den's coefficients: den
     is the ray polynomial R(t) sin(H(t a) - theta), R(t) =
@@ -412,14 +417,9 @@ def partial_fractions(spec: PhaseSpec, a: Sequence, beta: float,
     its monomial coefficients loses that agreement past n = 32.
     """
     arr = np.sort(np.asarray(a, dtype=float))
-    cert = ray_roots(spec, arr)
-    if not cert.max_root_is_one:
-        raise ValueError("a not on the phase level set")
-    roots = cert.roots.copy()
+    prof = weight_profile(spec, arr)
+    roots = ray_roots(spec, arr).roots.copy()
     roots[-1] = 1.0
-    prof = weight_profile(spec, arr) if profile is None else profile
-    if prof.m is None:
-        raise ValueError("a not on the phase level set")
     num, den = _slope_pair(spec, prof)
     # den'(t_k) = (-1)^k R(t_k) H'(t_k), k = 0 at the root 1 (see above)
     ta2 = (roots[:, None] * arr) ** 2
@@ -427,11 +427,10 @@ def partial_fractions(spec: PhaseSpec, a: Sequence, beta: float,
     slopes = (sign * np.exp(0.5 * np.log1p(ta2).sum(axis=1))
               * (arr / (1.0 + ta2)).sum(axis=1))
     weights = npoly.polyval(roots, num) / slopes
-    m = prof.m
-    if abs(weights[-1] - 1.0 / m) > 1e-10:
+    if abs(weights[-1] - 1.0 / prof.m) > 1e-10:
         raise ValueError("partial-fraction residue at 1 disagrees with 1/m")
     return PartialFractions(spec=spec, a=arr, roots=roots, weights=weights,
-                            m=float(m), num=tuple(num.tolist()),
+                            m=prof.m, num=tuple(num.tolist()),
                             den=tuple(den.tolist()), beta=beta)
 
 
@@ -451,7 +450,7 @@ def tail_amplitude(pf: PartialFractions) -> float:
     beta = pf.beta
     if beta == 1.0:
         return 0.0
-    log_ratio = _log_b(pf.terms, beta) - _log_b(pf.terms, 1.0)
+    log_ratio = pf.log_b_beta - pf.log_b_one
     if math.log(beta - 1.0) + log_ratio > _LOG_FLOAT_MAX:
         raise RuntimeError("tail amplitude overflows the float range")
     return (beta - 1.0) * math.exp(log_ratio)
@@ -482,9 +481,9 @@ class ProfileSolution:
 
 
 def solve_profile(pf: PartialFractions, r_max: float = 1.0e4,
-                  num_samples: int = 241, route: str = "numeric"
-                  ) -> ProfileSolution:
-    """Sample the profile of the problem pf on log-spaced radii in [1, r_max].
+                  route: str = "numeric") -> ProfileSolution:
+    """Sample the profile of the problem pf on 241 log-spaced radii in
+    [1, r_max].
 
     pf, the problem's partial_fractions, supplies beta and the slope-field
     pair to both routes.  route="numeric" integrates the log of the excess
@@ -504,7 +503,7 @@ def solve_profile(pf: PartialFractions, r_max: float = 1.0e4,
         raise ValueError("r_max must be finite and exceed 1")
     if route not in ("numeric", "implicit"):
         raise ValueError("route must be 'numeric' or 'implicit'")
-    rs = np.geomspace(1.0, r_max, num_samples)
+    rs = np.geomspace(1.0, r_max, _PROFILE_SAMPLES)
     rs[0] = 1.0
 
     if route == "numeric" and pf.beta > 1.0:

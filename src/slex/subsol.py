@@ -37,11 +37,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .phasepoly import PhaseSpec, phase_coeffs
+from .phasepoly import phase_coeffs
 from .radial import PartialFractions
 from .symfun import rank_one_phase_level, sigma_rank_one
 
@@ -50,9 +50,10 @@ from .symfun import rank_one_phase_level, sigma_rank_one
 class SubsolutionSpec:
     """Parameters (alpha, gamma) of one candidate for the problem pf.
 
-    pf is the problem's radial.partial_fractions: diag(a), theta, the phase
-    spec and beta are read from it, and building it already checked them.
-    Requires alpha finite, gamma >= 1 and decay exponent above 2.
+    pf is the problem's radial.partial_fractions, and building it already
+    checked it: every stage reads diag(a) as pf.a, the phase spec as
+    pf.spec, the exponent as pf.m and beta as pf.beta.  Requires alpha
+    finite, gamma >= 1 and decay exponent above 2.
     """
     alpha: float
     gamma: float
@@ -63,24 +64,8 @@ class SubsolutionSpec:
             raise ValueError("alpha must be finite")
         if not 1.0 <= self.gamma < math.inf:
             raise ValueError("gamma must be finite and at least 1")
-        if self.m <= 2.0:
+        if self.pf.m <= 2.0:
             raise ValueError("decay exponent must exceed 2")
-
-    @property
-    def diag(self) -> np.ndarray:
-        return self.pf.a
-
-    @property
-    def theta(self) -> float:
-        return self.pf.spec.theta
-
-    @property
-    def phase_spec(self) -> PhaseSpec:
-        return self.pf.spec
-
-    @property
-    def m(self) -> float:
-        return self.pf.m
 
     def profile_at(self, r: float) -> tuple:
         """(psi, psi') at radius r >= 1, from the implicit route."""
@@ -129,12 +114,13 @@ def radial_value(spec: SubsolutionSpec, r: float) -> float:
 def hessian(spec: SubsolutionSpec, x: Sequence) -> np.ndarray:
     """D2Phi(x) by the closed rank-one formula, outside the ellipsoid."""
     xv = np.asarray(x, dtype=float)
-    r = ellipsoid_radius(spec.diag, xv)
+    a = spec.pf.a
+    r = ellipsoid_radius(a, xv)
     if r <= spec.gamma:
         raise ValueError("point inside the excised ellipsoid")
     nu, dpsi = spec.profile_at(r)
-    q = spec.diag * xv
-    return nu * np.diag(spec.diag) + (dpsi / r) * np.outer(q, q)
+    q = a * xv
+    return nu * np.diag(a) + (dpsi / r) * np.outer(q, q)
 
 
 def hessian_sigma(spec: SubsolutionSpec, x: Sequence, k: int) -> float:
@@ -144,12 +130,13 @@ def hessian_sigma(spec: SubsolutionSpec, x: Sequence, k: int) -> float:
     q = a o x, s = psi'/r gives the value directly.
     """
     xv = np.asarray(x, dtype=float)
-    r = ellipsoid_radius(spec.diag, xv)
+    a = spec.pf.a
+    r = ellipsoid_radius(a, xv)
     if r <= spec.gamma:
         raise ValueError("point inside the excised ellipsoid")
     nu, dpsi = spec.profile_at(r)
-    p = (nu * spec.diag).tolist()
-    q = (spec.diag * xv).tolist()
+    p = (nu * a).tolist()
+    q = (a * xv).tolist()
     return float(sigma_rank_one(p, q, dpsi / r, k))
 
 
@@ -223,7 +210,7 @@ class VerificationReport:
 
 
 def verify_subsolution(spec: SubsolutionSpec,
-                       grid: Optional[ShellGrid] = None) -> VerificationReport:
+                       grid: ShellGrid) -> VerificationReport:
     """Check both subsolution inequalities on the shell grid.
 
     Every grid point sits strictly outside the excised ellipsoid.  On the
@@ -235,15 +222,13 @@ def verify_subsolution(spec: SubsolutionSpec,
     value (divided by prod_j sqrt(1 + lambda_j^2)), so the verdict does not
     depend on the size of the eigenvalues.
     """
-    if grid is None:
-        grid = ShellGrid()
     r_min = spec.gamma * _R_MIN_SCALE
     if grid.r_max <= r_min:
         raise ValueError("r_max must exceed the innermost shell")
-    n = spec.diag.size
+    a = spec.pf.a
+    n = a.size
     axes = np.vstack([np.eye(n), -np.eye(n)])
     dirs = np.vstack([axes, sphere_directions(n, grid.directions)])
-    a = spec.diag
     # radius of each direction point in the A-metric, for rescaling
     ra = np.sqrt((dirs * dirs) @ a)
     radii = np.geomspace(r_min, grid.r_max, grid.shells)
@@ -255,8 +240,8 @@ def verify_subsolution(spec: SubsolutionSpec,
     x = (radii[:, None] / ra)[:, :, None] * dirs
     q = x * a
     phases, levels, scaled = rank_one_phase_level(
-        nus[:, None] * a, s, q * q, phase_coeffs(spec.phase_spec))
-    gaps = phases.ravel() - spec.theta
+        nus[:, None] * a, s, q * q, phase_coeffs(spec.pf.spec))
+    gaps = phases.ravel() - spec.pf.spec.theta
     levels = levels.ravel()
     points = x.reshape(-1, n)
 

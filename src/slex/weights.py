@@ -26,28 +26,28 @@ The decay exponent of a level-set point a is then
 
 which lies in (0, n], equals n exactly for the isotropic point
 tan(theta/n) * ones, and governs the tail rate r^(-decay) of the radial
-profile built in the radial module.  Classification: eigenvalue data with a
-definite sign on the level set is "admissible" when the exponent exceeds 2
-(the tail integral converges) and "slow_decay" otherwise; anything else,
-a subcritical phase target included, is "outside".  decay_exponent and
-weight_profile reject a subcritical phase with phasepoly.ray_degree's
-ValueError, so no stage computes an exponent classify would not give.
+profile built in the radial module.
 
-The chains and the exponent run on one ascending list of Python floats,
-without numpy arrays.  One recurrence pass builds sigma(a); its state just
-before the last (largest) entry is sigma(a less max), the same operations
-as elem_sym_all on the shortened list and so the same bits.  sigma(a less
-min) takes a second pass.  decay_exponent forms only the selected chain:
-for each k the one weight the sign of c_k picks, by the chains' own
-expression, straight from those rows, and hands it to the same two sums
-(_exponent), so its bits are the ones the full chains give.  The coefficients c_k are
-computed once per PhaseSpec.  Arrays appear only in the WeightProfile that
-weight_profile returns; it also carries the sigma row, so the radial module
-builds its slope-field pair and takes m from one profile.  classify returns
-the profile its exponent came from, so one solve builds the chains once.
-Python floats overflow silently, so a sigma row outside (0, F/(2n^2)), F
-the largest float, is rejected with ValueError before any chain or
-exponent is formed.
+One check decides whether (theta, a) is a supported problem: theta in
+phasepoly.ray_degree's range (the positive critical angle or above it), a
+positive vector of length n, and |H(a) - theta| <= LEVEL_TOL, in that
+order.  decay_exponent and weight_profile raise its ValueError;
+classify, after its sign reflection, calls the data that fails it
+"outside", so no stage computes an exponent classify would not give.
+Data that passes is "admissible" when the exponent exceeds 2 (the tail
+integral converges) and "slow_decay" otherwise.
+
+Everything runs on one ascending list of Python floats.  One recurrence
+pass builds sigma(a); its state just before the last (largest) entry is
+sigma(a less max), the same operations as elem_sym_all on the shortened
+list and so the same bits; sigma(a less min) takes a second pass.  The
+exponent needs only the selected chain, each weight by weight_bounds' own
+expression, so its bits are the ones the full chains give.  Arrays appear
+only in the WeightProfile that weight_profile returns; it also carries the
+sigma row, so the radial module takes its slope-field pair and m from one
+profile.  Python floats overflow silently, so a sigma row outside
+(0, F/(2n^2)), F the largest float, is rejected with ValueError before any
+chain or exponent is formed.
 """
 
 from __future__ import annotations
@@ -126,76 +126,44 @@ def _sigma_rows(vals: list) -> tuple:
     return sig, less_max, elem_sym_all(vals[1:])
 
 
-def _chains(vals: list) -> tuple:
-    """(sigma, lower, upper) of an ascending positive list, as lists.
-
-    sigma is the full row sigma_0..sigma_n; lower and upper are both weight
-    chains for k = 0..n.  The range guard is _sigma_rows'.
-    """
-    sig, less_max, less_min = _sigma_rows(vals)
-    n = len(vals)
-    lo = vals[0]
-    hi = vals[-1]
-    lower = [0.0]
-    upper = [0.0]
-    for k in range(1, n):
-        lower.append(lo * less_min[k - 1] / sig[k])
-        upper.append(hi * less_max[k - 1] / sig[k])
-    lower.append(1.0)
-    upper.append(1.0)
-    return sig, lower, upper
-
-
 def weight_bounds(a: Sequence, k: int) -> tuple:
     """(lower, upper) extremes of the k-th weight over all directions.
 
     k = 0 and k = n are structural: (0, 0) and (1, 1) exactly.
     """
     vals = _ascending_positive(a)
-    if not (0 <= k <= len(vals)):
+    n = len(vals)
+    if not (0 <= k <= n):
         raise ValueError("need 0 <= k <= n")
-    _sig, lower, upper = _chains(vals)
-    return (lower[k], upper[k])
+    sig, less_max, less_min = _sigma_rows(vals)
+    if 0 < k < n:
+        return (vals[0] * less_min[k - 1] / sig[k],
+                vals[-1] * less_max[k - 1] / sig[k])
+    return (0.0, 0.0) if k == 0 else (1.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class WeightProfile:
-    """Extremal weight chains, the theta-selected chain, and the exponent.
-
-    lower/upper/selected have length n+1 (index k = 0..n).  The exponent m
-    is present only when the input vector lies on the phase level set.
-    sigma is the row sigma_0..sigma_n of the sorted vector the chains were
-    built from, as elem_sym_all gives it (Python floats after sigma_0 = 1).
-    """
-    lower: np.ndarray
-    upper: np.ndarray
-    selected: np.ndarray
-    m: Optional[float]
-    sigma: tuple
-
-
-def weight_profile(spec: PhaseSpec, a: Sequence) -> WeightProfile:
-    """Both weight chains plus the c_k-sign selection for this phase.
-
-    The input is sorted internally; selected_k is upper_k where
-    c_k(theta) > 0 and lower_k otherwise (the choice is value-irrelevant
-    where c_k = 0).  The phase must lie in ray_degree's range (the positive
-    critical angle or above it); a subcritical one raises ValueError.
-    """
-    vals = _ascending_positive(a, spec.n)
+def _level_point(spec: PhaseSpec, a: Sequence) -> list:
+    """a as an ascending list of floats, after the one check of a supported
+    problem (the module docstring's), which raises ValueError."""
     ray_degree(spec)
-    return _profile(spec, vals,
-                    abs(phase(vals) - spec.theta) <= LEVEL_TOL)
+    vals = _ascending_positive(a, spec.n)
+    if abs(phase(vals) - spec.theta) > LEVEL_TOL:
+        raise ValueError("a not on the phase level set")
+    return vals
 
 
-def _profile(spec: PhaseSpec, vals: list, on_level: bool) -> WeightProfile:
-    # the profile of an ascending positive list; m only when on_level
-    sig, lower, upper = _chains(vals)
+def _selected(spec: PhaseSpec, vals: list) -> tuple:
+    """(c, sigma, selected) of an ascending positive list: selected_k,
+    k = 0..n, is weight_bounds' upper value where c_k(theta) > 0, else its
+    lower one (the choice is value-irrelevant where c_k = 0)."""
+    sig, less_max, less_min = _sigma_rows(vals)
     c = phase_coeffs(spec)
-    selected = [u if ck > 0 else lo for ck, lo, u in zip(c, lower, upper)]
-    m = _exponent(c, sig, selected) if on_level else None
-    return WeightProfile(lower=np.array(lower), upper=np.array(upper),
-                         selected=np.array(selected), m=m, sigma=tuple(sig))
+    lo = vals[0]
+    hi = vals[-1]
+    selected = [0.0] + [hi * less_max[k - 1] / sig[k] if c[k] > 0
+                        else lo * less_min[k - 1] / sig[k]
+                        for k in range(1, len(vals))] + [1.0]
+    return c, sig, selected
 
 
 def _exponent(c: tuple, sig: list, selected: list) -> float:
@@ -208,26 +176,32 @@ def _exponent(c: tuple, sig: list, selected: list) -> float:
     return math.fsum(num) / math.fsum(den)
 
 
+@dataclass(frozen=True, eq=False)
+class WeightProfile:
+    """The theta-selected weight chain, the exponent and the sigma row.
+
+    selected has length n+1 (index k = 0..n); sigma is the row
+    sigma_0..sigma_n of the sorted vector, as elem_sym_all gives it
+    (Python floats after sigma_0 = 1).
+    """
+    selected: np.ndarray
+    m: float
+    sigma: tuple
+
+
+def weight_profile(spec: PhaseSpec, a: Sequence) -> WeightProfile:
+    """The selected chain, m and sigma; checks and m are decay_exponent's."""
+    c, sig, selected = _selected(spec, _level_point(spec, a))
+    return WeightProfile(selected=np.array(selected),
+                         m=_exponent(c, sig, selected), sigma=tuple(sig))
+
+
 def decay_exponent(spec: PhaseSpec, a: Sequence) -> float:
     """Decay exponent of a level-set point a; lies in (0, n].
 
-    Requires theta in ray_degree's range (the positive critical angle or
-    above it; every PhaseSpec lies below n*pi/2) and
-    |H(a) - theta| <= LEVEL_TOL.
+    Raises ValueError unless (spec, a) passes the one check (_level_point).
     """
-    ray_degree(spec)
-    vals = _ascending_positive(a, spec.n)
-    if abs(phase(vals) - spec.theta) > LEVEL_TOL:
-        raise ValueError("a not on the phase level set")
-    sig, less_max, less_min = _sigma_rows(vals)
-    c = phase_coeffs(spec)
-    lo = vals[0]
-    hi = vals[-1]
-    # only the selected chain, with _chains' expressions
-    selected = [0.0] + [hi * less_max[k - 1] / sig[k] if c[k] > 0
-                        else lo * less_min[k - 1] / sig[k]
-                        for k in range(1, len(vals))] + [1.0]
-    return _exponent(c, sig, selected)
+    return _exponent(*_selected(spec, _level_point(spec, a)))
 
 
 @dataclass(frozen=True)
@@ -240,9 +214,8 @@ class Admissibility:
     strict threshold 2.  reflected is true when the data was all negative
     and was classified as the problem (-theta, -lam).  With an exponent m,
     spec and a are that classified problem (the reflection of the input
-    when reflected) and profile is the WeightProfile m was taken from, so
-    a later stage takes the problem from here and need not build the
-    chains again; without one all three are None.
+    when reflected), so a later stage takes the problem from here; without
+    one both are None.
     """
     klass: str
     m: Optional[float]
@@ -250,8 +223,6 @@ class Admissibility:
     reflected: bool = False
     spec: Optional[PhaseSpec] = field(default=None, compare=False, repr=False)
     a: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
-    profile: Optional[WeightProfile] = field(default=None, compare=False,
-                                             repr=False)
 
 
 def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
@@ -259,9 +230,11 @@ def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
 
     All-negative data is handled through the sign reflection: negating the
     unknown flips both the eigenvalues and the phase target, so lam < 0 is
-    classified via the exponent of (-theta, -lam).  A subcritical phase
-    target (after the reflection) is "outside": the construction, and
-    every later stage, covers only the critical and supercritical range.
+    classified via the exponent of (-theta, -lam).  Data that fails
+    decay_exponent's check after the reflection, a subcritical phase
+    target included, is "outside": the construction, and every later
+    stage, covers only the critical and supercritical range.  A sigma row
+    outside the float range still raises ValueError.
     """
     arr = np.asarray(lam, dtype=float)
     if arr.ndim != 1 or arr.size != spec.n:
@@ -273,19 +246,14 @@ def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
         work_spec, work = spec, arr
     else:
         return Admissibility(klass="outside", m=None)
-    # the phase range the ray polynomial supports (phasepoly.ray_degree):
-    # the positive critical angle and the supercritical band above it
-    if not (work_spec.theta > 0.0
-            and work_spec.classification != "subcritical"):
+    try:
+        vals = _level_point(work_spec, work)
+    except ValueError:
         return Admissibility(klass="outside", m=None, reflected=reflected)
-    if abs(phase(work) - work_spec.theta) > LEVEL_TOL:
-        return Admissibility(klass="outside", m=None, reflected=reflected)
-    profile = _profile(work_spec, _ascending_positive(work), True)
-    m = profile.m
+    m = _exponent(*_selected(work_spec, vals))
     klass = "admissible" if m > 2.0 else "slow_decay"
     return Admissibility(klass=klass, m=m, near_boundary=abs(m - 2.0) <= 1e-12,
-                         reflected=reflected, spec=work_spec, a=work,
-                         profile=profile)
+                         reflected=reflected, spec=work_spec, a=work)
 
 
 def complete_to_phase(prefix: Sequence, spec: PhaseSpec) -> np.ndarray:

@@ -186,7 +186,7 @@ def test_criterion_4_closed_form_profile():
     for beta in (1.5, 2.0, 10.0):
         for route in ("numeric", "implicit"):
             sol = radial.solve_profile(replace(pf, beta=beta), r_max=1.0e4,
-                                       num_samples=50, route=route)
+                                       route=route)
             exact = np.sqrt(1.0 + (beta * beta - 1.0) * sol.r ** -3.0)
             gap = float(np.max(np.abs(sol.psi - exact)))
             if gap > 1e-8:
@@ -281,11 +281,11 @@ def test_criterion_7_subsolution_verification():
         if rep.min_level_value < -1e-9:
             bad.append(("level_value", i, rep.min_level_value))
         # rank-one sigma values against the dense eigenvalue oracle
-        n = sspec.diag.size
+        n = sspec.pf.a.size
         checked = 0
         while checked < 40:
             x = rng.standard_normal(n) * rng.uniform(1.0, 30.0)
-            if subsol.ellipsoid_radius(sspec.diag, x) <= sspec.gamma:
+            if subsol.ellipsoid_radius(sspec.pf.a, x) <= sspec.gamma:
                 continue
             lam = np.linalg.eigvalsh(subsol.hessian(sspec, x))
             for k in range(1, n + 1):

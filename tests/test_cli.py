@@ -426,30 +426,6 @@ def test_solve_all_negative_data_runs_the_reflected_problem(tmp_path):
     assert neg["passed"] is True
 
 
-def test_solve_builds_the_weight_chains_once(tmp_path, monkeypatch):
-    # classify's WeightProfile is handed on to partial_fractions
-    real = weights._chains
-    calls = []
-
-    def counted(vals):
-        calls.append(len(vals))
-        return real(vals)
-
-    monkeypatch.setattr(weights, "_chains", counted)
-    iso = repr(1.0 / math.sqrt(3.0))
-    for args in (["--family", "iso", "--n", "5", "--theta", "critical"],
-                 ["--family", "eps:0.1"],
-                 ["--a", ISO3, "--n", "3", "--theta", "critical"],
-                 [f"--a=-{iso},-{iso},-{iso}", "--n", "3",
-                  f"--theta={-math.pi / 2!r}"]):
-        calls.clear()
-        code, path = run(tmp_path, ["solve", *args, "--grid", "4"])
-        assert code == 0
-        assert json.loads(path.read_text())["admissibility"]["klass"] == \
-            "admissible"
-        assert len(calls) == 1, args
-
-
 def test_solve_slow_decay_exits_one(tmp_path):
     code, path = run(tmp_path, ["solve", "--family", "eps:0.25"],
                      "slow.json")
@@ -629,6 +605,24 @@ def test_solve_large_beta_warns_once_without_a_path():
     for text in ("RuntimeWarning", ".py:", "<string>"):
         assert text not in proc.stderr
     assert json.loads(proc.stdout)["config"]["beta"] == 2000.0
+
+
+def test_solve_warning_made_an_error_exits_two():
+    # under python -W error the beta warning is raised, not recorded: it is
+    # reported like invalid input, on one line, with no report and no
+    # traceback
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "slex.cli",
+                           "solve", "--family", "iso", "--n", "4", "--theta",
+                           "3.6", "--beta", "2000", "--grid", "4"],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == ("invalid input: beta above 1e3: residue "
+                           "conditioning degrades\n")
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("entries", ["nan,1,1", "inf,1,1", "1,-inf,1"])

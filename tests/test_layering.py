@@ -1,6 +1,6 @@
 """Module hygiene of the slex package, checked with the stdlib's ast.
 
-Three rules, for every module under src/slex:
+Four rules, for every module under src/slex:
 
   * no module reaches into another slex module's private names, neither
     by importing one (`from .radial import _horner`) nor by reading one
@@ -9,7 +9,10 @@ Three rules, for every module under src/slex:
     keeps its import on purpose; `__init__.py` re-exports and is skipped;
   * no module defines a private name at module level (function, class or
     constant) that it never reads: no other module may read it, so it is
-    dead code.
+    dead code;
+  * no class has a property (or cached_property) that only forwards an
+    attribute of self: its body, docstring aside, is one `return
+    self.x.y`.  Callers read the attribute where it lives.
 """
 
 import ast
@@ -96,6 +99,37 @@ def unread_privates(source: str) -> list:
             if _private(name) and name not in read]
 
 
+def forwarding_properties(source: str) -> list:
+    """(line, Class.name) of each property that only returns an attribute
+    chain of self."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef) and any(
+                    (d.id if isinstance(d, ast.Name) else
+                     getattr(d, "attr", None))
+                    in ("property", "cached_property")
+                    for d in fn.decorator_list)):
+                continue
+            body = fn.body
+            if (isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                body = body[1:]  # the docstring
+            if len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            value = body[0].value
+            if not isinstance(value, ast.Attribute):
+                continue
+            while isinstance(value, ast.Attribute):
+                value = value.value
+            if isinstance(value, ast.Name) and value.id == "self":
+                found.append((fn.lineno, f"{cls.name}.{fn.name}"))
+    return found
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_private_names_across_modules(module):
     assert private_reads((PACKAGE / module).read_text()) == []
@@ -110,6 +144,11 @@ def test_no_unused_imports(module):
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unread_private_names(module):
     assert unread_privates((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_forwarding_properties(module):
+    assert forwarding_properties((PACKAGE / module).read_text()) == []
 
 
 def test_checks_find_what_they_look_for():
@@ -144,3 +183,27 @@ def test_checks_find_what_they_look_for():
         "    return _local",
     ])
     assert unread_privates(source) == [(2, "_UNREAD"), (8, "_Hidden")]
+    source = "\n".join([
+        "import functools",
+        "class Spec:",
+        "    @property",
+        "    def theta(self):",
+        "        \"\"\"The phase.\"\"\"",
+        "        return self.pf.spec.theta",
+        "    @functools.cached_property",
+        "    def m(self):",
+        "        return self.pf.m",
+        "    @property",
+        "    def half(self):",
+        "        return self.pf.m / 2",
+        "    @property",
+        "    def itself(self):",
+        "        return self",
+        "    @property",
+        "    def other(self):",
+        "        return other.pf",
+        "    def plain(self):",
+        "        return self.pf",
+    ])
+    assert forwarding_properties(source) == [(4, "Spec.theta"),
+                                             (8, "Spec.m")]

@@ -25,10 +25,10 @@ def closed_spec(beta=2.0, gamma=1.0, alpha=0.0):
 
 def test_subsolution_spec_validation():
     spec = closed_spec()  # valid
-    assert spec.diag is spec.pf.a
-    assert spec.theta == math.pi / 2
-    assert spec.phase_spec == phasepoly.PhaseSpec(3, math.pi / 2)
-    assert not hasattr(spec, "beta")  # beta lives on the analysis only
+    assert spec.pf.spec == phasepoly.PhaseSpec(3, math.pi / 2)
+    # the problem and beta live on the analysis only
+    for name in ("beta", "diag", "theta", "phase_spec", "m"):
+        assert not hasattr(spec, name)
     # the analysis rejects an off-level vector, or a beta out of range,
     # before any spec exists
     with pytest.raises(ValueError, match="a not on the phase level set"):
@@ -377,9 +377,9 @@ def test_phase_gate_fails_a_doubled_rank_one_share(monkeypatch):
 def dense_phase_level(spec, x):
     """Test-only dense path: (H - theta, scaled level) from eigvalsh."""
     lam = np.linalg.eigvalsh(subsol.hessian(spec, x))
-    c = np.asarray(phasepoly.phase_coeffs(spec.phase_spec))
+    c = np.asarray(phasepoly.phase_coeffs(spec.pf.spec))
     level = symfun.elem_sym_stack(lam[None])[0] @ c
-    return (float(np.arctan(lam).sum()) - spec.theta,
+    return (float(np.arctan(lam).sum()) - spec.pf.spec.theta,
             float(level * np.exp(-np.log(np.hypot(1.0, lam)).sum())))
 
 
@@ -402,18 +402,19 @@ def test_rank_one_phase_level_matches_dense_hessian_oracle(n):
         dirs = np.vstack([np.eye(n)[rng.permutation(n)[:3]],
                           rng.standard_normal((9, n))])
         radii = 10.0 ** rng.uniform(1e-7, 2.0, len(dirs))
-        xs = radii[:, None] * dirs / np.sqrt((dirs * dirs) @ spec.diag)[:, None]
+        diag = spec.pf.a
+        xs = radii[:, None] * dirs / np.sqrt((dirs * dirs) @ diag)[:, None]
         p, s, q2 = [], [], []
         for x in xs:
-            r = subsol.ellipsoid_radius(spec.diag, x)
+            r = subsol.ellipsoid_radius(diag, x)
             nu, dpsi = spec.profile_at(r)
-            p.append(nu * spec.diag)
+            p.append(nu * diag)
             s.append(dpsi / r)
-            q2.append((spec.diag * x) ** 2)
+            q2.append((diag * x) ** 2)
         phase, _, scaled = symfun.rank_one_phase_level(
             np.array(p), np.array(s), np.array(q2)[:, None, :],
-            phasepoly.phase_coeffs(spec.phase_spec))
+            phasepoly.phase_coeffs(pspec))
         for i, x in enumerate(xs):
             gap, lev_scaled = dense_phase_level(spec, x)
-            assert abs(phase[i, 0] - spec.theta - gap) <= 1e-12, (theta, i)
+            assert abs(phase[i, 0] - theta - gap) <= 1e-12, (theta, i)
             assert abs(scaled[i, 0] - lev_scaled) <= 1e-12, (theta, i)

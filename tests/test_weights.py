@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slex import phasepoly, symfun, weights
 
@@ -128,8 +130,8 @@ def test_weight_profile_selection_rule():
         expect = hi if c[k] > 0 else lo
         assert prof.selected[k] == pytest.approx(expect, rel=1e-14)
     # c = (-1, 0, 1, 0): upper only at k = 2
-    assert prof.selected[2] == pytest.approx(prof.upper[2], rel=1e-14)
-    assert prof.selected[1] == pytest.approx(prof.lower[1], rel=1e-14)
+    assert prof.selected[2] == weights.weight_bounds(a, 2)[1]
+    assert prof.selected[1] == weights.weight_bounds(a, 1)[0]
 
 
 def test_weight_profile_chains_equal_weight_bounds_bitwise():
@@ -138,26 +140,31 @@ def test_weight_profile_chains_equal_weight_bounds_bitwise():
         n = int(rng.integers(3, 11))
         a = np.exp(1.5 * rng.standard_normal(n))
         spec = phasepoly.PhaseSpec(n, phasepoly.phase(a))
+        prof = None
         if spec.classification == "subcritical":
-            # out of range: the chains come from a supported phase, at
-            # which a is off the level set
+            # out of range, and off the level set of a supported phase:
+            # no profile, but the bounds all the same
             with pytest.raises(ValueError, match="out of supported range"):
                 weights.weight_profile(spec, a)
             spec = phasepoly.PhaseSpec(n, (n - 1) * math.pi / 2)
-        prof = weights.weight_profile(spec, a)
+            with pytest.raises(ValueError, match="not on the phase level"):
+                weights.weight_profile(spec, a)
+        else:
+            prof = weights.weight_profile(spec, a)
+            assert prof.m == weights.decay_exponent(spec, a)
+        c = phasepoly.phase_coeffs(spec)
         srt = np.sort(a)
         sig = symfun.elem_sym_all(srt.tolist())
         for k in range(n + 1):
-            assert (prof.lower[k], prof.upper[k]) == \
-                weights.weight_bounds(a, k)
+            lower, upper = weights.weight_bounds(a, k)
+            if prof is not None:
+                assert prof.selected[k] == (upper if c[k] > 0 else lower)
             if 0 < k < n:
                 # the per-k formula on the sorted vector, bit for bit
                 less_min = symfun.elem_sym_all(srt[1:].tolist())[k - 1]
                 less_max = symfun.elem_sym_all(srt[:-1].tolist())[k - 1]
-                assert prof.lower[k] == float(srt[0] * less_min / sig[k])
-                assert prof.upper[k] == float(srt[-1] * less_max / sig[k])
-        if prof.m is not None:
-            assert prof.m == weights.decay_exponent(spec, a)
+                assert lower == float(srt[0] * less_min / sig[k])
+                assert upper == float(srt[-1] * less_max / sig[k])
 
 
 def test_weight_profile_dominates_direction_weights():
@@ -368,6 +375,68 @@ def test_classify_near_boundary_flag():
     assert 0.206 <= lo <= 0.208
 
 
+# theta against the critical angle (n-2)*pi/2: on it, 1e-12 to either side
+# (the edge of PhaseSpec's criticality tolerance), below it, and above it
+THETA_KINDS = ("critical", "critical+1e-12", "critical-1e-12", "subcritical",
+               "supercritical")
+# the data against its own phase theta: a level point, a far-off copy, or
+# a level point of theta + offset, just inside and just outside
+# LEVEL_TOL = 1e-10
+POINT_KINDS = {"on": 0.0, "off": None, "inside+": 0.9e-10,
+               "inside-": -0.9e-10, "outside+": 1.1e-10, "outside-": -1.1e-10}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(n=st.integers(min_value=3, max_value=12),
+       theta_kind=st.sampled_from(THETA_KINDS),
+       u=st.floats(min_value=0.02, max_value=0.98),
+       split=st.lists(st.floats(min_value=0.5, max_value=1.5), min_size=12,
+                      max_size=12),
+       point_kind=st.sampled_from(sorted(POINT_KINDS)),
+       reflect=st.booleans())
+def test_classify_and_exponent_make_one_decision(n, theta_kind, u, split,
+                                                 point_kind, reflect):
+    # classify says "outside" exactly when decay_exponent and weight_profile
+    # raise, and otherwise all three give m with the same bits
+    crit = (n - 2) * math.pi / 2
+    theta = {"critical": crit, "critical+1e-12": crit + 1e-12,
+             "critical-1e-12": crit - 1e-12, "subcritical": u * crit,
+             "supercritical": crit + u * math.pi}[theta_kind]
+    spec = phasepoly.PhaseSpec(n, theta)
+    # angles pi/2 - d_j with the deficits d_j splitting n*pi/2 - theta
+    deficits = np.array(split[:n])
+    deficits *= (n * math.pi / 2 - theta) / deficits.sum()
+    offset = POINT_KINDS[point_kind]
+    target = phasepoly.PhaseSpec(n, theta + (offset or 0.0))
+    try:
+        a = weights.complete_to_phase(np.tan(math.pi / 2 - deficits[:-1]),
+                                      target)
+    except ValueError:
+        assume(False)
+    if offset is None:
+        a = a * 1.001
+    if offset not in (None, 0.0):
+        # the completion is within 1e-12 of its own target
+        assert abs(abs(phasepoly.phase(a) - theta) - abs(offset)) <= 2e-12
+
+    outcomes = []
+    for fn in (weights.decay_exponent,
+               lambda sp, v: weights.weight_profile(sp, v).m):
+        try:
+            outcomes.append(fn(spec, a))
+        except ValueError:
+            outcomes.append(None)
+    adm = (weights.classify(phasepoly.PhaseSpec(n, -theta), -a) if reflect
+           else weights.classify(spec, a))
+    assert adm.reflected == reflect
+    if outcomes[0] is None:
+        assert outcomes == [None, None]
+        assert adm.klass == "outside" and adm.m is None
+    else:
+        assert adm.klass != "outside"
+        assert bits(outcomes[0]) == bits(outcomes[1]) == bits(adm.m)
+
+
 def test_epsilon_family_values():
     assert np.allclose(weights.epsilon_family(0.0),
                        np.full(5, math.tan(math.pi / 3)), atol=1e-15)
@@ -450,9 +519,8 @@ def numpy_profile(spec, arr, with_m):
 
 
 def numpy_weight_profile(spec, a):
-    arr = numpy_ascending_positive(a, spec.n)
-    return numpy_profile(
-        spec, arr, abs(phasepoly.phase(arr) - spec.theta) <= phasepoly.LEVEL_TOL)
+    numpy_decay_exponent(spec, a)  # the same checks, in the same order
+    return numpy_profile(spec, numpy_ascending_positive(a, spec.n), True)
 
 
 def numpy_decay_exponent(spec, a, tol=phasepoly.LEVEL_TOL):
@@ -478,14 +546,10 @@ def bits(x):
 
 def assert_profile_bits(spec, a):
     got = weights.weight_profile(spec, a)
-    sig, lower, upper, selected, m = numpy_weight_profile(spec, a)
-    assert bits(got.lower) == bits(lower)
-    assert bits(got.upper) == bits(upper)
+    sig, _lower, _upper, selected, m = numpy_weight_profile(spec, a)
     assert bits(got.selected) == bits(selected)
     assert bits(got.sigma) == bits(sig)
-    assert (got.m is None) == (m is None)
-    if m is not None:
-        assert bits(got.m) == bits(m)
+    assert bits(got.m) == bits(m)
 
 
 def level_points(rng, n, count):
@@ -534,8 +598,10 @@ def test_float_path_bit_identical_on_random_level_points():
                 for k in range(n + 1):
                     assert bits(weights.weight_bounds(form, k)) == \
                         bits(numpy_weight_bounds(form, k))
-            # off the level set: the chains but no exponent
-            assert_profile_bits(spec, 1.01 * a)
+            # off the level set: decay_exponent's error, no profile
+            for fn in (weights.weight_profile, numpy_weight_profile):
+                assert message(fn, spec, 1.01 * a) == \
+                    "a not on the phase level set"
 
 
 def message(fn, *args):
