@@ -89,7 +89,8 @@ def _json_text(value) -> str:
     and floats (float subclasses such as np.float64 included) through
     int.__repr__ and float.__repr__, with NaN/Infinity/-Infinity for the
     non-finite floats as the stdlib writes them.  Anything else raises
-    TypeError.
+    TypeError.  A list or tuple whose items are all exact floats (a
+    trajectory) is written in one join; any other recurses item by item.
     """
     parts = []
     _json_parts(value, "\n", parts.append)
@@ -119,6 +120,16 @@ def _json_parts(o, nl: str, put) -> None:
             put("[]")
             return
         inner = nl + "  "
+        if set(map(type, o)) == {float}:
+            # a list of exact floats (a trajectory) in one join; no finite
+            # float's repr holds an "n", so only NaN and inf need spelling
+            sep = "," + inner
+            text = sep.join(map(float.__repr__, o))
+            if "n" in text:
+                text = sep.join(_NONFINITE.get(t, t)
+                                for t in map(float.__repr__, o))
+            put("[" + inner + text + nl + "]")
+            return
         sep = "[" + inner
         for item in o:
             put(sep)

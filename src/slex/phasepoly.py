@@ -267,7 +267,9 @@ def ray_roots(spec: PhaseSpec, a: Sequence) -> RayRootCertificate:
     sum's convexity makes it monotone, bisects when a step would leave the
     bracket, and stops after a step of at most 4 eps |x| or one landing on
     an end of the bracket.  A level-set input whose largest root strays
-    from 1 by more than 1e-9 raises "root certification failed".
+    from 1 by more than 1e-9, and by more than twice the shift
+    LEVEL_TOL/H'(1) that the level test's phase error allows, raises "root
+    certification failed".
     """
     arr = _check_positive(a)
     n = arr.size
@@ -304,7 +306,13 @@ def ray_roots(spec: PhaseSpec, a: Sequence) -> RayRootCertificate:
     roots = np.divide(-1.0, x, out=x, where=shift != 0.0)
 
     on_level = abs(phase(arr) - spec.theta) <= LEVEL_TOL
-    max_root_is_one = bool(on_level and abs(roots[-1] - 1.0) <= 1e-9)
+    # the phase error LEVEL_TOL that the level test allows moves the root 1
+    # by up to LEVEL_TOL/H'(1), H'(1) = sum_j a_j/(1 + a_j^2): the bound is
+    # 1e-9 or twice that shift, whichever is wider
+    miss = abs(roots[-1] - 1.0)
+    max_root_is_one = bool(on_level and (
+        miss <= 1e-9
+        or miss * float(np.sum(1.0 / (arr + 1.0 / arr))) <= 2.0 * LEVEL_TOL))
     if on_level and not max_root_is_one:
         raise ValueError("root certification failed")
     return RayRootCertificate(roots=roots, degree=len(roots),

@@ -27,11 +27,15 @@ m = -g'(1) is the decay exponent.  Two independent routes are implemented:
         B(nu) = prod_{roots < 1} (nu - root_j)^(m K_j),
 
     whose left side is strictly increasing in psi on [1, beta]; all radii
-    are solved at once by a safeguarded Newton iteration on the log of the
-    excess, which stops on a small step or on a step that overshoots its
-    bracket by at most the tolerance (excess_at).  The terms of log B and
-    of its slope form (terms x radii) arrays whose rows are added in term
-    order, so one radius alone gets the bits it gets in a batch.
+    of one call are solved at once by a safeguarded Newton iteration on the
+    log of the excess, which stops on a small step or on a step that
+    overshoots its bracket by at most the tolerance (excess_at).  The terms
+    of log B and of its slope form (terms x radii) arrays whose rows are
+    added in term order, so one radius alone gets the bits it gets in any
+    batch.  Its cost is mostly fixed per call, so each stage makes one
+    call: the implicit route on its 241 sample radii, the tail quadrature
+    on its first two levels and then on each later one, and the subsol
+    grid on its shells.
 
 One problem (theta, a) is analysed once: partial_fractions checks it
 with weights.weight_profile, finds the ray roots, builds the slope-field
@@ -48,8 +52,10 @@ The tail integral int_R^inf tau * (psi(tau) - 1) dtau (finite for m > 2)
 is evaluated by composite Gauss-Legendre quadrature in log radius up to a
 cutoff plus the analytic tail C * R_cut^(2-m)/(m-2), with
 C = (beta-1) B(beta)/B(1) the limit of (psi - 1) * r^m.  Several radii
-share one pass: each quadrature level solves the nodes of every radius
-not yet converged in one call of the implicit route.
+share one pass: one call of the implicit route solves the nodes of the
+first two quadrature levels (8 and 16 panels, the two estimates the
+stopping test needs) of every radius, and each later level those of every
+radius not yet converged.
 """
 
 from __future__ import annotations
@@ -63,7 +69,8 @@ import numpy as np
 from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
 
-from .phasepoly import PhaseSpec, phase_coeffs, ray_degree, ray_roots
+from .phasepoly import (LEVEL_TOL, PhaseSpec, phase_coeffs, ray_degree,
+                        ray_roots)
 from .weights import WeightProfile, weight_profile
 
 BETA_CAP = 1.0e6
@@ -281,9 +288,11 @@ class PartialFractions:
         or overshoots it by at most that tolerance (a cycle at rounding
         level; the step is clipped to the end, where bisection would crawl
         back from the far end); r = 1 gives beta - 1 exactly.  The terms'
-        rows are added in _log_b's order, not by a numpy reduction (which
-        sums one radius's column pairwise from 8 terms on), so that each
-        radius gets the same bits alone as in a batch.
+        rows are added in _log_b's order, so that each radius gets the
+        same bits alone as in any batch: over two or more radii by
+        np.add.reduce on axis 0, which adds row after row; for one radius
+        by a loop over the rows, because numpy sums a lone column pairwise
+        from 8 terms on.
         """
         rs = np.asarray(r, dtype=float)
         if not np.all(rs >= 1.0):
@@ -297,6 +306,10 @@ class PartialFractions:
         mks = (self.m * self.weights[:-1])[:, None]
 
         def rows_summed(rows):
+            if flat.size > 1:
+                # axis 0 of a C-ordered (terms x radii) array: each column
+                # summed row after row, the loop's order
+                return np.add.reduce(rows, axis=0)
             total = np.zeros_like(target)
             for row in rows:
                 total += row
@@ -330,13 +343,14 @@ class PartialFractions:
             # step landing on an end of the bracket, or past it by at most
             # the stopping tolerance, is clipped there and has converged
             # (a cycle at rounding level); any other step that leaves the
-            # bracket is replaced by bisection
+            # bracket is replaced by bisection.  A step strictly inside is
+            # its own clip, so "inside" is "within tolerance of the clip",
+            # and a step inside that sits on an end has landed
             newton = u - f / np.where(df > 0.0, df, np.nan)
-            near = np.clip(newton, lo, hi)
-            landed = (((near == lo) | (near == hi))
-                      & (np.abs(newton - near)
-                         <= _U_XTOL + _U_RTOL * np.abs(near)))
-            inside = landed | ((lo < newton) & (newton < hi))
+            near = np.minimum(np.maximum(newton, lo), hi)
+            inside = (np.abs(newton - near)
+                      <= _U_XTOL + _U_RTOL * np.abs(near))
+            landed = inside & ((near == lo) | (near == hi))
             step = np.where(inside, near, 0.5 * (lo + hi))
             done = landed | (np.abs(step - u)
                              <= _U_XTOL + _U_RTOL * np.abs(step))
@@ -352,10 +366,11 @@ class PartialFractions:
         """int_{r_lo}^{r_hi} tau (psi(tau, beta) - 1) dtau, 1 <= r_lo <= r_hi.
 
         Composite 16-point Gauss-Legendre in s = log tau on the analytic
-        integrand e^(2s) (psi(e^s) - 1), with excess_at supplying every
-        node at once.  The panel count starts at 8 and doubles until two
+        integrand e^(2s) (psi(e^s) - 1), with excess_at supplying the
+        nodes.  The panel count starts at 8 and doubles until two
         successive estimates agree within 1e-13 absolute or 1e-11
-        relative; the finer estimate is returned.
+        relative; the finer estimate is returned.  The 8- and 16-panel
+        levels share one excess_at call, each later level takes one.
         """
         return _excess_integrals(self, ((r_lo, r_hi),))[0]
 
@@ -363,9 +378,11 @@ class PartialFractions:
 def _excess_integrals(pf: PartialFractions, bounds: Sequence) -> list:
     """PartialFractions.excess_integral over each (r_lo, r_hi) of bounds.
 
-    At each panel count one excess_at call solves the nodes of every
-    interval not yet converged; each interval stops on its own test, so
-    its value has the same bits as when it is integrated alone.
+    The stopping test compares two estimates, so the 8- and 16-panel nodes
+    of every interval are always solved: one excess_at call takes both.
+    From 32 panels on, each doubling solves the nodes of every interval
+    not yet converged in one call.  Each interval stops on its own test,
+    so its value has the same bits as when it is integrated alone.
     """
     out = [0.0] * len(bounds)
     # log radius: the start and width of each interval still to integrate
@@ -373,26 +390,30 @@ def _excess_integrals(pf: PartialFractions, bounds: Sequence) -> list:
             for i, (r_lo, r_hi) in enumerate(bounds)
             if pf.beta != 1.0 and r_lo != r_hi}
     prev = {}
-    panels = _GL_PANELS
+    levels = (_GL_PANELS, 2 * _GL_PANELS)
     while span:
-        if panels > _GL_MAX_PANELS:
+        if levels[-1] > _GL_MAX_PANELS:
             raise RuntimeError("excess quadrature did not converge")
         batch = []
         for i, (s_lo, width) in span.items():
-            h = width / panels
-            nodes = ((s_lo + h * np.arange(panels))[:, None]
-                     + (0.5 * h) * (1.0 + _GL_X)).ravel()
-            batch.append((i, h, np.exp(nodes)))
-        excess = pf.excess_at(np.concatenate([tau for _, _, tau in batch]))
-        w = np.tile(_GL_W, panels)
-        for (i, h, tau), ex in zip(batch, np.split(excess, len(batch))):
+            for panels in levels:
+                h = width / panels
+                nodes = ((s_lo + h * np.arange(panels))[:, None]
+                         + (0.5 * h) * (1.0 + _GL_X)).ravel()
+                batch.append((i, panels, h, np.exp(nodes)))
+        excess = pf.excess_at(np.concatenate([b[-1] for b in batch]))
+        start = 0
+        for i, panels, h, tau in batch:
+            ex = excess[start:start + tau.size]
+            start += tau.size
+            w = np.tile(_GL_W, panels)
             est = 0.5 * h * float(np.dot(w, tau * tau * ex))
             if i in prev and abs(est - prev[i]) <= max(
                     _QUAD_EPSABS, _QUAD_EPSREL * abs(est)):
                 out[i] = est
                 del span[i]
             prev[i] = est
-        panels *= 2
+        levels = (2 * levels[-1],)
     return out
 
 
@@ -404,7 +425,9 @@ def partial_fractions(spec: PhaseSpec, a: Sequence, beta: float
     weights.decay_exponent and weights.classify make, so that 1 is the
     largest root; the poles are simple, one per phase target of
     phasepoly.ray_roots.  The residue at 1 is checked against 1/m to
-    1e-10, then beta by check_beta.
+    1e-10, or to twice what the level test's phase error LEVEL_TOL allows
+    if that is wider (below), then beta by check_beta.  So every point
+    weights.classify admits passes.
 
     The denominators come in closed form, not from den's coefficients: den
     is the ray polynomial R(t) sin(H(t a) - theta), R(t) =
@@ -414,7 +437,12 @@ def partial_fractions(spec: PhaseSpec, a: Sequence, beta: float
     exp(sum_j log1p(t^2 a_j^2)/2), so the product of far roots' factors
     cannot overflow on the way.  On random level points this keeps the two
     profile routes within 1e-8 up to n = 56; den's derivative summed from
-    its monomial coefficients loses that agreement past n = 32.
+    its monomial coefficients loses that agreement past n = 32.  Off the
+    level set by |H(a) - theta| <= LEVEL_TOL, the largest root is
+    1 - delta with |delta| <= LEVEL_TOL/H'(1) (ray_roots allows twice
+    that), and den'(1) = R(1) (H'(1) cos(H - theta) + (R'/R)(1)
+    sin(H - theta)) moves the residue at 1 by about (R'/R)(1) delta/m,
+    where (R'/R)(1) = sum_j a_j^2/(1 + a_j^2) < n.
     """
     arr = np.sort(np.asarray(a, dtype=float))
     prof = weight_profile(spec, arr)
@@ -424,10 +452,14 @@ def partial_fractions(spec: PhaseSpec, a: Sequence, beta: float
     # den'(t_k) = (-1)^k R(t_k) H'(t_k), k = 0 at the root 1 (see above)
     ta2 = (roots[:, None] * arr) ** 2
     sign = np.where(np.arange(roots.size)[::-1] % 2 == 0, 1.0, -1.0)
-    slopes = (sign * np.exp(0.5 * np.log1p(ta2).sum(axis=1))
-              * (arr / (1.0 + ta2)).sum(axis=1))
+    h_prime = (arr / (1.0 + ta2)).sum(axis=1)
+    slopes = sign * np.exp(0.5 * np.log1p(ta2).sum(axis=1)) * h_prime
     weights = npoly.polyval(roots, num) / slopes
-    if abs(weights[-1] - 1.0 / prof.m) > 1e-10:
+    # off the level set by the allowed LEVEL_TOL, the closed form den'(1)
+    # is off by R'(1)/R(1) < n times the root's shift LEVEL_TOL/H'(1)
+    miss = abs(weights[-1] - 1.0 / prof.m)
+    if miss > 1e-10 and (miss * prof.m * float(h_prime[-1])
+                         > 2.0 * arr.size * LEVEL_TOL):
         raise ValueError("partial-fraction residue at 1 disagrees with 1/m")
     return PartialFractions(spec=spec, a=arr, roots=roots, weights=weights,
                             m=prof.m, num=tuple(num.tolist()),
@@ -511,20 +543,21 @@ def solve_profile(pf: PartialFractions, r_max: float = 1.0e4,
         for j in range(len(shifted)):
             for i in range(len(shifted) - 2, j - 1, -1):
                 shifted[i] += shifted[i + 1]
-        # _horner inlined: the coefficients below the leading one, reversed
-        red_top, red_rest = shifted[-1], shifted[-2:0:-1]
-        num_top, num_rest = pf.num[-1], pf.num[-2::-1]
+        # _horner inlined for both polynomials in one loop: the reduced den
+        # and num each have N - 1 coefficients below the leading one, taken
+        # in reverse, and each still sees polyval's operations in order
+        red_top, num_top = shifted[-1], pf.num[-1]
+        rest = tuple(zip(shifted[-2:0:-1], pf.num[-2::-1]))
         exp = math.exp
 
         def rhs(y):
             d = exp(y)
-            p = red_top + d * 0
-            for c in red_rest:
-                p = c + p * d
             x = 1.0 + d
+            p = red_top + d * 0
             q = num_top + x * 0
-            for c in num_rest:
-                q = c + q * x
+            for c, e in rest:
+                p = c + p * d
+                q = e + q * x
             return -p / q
 
         excess = np.exp(_dormand_prince(rhs, math.log(pf.beta - 1.0),
@@ -544,7 +577,8 @@ def tail_integral(pf: PartialFractions, radii: Sequence) -> tuple:
     come back as a tuple in its order.  Finite exactly when m > 2.
     Gauss-Legendre quadrature in log radius against the implicit route
     (the one behind PartialFractions.excess_integral, every radius's nodes
-    in one excess_at call per panel count) covers [R, R_cut] with
+    in one excess_at call for the first two panel counts and one per
+    later panel count) covers [R, R_cut] with
     R_cut = max(1e3, 1e2 * R); beyond the cutoff the integrand is
     C tau^(1-m) to leading order and is added analytically; at beta = 1
     both parts are 0.0.

@@ -161,7 +161,8 @@ def sphere_directions(n: int, count: int) -> np.ndarray:
     alpha = np.array([(1.0 / g) ** (j + 1) for j in range(n)])
     idx = np.arange(1, count + 1)[:, None]
     u = (0.5 + idx * alpha) % 1.0
-    z = np.array([[_NORMAL.inv_cdf(v) for v in row] for row in u.tolist()])
+    z = np.array(list(map(_NORMAL.inv_cdf, u.ravel().tolist()))
+                 ).reshape(u.shape)
     norms = np.linalg.norm(z, axis=1)
     norms[norms < 1e-12] = 1.0
     return z / norms[:, None]

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
@@ -541,6 +543,169 @@ def test_excess_at_validates_radii():
     grid = np.geomspace(1.0, 50.0, 6).reshape(2, 3)
     assert np.array_equal(PF3.excess_at(grid),
                           PF3.excess_at(grid.ravel()).reshape(2, 3))
+
+
+def test_excess_at_batch_invariant_across_the_reduction_switch():
+    # the terms are summed by np.add.reduce over two or more radii and by a
+    # row loop for one; a radius alone gets the same bits as inside
+    # batches of 2, 24, 241 and 1,033 radii, on iso and random points
+    rng = np.random.default_rng(94)
+    cases = []
+    for n in (3, 4, 5, 8, 12, 16, 20, 24):
+        spec = phasepoly.PhaseSpec(n, (n - 2) * math.pi / 2)
+        cases.append((spec, weights.iso_point(spec)))
+        cases.append(admissible_point(rng, n))
+    for spec, a in cases:
+        pf = radial.partial_fractions(spec, a, float(rng.uniform(1.5, 50.0)))
+        batch = np.concatenate(([1.0, 1.0 + 1e-12],
+                                np.geomspace(1.0, 1e6, 1031)))
+        rng.shuffle(batch)
+        whole = pf.excess_at(batch)
+        for size in (2, 24, 241):
+            start = int(rng.integers(0, batch.size - size))
+            assert np.array_equal(pf.excess_at(batch[start:start + size]),
+                                  whole[start:start + size]), (spec.n, size)
+        for i in rng.choice(batch.size, 12, replace=False).tolist():
+            assert float(pf.excess_at(batch[i])) == whole[i], (spec.n, i)
+
+
+def levelwise_excess_integral(pf, r_lo, r_hi):
+    """(value, panels) of the excess quadrature with one excess_at call
+    per level: the reference that the shared first call must reproduce."""
+    s_lo = math.log(r_lo)
+    width = math.log(r_hi) - s_lo
+    prev = None
+    panels = radial._GL_PANELS
+    while panels <= radial._GL_MAX_PANELS:
+        h = width / panels
+        nodes = ((s_lo + h * np.arange(panels))[:, None]
+                 + (0.5 * h) * (1.0 + radial._GL_X)).ravel()
+        tau = np.exp(nodes)
+        w = np.tile(radial._GL_W, panels)
+        est = 0.5 * h * float(np.dot(w, tau * tau * pf.excess_at(tau)))
+        if prev is not None and abs(est - prev) <= max(
+                radial._QUAD_EPSABS, radial._QUAD_EPSREL * abs(est)):
+            return est, panels
+        prev = est
+        panels *= 2
+    raise AssertionError("no convergence")
+
+
+def test_tail_integral_first_two_levels_share_one_call(monkeypatch):
+    # the 8- and 16-panel nodes of both radii go into one excess_at call,
+    # and each doubling after that takes one more; each value keeps the
+    # bits of its interval integrated alone and of the level-by-level loop
+    rng = np.random.default_rng(95)
+    sizes = []
+    solve = radial.PartialFractions.excess_at
+
+    def counted(self, r):
+        sizes.append(np.size(r))
+        return solve(self, r)
+
+    monkeypatch.setattr(radial.PartialFractions, "excess_at", counted)
+    for n in range(3, 13):
+        spec, a = admissible_point(rng, n)
+        for beta in (1.5, 2.7, 100.0):
+            pf = radial.partial_fractions(spec, a, beta)
+            for R in (1.0, 10.0, 1e3):
+                radii = (R, 10.0 * R)
+                del sizes[:]
+                got = radial.tail_integral(pf, radii)
+                calls = len(sizes)
+                # 8 + 16 panels of 16 nodes for each radius in the first
+                assert sizes[0] == 2 * 16 * (8 + 16)
+                finest = 16
+                for r, value in zip(radii, got):
+                    assert radial.tail_integral(pf, (r,)) == (value,)
+                    cut = max(1.0e3, 1.0e2 * r)
+                    body, panels = levelwise_excess_integral(pf, r, cut)
+                    finest = max(finest, panels)
+                    assert value == body + (radial.tail_amplitude(pf)
+                                            * cut ** (2.0 - pf.m)
+                                            / (pf.m - 2.0)), (n, beta, r)
+                # one call when both converge at 16 panels
+                assert calls == 1 + int(math.log2(finest // 16)), (n, beta)
+
+
+def test_excess_quadrature_gives_up_at_the_panel_cap(monkeypatch):
+    # an integrand that never settles runs every level up to
+    # _GL_MAX_PANELS, then raises
+    noise = np.random.default_rng(96)
+    sizes = []
+
+    def erratic(self, r):
+        sizes.append(np.size(r))
+        return noise.uniform(0.5, 1.5, np.shape(r))
+
+    monkeypatch.setattr(radial.PartialFractions, "excess_at", erratic)
+    with pytest.raises(RuntimeError, match="excess quadrature did not "
+                                           "converge"):
+        radial.tail_integral(PF3, (1.0, 10.0))
+    levels = [16 * 8 * 2 ** k for k in range(10)]
+    assert levels[-1] == 16 * radial._GL_MAX_PANELS
+    assert sizes == [2 * (levels[0] + levels[1])] + [2 * p for p in levels[2:]]
+
+
+# a level point of theta + offset, |offset| up to and just past LEVEL_TOL
+LEVEL_OFFSETS = st.one_of(
+    st.floats(min_value=-1.05e-10, max_value=1.05e-10),
+    st.sampled_from([-1e-10, -0.9e-10, 0.0, 0.9e-10, 1e-10]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(kind=st.sampled_from(["random", "random", "pair100", "pair1000"]),
+       n=st.integers(min_value=3, max_value=12),
+       u=st.floats(min_value=0.0, max_value=0.9),
+       split=st.lists(st.floats(min_value=0.5, max_value=1.5), min_size=12,
+                      max_size=12),
+       offset=LEVEL_OFFSETS)
+def test_partial_fractions_accepts_what_classify_admits(kind, n, u, split,
+                                                        offset):
+    # the root and residue checks allow the shift of the root 1 that the
+    # level test's phase error LEVEL_TOL allows, so partial_fractions
+    # fails exactly where classify says "outside"
+    if kind == "random":
+        theta = (n - 2) * math.pi / 2 + u * math.pi
+        deficits = np.array(split[:n])
+        deficits *= (n * math.pi / 2 - theta) / deficits.sum()
+        prefix = np.tan(math.pi / 2 - deficits[:-1])
+    else:
+        # (b, b, x) at theta = pi: H'(1) is about 2/b, so the allowed phase
+        # error moves the root 1 by up to 2.5e-9 (b = 100) or 2.5e-8
+        n, theta = 3, math.pi
+        prefix = np.full(2, 100.0 if kind == "pair100" else 1000.0)
+    spec = phasepoly.PhaseSpec(n, theta)
+    try:
+        a = weights.complete_to_phase(
+            prefix, phasepoly.PhaseSpec(n, theta + offset))
+    except ValueError:
+        assume(False)
+    adm = weights.classify(spec, a)
+    try:
+        pf = radial.partial_fractions(spec, a, 2.0)
+    except ValueError as exc:
+        assert adm.klass == "outside", (adm, str(exc))
+        assert str(exc) == "a not on the phase level set"
+    else:
+        assert adm.klass != "outside"
+        assert pf.m == adm.m
+
+
+def test_level_edge_points_solve(tmp_path):
+    # level points |H - theta| = 9e-11 from theta = pi that classify
+    # admits; a root check of 1e-9 in t and a residue check of 1e-10
+    # without the level tolerance's shift reject them (the residue at
+    # b = 10, the root at b = 100 and 1000)
+    for a in ("10.0,10.0,0.20202020211387478",
+              "100.0,100.0,0.02000200010998367",
+              "1000.0,1000.0,0.002000002090002129"):
+        path = tmp_path / "solve.json"
+        code = cli.main(["solve", "--a", a, "--n", "3", "--theta",
+                         repr(math.pi), "--grid", "4", "--out", str(path)])
+        report = json.loads(path.read_text())
+        assert report["admissibility"]["klass"] == "admissible"
+        assert code == 0 and report["passed"] is True, a
 
 
 def test_log_b_terms_and_slope_bit_identical():

@@ -95,3 +95,59 @@ def test_writer_rejects_what_the_stdlib_rejects(value):
             dumps(tree)
         with pytest.raises(TypeError):
             cli._json_text(tree)
+
+
+# A list or tuple of exact floats takes one join instead of the recursive
+# path; every other list still recurses.
+FLOAT_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e22,
+               1e16, 123456789.125, 2.0 ** -1074 * 3]
+
+
+@SETTINGS
+@given(st.lists(st.floats(), min_size=1, max_size=60),
+       st.booleans())
+def test_writer_float_lists_equal_json_dumps(values, as_tuple):
+    seq = tuple(values) if as_tuple else values
+    for tree in (seq, [seq, seq], {"k": seq, "j": [seq]}):
+        assert cli._json_text(tree) == dumps(tree)
+
+
+@pytest.mark.parametrize("values", [
+    FLOAT_EDGES, FLOAT_EDGES[::-1], [math.nan], [math.inf], [-math.inf],
+    [-0.0], [5e-324], [1.7976931348623157e308], [1.0, math.nan, 2.0],
+    [math.inf, -math.inf, math.nan, -0.0], [0.5] * 1205,
+])
+def test_writer_float_list_special_values(values):
+    for seq in (values, tuple(values)):
+        for tree in (seq, [seq], {"k": seq}, [[seq, []], ()]):
+            assert cli._json_text(tree) == dumps(tree)
+
+
+@pytest.mark.parametrize("other", [
+    1, 0, -2 ** 70, True, False, None, np.float64(0.25),
+    np.float64(math.nan), np.float64(-math.inf), "1.5", [1.5], (), {},
+])
+def test_writer_mixed_lists_take_the_recursive_path(other):
+    for values in ([1.5, other], [other, math.nan, -0.0],
+                   [math.inf, other, 5e-324, other]):
+        for seq in (values, tuple(values)):
+            assert cli._json_text(seq) == dumps(seq)
+            tree = {"a": [seq, seq]}
+            assert cli._json_text(tree) == dumps(tree)
+
+
+def test_writer_nested_and_empty_float_lists():
+    for tree in ([[0.5, 1.5], [], [2.5]], [[], []], ((), (1.0,)),
+                 [[[math.nan]], [[-0.0, math.inf]]], {"a": [[], [0.1]]},
+                 [[1.0] * 3] * 3):
+        assert cli._json_text(tree) == dumps(tree)
+
+
+def test_writer_whole_solve_report():
+    args = cli.build_parser().parse_args(
+        ["solve", "--family", "iso", "--n", "5", "--theta", "critical",
+         "--grid", "8"])
+    report = args.run(args)
+    assert len(report["trajectory"]["psi_numeric"]) == 241
+    assert cli._json_text(report) == dumps(report)
