@@ -246,7 +246,8 @@ class RayRootCertificate:
 
     degree is N; simplicity_margin is the smallest gap between consecutive
     roots; max_root_is_one records that the input lies on the level set and
-    the largest root equals 1 within 1e-9.
+    the largest root equals 1 within 1e-9 plus the shift its phase error
+    makes (see ray_roots).
     """
     roots: np.ndarray
     degree: int
@@ -267,9 +268,9 @@ def ray_roots(spec: PhaseSpec, a: Sequence) -> RayRootCertificate:
     sum's convexity makes it monotone, bisects when a step would leave the
     bracket, and stops after a step of at most 4 eps |x| or one landing on
     an end of the bracket.  A level-set input whose largest root strays
-    from 1 by more than 1e-9, and by more than twice the shift
-    LEVEL_TOL/H'(1) that the level test's phase error allows, raises "root
-    certification failed".
+    from 1 by more than 1e-9 plus twice the shift |H(a) - theta|/H'(1)
+    that its measured phase error makes raises "root certification
+    failed".
     """
     arr = _check_positive(a)
     n = arr.size
@@ -305,14 +306,12 @@ def ray_roots(spec: PhaseSpec, a: Sequence) -> RayRootCertificate:
         raise RuntimeError("ray root iteration did not converge")
     roots = np.divide(-1.0, x, out=x, where=shift != 0.0)
 
-    on_level = abs(phase(arr) - spec.theta) <= LEVEL_TOL
-    # the phase error LEVEL_TOL that the level test allows moves the root 1
-    # by up to LEVEL_TOL/H'(1), H'(1) = sum_j a_j/(1 + a_j^2): the bound is
-    # 1e-9 or twice that shift, whichever is wider
-    miss = abs(roots[-1] - 1.0)
-    max_root_is_one = bool(on_level and (
-        miss <= 1e-9
-        or miss * float(np.sum(1.0 / (arr + 1.0 / arr))) <= 2.0 * LEVEL_TOL))
+    level_error = abs(phase(arr) - spec.theta)
+    on_level = level_error <= LEVEL_TOL
+    # a phase error e moves the root 1 by about e/H'(1), H'(1) = sum_j
+    # a_j/(1 + a_j^2): the bound is 1e-9 plus twice that shift
+    max_root_is_one = bool(on_level and abs(roots[-1] - 1.0) <= 1e-9 + (
+        2.0 * level_error / float(np.sum(1.0 / (arr + 1.0 / arr)))))
     if on_level and not max_root_is_one:
         raise ValueError("root certification failed")
     return RayRootCertificate(roots=roots, degree=len(roots),

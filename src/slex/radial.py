@@ -69,8 +69,7 @@ import numpy as np
 from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
 
-from .phasepoly import (LEVEL_TOL, PhaseSpec, phase_coeffs, ray_degree,
-                        ray_roots)
+from .phasepoly import PhaseSpec, phase, phase_coeffs, ray_degree, ray_roots
 from .weights import WeightProfile, weight_profile
 
 BETA_CAP = 1.0e6
@@ -288,11 +287,10 @@ class PartialFractions:
         or overshoots it by at most that tolerance (a cycle at rounding
         level; the step is clipped to the end, where bisection would crawl
         back from the far end); r = 1 gives beta - 1 exactly.  The terms'
-        rows are added in _log_b's order, so that each radius gets the
-        same bits alone as in any batch: over two or more radii by
-        np.add.reduce on axis 0, which adds row after row; for one radius
-        by a loop over the rows, because numpy sums a lone column pairwise
-        from 8 terms on.
+        rows are added in _log_b's order by np.add.reduce on axis 0, which
+        adds row after row over two or more radii, so that each radius
+        gets the same bits alone as in any batch; numpy sums a lone column
+        pairwise from 8 terms on, so one radius is solved as two copies.
         """
         rs = np.asarray(r, dtype=float)
         if not np.all(rs >= 1.0):
@@ -300,26 +298,20 @@ class PartialFractions:
         if self.beta == 1.0:
             return np.zeros_like(rs)
         flat = rs.ravel()
+        if flat.size == 1:
+            flat = np.repeat(flat, 2)
         u_hi = math.log(self.beta - 1.0)
         target = u_hi + self.log_b_beta - self.m * np.log(flat)
         roots = self.roots[:-1, None]
         mks = (self.m * self.weights[:-1])[:, None]
 
-        def rows_summed(rows):
-            if flat.size > 1:
-                # axis 0 of a C-ordered (terms x radii) array: each column
-                # summed row after row, the loop's order
-                return np.add.reduce(rows, axis=0)
-            total = np.zeros_like(target)
-            for row in rows:
-                total += row
-            return total
-
         def residual(u):
-            # F, e^u and the gaps nu - root_j (terms x radii)
+            # F, e^u and the gaps nu - root_j (terms x radii); axis 0 of
+            # the C-ordered rows is summed row after row
             e = np.exp(u)
             gap = (1.0 + e) - roots
-            return u + rows_summed(mks * np.log(gap)) - target, e, gap
+            return (u + np.add.reduce(mks * np.log(gap), axis=0) - target,
+                    e, gap)
 
         lo = np.minimum(target - self.log_b_one, u_hi - 1.0)
         for _ in range(_BRACKET_CAP):
@@ -336,7 +328,7 @@ class PartialFractions:
             if not active.any():
                 break
             f, e, gap = residual(u)
-            df = 1.0 + e * rows_summed(mks / gap)
+            df = 1.0 + e * np.add.reduce(mks / gap, axis=0)
             lo = np.where(f <= 0.0, u, lo)
             hi = np.where(f > 0.0, u, hi)
             # a slope that rounding made non-positive gives a NaN step; a
@@ -360,7 +352,7 @@ class PartialFractions:
             raise RuntimeError("implicit Newton iteration did not converge")
         out = np.exp(u)
         out[flat == 1.0] = self.beta - 1.0
-        return out.reshape(rs.shape)
+        return out[:rs.size].reshape(rs.shape)
 
     def excess_integral(self, r_lo: float, r_hi: float) -> float:
         """int_{r_lo}^{r_hi} tau (psi(tau, beta) - 1) dtau, 1 <= r_lo <= r_hi.
@@ -425,9 +417,9 @@ def partial_fractions(spec: PhaseSpec, a: Sequence, beta: float
     weights.decay_exponent and weights.classify make, so that 1 is the
     largest root; the poles are simple, one per phase target of
     phasepoly.ray_roots.  The residue at 1 is checked against 1/m to
-    1e-10, or to twice what the level test's phase error LEVEL_TOL allows
-    if that is wider (below), then beta by check_beta.  So every point
-    weights.classify admits passes.
+    1e-10 plus twice the shift that the input's measured phase error makes
+    (below), then beta by check_beta.  So every point weights.classify
+    admits passes.
 
     The denominators come in closed form, not from den's coefficients: den
     is the ray polynomial R(t) sin(H(t a) - theta), R(t) =
@@ -438,11 +430,10 @@ def partial_fractions(spec: PhaseSpec, a: Sequence, beta: float
     cannot overflow on the way.  On random level points this keeps the two
     profile routes within 1e-8 up to n = 56; den's derivative summed from
     its monomial coefficients loses that agreement past n = 32.  Off the
-    level set by |H(a) - theta| <= LEVEL_TOL, the largest root is
-    1 - delta with |delta| <= LEVEL_TOL/H'(1) (ray_roots allows twice
-    that), and den'(1) = R(1) (H'(1) cos(H - theta) + (R'/R)(1)
-    sin(H - theta)) moves the residue at 1 by about (R'/R)(1) delta/m,
-    where (R'/R)(1) = sum_j a_j^2/(1 + a_j^2) < n.
+    level set by e = |H(a) - theta| (at most LEVEL_TOL), the largest root
+    is 1 - delta with |delta| about e/H'(1), and den'(1) = R(1) (H'(1)
+    cos(H - theta) + (R'/R)(1) sin(H - theta)) moves the residue at 1 by
+    about (R'/R)(1) delta/m, where (R'/R)(1) = sum_j a_j^2/(1 + a_j^2) < n.
     """
     arr = np.sort(np.asarray(a, dtype=float))
     prof = weight_profile(spec, arr)
@@ -455,11 +446,11 @@ def partial_fractions(spec: PhaseSpec, a: Sequence, beta: float
     h_prime = (arr / (1.0 + ta2)).sum(axis=1)
     slopes = sign * np.exp(0.5 * np.log1p(ta2).sum(axis=1)) * h_prime
     weights = npoly.polyval(roots, num) / slopes
-    # off the level set by the allowed LEVEL_TOL, the closed form den'(1)
-    # is off by R'(1)/R(1) < n times the root's shift LEVEL_TOL/H'(1)
-    miss = abs(weights[-1] - 1.0 / prof.m)
-    if miss > 1e-10 and (miss * prof.m * float(h_prime[-1])
-                         > 2.0 * arr.size * LEVEL_TOL):
+    # off the level set by e, the closed form den'(1) is off by
+    # R'(1)/R(1) < n times the root's shift e/H'(1)
+    level_error = abs(phase(arr) - spec.theta)
+    if abs(weights[-1] - 1.0 / prof.m) > 1e-10 + (
+            2.0 * arr.size * level_error / (prof.m * float(h_prime[-1]))):
         raise ValueError("partial-fraction residue at 1 disagrees with 1/m")
     return PartialFractions(spec=spec, a=arr, roots=roots, weights=weights,
                             m=prof.m, num=tuple(num.tolist()),

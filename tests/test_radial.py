@@ -663,7 +663,7 @@ LEVEL_OFFSETS = st.one_of(
 def test_partial_fractions_accepts_what_classify_admits(kind, n, u, split,
                                                         offset):
     # the root and residue checks allow the shift of the root 1 that the
-    # level test's phase error LEVEL_TOL allows, so partial_fractions
+    # input's phase error (at most LEVEL_TOL) makes, so partial_fractions
     # fails exactly where classify says "outside"
     if kind == "random":
         theta = (n - 2) * math.pi / 2 + u * math.pi
@@ -706,6 +706,42 @@ def test_level_edge_points_solve(tmp_path):
         report = json.loads(path.read_text())
         assert report["admissibility"]["klass"] == "admissible"
         assert code == 0 and report["passed"] is True, a
+
+
+EDGE_SPEC = phasepoly.PhaseSpec(3, math.pi)
+# |H - theta| = 9e-11: the root 1 moves by 2.3e-8, since H'(1) is 0.004
+EDGE_A = np.array([0.002000002090002129, 1000.0, 1000.0])
+
+
+def test_root_check_scales_with_the_measured_phase_error(monkeypatch):
+    assert phasepoly.ray_roots(EDGE_SPEC, EDGE_A).max_root_is_one
+    # the same root with a phase error read as 0 is 2.3e-8 from 1, past
+    # the 1e-9 that an exact level point gets
+    monkeypatch.setattr(phasepoly, "phase", lambda lam: EDGE_SPEC.theta)
+    with pytest.raises(ValueError, match="root certification failed"):
+        phasepoly.ray_roots(EDGE_SPEC, EDGE_A)
+
+
+@pytest.mark.parametrize("a, scale", [
+    # an exact level point keeps the 1e-10 bound: a residue 1e-8/m off
+    # fails, though a bound from LEVEL_TOL alone would be 1.5e-7/m
+    (weights.complete_to_phase([1000.0, 1000.0], EDGE_SPEC), 1e-8),
+    # the edge point allows 1.4e-7/m for its phase error 9e-11, not 1e-6/m
+    (EDGE_A, 1e-6),
+])
+def test_residue_check_scales_with_the_measured_phase_error(monkeypatch, a,
+                                                            scale):
+    pf = radial.partial_fractions(EDGE_SPEC, a, 2.0)
+    assert abs(pf.weights[-1] * pf.m - 1.0) < scale / 10
+    slope_pair = radial._slope_pair
+
+    def off_by_scale(spec, prof):
+        num, den = slope_pair(spec, prof)
+        return num * (1.0 + scale), den
+
+    monkeypatch.setattr(radial, "_slope_pair", off_by_scale)
+    with pytest.raises(ValueError, match="residue at 1 disagrees"):
+        radial.partial_fractions(EDGE_SPEC, a, 2.0)
 
 
 def test_log_b_terms_and_slope_bit_identical():

@@ -1,6 +1,6 @@
 """Compare the reports of this checkout and another on one fixed corpus.
 
-    python tools/report_gate.py OTHER_CHECKOUT [--jobs J]
+    python tools/report_gate.py OTHER_CHECKOUT
 
 Every command of the corpus runs as a fresh `slex` process, once with
 PYTHONPATH=<this tree>/src and once with PYTHONPATH=OTHER_CHECKOUT/src,
@@ -36,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_SEED = 11
 WORKLOAD_OPS = 25
+JOBS = 2  # commands run at once
 TIMEOUT_S = 600
 RUN = "import sys; from slex.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -175,14 +176,10 @@ def main(argv=None) -> int:
         description="compare the reports of this checkout and another")
     parser.add_argument("other", type=Path,
                         help="root of the other checkout (its src/ is run)")
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="commands run at once (default 2)")
     args = parser.parse_args(argv)
     other = args.other.resolve()
     if not (other / "src" / "slex").is_dir():
         parser.error(f"{other} has no src/slex")
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     cases = corpus()
 
     def compare(case):
@@ -190,7 +187,7 @@ def main(argv=None) -> int:
         return run(ROOT, flags, cmd), run(other, flags, cmd)
 
     failed = 0
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
         for (name, _flags, cmd), (here, there) in zip(cases,
                                                       pool.map(compare,
                                                                cases)):
