@@ -38,7 +38,11 @@ homogeneous ones (sigma recurrences, pair exclusion differences, product
 decompositions) compare Python ints: each drawn vector is put on one
 integer scale, every kernel value of degree d multiplied by D**d with D
 the lcm of the vector's denominators, which leaves every verdict as it is
-and saves a gcd per Fraction operation.
+and saves a gcd per Fraction operation.  The rank-one suite builds its
+eigenvalue oracle's sigma row once per trial (symfun.elem_sym_all) and
+indexes it by k; each of its cases makes one sigma_rank_one call, as each
+newton_margins case makes one newton_check call and each
+product_decomposition case one product_decomposition call.
 """
 
 from __future__ import annotations
@@ -380,9 +384,11 @@ def _rank_one_cases(rng, trials: int):
         q = rng.standard_normal(n)
         s = float(rng.standard_normal())
         lam = np.linalg.eigvalsh(np.diag(p) + s * np.outer(q, q))
+        row = symfun.elem_sym_all(lam.tolist())
+        p_list, q_list = p.tolist(), q.tolist()
         for k in range(1, n + 1):
-            direct = symfun.sigma_rank_one(p.tolist(), q.tolist(), s, k)
-            oracle = symfun.elem_sym(lam.tolist(), k)
+            direct = symfun.sigma_rank_one(p_list, q_list, s, k)
+            oracle = row[k]
             margin = abs(direct - oracle) / max(1.0, abs(oracle))
             ok = not margin > 1e-10
             yield ok, None if ok else {"p": _floats(p), "q": _floats(q),
@@ -577,9 +583,13 @@ def _run_solve(args: argparse.Namespace) -> dict:
         if not math.isfinite(getattr(args, name)):
             raise ValueError(f"--{name} must be finite")
     gamma = args.gamma
+    grid_radius = 50.0 * gamma
+    if not math.isfinite(grid_radius):
+        raise ValueError("--gamma out of range: the grid radius 50*gamma "
+                         "overflows")
     r_max = args.rmax
     grid = subsol.ShellGrid(shells=args.grid, directions=96,
-                            r_max=50.0 * gamma)
+                            r_max=grid_radius)
     vec, n, theta = _resolve_vector(args)
     adm = weights.classify(phasepoly.PhaseSpec(n, theta), vec)
     base = {

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .symfun import elem_sym_all, gen_sym_table
+from .symfun import clear_denominators, elem_sym_all, gen_sym_table
 
 # |H(a) - theta| at or below this counts as membership in the level set.
 LEVEL_TOL = 1e-10
@@ -194,19 +195,39 @@ def ray_wronskian(lam: Sequence, mode: str = "product"):
     rational arithmetic, and the closed form makes positivity on the
     positive cone manifest.  For the all-ones vector the value is
     n * 2^(n-1).
+
+    Exact input that symfun.clear_denominators takes (lam_i = p_i / D)
+    finishes on the integer scale: both modes run on the numerators p_i,
+    with every term put on D**(2n) (product) or D**(2n-1) (closed form),
+    and build one Fraction at the end.  Fraction is canonical, so value
+    and type are those of the plain Fraction route.  Float and other input
+    run the same code with D = 1 and no final Fraction.
     """
+    if mode not in ("product", "closed_form"):
+        raise ValueError("mode must be 'product' or 'closed_form'")
+    cleared = clear_denominators(lam)
+    nums, d = (lam, 1) if cleared is None else cleared
+    n = len(lam)
+    up = [1]  # D**0 .. D**(2n)
+    for _ in range(2 * n):
+        up.append(up[-1] * d)
     if mode == "product":
-        sig = elem_sym_all(lam)
+        # sigma_k of the numerators carries D**k: times D**(n-k) puts X, Y,
+        # Xw and Yw on D**n
+        sig = [v * up[n - k] for k, v in enumerate(elem_sym_all(nums))]
         x, y = _parts(sig)
         xw, yw = _weighted_parts(sig)
-        return x * yw - y * xw
-    if mode == "closed_form":
-        table = gen_sym_table(lam)
+        total = x * yw - y * xw
+        scale = up[2 * n]
+    else:
+        # T[p+1][p] carries D**(2p+1): times D**(2(n-1-p)) puts the sum on
+        # D**(2n-1)
+        table = gen_sym_table(nums)
         total = 0
-        for p in range(len(lam)):
-            total = total + table[p + 1][p]
-        return total
-    raise ValueError("mode must be 'product' or 'closed_form'")
+        for p in range(n):
+            total = total + table[p + 1][p] * up[2 * (n - 1 - p)]
+        scale = up[2 * n - 1]
+    return total if cleared is None else Fraction(total, scale)
 
 
 def ray_degree(spec: PhaseSpec) -> int:

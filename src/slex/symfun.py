@@ -17,9 +17,13 @@ run their recurrence on the integer numerators p_i, and divide each
 entry by the power of D that matches its degree.  ``Fraction`` is
 canonical, so the returned values (and types: sigma_0 and T[0][0] stay the
 int 1, every other entry is a ``Fraction``) are exactly those of the plain
-``Fraction`` recurrence, for much less work.  Every other kernel
-here reaches the recurrence through ``elem_sym_all`` and inherits this
-path; float, numpy and all-int input keep the plain loop.
+``Fraction`` recurrence, for much less work.  ``newton_check`` (and
+``phasepoly.ray_wronskian``) go further and finish on the integer scale:
+they clear the denominators once, compute their results from the integer
+row, and build one ``Fraction`` per result.  ``elem_sym`` and the
+exclusion rows reach the recurrence through ``elem_sym_all`` and inherit
+its path.  Float, numpy and all-int input keep the plain loop, and take
+the same code with D = 1 and no final ``Fraction``.
 
 Exclusion indices are 1-based, matching the classical subscript notation
 for "sigma_k with the i-th variable removed".  ``elem_sym_excl_all`` returns
@@ -27,6 +31,9 @@ the whole row sigma_0 .. sigma_{n-|excl|} of the reduced vector in one
 recurrence pass; a caller that needs many k for the same exclusion set
 builds that row once and indexes it.  ``elem_sym_excl`` is the single-k
 view of the same row, with the zero convention outside it.
+``sigma_rank_one`` needs one entry, sigma_{k-1}, of n exclusion rows: it
+runs each recurrence inline, cut off at index k-1, on the cleared
+numerators of exact input, with one ``Fraction`` per entry.
 """
 
 from __future__ import annotations
@@ -141,13 +148,12 @@ def gen_sym_table(a: Sequence) -> list:
         for k in range(n, 0, -1):
             row = table[k]
             prev = table[k - 1]
-            for j in range(k, -1, -1):
-                acc = row[j]
-                if j <= k - 1:
-                    acc = acc + x * prev[j]
-                if j >= 1:
-                    acc = acc + x2 * prev[j - 1]
-                row[j] = acc
+            # T[k][j] += x T[k-1][j] + x^2 T[k-1][j-1], the first term
+            # absent at j = k and the second at j = 0
+            row[k] = row[k] + x2 * prev[k - 1]
+            for j in range(k - 1, 0, -1):
+                row[j] = row[j] + x * prev[j] + x2 * prev[j - 1]
+            row[0] = row[0] + x * prev[0]
     return table
 
 
@@ -171,7 +177,15 @@ def sigma_rank_one(p: Sequence, q: Sequence, s, k: int):
 
     The update is linear in s: sigma_k(p) plus s times the sum over i of
     sigma_{k-1}(p with entry i removed) * q_i^2.  No eigenvalue computation
-    is performed.
+    is performed.  Each sigma_{k-1}(p | i) comes from elem_sym_all's
+    recurrence cut off at index k-1, run inline on p without entry i: its
+    entries up to k-1 see the same operations in the same order as in the
+    full row of elem_sym_excl_all(p, (i+1,)), so a float result has the
+    bits of the sum over those rows.  Exact input that clear_denominators
+    takes (p_i = m_i / D) runs the recurrences on the integers m_i and
+    divides each sigma_{k-1} by D**(k-1), one Fraction per entry; the
+    result has the value and type of the sum over the Fraction rows.
+    Float and other input run the same code with D = 1 and no Fraction.
     """
     n = len(p)
     if len(q) != n:
@@ -179,9 +193,19 @@ def sigma_rank_one(p: Sequence, q: Sequence, s, k: int):
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
     base = elem_sym(p, k)
+    cleared = clear_denominators(p)
+    nums, d = (p, 1) if cleared is None else cleared
+    scale = d ** (k - 1)
+    down = range(k - 1, 0, -1)
     corr = 0
     for i in range(n):
-        corr = corr + elem_sym_excl_all(p, (i + 1,))[k - 1] * q[i] * q[i]
+        # sigma_0 .. sigma_{k-1} of p without entry i, times D**(k-1)
+        e = [1] + [0] * (k - 1)
+        for x in (*nums[:i], *nums[i + 1:]):
+            for j in down:
+                e[j] += x * e[j - 1]
+        term = e[k - 1] if cleared is None else Fraction(e[k - 1], scale)
+        corr = corr + term * q[i] * q[i]
     return base + s * corr
 
 
@@ -281,14 +305,21 @@ def newton_check(a: Sequence) -> NewtonReport:
     """Margins sigma_k^2 - sigma_{k-1} sigma_{k+1} for k = 1 .. n-1.
 
     Newton's inequality makes every margin nonnegative for real entries;
-    n = 1 passes vacuously.
+    n = 1 passes vacuously.  Exact input that clear_denominators takes
+    (a_i = p_i / D) finishes on the integer scale: margin k of the
+    numerators carries D**(2k), its sign decides the flag, and one Fraction
+    per margin gives the value and type of the plain Fraction route.
     """
     n = len(a)
-    sig = elem_sym_all(a)
+    cleared = clear_denominators(a)
+    nums, d = (a, 1) if cleared is None else cleared
+    sig = elem_sym_all(nums)
     margins = {}
     for k in range(1, n):
         margins[k] = sig[k] * sig[k] - sig[k - 1] * sig[k + 1]
     passed = all(v >= 0 for v in margins.values())
+    if cleared is not None:
+        margins = {k: Fraction(v, d ** (2 * k)) for k, v in margins.items()}
     return NewtonReport(margins=margins, passed=passed)
 
 

@@ -292,6 +292,35 @@ def test_scan_eps_one_exponent_call_per_row_in_row_order(tmp_path,
     assert results[:25] == [row["m_pipeline"] for row in rows]
 
 
+# verify suite -> the symfun kernel that each of its cases calls once
+VERIFY_CALL_PER_CASE = {"rank_one_vs_eigen": "sigma_rank_one",
+                        "newton_margins": "newton_check",
+                        "product_decomposition": "product_decomposition"}
+
+
+def test_verify_one_kernel_call_per_case(tmp_path, monkeypatch):
+    # the traced benchmark replay counts these calls against the cases, so
+    # a suite that batches its kernel calls fails here first
+    calls = dict.fromkeys(VERIFY_CALL_PER_CASE.values(), 0)
+
+    def counted(kernel, real):
+        def wrapper(*args, **kwargs):
+            calls[kernel] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for kernel in calls:
+        monkeypatch.setattr(cli.symfun, kernel,
+                            counted(kernel, getattr(cli.symfun, kernel)))
+    code, path = run(tmp_path, ["verify", "--grid", "12"])
+    assert code == 0
+    cases = {s["name"]: s["cases"]
+             for s in json.loads(path.read_text())["suites"]}
+    assert {suite: calls[kernel]
+            for suite, kernel in VERIFY_CALL_PER_CASE.items()} == \
+        {suite: cases[suite] for suite in VERIFY_CALL_PER_CASE}
+
+
 def test_solve_closed_case(tmp_path):
     code, path = run(tmp_path, ["solve", "--a", ISO3, "--n", "3",
                                 "--theta", "critical", "--beta", "2.0",
@@ -514,6 +543,19 @@ def test_solve_huge_gamma_exits_two(tmp_path, capsys):
                                  "--beta", beta])
         assert code == 2
         assert "invalid input: R too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", ["1e308", "-1e308"])
+def test_solve_gamma_overflowing_the_grid_radius_names_gamma(tmp_path, capsys,
+                                                             gamma):
+    # the grid radius 50*gamma overflows before any stage runs
+    code, path = run(tmp_path, ["solve", "--family", "iso", "--n", "3",
+                                "--theta", "critical", f"--gamma={gamma}"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "invalid input: --gamma out of range: the grid radius 50*gamma "
+        "overflows\n")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("gamma", ["0.5", "0.999"])

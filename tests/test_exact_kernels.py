@@ -189,3 +189,47 @@ def test_float_and_numpy_input_keep_the_plain_loop(a):
         same(phasepoly.ray_wronskian(vec, mode="product"), x * yw - y * xw)
     for i in range(1, len(a) + 1):
         same(symfun.elem_sym_excl_all(a, (i,)), plain_sigma(without(a, {i})))
+
+
+def rank_one_oracle(p, q, s, k):
+    # sigma_rank_one as one full exclusion row per entry
+    corr = 0
+    for i in range(len(p)):
+        corr = corr + (symfun.elem_sym_excl_all(p, (i + 1,))[k - 1]
+                       * q[i] * q[i])
+    return symfun.elem_sym(p, k) + s * corr
+
+
+def rank_one_inputs(vectors, entries):
+    # (p, q, s) with p drawn from vectors, 1 <= len(q) = len(p) <= 12
+    return vectors.filter(len).flatmap(
+        lambda p: st.tuples(st.just(p),
+                            st.lists(entries, min_size=len(p),
+                                     max_size=len(p)),
+                            entries))
+
+
+signed_floats = st.one_of(floats, st.sampled_from([0.0, -0.0, -1.0, -2.5]))
+
+
+@SETTINGS
+@given(rank_one_inputs(st.lists(signed_floats, max_size=12), signed_floats))
+def test_sigma_rank_one_float_bits_match_full_exclusion_rows(args):
+    p, q, s = args
+    for k in range(1, len(p) + 1):
+        same(symfun.sigma_rank_one(p, q, s, k), rank_one_oracle(p, q, s, k))
+        same(symfun.sigma_rank_one(np.array(p), np.array(q), s, k),
+             rank_one_oracle(np.array(p), np.array(q), s, k))
+
+
+@SETTINGS
+@given(rank_one_inputs(exact_vectors, entry))
+def test_sigma_rank_one_exact_matches_full_exclusion_rows(args):
+    # a leading Fraction takes the common-denominator path; float q and s
+    # on exact p must round as the full rows do
+    p, q, s = args
+    qf, sf = [float(x) for x in q], float(s)
+    for k in range(1, len(p) + 1):
+        same(symfun.sigma_rank_one(p, q, s, k), rank_one_oracle(p, q, s, k))
+        same(symfun.sigma_rank_one(p, qf, sf, k),
+             rank_one_oracle(p, qf, sf, k))

@@ -77,6 +77,8 @@ EDGE_CASES = [
                        "critical", "--rmax", "1e30", "--grid", "4")),
     ("gamma=1e300", (), ("solve", "--family", "iso", "--n", "3", "--theta",
                          "critical", "--gamma", "1e300", "--grid", "4")),
+    ("gamma=1e308", (), ("solve", "--family", "iso", "--n", "3", "--theta",
+                         "critical", "--gamma", "1e308")),
     ("eps:0.25", (), ("solve", "--family", "eps:0.25")),
     ("mixed signs", (), ("solve", "--a=-1,2,3", "--n", "3",
                          "--theta", "critical")),
