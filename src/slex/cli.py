@@ -30,19 +30,20 @@ reads, so argparse exits 2 on any other.
 Identical configuration and seed produce byte-identical output; all
 numbers are emitted in shortest round-trip decimal form.  JSON reports go
 through a small recursive writer (_json_text) whose output is byte for
-byte json.dumps(report, indent=2, sort_keys=True): with indent the stdlib
-takes its pure-Python encoder, which cost a quarter to a third of a large
-scan-eps.  Identity suites always run in exact rational arithmetic;
-verify --exact records that request explicitly in the report.  The
-homogeneous ones (sigma recurrences, pair exclusion differences, product
-decompositions) compare Python ints: each drawn vector is put on one
-integer scale, every kernel value of degree d multiplied by D**d with D
-the lcm of the vector's denominators, which leaves every verdict as it is
-and saves a gcd per Fraction operation.  The rank-one suite builds its
-eigenvalue oracle's sigma row once per trial (symfun.elem_sym_all) and
-indexes it by k; each of its cases makes one sigma_rank_one call, as each
-newton_margins case makes one newton_check call and each
-product_decomposition case one product_decomposition call.
+byte json.dumps(report, indent=2, sort_keys=True), the stdlib's
+pure-Python encoder with indent; a list of float-valued dicts of one key
+set (scan-eps rows) fills one repeated row template with a single %, a
+list of finite floats (a trajectory) is one join.  Identity suites always
+run in exact rational arithmetic; verify --exact records that request
+explicitly in the report.  The homogeneous ones (sigma recurrences, pair
+exclusion differences, product decompositions) compare Python ints: each
+drawn vector is put on one integer scale, every kernel value of degree d
+multiplied by D**d with D the lcm of the vector's denominators, which
+leaves every verdict as it is and saves a gcd per Fraction operation.
+The rank-one suite builds its eigenvalue oracle's sigma row once per
+trial (symfun.elem_sym_all) and indexes it by k; each case of it, of
+newton_margins and of product_decomposition makes one kernel call
+(sigma_rank_one, newton_check, product_decomposition).
 """
 
 from __future__ import annotations
@@ -53,10 +54,12 @@ import json
 # one-time import, kept out of each command's run time
 import locale  # noqa: F401
 import math
+import operator
 import os
 import sys
 import warnings
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -93,8 +96,9 @@ def _json_text(value) -> str:
     and floats (float subclasses such as np.float64 included) through
     int.__repr__ and float.__repr__, with NaN/Infinity/-Infinity for the
     non-finite floats as the stdlib writes them.  Anything else raises
-    TypeError.  A list or tuple whose items are all exact floats (a
-    trajectory) is written in one join; any other recurses item by item.
+    TypeError.  A list or tuple of finite exact floats is one join, one of
+    plain dicts with one str key set and finite exact float values (the
+    scan rows) fills one row template (_json_flat); any other recurses.
     """
     parts = []
     _json_parts(value, "\n", parts.append)
@@ -124,14 +128,8 @@ def _json_parts(o, nl: str, put) -> None:
             put("[]")
             return
         inner = nl + "  "
-        if set(map(type, o)) == {float}:
-            # a list of exact floats (a trajectory) in one join; no finite
-            # float's repr holds an "n", so only NaN and inf need spelling
-            sep = "," + inner
-            text = sep.join(map(float.__repr__, o))
-            if "n" in text:
-                text = sep.join(_NONFINITE.get(t, t)
-                                for t in map(float.__repr__, o))
+        text = _json_flat(o, inner)
+        if text is not None:
             put("[" + inner + text + nl + "]")
             return
         sep = "[" + inner
@@ -151,6 +149,34 @@ def _json_parts(o, nl: str, put) -> None:
     else:
         raise TypeError(f"Object of type {type(o).__name__} "
                         f"is not JSON serializable")
+
+
+def _json_flat(items, inner: str) -> Optional[str]:
+    """The items of a list as _json_parts writes them at indent inner, when
+    they are finite exact floats (a trajectory, joined) or plain dicts of
+    one set of two or more str keys with finite exact float values (scan
+    rows: keys sorted once, values taken in one itemgetter pass, one row
+    template repeated and filled by a single %); None otherwise."""
+    kinds = set(map(type, items))
+    values, row = items, None
+    if kinds == {dict}:
+        keys = items[0].keys()
+        if (len(keys) < 2 or not all(map(keys.__eq__, map(dict.keys, items)))
+                or not all(type(key) is str for key in keys)):
+            return None
+        names = sorted(keys)
+        values = list(chain.from_iterable(
+            map(operator.itemgetter(*names), items)))
+        kinds = set(map(type, values))
+        row = "{" + ",".join(f"{inner}  {_json_str(key).replace('%', '%%')}"
+                             ": %s" for key in names) + inner + "}"
+    # a non-finite value makes the sum non-finite; an overflow just recurses
+    if kinds != {float} or not math.isfinite(sum(values)):
+        return None
+    texts = map(float.__repr__, values)
+    if row is None:
+        return ("," + inner).join(texts)
+    return ("," + inner).join([row] * len(items)) % tuple(texts)
 
 
 # float.__repr__ spells the non-finite floats as Python literals; JSON text
@@ -471,30 +497,23 @@ def _closed_form_exponent(eps: float) -> float:
     return num / den
 
 
-def _family_exponent(spec: phasepoly.PhaseSpec, eps: float) -> float:
-    return weights.decay_exponent(spec, weights.epsilon_family(eps))
-
-
 def _run_scan(args: argparse.Namespace) -> dict:
     grid_n = args.grid
     if grid_n < 2:
         raise ValueError("scan grid needs at least 2 points")
     eps_grid = np.linspace(0.0, math.pi / 12, grid_n).tolist()
     spec = phasepoly.PhaseSpec(5, 5 * math.pi / 3)
-    rows = []
-    pipe = []
-    for eps in eps_grid:
-        mp = _family_exponent(spec, eps)
-        mc = _closed_form_exponent(eps)
-        pipe.append(mp)
-        rows.append((eps, mp, mc))
-    disc = max(abs(mp - mc) for _e, mp, mc in rows)
-    monotone = all(pipe[i] > pipe[i + 1] for i in range(len(pipe) - 1))
+    exponent, family = weights.decay_exponent, weights.epsilon_family
+    # one exponent per row, in row order, before the bisection's
+    pipe = [exponent(spec, family(eps)) for eps in eps_grid]
+    closed = [_closed_form_exponent(eps) for eps in eps_grid]
+    disc = max(map(abs, map(operator.sub, pipe, closed)))
+    monotone = all(map(operator.gt, pipe, pipe[1:]))
 
     lo, hi = 0.0, math.pi / 12
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _family_exponent(spec, mid) > 2.0:
+        if exponent(spec, family(mid)) > 2.0:
             lo = mid
         else:
             hi = mid
@@ -505,10 +524,10 @@ def _run_scan(args: argparse.Namespace) -> dict:
         "seed": args.seed,
         "grid": grid_n,
         "rows": [{"eps": e, "m_pipeline": mp, "m_closed_form": mc}
-                 for e, mp, mc in rows],
+                 for e, mp, mc in zip(eps_grid, pipe, closed)],
         "summary": {
-            "m_at_zero": rows[0][1],
-            "m_at_endpoint": rows[-1][1],
+            "m_at_zero": pipe[0],
+            "m_at_endpoint": pipe[-1],
             "max_discrepancy": disc,
             "monotone_decreasing": monotone,
             "crossing_low": lo,

@@ -37,17 +37,15 @@ classify, after its sign reflection, calls the data that fails it
 Data that passes is "admissible" when the exponent exceeds 2 (the tail
 integral converges) and "slow_decay" otherwise.
 
-Everything runs on one ascending list of Python floats.  One recurrence
-pass builds sigma(a); its state just before the last (largest) entry is
-sigma(a less max), the same operations as elem_sym_all on the shortened
-list and so the same bits; sigma(a less min) takes a second pass.  The
-exponent needs only the selected chain, each weight by weight_bounds' own
-expression, so its bits are the ones the full chains give.  Arrays appear
-only in the WeightProfile that weight_profile returns; it also carries the
-sigma row, so the radial module takes its slope-field pair and m from one
-profile.  Python floats overflow silently, so a sigma row outside
-(0, F/(2n^2)), F the largest float, is rejected with ValueError before any
-chain or exponent is formed.
+Everything runs on one ascending list of Python floats, through one
+routine (_chain) behind every exponent and chain.  It runs the three sigma
+recurrences in place, each value by elem_sym_all's operations in its
+order, and forms only the selected chain, so the bits are the ones the
+full rows and chains give.  Arrays appear only in the WeightProfile that
+weight_profile returns; it also carries the sigma row, so the radial
+module takes its slope-field pair and m from one profile.  A sigma row
+outside (0, F/(2n^2)), F the largest float, is rejected with ValueError
+before any chain or exponent is formed: Python floats overflow silently.
 """
 
 from __future__ import annotations
@@ -102,43 +100,66 @@ def direction_weight(a: Sequence, x: Sequence, k: int) -> float:
     return num / den
 
 
-def _sigma_rows(vals: list) -> tuple:
-    """(sigma(a), sigma(a | max), sigma(a | min)) of an ascending positive
-    list, each a row sigma_0..sigma_len.
+def _chain(c: Sequence, vals: list) -> tuple:
+    """(m, sigma, selected) of an ascending positive list under the level
+    coefficients c: selected_k is the upper weight where c_k > 0, else the
+    lower one, and m = sum k c_k sigma_k / sum selected_k c_k sigma_k.
 
-    sigma(a | max) is the state of sigma's own recurrence just before its
-    last entry, and sigma(a | min) has a pass of its own.  Raises
-    ValueError unless every sigma_k lies in (0, F/(2n^2)), F the largest
-    float: the exponent's sums add n terms of size up to n * sigma_k, so
-    this leaves none of them room to overflow.
+    sigma(a | max) runs over all but the largest entry, sigma(a) is one more
+    step of it, sigma(a | min) runs over all but the smallest.  A row grows
+    by one entry per step in place of adding x * 0 to a full-length row's
+    zeros, so every value sees elem_sym_all's operations in its order and
+    keeps its bits.  Raises ValueError, before sigma(a | min), unless every
+    sigma_k lies in (0, F/(2n^2)), F the largest float: then none of the
+    sums' n terms, of size up to n * sigma_k, can overflow.
     """
     n = len(vals)
-    less_max = elem_sym_all(vals[:-1])
-    sig = less_max + [0]
-    x = vals[-1]
-    for j in range(n, 0, -1):
-        sig[j] += x * sig[j - 1]
+    lo, hi = vals[0], vals[-1]
+    sig = [1, lo]
+    for x in vals[1:-1]:
+        sig.append(x * sig[-1])
+        for j in range(len(sig) - 2, 0, -1):
+            sig[j] += x * sig[j - 1]
+    less_max = sig[:]
+    if n > 1:  # a 1-vector's row is [1, lo] already
+        sig.append(hi * sig[-1])
+        for j in range(n - 1, 0, -1):
+            sig[j] += hi * sig[j - 1]
     top = _FLOAT_MAX / (2 * n * n)
     for s in sig:
         if not 0.0 < s < top:
-            raise ValueError("sigma row of the vector leaves the float "
-                             "range")
-    return sig, less_max, elem_sym_all(vals[1:])
+            raise ValueError("sigma row of the vector leaves the float range")
+    less_min = [1, *vals[1:2]]
+    for x in vals[2:]:
+        less_min.append(x * less_min[-1])
+        for j in range(len(less_min) - 2, 0, -1):
+            less_min[j] += x * less_min[j - 1]
+    selected, num, den = [0.0], [], []
+    for k in range(1, n):
+        ck, sk = c[k], sig[k]
+        w = (hi * less_max[k - 1] if ck > 0 else lo * less_min[k - 1]) / sk
+        selected.append(w)
+        num.append(k * ck * sk)
+        den.append(w * ck * sk)
+    selected.append(1.0)
+    num.append(n * c[n] * sig[n])
+    den.append(1.0 * c[n] * sig[n])
+    return math.fsum(num) / math.fsum(den), sig, selected
 
 
 def weight_bounds(a: Sequence, k: int) -> tuple:
     """(lower, upper) extremes of the k-th weight over all directions.
 
-    k = 0 and k = n are structural: (0, 0) and (1, 1) exactly.
+    k = 0 and k = n are structural: (0, 0) and (1, 1) exactly.  Each chain
+    is the selection under c_k of one sign throughout.
     """
     vals = _ascending_positive(a)
     n = len(vals)
     if not (0 <= k <= n):
         raise ValueError("need 0 <= k <= n")
-    sig, less_max, less_min = _sigma_rows(vals)
+    lower = _chain((-1.0,) * (n + 1), vals)[2]
     if 0 < k < n:
-        return (vals[0] * less_min[k - 1] / sig[k],
-                vals[-1] * less_max[k - 1] / sig[k])
+        return lower[k], _chain((1.0,) * (n + 1), vals)[2][k]
     return (0.0, 0.0) if k == 0 else (1.0, 1.0)
 
 
@@ -150,30 +171,6 @@ def _level_point(spec: PhaseSpec, a: Sequence) -> list:
     if abs(phase(vals) - spec.theta) > LEVEL_TOL:
         raise ValueError("a not on the phase level set")
     return vals
-
-
-def _selected(spec: PhaseSpec, vals: list) -> tuple:
-    """(c, sigma, selected) of an ascending positive list: selected_k,
-    k = 0..n, is weight_bounds' upper value where c_k(theta) > 0, else its
-    lower one (the choice is value-irrelevant where c_k = 0)."""
-    sig, less_max, less_min = _sigma_rows(vals)
-    c = phase_coeffs(spec)
-    lo = vals[0]
-    hi = vals[-1]
-    selected = [0.0] + [hi * less_max[k - 1] / sig[k] if c[k] > 0
-                        else lo * less_min[k - 1] / sig[k]
-                        for k in range(1, len(vals))] + [1.0]
-    return c, sig, selected
-
-
-def _exponent(c: tuple, sig: list, selected: list) -> float:
-    # sum_k k c_k sigma_k / sum_k selected_k c_k sigma_k over k = 1..n
-    num = []
-    den = []
-    for k in range(1, len(sig)):
-        num.append(k * c[k] * sig[k])
-        den.append(selected[k] * c[k] * sig[k])
-    return math.fsum(num) / math.fsum(den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,9 +188,8 @@ class WeightProfile:
 
 def weight_profile(spec: PhaseSpec, a: Sequence) -> WeightProfile:
     """The selected chain, m and sigma; checks and m are decay_exponent's."""
-    c, sig, selected = _selected(spec, _level_point(spec, a))
-    return WeightProfile(selected=np.array(selected),
-                         m=_exponent(c, sig, selected), sigma=tuple(sig))
+    m, sig, selected = _chain(phase_coeffs(spec), _level_point(spec, a))
+    return WeightProfile(selected=np.array(selected), m=m, sigma=tuple(sig))
 
 
 def decay_exponent(spec: PhaseSpec, a: Sequence) -> float:
@@ -201,7 +197,7 @@ def decay_exponent(spec: PhaseSpec, a: Sequence) -> float:
 
     Raises ValueError unless (spec, a) passes the one check (_level_point).
     """
-    return _exponent(*_selected(spec, _level_point(spec, a)))
+    return _chain(phase_coeffs(spec), _level_point(spec, a))[0]
 
 
 @dataclass(frozen=True)
@@ -250,7 +246,7 @@ def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
         vals = _level_point(work_spec, work)
     except ValueError:
         return Admissibility(klass="outside", m=None, reflected=reflected)
-    m = _exponent(*_selected(work_spec, vals))
+    m = _chain(phase_coeffs(work_spec), vals)[0]
     klass = "admissible" if m > 2.0 else "slow_decay"
     return Admissibility(klass=klass, m=m, near_boundary=abs(m - 2.0) <= 1e-12,
                          reflected=reflected, spec=work_spec, a=work)

@@ -97,8 +97,8 @@ def test_writer_rejects_what_the_stdlib_rejects(value):
             cli._json_text(tree)
 
 
-# A list or tuple of exact floats takes one join instead of the recursive
-# path; every other list still recurses.
+# A list or tuple of finite exact floats fills one template instead of the
+# recursive path; one holding NaN or inf, and every other list, recurses.
 FLOAT_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e22,
                1e16, 123456789.125, 2.0 ** -1074 * 3]
@@ -150,4 +150,141 @@ def test_writer_whole_solve_report():
          "--grid", "8"])
     report = args.run(args)
     assert len(report["trajectory"]["psi_numeric"]) == 241
+    assert cli._json_text(report) == dumps(report)
+
+
+# A list or tuple of plain dicts with one set of two or more str keys and
+# finite exact float values (the scan rows) fills one row template; every
+# other list of dicts recurses.  The trees below are drawn around that line.
+
+class Flo(float):
+    pass
+
+
+ROW_KEYS = st.text(st.sampled_from(['%', 's', '"', '\\', 'a', 'n', 'é',
+                                    '日', '\x00', '\U0001f600']),
+                   max_size=4) | st.text(max_size=6)
+ROW_FLOATS = st.floats() | st.sampled_from(FLOAT_EDGES)
+ROW_VALUES = (ROW_FLOATS | ROW_FLOATS.map(np.float64) | ROW_FLOATS.map(Flo)
+              | scalars)
+
+
+@st.composite
+def row_lists(draw, values=ROW_FLOATS):
+    """A list or tuple of dicts on one key set, each dict filled in its own
+    key order."""
+    keys = draw(st.lists(ROW_KEYS, max_size=5, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        order = draw(st.permutations(keys))
+        rows.append({key: draw(values) for key in order})
+    return tuple(rows) if draw(st.booleans()) else rows
+
+
+def nest(value):
+    return [value, {"rows": value}, {"a": {"b": {"c": value}}},
+            [[[value]]], {"z": [value, ()], "a": (value,)}]
+
+
+@SETTINGS
+@given(row_lists())
+def test_writer_row_lists_equal_json_dumps(rows):
+    for tree in nest(rows):
+        assert cli._json_text(tree) == dumps(tree)
+
+
+@SETTINGS
+@given(row_lists(ROW_VALUES))
+def test_writer_row_lists_of_any_values_equal_json_dumps(rows):
+    for tree in nest(rows):
+        assert cli._json_text(tree) == dumps(tree)
+
+
+@SETTINGS
+@given(row_lists(), st.data())
+def test_writer_row_lists_of_other_shapes_equal_json_dumps(rows, data):
+    rows = list(rows)
+    i = data.draw(st.integers(0, len(rows) - 1))
+    shape = data.draw(st.sampled_from(
+        ["extra key", "missing key", "non-dict", "empty dict", "dict pair"]))
+    if shape == "extra key":
+        rows[i] = {**rows[i], data.draw(ROW_KEYS): 0.5}
+    elif shape == "missing key" and rows[i]:
+        rows[i] = dict(list(rows[i].items())[1:])
+    elif shape == "non-dict":
+        rows.insert(i, data.draw(scalars | st.just([0.5]) | st.just(())))
+    elif shape == "empty dict":
+        rows.insert(i, {})
+    else:
+        rows[i] = {"x": {**rows[i]}, "y": [rows[i]]}
+    for seq in (rows, tuple(rows)):
+        for tree in nest(seq):
+            assert cli._json_text(tree) == dumps(tree)
+
+
+ROWS = [{"eps": 0.0, "m_pipeline": 5.0, "m_closed_form": 4.999999999999999},
+        {"m_closed_form": 0.1, "eps": 5e-324, "m_pipeline": -0.0}]
+
+
+@pytest.mark.parametrize("bad", [
+    math.nan, math.inf, -math.inf, np.float64(0.5), Flo(0.5), 1, True, None,
+    "0.5", [0.5], {"k": 0.5}, 1.7976931348623157e308,
+])
+def test_writer_rows_with_one_other_value_take_the_recursive_path(bad):
+    for i in range(len(ROWS)):
+        rows = [dict(row) for row in ROWS]
+        rows[i]["eps"] = bad
+        if type(bad) is not float or math.isfinite(bad * 2):
+            assert cli._json_flat(rows, "\n  ") is None
+        for seq in (rows, tuple(rows)):
+            for tree in nest(seq):
+                assert cli._json_text(tree) == dumps(tree)
+
+
+@pytest.mark.parametrize("rows", [
+    ROWS, ROWS[:1], tuple(ROWS), ROWS * 40,
+    [{"%": 0.5, "%s": 1.5}, {"%s": 2.5, "%": 3.5}],
+    [{'"': 0.5, "\\": 1.5, "é": 2.5, "日本": 3.5, "\U0001f600": -0.0}],
+    [{"a%%d": 1e22, "%(b)s": 1e16}] * 3,
+])
+def test_writer_rows_fill_one_template(rows):
+    assert cli._json_flat(rows, "\n  ") is not None
+    for tree in nest(rows):
+        assert cli._json_text(tree) == dumps(tree)
+
+
+@pytest.mark.parametrize("rows", [
+    [{}], [{}, {}], [{"a": 0.5}], [{"a": 0.5}, {"a": 1.5}],
+    [{"a": 0.5, "b": 1.5}, {"a": 0.5}], [{"a": 0.5}, {"a": 0.5, "b": 1.5}],
+    [{"a": 0.5, "b": 1.5}, {"a": 0.5, "c": 1.5}],
+    [{"a": 0.5, "b": 1.5}, 0.5], [{"a": 0.5, "b": 1.5}, None],
+    [{"a": 0.5, "b": 1.5}, {}],
+])
+def test_writer_ragged_or_small_rows_take_the_recursive_path(rows):
+    assert cli._json_flat(rows, "\n  ") is None
+    for tree in nest(rows):
+        assert cli._json_text(tree) == dumps(tree)
+
+
+@pytest.mark.parametrize("rows", [
+    [{"a": 0.5, "b": object()}, {"a": 0.5, "b": 1.5}],
+    [{"a": 0.5, "b": 1.5}, {"a": {1, 2}, "b": 1.5}],
+    [{"a": 0.5, "b": 1.5}, {"a": 0.5, "b": 1 + 2j}],
+    [{"a": 0.5, ("b",): 1.5}, {"a": 0.5, ("b",): 1.5}],
+    [{"a": 0.5, "b": 1.5}, {"a": 0.5, "b": np.int64(1)}],
+])
+def test_writer_rows_raise_where_the_stdlib_raises(rows):
+    for tree in nest(rows):
+        with pytest.raises(TypeError):
+            dumps(tree)
+        with pytest.raises(TypeError):
+            cli._json_text(tree)
+
+
+def test_writer_whole_scan_report():
+    args = cli.build_parser().parse_args(
+        ["scan-eps", "--grid", "97", "--format", "json"])
+    report = args.run(args)
+    assert len(report["rows"]) == 97
+    assert cli._json_flat(report["rows"], "\n    ") is not None
     assert cli._json_text(report) == dumps(report)

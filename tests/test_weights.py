@@ -604,6 +604,54 @@ def test_float_path_bit_identical_on_random_level_points():
                     "a not on the phase level set"
 
 
+def assert_all_entry_points_bits(spec, a):
+    """decay_exponent, classify(...).m and weight_profile against the numpy
+    formula, bit for bit."""
+    m = numpy_decay_exponent(spec, a)
+    assert bits(weights.decay_exponent(spec, a)) == bits(m), spec
+    adm = weights.classify(spec, a)
+    assert adm.klass in ("admissible", "slow_decay")
+    assert bits(adm.m) == bits(m), spec
+    assert_profile_bits(spec, a)
+
+
+@pytest.mark.parametrize("n", range(13, 65))
+def test_float_path_bit_identical_on_iso_points_past_twelve(n):
+    for theta in ((n - 2) * math.pi / 2, (n - 1) * math.pi / 2):
+        spec = phasepoly.PhaseSpec(n, theta)
+        a = weights.iso_point(spec)
+        assert spec.classification in ("critical", "supercritical")
+        for form in (a, a.tolist()):
+            assert_all_entry_points_bits(spec, form)
+
+
+def test_float_path_bit_identical_on_random_level_points_past_twelve():
+    rng = np.random.default_rng(2025)
+    for n in range(13, 33):
+        for spec, a in level_points(rng, n, 4):
+            assert_all_entry_points_bits(spec, a)
+            for k in range(n + 1):
+                assert bits(weights.weight_bounds(a, k)) == \
+                    bits(numpy_weight_bounds(a, k)), (n, k)
+            for fn in (weights.weight_profile, numpy_weight_profile):
+                assert message(fn, spec, 1.01 * a) == \
+                    "a not on the phase level set"
+
+
+def test_float_path_bit_identical_on_the_bisection_midpoints():
+    # the 60 midpoints scan-eps bisects, each steered by the numpy formula
+    lo, hi = 0.0, math.pi / 12
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        a = weights.epsilon_family(mid)
+        assert_all_entry_points_bits(SPEC5, a)
+        if numpy_decay_exponent(SPEC5, a) > 2.0:
+            lo = mid
+        else:
+            hi = mid
+    assert 0.206 <= lo and hi <= 0.208
+
+
 def message(fn, *args):
     with pytest.raises(ValueError) as info:
         fn(*args)

@@ -42,6 +42,7 @@ RUN = "import sys; from slex.cli import main; sys.exit(main(sys.argv[1:]))"
 
 _PI = repr(math.pi)
 # (name, interpreter flags, argv): edge inputs and error paths of `solve`
+# and `scan-eps`
 EDGE_CASES = [
     ("verify default", (), ("verify",)),
     ("iso critical n=5", (), ("solve", "--family", "iso", "--n", "5",
@@ -106,6 +107,11 @@ EDGE_CASES = [
                                "--n", "3", "--theta", _PI, "--grid", "4")),
     ("off level b=100", (), ("solve", "--a", "100,100,0.02", "--n", "3",
                              "--theta", _PI, "--grid", "4")),
+    # the smallest scans in both formats, and the one grid below them
+    ("scan-eps grid=2 json", (), ("scan-eps", "--grid", "2", "--format",
+                                  "json")),
+    ("scan-eps grid=3 csv", (), ("scan-eps", "--grid", "3")),
+    ("scan-eps grid=1", (), ("scan-eps", "--grid", "1")),
 ]
 
 
