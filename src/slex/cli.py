@@ -360,7 +360,7 @@ def _product_cases(vectors: list, scaled: list):
 
 
 def _combinatorial_cases():
-    # signed odd binomial sum and all-ones gen_sym counts, exact
+    # signed odd binomial sum and all-ones gen_sym_table counts, exact
     for q in range(0, 21):
         ok = symfun.signed_odd_binomial_sum(q) == (1 if q == 0 else 0)
         yield ok, None if ok else {"Q": q}
@@ -607,8 +607,7 @@ def _run_solve(args: argparse.Namespace) -> dict:
         raise ValueError("--gamma out of range: the grid radius 50*gamma "
                          "overflows")
     r_max = args.rmax
-    grid = subsol.ShellGrid(shells=args.grid, directions=96,
-                            r_max=grid_radius)
+    grid = subsol.ShellGrid(shells=args.grid, r_max=grid_radius)
     vec, n, theta = _resolve_vector(args)
     adm = weights.classify(phasepoly.PhaseSpec(n, theta), vec)
     base = {

@@ -13,15 +13,14 @@ X(t*lam), Y(t*lam) at t = 1.
 
 For a phase target theta the level combination is
 
-    level_value = cos(theta)*Y - sin(theta)*X = sum_k c_k(theta) sigma_k,
+    cos(theta)*Y - sin(theta)*X = sum_k c_k(theta) sigma_k
+                                = |prod_i (1 + i*lam_i)| sin(H(lam) - theta),
 
-with c_{2j} = (-1)^(j+1) sin(theta) and c_{2j+1} = (-1)^j cos(theta).  It
-vanishes exactly on the level set {H = theta}.  Restricted to a ray t*a with
-a positive, the combination is a polynomial in t of degree N: N = n-1 at the
-critical angle (n-2)*pi/2 (where the leading coefficient vanishes
-structurally) and N = n for supercritical angles below n*pi/2.  As H(t*a)
-increases strictly in t, its roots are the solutions of H(t*a) = theta -
-k*pi, k = 0..N-1, real and simple by construction (ray_roots).
+with the coefficients c_k of PhaseSpec.coeffs.  It vanishes exactly on the
+level set {H = theta}.  Restricted to a ray t*a with a positive, the
+combination is a polynomial in t of degree N (PhaseSpec.ray_degree).  As
+H(t*a) increases strictly in t, its roots are the solutions of H(t*a) =
+theta - k*pi, k = 0..N-1, real and simple by construction (ray_roots).
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .symfun import clear_denominators, elem_sym_all, gen_sym_table
 
@@ -90,7 +88,13 @@ class PhaseSpec:
 
     @cached_property
     def ray_degree(self) -> int:
-        """The degree N of the ray polynomial; see ray_degree."""
+        """Degree N of t -> sum_k c_k sigma_k(t*a) for positive a.
+
+        N = n-1 at the (positive) critical angle, where the leading
+        coefficient vanishes structurally, and N = n in the supercritical
+        band up to n*pi/2.  Angles below critical (or negative) are
+        rejected.
+        """
         if self.theta > 0 and self.is_critical:
             return self.n - 1
         if self.theta > self.critical_angle:
@@ -99,7 +103,15 @@ class PhaseSpec:
 
     @cached_property
     def coeffs(self) -> tuple:
-        """The level coefficients c_0..c_n; see phase_coeffs."""
+        """Coefficients c_0..c_n with sum_k c_k sigma_k = cos(theta)Y -
+        sin(theta)X.
+
+        c_{2j} = (-1)^(j+1) sin(theta), c_{2j+1} = (-1)^j cos(theta).  At
+        a critical angle the vanishing trig factor is snapped to exactly 0
+        (and its partner to +-1), keyed off the criticality flag rather
+        than a float comparison, so the leading coefficient of the ray
+        polynomial vanishes exactly there.
+        """
         s = math.sin(self.theta)
         c = math.cos(self.theta)
         if self.is_critical:
@@ -160,41 +172,15 @@ def _weighted_parts(sig: list):
     return xw, yw
 
 
-def phase_coeffs(spec: PhaseSpec) -> tuple:
-    """Coefficients c_0..c_n with sum_k c_k sigma_k = cos(theta)Y - sin(theta)X.
-
-    c_{2j} = (-1)^(j+1) sin(theta), c_{2j+1} = (-1)^j cos(theta).  At a
-    critical angle the vanishing trig factor is snapped to exactly 0 (and
-    its partner to +-1), keyed off the criticality flag rather than a float
-    comparison, so the leading coefficient of the ray polynomial vanishes
-    exactly there.  Computed once per PhaseSpec (PhaseSpec.coeffs).
-    """
-    return spec.coeffs
-
-
-def level_value(spec: PhaseSpec, lam: Sequence) -> float:
-    """sum_k c_k(theta) sigma_k(lam); zero exactly when H(lam) = theta."""
-    sig = elem_sym_all(lam)
-    c = phase_coeffs(spec)
-    return math.fsum(float(c[k] * sig[k]) for k in range(spec.n + 1))
-
-
-def level_value_weighted(spec: PhaseSpec, lam: Sequence) -> float:
-    """sum_k k c_k(theta) sigma_k(lam), the ray derivative of level_value."""
-    sig = elem_sym_all(lam)
-    c = phase_coeffs(spec)
-    return math.fsum(float(k * c[k] * sig[k]) for k in range(1, spec.n + 1))
-
-
 def ray_wronskian(lam: Sequence, mode: str = "product"):
     """X*Yw - Y*Xw, the Wronskian of (X(t*lam), Y(t*lam)) at t = 1.
 
     mode="product" multiplies the alternating parts directly;
     mode="closed_form" evaluates the equivalent all-positive expansion
-    sum_{p=0}^{n-1} gen_sym(lam, p+1, p).  The two agree exactly in
-    rational arithmetic, and the closed form makes positivity on the
-    positive cone manifest.  For the all-ones vector the value is
-    n * 2^(n-1).
+    sum_{p=0}^{n-1} T[p+1][p], T = symfun.gen_sym_table(lam).  The two
+    agree exactly in rational arithmetic, and the closed form makes
+    positivity on the positive cone manifest.  For the all-ones vector the
+    value is n * 2^(n-1).
 
     Exact input that symfun.clear_denominators takes (lam_i = p_i / D)
     finishes on the integer scale: both modes run on the numerators p_i,
@@ -230,15 +216,6 @@ def ray_wronskian(lam: Sequence, mode: str = "product"):
     return total if cleared is None else Fraction(total, scale)
 
 
-def ray_degree(spec: PhaseSpec) -> int:
-    """Degree N of t -> level_value(spec, t*a) for positive a.
-
-    N = n-1 at the (positive) critical angle, N = n in the supercritical
-    band up to n*pi/2.  Angles below critical (or negative) are rejected.
-    """
-    return spec.ray_degree
-
-
 def _check_positive(a) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 1 or arr.size == 0 or not np.all(arr > 0):
@@ -246,32 +223,16 @@ def _check_positive(a) -> np.ndarray:
     return arr
 
 
-def ray_poly(spec: PhaseSpec, a: Sequence) -> np.ndarray:
-    """Ascending coefficients of t -> level_value(spec, t*a), degree N.
-
-    Coefficient k is c_k(theta) * sigma_k(a); in the critical case the
-    structurally zero leading coefficient is trimmed so the returned array
-    always has length N + 1.
-    """
-    arr = _check_positive(a)
-    deg = ray_degree(spec)
-    sig = elem_sym_all(arr.tolist())
-    c = phase_coeffs(spec)
-    coeffs = np.array([c[k] * sig[k] for k in range(spec.n + 1)], dtype=float)
-    return coeffs[:deg + 1]
-
-
 @dataclass(frozen=True, eq=False)
 class RayRootCertificate:
-    """The real simple roots of the ray polynomial, sorted ascending.
+    """The N real simple roots of the ray polynomial, sorted ascending.
 
-    degree is N; simplicity_margin is the smallest gap between consecutive
-    roots; max_root_is_one records that the input lies on the level set and
-    the largest root equals 1 within 1e-9 plus the shift its phase error
-    makes (see ray_roots).
+    simplicity_margin is the smallest gap between consecutive roots;
+    max_root_is_one records that the input lies on the level set and the
+    largest root equals 1 within 1e-9 plus the shift its phase error makes
+    (see ray_roots).
     """
     roots: np.ndarray
-    degree: int
     max_root_is_one: bool
     simplicity_margin: float
 
@@ -279,11 +240,12 @@ class RayRootCertificate:
 def ray_roots(spec: PhaseSpec, a: Sequence) -> RayRootCertificate:
     """All N roots of the ray polynomial, real and simple by construction.
 
-    level_value(t*a) = |prod_j (1 + i t a_j)| sin(H(t*a) - theta) with H(t*a)
-    = sum_j arctan(t a_j) strictly increasing, so root k solves H(t*a) =
-    phi_k = theta - k*pi, k = 0..N-1.  Where |phi_k| > n*pi/4 H saturates,
-    and x = -1/t is solved for from sum_j arctan(x/a_j) = phi_k -+ n*pi/2
-    (pi/2 in two parts keeps that small target accurate).  The root of
+    The level combination at t*a is |prod_j (1 + i t a_j)| sin(H(t*a) -
+    theta) with H(t*a) = sum_j arctan(t a_j) strictly increasing, so root
+    k solves H(t*a) = phi_k = theta - k*pi, k = 0..N-1.  Where |phi_k| >
+    n*pi/4 H saturates, and x = -1/t is solved for from sum_j arctan(x/a_j)
+    = phi_k -+ n*pi/2 (pi/2 in two parts keeps that small target
+    accurate).  The root of
     sum_j arctan(x b_j) = psi lies between tan(psi/n)/max b and
     tan(psi/n)/min b; Newton's method runs from the end nearer 0, where the
     sum's convexity makes it monotone, bisects when a step would leave the
@@ -300,7 +262,7 @@ def ray_roots(spec: PhaseSpec, a: Sequence) -> RayRootCertificate:
     # phi_k = theta0 - j*pi/2; a critical angle counts as exactly
     # (n-2)*pi/2, the angle of its snapped coefficients
     theta0, j0 = (0.0, n - 2) if spec.is_critical else (spec.theta, 0)
-    j = 2.0 * np.arange(ray_degree(spec) - 1, -1, -1) - j0
+    j = 2.0 * np.arange(spec.ray_degree - 1, -1, -1) - j0
     phi = theta0 - j * (math.pi / 2)
     shift = np.where(np.abs(phi) > n * math.pi / 4, n * np.sign(phi), 0.0)
     psi = (theta0 - (j + shift) * _HALF_PI_HI) - (j + shift) * _HALF_PI_LO
@@ -335,26 +297,6 @@ def ray_roots(spec: PhaseSpec, a: Sequence) -> RayRootCertificate:
         2.0 * level_error / float(np.sum(1.0 / (arr + 1.0 / arr)))))
     if on_level and not max_root_is_one:
         raise ValueError("root certification failed")
-    return RayRootCertificate(roots=roots, degree=len(roots),
-                              max_root_is_one=max_root_is_one,
+    return RayRootCertificate(roots=roots, max_root_is_one=max_root_is_one,
                               simplicity_margin=float(np.min(np.diff(roots))))
 
-
-def ray_derivative(spec: PhaseSpec, a: Sequence, t: float,
-                   order: int = 0) -> float:
-    """d^order/dt^order of the ray polynomial at t, for a on the level set.
-
-    Requires |H(a) - theta| <= LEVEL_TOL, t >= 1 and 0 <= order <= N.  On
-    that domain the value is positive for every order >= 1, and for
-    order = 0 it is zero at t = 1 and positive beyond.
-    """
-    arr = _check_positive(a)
-    coeffs = ray_poly(spec, arr)
-    deg = len(coeffs) - 1
-    if abs(phase(arr) - spec.theta) > LEVEL_TOL:
-        raise ValueError("a not on the phase level set")
-    if t < 1.0:
-        raise ValueError("t must be at least 1")
-    if not (0 <= order <= deg):
-        raise ValueError("derivative order out of range")
-    return float(npoly.polyval(t, npoly.polyder(coeffs, order) if order else coeffs))

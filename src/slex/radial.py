@@ -44,7 +44,7 @@ with the two constants log B(beta) and log B(1).  The pair and m come from
 that one profile, whose sigma row also gives den.  The returned
 PartialFractions is the only input of both profile routes, the tail
 integrals and the subsol module, none of which takes beta; it also
-evaluates g and g'.  Polynomials in the numeric route are evaluated by
+evaluates g.  Polynomials in the numeric route are evaluated by
 Horner's rule on Python floats, in numpy's polyval order, so every value
 is bit-identical to the array evaluation.
 
@@ -69,7 +69,7 @@ import numpy as np
 from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
 
-from .phasepoly import PhaseSpec, phase, phase_coeffs, ray_degree, ray_roots
+from .phasepoly import PhaseSpec, phase, ray_roots
 from .weights import WeightProfile, weight_profile
 
 BETA_CAP = 1.0e6
@@ -114,10 +114,10 @@ def check_beta(beta: float) -> float:
 def _slope_pair(spec: PhaseSpec, prof: WeightProfile):
     """(num, den) from a weight profile's sigma row and selected chain.
 
-    den holds ray_poly's coefficients c_k sigma_k, k = 0..N.
+    den holds the ray polynomial's coefficients c_k sigma_k, k = 0..N.
     """
-    deg = ray_degree(spec)
-    c = phase_coeffs(spec)
+    deg = spec.ray_degree
+    c = spec.coeffs
     sig = prof.sigma
     sel = prof.selected
     den = np.array([c[k] * sig[k] for k in range(deg + 1)])
@@ -261,14 +261,6 @@ class PartialFractions:
         which is rejected.
         """
         return -_horner(self.den, nu) / self._num_at(nu)
-
-    def slope_deriv(self, nu: float) -> float:
-        """g'(nu): -m at nu = 1, tending to -1/selected_N as nu grows."""
-        w = self._num_at(nu)
-        z = _horner(self.den, nu)
-        dw = float(npoly.polyval(nu, npoly.polyder(self.num)))
-        dz = float(npoly.polyval(nu, npoly.polyder(self.den)))
-        return -(dz * w - z * dw) / (w * w)
 
     def excess_at(self, r) -> np.ndarray:
         """psi(r, beta) - 1 at every radius of r (all >= 1), same shape.

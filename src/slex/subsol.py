@@ -21,15 +21,13 @@ holds everywhere outside the ellipsoid.  verify_subsolution samples that
 inequality (and the equivalent algebraic level form, which must be >= 0) on
 log-spaced shells crossed with a deterministic direction set: the 2n
 coordinate axis points, where the direction weights attain their extremes,
-plus a low-discrepancy spread of generic directions.  It computes no
+plus DIRECTIONS low-discrepancy generic directions.  It computes no
 eigenvalue: symfun.rank_one_phase_level gives the phase from the matrix
 determinant lemma and the level value from the rank-one update, at O(n)
 per point once each shell's O(n^3) exclusion rows are built.
 
-normalize_problem reduces a general symmetric A to this diagonal setting
-through A = Q^T Lambda Q: with x~ = Q x the candidate for Lambda evaluates
-at x~ and u(x) = u~(x~) + b^T x absorbs any linear boundary term, leaving
-the Hessian spectrum unchanged.
+A is diagonal throughout: a general symmetric A enters through its
+eigenvalues, as the problem's vector a.
 """
 
 from __future__ import annotations
@@ -37,13 +35,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Sequence
 
 import numpy as np
 
-from .phasepoly import phase_coeffs
 from .radial import PartialFractions
-from .symfun import rank_one_phase_level, sigma_rank_one
+from .symfun import rank_one_phase_level
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,82 +63,11 @@ class SubsolutionSpec:
         if self.pf.m <= 2.0:
             raise ValueError("decay exponent must exceed 2")
 
-    def profile_at(self, r: float) -> tuple:
-        """(psi, psi') at radius r >= 1, from the implicit route."""
-        r = float(r)
-        nu = 1.0 + float(self.pf.excess_at(r))
-        return nu, self.pf.slope(nu) / r
-
-
-def ellipsoid_radius(A, x) -> float:
-    """r_A(x) = sqrt(x^T A x) for symmetric positive definite A.
-
-    A may be given as a full matrix or as its diagonal.
-    """
-    arr = np.asarray(A, dtype=float)
-    xv = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        if not np.all(arr > 0):
-            raise ValueError("matrix must be symmetric positive definite")
-        return float(math.sqrt(np.dot(arr, xv * xv)))
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.abs(arr).max()))
-    if np.abs(arr - arr.T).max() > 1e-12 * scale:
-        raise ValueError("matrix must be symmetric positive definite")
-    try:
-        np.linalg.cholesky(arr)
-    except np.linalg.LinAlgError:
-        raise ValueError("matrix must be symmetric positive definite")
-    return float(math.sqrt(xv @ arr @ xv))
-
-
-def radial_value(spec: SubsolutionSpec, r: float) -> float:
-    """phi(r) = alpha + int_gamma^r tau psi(tau) dtau, for r >= gamma.
-
-    Splitting psi = 1 + excess gives the exact quadratic part plus the
-    excess integral of the implicit route (PartialFractions.excess_integral,
-    Gauss-Legendre in log radius).
-    """
-    r = float(r)
-    if r < spec.gamma:
-        raise ValueError("radius inside the excised ellipsoid")
-    quadratic = spec.alpha + 0.5 * (r * r - spec.gamma ** 2)
-    return quadratic + spec.pf.excess_integral(spec.gamma, r)
-
-
-def hessian(spec: SubsolutionSpec, x: Sequence) -> np.ndarray:
-    """D2Phi(x) by the closed rank-one formula, outside the ellipsoid."""
-    xv = np.asarray(x, dtype=float)
-    a = spec.pf.a
-    r = ellipsoid_radius(a, xv)
-    if r <= spec.gamma:
-        raise ValueError("point inside the excised ellipsoid")
-    nu, dpsi = spec.profile_at(r)
-    q = a * xv
-    return nu * np.diag(a) + (dpsi / r) * np.outer(q, q)
-
-
-def hessian_sigma(spec: SubsolutionSpec, x: Sequence, k: int) -> float:
-    """sigma_k of the eigenvalues of D2Phi(x), via the rank-one update.
-
-    No eigenvalue decomposition: the update formula with p = psi * a,
-    q = a o x, s = psi'/r gives the value directly.
-    """
-    xv = np.asarray(x, dtype=float)
-    a = spec.pf.a
-    r = ellipsoid_radius(a, xv)
-    if r <= spec.gamma:
-        raise ValueError("point inside the excised ellipsoid")
-    nu, dpsi = spec.profile_at(r)
-    p = (nu * a).tolist()
-    q = (a * xv).tolist()
-    return float(sigma_rank_one(p, q, dpsi / r, k))
-
 
 _NORMAL = NormalDist()
 _PASS_TOL = 1e-9  # verify_subsolution's minima must clear -_PASS_TOL
 _R_MIN_SCALE = 1.0 + 1e-6  # the innermost shell, relative to gamma
+DIRECTIONS = 96  # low-discrepancy directions per shell, besides the 2n axes
 
 
 def sphere_directions(n: int, count: int) -> np.ndarray:
@@ -174,18 +99,15 @@ class ShellGrid:
 
     Radii run from gamma * _R_MIN_SCALE, just outside the excised
     ellipsoid, to r_max; directions are the 2n signed coordinate axes plus
-    `directions` low-discrepancy points.  Requires at least one shell, no
-    negative direction count and a finite r_max.
+    DIRECTIONS low-discrepancy points.  Requires at least one shell and a
+    finite r_max.
     """
     shells: int = 120
-    directions: int = 96
     r_max: float = 50.0
 
     def __post_init__(self):
         if self.shells < 1:
             raise ValueError("the grid needs at least one shell")
-        if self.directions < 0:
-            raise ValueError("the direction count must not be negative")
         if not math.isfinite(self.r_max):
             raise ValueError("r_max must be finite")
 
@@ -229,7 +151,7 @@ def verify_subsolution(spec: SubsolutionSpec,
     a = spec.pf.a
     n = a.size
     axes = np.vstack([np.eye(n), -np.eye(n)])
-    dirs = np.vstack([axes, sphere_directions(n, grid.directions)])
+    dirs = np.vstack([axes, sphere_directions(n, DIRECTIONS)])
     # radius of each direction point in the A-metric, for rescaling
     ra = np.sqrt((dirs * dirs) @ a)
     radii = np.geomspace(r_min, grid.r_max, grid.shells)
@@ -241,7 +163,7 @@ def verify_subsolution(spec: SubsolutionSpec,
     x = (radii[:, None] / ra)[:, :, None] * dirs
     q = x * a
     phases, levels, scaled = rank_one_phase_level(
-        nus[:, None] * a, s, q * q, phase_coeffs(spec.pf.spec))
+        nus[:, None] * a, s, q * q, spec.pf.spec.coeffs)
     gaps = phases.ravel() - spec.pf.spec.theta
     levels = levels.ravel()
     points = x.reshape(-1, n)
@@ -260,28 +182,3 @@ def verify_subsolution(spec: SubsolutionSpec,
                               passed=bool(min_gap >= -_PASS_TOL
                                           and min_scaled >= -_PASS_TOL))
 
-
-def normalize_problem(A, b=None) -> tuple:
-    """Spectral reduction A = Q^T Lambda Q with ascending diagonal Lambda.
-
-    Already-diagonal ascending input returns (A, I) untouched (no hidden
-    permutation).  The linear term b only shifts the boundary data of the
-    reduced problem (u(x) = u~(Qx) + b^T x) and does not enter the result.
-    The reconstruction residual is checked to 1e-12 relative.
-    """
-    arr = np.asarray(A, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.abs(arr).max()))
-    if np.abs(arr - arr.T).max() > 1e-12 * scale:
-        raise ValueError("matrix must be symmetric")
-    d = np.diag(arr).copy()
-    if np.all(arr == np.diag(d)) and np.all(np.diff(d) >= 0):
-        return arr.copy(), np.eye(arr.shape[0])
-    w, v = np.linalg.eigh(arr)
-    lam = np.diag(w)
-    qmat = v.T
-    residual = np.linalg.norm(qmat.T @ lam @ qmat - arr)
-    if residual > 1e-12 * max(1.0, np.linalg.norm(arr)):
-        raise ValueError("spectral reconstruction residual too large")
-    return lam, qmat

@@ -29,11 +29,10 @@ Exclusion indices are 1-based, matching the classical subscript notation
 for "sigma_k with the i-th variable removed".  ``elem_sym_excl_all`` returns
 the whole row sigma_0 .. sigma_{n-|excl|} of the reduced vector in one
 recurrence pass; a caller that needs many k for the same exclusion set
-builds that row once and indexes it.  ``elem_sym_excl`` is the single-k
-view of the same row, with the zero convention outside it.
-``sigma_rank_one`` needs one entry, sigma_{k-1}, of n exclusion rows: it
-runs each recurrence inline, cut off at index k-1, on the cleared
-numerators of exact input, with one ``Fraction`` per entry.
+builds that row once and indexes it.  ``sigma_rank_one`` needs one entry,
+sigma_{k-1}, of n exclusion rows: it runs each recurrence inline, cut off
+at index k-1, on the cleared numerators of exact input, with one
+``Fraction`` per entry.
 """
 
 from __future__ import annotations
@@ -113,23 +112,16 @@ def elem_sym_excl_all(a: Sequence, excl: Sequence[int] = ()) -> list:
     return elem_sym_all([x for pos, x in enumerate(a) if pos not in drop])
 
 
-def elem_sym_excl(a: Sequence, k: int, excl: Sequence[int] = ()):
-    """sigma_k of a with the (1-based) indices in excl removed.
-
-    One entry of elem_sym_excl_all(a, excl), with the zero convention for
-    k < 0 and k > n - len(excl).
-    """
-    row = elem_sym_excl_all(a, excl)
-    if k < 0 or k >= len(row):
-        return 0
-    return row[k]
-
-
 def gen_sym_table(a: Sequence) -> list:
-    """Table T with T[k][j] = gen_sym(a, k, j) for all 0 <= j <= k <= n.
+    """Generalized symmetric values T[k][j] for all 0 <= j <= k <= n.
 
-    T[k][j] is the coefficient of x^k y^j in prod_i (1 + a_i x + a_i^2 x y),
-    built by one pass of the bivariate product recurrence.
+    T[k][j] sums, over every unordered choice of k distinct indices
+    together with a designated j-subset, the product of the chosen entries
+    with the designated ones squared.  The term count is C(n,k)*C(k,j), so
+    for the all-ones vector the value equals that product of binomials;
+    j = 0 recovers sigma_k.  T[k][j] is the coefficient of x^k y^j in
+    prod_i (1 + a_i x + a_i^2 x y), built by one pass of the bivariate
+    product recurrence.
     """
     cleared = clear_denominators(a)
     if cleared is not None:
@@ -155,21 +147,6 @@ def gen_sym_table(a: Sequence) -> list:
                 row[j] = row[j] + x * prev[j] + x2 * prev[j - 1]
             row[0] = row[0] + x * prev[0]
     return table
-
-
-def gen_sym(a: Sequence, k: int, j: int):
-    """Generalized symmetric value: k distinct indices, j of them squared.
-
-    Sums, over every unordered choice of k distinct indices together with a
-    designated j-subset, the product of the chosen entries with the
-    designated ones squared.  The term count is C(n,k)*C(k,j), so for the
-    all-ones vector the value equals that product of binomials.  j = 0
-    recovers sigma_k.
-    """
-    n = len(a)
-    if not (0 <= j <= k <= n):
-        raise ValueError("need 0 <= j <= k <= n")
-    return gen_sym_table(a)[k][j]
 
 
 def sigma_rank_one(p: Sequence, q: Sequence, s, k: int):
@@ -269,17 +246,17 @@ def signed_odd_binomial_sum(Q: int) -> int:
 
 
 def product_decomposition(j: int, k: int, n: int) -> list:
-    """Expansion of sigma_j * sigma_k over gen_sym terms, for n variables.
+    """Expansion of sigma_j * sigma_k over generalized symmetric values.
 
     Returns a list of (coeff, (K, J)) pairs such that, for every length-n
-    vector a,
+    vector a, with T = gen_sym_table(a),
 
-        elem_sym(a, j) * elem_sym(a, k) == sum coeff * gen_sym(a, K, J).
+        elem_sym(a, j) * elem_sym(a, k) == sum coeff * T[K][J].
 
     Two regimes share the boundary j + k == n, where they agree term by
     term:  for j + k <= n the h-th term (h = 0..j) is
-    C(j+k-2h, j-h) * gen_sym(a, j+k-h, h); for j + k >= n it is
-    C(2n-j-k-2h, n-j-h) * gen_sym(a, n-h, j+k-n+h) with h = 0..n-k.
+    C(j+k-2h, j-h) * T[j+k-h][h]; for j + k >= n it is
+    C(2n-j-k-2h, n-j-h) * T[n-h][j+k-n+h] with h = 0..n-k.
     """
     if not (0 <= j <= k <= n):
         raise ValueError("need 0 <= j <= k <= n")

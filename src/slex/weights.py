@@ -1,4 +1,4 @@
-"""Direction weights, their extremal bounds, and the decay exponent.
+"""The selected weight chain and the decay exponent.
 
 For a positive vector a and a direction x != 0 the k-th direction weight is
 the ratio
@@ -16,7 +16,9 @@ and largest entry:
 
 Both chains are nondecreasing in k, start at 0, end at exactly 1, and
 sandwich k/n; they pinch onto k/n at some interior k only for constant
-vectors.
+vectors.  The per-direction weight and both full chains live with the
+tests, as oracles (tests/oracles.py); this module forms only the selected
+chain.
 
 Given a phase target theta, the selected weight takes the upper value where
 the level coefficient c_k(theta) is positive and the lower value otherwise.
@@ -29,7 +31,7 @@ tan(theta/n) * ones, and governs the tail rate r^(-decay) of the radial
 profile built in the radial module.
 
 One check decides whether (theta, a) is a supported problem: theta in
-phasepoly.ray_degree's range (the positive critical angle or above it), a
+PhaseSpec.ray_degree's range (the positive critical angle or above it), a
 positive vector of length n, and |H(a) - theta| <= LEVEL_TOL, in that
 order.  decay_exponent and weight_profile raise its ValueError;
 classify, after its sign reflection, calls the data that fails it
@@ -38,12 +40,13 @@ Data that passes is "admissible" when the exponent exceeds 2 (the tail
 integral converges) and "slow_decay" otherwise.
 
 Everything runs on one ascending list of Python floats, through one
-routine (_chain) behind every exponent and chain.  It runs the three sigma
-recurrences in place, each value by elem_sym_all's operations in its
-order, and forms only the selected chain, so the bits are the ones the
-full rows and chains give.  Arrays appear only in the WeightProfile that
-weight_profile returns; it also carries the sigma row, so the radial
-module takes its slope-field pair and m from one profile.  A sigma row
+routine (_chain) behind every exponent and selected chain.  It runs the
+three sigma recurrences in place, each value by elem_sym_all's
+operations in its order, and forms only the selected chain, so the bits
+are the ones the full rows and chains give.  Arrays appear only in the
+WeightProfile that weight_profile returns; it also carries the sigma
+row, so the radial module takes its slope-field pair and m from one
+profile.  A sigma row
 outside (0, F/(2n^2)), F the largest float, is rejected with ValueError
 before any chain or exponent is formed: Python floats overflow silently.
 """
@@ -57,14 +60,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .phasepoly import LEVEL_TOL, PhaseSpec, phase, phase_coeffs, ray_degree
-from .symfun import elem_sym_all, elem_sym_excl
+from .phasepoly import LEVEL_TOL, PhaseSpec, phase
 
 _FLOAT_MAX = sys.float_info.max
 
 
-def _ascending_positive(a, n: Optional[int] = None) -> list:
-    """The entries of a as an ascending list of positive Python floats."""
+def _ascending_positive(a, n: int) -> list:
+    """The entries of a as an ascending list of n positive Python floats."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("vector must have all entries positive")
@@ -72,37 +74,15 @@ def _ascending_positive(a, n: Optional[int] = None) -> list:
     # 0.0 < v is False for NaN, so NaN entries are rejected too
     if not all(map((0.0).__lt__, vals)):
         raise ValueError("vector must have all entries positive")
-    if n is not None and len(vals) != n:
+    if len(vals) != n:
         raise ValueError("vector length does not match the phase dimension")
     vals.sort()
     return vals
 
 
-def direction_weight(a: Sequence, x: Sequence, k: int) -> float:
-    """Weight of direction x at index k; pairing of a and x is preserved."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if a.shape != x.shape:
-        raise ValueError("a and x must have the same length")
-    if not np.all(a > 0):
-        raise ValueError("vector must have all entries positive")
-    if not np.any(x != 0):
-        raise ValueError("direction must be nonzero")
-    n = a.size
-    if not (0 <= k <= n):
-        raise ValueError("need 0 <= k <= n")
-    if k == 0:
-        return 0.0
-    al = a.tolist()
-    num = math.fsum(elem_sym_excl(al, k - 1, (i + 1,)) * a[i] ** 2 * x[i] ** 2
-                    for i in range(n))
-    den = elem_sym_all(al)[k] * math.fsum(a[i] * x[i] ** 2 for i in range(n))
-    return num / den
-
-
 def _chain(c: Sequence, vals: list) -> tuple:
-    """(m, sigma, selected) of an ascending positive list under the level
-    coefficients c: selected_k is the upper weight where c_k > 0, else the
+    """(m, sigma, selected) of an ascending positive list of n >= 2 entries
+    under the level coefficients c: selected_k is the upper weight where c_k > 0, else the
     lower one, and m = sum k c_k sigma_k / sum selected_k c_k sigma_k.
 
     sigma(a | max) runs over all but the largest entry, sigma(a) is one more
@@ -121,10 +101,9 @@ def _chain(c: Sequence, vals: list) -> tuple:
         for j in range(len(sig) - 2, 0, -1):
             sig[j] += x * sig[j - 1]
     less_max = sig[:]
-    if n > 1:  # a 1-vector's row is [1, lo] already
-        sig.append(hi * sig[-1])
-        for j in range(n - 1, 0, -1):
-            sig[j] += hi * sig[j - 1]
+    sig.append(hi * sig[-1])
+    for j in range(n - 1, 0, -1):
+        sig[j] += hi * sig[j - 1]
     top = _FLOAT_MAX / (2 * n * n)
     for s in sig:
         if not 0.0 < s < top:
@@ -147,26 +126,10 @@ def _chain(c: Sequence, vals: list) -> tuple:
     return math.fsum(num) / math.fsum(den), sig, selected
 
 
-def weight_bounds(a: Sequence, k: int) -> tuple:
-    """(lower, upper) extremes of the k-th weight over all directions.
-
-    k = 0 and k = n are structural: (0, 0) and (1, 1) exactly.  Each chain
-    is the selection under c_k of one sign throughout.
-    """
-    vals = _ascending_positive(a)
-    n = len(vals)
-    if not (0 <= k <= n):
-        raise ValueError("need 0 <= k <= n")
-    lower = _chain((-1.0,) * (n + 1), vals)[2]
-    if 0 < k < n:
-        return lower[k], _chain((1.0,) * (n + 1), vals)[2][k]
-    return (0.0, 0.0) if k == 0 else (1.0, 1.0)
-
-
 def _level_point(spec: PhaseSpec, a: Sequence) -> list:
     """a as an ascending list of floats, after the one check of a supported
     problem (the module docstring's), which raises ValueError."""
-    ray_degree(spec)
+    spec.ray_degree  # raises outside the supported range
     vals = _ascending_positive(a, spec.n)
     if abs(phase(vals) - spec.theta) > LEVEL_TOL:
         raise ValueError("a not on the phase level set")
@@ -188,7 +151,7 @@ class WeightProfile:
 
 def weight_profile(spec: PhaseSpec, a: Sequence) -> WeightProfile:
     """The selected chain, m and sigma; checks and m are decay_exponent's."""
-    m, sig, selected = _chain(phase_coeffs(spec), _level_point(spec, a))
+    m, sig, selected = _chain(spec.coeffs, _level_point(spec, a))
     return WeightProfile(selected=np.array(selected), m=m, sigma=tuple(sig))
 
 
@@ -197,7 +160,7 @@ def decay_exponent(spec: PhaseSpec, a: Sequence) -> float:
 
     Raises ValueError unless (spec, a) passes the one check (_level_point).
     """
-    return _chain(phase_coeffs(spec), _level_point(spec, a))[0]
+    return _chain(spec.coeffs, _level_point(spec, a))[0]
 
 
 @dataclass(frozen=True)
@@ -246,7 +209,7 @@ def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
         vals = _level_point(work_spec, work)
     except ValueError:
         return Admissibility(klass="outside", m=None, reflected=reflected)
-    m = _chain(phase_coeffs(work_spec), vals)[0]
+    m = _chain(work_spec.coeffs, vals)[0]
     klass = "admissible" if m > 2.0 else "slow_decay"
     return Admissibility(klass=klass, m=m, near_boundary=abs(m - 2.0) <= 1e-12,
                          reflected=reflected, spec=work_spec, a=work)

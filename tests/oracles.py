@@ -1,0 +1,126 @@
+"""Reference formulas the tests compare slex against.
+
+No command reaches these.  Each is the direct formula for a quantity that
+slex either computes by another route or does not need: the Hessian of a
+candidate and its sigma values, the candidate's radial value, the
+direction weights and their extremes, the ray polynomial and the level
+values, and g'.  The candidate matrix is diagonal, diag(a): a general
+symmetric A enters slex through its eigenvalues.
+"""
+
+import math
+
+import numpy as np
+from numpy.polynomial import polynomial as npoly
+
+from slex import symfun
+
+
+def elem_sym_excl(a, k, excl=()):
+    """sigma_k of a with the (1-based) indices in excl removed: one entry of
+    symfun.elem_sym_excl_all, and 0 for k < 0 and k > n - len(excl)."""
+    row = symfun.elem_sym_excl_all(a, excl)
+    return row[k] if 0 <= k < len(row) else 0
+
+
+def level_value(spec, lam):
+    """sum_k c_k(theta) sigma_k(lam); zero exactly when H(lam) = theta."""
+    sig = symfun.elem_sym_all(lam)
+    c = spec.coeffs
+    return math.fsum(float(c[k] * sig[k]) for k in range(spec.n + 1))
+
+
+def level_value_weighted(spec, lam):
+    """sum_k k c_k(theta) sigma_k(lam), the ray derivative of level_value."""
+    sig = symfun.elem_sym_all(lam)
+    c = spec.coeffs
+    return math.fsum(float(k * c[k] * sig[k]) for k in range(1, spec.n + 1))
+
+
+def ray_poly(spec, a):
+    """Ascending coefficients c_k sigma_k(a), k = 0..N, of the ray polynomial
+    t -> level_value(spec, t*a)."""
+    sig = symfun.elem_sym_all(np.asarray(a, dtype=float).tolist())
+    c = spec.coeffs
+    return np.array([c[k] * sig[k] for k in range(spec.ray_degree + 1)])
+
+
+def direction_weight(a, x, k):
+    """The k-th weight of direction x,
+
+        sum_i sigma_{k-1}(a less i) a_i^2 x_i^2 / (sigma_k(a) sum_i a_i x_i^2),
+
+    with the pairing of a and x kept."""
+    a = np.asarray(a, dtype=float)
+    x = np.asarray(x, dtype=float)
+    al = a.tolist()
+    num = math.fsum(elem_sym_excl(al, k - 1, (i + 1,)) * a[i] ** 2 * x[i] ** 2
+                    for i in range(a.size))
+    den = (symfun.elem_sym_all(al)[k]
+           * math.fsum(a[i] * x[i] ** 2 for i in range(a.size)))
+    return num / den
+
+
+def weight_bounds(a, k):
+    """(lower, upper) extremes of the k-th direction weight: the weights of
+    the axes of the smallest and the largest entry, (1, 1) exactly at
+    k = n."""
+    vals = sorted(map(float, a))
+    n = len(vals)
+    if k == n:
+        return 1.0, 1.0
+    sig = symfun.elem_sym_all(vals)[k]
+    return (vals[0] * elem_sym_excl(vals, k - 1, (1,)) / sig,
+            vals[-1] * elem_sym_excl(vals, k - 1, (n,)) / sig)
+
+
+def slope_deriv(pf, nu):
+    """g'(nu) of g = -den/num: -m at nu = 1, tending to -1/selected_N."""
+    w = npoly.polyval(nu, pf.num)
+    z = npoly.polyval(nu, pf.den)
+    dw = npoly.polyval(nu, npoly.polyder(pf.num))
+    dz = npoly.polyval(nu, npoly.polyder(pf.den))
+    return float(-(dz * w - z * dw) / (w * w))
+
+
+def ellipsoid_radius(a, x):
+    """r_A(x) = sqrt(x^T diag(a) x)."""
+    xv = np.asarray(x, dtype=float)
+    return math.sqrt(float(np.dot(a, xv * xv)))
+
+
+def profile_at(spec, r):
+    """(psi, psi') at radius r >= 1 of the candidate spec, from the implicit
+    route: psi' = g(psi)/r."""
+    nu = 1.0 + float(spec.pf.excess_at(r))
+    return nu, spec.pf.slope(nu) / r
+
+
+def radial_value(spec, r):
+    """phi(r) = alpha + int_gamma^r tau psi(tau) dtau, for r >= gamma: the
+    quadratic part of psi = 1 + excess plus the excess integral."""
+    r = float(r)
+    quadratic = spec.alpha + 0.5 * (r * r - spec.gamma ** 2)
+    return quadratic + spec.pf.excess_integral(spec.gamma, r)
+
+
+def hessian(spec, x):
+    """D2Phi(x) = psi diag(a) + (psi'/r) (a o x)(a o x)^T, outside the
+    ellipsoid."""
+    xv = np.asarray(x, dtype=float)
+    a = spec.pf.a
+    r = ellipsoid_radius(a, xv)
+    nu, dpsi = profile_at(spec, r)
+    q = a * xv
+    return nu * np.diag(a) + (dpsi / r) * np.outer(q, q)
+
+
+def hessian_sigma(spec, x, k):
+    """sigma_k of the eigenvalues of D2Phi(x), by symfun.sigma_rank_one with
+    p = psi a, q = a o x and s = psi'/r."""
+    xv = np.asarray(x, dtype=float)
+    a = spec.pf.a
+    r = ellipsoid_radius(a, xv)
+    nu, dpsi = profile_at(spec, r)
+    return float(symfun.sigma_rank_one((nu * a).tolist(), (a * xv).tolist(),
+                                       dpsi / r, k))

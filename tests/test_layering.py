@@ -1,18 +1,25 @@
 """Module hygiene of the slex package, checked with the stdlib's ast.
 
-Four rules, for every module under src/slex:
+Five rules, for every module under src/slex:
 
   * no module reaches into another slex module's private names, neither
     by importing one (`from .radial import _horner`) nor by reading one
     off an imported module (`radial._horner`);
   * no module leaves an import unused.  A line marked `# noqa: F401`
-    keeps its import on purpose; `__init__.py` re-exports and is skipped;
+    keeps its import on purpose;
   * no module defines a private name at module level (function, class or
     constant) that it never reads: no other module may read it, so it is
     dead code;
   * no class has a property (or cached_property) that only forwards an
     attribute of self: its body, docstring aside, is one `return
-    self.x.y`.  Callers read the attribute where it lives.
+    self.x.y`.  Callers read the attribute where it lives;
+  * every public module-level function and class is read by some module
+    of the package other than at its own definition, and not only from
+    definitions that are themselves unread.  The package is what the
+    commands reach: a reference formula that only tests use lives with
+    the tests (tests/oracles.py).  The one exception is
+    weights.complete_to_phase, which the benchmark's workload generator
+    (bench/workloads.py) draws its level-set points with.
 """
 
 import ast
@@ -24,6 +31,8 @@ import slex
 
 PACKAGE = Path(slex.__file__).resolve().parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
+# public names no module of the package reads, kept for a reader outside it
+READ_OUTSIDE = ("complete_to_phase",)  # bench/workloads.py
 
 
 def _private(name: str) -> bool:
@@ -99,6 +108,59 @@ def unread_privates(source: str) -> list:
             if _private(name) and name not in read]
 
 
+def unread_publics(sources: dict, exceptions=()) -> list:
+    """(module, line, name) of each public module-level function or class
+    that no module of sources (name -> text) reads outside its own
+    definition.
+
+    A name counts as read where it is loaded: bare, in its module or in one
+    that imported it by name, or as an attribute of an imported slex
+    module.  An import alone is no read, and a read inside a definition
+    that is itself unread does not count, so a helper kept only by dead
+    code is flagged with it.
+    """
+    defined = {}  # (module, name) -> line
+    reads = []  # (owner or None, key read)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        modules, names = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and _slex_import(node):
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if node.module in (None, "slex"):
+                        modules[bound] = alias.name
+                    else:
+                        names[bound] = (node.module.split(".")[-1],
+                                        alias.name)
+        for stmt in tree.body:
+            owner = None
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                owner = (module, stmt.name)
+                defined[owner] = stmt.lineno
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Load):
+                    reads.append((owner, names.get(node.id,
+                                                   (module, node.id))))
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id in modules):
+                    reads.append((owner, (modules[node.value.id],
+                                          node.attr)))
+    dead = set()
+    while True:
+        live = {key for owner, key in reads
+                if owner != key and owner not in dead}
+        unread = {d for d in defined if d not in live
+                  and d[1] not in exceptions}
+        if unread == dead:
+            return sorted((m, defined[(m, n)], n) for m, n in dead)
+        dead = unread
+
+
 def forwarding_properties(source: str) -> list:
     """(line, Class.name) of each property that only returns an attribute
     chain of self."""
@@ -135,8 +197,7 @@ def test_no_private_names_across_modules(module):
     assert private_reads((PACKAGE / module).read_text()) == []
 
 
-@pytest.mark.parametrize("module", [m for m in MODULES
-                                    if m != "__init__.py"])
+@pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
@@ -149,6 +210,11 @@ def test_no_unread_private_names(module):
 @pytest.mark.parametrize("module", MODULES)
 def test_no_forwarding_properties(module):
     assert forwarding_properties((PACKAGE / module).read_text()) == []
+
+
+def test_every_public_name_is_read_by_the_package():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_publics(sources, READ_OUTSIDE) == []
 
 
 def test_checks_find_what_they_look_for():
@@ -207,3 +273,31 @@ def test_checks_find_what_they_look_for():
     ])
     assert forwarding_properties(source) == [(4, "Spec.theta"),
                                              (8, "Spec.m")]
+    sources = {
+        "kernel": "\n".join([
+            "def used(x):",
+            "    return x",
+            "def unread(x):",
+            "    return used(x)",
+            "def recursive(x):",
+            "    return recursive(x - 1) if x else 0",
+            "def only_dead(x):",
+            "    return x",
+            "def dead(x):",
+            "    return only_dead(x)",
+            "def kept(x):",
+            "    return x",
+            "class Report:",
+            "    pass",
+        ]),
+        "front": "\n".join([
+            "from . import kernel as k",
+            "from .kernel import Report",
+            "def main():",
+            "    return Report(), k.used(1)",
+            "main()",
+        ]),
+    }
+    assert unread_publics(sources, ("kept",)) == [
+        ("kernel", 3, "unread"), ("kernel", 5, "recursive"),
+        ("kernel", 7, "only_dead"), ("kernel", 9, "dead")]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+import oracles
 from slex import phasepoly, weights
 
 
@@ -95,14 +96,14 @@ def test_tangent_ratio_and_sign_lemma_sampled():
 
 
 def test_phase_coeffs_known_values():
-    assert phasepoly.phase_coeffs(SPEC3) == (-1.0, 0.0, 1.0, 0.0)
+    assert SPEC3.coeffs == (-1.0, 0.0, 1.0, 0.0)
     for n in range(3, 9):
         crit = phasepoly.PhaseSpec(n, (n - 2) * math.pi / 2)
-        c = phasepoly.phase_coeffs(crit)
+        c = crit.coeffs
         assert c[n] == 0.0
         assert c[n - 1] == 1.0
         sup = phasepoly.PhaseSpec(n, (n - 2) * math.pi / 2 + 0.3)
-        assert phasepoly.phase_coeffs(sup)[n] > 0.0
+        assert sup.coeffs[n] > 0.0
 
 
 def test_phase_coeffs_reproduce_level_combination():
@@ -113,14 +114,14 @@ def test_phase_coeffs_reproduce_level_combination():
         spec = phasepoly.PhaseSpec(n, theta)
         lam = rng.standard_normal(n) * 2.0
         x, y = phasepoly.alternating_parts(lam.tolist())
-        z = phasepoly.level_value(spec, lam)
+        z = oracles.level_value(spec, lam)
         assert z == pytest.approx(math.cos(theta) * y - math.sin(theta) * x,
                                   rel=1e-10, abs=1e-10)
 
 
 def test_level_value_closed_case_is_quadratic():
     for t in (0.0, 0.5, 1.0, 2.0, 7.5):
-        z = phasepoly.level_value(SPEC3, t * A3)
+        z = oracles.level_value(SPEC3, t * A3)
         assert z == pytest.approx(t * t - 1.0, abs=1e-12)
 
 
@@ -133,7 +134,7 @@ def test_level_value_zero_on_level_set():
             spec = phasepoly.PhaseSpec(n, theta)
             lam = np.full(n, math.tan(theta / n))
             scale = math.hypot(*phasepoly.alternating_parts(lam.tolist()))
-            assert abs(phasepoly.level_value(spec, lam)) < 1e-12 * scale
+            assert abs(oracles.level_value(spec, lam)) < 1e-12 * scale
 
 
 def test_level_value_weighted_positive_on_level_set():
@@ -150,7 +151,7 @@ def test_level_value_weighted_positive_on_level_set():
             a = weights.complete_to_phase(np.tan(ang[:-1]), spec)
         except ValueError:
             continue
-        assert phasepoly.level_value_weighted(spec, a) > 0.0
+        assert oracles.level_value_weighted(spec, a) > 0.0
         count += 1
 
 
@@ -164,7 +165,7 @@ def test_sign_dichotomy_bands():
         spec = phasepoly.PhaseSpec(n, theta)
         lam = rng.standard_normal(n) * 1.5
         h = phasepoly.phase(lam)
-        z = phasepoly.level_value(spec, lam)
+        z = oracles.level_value(spec, lam)
         if theta + 1e-3 < h < theta + math.pi - 1e-3:
             assert z > 0.0
             count += 1
@@ -202,13 +203,13 @@ def test_ray_wronskian_positive_on_positive_cone():
 
 
 def test_ray_degree_known_values():
-    assert phasepoly.ray_degree(phasepoly.PhaseSpec(5, 3 * math.pi / 2)) == 4
-    assert phasepoly.ray_degree(phasepoly.PhaseSpec(5, 5 * math.pi / 3)) == 5
-    assert phasepoly.ray_degree(SPEC3) == 2
+    assert phasepoly.PhaseSpec(5, 3 * math.pi / 2).ray_degree == 4
+    assert phasepoly.PhaseSpec(5, 5 * math.pi / 3).ray_degree == 5
+    assert SPEC3.ray_degree == 2
     with pytest.raises(ValueError, match="phase out of supported range"):
-        phasepoly.ray_degree(phasepoly.PhaseSpec(5, math.pi))
+        phasepoly.PhaseSpec(5, math.pi).ray_degree
     with pytest.raises(ValueError, match="phase out of supported range"):
-        phasepoly.ray_degree(phasepoly.PhaseSpec(5, -3 * math.pi / 2))
+        phasepoly.PhaseSpec(5, -3 * math.pi / 2).ray_degree
 
 
 def test_ray_poly_degree_and_leading_sign():
@@ -219,14 +220,14 @@ def test_ray_poly_degree_and_leading_sign():
         theta = float(rng.uniform(crit, n * math.pi / 2 - 1e-6))
         spec = phasepoly.PhaseSpec(n, theta)
         a = np.exp(rng.standard_normal(n))
-        coeffs = phasepoly.ray_poly(spec, a)
-        assert len(coeffs) == phasepoly.ray_degree(spec) + 1
+        coeffs = oracles.ray_poly(spec, a)
+        assert len(coeffs) == spec.ray_degree + 1
         assert coeffs[-1] > 0.0
 
 
 def test_ray_roots_closed_case():
     cert = phasepoly.ray_roots(SPEC3, A3)
-    assert cert.degree == 2
+    assert cert.roots.size == 2
     assert np.allclose(cert.roots, [-1.0, 1.0], atol=1e-12)
     assert cert.max_root_is_one
     assert cert.simplicity_margin > 1.0
@@ -241,7 +242,7 @@ def test_ray_roots_iso_points():
             spec = phasepoly.PhaseSpec(n, theta)
             a = weights.iso_point(spec)
             cert = phasepoly.ray_roots(spec, a)
-            assert len(cert.roots) == phasepoly.ray_degree(spec)
+            assert len(cert.roots) == spec.ray_degree
             assert cert.max_root_is_one
             assert abs(cert.roots[-1] - 1.0) <= 1e-9
             assert cert.simplicity_margin > 0.0
@@ -263,7 +264,7 @@ def test_ray_roots_random_level_points():
         except ValueError:
             continue
         cert = phasepoly.ray_roots(spec, a)
-        assert len(cert.roots) == phasepoly.ray_degree(spec)
+        assert len(cert.roots) == spec.ray_degree
         assert abs(cert.roots[-1] - 1.0) <= 1e-9
         assert np.all(np.diff(cert.roots) >= cert.simplicity_margin)
         assert cert.roots[-2] < 1.0 - 1e-9
@@ -292,7 +293,7 @@ def test_ray_roots_hit_their_phase_targets():
         cases += [_level_point(rng, n) for _ in range(2)]
         for spec, a in cases:
             cert = phasepoly.ray_roots(spec, a)
-            assert cert.degree == len(cert.roots) == phasepoly.ray_degree(spec)
+            assert cert.roots.size == spec.ray_degree
             assert cert.max_root_is_one
             assert cert.simplicity_margin > 0.0
             for k, t in enumerate(cert.roots[::-1]):
@@ -332,7 +333,7 @@ def test_ray_roots_wide_spread_vectors():
         spec = phasepoly.PhaseSpec(
             n, float(rng.uniform(crit + 0.01, n * math.pi / 2 - 0.01)))
         roots = phasepoly.ray_roots(spec, a).roots
-        assert len(roots) == phasepoly.ray_degree(spec)
+        assert len(roots) == spec.ray_degree
         for k, t in enumerate(roots[::-1]):
             target = spec.theta - k * math.pi
             got = math.fsum(math.atan(t * v) for v in a)
@@ -341,12 +342,12 @@ def test_ray_roots_wide_spread_vectors():
 
 
 def test_ray_roots_match_companion_oracle():
-    # the companion-matrix eigenvalues of ray_poly, a test-only oracle
+    # the companion-matrix eigenvalues of the ray polynomial
     rng = np.random.default_rng(43)
     for n in range(3, 13):
         for spec, a in [_level_point(rng, n) for _ in range(10)]:
             cert = phasepoly.ray_roots(spec, a)
-            oracle = np.sort(npoly.polyroots(phasepoly.ray_poly(spec, a)).real)
+            oracle = np.sort(npoly.polyroots(oracles.ray_poly(spec, a)).real)
             np.testing.assert_allclose(cert.roots, oracle, rtol=1e-12,
                                        atol=1e-15)
 
@@ -367,16 +368,20 @@ def test_ray_roots_off_level_and_invalid_inputs():
         phasepoly.ray_roots(SPEC3, np.array([-1.0, 1.0, 1.0]))
 
 
+def ray_derivative(spec, a, t, order):
+    """d^order/dt^order of the ray polynomial at t."""
+    return npoly.polyval(t, npoly.polyder(oracles.ray_poly(spec, a), order))
+
+
 def test_ray_derivative_closed_case():
-    assert phasepoly.ray_derivative(SPEC3, A3, 1.0, 0) == \
-        pytest.approx(0.0, abs=1e-12)
-    assert phasepoly.ray_derivative(SPEC3, A3, 1.0, 1) == \
-        pytest.approx(2.0, abs=1e-12)
-    assert phasepoly.ray_derivative(SPEC3, A3, 2.0, 0) == \
-        pytest.approx(3.0, abs=1e-12)
+    assert ray_derivative(SPEC3, A3, 1.0, 0) == pytest.approx(0.0, abs=1e-12)
+    assert ray_derivative(SPEC3, A3, 1.0, 1) == pytest.approx(2.0, abs=1e-12)
+    assert ray_derivative(SPEC3, A3, 2.0, 0) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_ray_derivative_positivity_contract():
+    # on the level set, for t >= 1: every derivative positive, and the
+    # value itself zero at t = 1 and positive beyond
     rng = np.random.default_rng(41)
     count = 0
     while count < 30:
@@ -391,23 +396,15 @@ def test_ray_derivative_positivity_contract():
             a = weights.complete_to_phase(np.tan(ang[:-1]), spec)
         except ValueError:
             continue
-        deg = phasepoly.ray_degree(spec)
         # first derivative at t = 1 equals the weighted level value
-        d1 = phasepoly.ray_derivative(spec, a, 1.0, 1)
-        assert d1 == pytest.approx(phasepoly.level_value_weighted(spec, a),
+        d1 = ray_derivative(spec, a, 1.0, 1)
+        assert d1 == pytest.approx(oracles.level_value_weighted(spec, a),
                                    rel=1e-9, abs=1e-9)
-        for order in range(0, deg + 1):
+        for order in range(0, spec.ray_degree + 1):
             for t in (1.0, 1.5, 4.0):
-                val = phasepoly.ray_derivative(spec, a, t, order)
+                val = ray_derivative(spec, a, t, order)
                 if order == 0 and t == 1.0:
                     assert abs(val) <= 1e-9
                 else:
                     assert val > 0.0
         count += 1
-
-
-def test_ray_derivative_validates_inputs():
-    with pytest.raises(ValueError):
-        phasepoly.ray_derivative(SPEC3, A3, 0.5, 0)
-    with pytest.raises(ValueError):
-        phasepoly.ray_derivative(SPEC3, A3, 1.0, 3)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from slex import phasepoly, symfun, weights
 
 
@@ -69,9 +70,9 @@ def test_elem_sym_enumeration_n12():
 
 
 def test_elem_sym_excl_known_and_enumerated():
-    assert symfun.elem_sym_excl((1, 2, 3), 1, {2}) == 4
-    assert symfun.elem_sym_excl((1, 2, 3), 2, {1}) == 6
-    assert symfun.elem_sym_excl((1, 2, 3), 0, {1, 3}) == 1
+    assert oracles.elem_sym_excl((1, 2, 3), 1, {2}) == 4
+    assert oracles.elem_sym_excl((1, 2, 3), 2, {1}) == 6
+    assert oracles.elem_sym_excl((1, 2, 3), 0, {1, 3}) == 1
     rng = np.random.default_rng(13)
     for _ in range(40):
         n = int(rng.integers(2, 8))
@@ -80,9 +81,9 @@ def test_elem_sym_excl_known_and_enumerated():
         rest_i = [v for t, v in enumerate(vals, start=1) if t != i]
         rest_ij = [v for t, v in enumerate(vals, start=1) if t not in (i, j)]
         for k in range(n + 1):
-            assert symfun.elem_sym_excl(vals, k, {int(i)}) == \
+            assert oracles.elem_sym_excl(vals, k, {int(i)}) == \
                 enum_elem_sym(rest_i, k)
-            assert symfun.elem_sym_excl(vals, k, {int(i), int(j)}) == \
+            assert oracles.elem_sym_excl(vals, k, {int(i), int(j)}) == \
                 enum_elem_sym(rest_ij, k)
 
 
@@ -101,17 +102,12 @@ def test_elem_sym_excl_all_is_the_single_k_row():
                 assert len(row) == n - len(excl) + 1
                 # same reduced list, same order, same recurrence: equal bits
                 assert row == symfun.elem_sym_all(rest)
-                for k in range(-2, n + 3):
-                    expect = row[k] if 0 <= k < len(row) else 0
-                    assert symfun.elem_sym_excl(vals, k, excl) == expect
 
 
 def test_elem_sym_excl_all_validates():
     for excl in ((1, 2, 3), (2, 2), (0,), (4,), (1, 4)):
         with pytest.raises(ValueError):
             symfun.elem_sym_excl_all((1, 2, 3), excl)
-        with pytest.raises(ValueError):
-            symfun.elem_sym_excl((1, 2, 3), 1, excl)
 
 
 def test_split_and_weighted_sum_identities_exact():
@@ -123,11 +119,11 @@ def test_split_and_weighted_sum_identities_exact():
         for k in range(n + 1):
             weighted = 0
             for i in range(1, n + 1):
-                assert sig[k] == (symfun.elem_sym_excl(vals, k, (i,))
+                assert sig[k] == (oracles.elem_sym_excl(vals, k, (i,))
                                   + vals[i - 1]
-                                  * symfun.elem_sym_excl(vals, k - 1, (i,)))
-                weighted += vals[i - 1] * symfun.elem_sym_excl(vals, k - 1,
-                                                               (i,))
+                                  * oracles.elem_sym_excl(vals, k - 1, (i,)))
+                weighted += vals[i - 1] * oracles.elem_sym_excl(vals, k - 1,
+                                                                (i,))
             assert weighted == k * sig[k]
 
 
@@ -138,21 +134,17 @@ def test_pair_difference_identity_exact():
         vals = rational_vector(rng, n)
         i, j = (int(v) + 1 for v in rng.choice(n, size=2, replace=False))
         for k in range(1, n + 1):
-            lhs = (vals[i - 1] * symfun.elem_sym_excl(vals, k - 1, (i,))
-                   - vals[j - 1] * symfun.elem_sym_excl(vals, k - 1, (j,)))
+            lhs = (vals[i - 1] * oracles.elem_sym_excl(vals, k - 1, (i,))
+                   - vals[j - 1] * oracles.elem_sym_excl(vals, k - 1, (j,)))
             rhs = ((vals[i - 1] - vals[j - 1])
-                   * symfun.elem_sym_excl(vals, k - 1, (i, j)))
+                   * oracles.elem_sym_excl(vals, k - 1, (i, j)))
             assert lhs == rhs
 
 
 def test_gen_sym_known_values():
-    assert symfun.gen_sym((1, 2), 2, 1) == 6
-    assert symfun.gen_sym((1, 1, 1, 1), 2, 1) == 12
-    assert symfun.gen_sym((1, 2, 3), 0, 0) == 1
-    with pytest.raises(ValueError):
-        symfun.gen_sym((1, 2, 3), 2, 3)
-    with pytest.raises(ValueError):
-        symfun.gen_sym((1, 2, 3), 4, 0)
+    assert symfun.gen_sym_table((1, 2))[2][1] == 6
+    assert symfun.gen_sym_table((1, 1, 1, 1))[2][1] == 12
+    assert symfun.gen_sym_table((1, 2, 3))[0][0] == 1
 
 
 def test_gen_sym_matches_enumeration_exact():
@@ -164,7 +156,6 @@ def test_gen_sym_matches_enumeration_exact():
         for k in range(n + 1):
             for j in range(k + 1):
                 assert table[k][j] == enum_gen_sym(vals, k, j)
-                assert symfun.gen_sym(vals, k, j) == table[k][j]
 
 
 def test_gen_sym_unit_counts():
@@ -181,10 +172,11 @@ def test_gen_sym_reduces_to_elem_sym():
         n = int(rng.integers(1, 8))
         vals = rational_vector(rng, n)
         sig = symfun.elem_sym_all(vals)
+        table = symfun.gen_sym_table(vals)
         squares = [v * v for v in vals]
         for k in range(n + 1):
-            assert symfun.gen_sym(vals, k, 0) == sig[k]
-            assert symfun.gen_sym(vals, k, k) == enum_elem_sym(squares, k)
+            assert table[k][0] == sig[k]
+            assert table[k][k] == enum_elem_sym(squares, k)
 
 
 def test_product_decomposition_exact_both_regimes():
@@ -263,8 +255,8 @@ def test_sigma_rank_one_exact_rational():
         for k in range(1, n + 1):
             expect = symfun.elem_sym(p, k)
             for i in range(1, n + 1):
-                expect += s * q[i - 1] ** 2 * symfun.elem_sym_excl(p, k - 1,
-                                                                   (i,))
+                expect += s * q[i - 1] ** 2 * oracles.elem_sym_excl(p, k - 1,
+                                                                    (i,))
             assert symfun.sigma_rank_one(p, q, s, k) == expect
 
 
@@ -365,7 +357,7 @@ def test_rank_one_phase_level_matches_high_precision_oracle():
     for n in (3, 4, 5, 8, 12, 16, 24):
         for case in range(8):
             spec, a = level_set_vector(rng, n)
-            c = phasepoly.phase_coeffs(spec)
+            c = spec.coeffs
             p = float(rng.uniform(1.0, 10.0)) * a
             if case == 7:
                 p = p * np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
