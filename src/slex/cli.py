@@ -36,10 +36,11 @@ set (scan-eps rows) fills one repeated row template with a single %, a
 list of finite floats (a trajectory) is one join.  Identity suites always
 run in exact rational arithmetic; verify --exact records that request
 explicitly in the report.  The homogeneous ones (sigma recurrences, pair
-exclusion differences, product decompositions) compare Python ints: each
-drawn vector is put on one integer scale, every kernel value of degree d
-multiplied by D**d with D the lcm of the vector's denominators, which
-leaves every verdict as it is and saves a gcd per Fraction operation.
+exclusion differences, product decompositions) compare Python ints: they
+run the kernels on each drawn vector's integer numerators p = D*a, D the
+lcm of its denominators, so every value of degree d comes out as D**d
+times its value at a.  That leaves every verdict as it is, and no
+Fraction is built.
 The rank-one suite builds its eigenvalue oracle's sigma row once per
 trial (symfun.elem_sym_all) and indexes it by k; each case of it, of
 newton_margins and of product_decomposition makes one kernel call
@@ -218,40 +219,21 @@ def _rational_vector(rng, n: int) -> list:
             for _ in range(n)]
 
 
-def _scaled_row(row: list, powers: list) -> list:
-    """Entry e of row times powers[e], as an int.
-
-    Kernel outputs of degree e on a vector with denominators D have
-    denominators dividing D**e; an entry that does not (only a faulty
-    kernel gives one) stays the exact Fraction, so every comparison on the
-    scaled values decides as the unscaled one would.
-    """
-    out = []
-    for v, pw in zip(row, powers):
-        q, r = divmod(pw, v.denominator)
-        out.append(v.numerator * q if r == 0 else v * pw)
-    return out
-
-
-def _scaled_rows(vec: list) -> tuple:
-    """(p, powers, sig, rows, pairs) of a Fraction vector, scaled.
+def _int_rows(vec: list) -> tuple:
+    """(p, sig, rows, pairs) of a Fraction vector on its integer scale.
 
     With D the lcm of the denominators, p_i = a_i * D as ints (from
-    symfun.clear_denominators) and powers[e] = D**e, e = 0..2n; sig is
-    sigma(a), rows[i-1] is sigma(a | i) and pairs[i-1] is sigma(a | i, n),
-    each entry of degree e times D**e.  The trailing 0 on each exclusion
-    row is the zero convention at both ends, as row[-1] and row[len] read
-    it.
+    symfun.clear_denominators); sig is sigma(p), rows[i-1] is sigma(p | i)
+    and pairs[i-1] is sigma(p | i, n), each entry of degree e equal to
+    D**e times the value at a.  The trailing 0 on each exclusion row is
+    the zero convention at both ends, as row[-1] and row[len] read it.
     """
     n = len(vec)
-    p, d = clear_denominators(vec)
-    powers = [d ** e for e in range(2 * n + 1)]
-    sig = _scaled_row(symfun.elem_sym_all(vec), powers)
-    rows = [_scaled_row(symfun.elem_sym_excl_all(vec, (i,)) + [0], powers)
-            for i in range(1, n + 1)]
-    pairs = [_scaled_row(symfun.elem_sym_excl_all(vec, (i, n)) + [0], powers)
-             for i in range(1, n)]
-    return p, powers, sig, rows, pairs
+    p, _d = clear_denominators(vec)
+    sig = symfun.elem_sym_all(p)
+    rows = [symfun.elem_sym_excl_all(p, (i,)) + [0] for i in range(1, n + 1)]
+    pairs = [symfun.elem_sym_excl_all(p, (i, n)) + [0] for i in range(1, n)]
+    return p, sig, rows, pairs
 
 
 def _fracs(vec) -> list:
@@ -291,7 +273,7 @@ def _suite(name: str, cases, label: Optional[str] = "exact mismatch"
 
 
 # Each suite below yields its cases for _suite; a counterexample is built
-# only for a failing case.  The exact suites that read _scaled_rows compare
+# only for a failing case.  The exact suites that read _int_rows compare
 # Python ints: every identity is homogeneous, so scaling both sides by
 # D**degree keeps each verdict.
 
@@ -313,7 +295,7 @@ def _wronskian_cases(vectors: list):
 
 def _recurrence_cases(vectors: list, scaled: list):
     # sigma split and weighted-sum recurrences, exact
-    for vec, (p, _powers, sig, rows, _pairs) in zip(vectors, scaled):
+    for vec, (p, sig, rows, _pairs) in zip(vectors, scaled):
         n = len(vec)
         for k in range(0, n + 1):
             acc = 0
@@ -331,7 +313,7 @@ def _recurrence_cases(vectors: list, scaled: list):
 
 def _pair_cases(vectors: list, scaled: list):
     # pairwise exclusion difference against the last entry j = n, exact
-    for vec, (p, _powers, _sig, rows, pairs) in zip(vectors, scaled):
+    for vec, (p, _sig, rows, pairs) in zip(vectors, scaled):
         j = len(vec)
         for k in range(1, j + 1):
             last = p[j - 1] * rows[j - 1][k - 1]
@@ -346,10 +328,9 @@ def _product_cases(vectors: list, scaled: list):
     # product decompositions, exact, all (j, k) per vector, on the same
     # integer scale: T[K][J] has degree K + J, which is j + k for every
     # term of the (j, k) expansion
-    for vec, (_p, powers, sig, _rows, _pairs) in zip(vectors, scaled):
+    for vec, (p, sig, _rows, _pairs) in zip(vectors, scaled):
         n = len(vec)
-        table = [_scaled_row(row, powers[k:])
-                 for k, row in enumerate(symfun.gen_sym_table(vec))]
+        table = symfun.gen_sym_table(p)
         for j in range(0, n + 1):
             for k in range(j, n + 1):
                 combo = 0
@@ -444,7 +425,7 @@ def _run_verify(args: argparse.Namespace) -> dict:
     vectors = [_rational_vector(rng, 3 + t % 6) for t in range(trials)]
     # one build of each vector's rows serves the recurrence, pair and
     # product suites; the float suites then draw from rng in list order
-    scaled = [_scaled_rows(vec) for vec in vectors]
+    scaled = [_int_rows(vec) for vec in vectors]
     suites = [
         _suite("wronskian_modes", _wronskian_cases(vectors)),
         _suite("sigma_recurrences", _recurrence_cases(vectors, scaled)),

@@ -10,20 +10,15 @@ float entries give the ordinary fast path.  Evaluation always goes through
 the coefficient recurrence for prod_i (1 + t*a_i), never through explicit
 subset enumeration; enumeration appears only in test oracles.
 
-Exact input runs on integers.  When the first entry is a ``Fraction`` and
-every entry is an int or a ``Fraction``, ``elem_sym_all`` and
-``gen_sym_table`` write a_i = p_i / D with D the lcm of the denominators,
-run their recurrence on the integer numerators p_i, and divide each
-entry by the power of D that matches its degree.  ``Fraction`` is
-canonical, so the returned values (and types: sigma_0 and T[0][0] stay the
-int 1, every other entry is a ``Fraction``) are exactly those of the plain
-``Fraction`` recurrence, for much less work.  ``newton_check`` (and
-``phasepoly.ray_wronskian``) go further and finish on the integer scale:
-they clear the denominators once, compute their results from the integer
-row, and build one ``Fraction`` per result.  ``elem_sym`` and the
-exclusion rows reach the recurrence through ``elem_sym_all`` and inherit
-its path.  Float, numpy and all-int input keep the plain loop, and take
-the same code with D = 1 and no final ``Fraction``.
+The kernels run one plain loop on every scalar type.  On ``Fraction``
+input it keeps value and type: sigma_0 and T[0][0] are the int 1, every
+other entry a ``Fraction``.  On ints it stays on ints, and since sigma_k
+and T[k][j] are homogeneous, the numerators p = D*a of an exact vector
+(clear_denominators) give sigma_k(p) = D**k sigma_k(a) and
+T[k][j](p) = D**(k+j) T[k][j](a): `verify`'s homogeneous suites compare
+on that scale and build no ``Fraction``.  ``newton_check`` (and
+``phasepoly.ray_wronskian``) clear the denominators themselves, compute
+their results from the integer row, and build one ``Fraction`` per result.
 
 Exclusion indices are 1-based, matching the classical subscript notation
 for "sigma_k with the i-th variable removed".  ``elem_sym_excl_all`` returns
@@ -31,8 +26,7 @@ the whole row sigma_0 .. sigma_{n-|excl|} of the reduced vector in one
 recurrence pass; a caller that needs many k for the same exclusion set
 builds that row once and indexes it.  ``sigma_rank_one`` needs one entry,
 sigma_{k-1}, of n exclusion rows: it runs each recurrence inline, cut off
-at index k-1, on the cleared numerators of exact input, with one
-``Fraction`` per entry.
+at index k-1.
 """
 
 from __future__ import annotations
@@ -65,13 +59,6 @@ def clear_denominators(a: Sequence):
 
 def elem_sym_all(a: Sequence) -> list:
     """All values sigma_0(a) .. sigma_n(a) via the product recurrence."""
-    cleared = clear_denominators(a)
-    if cleared is not None:
-        # sigma_k is homogeneous of degree k; the integer numerators take
-        # the plain loop below
-        nums, d = cleared
-        e = elem_sym_all(nums)
-        return [e[0]] + [Fraction(v, d ** k) for k, v in enumerate(e[1:], 1)]
     n = len(a)
     e = [0] * (n + 1)
     e[0] = 1
@@ -123,15 +110,6 @@ def gen_sym_table(a: Sequence) -> list:
     prod_i (1 + a_i x + a_i^2 x y), built by one pass of the bivariate
     product recurrence.
     """
-    cleared = clear_denominators(a)
-    if cleared is not None:
-        # T[k][j] is homogeneous of degree k + j; the integer numerators
-        # take the plain loop below
-        nums, d = cleared
-        table = gen_sym_table(nums)
-        return [[table[0][0]]] + [[Fraction(v, d ** (k + j))
-                                   for j, v in enumerate(row)]
-                                  for k, row in enumerate(table[1:], 1)]
     n = len(a)
     table = [[0] * (k + 1) for k in range(n + 1)]
     table[0][0] = 1
@@ -158,11 +136,7 @@ def sigma_rank_one(p: Sequence, q: Sequence, s, k: int):
     recurrence cut off at index k-1, run inline on p without entry i: its
     entries up to k-1 see the same operations in the same order as in the
     full row of elem_sym_excl_all(p, (i+1,)), so a float result has the
-    bits of the sum over those rows.  Exact input that clear_denominators
-    takes (p_i = m_i / D) runs the recurrences on the integers m_i and
-    divides each sigma_{k-1} by D**(k-1), one Fraction per entry; the
-    result has the value and type of the sum over the Fraction rows.
-    Float and other input run the same code with D = 1 and no Fraction.
+    bits of the sum over those rows, and exact input its value and type.
     """
     n = len(p)
     if len(q) != n:
@@ -170,19 +144,15 @@ def sigma_rank_one(p: Sequence, q: Sequence, s, k: int):
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
     base = elem_sym(p, k)
-    cleared = clear_denominators(p)
-    nums, d = (p, 1) if cleared is None else cleared
-    scale = d ** (k - 1)
     down = range(k - 1, 0, -1)
     corr = 0
     for i in range(n):
-        # sigma_0 .. sigma_{k-1} of p without entry i, times D**(k-1)
+        # sigma_0 .. sigma_{k-1} of p without entry i
         e = [1] + [0] * (k - 1)
-        for x in (*nums[:i], *nums[i + 1:]):
+        for x in (*p[:i], *p[i + 1:]):
             for j in down:
                 e[j] += x * e[j - 1]
-        term = e[k - 1] if cleared is None else Fraction(e[k - 1], scale)
-        corr = corr + term * q[i] * q[i]
+        corr = corr + e[k - 1] * q[i] * q[i]
     return base + s * corr
 
 

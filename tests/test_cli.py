@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -127,7 +126,7 @@ def test_verify_fault_injection_exclusion_rows(tmp_path, monkeypatch):
         # only sigma_1(a | 1): a change to every row could cancel out of
         # the pair identity
         row = real(values, excl)
-        if tuple(excl) == (1,) and isinstance(values[0], Fraction):
+        if tuple(excl) == (1,):
             row[1] = row[1] + 1
         return row
 
@@ -142,8 +141,9 @@ def test_verify_fault_injection_gen_sym_table(tmp_path, monkeypatch):
     real = cli.symfun.gen_sym_table
 
     def lying(values):
+        # every table but the all-ones ones of combinatorial_sums
         table = real(values)
-        if isinstance(values[0], Fraction):
+        if list(values) != [1] * len(values):
             table[1][1] = table[1][1] + 1
         return table
 
@@ -151,6 +151,38 @@ def test_verify_fault_injection_gen_sym_table(tmp_path, monkeypatch):
     code, path = run(tmp_path, ["verify", "--grid", "10"], "bad.json")
     assert code == 1
     assert _failing_suites(path) == {"product_decomposition"}
+
+
+def test_verify_exact_suites_hand_the_kernels_ints(tmp_path, monkeypatch):
+    # the homogeneous suites run on each vector's integer numerators: no
+    # Fraction goes into or comes out of these kernels, and int input gives
+    # int output (the float suites reach elem_sym_all with floats)
+    int_calls = dict.fromkeys(("elem_sym_all", "elem_sym_excl_all",
+                               "gen_sym_table"), 0)
+
+    def watch(name, real):
+        def wrapped(values, *rest):
+            out = real(values, *rest)
+            flat = ([v for row in out for v in row]
+                    if name == "gen_sym_table" else out)
+            into, back = {type(v) for v in values}, {type(v) for v in flat}
+            assert into | back <= {int, float}, (name, values)
+            if into == {int}:
+                assert back == {int}, (name, values)
+                int_calls[name] += 1
+            return out
+        return wrapped
+
+    for name in int_calls:
+        monkeypatch.setattr(cli.symfun, name,
+                            watch(name, getattr(cli.symfun, name)))
+    code, _path = run(tmp_path, ["verify", "--grid", "12"])
+    assert code == 0
+    # per drawn vector (n = 3..8, twice): 2n - 1 exclusion rows, each one
+    # elem_sym_all call inside, one sigma row, one for newton_check's
+    # numerators and one table; combinatorial_sums adds ten all-ones tables
+    assert int_calls == {"elem_sym_all": 120 + 12 + 12,
+                         "elem_sym_excl_all": 120, "gen_sym_table": 22}
 
 
 def _product_plus_one(real):
@@ -161,11 +193,11 @@ def _product_plus_one(real):
 
 
 def _excl_row_plus_one(excl_len):
-    # sigma_1 of the exact rows that exclude excl_len entries, plus one
+    # sigma_1 of the rows that exclude excl_len entries, plus one
     def fault(real):
         def lying(values, excl=()):
             row = real(values, excl)
-            if len(excl) == excl_len and isinstance(values[0], Fraction):
+            if len(excl) == excl_len:
                 row[1] = row[1] + 1
             return row
         return lying
@@ -173,9 +205,11 @@ def _excl_row_plus_one(excl_len):
 
 
 def _table_11_plus_one(real):
+    # T[1][1] plus one, on every table but the all-ones ones of
+    # combinatorial_sums
     def lying(values):
         table = real(values)
-        if isinstance(values[0], Fraction):
+        if list(values) != [1] * len(values):
             table[1][1] = table[1][1] + 1
         return table
     return lying

@@ -1,11 +1,11 @@
 """Oracle tests for the exact and float paths of the sigma kernels.
 
-Exact (int/Fraction) input runs on integer numerators over one common
-denominator inside symfun; these tests hold every kernel built on that path
-to a plain Fraction recurrence written out here, in value and in type, and
-hold float and numpy input to the plain loop bit for bit.  Examples are
-drawn by hypothesis with a fixed derandomized seed, so every run checks the
-same cases.
+These tests hold every exact (int/Fraction) kernel to a plain Fraction
+recurrence written out here, in value and in type; hold the integer
+numerators of a Fraction vector to the scale D**degree that `verify`'s
+exact suites rely on; and hold float and numpy input to the plain loop bit
+for bit.  Examples are drawn by hypothesis with a fixed derandomized seed,
+so every run checks the same cases.
 """
 
 from fractions import Fraction
@@ -27,12 +27,13 @@ small = st.one_of(st.integers(min_value=-3, max_value=3),
                   st.builds(Fraction, st.integers(min_value=-3, max_value=3),
                             st.integers(min_value=1, max_value=4)))
 entry = st.one_of(ints, fracs, small)
-# exact vectors of length 0..12; most lead with a Fraction, the case the
-# common-denominator path takes, the rest lead with an int
-exact_vectors = st.one_of(
-    st.builds(lambda lead, rest: [lead] + rest, fracs,
-              st.lists(entry, max_size=11)),
-    st.lists(entry, max_size=12))
+# exact vectors of length 1..12 that lead with a Fraction, the input
+# clear_denominators takes
+fraction_vectors = st.builds(lambda lead, rest: [lead] + rest, fracs,
+                             st.lists(entry, max_size=11))
+# exact vectors of length 0..12; most lead with a Fraction, the rest with
+# an int
+exact_vectors = st.one_of(fraction_vectors, st.lists(entry, max_size=12))
 floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
                    allow_infinity=False)
 float_vectors = st.lists(floats, max_size=12)
@@ -123,6 +124,29 @@ def test_exclusion_rows_match_plain_fraction_recurrence(a):
     for i, j in combinations(range(1, n + 1), 2):
         same(symfun.elem_sym_excl_all(a, (j, i)),
              plain_sigma(without(a, {i, j})))
+
+
+@SETTINGS
+@given(fraction_vectors)
+def test_integer_numerators_give_every_value_times_its_scale(a):
+    # p = D*a: each value of degree d on p is the int D**d times its value
+    # at a, the scale verify's homogeneous suites compare on
+    p, d = symfun.clear_denominators(a)
+    n = len(a)
+
+    def scaled(got, want, degree):
+        assert all(type(v) is int for v in got)
+        assert got == [d ** (degree + e) * v for e, v in enumerate(want)]
+
+    scaled(symfun.elem_sym_all(p), symfun.elem_sym_all(a), 0)
+    for excl in [*combinations(range(1, n + 1), 1),
+                 *combinations(range(1, n + 1), 2)]:
+        scaled(symfun.elem_sym_excl_all(p, excl),
+               symfun.elem_sym_excl_all(a, excl), 0)
+    table, want = symfun.gen_sym_table(p), symfun.gen_sym_table(a)
+    assert len(table) == len(want)
+    for k, (got_row, want_row) in enumerate(zip(table, want)):
+        scaled(got_row, want_row, k)
 
 
 @SETTINGS
@@ -225,8 +249,8 @@ def test_sigma_rank_one_float_bits_match_full_exclusion_rows(args):
 @SETTINGS
 @given(rank_one_inputs(exact_vectors, entry))
 def test_sigma_rank_one_exact_matches_full_exclusion_rows(args):
-    # a leading Fraction takes the common-denominator path; float q and s
-    # on exact p must round as the full rows do
+    # exact p keeps value and type; float q and s on exact p must round as
+    # the full rows do
     p, q, s = args
     qf, sf = [float(x) for x in q], float(s)
     for k in range(1, len(p) + 1):

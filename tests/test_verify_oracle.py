@@ -1,12 +1,14 @@
 """Oracle test for the exact suites `verify` checks on an integer scale.
 
 `cli._run_verify` checks sigma_recurrences, pair_exclusion_difference and
-product_decomposition on each vector's integer scale: every kernel value of
-degree d is multiplied by D**d, D the lcm of the vector's denominators.
-The oracle here checks the same cases one by one in plain Fraction
-arithmetic, on the same drawn vectors and through the same (possibly
-faulty) kernels, and every suite entry must come out equal: cases,
-failures, worst and the counterexample.
+product_decomposition on each vector's integer scale: the kernels run on
+the integer numerators p = D*a, D the lcm of the vector's denominators,
+so every value of degree d is D**d times its value at a.  The oracle here
+checks the same cases one by one in plain Fraction arithmetic, on the same
+drawn vectors and through the same (possibly faulty) kernels, and every
+suite entry must come out equal: cases, failures, worst and the
+counterexample.  A fault is keyed on the call, not on the scalar type, so
+it fires on both scales.
 """
 
 from fractions import Fraction
@@ -99,7 +101,7 @@ def _lying_sigma_1_excl_1(shift):
 
         def lying(values, excl=()):
             row = real(values, excl)
-            if tuple(excl) == (1,) and isinstance(values[0], Fraction):
+            if tuple(excl) == (1,):
                 row[1] = row[1] + shift
             return row
 
@@ -111,8 +113,9 @@ def _lying_gen_sym_table(monkeypatch):
     real = symfun.gen_sym_table
 
     def lying(values):
+        # every table but the all-ones ones of combinatorial_sums
         table = real(values)
-        if isinstance(values[0], Fraction):
+        if list(values) != [1] * len(values):
             table[1][1] = table[1][1] + 1
         return table
 
@@ -126,8 +129,7 @@ FAULTS = {
     "sigma_1_excl_1_plus_1": (_lying_sigma_1_excl_1(1),
                               {"sigma_recurrences",
                                "pair_exclusion_difference"}),
-    # 7**9 divides no power D**1 of a drawn vector's denominators (each
-    # below 9), so this value takes the exact Fraction fallback
+    # a value off the integer scale: the suites compare it exactly
     "sigma_1_excl_1_off_scale": (_lying_sigma_1_excl_1(Fraction(1, 7**9)),
                                  {"sigma_recurrences",
                                   "pair_exclusion_difference"}),
@@ -151,10 +153,3 @@ def test_scaled_suites_match_the_fraction_oracle(monkeypatch, fault):
             assert broken == failing
             assert all("counterexample" in got[name] for name in broken)
 
-
-def test_scaled_row_keeps_an_off_scale_value_exact():
-    # D = 6: degree 0, 1, 2 scale by 1, 6, 36; 1/7 divides no power of 6
-    row = [1, Fraction(5, 6), Fraction(1, 7), 0]
-    scaled = cli._scaled_row(row, [1, 6, 36, 216])
-    assert scaled == [1, 5, Fraction(36, 7), 0]
-    assert [type(v) for v in scaled] == [int, int, Fraction, int]

@@ -41,10 +41,18 @@ TIMEOUT_S = 600
 RUN = "import sys; from slex.cli import main; sys.exit(main(sys.argv[1:]))"
 
 _PI = repr(math.pi)
-# (name, interpreter flags, argv): edge inputs and error paths of `solve`
-# and `scan-eps`
+# (name, interpreter flags, argv): edge inputs and error paths of every
+# command
 EDGE_CASES = [
     ("verify default", (), ("verify",)),
+    # the smallest grid, csv with --exact, a large grid, and the exit-2
+    # inputs
+    ("verify grid=1", (), ("verify", "--grid", "1")),
+    ("verify grid=7 exact csv", (), ("verify", "--grid", "7", "--exact",
+                                     "--format", "csv")),
+    ("verify grid=1000", (), ("verify", "--grid", "1000", "--seed", "7")),
+    ("verify grid=0", (), ("verify", "--grid", "0")),
+    ("verify seed=-1", (), ("verify", "--seed", "-1")),
     ("iso critical n=5", (), ("solve", "--family", "iso", "--n", "5",
                               "--theta", "critical")),
     ("reflected data", (), ("solve", "--a=" + ",".join(
