@@ -41,10 +41,14 @@ run the kernels on each drawn vector's integer numerators p = D*a, D the
 lcm of its denominators, so every value of degree d comes out as D**d
 times its value at a.  That leaves every verdict as it is, and no
 Fraction is built.
-The rank-one suite builds its eigenvalue oracle's sigma row once per
-trial (symfun.elem_sym_all) and indexes it by k; each case of it, of
+The rank-one suite draws every trial's (p, q, s) first, then runs
+numpy's eigvalsh once per dimension on the stack of that dimension's
+matrices.  Per trial it builds each sigma row once: the eigenvalues' row
+for the oracle, and sigma(p) with the n exclusion rows sigma(p | i) that
+symfun.sigma_rank_one reads for every k.  Each case of it, of
 newton_margins and of product_decomposition makes one kernel call
-(sigma_rank_one, newton_check, product_decomposition).
+(sigma_rank_one, newton_check, product_decomposition); the last is
+memoized, so a repeated (j, k, n) is a lookup.
 """
 
 from __future__ import annotations
@@ -384,17 +388,33 @@ def _implication_cases(rng, trials: int):
 
 
 def _rank_one_cases(rng, trials: int):
-    # rank-one update vs dense eigenvalue oracle, float
+    # rank-one update vs dense eigenvalue oracle, float.  Every trial's
+    # (p, q, s) is drawn first, in trial order; then one eigvalsh call per
+    # dimension runs on the stack of that dimension's matrices
+    draws = []
     for t in range(trials):
         n = 3 + t % 6
-        p = np.exp(rng.standard_normal(n))
-        q = rng.standard_normal(n)
-        s = float(rng.standard_normal())
-        lam = np.linalg.eigvalsh(np.diag(p) + s * np.outer(q, q))
-        row = symfun.elem_sym_all(lam.tolist())
-        p_list, q_list = p.tolist(), q.tolist()
+        p = np.exp(rng.standard_normal(n)).tolist()
+        q = rng.standard_normal(n).tolist()
+        draws.append((p, q, float(rng.standard_normal())))
+    eigen = [None] * trials
+    for n in range(3, 3 + min(trials, 6)):
+        ts = range(n - 3, trials, 6)
+        ps, qs, ss = (np.array(col) for col in zip(*(draws[t] for t in ts)))
+        # diag(p) + s * outer(q, q), each entry formed as for one matrix
+        mats = np.zeros((len(ts), n, n))
+        mats[:, range(n), range(n)] = ps
+        mats += ss[:, None, None] * (qs[:, :, None] * qs[:, None, :])
+        for t, lam in zip(ts, np.linalg.eigvalsh(mats).tolist()):
+            eigen[t] = lam
+    for (p, q, s), lam in zip(draws, eigen):
+        n = len(p)
+        row = symfun.elem_sym_all(lam)
+        # the rows sigma_rank_one reads, built once for every k
+        sig = symfun.elem_sym_all(p)
+        excl = [symfun.elem_sym_excl_all(p, (i,)) for i in range(1, n + 1)]
         for k in range(1, n + 1):
-            direct = symfun.sigma_rank_one(p_list, q_list, s, k)
+            direct = symfun.sigma_rank_one(sig, excl, q, s, k)
             oracle = row[k]
             margin = abs(direct - oracle) / max(1.0, abs(oracle))
             ok = not margin > 1e-10

@@ -24,9 +24,9 @@ Exclusion indices are 1-based, matching the classical subscript notation
 for "sigma_k with the i-th variable removed".  ``elem_sym_excl_all`` returns
 the whole row sigma_0 .. sigma_{n-|excl|} of the reduced vector in one
 recurrence pass; a caller that needs many k for the same exclusion set
-builds that row once and indexes it.  ``sigma_rank_one`` needs one entry,
-sigma_{k-1}, of n exclusion rows: it runs each recurrence inline, cut off
-at index k-1.
+builds that row once and indexes it.  ``sigma_rank_one`` takes the rows it
+reads, sigma(p) and the n rows sigma(p | i), so a caller that needs every
+k of one p builds them once.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -67,14 +68,6 @@ def elem_sym_all(a: Sequence) -> list:
         for j in down:
             e[j] += x * e[j - 1]
     return e
-
-
-def elem_sym(a: Sequence, k: int):
-    """sigma_k(a); k < 0 and k > n fall back to the zero convention."""
-    n = len(a)
-    if k < 0 or k > n:
-        return 0
-    return elem_sym_all(a)[k]
 
 
 def elem_sym_excl_all(a: Sequence, excl: Sequence[int] = ()) -> list:
@@ -127,33 +120,26 @@ def gen_sym_table(a: Sequence) -> list:
     return table
 
 
-def sigma_rank_one(p: Sequence, q: Sequence, s, k: int):
+def sigma_rank_one(sig: Sequence, excl: Sequence, q: Sequence, s, k: int):
     """sigma_k of the eigenvalues of diag(p) + s * q q^T, in closed form.
 
     The update is linear in s: sigma_k(p) plus s times the sum over i of
     sigma_{k-1}(p with entry i removed) * q_i^2.  No eigenvalue computation
-    is performed.  Each sigma_{k-1}(p | i) comes from elem_sym_all's
-    recurrence cut off at index k-1, run inline on p without entry i: its
-    entries up to k-1 see the same operations in the same order as in the
-    full row of elem_sym_excl_all(p, (i+1,)), so a float result has the
-    bits of the sum over those rows, and exact input its value and type.
+    is performed.  The caller hands in the rows of p this reads, sig =
+    elem_sym_all(p) and excl[i] = elem_sym_excl_all(p, (i+1,)), built once
+    for every k; the result is their sigma_k + s * sum_i excl[i][k-1] q_i^2,
+    summed in index order.
     """
-    n = len(p)
-    if len(q) != n:
-        raise ValueError("p and q must have the same length")
+    n = len(sig) - 1
+    if len(excl) != n or len(q) != n:
+        raise ValueError("need n exclusion rows and n entries of q for "
+                         "a sigma row of length n + 1")
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
-    base = elem_sym(p, k)
-    down = range(k - 1, 0, -1)
     corr = 0
     for i in range(n):
-        # sigma_0 .. sigma_{k-1} of p without entry i
-        e = [1] + [0] * (k - 1)
-        for x in (*p[:i], *p[i + 1:]):
-            for j in down:
-                e[j] += x * e[j - 1]
-        corr = corr + e[k - 1] * q[i] * q[i]
-    return base + s * corr
+        corr = corr + excl[i][k - 1] * q[i] * q[i]
+    return sig[k] + s * corr
 
 
 def rank_one_phase_level(p: np.ndarray, s: np.ndarray, q2: np.ndarray,
@@ -215,18 +201,21 @@ def signed_odd_binomial_sum(Q: int) -> int:
                for q in range(Q + 1))
 
 
-def product_decomposition(j: int, k: int, n: int) -> list:
+@lru_cache(maxsize=None)
+def product_decomposition(j: int, k: int, n: int) -> tuple:
     """Expansion of sigma_j * sigma_k over generalized symmetric values.
 
-    Returns a list of (coeff, (K, J)) pairs such that, for every length-n
-    vector a, with T = gen_sym_table(a),
+    Returns a tuple of (coeff, (K, J)) pairs such that, for every length-n
+    vector a, with sig = elem_sym_all(a) and T = gen_sym_table(a),
 
-        elem_sym(a, j) * elem_sym(a, k) == sum coeff * T[K][J].
+        sig[j] * sig[k] == sum coeff * T[K][J].
 
     Two regimes share the boundary j + k == n, where they agree term by
     term:  for j + k <= n the h-th term (h = 0..j) is
     C(j+k-2h, j-h) * T[j+k-h][h]; for j + k >= n it is
-    C(2n-j-k-2h, n-j-h) * T[n-h][j+k-n+h] with h = 0..n-k.
+    C(2n-j-k-2h, n-j-h) * T[n-h][j+k-n+h] with h = 0..n-k.  The expansion
+    depends on (j, k, n) alone: it is memoized, and the tuple is immutable,
+    so every caller can share it.
     """
     if not (0 <= j <= k <= n):
         raise ValueError("need 0 <= j <= k <= n")
@@ -238,7 +227,7 @@ def product_decomposition(j: int, k: int, n: int) -> list:
         for h in range(n - k + 1):
             terms.append((math.comb(2 * n - j - k - 2 * h, n - j - h),
                           (n - h, j + k - n + h)))
-    return terms
+    return tuple(terms)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ No command reaches these.  Each is the direct formula for a quantity that
 slex either computes by another route or does not need: the Hessian of a
 candidate and its sigma values, the candidate's radial value, the
 direction weights and their extremes, the ray polynomial and the level
-values, and g'.  The candidate matrix is diagonal, diag(a): a general
-symmetric A enters slex through its eigenvalues.
+values, g', and the cut-off recurrence of the rank-one sigma formula.
+The candidate matrix is diagonal, diag(a): a general symmetric A enters
+slex through its eigenvalues.
 """
 
 import math
@@ -21,6 +22,31 @@ def elem_sym_excl(a, k, excl=()):
     symfun.elem_sym_excl_all, and 0 for k < 0 and k > n - len(excl)."""
     row = symfun.elem_sym_excl_all(a, excl)
     return row[k] if 0 <= k < len(row) else 0
+
+
+def rank_one_rows(p):
+    """(sig, excl) as symfun.sigma_rank_one reads them for the vector p:
+    sig = elem_sym_all(p) and excl[i] = elem_sym_excl_all(p, (i+1,))."""
+    return (symfun.elem_sym_all(p),
+            [symfun.elem_sym_excl_all(p, (i,)) for i in range(1, len(p) + 1)])
+
+
+def sigma_rank_one_cutoff(p, q, s, k):
+    """sigma_k(p) + s * sum_i sigma_{k-1}(p less i) q_i^2, each
+    sigma_{k-1}(p less i) from elem_sym_all's recurrence run inline on p
+    without entry i and cut off at index k-1.  Each entry it keeps sees the
+    operations of the full row, in the same order, so symfun.sigma_rank_one
+    on the full rows must match it bit for bit."""
+    down = range(k - 1, 0, -1)
+    corr = 0
+    for i in range(len(p)):
+        # sigma_0 .. sigma_{k-1} of p without entry i
+        e = [1] + [0] * (k - 1)
+        for x in (*p[:i], *p[i + 1:]):
+            for j in down:
+                e[j] += x * e[j - 1]
+        corr = corr + e[k - 1] * q[i] * q[i]
+    return symfun.elem_sym_all(p)[k] + s * corr
 
 
 def level_value(spec, lam):
@@ -122,5 +148,6 @@ def hessian_sigma(spec, x, k):
     a = spec.pf.a
     r = ellipsoid_radius(a, xv)
     nu, dpsi = profile_at(spec, r)
-    return float(symfun.sigma_rank_one((nu * a).tolist(), (a * xv).tolist(),
+    sig, excl = rank_one_rows((nu * a).tolist())
+    return float(symfun.sigma_rank_one(sig, excl, (a * xv).tolist(),
                                        dpsi / r, k))

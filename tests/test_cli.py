@@ -10,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slex import cli, radial, symfun, weights
@@ -133,8 +134,10 @@ def test_verify_fault_injection_exclusion_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.symfun, "elem_sym_excl_all", lying)
     code, path = run(tmp_path, ["verify", "--grid", "10"], "bad.json")
     assert code == 1
+    # the rank-one suite reads the same kernel's rows of each float p
     assert _failing_suites(path) == {"sigma_recurrences",
-                                     "pair_exclusion_difference"}
+                                     "pair_exclusion_difference",
+                                     "rank_one_vs_eigen"}
 
 
 def test_verify_fault_injection_gen_sym_table(tmp_path, monkeypatch):
@@ -353,6 +356,45 @@ def test_verify_one_kernel_call_per_case(tmp_path, monkeypatch):
     assert {suite: calls[kernel]
             for suite, kernel in VERIFY_CALL_PER_CASE.items()} == \
         {suite: cases[suite] for suite in VERIFY_CALL_PER_CASE}
+
+
+def test_verify_builds_rank_one_rows_once_and_batches_its_eigen_oracle(
+        tmp_path, monkeypatch):
+    # the rank-one suite builds each trial's n exclusion rows of the float
+    # vector p once and reads every k from them; its eigenvalue oracle runs
+    # once per dimension (n = 3..8) on the stacked matrices; and
+    # product_decomposition hands back one tuple per (j, k, n)
+    calls = {"float_rows": 0, "eigvalsh": 0, "expansions": 0}
+    expansions = {}
+    real_excl = symfun.elem_sym_excl_all
+    real_eigvalsh = np.linalg.eigvalsh
+    real_expansion = symfun.product_decomposition
+
+    def excl(values, *rest):
+        if all(type(v) is float for v in values):
+            calls["float_rows"] += 1
+        return real_excl(values, *rest)
+
+    def eigvalsh(*args, **kwargs):
+        calls["eigvalsh"] += 1
+        return real_eigvalsh(*args, **kwargs)
+
+    def expansion(j, k, n):
+        calls["expansions"] += 1
+        terms = real_expansion(j, k, n)
+        assert type(terms) is tuple
+        assert expansions.setdefault((j, k, n), terms) == terms
+        return terms
+
+    monkeypatch.setattr(cli.symfun, "elem_sym_excl_all", excl)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(cli.symfun, "product_decomposition", expansion)
+    code, _path = run(tmp_path, ["verify", "--grid", "12"])
+    assert code == 0
+    assert calls["float_rows"] == sum(3 + t % 6 for t in range(12))
+    assert calls["eigvalsh"] <= 6
+    # every (j, k, n) comes twice: two drawn vectors per dimension
+    assert calls["expansions"] == 2 * len(expansions)
 
 
 def test_solve_closed_case(tmp_path):

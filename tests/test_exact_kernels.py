@@ -3,8 +3,9 @@
 These tests hold every exact (int/Fraction) kernel to a plain Fraction
 recurrence written out here, in value and in type; hold the integer
 numerators of a Fraction vector to the scale D**degree that `verify`'s
-exact suites rely on; and hold float and numpy input to the plain loop bit
-for bit.  Examples are drawn by hypothesis with a fixed derandomized seed,
+exact suites rely on; hold float and numpy input to the plain loop bit
+for bit; and hold the rank-one formula, read from full exclusion rows, to
+the cut-off recurrence in tests/oracles.py.  Examples are drawn by hypothesis with a fixed derandomized seed,
 so every run checks the same cases.
 """
 
@@ -15,6 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from slex import phasepoly, symfun
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -107,11 +109,7 @@ def without(a, drop):
 @SETTINGS
 @given(exact_vectors)
 def test_sigma_row_matches_plain_fraction_recurrence(a):
-    sig = plain_sigma(a)
-    same(symfun.elem_sym_all(a), sig)
-    for k in range(-1, len(a) + 2):
-        want = sig[k] if 0 <= k <= len(a) else 0
-        same(symfun.elem_sym(a, k), want)
+    same(symfun.elem_sym_all(a), plain_sigma(a))
 
 
 @SETTINGS
@@ -211,17 +209,15 @@ def test_float_and_numpy_input_keep_the_plain_loop(a):
         same(phasepoly.alternating_parts_weighted(vec), weighted)
         (x, y), (xw, yw) = parts, weighted
         same(phasepoly.ray_wronskian(vec, mode="product"), x * yw - y * xw)
+        # the closed form runs on the band of the table: its sub-diagonal
+        # summed in order, bit for bit
+        table = plain_gen_table(vec)
+        closed = 0
+        for p in range(len(vec)):
+            closed = closed + table[p + 1][p]
+        same(phasepoly.ray_wronskian(vec, mode="closed_form"), closed)
     for i in range(1, len(a) + 1):
         same(symfun.elem_sym_excl_all(a, (i,)), plain_sigma(without(a, {i})))
-
-
-def rank_one_oracle(p, q, s, k):
-    # sigma_rank_one as one full exclusion row per entry
-    corr = 0
-    for i in range(len(p)):
-        corr = corr + (symfun.elem_sym_excl_all(p, (i + 1,))[k - 1]
-                       * q[i] * q[i])
-    return symfun.elem_sym(p, k) + s * corr
 
 
 def rank_one_inputs(vectors, entries):
@@ -239,21 +235,26 @@ signed_floats = st.one_of(floats, st.sampled_from([0.0, -0.0, -1.0, -2.5]))
 @SETTINGS
 @given(rank_one_inputs(st.lists(signed_floats, max_size=12), signed_floats))
 def test_sigma_rank_one_float_bits_match_full_exclusion_rows(args):
+    # read from the full exclusion rows, every value has the bits of the
+    # cut-off recurrence, on lists and on numpy arrays
     p, q, s = args
-    for k in range(1, len(p) + 1):
-        same(symfun.sigma_rank_one(p, q, s, k), rank_one_oracle(p, q, s, k))
-        same(symfun.sigma_rank_one(np.array(p), np.array(q), s, k),
-             rank_one_oracle(np.array(p), np.array(q), s, k))
+    for pv, qv in ((p, q), (np.array(p), np.array(q))):
+        sig, excl = oracles.rank_one_rows(pv)
+        for k in range(1, len(p) + 1):
+            same(symfun.sigma_rank_one(sig, excl, qv, s, k),
+                 oracles.sigma_rank_one_cutoff(pv, qv, s, k))
 
 
 @SETTINGS
 @given(rank_one_inputs(exact_vectors, entry))
 def test_sigma_rank_one_exact_matches_full_exclusion_rows(args):
     # exact p keeps value and type; float q and s on exact p must round as
-    # the full rows do
+    # the cut-off recurrence does
     p, q, s = args
     qf, sf = [float(x) for x in q], float(s)
+    sig, excl = oracles.rank_one_rows(p)
     for k in range(1, len(p) + 1):
-        same(symfun.sigma_rank_one(p, q, s, k), rank_one_oracle(p, q, s, k))
-        same(symfun.sigma_rank_one(p, qf, sf, k),
-             rank_one_oracle(p, qf, sf, k))
+        same(symfun.sigma_rank_one(sig, excl, q, s, k),
+             oracles.sigma_rank_one_cutoff(p, q, s, k))
+        same(symfun.sigma_rank_one(sig, excl, qf, sf, k),
+             oracles.sigma_rank_one_cutoff(p, qf, sf, k))

@@ -43,12 +43,9 @@ def rational_vector(rng, n):
 
 
 def test_elem_sym_known_values():
-    assert symfun.elem_sym((1, 2, 3), 0) == 1
-    assert symfun.elem_sym((1, 2, 3), 1) == 6
-    assert symfun.elem_sym((1, 2, 3), 2) == 11
-    assert symfun.elem_sym((1, 2, 3), 3) == 6
-    assert symfun.elem_sym((1, 2, 3), -1) == 0
-    assert symfun.elem_sym((1, 2, 3), 4) == 0
+    assert symfun.elem_sym_all((1, 2, 3)) == [1, 6, 11, 6]
+    assert oracles.elem_sym_excl((1, 2, 3), -1) == 0
+    assert oracles.elem_sym_excl((1, 2, 3), 4) == 0
 
 
 def test_elem_sym_matches_enumeration_exact():
@@ -224,8 +221,9 @@ def test_signed_odd_binomial_sum():
 
 
 def test_sigma_rank_one_known_values():
-    assert symfun.sigma_rank_one((1, 1), (1, 0), 2, 1) == 4
-    assert symfun.sigma_rank_one((1, 1), (1, 0), 2, 2) == 3
+    sig, excl = oracles.rank_one_rows((1, 1))
+    assert symfun.sigma_rank_one(sig, excl, (1, 0), 2, 1) == 4
+    assert symfun.sigma_rank_one(sig, excl, (1, 0), 2, 2) == 3
 
 
 def test_sigma_rank_one_matches_eigen_oracle():
@@ -236,9 +234,11 @@ def test_sigma_rank_one_matches_eigen_oracle():
         q = rng.standard_normal(n)
         s = float(rng.standard_normal())
         lam = np.linalg.eigvalsh(np.diag(p) + s * np.outer(q, q))
+        sig, excl = oracles.rank_one_rows(p.tolist())
+        eig_sig = symfun.elem_sym_all(lam.tolist())
         for k in range(1, n + 1):
-            direct = symfun.sigma_rank_one(p.tolist(), q.tolist(), s, k)
-            oracle = symfun.elem_sym(lam.tolist(), k)
+            direct = symfun.sigma_rank_one(sig, excl, q.tolist(), s, k)
+            oracle = eig_sig[k]
             assert direct == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
 
@@ -252,21 +252,25 @@ def test_sigma_rank_one_exact_rational():
         # characteristic-coefficient oracle via the exclusion expansion done
         # with a symbolic determinant on small sizes is overkill; instead
         # check the defining expansion directly
+        sig, excl = oracles.rank_one_rows(p)
         for k in range(1, n + 1):
-            expect = symfun.elem_sym(p, k)
+            expect = symfun.elem_sym_all(p)[k]
             for i in range(1, n + 1):
                 expect += s * q[i - 1] ** 2 * oracles.elem_sym_excl(p, k - 1,
                                                                     (i,))
-            assert symfun.sigma_rank_one(p, q, s, k) == expect
+            assert symfun.sigma_rank_one(sig, excl, q, s, k) == expect
 
 
 def test_sigma_rank_one_validates():
+    sig, excl = oracles.rank_one_rows((1, 2))
     with pytest.raises(ValueError):
-        symfun.sigma_rank_one((1, 2), (1, 2, 3), 1, 1)
+        symfun.sigma_rank_one(sig, excl, (1, 2, 3), 1, 1)
     with pytest.raises(ValueError):
-        symfun.sigma_rank_one((1, 2), (1, 2), 1, 0)
+        symfun.sigma_rank_one(sig, excl[:1], (1, 2), 1, 1)
     with pytest.raises(ValueError):
-        symfun.sigma_rank_one((1, 2), (1, 2), 1, 3)
+        symfun.sigma_rank_one(sig, excl, (1, 2), 1, 0)
+    with pytest.raises(ValueError):
+        symfun.sigma_rank_one(sig, excl, (1, 2), 1, 3)
 
 
 def test_newton_check_known_margins():
