@@ -32,15 +32,16 @@ numbers are emitted in shortest round-trip decimal form.  JSON reports go
 through a small recursive writer (_json_text) whose output is byte for
 byte json.dumps(report, indent=2, sort_keys=True), the stdlib's
 pure-Python encoder with indent; a list of float-valued dicts of one key
-set (scan-eps rows) fills one repeated row template with a single %, a
-list of finite floats (a trajectory) is one join.  Identity suites always
-run in exact rational arithmetic; verify --exact records that request
-explicitly in the report.  The homogeneous ones (sigma recurrences, pair
-exclusion differences, product decompositions) compare Python ints: they
-run the kernels on each drawn vector's integer numerators p = D*a, D the
-lcm of its denominators, so every value of degree d comes out as D**d
-times its value at a.  That leaves every verdict as it is, and no
-Fraction is built.
+set (scan-eps rows) fills one repeated row template of %r fields with a
+single %, a list of finite floats (a trajectory) is one join; the scan
+csv, too, is one repeated row template filled by a single %.  Identity
+suites always run in exact rational arithmetic; verify --exact records
+that request explicitly in the report.  The homogeneous ones (sigma
+recurrences, pair exclusion differences, product decompositions, Newton
+margins) compare Python ints: they run the kernels on each drawn
+vector's integer numerators p = D*a, D the lcm of its denominators, so
+every value of degree d comes out as D**d times its value at a.  That
+leaves every verdict as it is, and no Fraction is built.
 The rank-one suite draws every trial's (p, q, s) first, then runs
 numpy's eigvalsh once per dimension on the stack of that dimension's
 matrices.  Per trial it builds each sigma row once: the eigenvalues' row
@@ -161,7 +162,8 @@ def _json_flat(items, inner: str) -> Optional[str]:
     they are finite exact floats (a trajectory, joined) or plain dicts of
     one set of two or more str keys with finite exact float values (scan
     rows: keys sorted once, values taken in one itemgetter pass, one row
-    template repeated and filled by a single %); None otherwise."""
+    template of %r fields repeated and filled by a single %); None
+    otherwise."""
     kinds = set(map(type, items))
     values, row = items, None
     if kinds == {dict}:
@@ -174,14 +176,14 @@ def _json_flat(items, inner: str) -> Optional[str]:
             map(operator.itemgetter(*names), items)))
         kinds = set(map(type, values))
         row = "{" + ",".join(f"{inner}  {_json_str(key).replace('%', '%%')}"
-                             ": %s" for key in names) + inner + "}"
+                             ": %r" for key in names) + inner + "}"
     # a non-finite value makes the sum non-finite; an overflow just recurses
     if kinds != {float} or not math.isfinite(sum(values)):
         return None
-    texts = map(float.__repr__, values)
     if row is None:
-        return ("," + inner).join(texts)
-    return ("," + inner).join([row] * len(items)) % tuple(texts)
+        return ("," + inner).join(map(float.__repr__, values))
+    # exact floats only, so %r is float.__repr__
+    return ("," + inner).join([row] * len(items)) % tuple(values)
 
 
 # float.__repr__ spells the non-finite floats as Python literals; JSON text
@@ -422,14 +424,16 @@ def _rank_one_cases(rng, trials: int):
                                        "s": _fmt(s), "k": k}, margin
 
 
-def _newton_cases(vectors: list, rng, trials: int):
-    # Newton inequality margins: exact on rationals, tolerant on floats
-    for vec in vectors:
-        ok = symfun.newton_check(vec).passed
+def _newton_cases(vectors: list, scaled: list, rng, trials: int):
+    # Newton inequality margins: exact on rationals (the integer row's
+    # margins carry D**(2k) and keep their signs), tolerant on floats
+    for vec, (_p, sig, _rows, _pairs) in zip(vectors, scaled):
+        ok = symfun.newton_check(sig).passed
         yield ok, None if ok else {"a": _fracs(vec)}
     for t in range(trials):
         lam = rng.standard_normal(3 + t % 6) * 3.0
-        margins = symfun.newton_check(lam.tolist()).margins.values()
+        sig = symfun.elem_sym_all(lam.tolist())
+        margins = symfun.newton_check(sig).margins.values()
         scale = max(1.0, max(map(abs, margins)) if margins else 1.0)
         ok = not any(v < -1e-9 * scale for v in margins)
         yield ok, None if ok else {"lam": _floats(lam)}
@@ -443,8 +447,8 @@ def _run_verify(args: argparse.Namespace) -> dict:
         raise ValueError("verify grid needs at least 1 vector")
     rng = np.random.default_rng(args.seed)
     vectors = [_rational_vector(rng, 3 + t % 6) for t in range(trials)]
-    # one build of each vector's rows serves the recurrence, pair and
-    # product suites; the float suites then draw from rng in list order
+    # one build of each vector's rows serves the recurrence, pair, product
+    # and Newton suites; the float suites then draw from rng in list order
     scaled = [_int_rows(vec) for vec in vectors]
     suites = [
         _suite("wronskian_modes", _wronskian_cases(vectors)),
@@ -456,7 +460,7 @@ def _run_verify(args: argparse.Namespace) -> dict:
         _suite("wronskian_implication", _implication_cases(rng, trials),
                "implication failed"),
         _suite("rank_one_vs_eigen", _rank_one_cases(rng, trials), None),
-        _suite("newton_margins", _newton_cases(vectors, rng, trials),
+        _suite("newton_margins", _newton_cases(vectors, scaled, rng, trials),
                "margin negative"),
     ]
     return {
@@ -490,10 +494,13 @@ def _verify_summary(report: dict) -> list:
 
 # --------------------------------------------------------------- scan-eps
 
+_SQRT3 = math.sqrt(3.0)
+
+
 def _closed_form_exponent(eps: float) -> float:
-    s3 = math.sqrt(3.0)
-    num = 4 * s3 * math.cos(4 * eps) + 4 * s3 * math.cos(2 * eps) + 2 * s3
-    den = (2 * s3 * math.cos(4 * eps) + 2 * math.sin(6 * eps)
+    s3, cos4 = _SQRT3, math.cos(4 * eps)
+    num = 4 * s3 * cos4 + 4 * s3 * math.cos(2 * eps) + 2 * s3
+    den = (2 * s3 * cos4 + 2 * math.sin(6 * eps)
            + 2 * math.sin(2 * eps) + 3 * math.sin(4 * eps))
     return num / den
 
@@ -539,11 +546,12 @@ def _run_scan(args: argparse.Namespace) -> dict:
 
 
 def _scan_csv(report: dict) -> str:
-    lines = ["eps,m_pipeline,m_closed_form"]
-    for row in report["rows"]:
-        lines.append(f"{_fmt(row['eps'])},{_fmt(row['m_pipeline'])},"
-                     f"{_fmt(row['m_closed_form'])}")
-    return "\n".join(lines) + "\n"
+    # the rows hold Python floats (_run_scan), so %r is float.__repr__
+    rows = report["rows"]
+    values = chain.from_iterable(map(
+        operator.itemgetter("eps", "m_pipeline", "m_closed_form"), rows))
+    return ("eps,m_pipeline,m_closed_form\n"
+            + "%r,%r,%r\n" * len(rows) % tuple(values))
 
 
 def _scan_summary(report: dict) -> list:

@@ -16,9 +16,9 @@ other entry a ``Fraction``.  On ints it stays on ints, and since sigma_k
 and T[k][j] are homogeneous, the numerators p = D*a of an exact vector
 (clear_denominators) give sigma_k(p) = D**k sigma_k(a) and
 T[k][j](p) = D**(k+j) T[k][j](a): `verify`'s homogeneous suites compare
-on that scale and build no ``Fraction``.  ``newton_check`` (and
-``phasepoly.ray_wronskian``) clear the denominators themselves, compute
-their results from the integer row, and build one ``Fraction`` per result.
+on that scale and build no ``Fraction``.  ``phasepoly.ray_wronskian``
+clears the denominators itself, computes its result from the integer row,
+and builds one ``Fraction`` for it.
 
 Exclusion indices are 1-based, matching the classical subscript notation
 for "sigma_k with the i-th variable removed".  ``elem_sym_excl_all`` returns
@@ -26,7 +26,8 @@ the whole row sigma_0 .. sigma_{n-|excl|} of the reduced vector in one
 recurrence pass; a caller that needs many k for the same exclusion set
 builds that row once and indexes it.  ``sigma_rank_one`` takes the rows it
 reads, sigma(p) and the n rows sigma(p | i), so a caller that needs every
-k of one p builds them once.
+k of one p builds them once; ``newton_check`` takes the row sigma(a) it
+reads, so a caller that already has it builds no second one.
 """
 
 from __future__ import annotations
@@ -237,25 +238,20 @@ class NewtonReport:
     passed: bool
 
 
-def newton_check(a: Sequence) -> NewtonReport:
-    """Margins sigma_k^2 - sigma_{k-1} sigma_{k+1} for k = 1 .. n-1.
+def newton_check(sig: Sequence) -> NewtonReport:
+    """Margins sigma_k^2 - sigma_{k-1} sigma_{k+1} for k = 1 .. n-1 of the
+    sigma row sig = elem_sym_all(a) of a vector a of length n.
 
     Newton's inequality makes every margin nonnegative for real entries;
-    n = 1 passes vacuously.  Exact input that clear_denominators takes
-    (a_i = p_i / D) finishes on the integer scale: margin k of the
-    numerators carries D**(2k), its sign decides the flag, and one Fraction
-    per margin gives the value and type of the plain Fraction route.
+    n = 1 passes vacuously.  The margins keep the row's scalar type.  Each
+    margin k has degree 2k, so the row of the integer numerators p = D*a
+    (clear_denominators) gives D**(2k) times a's margins as ints: the same
+    signs, hence the same flag, with no Fraction built.
     """
-    n = len(a)
-    cleared = clear_denominators(a)
-    nums, d = (a, 1) if cleared is None else cleared
-    sig = elem_sym_all(nums)
     margins = {}
-    for k in range(1, n):
+    for k in range(1, len(sig) - 1):
         margins[k] = sig[k] * sig[k] - sig[k - 1] * sig[k + 1]
     passed = all(v >= 0 for v in margins.values())
-    if cleared is not None:
-        margins = {k: Fraction(v, d ** (2 * k)) for k, v in margins.items()}
     return NewtonReport(margins=margins, passed=passed)
 
 

@@ -43,12 +43,17 @@ Everything runs on one ascending list of Python floats, through one
 routine (_chain) behind every exponent and selected chain.  It runs the
 three sigma recurrences in place, each value by elem_sym_all's
 operations in its order, and forms only the selected chain, so the bits
-are the ones the full rows and chains give.  Arrays appear only in the
-WeightProfile that weight_profile returns; it also carries the sigma
-row, so the radial module takes its slope-field pair and m from one
-profile.  A sigma row
-outside (0, F/(2n^2)), F the largest float, is rejected with ValueError
-before any chain or exponent is formed: Python floats overflow silently.
+are the ones the full rows and chains give.  A list of Python floats is
+read as it is; any other vector goes through one numpy conversion first.
+epsilon_family returns its five points as such a list, already
+ascending, so a scan row builds no array.  Arrays appear only in what
+the module hands out: the selected chain of the WeightProfile that
+weight_profile returns (it also carries the sigma row, so the radial
+module takes its slope-field pair and m from one profile), the
+classified vector Admissibility.a, and the points of complete_to_phase
+and iso_point.  A sigma row outside (0, F/(2n^2)), F the largest float,
+is rejected with ValueError before any chain or exponent is formed:
+Python floats overflow silently.
 """
 
 from __future__ import annotations
@@ -63,21 +68,26 @@ import numpy as np
 from .phasepoly import LEVEL_TOL, PhaseSpec, phase
 
 _FLOAT_MAX = sys.float_info.max
+_FLOAT = {float}
 
 
 def _ascending_positive(a, n: int) -> list:
-    """The entries of a as an ascending list of n positive Python floats."""
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("vector must have all entries positive")
-    vals = arr.tolist()
+    """The entries of a as a new ascending list of n positive Python floats.
+
+    A list of Python floats is read as it is; any other input goes through
+    one numpy conversion to float, whose rules decide what is a vector.
+    """
+    if type(a) is not list or set(map(type, a)) != _FLOAT:
+        arr = np.asarray(a, dtype=float)
+        if arr.ndim != 1:
+            raise ValueError("vector must have all entries positive")
+        a = arr.tolist()
     # 0.0 < v is False for NaN, so NaN entries are rejected too
-    if not all(map((0.0).__lt__, vals)):
+    if not a or not all(map((0.0).__lt__, a)):
         raise ValueError("vector must have all entries positive")
-    if len(vals) != n:
+    if len(a) != n:
         raise ValueError("vector length does not match the phase dimension")
-    vals.sort()
-    return vals
+    return sorted(a)
 
 
 def _chain(c: Sequence, vals: list) -> tuple:
@@ -97,22 +107,28 @@ def _chain(c: Sequence, vals: list) -> tuple:
     lo, hi = vals[0], vals[-1]
     sig = [1, lo]
     for x in vals[1:-1]:
-        sig.append(x * sig[-1])
-        for j in range(len(sig) - 2, 0, -1):
+        j = len(sig) - 1
+        sig.append(x * sig[j])
+        while j:
             sig[j] += x * sig[j - 1]
+            j -= 1
     less_max = sig[:]
     sig.append(hi * sig[-1])
-    for j in range(n - 1, 0, -1):
+    j = n - 1
+    while j:
         sig[j] += hi * sig[j - 1]
+        j -= 1
     top = _FLOAT_MAX / (2 * n * n)
     for s in sig:
         if not 0.0 < s < top:
             raise ValueError("sigma row of the vector leaves the float range")
     less_min = [1, *vals[1:2]]
     for x in vals[2:]:
-        less_min.append(x * less_min[-1])
-        for j in range(len(less_min) - 2, 0, -1):
+        j = len(less_min) - 1
+        less_min.append(x * less_min[j])
+        while j:
             less_min[j] += x * less_min[j - 1]
+            j -= 1
     selected, num, den = [0.0], [], []
     for k in range(1, n):
         ck, sk = c[k], sig[k]
@@ -231,8 +247,9 @@ def complete_to_phase(prefix: Sequence, spec: PhaseSpec) -> np.ndarray:
     return np.sort(np.append(pre, math.tan(rem)))
 
 
-def epsilon_family(eps: float) -> np.ndarray:
-    """The five-point level family tan(pi/3 + k*eps), k = -2..2.
+def epsilon_family(eps: float) -> list:
+    """The five-point level family tan(pi/3 + k*eps), k = -2..2, as an
+    ascending list of Python floats.
 
     Defined for 0 <= eps <= pi/12; the phase is identically 5*pi/3 (the
     arctans telescope).  At the endpoint the largest entry is the tangent
@@ -242,7 +259,7 @@ def epsilon_family(eps: float) -> np.ndarray:
     if not (0.0 <= eps <= math.pi / 12):
         raise ValueError("eps must lie in [0, pi/12]")
     base = math.pi / 3
-    return np.array([math.tan(base + k * eps) for k in (-2, -1, 0, 1, 2)])
+    return [math.tan(base + k * eps) for k in (-2, -1, 0, 1, 2)]
 
 
 def iso_point(spec: PhaseSpec) -> np.ndarray:

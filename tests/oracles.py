@@ -4,7 +4,8 @@ No command reaches these.  Each is the direct formula for a quantity that
 slex either computes by another route or does not need: the Hessian of a
 candidate and its sigma values, the candidate's radial value, the
 direction weights and their extremes, the ray polynomial and the level
-values, g', and the cut-off recurrence of the rank-one sigma formula.
+values, g', the cut-off recurrence of the rank-one sigma formula, and the
+numpy route by which the weights layer once read a vector.
 The candidate matrix is diagonal, diag(a): a general symmetric A enters
 slex through its eigenvalues.
 """
@@ -47,6 +48,24 @@ def sigma_rank_one_cutoff(p, q, s, k):
                 e[j] += x * e[j - 1]
         corr = corr + e[k - 1] * q[i] * q[i]
     return symfun.elem_sym_all(p)[k] + s * corr
+
+
+def ascending_positive_ndarray(a, n):
+    """The entries of a as an ascending list of n positive Python floats,
+    by the numpy round trip weights._ascending_positive once made: one
+    np.asarray(a, dtype=float), the checks on the array's shape and on
+    its list, then an in-place sort.  Its values and its ValueError
+    messages are the contract the weights layer keeps."""
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("vector must have all entries positive")
+    vals = arr.tolist()
+    if not all(map((0.0).__lt__, vals)):
+        raise ValueError("vector must have all entries positive")
+    if len(vals) != n:
+        raise ValueError("vector length does not match the phase dimension")
+    vals.sort()
+    return vals
 
 
 def level_value(spec, lam):

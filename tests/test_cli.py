@@ -182,9 +182,9 @@ def test_verify_exact_suites_hand_the_kernels_ints(tmp_path, monkeypatch):
     code, _path = run(tmp_path, ["verify", "--grid", "12"])
     assert code == 0
     # per drawn vector (n = 3..8, twice): 2n - 1 exclusion rows, each one
-    # elem_sym_all call inside, one sigma row, one for newton_check's
-    # numerators and one table; combinatorial_sums adds ten all-ones tables
-    assert int_calls == {"elem_sym_all": 120 + 12 + 12,
+    # elem_sym_all call inside, one sigma row (which newton_check reads
+    # too) and one table; combinatorial_sums adds ten all-ones tables
+    assert int_calls == {"elem_sym_all": 120 + 12,
                          "elem_sym_excl_all": 120, "gen_sym_table": 22}
 
 
@@ -289,6 +289,19 @@ def test_scan_eps_csv(tmp_path):
     assert float(last[0]) == pytest.approx(math.pi / 12, rel=1e-15)
     assert float(last[1]) == pytest.approx((16 + 4 * math.sqrt(3)) / 13,
                                            abs=1e-9)
+
+
+@pytest.mark.parametrize("grid", [2, 97, 8000])
+def test_scan_eps_csv_is_the_per_value_join(tmp_path, grid):
+    # one filled template gives the join of repr(float(x)) per value
+    code, path = run(tmp_path, ["scan-eps", "--grid", str(grid)], "scan.csv")
+    assert code == 0
+    args = cli.build_parser().parse_args(["scan-eps", "--grid", str(grid)])
+    rows = args.run(args)["rows"]
+    want = "".join(
+        f"{repr(float(row['eps']))},{repr(float(row['m_pipeline']))},"
+        f"{repr(float(row['m_closed_form']))}\n" for row in rows)
+    assert path.read_text() == "eps,m_pipeline,m_closed_form\n" + want
 
 
 def test_scan_eps_json_summary(tmp_path):

@@ -176,9 +176,18 @@ def test_newton_margins_match_plain_recurrence(a):
     sig = plain_sigma(a)
     margins = {k: sig[k] * sig[k] - sig[k - 1] * sig[k + 1]
                for k in range(1, len(a))}
-    report = symfun.newton_check(a)
+    report = symfun.newton_check(symfun.elem_sym_all(a))
     same(report.margins, margins)
     assert report.passed == all(v >= 0 for v in margins.values())
+    # on the integer numerators p = D*a margin k is the int D**(2k) times
+    # a's, so the flag is the same
+    cleared = symfun.clear_denominators(a)
+    if cleared is not None:
+        p, d = cleared
+        scaled = symfun.newton_check(symfun.elem_sym_all(p))
+        same(scaled.margins, {k: int(v * d ** (2 * k))
+                              for k, v in margins.items()})
+        assert scaled.passed == report.passed
 
 
 @SETTINGS

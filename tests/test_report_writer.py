@@ -253,6 +253,24 @@ def test_writer_rows_fill_one_template(rows):
         assert cli._json_text(tree) == dumps(tree)
 
 
+@pytest.mark.parametrize("rows, templated", [
+    ([{"eps": -0.0, "m": 5e-324}, {"eps": 5e-324, "m": -0.0}], True),
+    ([{"eps": 1.7976931348623157e308, "m": -1.7976931348623157e308}], True),
+    # the finiteness check overflows, so these recurse
+    ([{"eps": 1.7976931348623157e308, "m": 0.5}] * 2, False),
+    ([{"%r": -0.0, "%%": 5e-324, "%(eps)r": 0.1}] * 3, True),
+    ([{"a%": 0.5, "%": 1.5}, {"%": np.float64(2.5), "a%": 3.5}], False),
+    ([{"eps": np.float64(-0.0), "m": np.float64(5e-324)}], False),
+    ([{"eps": 0.5, "m": np.float64(1.5)}] * 2, False),
+])
+def test_writer_row_template_fills_each_value_as_json_dumps(rows, templated):
+    # the row template takes exact finite floats only, filled through %r;
+    # an np.float64 value sends the rows down the recursive path
+    assert (cli._json_flat(rows, "\n  ") is not None) == templated
+    for tree in nest(rows):
+        assert cli._json_text(tree) == dumps(tree)
+
+
 @pytest.mark.parametrize("rows", [
     [{}], [{}, {}], [{"a": 0.5}], [{"a": 0.5}, {"a": 1.5}],
     [{"a": 0.5, "b": 1.5}, {"a": 0.5}], [{"a": 0.5}, {"a": 0.5, "b": 1.5}],

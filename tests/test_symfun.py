@@ -274,7 +274,7 @@ def test_sigma_rank_one_validates():
 
 
 def test_newton_check_known_margins():
-    report = symfun.newton_check((1, 2, 3))
+    report = symfun.newton_check(symfun.elem_sym_all((1, 2, 3)))
     assert report.passed
     assert report.margins[1] == 25
     assert report.margins[2] == 85
@@ -286,7 +286,7 @@ def test_newton_check_random_real_vectors():
     for _ in range(200):
         n = int(rng.integers(2, 10))
         vals = rng.standard_normal(n) * 3.0
-        report = symfun.newton_check(vals.tolist())
+        report = symfun.newton_check(symfun.elem_sym_all(vals.tolist()))
         scale = max(1.0, *(abs(v) for v in report.margins.values()))
         assert all(v >= -1e-9 * scale for v in report.margins.values())
 
@@ -296,7 +296,7 @@ def test_newton_check_exact_rational_nonnegative():
     for _ in range(40):
         n = int(rng.integers(2, 8))
         vals = rational_vector(rng, n)
-        assert symfun.newton_check(vals).passed
+        assert symfun.newton_check(symfun.elem_sym_all(vals)).passed
 
 
 def test_elem_sym_stack_matches_scalar_path():

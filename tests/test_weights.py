@@ -1,6 +1,7 @@
 """Tests for extremal weights, decay exponents, and admissibility."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -289,6 +290,78 @@ def test_decay_exponent_errors():
                                np.array([1.0, 2.0, 3.0]))
 
 
+class Flo(float):
+    pass
+
+
+# every input kind the weights layer reads a vector from, with the ones that
+# must fail: each as (input, n)
+VECTOR_INPUTS = {
+    "list": ([3.0, 1.0, 2.0], 3),
+    "ascending list": ([1.0, 2.0, 3.0], 3),
+    "tuple": ((3.0, 1.0, 2.0), 3),
+    "1-D ndarray": (np.array([3.0, 1.0, 2.0]), 3),
+    "float32 ndarray": (np.array([0.1, 3.0, 2.5], dtype=np.float32), 3),
+    "np.float64 entries": ([np.float64(0.3), np.float64(0.1), 2.0], 3),
+    "float subclass entries": ([Flo(0.3), 0.1, 2.0], 3),
+    "int entries": ([3, 1, 2], 3),
+    "mixed int and float": ([3, 0.5, 2.0], 3),
+    "bool entries": ([True, 2.0], 2),
+    "Fraction entries": ([Fraction(1, 3), Fraction(7, 2), Fraction(1, 10)], 3),
+    "str entries": (["0.5", "2"], 2),
+    "0-d array entries": ([np.array(2.0), 1.0], 2),
+    "huge and tiny": ([1.7976931348623157e308, 5e-324], 2),
+    "inf entry": ([math.inf, 1.0], 2),
+    "equal entries": ([2.0, 2.0, 2.0], 3),
+    "nested list": ([[1.0, 2.0], [3.0, 4.0]], 2),
+    "ragged list": ([[1.0], [2.0, 3.0]], 2),
+    "1-element arrays": ([np.array([1.0]), np.array([2.0])], 2),
+    "2-D array": (np.ones((2, 3)), 3),
+    "column array": (np.ones((3, 1)), 3),
+    "scalar": (2.0, 1),
+    "str": ("12", 2),
+    "NaN entry": ([1.0, math.nan, 2.0], 3),
+    "NaN array": (np.array([math.nan, 1.0]), 2),
+    "None entry": ([None, 1.0], 2),
+    "zero entry": ([0.0, 1.0], 2),
+    "negative zero": ([-0.0, 1.0], 2),
+    "negative entry": ([1.0, -2.0], 2),
+    "-inf entry": ([-math.inf, 1.0], 2),
+    "empty list": ([], 0),
+    "empty tuple": ((), 3),
+    "empty array": (np.array([]), 3),
+    "wrong length": ([1.0, 2.0], 3),
+    "wrong length tuple": ((1.0, 2.0, 3.0, 4.0), 3),
+    "wrong length and negative": ([1.0, -2.0], 3),
+    "bad str entry": (["x", 1.0], 2),
+    "complex entry": ([1j, 1.0], 2),
+    "huge int entry": ([10 ** 400, 1.0], 2),
+}
+
+
+def outcome(fn, a, n):
+    try:
+        vals = fn(a, n)
+    except Exception as exc:  # the error and its message are the outcome
+        return type(exc), str(exc)
+    return [type(v) for v in vals], bits(vals)
+
+
+@pytest.mark.parametrize("kind", VECTOR_INPUTS)
+def test_ascending_positive_keeps_the_ndarray_route_contract(kind):
+    # every input kind gives the values, or the error and its message, of
+    # the numpy round trip; a caller's list is left as it was
+    a, n = VECTOR_INPUTS[kind]
+    before = list(a) if isinstance(a, list) else None
+    got = outcome(weights._ascending_positive, a, n)
+    assert got == outcome(oracles.ascending_positive_ndarray, a, n)
+    if before is not None:
+        assert len(a) == len(before)
+        assert all(x is y for x, y in zip(a, before))
+    if not isinstance(got[0], type):
+        assert got[0] == [float] * n
+
+
 def test_classify_admissible_iso():
     for n in range(3, 7):
         theta = 0.8 * n * math.pi / 2
@@ -428,17 +501,29 @@ def test_classify_and_exponent_make_one_decision(n, theta_kind, u, split,
 
 
 def test_epsilon_family_values():
-    assert np.allclose(weights.epsilon_family(0.0),
+    assert np.allclose(np.asarray(weights.epsilon_family(0.0)),
                        np.full(5, math.tan(math.pi / 3)), atol=1e-15)
     fam = weights.epsilon_family(0.1)
     assert abs(phasepoly.phase(fam) - 5 * math.pi / 3) <= 1e-12
-    end = weights.epsilon_family(math.pi / 12)
+    end = np.asarray(weights.epsilon_family(math.pi / 12))
     assert end[0] == pytest.approx(math.tan(math.pi / 6), rel=1e-15)
     assert np.all(end > 0.0) and np.all(np.isfinite(end))
     with pytest.raises(ValueError):
         weights.epsilon_family(-0.01)
     with pytest.raises(ValueError):
         weights.epsilon_family(math.pi / 12 + 0.01)
+
+
+def test_epsilon_family_is_an_ascending_float_list():
+    # the exponent reads the family as it is: five Python floats, ascending,
+    # each the bits of tan(pi/3 + k*eps)
+    for eps in [0.0, 5e-324, 1e-9, 0.2068, math.pi / 12,
+                *np.linspace(0.0, math.pi / 12, 8000).tolist()]:
+        fam = weights.epsilon_family(eps)
+        assert type(fam) is list and [type(v) for v in fam] == [float] * 5
+        assert fam == sorted(fam)
+        want = [math.tan(math.pi / 3 + k * eps) for k in (-2, -1, 0, 1, 2)]
+        assert bits(fam) == bits(want), eps
 
 
 def test_complete_to_phase_examples():

@@ -89,6 +89,11 @@ EDGE_CASES = [
     ("gamma=1e308", (), ("solve", "--family", "iso", "--n", "3", "--theta",
                          "critical", "--gamma", "1e308")),
     ("eps:0.25", (), ("solve", "--family", "eps:0.25")),
+    # both ends of the eps family: the isotropic limit, and slow_decay
+    # (exit 1) at pi/12
+    ("eps:0 iso limit", (), ("solve", "--family", "eps:0")),
+    ("eps:pi/12 slow_decay", (), ("solve", "--family",
+                                  "eps:" + repr(math.pi / 12))),
     ("mixed signs", (), ("solve", "--a=-1,2,3", "--n", "3",
                          "--theta", "critical")),
     ("short a", (), ("solve", "--a", "1,2", "--n", "3",
@@ -120,6 +125,8 @@ EDGE_CASES = [
                                   "json")),
     ("scan-eps grid=3 csv", (), ("scan-eps", "--grid", "3")),
     ("scan-eps grid=1", (), ("scan-eps", "--grid", "1")),
+    # a large scan in the default csv format
+    ("scan-eps grid=8000 csv", (), ("scan-eps", "--grid", "8000")),
 ]
 
 
