@@ -638,7 +638,7 @@ def _run_solve(args: argparse.Namespace) -> dict:
 
     # every stage runs on the problem classify analysed: for all-negative
     # data the reflection (-theta, -a)
-    pf = radial.partial_fractions(adm.spec, adm.a, args.beta)
+    pf = radial.partial_fractions(adm.profile, args.beta)
     sspec = subsol.SubsolutionSpec(args.alpha, gamma, pf)
     sol_num = radial.solve_profile(pf, r_max=r_max, route="numeric")
     sol_imp = radial.solve_profile(pf, r_max=r_max, route="implicit")

@@ -21,6 +21,11 @@ level set {H = theta}.  Restricted to a ray t*a with a positive, the
 combination is a polynomial in t of degree N (PhaseSpec.ray_degree).  As
 H(t*a) increases strictly in t, its roots are the solutions of H(t*a) =
 theta - k*pi, k = 0..N-1, real and simple by construction (ray_roots).
+
+ray_roots is a root finder and nothing more.  Its input is the ascending
+float array of a weights.WeightProfile, the problem weights.classify has
+already checked; radial.partial_fractions certifies that the largest
+root is 1, from the profile's measured level error.
 """
 
 from __future__ import annotations
@@ -74,18 +79,6 @@ class PhaseSpec:
     def is_critical(self) -> bool:
         return abs(abs(self.theta) - self.critical_angle) <= _CRITICAL_TOL
 
-    @property
-    def is_supercritical(self) -> bool:
-        return abs(self.theta) > self.critical_angle and not self.is_critical
-
-    @property
-    def classification(self) -> str:
-        if self.is_critical:
-            return "critical"
-        if self.is_supercritical:
-            return "supercritical"
-        return "subcritical"
-
     @cached_property
     def ray_degree(self) -> int:
         """Degree N of t -> sum_k c_k sigma_k(t*a) for positive a.
@@ -128,7 +121,7 @@ class PhaseSpec:
 
 def phase(lam: Sequence) -> float:
     """H(lam) = sum of arctan(lam_i), by compensated summation."""
-    return math.fsum(map(math.atan, map(float, lam)))
+    return math.fsum(map(math.atan, lam))
 
 
 def alternating_parts(lam: Sequence):
@@ -233,29 +226,9 @@ def ray_wronskian(lam: Sequence, mode: str = "product"):
     return total if cleared is None else Fraction(total, scale)
 
 
-def _check_positive(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 1 or arr.size == 0 or not np.all(arr > 0):
-        raise ValueError("vector must have all entries positive")
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class RayRootCertificate:
-    """The N real simple roots of the ray polynomial, sorted ascending.
-
-    simplicity_margin is the smallest gap between consecutive roots;
-    max_root_is_one records that the input lies on the level set and the
-    largest root equals 1 within 1e-9 plus the shift its phase error makes
-    (see ray_roots).
-    """
-    roots: np.ndarray
-    max_root_is_one: bool
-    simplicity_margin: float
-
-
-def ray_roots(spec: PhaseSpec, a: Sequence) -> RayRootCertificate:
-    """All N roots of the ray polynomial, real and simple by construction.
+def ray_roots(spec: PhaseSpec, arr: np.ndarray) -> np.ndarray:
+    """The N roots of the ray polynomial of a positive float array arr,
+    ascending: real and simple by construction.
 
     The level combination at t*a is |prod_j (1 + i t a_j)| sin(H(t*a) -
     theta) with H(t*a) = sum_j arctan(t a_j) strictly increasing, so root
@@ -267,15 +240,11 @@ def ray_roots(spec: PhaseSpec, a: Sequence) -> RayRootCertificate:
     tan(psi/n)/min b; Newton's method runs from the end nearer 0, where the
     sum's convexity makes it monotone, bisects when a step would leave the
     bracket, and stops after a step of at most 4 eps |x| or one landing on
-    an end of the bracket.  A level-set input whose largest root strays
-    from 1 by more than 1e-9 plus twice the shift |H(a) - theta|/H'(1)
-    that its measured phase error makes raises "root certification
-    failed".
+    an end of the bracket.  arr is not checked here: weights.classify
+    checks the problem once, and radial.partial_fractions hands in its
+    profile's array and certifies the largest root.
     """
-    arr = _check_positive(a)
-    n = arr.size
-    if n != spec.n:
-        raise ValueError("vector length does not match the phase dimension")
+    n = spec.n
     # phi_k = theta0 - j*pi/2; a critical angle counts as exactly
     # (n-2)*pi/2, the angle of its snapped coefficients
     theta0, j0 = (0.0, n - 2) if spec.is_critical else (spec.theta, 0)
@@ -304,16 +273,4 @@ def ray_roots(spec: PhaseSpec, a: Sequence) -> RayRootCertificate:
             break
     else:
         raise RuntimeError("ray root iteration did not converge")
-    roots = np.divide(-1.0, x, out=x, where=shift != 0.0)
-
-    level_error = abs(phase(arr) - spec.theta)
-    on_level = level_error <= LEVEL_TOL
-    # a phase error e moves the root 1 by about e/H'(1), H'(1) = sum_j
-    # a_j/(1 + a_j^2): the bound is 1e-9 plus twice that shift
-    max_root_is_one = bool(on_level and abs(roots[-1] - 1.0) <= 1e-9 + (
-        2.0 * level_error / float(np.sum(1.0 / (arr + 1.0 / arr)))))
-    if on_level and not max_root_is_one:
-        raise ValueError("root certification failed")
-    return RayRootCertificate(roots=roots, max_root_is_one=max_root_is_one,
-                              simplicity_margin=float(np.min(np.diff(roots))))
-
+    return np.divide(-1.0, x, out=x, where=shift != 0.0)

@@ -37,14 +37,17 @@ m = -g'(1) is the decay exponent.  Two independent routes are implemented:
     on its first two levels and then on each later one, and the subsol
     grid on its shells.
 
-One problem (theta, a) is analysed once: partial_fractions checks it
-with weights.weight_profile, finds the ray roots, builds the slope-field
-pair (num, den), the residues and m, and binds beta, checked there once,
-with the two constants log B(beta) and log B(1).  The pair and m come from
-that one profile, whose sigma row also gives den.  The returned
-PartialFractions is the only input of both profile routes, the tail
-integrals and the subsol module, none of which takes beta; it also
-evaluates g.  Polynomials in the numeric route are evaluated by
+One problem (theta, a) is analysed once.  weights.classify checks it and
+builds its WeightProfile: the ascending vector, the level error, m, the
+sigma row and the selected chain.  partial_fractions takes that profile
+and beta, nothing else.  It re-checks nothing classify checked: it finds
+the ray roots, certifies the root 1 and the residue at 1 against bounds
+scaled by the profile's level error, builds the slope-field pair
+(num, den) from the profile's sigma row and chain, and binds beta,
+checked there once, with the two constants log B(beta) and log B(1).
+The returned PartialFractions is the only input of both profile routes,
+the tail integrals and the subsol module, none of which takes beta; it
+also evaluates g.  Polynomials in the numeric route are evaluated by
 Horner's rule on Python floats, in numpy's polyval order, so every value
 is bit-identical to the array evaluation.
 
@@ -69,8 +72,8 @@ import numpy as np
 from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
 
-from .phasepoly import PhaseSpec, phase, ray_roots
-from .weights import WeightProfile, weight_profile
+from .phasepoly import PhaseSpec, ray_roots
+from .weights import WeightProfile
 
 BETA_CAP = 1.0e6
 BETA_WARN = 1.0e3
@@ -111,13 +114,13 @@ def check_beta(beta: float) -> float:
     return beta
 
 
-def _slope_pair(spec: PhaseSpec, prof: WeightProfile):
+def _slope_pair(prof: WeightProfile):
     """(num, den) from a weight profile's sigma row and selected chain.
 
     den holds the ray polynomial's coefficients c_k sigma_k, k = 0..N.
     """
-    deg = spec.ray_degree
-    c = spec.coeffs
+    deg = prof.spec.ray_degree
+    c = prof.spec.coeffs
     sig = prof.sigma
     sel = prof.selected
     den = np.array([c[k] * sig[k] for k in range(deg + 1)])
@@ -346,27 +349,21 @@ class PartialFractions:
         out[flat == 1.0] = self.beta - 1.0
         return out[:rs.size].reshape(rs.shape)
 
-    def excess_integral(self, r_lo: float, r_hi: float) -> float:
-        """int_{r_lo}^{r_hi} tau (psi(tau, beta) - 1) dtau, 1 <= r_lo <= r_hi.
-
-        Composite 16-point Gauss-Legendre in s = log tau on the analytic
-        integrand e^(2s) (psi(e^s) - 1), with excess_at supplying the
-        nodes.  The panel count starts at 8 and doubles until two
-        successive estimates agree within 1e-13 absolute or 1e-11
-        relative; the finer estimate is returned.  The 8- and 16-panel
-        levels share one excess_at call, each later level takes one.
-        """
-        return _excess_integrals(self, ((r_lo, r_hi),))[0]
-
 
 def _excess_integrals(pf: PartialFractions, bounds: Sequence) -> list:
-    """PartialFractions.excess_integral over each (r_lo, r_hi) of bounds.
+    """int_{r_lo}^{r_hi} tau (psi(tau, beta) - 1) dtau over each
+    (r_lo, r_hi) of bounds, 1 <= r_lo <= r_hi.
 
-    The stopping test compares two estimates, so the 8- and 16-panel nodes
-    of every interval are always solved: one excess_at call takes both.
-    From 32 panels on, each doubling solves the nodes of every interval
-    not yet converged in one call.  Each interval stops on its own test,
-    so its value has the same bits as when it is integrated alone.
+    Composite 16-point Gauss-Legendre in s = log tau on the analytic
+    integrand e^(2s) (psi(e^s) - 1), with excess_at supplying the nodes.
+    The panel count starts at 8 and doubles until two successive estimates
+    agree within 1e-13 absolute or 1e-11 relative; the finer estimate is
+    returned.  The stopping test compares two estimates, so the 8- and
+    16-panel nodes of every interval are always solved: one excess_at call
+    takes both.  From 32 panels on, each doubling solves the nodes of
+    every interval not yet converged in one call.  Each interval stops on
+    its own test, so its value has the same bits as when it is integrated
+    alone.
     """
     out = [0.0] * len(bounds)
     # log radius: the start and width of each interval still to integrate
@@ -401,17 +398,18 @@ def _excess_integrals(pf: PartialFractions, bounds: Sequence) -> list:
     return out
 
 
-def partial_fractions(spec: PhaseSpec, a: Sequence, beta: float
-                      ) -> PartialFractions:
+def partial_fractions(prof: WeightProfile, beta: float) -> PartialFractions:
     """Residues K_j = num(root_j)/den'(root_j) at the ray roots, with beta.
 
-    (spec, a) must pass weights.weight_profile's check, the one
-    weights.decay_exponent and weights.classify make, so that 1 is the
-    largest root; the poles are simple, one per phase target of
-    phasepoly.ray_roots.  The residue at 1 is checked against 1/m to
-    1e-10 plus twice the shift that the input's measured phase error makes
-    (below), then beta by check_beta.  So every point weights.classify
-    admits passes.
+    prof is the problem's analysis, weights.classify's
+    Admissibility.profile: its check already passed, so no input is
+    checked again.  Three checks follow, in this order.  The largest of
+    phasepoly.ray_roots' roots must equal 1 to 1e-9 plus twice the shift
+    e/H'(1) that the profile's measured phase error e = prof.level_error
+    makes ("root certification failed"); the poles are simple, one per
+    phase target.  The residue at 1 must equal 1/m to 1e-10 plus twice
+    the shift that e makes (below).  Then beta passes check_beta.  So
+    every point weights.classify admits passes.
 
     The denominators come in closed form, not from den's coefficients: den
     is the ray polynomial R(t) sin(H(t a) - theta), R(t) =
@@ -422,16 +420,20 @@ def partial_fractions(spec: PhaseSpec, a: Sequence, beta: float
     cannot overflow on the way.  On random level points this keeps the two
     profile routes within 1e-8 up to n = 56; den's derivative summed from
     its monomial coefficients loses that agreement past n = 32.  Off the
-    level set by e = |H(a) - theta| (at most LEVEL_TOL), the largest root
-    is 1 - delta with |delta| about e/H'(1), and den'(1) = R(1) (H'(1)
-    cos(H - theta) + (R'/R)(1) sin(H - theta)) moves the residue at 1 by
-    about (R'/R)(1) delta/m, where (R'/R)(1) = sum_j a_j^2/(1 + a_j^2) < n.
+    level set by e (at most LEVEL_TOL), the largest root is 1 - delta with
+    |delta| about e/H'(1), and den'(1) = R(1) (H'(1) cos(H - theta) +
+    (R'/R)(1) sin(H - theta)) moves the residue at 1 by about
+    (R'/R)(1) delta/m, where (R'/R)(1) = sum_j a_j^2/(1 + a_j^2) < n.
     """
-    arr = np.sort(np.asarray(a, dtype=float))
-    prof = weight_profile(spec, arr)
-    roots = ray_roots(spec, arr).roots.copy()
+    spec, arr, level_error = prof.spec, prof.a, prof.level_error
+    roots = ray_roots(spec, arr)
+    # a phase error e moves the root 1 by about e/H'(1), H'(1) = sum_j
+    # a_j/(1 + a_j^2): the bound is 1e-9 plus twice that shift
+    if not abs(roots[-1] - 1.0) <= 1e-9 + (
+            2.0 * level_error / float(np.sum(1.0 / (arr + 1.0 / arr)))):
+        raise ValueError("root certification failed")
     roots[-1] = 1.0
-    num, den = _slope_pair(spec, prof)
+    num, den = _slope_pair(prof)
     # den'(t_k) = (-1)^k R(t_k) H'(t_k), k = 0 at the root 1 (see above)
     ta2 = (roots[:, None] * arr) ** 2
     sign = np.where(np.arange(roots.size)[::-1] % 2 == 0, 1.0, -1.0)
@@ -440,7 +442,6 @@ def partial_fractions(spec: PhaseSpec, a: Sequence, beta: float
     weights = npoly.polyval(roots, num) / slopes
     # off the level set by e, the closed form den'(1) is off by
     # R'(1)/R(1) < n times the root's shift e/H'(1)
-    level_error = abs(phase(arr) - spec.theta)
     if abs(weights[-1] - 1.0 / prof.m) > 1e-10 + (
             2.0 * arr.size * level_error / (prof.m * float(h_prime[-1]))):
         raise ValueError("partial-fraction residue at 1 disagrees with 1/m")
@@ -559,12 +560,11 @@ def tail_integral(pf: PartialFractions, radii: Sequence) -> tuple:
     radii is a sequence of R >= 1 (a 1-tuple for one radius); the values
     come back as a tuple in its order.  Finite exactly when m > 2.
     Gauss-Legendre quadrature in log radius against the implicit route
-    (the one behind PartialFractions.excess_integral, every radius's nodes
-    in one excess_at call for the first two panel counts and one per
-    later panel count) covers [R, R_cut] with
-    R_cut = max(1e3, 1e2 * R); beyond the cutoff the integrand is
-    C tau^(1-m) to leading order and is added analytically; at beta = 1
-    both parts are 0.0.
+    (_excess_integrals, every radius's nodes in one excess_at call for
+    the first two panel counts and one per later panel count) covers
+    [R, R_cut] with R_cut = max(1e3, 1e2 * R); beyond the cutoff the
+    integrand is C tau^(1-m) to leading order and is added analytically;
+    at beta = 1 both parts are 0.0.
     """
     if not all(R >= 1.0 for R in radii):
         raise ValueError("R must be at least 1")

@@ -33,11 +33,18 @@ profile built in the radial module.
 One check decides whether (theta, a) is a supported problem: theta in
 PhaseSpec.ray_degree's range (the positive critical angle or above it), a
 positive vector of length n, and |H(a) - theta| <= LEVEL_TOL, in that
-order.  decay_exponent and weight_profile raise its ValueError;
-classify, after its sign reflection, calls the data that fails it
-"outside", so no stage computes an exponent classify would not give.
-Data that passes is "admissible" when the exponent exceeds 2 (the tail
-integral converges) and "slow_decay" otherwise.
+order.  decay_exponent raises its ValueError; classify, after its sign
+reflection, calls the data that fails it "outside", so no stage computes
+an exponent classify would not give.  Data that passes is "admissible"
+when the exponent exceeds 2 (the tail integral converges) and
+"slow_decay" otherwise.
+
+classify analyses a problem once.  The check's ascending values and
+level error e = |H(a) - theta|, and _chain's exponent, sigma row and
+selected chain, make one WeightProfile, returned as
+Admissibility.profile.  It is the only input of
+radial.partial_fractions, which checks nothing that classify checked and
+reads e where its root and residue bounds need the phase error.
 
 Everything runs on one ascending list of Python floats, through one
 routine (_chain) behind every exponent and selected chain.  It runs the
@@ -47,13 +54,11 @@ are the ones the full rows and chains give.  A list of Python floats is
 read as it is; any other vector goes through one numpy conversion first.
 epsilon_family returns its five points as such a list, already
 ascending, so a scan row builds no array.  Arrays appear only in what
-the module hands out: the selected chain of the WeightProfile that
-weight_profile returns (it also carries the sigma row, so the radial
-module takes its slope-field pair and m from one profile), the
-classified vector Admissibility.a, and the points of complete_to_phase
-and iso_point.  A sigma row outside (0, F/(2n^2)), F the largest float,
-is rejected with ValueError before any chain or exponent is formed:
-Python floats overflow silently.
+the module hands out: the classified vector and the selected chain of a
+WeightProfile, and the points of complete_to_phase and iso_point.  A
+sigma row outside (0, F/(2n^2)), F the largest float, is rejected with
+ValueError before any chain or exponent is formed: Python floats
+overflow silently.
 """
 
 from __future__ import annotations
@@ -142,33 +147,34 @@ def _chain(c: Sequence, vals: list) -> tuple:
     return math.fsum(num) / math.fsum(den), sig, selected
 
 
-def _level_point(spec: PhaseSpec, a: Sequence) -> list:
-    """a as an ascending list of floats, after the one check of a supported
-    problem (the module docstring's), which raises ValueError."""
+def _level_point(spec: PhaseSpec, a: Sequence) -> tuple:
+    """(vals, e): a as an ascending list of floats and its level error
+    e = |H(a) - theta|, after the one check of a supported problem (the
+    module docstring's), which raises ValueError."""
     spec.ray_degree  # raises outside the supported range
     vals = _ascending_positive(a, spec.n)
-    if abs(phase(vals) - spec.theta) > LEVEL_TOL:
+    e = abs(phase(vals) - spec.theta)
+    if e > LEVEL_TOL:
         raise ValueError("a not on the phase level set")
-    return vals
+    return vals, e
 
 
 @dataclass(frozen=True, eq=False)
 class WeightProfile:
-    """The theta-selected weight chain, the exponent and the sigma row.
+    """The analysis of one supported problem (spec, a), made by classify.
 
-    selected has length n+1 (index k = 0..n); sigma is the row
-    sigma_0..sigma_n of the sorted vector, as elem_sym_all gives it
-    (Python floats after sigma_0 = 1).
+    a is the ascending float array of the classified vector and
+    level_error its measured e = |H(a) - theta| (at most LEVEL_TOL); m is
+    the decay exponent, sigma the row sigma_0..sigma_n of a as
+    elem_sym_all gives it (Python floats after sigma_0 = 1), and selected
+    the theta-selected weight chain, length n+1 (index k = 0..n).
     """
-    selected: np.ndarray
+    spec: PhaseSpec
+    a: np.ndarray
+    level_error: float
     m: float
     sigma: tuple
-
-
-def weight_profile(spec: PhaseSpec, a: Sequence) -> WeightProfile:
-    """The selected chain, m and sigma; checks and m are decay_exponent's."""
-    m, sig, selected = _chain(spec.coeffs, _level_point(spec, a))
-    return WeightProfile(selected=np.array(selected), m=m, sigma=tuple(sig))
+    selected: np.ndarray
 
 
 def decay_exponent(spec: PhaseSpec, a: Sequence) -> float:
@@ -176,7 +182,7 @@ def decay_exponent(spec: PhaseSpec, a: Sequence) -> float:
 
     Raises ValueError unless (spec, a) passes the one check (_level_point).
     """
-    return _chain(spec.coeffs, _level_point(spec, a))[0]
+    return _chain(spec.coeffs, _level_point(spec, a)[0])[0]
 
 
 @dataclass(frozen=True)
@@ -188,16 +194,16 @@ class Admissibility:
     or "outside".  near_boundary flags an exponent within 1e-12 of the
     strict threshold 2.  reflected is true when the data was all negative
     and was classified as the problem (-theta, -lam).  With an exponent m,
-    spec and a are that classified problem (the reflection of the input
-    when reflected), so a later stage takes the problem from here; without
-    one both are None.
+    profile is the analysis of that classified problem (the reflection of
+    the input when reflected), the one input of radial.partial_fractions;
+    without one it is None.
     """
     klass: str
     m: Optional[float]
     near_boundary: bool = False
     reflected: bool = False
-    spec: Optional[PhaseSpec] = field(default=None, compare=False, repr=False)
-    a: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    profile: Optional[WeightProfile] = field(default=None, compare=False,
+                                             repr=False)
 
 
 def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
@@ -208,7 +214,9 @@ def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
     classified via the exponent of (-theta, -lam).  Data that fails
     decay_exponent's check after the reflection, a subcritical phase
     target included, is "outside": the construction, and every later
-    stage, covers only the critical and supercritical range.  A sigma row
+    stage, covers only the critical and supercritical range.  Otherwise
+    the check's values and level error and _chain's exponent, sigma row
+    and selected chain make the problem's WeightProfile.  A sigma row
     outside the float range still raises ValueError.
     """
     arr = np.asarray(lam, dtype=float)
@@ -222,13 +230,16 @@ def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
     else:
         return Admissibility(klass="outside", m=None)
     try:
-        vals = _level_point(work_spec, work)
+        vals, level_error = _level_point(work_spec, work)
     except ValueError:
         return Admissibility(klass="outside", m=None, reflected=reflected)
-    m = _chain(work_spec.coeffs, vals)[0]
+    m, sig, selected = _chain(work_spec.coeffs, vals)
+    prof = WeightProfile(spec=work_spec, a=np.array(vals),
+                         level_error=level_error, m=m, sigma=tuple(sig),
+                         selected=np.array(selected))
     klass = "admissible" if m > 2.0 else "slow_decay"
     return Admissibility(klass=klass, m=m, near_boundary=abs(m - 2.0) <= 1e-12,
-                         reflected=reflected, spec=work_spec, a=work)
+                         reflected=reflected, profile=prof)
 
 
 def complete_to_phase(prefix: Sequence, spec: PhaseSpec) -> np.ndarray:

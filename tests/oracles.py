@@ -4,8 +4,11 @@ No command reaches these.  Each is the direct formula for a quantity that
 slex either computes by another route or does not need: the Hessian of a
 candidate and its sigma values, the candidate's radial value, the
 direction weights and their extremes, the ray polynomial and the level
-values, g', the cut-off recurrence of the rank-one sigma formula, and the
-numpy route by which the weights layer once read a vector.
+values, g', the cut-off recurrence of the rank-one sigma formula, the
+numpy route by which the weights layer once read a vector, and the
+criticality class of a phase angle.  profile is the one way a test takes
+the analysis of a problem: the WeightProfile that weights.classify
+builds, as the solve command does.
 The candidate matrix is diagonal, diag(a): a general symmetric A enters
 slex through its eigenvalues.
 """
@@ -15,7 +18,26 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from slex import symfun
+from slex import radial, symfun, weights
+
+
+def profile(spec, a):
+    """weights.classify(spec, a).profile, the analysis of the problem
+    (spec, a) that radial.partial_fractions takes; the problem must be in
+    range."""
+    prof = weights.classify(spec, a).profile
+    assert prof is not None, (spec, a)
+    return prof
+
+
+def classification(spec):
+    """"critical" when |theta| is the critical angle (n-2)*pi/2 within
+    PhaseSpec's tolerance, "supercritical" beyond it, else "subcritical"."""
+    if spec.is_critical:
+        return "critical"
+    if abs(spec.theta) > spec.critical_angle:
+        return "supercritical"
+    return "subcritical"
 
 
 def elem_sym_excl(a, k, excl=()):
@@ -146,7 +168,8 @@ def radial_value(spec, r):
     quadratic part of psi = 1 + excess plus the excess integral."""
     r = float(r)
     quadratic = spec.alpha + 0.5 * (r * r - spec.gamma ** 2)
-    return quadratic + spec.pf.excess_integral(spec.gamma, r)
+    return quadratic + radial._excess_integrals(spec.pf,
+                                                ((spec.gamma, r),))[0]
 
 
 def hessian(spec, x):

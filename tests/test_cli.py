@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slex import cli, radial, symfun, weights
+from slex import cli, phasepoly, radial, symfun, weights
 
 
 ISO3 = ",".join([repr(1.0 / math.sqrt(3.0))] * 3)
@@ -542,6 +542,48 @@ def test_solve_all_negative_data_runs_the_reflected_problem(tmp_path):
     for key in ("partial_fractions", "trajectory", "verification"):
         assert neg[key] == pos[key]
     assert neg["passed"] is True
+
+
+@pytest.mark.parametrize("source", [
+    ["--family", "iso", "--n", "5", "--theta", "critical"],
+    ["--a", "10.0,10.0,0.20202020211387478", "--n", "3",
+     f"--theta={math.pi!r}"],
+    ["--a=-1000.0,-1000.0,-0.002000002090002129", "--n", "3",
+     f"--theta={-math.pi!r}"],
+], ids=["iso", "a", "reflected a"])
+def test_solve_analyses_its_problem_once(tmp_path, monkeypatch, source):
+    # classify checks (theta, a) and builds its profile, and
+    # partial_fractions reads that profile: one level check, one
+    # positivity check, one phase H(a), one sigma row and chain, and one
+    # root finder call per admissible solve
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+        key = f"{module.__name__.split('.')[-1]}.{name}"
+        calls[key] = 0
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("_level_point", "_ascending_positive", "_chain", "phase",
+                 "classify"):
+        count(weights, name)
+    count(phasepoly, "phase")
+    count(radial, "ray_roots")
+    count(radial, "partial_fractions")
+    code, path = run(tmp_path, ["solve", *source, "--grid", "4"])
+    assert code == 0
+    assert json.loads(path.read_text())["admissibility"]["klass"] == \
+        "admissible"
+    assert calls == {"weights._level_point": 1,
+                     "weights._ascending_positive": 1, "weights._chain": 1,
+                     "weights.phase": 1, "weights.classify": 1,
+                     "phasepoly.phase": 0, "radial.ray_roots": 1,
+                     "radial.partial_fractions": 1}
 
 
 def test_solve_slow_decay_exits_one(tmp_path):

@@ -1,6 +1,6 @@
 """Module hygiene of the slex package, checked with the stdlib's ast.
 
-Five rules, for every module under src/slex:
+Six rules, for every module under src/slex:
 
   * no module reaches into another slex module's private names, neither
     by importing one (`from .radial import _horner`) nor by reading one
@@ -19,7 +19,12 @@ Five rules, for every module under src/slex:
     commands reach: a reference formula that only tests use lives with
     the tests (tests/oracles.py).  The one exception is
     weights.complete_to_phase, which the benchmark's workload generator
-    (bench/workloads.py) draws its level-set points with.
+    (bench/workloads.py) draws its level-set points with;
+  * every public method and property of a package class is read as an
+    attribute somewhere in the package outside its own definition, and
+    not only from members that are themselves unread.  Members are
+    matched by name, since no type is known statically.  Dataclass fields
+    are not definitions here: a field is data a report may serialize.
 """
 
 import ast
@@ -161,6 +166,46 @@ def unread_publics(sources: dict, exceptions=()) -> list:
         dead = unread
 
 
+def unread_members(sources: dict) -> list:
+    """(module, line, Class.name) of each public method or property of a
+    class in sources (name -> text) that no module reads as an attribute
+    outside the member's own definition.
+
+    A read of .name on any object counts for every class member called
+    name.  A read inside a member that is itself unread does not count,
+    so a member kept only by a dead one is flagged with it.
+    """
+    defined = {}  # (module, Class, name) -> line
+    reads = []  # (member the read is in, or None; attribute name)
+
+    def visit(module, node, owner):
+        for child in ast.iter_child_nodes(node):
+            key = owner
+            if (isinstance(node, ast.ClassDef)
+                    and isinstance(child, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                    and not child.name.startswith("_")):
+                key = (module, node.name, child.name)
+                defined[key] = child.lineno
+            elif (isinstance(child, ast.Attribute)
+                  and isinstance(child.ctx, ast.Load)):
+                reads.append((owner, child.attr))
+            visit(module, child, key)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), None)
+    dead = set()
+    while True:
+        live = {(owner, attr) for owner, attr in reads if owner not in dead}
+        unread = {key for key in defined
+                  if not any(attr == key[2] and owner != key
+                             for owner, attr in live)}
+        if unread == dead:
+            return sorted((m, defined[(m, c, n)], f"{c}.{n}")
+                          for m, c, n in dead)
+        dead = unread
+
+
 def forwarding_properties(source: str) -> list:
     """(line, Class.name) of each property that only returns an attribute
     chain of self."""
@@ -215,6 +260,11 @@ def test_no_forwarding_properties(module):
 def test_every_public_name_is_read_by_the_package():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unread_publics(sources, READ_OUTSIDE) == []
+
+
+def test_every_public_member_is_read_by_the_package():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_members(sources) == []
 
 
 def test_checks_find_what_they_look_for():
@@ -301,3 +351,35 @@ def test_checks_find_what_they_look_for():
     assert unread_publics(sources, ("kept",)) == [
         ("kernel", 3, "unread"), ("kernel", 5, "recursive"),
         ("kernel", 7, "only_dead"), ("kernel", 9, "dead")]
+    sources = {
+        "kernel": "\n".join([
+            "import functools",
+            "class Spec:",
+            "    theta: float",
+            "    @property",
+            "    def used(self):",
+            "        return self.theta",
+            "    @functools.cached_property",
+            "    def only_dead(self):",
+            "        return 1",
+            "    def dead(self):",
+            "        return self.only_dead",
+            "    def recursive(self, k):",
+            "        return self.recursive(k - 1) if k else 0",
+            "    def __repr__(self):",
+            "        return 'Spec'",
+            "class Other:",
+            "    def used(self):",
+            "        return Spec().used",
+            "    def called(self):",
+            "        return 0",
+        ]),
+        "front": "\n".join([
+            "from .kernel import Other",
+            "def main():",
+            "    return Other().called(), Other().used()",
+        ]),
+    }
+    assert unread_members(sources) == [
+        ("kernel", 8, "Spec.only_dead"), ("kernel", 10, "Spec.dead"),
+        ("kernel", 12, "Spec.recursive")]

@@ -1,4 +1,4 @@
-"""Tests for phase polynomials, level values, and ray root certificates."""
+"""Tests for phase polynomials, level values, and ray roots."""
 
 import math
 from fractions import Fraction
@@ -23,8 +23,11 @@ def test_phase_spec_validation():
     with pytest.raises(ValueError):
         phasepoly.PhaseSpec(3, -3 * math.pi / 2)
     spec = phasepoly.PhaseSpec(4, math.pi)
-    assert spec.is_critical and not spec.is_supercritical
-    assert phasepoly.PhaseSpec(4, 1.1 * math.pi).is_supercritical
+    assert spec.is_critical and oracles.classification(spec) == "critical"
+    assert oracles.classification(
+        phasepoly.PhaseSpec(4, 1.1 * math.pi)) == "supercritical"
+    assert oracles.classification(
+        phasepoly.PhaseSpec(4, 0.9 * math.pi)) == "subcritical"
     assert phasepoly.PhaseSpec(3, -math.pi / 2).is_critical
 
 
@@ -35,6 +38,22 @@ def test_phase_known_values():
         theta = 0.7 * n * math.pi / 2
         lam = [math.tan(theta / n)] * n
         assert phasepoly.phase(lam) == pytest.approx(theta, abs=1e-12)
+
+
+def test_phase_converts_each_entry_as_float_does():
+    # math.atan reads an entry through __float__, as float() does, so the
+    # sum is the bits of the old fsum(atan(float(v))) on every input kind
+    rng = np.random.default_rng(32)
+    for n in (1, 3, 8, 40):
+        arr = np.exp(3.0 * rng.standard_normal(n)) * rng.choice([-1.0, 1.0], n)
+        ints = rng.integers(-10 ** 6, 10 ** 6, n).tolist()
+        for lam in (arr.tolist(), arr, arr.astype(np.float32), ints,
+                    np.array(ints), [10 ** 30] * n,
+                    [Fraction(int(p), int(q)) for p, q in zip(
+                        rng.integers(-999, 999, n),
+                        rng.integers(1, 999, n))]):
+            old = math.fsum(map(math.atan, map(float, lam)))
+            assert phasepoly.phase(lam) == old, (n, type(lam))
 
 
 def test_alternating_parts_known_values():
@@ -226,11 +245,11 @@ def test_ray_poly_degree_and_leading_sign():
 
 
 def test_ray_roots_closed_case():
-    cert = phasepoly.ray_roots(SPEC3, A3)
-    assert cert.roots.size == 2
-    assert np.allclose(cert.roots, [-1.0, 1.0], atol=1e-12)
-    assert cert.max_root_is_one
-    assert cert.simplicity_margin > 1.0
+    roots = phasepoly.ray_roots(SPEC3, A3)
+    assert roots.size == 2
+    assert np.allclose(roots, [-1.0, 1.0], atol=1e-12)
+    assert abs(roots[-1] - 1.0) <= 1e-9
+    assert np.min(np.diff(roots)) > 1.0
 
 
 def test_ray_roots_iso_points():
@@ -241,11 +260,10 @@ def test_ray_roots_iso_points():
                 continue
             spec = phasepoly.PhaseSpec(n, theta)
             a = weights.iso_point(spec)
-            cert = phasepoly.ray_roots(spec, a)
-            assert len(cert.roots) == spec.ray_degree
-            assert cert.max_root_is_one
-            assert abs(cert.roots[-1] - 1.0) <= 1e-9
-            assert cert.simplicity_margin > 0.0
+            roots = phasepoly.ray_roots(spec, a)
+            assert len(roots) == spec.ray_degree
+            assert abs(roots[-1] - 1.0) <= 1e-9
+            assert np.min(np.diff(roots)) > 0.0
 
 
 def test_ray_roots_random_level_points():
@@ -263,11 +281,11 @@ def test_ray_roots_random_level_points():
             a = weights.complete_to_phase(np.tan(ang[:-1]), spec)
         except ValueError:
             continue
-        cert = phasepoly.ray_roots(spec, a)
-        assert len(cert.roots) == spec.ray_degree
-        assert abs(cert.roots[-1] - 1.0) <= 1e-9
-        assert np.all(np.diff(cert.roots) >= cert.simplicity_margin)
-        assert cert.roots[-2] < 1.0 - 1e-9
+        roots = phasepoly.ray_roots(spec, a)
+        assert len(roots) == spec.ray_degree
+        assert abs(roots[-1] - 1.0) <= 1e-9
+        assert np.all(np.diff(roots) > 0.0)
+        assert roots[-2] < 1.0 - 1e-9
         count += 1
 
 
@@ -292,11 +310,11 @@ def test_ray_roots_hit_their_phase_targets():
         cases = [(spec, weights.iso_point(spec)) for spec in iso]
         cases += [_level_point(rng, n) for _ in range(2)]
         for spec, a in cases:
-            cert = phasepoly.ray_roots(spec, a)
-            assert cert.roots.size == spec.ray_degree
-            assert cert.max_root_is_one
-            assert cert.simplicity_margin > 0.0
-            for k, t in enumerate(cert.roots[::-1]):
+            roots = phasepoly.ray_roots(spec, a)
+            assert roots.size == spec.ray_degree
+            assert abs(roots[-1] - 1.0) <= 1e-9
+            assert np.min(np.diff(roots)) > 0.0
+            for k, t in enumerate(roots[::-1]):
                 target = spec.theta - k * math.pi
                 got = math.fsum(math.atan(t * v) for v in a)
                 assert abs(got - target) <= 4 * n * math.ulp(
@@ -314,11 +332,11 @@ def test_ray_roots_far_roots_keep_relative_accuracy():
             a = weights.iso_point(spec)
             exact = float(Fraction(spec.theta) - (n - 2) * pi / 2)
             expect = -1.0 / (a[0] * math.tan(exact / n))
-            root = phasepoly.ray_roots(spec, a).roots[0]
+            root = phasepoly.ray_roots(spec, a)[0]
             assert abs(root - expect) <= 2e-15 * abs(expect), (n, slack)
         # at an even critical angle c_0 = 0, so t = 0 is a root exactly
         spec = phasepoly.PhaseSpec(n, (n - 2) * math.pi / 2)
-        roots = phasepoly.ray_roots(spec, weights.iso_point(spec)).roots
+        roots = phasepoly.ray_roots(spec, weights.iso_point(spec))
         assert (0.0 in roots) == (n % 2 == 0)
 
 
@@ -332,7 +350,7 @@ def test_ray_roots_wide_spread_vectors():
         crit = (n - 2) * math.pi / 2
         spec = phasepoly.PhaseSpec(
             n, float(rng.uniform(crit + 0.01, n * math.pi / 2 - 0.01)))
-        roots = phasepoly.ray_roots(spec, a).roots
+        roots = phasepoly.ray_roots(spec, a)
         assert len(roots) == spec.ray_degree
         for k, t in enumerate(roots[::-1]):
             target = spec.theta - k * math.pi
@@ -346,26 +364,18 @@ def test_ray_roots_match_companion_oracle():
     rng = np.random.default_rng(43)
     for n in range(3, 13):
         for spec, a in [_level_point(rng, n) for _ in range(10)]:
-            cert = phasepoly.ray_roots(spec, a)
+            roots = phasepoly.ray_roots(spec, a)
             oracle = np.sort(npoly.polyroots(oracles.ray_poly(spec, a)).real)
-            np.testing.assert_allclose(cert.roots, oracle, rtol=1e-12,
+            np.testing.assert_allclose(roots, oracle, rtol=1e-12,
                                        atol=1e-15)
 
 
-def test_ray_roots_rejects_a_length_mismatch():
-    for a in ([1.0, 1.0], [1.0, 1.0, 1.0, 1.0]):
-        with pytest.raises(ValueError, match="does not match the phase"):
-            phasepoly.ray_roots(SPEC3, np.array(a))
-
-
-def test_ray_roots_off_level_and_invalid_inputs():
-    # positive vectors off the level set still get a certificate, but the
-    # max-root flag cannot be claimed
-    cert = phasepoly.ray_roots(SPEC3, np.array([1.0, 2.0, 3.0]))
-    assert not cert.max_root_is_one
-    assert cert.roots[-1] < 1.0
-    with pytest.raises(ValueError):
-        phasepoly.ray_roots(SPEC3, np.array([-1.0, 1.0, 1.0]))
+def test_ray_roots_off_the_level_set():
+    # a root finder, not a check: a positive vector off the level set gets
+    # its roots, and the largest is not 1
+    roots = phasepoly.ray_roots(SPEC3, np.array([1.0, 2.0, 3.0]))
+    assert roots.size == SPEC3.ray_degree
+    assert roots[-1] < 1.0 - 1e-3
 
 
 def ray_derivative(spec, a, t, order):

@@ -21,7 +21,8 @@ from slex import cli, phasepoly, radial, subsol, weights
 SQRT3 = math.sqrt(3.0)
 SPEC3 = phasepoly.PhaseSpec(3, math.pi / 2)
 A3 = np.full(3, 1.0 / SQRT3)
-PF3 = radial.partial_fractions(SPEC3, A3, 2.0)
+PF3_PROFILE = oracles.profile(SPEC3, A3)
+PF3 = radial.partial_fractions(PF3_PROFILE, 2.0)
 
 
 def closed_excess(r, beta):
@@ -60,7 +61,7 @@ def test_slope_field_derivative_at_one_is_minus_m():
     rng = np.random.default_rng(61)
     for _ in range(15):
         spec, a, m = admissible_sample(rng)
-        pf = radial.partial_fractions(spec, a, 2.0)
+        pf = radial.partial_fractions(oracles.profile(spec, a), 2.0)
         h = 1e-6
         fd = (pf.slope(1.0 + h) - pf.slope(1.0 - h)) / (2 * h)
         assert fd == pytest.approx(-m, rel=1e-5)
@@ -73,8 +74,8 @@ def test_slope_field_limit_slope_band():
     for _ in range(15):
         spec, a, _m = admissible_sample(rng)
         n = spec.n
-        limit = oracles.slope_deriv(radial.partial_fractions(spec, a, 2.0),
-                                    1.0e9)
+        pf = radial.partial_fractions(oracles.profile(spec, a), 2.0)
+        limit = oracles.slope_deriv(pf, 1.0e9)
         assert -(n / (n - 1.0)) * (1.0 + 1e-6) <= limit <= -(1.0 - 1e-6)
 
 
@@ -96,7 +97,7 @@ def test_partial_fractions_residues_recombine():
     rng = np.random.default_rng(63)
     for _ in range(15):
         spec, a, m = admissible_sample(rng)
-        pf = radial.partial_fractions(spec, a, 2.0)
+        pf = radial.partial_fractions(oracles.profile(spec, a), 2.0)
         assert pf.weights[-1] == pytest.approx(1.0 / m, abs=1e-10)
         num, den = pf.num, pf.den
         for nu in (1.37, 2.0, 5.0, 9.3):
@@ -111,17 +112,13 @@ def test_poly_pair_and_m_from_one_weight_profile_bitwise():
     rng = np.random.default_rng(64)
     for n in range(3, 13):
         spec, a = admissible_point(rng, n)
-        num, den = radial._slope_pair(spec, weights.weight_profile(spec, a))
+        prof = oracles.profile(spec, a)
+        num, den = radial._slope_pair(prof)
         assert den.tobytes() == oracles.ray_poly(spec, a).tobytes()
-        pf = radial.partial_fractions(spec, a, 2.0)
+        pf = radial.partial_fractions(prof, 2.0)
         assert pf.m == weights.decay_exponent(spec, a)
         assert pf.num == tuple(num.tolist())
         assert pf.den == tuple(den.tolist())
-
-
-def test_partial_fractions_requires_level_membership():
-    with pytest.raises(ValueError, match="a not on the phase level set"):
-        radial.partial_fractions(SPEC3, np.array([1.0, 2.0, 3.0]), 2.0)
 
 
 def test_profile_implicit_closed_case_values():
@@ -150,7 +147,7 @@ def test_routes_agree_on_random_admissible_cases():
     for _ in range(8):
         spec, a, _m = admissible_sample(rng)
         beta = float(rng.uniform(1.1, 10.0))
-        pf = radial.partial_fractions(spec, a, beta)
+        pf = radial.partial_fractions(oracles.profile(spec, a), beta)
         sn = radial.solve_profile(pf, route="numeric")
         si = radial.solve_profile(pf, route="implicit")
         assert np.max(np.abs(sn.psi - si.psi)) <= 1e-8
@@ -166,7 +163,7 @@ def test_profile_monotone_in_beta():
     rng = np.random.default_rng(65)
     spec, a, _m = admissible_sample(rng)
     betas = (1.5, 2.5, 4.0, 9.0)
-    pf = radial.partial_fractions(spec, a, betas[0])
+    pf = radial.partial_fractions(oracles.profile(spec, a), betas[0])
     sols = [radial.solve_profile(replace(pf, beta=b), route="implicit")
             for b in betas]
     for lo, hi in zip(sols, sols[1:]):
@@ -200,10 +197,11 @@ def test_partial_fractions_checks_beta():
                           (float("nan"), "beta must be finite"),
                           (float("inf"), "beta must be finite")):
         with pytest.raises(ValueError, match=message):
-            radial.partial_fractions(SPEC3, A3, beta)
+            radial.partial_fractions(PF3_PROFILE, beta)
         with pytest.raises(ValueError, match=message):
             replace(PF3, beta=beta)
-    assert type(radial.partial_fractions(SPEC3, A3, 2).beta) is float
+    assert type(replace(PF3, beta=2).beta) is float
+    assert type(radial.partial_fractions(PF3_PROFILE, 2).beta) is float
     with pytest.warns(RuntimeWarning, match="beta above 1e3"):
         assert replace(PF3, beta=1.0e6).beta == 1.0e6
 
@@ -211,25 +209,27 @@ def test_partial_fractions_checks_beta():
 def test_beta_enters_through_the_analysis_only():
     # beta and the tolerances are bound in one place each, so no stage
     # takes them as arguments
-    for fn in (radial.PartialFractions.excess_at,
-               radial.PartialFractions.excess_integral, radial.tail_amplitude,
-               radial.solve_profile, radial.tail_integral,
-               subsol.SubsolutionSpec, subsol.verify_subsolution,
-               phasepoly.ray_roots, weights.decay_exponent, weights.classify):
+    for fn in (radial.PartialFractions.excess_at, radial._excess_integrals,
+               radial.tail_amplitude, radial.solve_profile,
+               radial.tail_integral, subsol.SubsolutionSpec,
+               subsol.verify_subsolution, phasepoly.ray_roots,
+               weights.decay_exponent, weights.classify):
         params = inspect.signature(fn).parameters
         assert not {"beta", "tol", "level_tol", "tolerance"} & set(params), fn
-    assert "beta" in inspect.signature(radial.partial_fractions).parameters
+    # the analysis classify made, and beta: nothing else
+    assert list(inspect.signature(radial.partial_fractions).parameters) == \
+        ["prof", "beta"]
 
 
 def test_beta_warning_threshold():
     # one warning per bound beta, however many stages read it
     with pytest.warns(RuntimeWarning, match="beta above 1e3") as record:
-        pf = radial.partial_fractions(SPEC3, A3, 2.0e3)
+        pf = radial.partial_fractions(PF3_PROFILE, 2.0e3)
         for route in ("numeric", "implicit"):
             radial.solve_profile(pf, route=route)
         radial.tail_integral(pf, (1.0,))
         radial.tail_amplitude(pf)
-        pf.excess_integral(1.0, 2.0)
+        radial._excess_integrals(pf, ((1.0, 2.0),))
     assert len(record) == 1
     with pytest.warns(RuntimeWarning, match="beta above 1e3"):
         replace(PF3, beta=2.0e3)
@@ -264,8 +264,8 @@ def test_tail_integral_properties():
         radial.tail_integral(replace(PF3, beta=3.0), (3.0,))[0]
     with pytest.raises(ValueError, match="integral may diverge"):
         spec = phasepoly.PhaseSpec(5, 5 * math.pi / 3)
-        radial.tail_integral(radial.partial_fractions(
-            spec, weights.epsilon_family(math.pi / 12), 2.0), (5.0,))
+        prof = oracles.profile(spec, weights.epsilon_family(math.pi / 12))
+        radial.tail_integral(radial.partial_fractions(prof, 2.0), (5.0,))
 
 
 def test_non_finite_and_overflowing_inputs_rejected():
@@ -292,7 +292,7 @@ def test_tail_integral_radii_in_one_pass_match_one_at_a_time():
     spec8 = phasepoly.PhaseSpec(8, 3 * math.pi)
     cases.append((spec8, weights.iso_point(spec8)))
     for spec, a in cases:
-        pf = radial.partial_fractions(spec, a, 2.7)
+        pf = radial.partial_fractions(oracles.profile(spec, a), 2.7)
         one_at_a_time = (radial.tail_integral(pf, (1.0,))
                          + radial.tail_integral(pf, (10.0,)))
         assert radial.tail_integral(pf, (1.0, 10.0)) == one_at_a_time
@@ -322,7 +322,8 @@ def test_decay_fit_iso_recovers_dimension():
     for n in (3, 4, 5):
         theta = 0.85 * n * math.pi / 2
         spec = phasepoly.PhaseSpec(n, theta)
-        pf = radial.partial_fractions(spec, weights.iso_point(spec), 2.0)
+        prof = oracles.profile(spec, weights.iso_point(spec))
+        pf = radial.partial_fractions(prof, 2.0)
         sol = radial.solve_profile(pf, route="numeric")
         m_est, _amp = radial.decay_fit(sol)
         assert m_est == pytest.approx(n, rel=2e-2)
@@ -346,7 +347,8 @@ def test_decay_fit_window_on_positive_tail():
     # iso n = 36 underflows to 0 long before r = 1e30: the fit covers the
     # last decade of the radii whose excess is positive
     spec = phasepoly.PhaseSpec(36, 17 * math.pi)
-    pf = radial.partial_fractions(spec, weights.iso_point(spec), 2.0)
+    prof = oracles.profile(spec, weights.iso_point(spec))
+    pf = radial.partial_fractions(prof, 2.0)
     sol = radial.solve_profile(pf, r_max=1e30, route="implicit")
     assert sol.excess[-1] == 0.0
     m_est, _amp = radial.decay_fit(sol)
@@ -425,7 +427,7 @@ def oracle_excess(pf, beta, r):
 
 def oracle_rhs(spec, a):
     """The numeric route's right-hand side on npoly.polyval arrays."""
-    num, den = radial._slope_pair(spec, weights.weight_profile(spec, a))
+    num, den = radial._slope_pair(oracles.profile(spec, a))
     shifted = den.copy()
     for j in range(shifted.size):
         for i in range(shifted.size - 2, j - 1, -1):
@@ -472,7 +474,7 @@ def test_implicit_excess_matches_brentq_oracle():
                             rng.uniform(1.0, 1e5, 4)))
     for n in range(3, 13):
         spec, a = admissible_point(rng, n)
-        pf = radial.partial_fractions(spec, a, 2.0)
+        pf = radial.partial_fractions(oracles.profile(spec, a), 2.0)
         for beta in (1.0, 1.01, 2.0, float(rng.uniform(1.5, 50.0)), 900.0):
             pf = replace(pf, beta=beta)
             got = pf.excess_at(radii)
@@ -489,7 +491,7 @@ def test_implicit_excess_matches_brentq_oracle():
     # one radius's column pairwise, not in term order
     for n in (18, 24):
         spec, a = admissible_point(rng, n)
-        pf = radial.partial_fractions(spec, a, 2.0)
+        pf = radial.partial_fractions(oracles.profile(spec, a), 2.0)
         assert pf.roots.size - 1 >= 16
         for beta in (1.01, 2.0, 900.0):
             pf = replace(pf, beta=beta)
@@ -529,7 +531,8 @@ def test_excess_at_stops_on_newton_overshoot_by_an_ulp(monkeypatch):
     # from the upper end instead took 38 more steps for the whole batch
     monkeypatch.setattr(radial, "_NEWTON_CAP", 15)
     spec = phasepoly.PhaseSpec(8, 3 * math.pi)
-    pf = radial.partial_fractions(spec, weights.iso_point(spec), 2.7)
+    prof = oracles.profile(spec, weights.iso_point(spec))
+    pf = radial.partial_fractions(prof, 2.7)
     radii = np.geomspace(1.0, 1e4, 241)
     got = pf.excess_at(radii)
     for r, value in zip(radii.tolist(), got.tolist()):
@@ -557,7 +560,8 @@ def test_excess_at_batch_invariant_across_the_reduction_switch():
         cases.append((spec, weights.iso_point(spec)))
         cases.append(admissible_point(rng, n))
     for spec, a in cases:
-        pf = radial.partial_fractions(spec, a, float(rng.uniform(1.5, 50.0)))
+        pf = radial.partial_fractions(oracles.profile(spec, a),
+                                      float(rng.uniform(1.5, 50.0)))
         batch = np.concatenate(([1.0, 1.0 + 1e-12],
                                 np.geomspace(1.0, 1e6, 1031)))
         rng.shuffle(batch)
@@ -608,7 +612,7 @@ def test_tail_integral_first_two_levels_share_one_call(monkeypatch):
     for n in range(3, 13):
         spec, a = admissible_point(rng, n)
         for beta in (1.5, 2.7, 100.0):
-            pf = radial.partial_fractions(spec, a, beta)
+            pf = radial.partial_fractions(oracles.profile(spec, a), beta)
             for R in (1.0, 10.0, 1e3):
                 radii = (R, 10.0 * R)
                 del sizes[:]
@@ -654,43 +658,66 @@ LEVEL_OFFSETS = st.one_of(
     st.sampled_from([-1e-10, -0.9e-10, 0.0, 0.9e-10, 1e-10]))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(kind=st.sampled_from(["random", "random", "pair100", "pair1000"]),
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(kind=st.sampled_from(["critical", "supercritical", "supercritical",
+                             "pair100", "pair1000", "eps"]),
        n=st.integers(min_value=3, max_value=12),
-       u=st.floats(min_value=0.0, max_value=0.9),
-       split=st.lists(st.floats(min_value=0.5, max_value=1.5), min_size=12,
+       u=st.floats(min_value=0.0, max_value=0.98),
+       split=st.lists(st.floats(min_value=0.05, max_value=1.5), min_size=12,
                       max_size=12),
-       offset=LEVEL_OFFSETS)
+       offset=LEVEL_OFFSETS,
+       reflect=st.booleans(),
+       beta=st.floats(min_value=1.0, max_value=1.0e3))
 def test_partial_fractions_accepts_what_classify_admits(kind, n, u, split,
-                                                        offset):
-    # the root and residue checks allow the shift of the root 1 that the
-    # input's phase error (at most LEVEL_TOL) makes, so partial_fractions
-    # fails exactly where classify says "outside"
-    if kind == "random":
-        theta = (n - 2) * math.pi / 2 + u * math.pi
-        deficits = np.array(split[:n])
-        deficits *= (n * math.pi / 2 - theta) / deficits.sum()
-        prefix = np.tan(math.pi / 2 - deficits[:-1])
+                                                        offset, reflect,
+                                                        beta):
+    # the classifier and the solver agree on range: every point classify
+    # calls admissible or slow_decay gives a PartialFractions from its
+    # profile, at critical and supercritical theta, on all-negative data,
+    # with a phase error up to LEVEL_TOL and beta in [1, 1e3].  The root
+    # and residue checks allow the shift of the root 1 that the phase
+    # error makes; what classify calls "outside" fails decay_exponent's
+    # level check and has no profile
+    if kind == "eps":
+        # slow_decay past the family's crossing near eps = 0.2068
+        n, theta = 5, 5 * math.pi / 3
+        spec = phasepoly.PhaseSpec(n, theta)
+        a = np.asarray(weights.epsilon_family(u * math.pi / 12))
     else:
-        # (b, b, x) at theta = pi: H'(1) is about 2/b, so the allowed phase
-        # error moves the root 1 by up to 2.5e-9 (b = 100) or 2.5e-8
-        n, theta = 3, math.pi
-        prefix = np.full(2, 100.0 if kind == "pair100" else 1000.0)
-    spec = phasepoly.PhaseSpec(n, theta)
-    try:
-        a = weights.complete_to_phase(
-            prefix, phasepoly.PhaseSpec(n, theta + offset))
-    except ValueError:
-        assume(False)
+        if kind.startswith("pair"):
+            # (b, b, x) at theta = pi: H'(1) is about 2/b, so the allowed
+            # phase error moves the root 1 by up to 2.5e-9 (b = 100) or
+            # 2.5e-8
+            n, theta = 3, math.pi
+            prefix = np.full(2, 100.0 if kind == "pair100" else 1000.0)
+        else:
+            theta = (n - 2) * math.pi / 2
+            if kind == "supercritical":
+                theta += u * math.pi
+            # angles pi/2 - d_j, the deficits d_j splitting n*pi/2 - theta
+            deficits = np.array(split[:n])
+            deficits *= (n * math.pi / 2 - theta) / deficits.sum()
+            prefix = np.tan(math.pi / 2 - deficits[:-1])
+        spec = phasepoly.PhaseSpec(n, theta)
+        try:
+            a = weights.complete_to_phase(
+                prefix, phasepoly.PhaseSpec(n, theta + offset))
+        except ValueError:
+            assume(False)
+    if reflect:
+        spec, a = phasepoly.PhaseSpec(n, -theta), -a
     adm = weights.classify(spec, a)
-    try:
-        pf = radial.partial_fractions(spec, a, 2.0)
-    except ValueError as exc:
-        assert adm.klass == "outside", (adm, str(exc))
-        assert str(exc) == "a not on the phase level set"
-    else:
-        assert adm.klass != "outside"
-        assert pf.m == adm.m
+    assert adm.reflected == reflect
+    if adm.klass == "outside":
+        assert adm.profile is None
+        with pytest.raises(ValueError, match="a not on the phase level set"):
+            weights.decay_exponent(phasepoly.PhaseSpec(n, theta),
+                                   np.abs(a))
+        return
+    pf = radial.partial_fractions(adm.profile, beta)
+    assert pf.m == adm.m and pf.beta == beta
+    assert pf.spec.theta == theta and pf.roots[-1] == 1.0
+    assert pf.a.tobytes() == np.sort(np.abs(a)).tobytes()
 
 
 def test_level_edge_points_solve(tmp_path):
@@ -714,13 +741,15 @@ EDGE_SPEC = phasepoly.PhaseSpec(3, math.pi)
 EDGE_A = np.array([0.002000002090002129, 1000.0, 1000.0])
 
 
-def test_root_check_scales_with_the_measured_phase_error(monkeypatch):
-    assert phasepoly.ray_roots(EDGE_SPEC, EDGE_A).max_root_is_one
+def test_root_check_scales_with_the_measured_phase_error():
+    prof = oracles.profile(EDGE_SPEC, EDGE_A)
+    assert prof.level_error > 8e-11
+    pf = radial.partial_fractions(prof, 2.0)
+    assert pf.roots[-1] == 1.0
     # the same root with a phase error read as 0 is 2.3e-8 from 1, past
     # the 1e-9 that an exact level point gets
-    monkeypatch.setattr(phasepoly, "phase", lambda lam: EDGE_SPEC.theta)
     with pytest.raises(ValueError, match="root certification failed"):
-        phasepoly.ray_roots(EDGE_SPEC, EDGE_A)
+        radial.partial_fractions(replace(prof, level_error=0.0), 2.0)
 
 
 @pytest.mark.parametrize("a, scale", [
@@ -732,25 +761,26 @@ def test_root_check_scales_with_the_measured_phase_error(monkeypatch):
 ])
 def test_residue_check_scales_with_the_measured_phase_error(monkeypatch, a,
                                                             scale):
-    pf = radial.partial_fractions(EDGE_SPEC, a, 2.0)
+    pf = radial.partial_fractions(oracles.profile(EDGE_SPEC, a), 2.0)
     assert abs(pf.weights[-1] * pf.m - 1.0) < scale / 10
     slope_pair = radial._slope_pair
 
-    def off_by_scale(spec, prof):
-        num, den = slope_pair(spec, prof)
+    def off_by_scale(prof):
+        num, den = slope_pair(prof)
         return num * (1.0 + scale), den
 
     monkeypatch.setattr(radial, "_slope_pair", off_by_scale)
     with pytest.raises(ValueError, match="residue at 1 disagrees"):
-        radial.partial_fractions(EDGE_SPEC, a, 2.0)
+        radial.partial_fractions(oracles.profile(EDGE_SPEC, a), 2.0)
 
 
 def test_log_b_terms_and_slope_bit_identical():
     rng = np.random.default_rng(92)
     for n in range(3, 13):
         spec, a = admissible_point(rng, n)
-        pf = radial.partial_fractions(spec, a, 2.0)
-        num, den = radial._slope_pair(spec, weights.weight_profile(spec, a))
+        prof = oracles.profile(spec, a)
+        pf = radial.partial_fractions(prof, 2.0)
+        num, den = radial._slope_pair(prof)
         for nu in (1.0, 1.0 + 1e-13, 1.7, 42.0, 1e6):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # 1e6
@@ -773,8 +803,8 @@ def test_numeric_route_bit_identical_to_polyval_rhs():
         expect = np.exp(radial._dormand_prince(
             oracle_rhs(spec, a), math.log(beta - 1.0), np.log(rs).tolist(),
             1e-12, 0.1 * 1e-12))
-        sol = radial.solve_profile(radial.partial_fractions(spec, a, beta),
-                                   route="numeric")
+        pf = radial.partial_fractions(oracles.profile(spec, a), beta)
+        sol = radial.solve_profile(pf, route="numeric")
         assert np.array_equal(sol.excess, expect)
         scipy_excess = oracle_dop853(spec, a, beta)
         assert np.max(np.abs(sol.excess - scipy_excess) / scipy_excess) \
@@ -786,7 +816,7 @@ def test_excess_integrals_match_quad_oracle():
     for n in (3, 5, 8, 12):
         spec, a = admissible_point(rng, n)
         beta = float(rng.uniform(1.5, 4.0))
-        pf = radial.partial_fractions(spec, a, beta)
+        pf = radial.partial_fractions(oracles.profile(spec, a), beta)
         for R in (1.0, 10.0):
             r_cut = max(1.0e3, 1.0e2 * R)
             tail = radial.tail_amplitude(pf) * r_cut ** (2.0 - pf.m) \
@@ -812,10 +842,11 @@ def test_tail_integral_at_beta_1e6_matches_a_far_cutoff():
     # until the mark comes off.
     spec = phasepoly.PhaseSpec(12, 16.008)
     with pytest.warns(RuntimeWarning, match="beta above 1e3"):
-        pf = radial.partial_fractions(spec, weights.iso_point(spec), 1.0e6)
+        pf = radial.partial_fractions(
+            oracles.profile(spec, weights.iso_point(spec)), 1.0e6)
     far = 1.0e9
-    expect = (pf.excess_integral(1.0, far) + radial.tail_amplitude(pf)
-              * far ** (2.0 - pf.m) / (pf.m - 2.0))
+    expect = (radial._excess_integrals(pf, ((1.0, far),))[0]
+              + radial.tail_amplitude(pf) * far ** (2.0 - pf.m) / (pf.m - 2.0))
     got = radial.tail_integral(pf, (1.0,))[0]
     assert abs(got - expect) <= 1e-6 * abs(expect)
 
@@ -830,7 +861,7 @@ def test_route_gap_within_1e_10(n, theta, beta):
     a = weights.iso_point(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # beta above 1e3
-        pf = radial.partial_fractions(spec, a, beta)
+        pf = radial.partial_fractions(oracles.profile(spec, a), beta)
     sn = radial.solve_profile(pf, route="numeric")
     si = radial.solve_profile(pf, route="implicit")
     assert np.max(np.abs(sn.psi - si.psi)) <= 1e-10
@@ -858,7 +889,7 @@ def test_route_gap_random_points_up_to_dimension_32():
     for n in (16, 20, 24, 28, 32, 40, 48, 56):
         for _ in range(2):
             spec, a = admissible_point(rng, n)
-            pf = radial.partial_fractions(spec, a, 2.0)
+            pf = radial.partial_fractions(oracles.profile(spec, a), 2.0)
             sn = radial.solve_profile(pf, route="numeric")
             si = radial.solve_profile(pf, route="implicit")
             assert np.max(np.abs(sn.psi - si.psi)) <= 1e-8, (n, spec.theta)

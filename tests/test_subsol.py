@@ -15,8 +15,8 @@ A3 = np.full(3, 1.0 / SQRT3)
 
 
 def candidate(a, theta, alpha=0.0, beta=2.0, gamma=1.0):
-    pf = radial.partial_fractions(phasepoly.PhaseSpec(len(a), theta), a,
-                                  beta)
+    pf = radial.partial_fractions(
+        oracles.profile(phasepoly.PhaseSpec(len(a), theta), a), beta)
     return subsol.SubsolutionSpec(alpha, gamma, pf)
 
 
@@ -30,16 +30,15 @@ def test_subsolution_spec_validation():
     # the problem and beta live on the analysis only
     for name in ("beta", "diag", "theta", "phase_spec", "m"):
         assert not hasattr(spec, name)
-    # the analysis rejects an off-level vector, or a beta out of range,
-    # before any spec exists
-    with pytest.raises(ValueError, match="a not on the phase level set"):
-        radial.partial_fractions(phasepoly.PhaseSpec(3, math.pi / 2),
-                                 np.array([1.0, 2.0, 3.0]), 2.0)
+    # an off-level vector has no analysis, and the analysis rejects a beta
+    # out of range, before any spec exists
+    assert weights.classify(phasepoly.PhaseSpec(3, math.pi / 2),
+                            np.array([1.0, 2.0, 3.0])).profile is None
+    prof = oracles.profile(phasepoly.PhaseSpec(3, math.pi / 2), A3)
     with pytest.raises(ValueError, match="beta must be at least 1"):
-        radial.partial_fractions(phasepoly.PhaseSpec(3, math.pi / 2), A3, 0.5)
+        radial.partial_fractions(prof, 0.5)
     with pytest.raises(ValueError, match="beta must be finite"):
-        radial.partial_fractions(phasepoly.PhaseSpec(3, math.pi / 2), A3,
-                                 float("nan"))
+        radial.partial_fractions(prof, float("nan"))
     for gamma in (0.5, 0.999):
         with pytest.raises(ValueError,
                            match="gamma must be finite and at least 1"):

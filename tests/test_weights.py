@@ -123,7 +123,7 @@ def test_pinch_characterization_both_directions():
 def test_weight_profile_selection_rule():
     spec = phasepoly.PhaseSpec(3, math.pi / 2)
     a = np.full(3, 1.0 / SQRT3)
-    prof = weights.weight_profile(spec, a)
+    prof = oracles.profile(spec, a)
     c = spec.coeffs
     for k in range(4):
         lo, hi = oracles.weight_bounds(a, k)
@@ -140,16 +140,14 @@ def test_weight_profile_chains_equal_weight_bounds_bitwise():
         n = int(rng.integers(3, 11))
         a = np.exp(1.5 * rng.standard_normal(n))
         spec = phasepoly.PhaseSpec(n, phasepoly.phase(a))
-        if spec.classification == "subcritical":
+        if oracles.classification(spec) == "subcritical":
             # out of range, and off the level set of a supported phase:
             # no profile
-            with pytest.raises(ValueError, match="out of supported range"):
-                weights.weight_profile(spec, a)
+            assert weights.classify(spec, a).profile is None
             spec = phasepoly.PhaseSpec(n, (n - 1) * math.pi / 2)
-            with pytest.raises(ValueError, match="not on the phase level"):
-                weights.weight_profile(spec, a)
+            assert weights.classify(spec, a).profile is None
         else:
-            prof = weights.weight_profile(spec, a)
+            prof = oracles.profile(spec, a)
             assert prof.m == weights.decay_exponent(spec, a)
             c = spec.coeffs
             for k in range(n + 1):
@@ -168,11 +166,10 @@ def test_weight_profile_dominates_direction_weights():
         if a is None:
             continue
         spec = phasepoly.PhaseSpec(n, theta)
-        if spec.classification == "subcritical":
-            with pytest.raises(ValueError, match="out of supported range"):
-                weights.weight_profile(spec, a)
+        if oracles.classification(spec) == "subcritical":
+            assert weights.classify(spec, a).profile is None
             continue
-        prof = weights.weight_profile(spec, a)
+        prof = oracles.profile(spec, a)
         c = spec.coeffs
         for _ in range(25):
             x = rng.standard_normal(n)
@@ -187,7 +184,7 @@ def test_weight_profile_iso_selected_is_linear():
     for n in range(3, 7):
         theta = 0.8 * n * math.pi / 2
         spec = phasepoly.PhaseSpec(n, theta)
-        prof = weights.weight_profile(spec, weights.iso_point(spec))
+        prof = oracles.profile(spec, weights.iso_point(spec))
         assert np.allclose(prof.selected, np.arange(n + 1) / n, atol=1e-12)
         assert prof.m == pytest.approx(n, abs=1e-10)
 
@@ -240,7 +237,7 @@ def test_decay_exponent_range_on_level_samples():
         if a is None:
             continue
         spec = phasepoly.PhaseSpec(n, theta)
-        if spec.classification == "subcritical":
+        if oracles.classification(spec) == "subcritical":
             with pytest.raises(ValueError,
                                match="phase out of supported range"):
                 weights.decay_exponent(spec, a)
@@ -267,17 +264,15 @@ def test_subcritical_phase_rejected_like_ray_degree(n):
             spec.ray_degree
         with pytest.raises(ValueError, match="phase out of supported range"):
             weights.decay_exponent(spec, a)
-        with pytest.raises(ValueError, match="phase out of supported range"):
-            weights.weight_profile(spec, a)
         assert weights.classify(spec, a).klass == "outside"
     spec = phasepoly.PhaseSpec(n, crit)
     a = weights.iso_point(spec)
     assert weights.decay_exponent(spec, a) == pytest.approx(n, rel=1e-12)
-    assert weights.weight_profile(spec, a).m == weights.decay_exponent(spec, a)
+    assert oracles.profile(spec, a).m == weights.decay_exponent(spec, a)
     for eps in (0.0, 0.1, math.pi / 12):
         a5 = weights.epsilon_family(eps)
         m = weights.decay_exponent(SPEC5, a5)
-        assert weights.weight_profile(SPEC5, a5).m == m
+        assert oracles.profile(SPEC5, a5).m == m
         assert 0.0 < m <= 5.0
 
 
@@ -459,8 +454,9 @@ POINT_KINDS = {"on": 0.0, "off": None, "inside+": 0.9e-10,
        reflect=st.booleans())
 def test_classify_and_exponent_make_one_decision(n, theta_kind, u, split,
                                                  point_kind, reflect):
-    # classify says "outside" exactly when decay_exponent and weight_profile
-    # raise, and otherwise all three give m with the same bits
+    # classify says "outside", with no profile, exactly when decay_exponent
+    # raises, and otherwise the exponent, classify's m and its profile's m
+    # have the same bits
     crit = (n - 2) * math.pi / 2
     theta = {"critical": crit, "critical+1e-12": crit + 1e-12,
              "critical-1e-12": crit - 1e-12, "subcritical": u * crit,
@@ -482,22 +478,19 @@ def test_classify_and_exponent_make_one_decision(n, theta_kind, u, split,
         # the completion is within 1e-12 of its own target
         assert abs(abs(phasepoly.phase(a) - theta) - abs(offset)) <= 2e-12
 
-    outcomes = []
-    for fn in (weights.decay_exponent,
-               lambda sp, v: weights.weight_profile(sp, v).m):
-        try:
-            outcomes.append(fn(spec, a))
-        except ValueError:
-            outcomes.append(None)
+    try:
+        m = weights.decay_exponent(spec, a)
+    except ValueError:
+        m = None
     adm = (weights.classify(phasepoly.PhaseSpec(n, -theta), -a) if reflect
            else weights.classify(spec, a))
     assert adm.reflected == reflect
-    if outcomes[0] is None:
-        assert outcomes == [None, None]
+    if m is None:
         assert adm.klass == "outside" and adm.m is None
+        assert adm.profile is None
     else:
         assert adm.klass != "outside"
-        assert bits(outcomes[0]) == bits(outcomes[1]) == bits(adm.m)
+        assert bits(m) == bits(adm.m) == bits(adm.profile.m)
 
 
 def test_epsilon_family_values():
@@ -612,8 +605,9 @@ def bits(x):
 
 
 def assert_profile_bits(spec, a):
-    got = weights.weight_profile(spec, a)
+    got = oracles.profile(spec, a)
     sig, _lower, _upper, selected, m = numpy_weight_profile(spec, a)
+    assert bits(got.a) == bits(numpy_ascending_positive(a, spec.n))
     assert bits(got.selected) == bits(selected)
     assert bits(got.sigma) == bits(sig)
     assert bits(got.m) == bits(m)
@@ -660,14 +654,14 @@ def test_float_path_bit_identical_on_random_level_points():
                     bits(numpy_decay_exponent(spec, form)), (n, spec.theta)
                 assert_profile_bits(spec, form)
             # off the level set: decay_exponent's error, no profile
-            for fn in (weights.weight_profile, numpy_weight_profile):
-                assert message(fn, spec, 1.01 * a) == \
-                    "a not on the phase level set"
+            assert message(weights.decay_exponent, spec, 1.01 * a) == \
+                "a not on the phase level set"
+            assert weights.classify(spec, 1.01 * a).profile is None
 
 
 def assert_all_entry_points_bits(spec, a):
-    """decay_exponent, classify(...).m and weight_profile against the numpy
-    formula, bit for bit."""
+    """decay_exponent, classify(...).m and classify(...).profile against the
+    numpy formula, bit for bit."""
     m = numpy_decay_exponent(spec, a)
     assert bits(weights.decay_exponent(spec, a)) == bits(m), spec
     adm = weights.classify(spec, a)
@@ -681,7 +675,8 @@ def test_float_path_bit_identical_on_iso_points_past_twelve(n):
     for theta in ((n - 2) * math.pi / 2, (n - 1) * math.pi / 2):
         spec = phasepoly.PhaseSpec(n, theta)
         a = weights.iso_point(spec)
-        assert spec.classification in ("critical", "supercritical")
+        assert oracles.classification(spec) in ("critical",
+                                                "supercritical")
         for form in (a, a.tolist()):
             assert_all_entry_points_bits(spec, form)
 
@@ -691,9 +686,9 @@ def test_float_path_bit_identical_on_random_level_points_past_twelve():
     for n in range(13, 33):
         for spec, a in level_points(rng, n, 4):
             assert_all_entry_points_bits(spec, a)
-            for fn in (weights.weight_profile, numpy_weight_profile):
-                assert message(fn, spec, 1.01 * a) == \
-                    "a not on the phase level set"
+            assert message(weights.decay_exponent, spec, 1.01 * a) == \
+                "a not on the phase level set"
+            assert weights.classify(spec, 1.01 * a).profile is None
 
 
 def test_float_path_bit_identical_on_the_bisection_midpoints():
@@ -726,8 +721,6 @@ def test_float_path_error_messages_match(a):
                  phasepoly.PhaseSpec(3, -math.pi / 2)):
         assert message(weights.decay_exponent, spec, a) == \
             message(numpy_decay_exponent, spec, a)
-        assert message(weights.weight_profile, spec, a) == \
-            message(numpy_weight_profile, spec, a)
 
 
 def test_float_path_error_messages_match_off_level_and_out_of_range():
@@ -817,7 +810,8 @@ def test_exponent_equals_chain_oracle_on_random_level_points():
     rng = np.random.default_rng(1709)
     for n in range(3, 65):
         for spec, a in wide_level_points(rng, n, 4):
-            assert spec.classification in ("critical", "supercritical")
+            assert oracles.classification(spec) in ("critical",
+                                                    "supercritical")
             assert bits(weights.decay_exponent(spec, a)) == \
                 bits(chain_exponent(spec, a)), (n, spec.theta)
 

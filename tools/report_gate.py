@@ -118,6 +118,14 @@ EDGE_CASES = [
     ("level edge b=1000", (), ("solve", "--a",
                                "1000.0,1000.0,0.002000002090002129",
                                "--n", "3", "--theta", _PI, "--grid", "4")),
+    # the b=10 and b=1000 level edges reflected: classify hands the solver
+    # the profile of (pi, -a)
+    ("reflected level edge b=10", (), (
+        "solve", "--a=-10.0,-10.0,-0.20202020211387478", "--n", "3",
+        "--theta=" + repr(-math.pi), "--grid", "4")),
+    ("reflected level edge b=1000", (), (
+        "solve", "--a=-1000.0,-1000.0,-0.002000002090002129", "--n", "3",
+        "--theta=" + repr(-math.pi), "--grid", "4")),
     ("off level b=100", (), ("solve", "--a", "100,100,0.02", "--n", "3",
                              "--theta", _PI, "--grid", "4")),
     # the smallest scans in both formats, and the one grid below them
