@@ -15,7 +15,11 @@ Three subcommands:
             passes when the grid verification passes and the two profile
             routes agree within ROUTE_GAP_TOL.  All-negative data runs as
             its sign reflection (-theta, -a), the problem classify
-            analyses, and the report marks it reflected.
+            analyses, and the report marks it reflected.  Every flag is
+            range-checked before the vector is read, so an invalid one
+            exits 2 whatever the vector.  classify's WeightProfile is the
+            one problem object: partial_fractions holds it as pf.prof,
+            and the grid takes only (pf, gamma, shells).
 
 One path through main serves every subcommand.  Its subparser records
 four things: the runner, which turns the parsed arguments into a report
@@ -607,16 +611,22 @@ def _parse_theta(text: str, n: int) -> float:
 def _run_solve(args: argparse.Namespace) -> dict:
     if args.fmt == "csv":
         raise ValueError("solve emits JSON only")
+    # every flag is range-checked before the vector is read, so an invalid
+    # one exits 2 whatever the vector
     for name in ("beta", "gamma", "alpha", "rmax"):
         if not math.isfinite(getattr(args, name)):
             raise ValueError(f"--{name} must be finite")
-    gamma = args.gamma
-    grid_radius = 50.0 * gamma
-    if not math.isfinite(grid_radius):
-        raise ValueError("--gamma out of range: the grid radius 50*gamma "
-                         "overflows")
-    r_max = args.rmax
-    grid = subsol.ShellGrid(shells=args.grid, r_max=grid_radius)
+    gamma, r_max = args.gamma, args.rmax
+    if not math.isfinite(subsol.GRID_RADIUS * gamma):
+        raise ValueError(f"--gamma out of range: the grid radius "
+                         f"{subsol.GRID_RADIUS:g}*gamma overflows")
+    if args.grid < 1:
+        raise ValueError("the grid needs at least one shell")
+    radial.check_beta(args.beta)
+    if gamma < 1.0:
+        raise ValueError("gamma must be finite and at least 1")
+    if r_max <= 1.0:
+        raise ValueError("r_max must be finite and exceed 1")
     vec, n, theta = _resolve_vector(args)
     adm = weights.classify(phasepoly.PhaseSpec(n, theta), vec)
     base = {
@@ -639,7 +649,6 @@ def _run_solve(args: argparse.Namespace) -> dict:
     # every stage runs on the problem classify analysed: for all-negative
     # data the reflection (-theta, -a)
     pf = radial.partial_fractions(adm.profile, args.beta)
-    sspec = subsol.SubsolutionSpec(args.alpha, gamma, pf)
     sol_num = radial.solve_profile(pf, r_max=r_max, route="numeric")
     sol_imp = radial.solve_profile(pf, r_max=r_max, route="implicit")
     gap = float(np.max(np.abs(sol_num.psi - sol_imp.psi)))
@@ -651,13 +660,13 @@ def _run_solve(args: argparse.Namespace) -> dict:
 
     mu_gamma, mu_10gamma = radial.tail_integral(pf, (gamma, 10.0 * gamma))
     mu = {"at_gamma": mu_gamma, "at_10gamma": mu_10gamma}
-    rep = subsol.verify_subsolution(sspec, grid)
+    rep = subsol.verify_subsolution(pf, gamma, args.grid)
 
     base.update({
         "partial_fractions": {
             "roots": pf.roots.tolist(),
             "weights": pf.weights.tolist(),
-            "m": pf.m,
+            "m": pf.prof.m,
         },
         "trajectory": {
             "r": sol_num.r.tolist(),

@@ -44,8 +44,10 @@ and beta, nothing else.  It re-checks nothing classify checked: it finds
 the ray roots, certifies the root 1 and the residue at 1 against bounds
 scaled by the profile's level error, builds the slope-field pair
 (num, den) from the profile's sigma row and chain, and binds beta,
-checked there once, with the two constants log B(beta) and log B(1).
-The returned PartialFractions is the only input of both profile routes,
+range-checked by check_beta, with the two constants log B(beta) and
+log B(1).
+The returned PartialFractions holds the profile itself as pf.prof, and
+copies none of its fields.  It is the only input of both profile routes,
 the tail integrals and the subsol module, none of which takes beta; it
 also evaluates g.  Polynomials in the numeric route are evaluated by
 Horner's rule on Python floats, in numpy's polyval order, so every value
@@ -72,7 +74,7 @@ import numpy as np
 from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
 
-from .phasepoly import PhaseSpec, ray_roots
+from .phasepoly import ray_roots
 from .weights import WeightProfile
 
 BETA_CAP = 1.0e6
@@ -95,11 +97,7 @@ _PROFILE_SAMPLES = 241  # log-spaced sample radii of solve_profile
 
 
 def check_beta(beta: float) -> float:
-    """beta as a float, after checking 1 <= beta <= BETA_CAP.
-
-    Warns (RuntimeWarning) above BETA_WARN, where the residues lose
-    conditioning.
-    """
+    """beta as a float, after checking 1 <= beta <= BETA_CAP."""
     beta = float(beta)
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
@@ -107,10 +105,6 @@ def check_beta(beta: float) -> float:
         raise ValueError("beta must be at least 1")
     if beta > BETA_CAP:
         raise ValueError("beta above the supported cap 1e6")
-    if beta > BETA_WARN:
-        # names the caller of partial_fractions (or dataclasses.replace)
-        warnings.warn("beta above 1e3: residue conditioning degrades",
-                      RuntimeWarning, stacklevel=5)
     return beta
 
 
@@ -218,23 +212,25 @@ def _dormand_prince(f: Callable[[float], float], y0: float, s_out: list,
 
 @dataclass(frozen=True, eq=False)
 class PartialFractions:
-    """The analysis of one problem (spec, a) that every route reuses.
+    """The residues of one problem, bound to beta, that every route reuses.
 
-    a is the sorted vector; roots are the real simple ray roots ascending
-    with 1.0 last, weights the residues aligned with them.  weights[-1],
-    the residue at the root 1, equals 1/m; the full set recombines to
-    num/den away from the poles.  num and den are the ascending
-    coefficients of the slope-field pair, as Python floats.  beta = psi(1)
-    passes check_beta on construction, the only place it is checked;
-    dataclasses.replace(pf, beta=b) rebinds the analysis to b.  log_b_beta
-    and log_b_one are log B(beta) and log B(1), summed once from the
-    sub-unit pairs (root_j, m*K_j).
+    prof is the problem's WeightProfile, the one classify built, shared
+    and not copied: the phase spec, the sorted vector a and the exponent
+    m are read as prof.spec, prof.a and prof.m.  roots are the real simple
+    ray roots ascending with 1.0 last, weights the residues aligned with
+    them.  weights[-1], the residue at the root 1, equals 1/m; the full
+    set recombines to num/den away from the poles.  num and den are the
+    ascending coefficients of the slope-field pair, as Python floats.
+    beta = psi(1) passes check_beta on construction, which also warns
+    (RuntimeWarning) above BETA_WARN, where the residues lose
+    conditioning: once per binding, dataclasses.replace(pf, beta=b),
+    which rebinds the analysis to b, included.  log_b_beta and log_b_one
+    are log B(beta) and log B(1), summed once from the sub-unit pairs
+    (root_j, m*K_j).
     """
-    spec: PhaseSpec
-    a: np.ndarray
+    prof: WeightProfile
     roots: np.ndarray
     weights: np.ndarray
-    m: float
     num: tuple
     den: tuple
     beta: float
@@ -243,9 +239,13 @@ class PartialFractions:
 
     def __post_init__(self):
         beta = check_beta(self.beta)
+        if beta > BETA_WARN:
+            # names the caller of partial_fractions (or dataclasses.replace)
+            warnings.warn("beta above 1e3: residue conditioning degrades",
+                          RuntimeWarning, stacklevel=4)
         # m * weights[:-1] rounds each product exactly as m * K_j does
         terms = tuple(zip(self.roots[:-1].tolist(),
-                          (self.m * self.weights[:-1]).tolist()))
+                          (self.prof.m * self.weights[:-1]).tolist()))
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "log_b_beta", _log_b(terms, beta))
         object.__setattr__(self, "log_b_one", _log_b(terms, 1.0))
@@ -295,10 +295,11 @@ class PartialFractions:
         flat = rs.ravel()
         if flat.size == 1:
             flat = np.repeat(flat, 2)
+        m = self.prof.m
         u_hi = math.log(self.beta - 1.0)
-        target = u_hi + self.log_b_beta - self.m * np.log(flat)
+        target = u_hi + self.log_b_beta - m * np.log(flat)
         roots = self.roots[:-1, None]
-        mks = (self.m * self.weights[:-1])[:, None]
+        mks = (m * self.weights[:-1])[:, None]
 
         def residual(u):
             # F, e^u and the gaps nu - root_j (terms x radii); axis 0 of
@@ -425,8 +426,8 @@ def partial_fractions(prof: WeightProfile, beta: float) -> PartialFractions:
     (R'/R)(1) sin(H - theta)) moves the residue at 1 by about
     (R'/R)(1) delta/m, where (R'/R)(1) = sum_j a_j^2/(1 + a_j^2) < n.
     """
-    spec, arr, level_error = prof.spec, prof.a, prof.level_error
-    roots = ray_roots(spec, arr)
+    arr, level_error = prof.a, prof.level_error
+    roots = ray_roots(prof.spec, arr)
     # a phase error e moves the root 1 by about e/H'(1), H'(1) = sum_j
     # a_j/(1 + a_j^2): the bound is 1e-9 plus twice that shift
     if not abs(roots[-1] - 1.0) <= 1e-9 + (
@@ -445,8 +446,8 @@ def partial_fractions(prof: WeightProfile, beta: float) -> PartialFractions:
     if abs(weights[-1] - 1.0 / prof.m) > 1e-10 + (
             2.0 * arr.size * level_error / (prof.m * float(h_prime[-1]))):
         raise ValueError("partial-fraction residue at 1 disagrees with 1/m")
-    return PartialFractions(spec=spec, a=arr, roots=roots, weights=weights,
-                            m=prof.m, num=tuple(num.tolist()),
+    return PartialFractions(prof=prof, roots=roots, weights=weights,
+                            num=tuple(num.tolist()),
                             den=tuple(den.tolist()), beta=beta)
 
 
@@ -568,14 +569,15 @@ def tail_integral(pf: PartialFractions, radii: Sequence) -> tuple:
     """
     if not all(R >= 1.0 for R in radii):
         raise ValueError("R must be at least 1")
-    if pf.m <= 2.0:
+    m = pf.prof.m
+    if m <= 2.0:
         raise ValueError("integral may diverge")
     cuts = [max(1.0e3, 1.0e2 * R) for R in radii]
     if any(2.0 * math.log(r_cut) > _LOG_FLOAT_MAX for r_cut in cuts):
         raise ValueError("R too large: the quadrature weight tau^2 overflows")
     bodies = _excess_integrals(pf, tuple(zip(radii, cuts)))
     amp = tail_amplitude(pf)
-    return tuple(body + amp * r_cut ** (2.0 - pf.m) / (pf.m - 2.0)
+    return tuple(body + amp * r_cut ** (2.0 - m) / (m - 2.0)
                  for body, r_cut in zip(bodies, cuts))
 
 

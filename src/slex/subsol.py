@@ -17,14 +17,23 @@ the defining differential inequality
 
     sum_i arctan lambda_i(D2Phi(x)) >= theta
 
-holds everywhere outside the ellipsoid.  verify_subsolution samples that
-inequality (and the equivalent algebraic level form, which must be >= 0) on
-log-spaced shells crossed with a deterministic direction set: the 2n
-coordinate axis points, where the direction weights attain their extremes,
-plus DIRECTIONS low-discrepancy generic directions.  It computes no
-eigenvalue: symfun.rank_one_phase_level gives the phase from the matrix
-determinant lemma and the level value from the rank-one update, at O(n)
-per point once each shell's O(n^3) exclusion rows are built.
+holds everywhere outside the ellipsoid.  verify_subsolution(pf, gamma,
+shells) samples that inequality (and the equivalent algebraic level form,
+which must be >= 0) on log-spaced shells crossed with a deterministic
+direction set: the 2n coordinate axis points, where the direction weights
+attain their extremes, plus DIRECTIONS low-discrepancy generic directions.
+The shells run from just outside the ellipsoid to GRID_RADIUS * gamma.
+It computes no eigenvalue: symfun.rank_one_phase_level gives the phase
+from the matrix determinant lemma and the level value from the rank-one
+update, at O(n) per point once each shell's O(n^3) exclusion rows are
+built.
+
+The problem is pf, the radial.PartialFractions built on the WeightProfile
+that weights.classify made: pf.prof.a is diag(a), pf.prof.spec the phase
+target, and pf.beta the profile's start.  Nothing here re-checks it.  alpha
+shifts Phi by a constant and never reaches the Hessian, so the grid does
+not take it; its range checks (gamma >= 1, at least one shell) are the
+solve command's.
 
 A is diagonal throughout: a general symmetric A enters through its
 eigenvalues, as the problem's vector a.
@@ -32,7 +41,6 @@ eigenvalues, as the problem's vector a.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -41,32 +49,10 @@ import numpy as np
 from .radial import PartialFractions
 from .symfun import rank_one_phase_level
 
-
-@dataclass(frozen=True, eq=False)
-class SubsolutionSpec:
-    """Parameters (alpha, gamma) of one candidate for the problem pf.
-
-    pf is the problem's radial.partial_fractions, and building it already
-    checked it: every stage reads diag(a) as pf.a, the phase spec as
-    pf.spec, the exponent as pf.m and beta as pf.beta.  Requires alpha
-    finite, gamma >= 1 and decay exponent above 2.
-    """
-    alpha: float
-    gamma: float
-    pf: PartialFractions
-
-    def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
-        if not 1.0 <= self.gamma < math.inf:
-            raise ValueError("gamma must be finite and at least 1")
-        if self.pf.m <= 2.0:
-            raise ValueError("decay exponent must exceed 2")
-
-
 _NORMAL = NormalDist()
 _PASS_TOL = 1e-9  # verify_subsolution's minima must clear -_PASS_TOL
 _R_MIN_SCALE = 1.0 + 1e-6  # the innermost shell, relative to gamma
+GRID_RADIUS = 50.0  # the outermost shell, relative to gamma
 DIRECTIONS = 96  # low-discrepancy directions per shell, besides the 2n axes
 
 
@@ -93,25 +79,6 @@ def sphere_directions(n: int, count: int) -> np.ndarray:
     return z / norms[:, None]
 
 
-@dataclass(frozen=True)
-class ShellGrid:
-    """Sampling layout: log-spaced shells times a fixed direction set.
-
-    Radii run from gamma * _R_MIN_SCALE, just outside the excised
-    ellipsoid, to r_max; directions are the 2n signed coordinate axes plus
-    DIRECTIONS low-discrepancy points.  Requires at least one shell and a
-    finite r_max.
-    """
-    shells: int = 120
-    r_max: float = 50.0
-
-    def __post_init__(self):
-        if self.shells < 1:
-            raise ValueError("the grid needs at least one shell")
-        if not math.isfinite(self.r_max):
-            raise ValueError("r_max must be finite")
-
-
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
     """Sampled minima of the two subsolution inequalities.
@@ -132,12 +99,15 @@ class VerificationReport:
     passed: bool
 
 
-def verify_subsolution(spec: SubsolutionSpec,
-                       grid: ShellGrid) -> VerificationReport:
-    """Check both subsolution inequalities on the shell grid.
+def verify_subsolution(pf: PartialFractions, gamma: float,
+                       shells: int) -> VerificationReport:
+    """Check both subsolution inequalities of the problem pf on the grid.
 
-    Every grid point sits strictly outside the excised ellipsoid.  On the
-    shell of radius rho the Hessian is
+    The grid has shells log-spaced radii from gamma * (1 + 1e-6), just
+    outside the excised ellipsoid, to GRID_RADIUS * gamma, each crossed
+    with the 2n signed coordinate axes and DIRECTIONS low-discrepancy
+    points, so every grid point sits strictly outside the ellipsoid.  On
+    the shell of radius rho the Hessian is
     diag(p) + s q q^T with p = psi a, s = psi'/rho and q = a o x, and
     symfun.rank_one_phase_level evaluates the phase gap and the level value
     of every point from (p, s, q o q) without an eigenvalue; their minima
@@ -145,26 +115,23 @@ def verify_subsolution(spec: SubsolutionSpec,
     value (divided by prod_j sqrt(1 + lambda_j^2)), so the verdict does not
     depend on the size of the eigenvalues.
     """
-    r_min = spec.gamma * _R_MIN_SCALE
-    if grid.r_max <= r_min:
-        raise ValueError("r_max must exceed the innermost shell")
-    a = spec.pf.a
+    spec, a = pf.prof.spec, pf.prof.a
     n = a.size
     axes = np.vstack([np.eye(n), -np.eye(n)])
     dirs = np.vstack([axes, sphere_directions(n, DIRECTIONS)])
     # radius of each direction point in the A-metric, for rescaling
     ra = np.sqrt((dirs * dirs) @ a)
-    radii = np.geomspace(r_min, grid.r_max, grid.shells)
+    radii = np.geomspace(gamma * _R_MIN_SCALE, GRID_RADIUS * gamma, shells)
 
-    nus = 1.0 + spec.pf.excess_at(radii)
+    nus = 1.0 + pf.excess_at(radii)
     # the update scale s = psi'(rho)/rho of each shell, psi' = slope/rho
-    s = np.array([spec.pf.slope(nu) / rho / rho
+    s = np.array([pf.slope(nu) / rho / rho
                   for rho, nu in zip(radii.tolist(), nus.tolist())])
     x = (radii[:, None] / ra)[:, :, None] * dirs
     q = x * a
     phases, levels, scaled = rank_one_phase_level(
-        nus[:, None] * a, s, q * q, spec.pf.spec.coeffs)
-    gaps = phases.ravel() - spec.pf.spec.theta
+        nus[:, None] * a, s, q * q, spec.coeffs)
+    gaps = phases.ravel() - spec.theta
     levels = levels.ravel()
     points = x.reshape(-1, n)
 

@@ -81,11 +81,13 @@ def _ascending_positive(a, n: int) -> list:
 
     A list of Python floats is read as it is; any other input goes through
     one numpy conversion to float, whose rules decide what is a vector.
+    An input that is not 1-D has the wrong length, as classify says.
     """
     if type(a) is not list or set(map(type, a)) != _FLOAT:
         arr = np.asarray(a, dtype=float)
         if arr.ndim != 1:
-            raise ValueError("vector must have all entries positive")
+            raise ValueError("vector length does not match the phase "
+                             "dimension")
         a = arr.tolist()
     # 0.0 < v is False for NaN, so NaN entries are rejected too
     if not a or not all(map((0.0).__lt__, a)):

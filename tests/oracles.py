@@ -77,9 +77,12 @@ def ascending_positive_ndarray(a, n):
     by the numpy round trip weights._ascending_positive once made: one
     np.asarray(a, dtype=float), the checks on the array's shape and on
     its list, then an in-place sort.  Its values and its ValueError
-    messages are the contract the weights layer keeps."""
+    messages are the contract the weights layer keeps; an array that is not
+    1-D has the wrong length, as weights.classify says."""
     arr = np.asarray(a, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.ndim != 1:
+        raise ValueError("vector length does not match the phase dimension")
+    if arr.size == 0:
         raise ValueError("vector must have all entries positive")
     vals = arr.tolist()
     if not all(map((0.0).__lt__, vals)):
@@ -156,40 +159,39 @@ def ellipsoid_radius(a, x):
     return math.sqrt(float(np.dot(a, xv * xv)))
 
 
-def profile_at(spec, r):
-    """(psi, psi') at radius r >= 1 of the candidate spec, from the implicit
+def profile_at(pf, r):
+    """(psi, psi') at radius r >= 1 of the problem pf, from the implicit
     route: psi' = g(psi)/r."""
-    nu = 1.0 + float(spec.pf.excess_at(r))
-    return nu, spec.pf.slope(nu) / r
+    nu = 1.0 + float(pf.excess_at(r))
+    return nu, pf.slope(nu) / r
 
 
-def radial_value(spec, r):
+def radial_value(pf, alpha, gamma, r):
     """phi(r) = alpha + int_gamma^r tau psi(tau) dtau, for r >= gamma: the
     quadratic part of psi = 1 + excess plus the excess integral."""
     r = float(r)
-    quadratic = spec.alpha + 0.5 * (r * r - spec.gamma ** 2)
-    return quadratic + radial._excess_integrals(spec.pf,
-                                                ((spec.gamma, r),))[0]
+    quadratic = alpha + 0.5 * (r * r - gamma ** 2)
+    return quadratic + radial._excess_integrals(pf, ((gamma, r),))[0]
 
 
-def hessian(spec, x):
+def hessian(pf, x):
     """D2Phi(x) = psi diag(a) + (psi'/r) (a o x)(a o x)^T, outside the
     ellipsoid."""
     xv = np.asarray(x, dtype=float)
-    a = spec.pf.a
+    a = pf.prof.a
     r = ellipsoid_radius(a, xv)
-    nu, dpsi = profile_at(spec, r)
+    nu, dpsi = profile_at(pf, r)
     q = a * xv
     return nu * np.diag(a) + (dpsi / r) * np.outer(q, q)
 
 
-def hessian_sigma(spec, x, k):
+def hessian_sigma(pf, x, k):
     """sigma_k of the eigenvalues of D2Phi(x), by symfun.sigma_rank_one with
     p = psi a, q = a o x and s = psi'/r."""
     xv = np.asarray(x, dtype=float)
-    a = spec.pf.a
+    a = pf.prof.a
     r = ellipsoid_radius(a, xv)
-    nu, dpsi = profile_at(spec, r)
+    nu, dpsi = profile_at(pf, r)
     sig, excl = rank_one_rows((nu * a).tolist())
     return float(symfun.sigma_rank_one(sig, excl, (a * xv).tolist(),
                                        dpsi / r, k))

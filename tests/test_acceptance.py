@@ -181,8 +181,8 @@ def test_criterion_4_closed_form_profile():
         bad.append(("roots", pf.roots))
     if not np.allclose(pf.weights, [1 / 3, 1 / 3], atol=1e-12):
         bad.append(("residue_weights", pf.weights))
-    if abs(pf.m - 3.0) > 1e-12:
-        bad.append(("exponent", pf.m))
+    if abs(pf.prof.m - 3.0) > 1e-12:
+        bad.append(("exponent", pf.prof.m))
 
     for beta in (1.5, 2.0, 10.0):
         for route in ("numeric", "implicit"):
@@ -263,18 +263,18 @@ def test_criterion_7_subsolution_verification():
             a4 = None
     pf3 = radial.partial_fractions(
         oracles.profile(phasepoly.PhaseSpec(3, math.pi / 2), iso3), 1.0)
-    specs = [
-        subsol.SubsolutionSpec(0.0, 1.0, pf3),
-        subsol.SubsolutionSpec(0.0, 1.0, replace(pf3, beta=10.0)),
-        subsol.SubsolutionSpec(2.0, 1.5, replace(pf3, beta=2.0)),
-        subsol.SubsolutionSpec(0.0, 1.0, radial.partial_fractions(
-            oracles.profile(spec4, a4), 2.0)),
-        subsol.SubsolutionSpec(0.0, 1.0, radial.partial_fractions(
-            oracles.profile(spec5, weights.iso_point(spec5)), 3.0)),
+    # (problem, gamma) of each candidate; alpha never reaches the grid
+    candidates = [
+        (pf3, 1.0),
+        (replace(pf3, beta=10.0), 1.0),
+        (replace(pf3, beta=2.0), 1.5),
+        (radial.partial_fractions(oracles.profile(spec4, a4), 2.0), 1.0),
+        (radial.partial_fractions(
+            oracles.profile(spec5, weights.iso_point(spec5)), 3.0), 1.0),
     ]
     bad = []
-    for i, sspec in enumerate(specs):
-        rep = subsol.verify_subsolution(sspec, subsol.ShellGrid())
+    for i, (pf, gamma) in enumerate(candidates):
+        rep = subsol.verify_subsolution(pf, gamma, 120)
         if rep.points < 10 ** 4:
             bad.append(("points", i, rep.points))
         if rep.min_phase_gap < -1e-9:
@@ -282,22 +282,22 @@ def test_criterion_7_subsolution_verification():
         if rep.min_level_value < -1e-9:
             bad.append(("level_value", i, rep.min_level_value))
         # rank-one sigma values against the dense eigenvalue oracle
-        n = sspec.pf.a.size
+        n = pf.prof.a.size
         checked = 0
         while checked < 40:
             x = rng.standard_normal(n) * rng.uniform(1.0, 30.0)
-            if oracles.ellipsoid_radius(sspec.pf.a, x) <= sspec.gamma:
+            if oracles.ellipsoid_radius(pf.prof.a, x) <= gamma:
                 continue
-            lam = np.linalg.eigvalsh(oracles.hessian(sspec, x))
+            lam = np.linalg.eigvalsh(oracles.hessian(pf, x))
             for k in range(1, n + 1):
-                direct = oracles.hessian_sigma(sspec, x, k)
+                direct = oracles.hessian_sigma(pf, x, k)
                 oracle = float(symfun.elem_sym_all(lam.tolist())[k])
                 if abs(direct - oracle) > 1e-10 * max(1.0, abs(oracle)):
                     bad.append(("sigma_oracle", i, k, direct - oracle))
             checked += 1
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 60.0
-    _report(7, "subsolution verification, 5 specs", ok, elapsed, 60.0)
+    _report(7, "subsolution verification, 5 candidates", ok, elapsed, 60.0)
     assert not bad, bad
     assert elapsed < 60.0
 
@@ -364,15 +364,15 @@ def test_criterion_8_property_suites():
     pf3 = radial.partial_fractions(
         oracles.profile(phasepoly.PhaseSpec(3, math.pi / 2), iso3), 2.0)
     for beta, gamma, alpha in ((2.0, 1.0, 0.0), (10.0, 1.5, 2.0)):
-        sspec = subsol.SubsolutionSpec(alpha, gamma, replace(pf3, beta=beta))
-        mu_gamma = radial.tail_integral(sspec.pf, (gamma,))[0]
+        pf = replace(pf3, beta=beta)
+        mu_gamma = radial.tail_integral(pf, (gamma,))[0]
         const = mu_gamma + alpha - gamma * gamma / 2.0
         for _ in range(100):
             x = rng.standard_normal(3) * rng.uniform(1.0, 40.0)
             r = oracles.ellipsoid_radius(iso3, x)
             if r <= gamma:
                 continue
-            phi = oracles.radial_value(sspec, r)
+            phi = oracles.radial_value(pf, alpha, gamma, r)
             if phi > 0.5 * float(x @ (iso3 * x)) + const + 1e-9:
                 bad.append(("domination", beta, x.tolist()))
 

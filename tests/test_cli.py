@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slex import cli, phasepoly, radial, symfun, weights
+from slex import cli, phasepoly, radial, subsol, symfun, weights
 
 
 ISO3 = ",".join([repr(1.0 / math.sqrt(3.0))] * 3)
@@ -555,8 +555,10 @@ def test_solve_analyses_its_problem_once(tmp_path, monkeypatch, source):
     # classify checks (theta, a) and builds its profile, and
     # partial_fractions reads that profile: one level check, one
     # positivity check, one phase H(a), one sigma row and chain, and one
-    # root finder call per admissible solve
+    # root finder call per admissible solve.  The grid and the tail
+    # integral get that same profile object, not a copy of its fields
     calls = {}
+    seen = {}
 
     def count(module, name):
         real = getattr(module, name)
@@ -565,7 +567,10 @@ def test_solve_analyses_its_problem_once(tmp_path, monkeypatch, source):
 
         def counted(*args, **kwargs):
             calls[key] += 1
-            return real(*args, **kwargs)
+            seen[key] = args
+            result = real(*args, **kwargs)
+            seen[key + " result"] = result
+            return result
 
         monkeypatch.setattr(module, name, counted)
 
@@ -575,6 +580,8 @@ def test_solve_analyses_its_problem_once(tmp_path, monkeypatch, source):
     count(phasepoly, "phase")
     count(radial, "ray_roots")
     count(radial, "partial_fractions")
+    count(radial, "tail_integral")
+    count(subsol, "verify_subsolution")
     code, path = run(tmp_path, ["solve", *source, "--grid", "4"])
     assert code == 0
     assert json.loads(path.read_text())["admissibility"]["klass"] == \
@@ -583,7 +590,14 @@ def test_solve_analyses_its_problem_once(tmp_path, monkeypatch, source):
                      "weights._ascending_positive": 1, "weights._chain": 1,
                      "weights.phase": 1, "weights.classify": 1,
                      "phasepoly.phase": 0, "radial.ray_roots": 1,
-                     "radial.partial_fractions": 1}
+                     "radial.partial_fractions": 1,
+                     "radial.tail_integral": 1,
+                     "subsol.verify_subsolution": 1}
+    adm = seen["weights.classify result"]
+    pf = seen["radial.partial_fractions result"]
+    assert pf.prof is adm.profile
+    for key in ("radial.tail_integral", "subsol.verify_subsolution"):
+        assert seen[key][0].prof is adm.profile
 
 
 def test_solve_slow_decay_exits_one(tmp_path):
@@ -820,6 +834,43 @@ def test_solve_grid_below_one_exits_two(tmp_path, capsys, family, grid):
     assert "invalid input: the grid needs at least one shell" in \
         capsys.readouterr().err
     assert not path.exists()
+
+
+OFF_LEVEL = ["--a", "1,2,3", "--n", "3", "--theta", "critical"]
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--grid=0", "the grid needs at least one shell"),
+    ("--grid=-2", "the grid needs at least one shell"),
+    ("--beta=0.5", "beta must be at least 1"),
+    ("--beta=2e6", "beta above the supported cap 1e6"),
+    ("--gamma=0.5", "gamma must be finite and at least 1"),
+    ("--rmax=0.5", "r_max must be finite and exceed 1"),
+])
+def test_solve_flag_out_of_range_exits_two_whatever_the_vector(
+        tmp_path, capsys, flag, message):
+    # every flag is range-checked before the vector is classified: an
+    # admissible and an off-level vector give the same exit and message
+    for source in (["--family", "iso", "--n", "3", "--theta", "critical"],
+                   OFF_LEVEL):
+        code, path = run(tmp_path, ["solve", *source, flag])
+        assert code == 2
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+        assert not path.exists()
+
+
+def test_solve_large_beta_on_an_off_level_vector_does_not_warn(tmp_path,
+                                                               capsys):
+    # beta = 2000 is in range: the vector is classified, nothing binds
+    # beta, and the warning, made only where it is bound, never fires
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, path = run(tmp_path, ["solve", *OFF_LEVEL, "--beta", "2000"])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "inadmissible: klass=outside m=None\n"
+    assert json.loads(path.read_text())["admissibility"]["klass"] == \
+        "outside"
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])

@@ -4,7 +4,7 @@ import inspect
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -87,10 +87,20 @@ def test_slope_field_denominator_guard():
 
 def test_partial_fractions_closed_case():
     pf = PF3
-    assert pf.m == pytest.approx(3.0, abs=1e-12)
+    assert pf.prof.m == pytest.approx(3.0, abs=1e-12)
     assert np.allclose(pf.roots, [-1.0, 1.0], atol=1e-12)
     assert np.allclose(pf.weights, [1.0 / 3.0, 1.0 / 3.0], atol=1e-12)
     assert pf.roots[-1] == 1.0
+
+
+def test_partial_fractions_holds_the_profile_and_copies_none_of_it():
+    # the problem lives on the WeightProfile classify built; the analysis
+    # refers to it and declares none of its fields again
+    assert PF3.prof is PF3_PROFILE
+    assert replace(PF3, beta=3.0).prof is PF3_PROFILE
+    names = {f.name for f in fields(radial.PartialFractions)}
+    assert "prof" in names
+    assert not names & {f.name for f in fields(weights.WeightProfile)}
 
 
 def test_partial_fractions_residues_recombine():
@@ -116,7 +126,7 @@ def test_poly_pair_and_m_from_one_weight_profile_bitwise():
         num, den = radial._slope_pair(prof)
         assert den.tobytes() == oracles.ray_poly(spec, a).tobytes()
         pf = radial.partial_fractions(prof, 2.0)
-        assert pf.m == weights.decay_exponent(spec, a)
+        assert pf.prof.m == weights.decay_exponent(spec, a)
         assert pf.num == tuple(num.tolist())
         assert pf.den == tuple(den.tolist())
 
@@ -211,14 +221,18 @@ def test_beta_enters_through_the_analysis_only():
     # takes them as arguments
     for fn in (radial.PartialFractions.excess_at, radial._excess_integrals,
                radial.tail_amplitude, radial.solve_profile,
-               radial.tail_integral, subsol.SubsolutionSpec,
-               subsol.verify_subsolution, phasepoly.ray_roots,
-               weights.decay_exponent, weights.classify):
+               radial.tail_integral, subsol.verify_subsolution,
+               phasepoly.ray_roots, weights.decay_exponent,
+               weights.classify):
         params = inspect.signature(fn).parameters
         assert not {"beta", "tol", "level_tol", "tolerance"} & set(params), fn
     # the analysis classify made, and beta: nothing else
     assert list(inspect.signature(radial.partial_fractions).parameters) == \
         ["prof", "beta"]
+    # the grid takes the problem, gamma and the shell count: alpha never
+    # reaches the Hessian, and the outer radius is GRID_RADIUS * gamma
+    assert list(inspect.signature(subsol.verify_subsolution).parameters) == \
+        ["pf", "gamma", "shells"]
 
 
 def test_beta_warning_threshold():
@@ -402,7 +416,7 @@ def admissible_point(rng, n):
 def oracle_log_b(pf, nu):
     total = 0.0
     for root, k in zip(pf.roots[:-1], pf.weights[:-1]):
-        total += pf.m * k * math.log(nu - root)
+        total += pf.prof.m * k * math.log(nu - root)
     return total
 
 
@@ -410,7 +424,7 @@ def oracle_excess(pf, beta, r):
     if beta == 1.0:
         return 0.0
     target = math.log(beta - 1.0) + oracle_log_b(pf, beta) \
-        - pf.m * math.log(r)
+        - pf.prof.m * math.log(r)
     u_hi = math.log(beta - 1.0)
     if r == 1.0:
         return beta - 1.0
@@ -501,10 +515,11 @@ def test_implicit_excess_matches_brentq_oracle():
 
 
 def crafted_analysis(roots, mks, beta, m=3.0):
-    """A PartialFractions with hand-made sub-unit terms (root_j, m K_j)."""
+    """A PartialFractions with hand-made sub-unit terms (root_j, m K_j),
+    on the closed case's profile with its exponent set to m."""
     return radial.PartialFractions(
-        spec=SPEC3, a=A3, roots=np.array(list(roots) + [1.0]),
-        weights=np.array([k / m for k in mks] + [1.0 / m]), m=m,
+        prof=replace(PF3_PROFILE, m=m), roots=np.array(list(roots) + [1.0]),
+        weights=np.array([k / m for k in mks] + [1.0 / m]),
         num=(1.0,), den=(1.0,), beta=beta)
 
 
@@ -627,8 +642,8 @@ def test_tail_integral_first_two_levels_share_one_call(monkeypatch):
                     body, panels = levelwise_excess_integral(pf, r, cut)
                     finest = max(finest, panels)
                     assert value == body + (radial.tail_amplitude(pf)
-                                            * cut ** (2.0 - pf.m)
-                                            / (pf.m - 2.0)), (n, beta, r)
+                                            * cut ** (2.0 - pf.prof.m)
+                                            / (pf.prof.m - 2.0)), (n, beta, r)
                 # one call when both converge at 16 panels
                 assert calls == 1 + int(math.log2(finest // 16)), (n, beta)
 
@@ -715,9 +730,10 @@ def test_partial_fractions_accepts_what_classify_admits(kind, n, u, split,
                                    np.abs(a))
         return
     pf = radial.partial_fractions(adm.profile, beta)
-    assert pf.m == adm.m and pf.beta == beta
-    assert pf.spec.theta == theta and pf.roots[-1] == 1.0
-    assert pf.a.tobytes() == np.sort(np.abs(a)).tobytes()
+    assert pf.prof is adm.profile
+    assert pf.prof.m == adm.m and pf.beta == beta
+    assert pf.prof.spec.theta == theta and pf.roots[-1] == 1.0
+    assert pf.prof.a.tobytes() == np.sort(np.abs(a)).tobytes()
 
 
 def test_level_edge_points_solve(tmp_path):
@@ -762,7 +778,7 @@ def test_root_check_scales_with_the_measured_phase_error():
 def test_residue_check_scales_with_the_measured_phase_error(monkeypatch, a,
                                                             scale):
     pf = radial.partial_fractions(oracles.profile(EDGE_SPEC, a), 2.0)
-    assert abs(pf.weights[-1] * pf.m - 1.0) < scale / 10
+    assert abs(pf.weights[-1] * pf.prof.m - 1.0) < scale / 10
     slope_pair = radial._slope_pair
 
     def off_by_scale(prof):
@@ -819,16 +835,15 @@ def test_excess_integrals_match_quad_oracle():
         pf = radial.partial_fractions(oracles.profile(spec, a), beta)
         for R in (1.0, 10.0):
             r_cut = max(1.0e3, 1.0e2 * R)
-            tail = radial.tail_amplitude(pf) * r_cut ** (2.0 - pf.m) \
-                / (pf.m - 2.0)
+            tail = radial.tail_amplitude(pf) * r_cut ** (2.0 - pf.prof.m) \
+                / (pf.prof.m - 2.0)
             expect = oracle_excess_integral(pf, beta, R, r_cut) + tail
             got = radial.tail_integral(pf, (R,))[0]
             assert abs(got - expect) <= 1e-10 * abs(expect), (n, R)
-        sspec = subsol.SubsolutionSpec(0.5, 1.3, pf)
         for r in (1.3 + 1e-9, 2.0, 40.0):
             quadratic = 0.5 + 0.5 * (r * r - 1.3 ** 2)
             expect = quadratic + oracle_excess_integral(pf, beta, 1.3, r)
-            got = oracles.radial_value(sspec, r)
+            got = oracles.radial_value(pf, 0.5, 1.3, r)
             assert abs(got - expect) <= 1e-10 * abs(expect), (n, r)
 
 
@@ -846,7 +861,8 @@ def test_tail_integral_at_beta_1e6_matches_a_far_cutoff():
             oracles.profile(spec, weights.iso_point(spec)), 1.0e6)
     far = 1.0e9
     expect = (radial._excess_integrals(pf, ((1.0, far),))[0]
-              + radial.tail_amplitude(pf) * far ** (2.0 - pf.m) / (pf.m - 2.0))
+              + radial.tail_amplitude(pf) * far ** (2.0 - pf.prof.m)
+              / (pf.prof.m - 2.0))
     got = radial.tail_integral(pf, (1.0,))[0]
     assert abs(got - expect) <= 1e-6 * abs(expect)
 

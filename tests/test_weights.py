@@ -357,6 +357,18 @@ def test_ascending_positive_keeps_the_ndarray_route_contract(kind):
         assert got[0] == [float] * n
 
 
+@pytest.mark.parametrize("a", [np.ones((3, 1)), [[1.0, 1.0, 1.0]]],
+                         ids=["column array", "nested list"])
+def test_non_1d_vector_has_one_message(a):
+    # classify and decay_exponent name the same fault for a vector that is
+    # not 1-D
+    spec = phasepoly.PhaseSpec(3, math.pi / 2)
+    for fn in (weights.classify, weights.decay_exponent):
+        with pytest.raises(ValueError, match="^vector length does not match "
+                                             "the phase dimension$"):
+            fn(spec, a)
+
+
 def test_classify_admissible_iso():
     for n in range(3, 7):
         theta = 0.8 * n * math.pi / 2
@@ -550,7 +562,9 @@ def test_iso_point_phase_membership():
 
 def numpy_ascending_positive(a, n=None):
     arr = np.sort(np.asarray(a, dtype=float))
-    if arr.ndim != 1 or arr.size == 0 or not np.all(arr > 0):
+    if arr.ndim != 1:
+        raise ValueError("vector length does not match the phase dimension")
+    if arr.size == 0 or not np.all(arr > 0):
         raise ValueError("vector must have all entries positive")
     if n is not None and arr.size != n:
         raise ValueError("vector length does not match the phase dimension")

@@ -128,6 +128,16 @@ EDGE_CASES = [
         "--theta=" + repr(-math.pi), "--grid", "4")),
     ("off level b=100", (), ("solve", "--a", "100,100,0.02", "--n", "3",
                              "--theta", _PI, "--grid", "4")),
+    # each solve flag out of range: exit 2 before the vector is classified,
+    # on an admissible and on an off-level vector alike; an in-range beta
+    # above 1e3 on the off-level vector binds nothing and does not warn
+    *((f"iso {flag}", (), ("solve", "--family", "iso", "--n", "3", "--theta",
+                           "critical", "--grid", "4", flag))
+      for flag in ("--grid=0", "--gamma=0.5", "--beta=0.5", "--rmax=0.5")),
+    *((f"off-level a {flag}", (), ("solve", "--a", "1,2,3", "--n", "3",
+                                   "--theta", "critical", flag))
+      for flag in ("--gamma=0.5", "--beta=0.5", "--rmax=0.5",
+                   "--beta=2000")),
     # the smallest scans in both formats, and the one grid below them
     ("scan-eps grid=2 json", (), ("scan-eps", "--grid", "2", "--format",
                                   "json")),
