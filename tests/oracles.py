@@ -8,13 +8,16 @@ values, g', the cut-off recurrence of the rank-one sigma formula, the
 numpy route by which the weights layer once read a vector, and the
 criticality class of a phase angle.  profile is the one way a test takes
 the analysis of a problem: the WeightProfile that weights.classify
-builds, as the solve command does.
+builds, as the solve command does.  iso_first_integral is the exact
+profile of an isotropic problem, in mpmath: the excess, mu and log C with
+no root, residue or ODE solver.
 The candidate matrix is diagonal, diag(a): a general symmetric A enters
 slex through its eigenvalues.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -195,3 +198,75 @@ def hessian_sigma(pf, x, k):
     sig, excl = rank_one_rows((nu * a).tolist())
     return float(symfun.sigma_rank_one(sig, excl, (a * xv).tolist(),
                                        dpsi / r, k))
+
+
+def iso_first_integral(n, t, beta, dps=40):
+    """(excess, mu, log_amplitude) of the isotropic problem a = t*(1..1)
+    at beta, exactly, in mpmath at dps digits.
+
+    At an iso point the Hessian of the candidate has the eigenvalues
+    t psi (n - 1 times) and t (psi + r psi'), so sum arctan lambda_i =
+    theta is linear in r psi' and integrates exactly: r^n Im[e^(-i theta)
+    (1 + i t psi)^n] is constant along the profile.  theta is taken as
+    n arctan(t) for the float t the program holds, so the oracle is exact
+    for the input it solved.  With psi = 1 + delta the constant is
+    Q(delta) = sum_{k>=1} c_k delta^k,
+
+        c_k = Im[e^(-i theta) C(n, k) (1 + i t)^(n-k) (i t)^k],
+
+    with c_0 = 0 exactly, and r^n Q(delta(r)) = Q(beta - 1).  Every c_k
+    is >= 0 at a critical or supercritical iso point, so log Q(e^v) is
+    convex and increasing in v.
+
+    excess(r, start=None) solves log Q(e^v) = log Q(beta - 1) - n log r
+    for v = log delta by Newton's method, from log(start) when start is a
+    positive float (the numeric route's value) and otherwise from
+    min(log(beta - 1), log C - n log r), where the residual is >= 0.
+    mu(R) is int_R^inf tau delta(tau) dtau
+    = (1/n) int_0^delta(R) tau(x)^2 x Q'(x)/Q(x) dx with tau(x)^n =
+    Q(beta - 1)/Q(x), by mpmath.quad in log x: no cutoff.  log_amplitude is
+    log C = log Q(beta - 1) - log c_1, C the limit of delta r^n.  All
+    three return mpf values; beta must exceed 1.
+    """
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    t = ctx.mpf(t)
+    rot = ctx.exp(-1j * n * ctx.atan(t))
+    c = [ctx.zero] + [ctx.im(rot * ctx.binomial(n, k) * (1 + 1j * t)
+                             ** (n - k) * (1j * t) ** k)
+                      for k in range(1, n + 1)]
+    desc = c[::-1]
+    desc_prime = [k * c[k] for k in range(n, 0, -1)]
+    top = ctx.mpf(beta) - 1
+    log_q_top = ctx.log(ctx.polyval(desc, top))
+    log_amplitude = log_q_top - ctx.log(c[1])
+    tol = ctx.mpf(10) ** (8 - dps)
+
+    def excess(r, start=None):
+        log_r = ctx.log(r)
+        if start is not None and start > 0.0:
+            v = ctx.log(start)
+        else:
+            v = min(ctx.log(top), log_amplitude - n * log_r)
+        for _ in range(200):
+            x = ctx.exp(v)
+            q = ctx.polyval(desc, x)
+            step = ((ctx.log(q) - log_q_top + n * log_r)
+                    / (x * ctx.polyval(desc_prime, x) / q))
+            v -= step
+            if abs(step) <= tol:
+                return ctx.exp(v)
+        raise AssertionError("iso first integral: Newton did not converge")
+
+    def mu(R):
+        # in v = log x the integrand decays like e^((1 - 2/n) v) as v goes
+        # to -inf, where tanh-sinh converges fast
+        def integrand(v):
+            x = ctx.exp(v)
+            q = ctx.polyval(desc, x)
+            return (ctx.exp(2 * (log_q_top - ctx.log(q)) / n)
+                    * x * x * ctx.polyval(desc_prime, x) / (n * q))
+        v_top = ctx.log(excess(R))
+        return ctx.quad(integrand, [-ctx.inf, v_top - 40, v_top - 8, v_top])
+
+    return excess, mu, log_amplitude
