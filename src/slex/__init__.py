@@ -6,10 +6,10 @@ Submodules:
              variants, rank-one updates (sigma values, and the phase and
              level of stacked rank-one Hessians), Newton margins,
              combinatorial sums
-  phasepoly  phase polynomials, level coefficients, ray roots
+  phasepoly  phase polynomials, level coefficients
   weights    the selected weight chain, decay exponents, admissibility
-  radial     the radial profile equation solved by two independent routes,
-             tail integrals, decay fits
+  radial     the radial profile equation: its root-free first integral,
+             two independent routes, tail integrals, decay fits
   subsol     the subsolution candidate and its pointwise verification
              grid
   cli        the command line front end

@@ -9,7 +9,7 @@ Three subcommands:
   scan-eps  the five-point family scan: pipeline decay exponent vs the
             closed trigonometric form on a uniform grid over [0, pi/12],
             plus bisection for the crossing of the admissibility threshold.
-  solve     one full problem: classification, partial fractions, both
+  solve     one full problem: classification, the first integral, both
             profile routes, tail integrals, decay fit, and the subsolution
             verification report, emitted as a single JSON document.  It
             passes when the grid verification passes and the two profile
@@ -18,8 +18,8 @@ Three subcommands:
             analyses, and the report marks it reflected.  Every flag is
             range-checked before the vector is read, so an invalid one
             exits 2 whatever the vector.  classify's WeightProfile is the
-            one problem object: partial_fractions holds it as pf.prof,
-            and the grid takes only (pf, gamma, shells).
+            one problem object: first_integral holds it as pf.prof, and
+            the grid takes only (pf, gamma, shells).
 
 One path through main serves every subcommand.  Its subparser records
 four things: the runner, which turns the parsed arguments into a report
@@ -80,7 +80,7 @@ import numpy.random  # noqa: F401
 from . import phasepoly, radial, subsol, symfun, weights
 from .symfun import clear_denominators  # by name: not a traced layer call
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 RNG_NAME = "numpy.random.default_rng(PCG64)"
 # the two profile routes of `solve` must agree this closely (criterion 5)
 ROUTE_GAP_TOL = 1e-8
@@ -617,11 +617,12 @@ def _run_solve(args: argparse.Namespace) -> dict:
         if not math.isfinite(getattr(args, name)):
             raise ValueError(f"--{name} must be finite")
     gamma, r_max = args.gamma, args.rmax
-    if not math.isfinite(subsol.GRID_RADIUS * gamma):
+    # the grid squares its radii
+    radius = subsol.GRID_RADIUS * gamma
+    if not math.isfinite(radius * radius):
         raise ValueError(f"--gamma out of range: the grid radius "
                          f"{subsol.GRID_RADIUS:g}*gamma overflows")
-    if args.grid < 1:
-        raise ValueError("the grid needs at least one shell")
+    subsol.check_shells(args.grid)
     radial.check_beta(args.beta)
     if gamma < 1.0:
         raise ValueError("gamma must be finite and at least 1")
@@ -648,7 +649,7 @@ def _run_solve(args: argparse.Namespace) -> dict:
 
     # every stage runs on the problem classify analysed: for all-negative
     # data the reflection (-theta, -a)
-    pf = radial.partial_fractions(adm.profile, args.beta)
+    pf = radial.first_integral(adm.profile, args.beta)
     sol_num = radial.solve_profile(pf, r_max=r_max, route="numeric")
     sol_imp = radial.solve_profile(pf, r_max=r_max, route="implicit")
     gap = float(np.max(np.abs(sol_num.psi - sol_imp.psi)))
@@ -663,10 +664,9 @@ def _run_solve(args: argparse.Namespace) -> dict:
     rep = subsol.verify_subsolution(pf, gamma, args.grid)
 
     base.update({
-        "partial_fractions": {
-            "roots": pf.roots.tolist(),
-            "weights": pf.weights.tolist(),
+        "first_integral": {
             "m": pf.prof.m,
+            "log_amplitude": pf.log_amplitude,
         },
         "trajectory": {
             "r": sol_num.r.tolist(),

@@ -1,4 +1,4 @@
-"""Phase function, alternating phase polynomials, and ray roots.
+"""Phase function, alternating phase polynomials, level coefficients.
 
 The phase of a real vector lam is H(lam) = sum_i arctan(lam_i), the argument
 of prod_i (1 + i*lam_i).  Expanding that product gives the alternating
@@ -20,12 +20,11 @@ with the coefficients c_k of PhaseSpec.coeffs.  It vanishes exactly on the
 level set {H = theta}.  Restricted to a ray t*a with a positive, the
 combination is a polynomial in t of degree N (PhaseSpec.ray_degree).  As
 H(t*a) increases strictly in t, its roots are the solutions of H(t*a) =
-theta - k*pi, k = 0..N-1, real and simple by construction (ray_roots).
-
-ray_roots is a root finder and nothing more.  Its input is the ascending
-float array of a weights.WeightProfile, the problem weights.classify has
-already checked; radial.partial_fractions certifies that the largest
-root is 1, from the profile's measured level error.
+theta - k*pi, k = 0..N-1, real and simple by construction.  So all of
+them are at most 1 exactly when the polynomial shifted to 1 has
+coefficients of one sign, which is how radial.first_integral certifies
+them without computing any; a root finder lives with the tests, as the
+reference of the acceptance criteria (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from .symfun import clear_denominators, elem_sym_all
 
 # |H(a) - theta| at or below this counts as membership in the level set.
@@ -45,14 +42,6 @@ LEVEL_TOL = 1e-10
 
 # criticality is decided from the angle itself, never from coefficients
 _CRITICAL_TOL = 1e-12
-
-# Newton on the ray roots: a step no larger than _ROOT_RTOL * |x| ends it
-_ROOT_RTOL = 4 * np.finfo(float).eps
-_ROOT_NEWTON_CAP = 100
-# pi/2 to 4e-27 in two parts (fdlibm's pio2_1, pio2_1t): the first has 33
-# bits, so its integer multiples are exact
-_HALF_PI_HI = 1.57079632673412561417e+00
-_HALF_PI_LO = 6.07710050650619224932e-11
 
 
 @dataclass(frozen=True)
@@ -224,53 +213,3 @@ def ray_wronskian(lam: Sequence, mode: str = "product"):
             total = total + sub[p + 1] * up[2 * (n - 1 - p)]
         scale = up[2 * n - 1]
     return total if cleared is None else Fraction(total, scale)
-
-
-def ray_roots(spec: PhaseSpec, arr: np.ndarray) -> np.ndarray:
-    """The N roots of the ray polynomial of a positive float array arr,
-    ascending: real and simple by construction.
-
-    The level combination at t*a is |prod_j (1 + i t a_j)| sin(H(t*a) -
-    theta) with H(t*a) = sum_j arctan(t a_j) strictly increasing, so root
-    k solves H(t*a) = phi_k = theta - k*pi, k = 0..N-1.  Where |phi_k| >
-    n*pi/4 H saturates, and x = -1/t is solved for from sum_j arctan(x/a_j)
-    = phi_k -+ n*pi/2 (pi/2 in two parts keeps that small target
-    accurate).  The root of
-    sum_j arctan(x b_j) = psi lies between tan(psi/n)/max b and
-    tan(psi/n)/min b; Newton's method runs from the end nearer 0, where the
-    sum's convexity makes it monotone, bisects when a step would leave the
-    bracket, and stops after a step of at most 4 eps |x| or one landing on
-    an end of the bracket.  arr is not checked here: weights.classify
-    checks the problem once, and radial.partial_fractions hands in its
-    profile's array and certifies the largest root.
-    """
-    n = spec.n
-    # phi_k = theta0 - j*pi/2; a critical angle counts as exactly
-    # (n-2)*pi/2, the angle of its snapped coefficients
-    theta0, j0 = (0.0, n - 2) if spec.is_critical else (spec.theta, 0)
-    j = 2.0 * np.arange(spec.ray_degree - 1, -1, -1) - j0
-    phi = theta0 - j * (math.pi / 2)
-    shift = np.where(np.abs(phi) > n * math.pi / 4, n * np.sign(phi), 0.0)
-    psi = (theta0 - (j + shift) * _HALF_PI_HI) - (j + shift) * _HALF_PI_LO
-    b = np.where(shift[:, None] != 0.0, 1.0 / arr, arr)
-    scale = np.tan(psi / n)
-    x = scale / b.max(axis=1)
-    lo, hi = np.sort([x, scale / b.min(axis=1)], axis=0)
-    active = np.ones(psi.shape, dtype=bool)
-    for _ in range(_ROOT_NEWTON_CAP):
-        xb = x[:, None] * b
-        f = np.arctan(xb).sum(axis=1) - psi
-        lo = np.where(f <= 0.0, x, lo)
-        hi = np.where(f >= 0.0, x, hi)
-        newton = x - f / (b / (1.0 + xb * xb)).sum(axis=1)
-        landed = (newton == lo) | (newton == hi)
-        step = np.where(landed | ((lo < newton) & (newton < hi)), newton,
-                        0.5 * (lo + hi))
-        done = landed | (np.abs(step - x) <= _ROOT_RTOL * np.abs(step))
-        x = np.where(active, step, x)
-        active &= ~done
-        if not active.any():
-            break
-    else:
-        raise RuntimeError("ray root iteration did not converge")
-    return np.divide(-1.0, x, out=x, where=shift != 0.0)

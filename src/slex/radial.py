@@ -12,86 +12,105 @@ The profile psi(r, beta) is the unique solution of
     psi'(r) = g(psi)/r,    g(nu) = -den(nu)/num(nu),    psi(1) = beta >= 1,
 
 which decreases from beta to 1 with excess psi - 1 of size r^(-m), where
-m = -g'(1) is the decay exponent.  Two independent routes are implemented:
+m = -g'(1) is the decay exponent.  Both routes work in the excess
+x = psi - 1 on the pair shifted to 1 once: den(1 + x) = x D(x), its
+constant term den(1) dropped (the float-rounding residue of the level
+membership classify certified; kept, it would move the fixed point off
+psi = 1), and N(x) = num(1 + x).  Then D(0)/N(0) = m, and
+
+    E(x) = (m N(x) - D(x))/x
+
+is a polynomial once the rounding-level constant term of m N - D is
+dropped.  Two independent routes are implemented:
 
   * numeric: the Dormand-Prince 5(4) pair (Dormand & Prince 1980,
-    J. Comput. Appl. Math. 6) on d(log delta)/ds = g(1 + delta)/delta in
-    s = log r for the excess delta = psi - 1.  Working in the log of the
-    excess keeps the tail representable (delta reaches 1e-24 and below for
-    large m) where psi itself would round to 1.  It integrates the ODE and
-    never evaluates B.
-  * implicit: the partial fractions num/den = sum_j K_j/(nu - root_j), with
-    K_1 = 1/m at the root 1, integrate in closed form to
+    J. Comput. Appl. Math. 6) on d(log x)/ds = -D(x)/num(1 + x) in
+    s = log r.  Working in the log of the excess keeps the tail
+    representable (x reaches 1e-24 and below for large m) where psi
+    itself would round to 1.  It integrates the ODE and reads D only.
+  * implicit: the ODE's first integral.  d(log r)/dx = -N/(x D) =
+    -(1/m) (1/x + E/D) integrates, with no root of den, to
 
-        (psi - 1) * B(psi) = (beta - 1) * B(beta) * r^(-m),
-        B(nu) = prod_{roots < 1} (nu - root_j)^(m K_j),
+        log r(x) = (1/m) [log((beta - 1)/x) + int_x^{beta-1} E/D dt],
 
-    whose left side is strictly increasing in psi on [1, beta]; all radii
-    of one call are solved at once by a safeguarded Newton iteration on the
-    log of the excess, which stops on a small step or on a step that
-    overshoots its bracket by at most the tolerance (excess_at).  The terms
-    of log B and of its slope form (terms x radii) arrays whose rows are
-    added in term order, so one radius alone gets the bits it gets in any
-    batch.  Its cost is mostly fixed per call, so each stage makes one
-    call: the implicit route on its 241 sample radii, the tail quadrature
-    on its first two levels and then on each later one, and the subsol
-    grid on its shells.
+    and, as x -> 0, (psi - 1) r^m tends to C with
+
+        log C = log(beta - 1) + int_0^{beta-1} E/D dt.
+
+    The integrand is smooth on [0, beta - 1]: the roots of D are the
+    other ray roots minus 1, all below 0.  In u = log x its poles sit at
+    Im u = pi whatever the roots are, so Gauss-Legendre panels of width 1
+    in u converge fast on every problem.
 
 One problem (theta, a) is analysed once.  weights.classify checks it and
-builds its WeightProfile: the ascending vector, the level error, m, the
-sigma row and the selected chain.  partial_fractions takes that profile
-and beta, nothing else.  It re-checks nothing classify checked: it finds
-the ray roots, certifies the root 1 and the residue at 1 against bounds
-scaled by the profile's level error, builds the slope-field pair
-(num, den) from the profile's sigma row and chain, and binds beta,
-range-checked by check_beta, with the two constants log B(beta) and
-log B(1).
-The returned PartialFractions holds the profile itself as pf.prof, and
+builds its WeightProfile: the ascending vector, m, the sigma row and the
+selected chain.  first_integral takes that profile and
+beta, nothing else.  It re-checks nothing classify checked: it builds the
+slope-field pair (num, den) from the profile's sigma row and chain,
+shifts it to 1, and makes two checks in place of root finding.  The ray
+polynomial is real-rooted (H(t a) increases strictly along the ray), so
+all its roots are at most 1 exactly when the coefficients of D share one
+sign (Descartes' rule of signs); each must clear the shift's rounding
+bound ("root certification failed").  And the residue at 1, N(0)/D(0),
+must equal 1/m from the profile's chain, a scale-free check of the shift.
+Then beta is bound, range-checked by check_beta, and C is only ever held
+as log C (FirstIntegral.log_amplitude), so no beta overflows on the way.
+
+The returned FirstIntegral holds the profile itself as pf.prof, and
 copies none of its fields.  It is the only input of both profile routes,
 the tail integrals and the subsol module, none of which takes beta; it
 also evaluates g.  Polynomials in the numeric route are evaluated by
 Horner's rule on Python floats, in numpy's polyval order, so every value
 is bit-identical to the array evaluation.
 
-The tail integral int_R^inf tau * (psi(tau) - 1) dtau (finite for m > 2)
-is evaluated by composite Gauss-Legendre quadrature in log radius up to a
-cutoff plus the analytic tail C * R_cut^(2-m)/(m-2), with
-C = (beta-1) B(beta)/B(1) the limit of (psi - 1) * r^m.  Several radii
-share one pass: one call of the implicit route solves the nodes of the
-first two quadrature levels (8 and 16 panels, the two estimates the
-stopping test needs) of every radius, and each later level those of every
-radius not yet converged.
+Binding beta builds one table: 16-point Gauss-Legendre panels of width 1
+in u = log x, from u = log(beta - 1) down past x = 2^-64, below which the
+integral of E/D adds less than rounding and the profile is its tail law
+x = C r^(-m).  Each panel keeps the Legendre antiderivative of its
+16-node interpolant of x E(x)/D(x), so log r(u) anywhere is a cumulative
+panel sum plus one Clenshaw sum.  excess_at runs Newton's method on that
+table with the exact slope d(log r)/du = -N/D.  The tail integral
+
+    mu(R) = int_R^inf tau (psi(tau) - 1) dtau = int_0^{x(R)} r(t)^2 N/D dt
+
+(finite exactly when m > 2) is summed on the same panels, with no cutoff
+in r: below the table the integrand is C^(2/m) t^(-2/m)/m to rounding,
+integrated in closed form.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import legendre
-from numpy.polynomial import polynomial as npoly
 
-from .phasepoly import ray_roots
 from .weights import WeightProfile
 
 BETA_CAP = 1.0e6
-BETA_WARN = 1.0e3
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-# stopping rule of the implicit Newton iteration on u = log(excess): a step
-# no larger than _U_XTOL + _U_RTOL * |u|
-_U_XTOL = 1e-14
-_U_RTOL = 4 * np.finfo(float).eps
-_NEWTON_CAP = 200
-_BRACKET_CAP = 400
-# composite Gauss-Legendre rule of the excess integrals
+# the first integral's table: 16-point Gauss-Legendre panels of width 1 in
+# u = log(psi - 1), down past u = log(2^-64)
 _GL_X, _GL_W = legendre.leggauss(16)
-_GL_PANELS = 8
-_GL_MAX_PANELS = 4096
-_QUAD_EPSABS = 1e-13
-_QUAD_EPSREL = 1e-11
+_PANEL = 1.0
+_U_FLOOR = -64.0 * math.log(2.0)
+# a panel's knots in its coordinate s: the lower edge, then the nodes
+_KNOT_S = np.append(-1.0, _GL_X)
+# node values @ _ANTIDERIVATIVE: the Legendre coefficients in s of
+# int_s^1 of the panel's degree-15 interpolant, in u (the rule is exact on
+# the products P_j P_k, so weights give the interpolant's coefficients);
+# node values @ _AT_KNOTS: that integral at each knot, s = -1 first
+_ANTIDERIVATIVE = legendre.legint(
+    legendre.legvander(_GL_X, 15) * _GL_W[:, None] * (np.arange(16) + 0.5),
+    lbnd=1, scl=-0.5 * _PANEL, axis=1)
+_AT_KNOTS = _ANTIDERIVATIVE @ legendre.legvander(_KNOT_S, 16).T
+# Newton from the secant between two knots: on iso, random and eps-family
+# points (n = 3..150, beta up to 1e6) the second step moves u by at most
+# 2e-7 and the third by rounding only; the third must stay below this
+_NEWTON_STEPS = 3
+_NEWTON_TOL = 1e-10
 _PROFILE_TOL = 1e-12  # numeric route: rtol, and atol a tenth of it
 _PROFILE_SAMPLES = 241  # log-spaced sample radii of solve_profile
 
@@ -122,17 +141,39 @@ def _slope_pair(prof: WeightProfile):
     return num, den
 
 
-def _horner(coeffs: Sequence, x: float) -> float:
+def _taylor_shift(coeffs: list) -> list:
+    """Ascending coefficients of p(1 + x) from those of p(nu), by
+    repeated synthetic division (n^2/2 additions)."""
+    out = list(coeffs)
+    for j in range(len(out)):
+        for i in range(len(out) - 2, j - 1, -1):
+            out[i] += out[i + 1]
+    return out
+
+
+def _horner(coeffs: Sequence, x):
     """Ascending coefficients evaluated at x in numpy polyval's order.
 
-    Same operations as npoly.polyval on a scalar (c0 = c[i] + c0*x, started
-    from c[-1] + x*0), so the result is bit-identical, without the array
-    overhead.
+    Same operations as npoly.polyval (c0 = c[i] + c0*x, started from
+    c[-1] + x*0), so the result is bit-identical, without the array
+    overhead on a float; an array x is evaluated elementwise.
     """
     acc = coeffs[-1] + x * 0
     for c in coeffs[-2::-1]:
         acc = c + acc * x
     return acc
+
+
+def _ratio(p: Sequence, q: Sequence, x: np.ndarray) -> np.ndarray:
+    """x^(len(q) - len(p)) p(x)/q(x) at every x > 0 of an array, with no
+    power of x above 1 formed: Horner's rule in x up to x = 1, and on the
+    reversed coefficients in 1/x beyond (len(q) - len(p) is 0 or 1)."""
+    big = x > 1.0
+    if not big.any():
+        return x ** (len(q) - len(p)) * _horner(p, x) / _horner(q, x)
+    y = np.where(big, 1.0 / np.maximum(x, 1.0), x)
+    return np.where(big, _horner(p[::-1], y) / _horner(q[::-1], y),
+                    x ** (len(q) - len(p)) * _horner(p, y) / _horner(q, y))
 
 
 # Dormand-Prince 5(4): stage coefficients a_ij, the fifth-order weights b_j
@@ -211,44 +252,59 @@ def _dormand_prince(f: Callable[[float], float], y0: float, s_out: list,
 
 
 @dataclass(frozen=True, eq=False)
-class PartialFractions:
-    """The residues of one problem, bound to beta, that every route reuses.
+class FirstIntegral:
+    """The first integral of one problem, bound to beta, that every route
+    reuses.
 
     prof is the problem's WeightProfile, the one classify built, shared
     and not copied: the phase spec, the sorted vector a and the exponent
-    m are read as prof.spec, prof.a and prof.m.  roots are the real simple
-    ray roots ascending with 1.0 last, weights the residues aligned with
-    them.  weights[-1], the residue at the root 1, equals 1/m; the full
-    set recombines to num/den away from the poles.  num and den are the
-    ascending coefficients of the slope-field pair, as Python floats.
-    beta = psi(1) passes check_beta on construction, which also warns
-    (RuntimeWarning) above BETA_WARN, where the residues lose
-    conditioning: once per binding, dataclasses.replace(pf, beta=b),
-    which rebinds the analysis to b, included.  log_b_beta and log_b_one
-    are log B(beta) and log B(1), summed once from the sub-unit pairs
-    (root_j, m*K_j).
+    m are read as prof.spec, prof.a and prof.m.  num and den are the
+    ascending coefficients of the slope-field pair, as Python floats;
+    d_coeffs, n_coeffs and e_coeffs those of D, N and E in x = psi - 1.
+    beta = psi(1) passes check_beta on construction, and binding it,
+    dataclasses.replace(pf, beta=b) included, builds the Gauss-Legendre
+    table of log r over u = log x and log_amplitude, log C of the tail
+    law psi - 1 ~ C r^(-m) (-inf at beta = 1).
     """
     prof: WeightProfile
-    roots: np.ndarray
-    weights: np.ndarray
     num: tuple
     den: tuple
+    d_coeffs: tuple
+    n_coeffs: tuple
+    e_coeffs: tuple
     beta: float
-    log_b_beta: float = field(init=False, repr=False)
-    log_b_one: float = field(init=False, repr=False)
+    log_amplitude: float = field(init=False)
+    # the table: its knots in u, ascending (each panel's lower edge and
+    # its 16 nodes, then the top log(beta - 1)), the integral of E/D from
+    # each knot to beta - 1, log r at each knot, and each panel's
+    # antiderivative row of x E/D (see _ANTIDERIVATIVE)
+    _knots: np.ndarray = field(init=False, repr=False)
+    _gap: np.ndarray = field(init=False, repr=False)
+    _knot_log_r: np.ndarray = field(init=False, repr=False)
+    _rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         beta = check_beta(self.beta)
-        if beta > BETA_WARN:
-            # names the caller of partial_fractions (or dataclasses.replace)
-            warnings.warn("beta above 1e3: residue conditioning degrades",
-                          RuntimeWarning, stacklevel=4)
-        # m * weights[:-1] rounds each product exactly as m * K_j does
-        terms = tuple(zip(self.roots[:-1].tolist(),
-                          (self.prof.m * self.weights[:-1]).tolist()))
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "log_b_beta", _log_b(terms, beta))
-        object.__setattr__(self, "log_b_one", _log_b(terms, 1.0))
+        if beta == 1.0:
+            object.__setattr__(self, "log_amplitude", -math.inf)
+            return
+        top = math.log(beta - 1.0)
+        panels = math.ceil((top - _U_FLOOR) / _PANEL)
+        knots = (top - _PANEL * np.arange(panels, 0, -1.0))[:, None] + (
+            0.5 * _PANEL * (1.0 + _KNOT_S))
+        f = _ratio(self.e_coeffs, self.d_coeffs, np.exp(knots[:, 1:]))
+        # from each knot to its panel's top, plus from there to the top
+        within = f @ _AT_KNOTS
+        above = np.cumsum(within[::-1, 0])[::-1]
+        gap = np.append((within + np.append(above[1:], 0.0)[:, None]).ravel(),
+                        0.0)
+        knots = np.append(knots.ravel(), top)
+        for name, value in (("log_amplitude", top + float(above[0])),
+                            ("_knots", knots), ("_gap", gap),
+                            ("_knot_log_r", (top - knots + gap) / self.prof.m),
+                            ("_rows", f @ _ANTIDERIVATIVE)):
+            object.__setattr__(self, name, value)
 
     def _num_at(self, nu: float) -> float:
         w = _horner(self.num, nu)
@@ -265,27 +321,48 @@ class PartialFractions:
         """
         return -_horner(self.den, nu) / self._num_at(nu)
 
+    def _solve(self, log_r: np.ndarray):
+        """(u, p): u = log(psi - 1) at each log r >= 0 of a flat array, and
+        its panel p, -1 past the table."""
+        knots, gap, knot_log_r = self._knots, self._gap, self._knot_log_r
+        m, top = self.prof.m, knots[-1]
+        # knots j and j + 1, on panel j // 17, bracket log r
+        j = np.searchsorted(-knot_log_r, -log_r, side="right") - 1
+        below = j < 0
+        j = np.clip(j, 0, knots.size - 2)
+        lo, hi = knots[j], knots[j + 1]
+        l_lo, l_hi = knot_log_r[j], knot_log_r[j + 1]
+        u = lo + (hi - lo) * np.minimum((l_lo - log_r) / (l_lo - l_hi), 1.0)
+        p = j // 17
+        edge, above, rows = knots[17 * p], gap[17 * p + 17], self._rows[p].T
+        for _ in range(_NEWTON_STEPS):
+            s = 2.0 * (u - edge) / _PANEL - 1.0
+            resid = (top - u + above + legendre.legval(s, rows, tensor=False)
+                     ) / m - log_r
+            # d(log r)/du = -N/D
+            new = np.minimum(np.maximum(
+                u + resid / _ratio(self.n_coeffs, self.d_coeffs, np.exp(u)),
+                lo), hi)
+            moved, u = np.abs(new - u), new
+        if np.any((moved > _NEWTON_TOL * np.maximum(1.0, np.abs(u)))
+                  & ~below):
+            raise RuntimeError("implicit Newton iteration did not converge")
+        # past the table: the tail law log x = log C - m log r
+        return (np.where(below, self.log_amplitude - m * log_r, u),
+                np.where(below, -1, p))
+
     def excess_at(self, r) -> np.ndarray:
         """psi(r, beta) - 1 at every radius of r (all >= 1), same shape.
 
-        Solves F(u) = u + log B(1 + e^u) - log(beta-1) - log B(beta)
-        + m log r = 0 for u = log(excess), where the equation stays
-        well-scaled even when the excess underflows toward 1e-300.  F is
-        strictly increasing, F'(u) = 1 + e^u sum_j m K_j/(1 + e^u - root_j)
-        = m (num/den)(1 + e^u) e^u > 0, and F(log(beta-1)) = m log r >= 0,
-        so the root is unique.  All radii are solved at once: a lower
-        bracket is searched in steps of 2, then Newton runs from
-        u = log(beta-1) and bisects whenever a step would leave the
-        bracket (the residues m K_j can have mixed signs, so plain Newton
-        may overshoot).  A radius stops after a step no larger than
-        1e-14 + 4 eps |u|, or when a step lands on an end of its bracket
-        or overshoots it by at most that tolerance (a cycle at rounding
-        level; the step is clipped to the end, where bisection would crawl
-        back from the far end); r = 1 gives beta - 1 exactly.  The terms'
-        rows are added in _log_b's order by np.add.reduce on axis 0, which
-        adds row after row over two or more radii, so that each radius
-        gets the same bits alone as in any batch; numpy sums a lone column
-        pairwise from 8 terms on, so one radius is solved as two copies.
+        Newton's method on the table for u = log(psi - 1): from the secant
+        between the two knots whose log r bracket log r, _NEWTON_STEPS
+        steps with the exact slope -N/D, each kept between those knots; the
+        last must move u by at most 1e-10 max(1, |u|) (RuntimeError
+        otherwise).
+        log r is strictly decreasing in u, so the root is unique.  Past
+        the table the tail law x = C r^(-m) holds to rounding and may
+        underflow to 0; r = 1 gives beta - 1 exactly.  Every operation is
+        elementwise, so a radius gets the same bits alone as in any batch.
         """
         rs = np.asarray(r, dtype=float)
         if not np.all(rs >= 1.0):
@@ -293,184 +370,54 @@ class PartialFractions:
         if self.beta == 1.0:
             return np.zeros_like(rs)
         flat = rs.ravel()
-        if flat.size == 1:
-            flat = np.repeat(flat, 2)
-        m = self.prof.m
-        u_hi = math.log(self.beta - 1.0)
-        target = u_hi + self.log_b_beta - m * np.log(flat)
-        roots = self.roots[:-1, None]
-        mks = (m * self.weights[:-1])[:, None]
-
-        def residual(u):
-            # F, e^u and the gaps nu - root_j (terms x radii); axis 0 of
-            # the C-ordered rows is summed row after row
-            e = np.exp(u)
-            gap = (1.0 + e) - roots
-            return (u + np.add.reduce(mks * np.log(gap), axis=0) - target,
-                    e, gap)
-
-        lo = np.minimum(target - self.log_b_one, u_hi - 1.0)
-        for _ in range(_BRACKET_CAP):
-            high = residual(lo)[0] > 0.0
-            if not high.any():
-                break
-            lo = np.where(high, lo - 2.0, lo)
-        else:
-            raise RuntimeError("implicit bracket not found")
-        hi = np.full_like(target, u_hi)
-        u = hi.copy()
-        active = flat > 1.0
-        for _ in range(_NEWTON_CAP):
-            if not active.any():
-                break
-            f, e, gap = residual(u)
-            df = 1.0 + e * np.add.reduce(mks / gap, axis=0)
-            lo = np.where(f <= 0.0, u, lo)
-            hi = np.where(f > 0.0, u, hi)
-            # a slope that rounding made non-positive gives a NaN step; a
-            # step landing on an end of the bracket, or past it by at most
-            # the stopping tolerance, is clipped there and has converged
-            # (a cycle at rounding level); any other step that leaves the
-            # bracket is replaced by bisection.  A step strictly inside is
-            # its own clip, so "inside" is "within tolerance of the clip",
-            # and a step inside that sits on an end has landed
-            newton = u - f / np.where(df > 0.0, df, np.nan)
-            near = np.minimum(np.maximum(newton, lo), hi)
-            inside = (np.abs(newton - near)
-                      <= _U_XTOL + _U_RTOL * np.abs(near))
-            landed = inside & ((near == lo) | (near == hi))
-            step = np.where(inside, near, 0.5 * (lo + hi))
-            done = landed | (np.abs(step - u)
-                             <= _U_XTOL + _U_RTOL * np.abs(step))
-            u = np.where(active, step, u)
-            active &= ~done
-        else:
-            raise RuntimeError("implicit Newton iteration did not converge")
-        out = np.exp(u)
+        out = np.exp(self._solve(np.log(flat))[0])
         out[flat == 1.0] = self.beta - 1.0
-        return out[:rs.size].reshape(rs.shape)
+        return out.reshape(rs.shape)
 
 
-def _excess_integrals(pf: PartialFractions, bounds: Sequence) -> list:
-    """int_{r_lo}^{r_hi} tau (psi(tau, beta) - 1) dtau over each
-    (r_lo, r_hi) of bounds, 1 <= r_lo <= r_hi.
-
-    Composite 16-point Gauss-Legendre in s = log tau on the analytic
-    integrand e^(2s) (psi(e^s) - 1), with excess_at supplying the nodes.
-    The panel count starts at 8 and doubles until two successive estimates
-    agree within 1e-13 absolute or 1e-11 relative; the finer estimate is
-    returned.  The stopping test compares two estimates, so the 8- and
-    16-panel nodes of every interval are always solved: one excess_at call
-    takes both.  From 32 panels on, each doubling solves the nodes of
-    every interval not yet converged in one call.  Each interval stops on
-    its own test, so its value has the same bits as when it is integrated
-    alone.
-    """
-    out = [0.0] * len(bounds)
-    # log radius: the start and width of each interval still to integrate
-    span = {i: (math.log(r_lo), math.log(r_hi) - math.log(r_lo))
-            for i, (r_lo, r_hi) in enumerate(bounds)
-            if pf.beta != 1.0 and r_lo != r_hi}
-    prev = {}
-    levels = (_GL_PANELS, 2 * _GL_PANELS)
-    while span:
-        if levels[-1] > _GL_MAX_PANELS:
-            raise RuntimeError("excess quadrature did not converge")
-        batch = []
-        for i, (s_lo, width) in span.items():
-            for panels in levels:
-                h = width / panels
-                nodes = ((s_lo + h * np.arange(panels))[:, None]
-                         + (0.5 * h) * (1.0 + _GL_X)).ravel()
-                batch.append((i, panels, h, np.exp(nodes)))
-        excess = pf.excess_at(np.concatenate([b[-1] for b in batch]))
-        start = 0
-        for i, panels, h, tau in batch:
-            ex = excess[start:start + tau.size]
-            start += tau.size
-            w = np.tile(_GL_W, panels)
-            est = 0.5 * h * float(np.dot(w, tau * tau * ex))
-            if i in prev and abs(est - prev[i]) <= max(
-                    _QUAD_EPSABS, _QUAD_EPSREL * abs(est)):
-                out[i] = est
-                del span[i]
-            prev[i] = est
-        levels = (2 * levels[-1],)
-    return out
-
-
-def partial_fractions(prof: WeightProfile, beta: float) -> PartialFractions:
-    """Residues K_j = num(root_j)/den'(root_j) at the ray roots, with beta.
+def first_integral(prof: WeightProfile, beta: float) -> FirstIntegral:
+    """The first integral of the problem prof at beta.
 
     prof is the problem's analysis, weights.classify's
     Admissibility.profile: its check already passed, so no input is
-    checked again.  Three checks follow, in this order.  The largest of
-    phasepoly.ray_roots' roots must equal 1 to 1e-9 plus twice the shift
-    e/H'(1) that the profile's measured phase error e = prof.level_error
-    makes ("root certification failed"); the poles are simple, one per
-    phase target.  The residue at 1 must equal 1/m to 1e-10 plus twice
-    the shift that e makes (below).  Then beta passes check_beta.  So
-    every point weights.classify admits passes.
-
-    The denominators come in closed form, not from den's coefficients: den
-    is the ray polynomial R(t) sin(H(t a) - theta), R(t) =
-    prod_j sqrt(1 + t^2 a_j^2), and root k counted down from the root 1
-    (k = 0) has H(t_k a) = theta - k pi, so den'(t_k) = (-1)^k R(t_k)
-    H'(t_k) with H'(t) = sum_j a_j/(1 + t^2 a_j^2).  R is formed as
-    exp(sum_j log1p(t^2 a_j^2)/2), so the product of far roots' factors
-    cannot overflow on the way.  On random level points this keeps the two
-    profile routes within 1e-8 up to n = 56; den's derivative summed from
-    its monomial coefficients loses that agreement past n = 32.  Off the
-    level set by e (at most LEVEL_TOL), the largest root is 1 - delta with
-    |delta| about e/H'(1), and den'(1) = R(1) (H'(1) cos(H - theta) +
-    (R'/R)(1) sin(H - theta)) moves the residue at 1 by about
-    (R'/R)(1) delta/m, where (R'/R)(1) = sum_j a_j^2/(1 + a_j^2) < n.
+    checked again.  The slope-field pair is shifted to 1 (den(1 + x) =
+    x D(x) + den(1), N(x) = num(1 + x)) and two checks follow, in this
+    order.  Every coefficient of D must exceed the shift's rounding bound,
+    (N + 1) eps times the same coefficient of |den| shifted, N the ray
+    degree ("root certification failed"): then D > 0 on x >= 0, and no
+    ray root lies above 1.  And m N(0) must equal D(0) to 1e-10 relative
+    plus that rounding bound ("residue at 1 disagrees with 1/m").  Then
+    beta passes check_beta.  On admissible points (n = 3..150, iso,
+    random and the eps family up to its crossing) the smallest
+    coefficient of D is at least 2e-3 of its bound's scale, against
+    rounding near 1e-14.
     """
-    arr, level_error = prof.a, prof.level_error
-    roots = ray_roots(prof.spec, arr)
-    # a phase error e moves the root 1 by about e/H'(1), H'(1) = sum_j
-    # a_j/(1 + a_j^2): the bound is 1e-9 plus twice that shift
-    if not abs(roots[-1] - 1.0) <= 1e-9 + (
-            2.0 * level_error / float(np.sum(1.0 / (arr + 1.0 / arr)))):
-        raise ValueError("root certification failed")
-    roots[-1] = 1.0
     num, den = _slope_pair(prof)
-    # den'(t_k) = (-1)^k R(t_k) H'(t_k), k = 0 at the root 1 (see above)
-    ta2 = (roots[:, None] * arr) ** 2
-    sign = np.where(np.arange(roots.size)[::-1] % 2 == 0, 1.0, -1.0)
-    h_prime = (arr / (1.0 + ta2)).sum(axis=1)
-    slopes = sign * np.exp(0.5 * np.log1p(ta2).sum(axis=1)) * h_prime
-    weights = npoly.polyval(roots, num) / slopes
-    # off the level set by e, the closed form den'(1) is off by
-    # R'(1)/R(1) < n times the root's shift e/H'(1)
-    if abs(weights[-1] - 1.0 / prof.m) > 1e-10 + (
-            2.0 * arr.size * level_error / (prof.m * float(h_prime[-1]))):
-        raise ValueError("partial-fraction residue at 1 disagrees with 1/m")
-    return PartialFractions(prof=prof, roots=roots, weights=weights,
-                            num=tuple(num.tolist()),
-                            den=tuple(den.tolist()), beta=beta)
+    den = den.tolist()
+    shifted = _taylor_shift(den)
+    scale = _taylor_shift([abs(c) for c in den])
+    ulps = len(den) * np.finfo(float).eps
+    d = shifted[1:]
+    if not math.isfinite(sum(scale)):
+        raise ValueError("ray polynomial shifted to 1 leaves the float range")
+    if not all(c > ulps * b for c, b in zip(d, scale[1:])):
+        raise ValueError("root certification failed")
+    n = _taylor_shift(num.tolist())
+    m = prof.m
+    if abs(m * n[0] - d[0]) > 1e-10 * d[0] + ulps * (
+            scale[1] + m * float(np.abs(num).sum())):
+        raise ValueError("residue at 1 disagrees with 1/m")
+    e = [m * a - b for a, b in zip(n[1:], d[1:])]
+    return FirstIntegral(prof=prof, num=tuple(num.tolist()), den=tuple(den),
+                         d_coeffs=tuple(d), n_coeffs=tuple(n),
+                         e_coeffs=tuple(e), beta=beta)
 
 
-def _log_b(terms: tuple, nu: float) -> float:
-    """log of B(nu) = prod over sub-unit roots of (nu - root)^(m * K)."""
-    total = 0.0
-    for root, mk in terms:
-        gap = nu - root
-        if gap <= 0.0:
-            raise ValueError("B(nu) undefined at or below the second root")
-        total += mk * math.log(gap)
-    return total
-
-
-def tail_amplitude(pf: PartialFractions) -> float:
-    """(beta-1) B(beta)/B(1), the tail's limit of (psi - 1) r^m, if finite."""
-    beta = pf.beta
-    if beta == 1.0:
-        return 0.0
-    log_ratio = pf.log_b_beta - pf.log_b_one
-    if math.log(beta - 1.0) + log_ratio > _LOG_FLOAT_MAX:
+def tail_amplitude(pf: FirstIntegral) -> float:
+    """C = exp(log C), the tail's limit of (psi - 1) r^m, if finite."""
+    if pf.log_amplitude > _LOG_FLOAT_MAX:
         raise RuntimeError("tail amplitude overflows the float range")
-    return (beta - 1.0) * math.exp(log_ratio)
+    return math.exp(pf.log_amplitude)
 
 
 @dataclass(frozen=True, eq=False)
@@ -497,24 +444,19 @@ class ProfileSolution:
             raise ValueError("profile is not nonincreasing")
 
 
-def solve_profile(pf: PartialFractions, r_max: float = 1.0e4,
+def solve_profile(pf: FirstIntegral, r_max: float = 1.0e4,
                   route: str = "numeric") -> ProfileSolution:
     """Sample the profile of the problem pf on 241 log-spaced radii in
     [1, r_max].
 
-    pf, the problem's partial_fractions, supplies beta and the slope-field
-    pair to both routes.  route="numeric" integrates the log of the excess
+    pf, the problem's first_integral, supplies beta and the polynomials
+    to both routes.  route="numeric" integrates the log of the excess
     with the Dormand-Prince 5(4) pair (rtol 1e-12, atol 1e-13), stepping
     exactly onto every sample radius; it reads only pf.beta, pf.num and
-    pf.den, never the roots or residues.  The equilibrium factor of the ray
-    polynomial is extracted exactly first (Taylor shift to nu = 1, the
-    constant term dropped: it is the float-rounding residue of the level
-    membership already certified, and keeping it would move the fixed
-    point off psi = 1 and stall the step controller once the excess decays
-    below machine epsilon).  In log variables the slope is smooth and O(1),
-    so the route stays accurate down to excesses far below 1e-16 without
-    tiny steps.  route="implicit" solves the closed form at all sample
-    radii at once (PartialFractions.excess_at).
+    pf.d_coeffs, never the table.  In log variables the slope is smooth
+    and O(1), so the route stays accurate down to excesses far below
+    1e-16 without tiny steps.  route="implicit" solves the first integral
+    at all sample radii at once (FirstIntegral.excess_at).
     """
     if not (1.0 < r_max < math.inf):
         raise ValueError("r_max must be finite and exceed 1")
@@ -524,15 +466,12 @@ def solve_profile(pf: PartialFractions, r_max: float = 1.0e4,
     rs[0] = 1.0
 
     if route == "numeric" and pf.beta > 1.0:
-        shifted = list(pf.den)
-        for j in range(len(shifted)):
-            for i in range(len(shifted) - 2, j - 1, -1):
-                shifted[i] += shifted[i + 1]
-        # _horner inlined for both polynomials in one loop: the reduced den
-        # and num each have N - 1 coefficients below the leading one, taken
-        # in reverse, and each still sees polyval's operations in order
-        red_top, num_top = shifted[-1], pf.num[-1]
-        rest = tuple(zip(shifted[-2:0:-1], pf.num[-2::-1]))
+        # _horner inlined for both polynomials in one loop: D and num each
+        # have N - 1 coefficients below the leading one, taken in reverse,
+        # and each still sees polyval's operations in order
+        d = pf.d_coeffs
+        red_top, num_top = d[-1], pf.num[-1]
+        rest = tuple(zip(d[-2::-1], pf.num[-2::-1]))
         exp = math.exp
 
         def rhs(y):
@@ -555,30 +494,53 @@ def solve_profile(pf: PartialFractions, r_max: float = 1.0e4,
                            excess=excess)
 
 
-def tail_integral(pf: PartialFractions, radii: Sequence) -> tuple:
+def tail_integral(pf: FirstIntegral, radii: Sequence) -> tuple:
     """int_R^inf tau (psi(tau, beta) - 1) dtau for the problem pf, at each R.
 
     radii is a sequence of R >= 1 (a 1-tuple for one radius); the values
-    come back as a tuple in its order.  Finite exactly when m > 2.
-    Gauss-Legendre quadrature in log radius against the implicit route
-    (_excess_integrals, every radius's nodes in one excess_at call for
-    the first two panel counts and one per later panel count) covers
-    [R, R_cut] with R_cut = max(1e3, 1e2 * R); beyond the cutoff the
-    integrand is C tau^(1-m) to leading order and is added analytically;
-    at beta = 1 both parts are 0.0.
+    come back as a tuple in its order.  Finite exactly when m > 2.  With
+    x(R) = psi(R) - 1 the integral is int_0^{x(R)} r(t)^2 N/D dt, summed
+    in u = log t on pf's table: the integrand at the panels' nodes (log r
+    read off the table), the panel sums, and for R the part of its panel
+    above u(R) from the integrand's antiderivative rows.  Below the table
+    the integrand is C^(2/m) t^(-2/m)/m to rounding, and its integral
+    C^(2/m) x^(1 - 2/m)/(m - 2) is added (for R past the table it is the
+    whole value, C R^(2-m)/(m - 2)).  No cutoff in r, so a large beta is
+    integrated like any other.  At beta = 1 the values are 0.0.
+    RuntimeError when a value overflows the float range.
     """
     if not all(R >= 1.0 for R in radii):
         raise ValueError("R must be at least 1")
     m = pf.prof.m
     if m <= 2.0:
         raise ValueError("integral may diverge")
-    cuts = [max(1.0e3, 1.0e2 * R) for R in radii]
-    if any(2.0 * math.log(r_cut) > _LOG_FLOAT_MAX for r_cut in cuts):
-        raise ValueError("R too large: the quadrature weight tau^2 overflows")
-    bodies = _excess_integrals(pf, tuple(zip(radii, cuts)))
-    amp = tail_amplitude(pf)
-    return tuple(body + amp * r_cut ** (2.0 - m) / (m - 2.0)
-                 for body, r_cut in zip(bodies, cuts))
+    if pf.beta == 1.0:
+        return (0.0,) * len(radii)
+    m_2, log_amp = m - 2.0, pf.log_amplitude
+
+    def below(u):
+        # the integral from 0 to x = e^u past the table
+        return np.exp(((2.0 * log_amp + m_2 * u) / m) - math.log(m_2))
+
+    # r^2 (N/D) x, the integrand in u, at the nodes of every panel
+    knots = pf._knots[:-1].reshape(-1, 17)
+    nodes = knots[:, 1:]
+    log_r = pf._knot_log_r[:-1].reshape(-1, 17)[:, 1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.exp(2.0 * log_r + nodes) * _ratio(pf.n_coeffs, pf.d_coeffs,
+                                                 np.exp(nodes))
+        rows = g @ _ANTIDERIVATIVE
+        # the integral from 0 to each panel's top edge
+        upto = below(knots[0, 0]) + np.cumsum(g @ _AT_KNOTS[:, 0])
+        u, p = pf._solve(np.log(np.array(radii, dtype=float)))
+        inside = p >= 0
+        p = np.maximum(p, 0)
+        s = np.where(inside, 2.0 * (u - knots[p, 0]) / _PANEL - 1.0, 1.0)
+        values = np.where(inside, upto[p] - legendre.legval(
+            s, rows[p].T, tensor=False), below(u))
+    if not np.all(np.isfinite(values)):
+        raise RuntimeError("tail integral overflows the float range")
+    return tuple(values.tolist())
 
 
 def decay_fit(sol: ProfileSolution) -> tuple:

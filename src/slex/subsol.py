@@ -28,12 +28,13 @@ from the matrix determinant lemma and the level value from the rank-one
 update, at O(n) per point once each shell's O(n^3) exclusion rows are
 built.
 
-The problem is pf, the radial.PartialFractions built on the WeightProfile
+The problem is pf, the radial.FirstIntegral built on the WeightProfile
 that weights.classify made: pf.prof.a is diag(a), pf.prof.spec the phase
 target, and pf.beta the profile's start.  Nothing here re-checks it.  alpha
 shifts Phi by a constant and never reaches the Hessian, so the grid does
-not take it; its range checks (gamma >= 1, at least one shell) are the
-solve command's.
+not take it.  gamma >= 1 is the solve command's check; the shell count is
+checked by check_shells, which solve calls before it reads the vector and
+verify_subsolution again for a library caller.
 
 A is diagonal throughout: a general symmetric A enters through its
 eigenvalues, as the problem's vector a.
@@ -46,7 +47,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .radial import PartialFractions
+from .radial import FirstIntegral
 from .symfun import rank_one_phase_level
 
 _NORMAL = NormalDist()
@@ -54,6 +55,12 @@ _PASS_TOL = 1e-9  # verify_subsolution's minima must clear -_PASS_TOL
 _R_MIN_SCALE = 1.0 + 1e-6  # the innermost shell, relative to gamma
 GRID_RADIUS = 50.0  # the outermost shell, relative to gamma
 DIRECTIONS = 96  # low-discrepancy directions per shell, besides the 2n axes
+
+
+def check_shells(shells: int) -> None:
+    """ValueError unless the grid has at least one shell."""
+    if shells < 1:
+        raise ValueError("the grid needs at least one shell")
 
 
 def sphere_directions(n: int, count: int) -> np.ndarray:
@@ -99,7 +106,7 @@ class VerificationReport:
     passed: bool
 
 
-def verify_subsolution(pf: PartialFractions, gamma: float,
+def verify_subsolution(pf: FirstIntegral, gamma: float,
                        shells: int) -> VerificationReport:
     """Check both subsolution inequalities of the problem pf on the grid.
 
@@ -113,8 +120,9 @@ def verify_subsolution(pf: PartialFractions, gamma: float,
     of every point from (p, s, q o q) without an eigenvalue; their minima
     are reported.  The level inequality is gated on the scale-free level
     value (divided by prod_j sqrt(1 + lambda_j^2)), so the verdict does not
-    depend on the size of the eigenvalues.
+    depend on the size of the eigenvalues.  ValueError when shells < 1.
     """
+    check_shells(shells)
     spec, a = pf.prof.spec, pf.prof.a
     n = a.size
     axes = np.vstack([np.eye(n), -np.eye(n)])

@@ -40,11 +40,9 @@ when the exponent exceeds 2 (the tail integral converges) and
 "slow_decay" otherwise.
 
 classify analyses a problem once.  The check's ascending values and
-level error e = |H(a) - theta|, and _chain's exponent, sigma row and
-selected chain, make one WeightProfile, returned as
-Admissibility.profile.  It is the only input of
-radial.partial_fractions, which checks nothing that classify checked and
-reads e where its root and residue bounds need the phase error.
+_chain's exponent, sigma row and selected chain make one WeightProfile,
+returned as Admissibility.profile.  It is the only input of
+radial.first_integral, which checks nothing that classify checked.
 
 Everything runs on one ascending list of Python floats, through one
 routine (_chain) behind every exponent and selected chain.  It runs the
@@ -149,31 +147,27 @@ def _chain(c: Sequence, vals: list) -> tuple:
     return math.fsum(num) / math.fsum(den), sig, selected
 
 
-def _level_point(spec: PhaseSpec, a: Sequence) -> tuple:
-    """(vals, e): a as an ascending list of floats and its level error
-    e = |H(a) - theta|, after the one check of a supported problem (the
-    module docstring's), which raises ValueError."""
+def _level_point(spec: PhaseSpec, a: Sequence) -> list:
+    """a as an ascending list of floats, after the one check of a
+    supported problem (the module docstring's), which raises ValueError."""
     spec.ray_degree  # raises outside the supported range
     vals = _ascending_positive(a, spec.n)
-    e = abs(phase(vals) - spec.theta)
-    if e > LEVEL_TOL:
+    if abs(phase(vals) - spec.theta) > LEVEL_TOL:
         raise ValueError("a not on the phase level set")
-    return vals, e
+    return vals
 
 
 @dataclass(frozen=True, eq=False)
 class WeightProfile:
     """The analysis of one supported problem (spec, a), made by classify.
 
-    a is the ascending float array of the classified vector and
-    level_error its measured e = |H(a) - theta| (at most LEVEL_TOL); m is
-    the decay exponent, sigma the row sigma_0..sigma_n of a as
+    a is the ascending float array of the classified vector; m is the
+    decay exponent, sigma the row sigma_0..sigma_n of a as
     elem_sym_all gives it (Python floats after sigma_0 = 1), and selected
     the theta-selected weight chain, length n+1 (index k = 0..n).
     """
     spec: PhaseSpec
     a: np.ndarray
-    level_error: float
     m: float
     sigma: tuple
     selected: np.ndarray
@@ -184,7 +178,7 @@ def decay_exponent(spec: PhaseSpec, a: Sequence) -> float:
 
     Raises ValueError unless (spec, a) passes the one check (_level_point).
     """
-    return _chain(spec.coeffs, _level_point(spec, a)[0])[0]
+    return _chain(spec.coeffs, _level_point(spec, a))[0]
 
 
 @dataclass(frozen=True)
@@ -197,7 +191,7 @@ class Admissibility:
     strict threshold 2.  reflected is true when the data was all negative
     and was classified as the problem (-theta, -lam).  With an exponent m,
     profile is the analysis of that classified problem (the reflection of
-    the input when reflected), the one input of radial.partial_fractions;
+    the input when reflected), the one input of radial.first_integral;
     without one it is None.
     """
     klass: str
@@ -217,8 +211,8 @@ def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
     decay_exponent's check after the reflection, a subcritical phase
     target included, is "outside": the construction, and every later
     stage, covers only the critical and supercritical range.  Otherwise
-    the check's values and level error and _chain's exponent, sigma row
-    and selected chain make the problem's WeightProfile.  A sigma row
+    the check's values and _chain's exponent, sigma row and selected
+    chain make the problem's WeightProfile.  A sigma row
     outside the float range still raises ValueError.
     """
     arr = np.asarray(lam, dtype=float)
@@ -232,13 +226,12 @@ def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
     else:
         return Admissibility(klass="outside", m=None)
     try:
-        vals, level_error = _level_point(work_spec, work)
+        vals = _level_point(work_spec, work)
     except ValueError:
         return Admissibility(klass="outside", m=None, reflected=reflected)
     m, sig, selected = _chain(work_spec.coeffs, vals)
-    prof = WeightProfile(spec=work_spec, a=np.array(vals),
-                         level_error=level_error, m=m, sigma=tuple(sig),
-                         selected=np.array(selected))
+    prof = WeightProfile(spec=work_spec, a=np.array(vals), m=m,
+                         sigma=tuple(sig), selected=np.array(selected))
     klass = "admissible" if m > 2.0 else "slow_decay"
     return Admissibility(klass=klass, m=m, near_boundary=abs(m - 2.0) <= 1e-12,
                          reflected=reflected, profile=prof)

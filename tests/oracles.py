@@ -2,15 +2,15 @@
 
 No command reaches these.  Each is the direct formula for a quantity that
 slex either computes by another route or does not need: the Hessian of a
-candidate and its sigma values, the candidate's radial value, the
-direction weights and their extremes, the ray polynomial and the level
-values, g', the cut-off recurrence of the rank-one sigma formula, the
-numpy route by which the weights layer once read a vector, and the
-criticality class of a phase angle.  profile is the one way a test takes
-the analysis of a problem: the WeightProfile that weights.classify
-builds, as the solve command does.  iso_first_integral is the exact
-profile of an isotropic problem, in mpmath: the excess, mu and log C with
-no root, residue or ODE solver.
+candidate and its sigma values, the candidate's radial value and excess
+integral, the direction weights and their extremes, the ray polynomial,
+its roots and the level values, g', the cut-off recurrence of the
+rank-one sigma formula, the numpy route by which the weights layer once
+read a vector, and the criticality class of a phase angle.  profile is
+the one way a test takes the analysis of a problem: the WeightProfile
+that weights.classify builds, as the solve command does.
+iso_first_integral is the exact profile of an isotropic problem, in
+mpmath: the excess, mu and log C with no root, residue or ODE solver.
 The candidate matrix is diagonal, diag(a): a general symmetric A enters
 slex through its eigenvalues.
 """
@@ -21,16 +21,73 @@ import mpmath
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from slex import radial, symfun, weights
+from slex import symfun, weights
 
 
 def profile(spec, a):
     """weights.classify(spec, a).profile, the analysis of the problem
-    (spec, a) that radial.partial_fractions takes; the problem must be in
+    (spec, a) that radial.first_integral takes; the problem must be in
     range."""
     prof = weights.classify(spec, a).profile
     assert prof is not None, (spec, a)
     return prof
+
+
+# pi/2 to 4e-27 in two parts (fdlibm's pio2_1, pio2_1t): the first has 33
+# bits, so its integer multiples are exact
+HALF_PI_HI = 1.57079632673412561417e+00
+HALF_PI_LO = 6.07710050650619224932e-11
+# ray_roots' Newton iteration stops on a step of at most this times |x|
+ROOT_RTOL = 4 * np.finfo(float).eps
+
+
+def ray_roots(spec, arr) -> np.ndarray:
+    """The N roots of the ray polynomial of a positive float array arr,
+    ascending: real and simple by construction.
+
+    The level combination at t*a is |prod_j (1 + i t a_j)| sin(H(t*a) -
+    theta) with H(t*a) = sum_j arctan(t a_j) strictly increasing, so root
+    k solves H(t*a) = phi_k = theta - k*pi, k = 0..N-1.  Where |phi_k| >
+    n*pi/4 H saturates, and x = -1/t is solved for from sum_j arctan(x/a_j)
+    = phi_k -+ n*pi/2 (pi/2 in two parts keeps that small target
+    accurate).  The root of
+    sum_j arctan(x b_j) = psi lies between tan(psi/n)/max b and
+    tan(psi/n)/min b; Newton's method runs from the end nearer 0, where the
+    sum's convexity makes it monotone, bisects when a step would leave the
+    bracket, and stops after a step of at most 4 eps |x| or one landing on
+    an end of the bracket.  arr is not checked: tests hand in a
+    profile's array, which weights.classify checked.
+    """
+    n = spec.n
+    # phi_k = theta0 - j*pi/2; a critical angle counts as exactly
+    # (n-2)*pi/2, the angle of its snapped coefficients
+    theta0, j0 = (0.0, n - 2) if spec.is_critical else (spec.theta, 0)
+    j = 2.0 * np.arange(spec.ray_degree - 1, -1, -1) - j0
+    phi = theta0 - j * (math.pi / 2)
+    shift = np.where(np.abs(phi) > n * math.pi / 4, n * np.sign(phi), 0.0)
+    psi = (theta0 - (j + shift) * HALF_PI_HI) - (j + shift) * HALF_PI_LO
+    b = np.where(shift[:, None] != 0.0, 1.0 / arr, arr)
+    scale = np.tan(psi / n)
+    x = scale / b.max(axis=1)
+    lo, hi = np.sort([x, scale / b.min(axis=1)], axis=0)
+    active = np.ones(psi.shape, dtype=bool)
+    for _ in range(100):
+        xb = x[:, None] * b
+        f = np.arctan(xb).sum(axis=1) - psi
+        lo = np.where(f <= 0.0, x, lo)
+        hi = np.where(f >= 0.0, x, hi)
+        newton = x - f / (b / (1.0 + xb * xb)).sum(axis=1)
+        landed = (newton == lo) | (newton == hi)
+        step = np.where(landed | ((lo < newton) & (newton < hi)), newton,
+                        0.5 * (lo + hi))
+        done = landed | (np.abs(step - x) <= ROOT_RTOL * np.abs(step))
+        x = np.where(active, step, x)
+        active &= ~done
+        if not active.any():
+            break
+    else:
+        raise RuntimeError("ray root iteration did not converge")
+    return np.divide(-1.0, x, out=x, where=shift != 0.0)
 
 
 def classification(spec):
@@ -169,12 +226,38 @@ def profile_at(pf, r):
     return nu, pf.slope(nu) / r
 
 
+def excess_integral(pf, r_lo, r_hi):
+    """int_{r_lo}^{r_hi} tau (psi(tau) - 1) dtau, 1 <= r_lo <= r_hi, by
+    composite 16-point Gauss-Legendre in log tau on pf.excess_at: the panel
+    count doubles from 8 until two estimates agree within 1e-13 absolute
+    or 1e-11 relative, and the finer one is returned."""
+    if r_lo == r_hi or pf.beta == 1.0:
+        return 0.0
+    nodes, weights_ = np.polynomial.legendre.leggauss(16)
+    s_lo = math.log(r_lo)
+    width = math.log(r_hi) - s_lo
+    prev = None
+    panels = 8
+    while panels <= 4096:
+        h = width / panels
+        tau = np.exp(((s_lo + h * np.arange(panels))[:, None]
+                      + (0.5 * h) * (1.0 + nodes)).ravel())
+        est = 0.5 * h * float(np.dot(np.tile(weights_, panels),
+                                     tau * tau * pf.excess_at(tau)))
+        if prev is not None and abs(est - prev) <= max(1e-13,
+                                                       1e-11 * abs(est)):
+            return est
+        prev = est
+        panels *= 2
+    raise AssertionError("excess quadrature did not converge")
+
+
 def radial_value(pf, alpha, gamma, r):
     """phi(r) = alpha + int_gamma^r tau psi(tau) dtau, for r >= gamma: the
     quadratic part of psi = 1 + excess plus the excess integral."""
     r = float(r)
     quadratic = alpha + 0.5 * (r * r - gamma ** 2)
-    return quadratic + radial._excess_integrals(pf, ((gamma, r),))[0]
+    return quadratic + excess_integral(pf, gamma, r)
 
 
 def hessian(pf, x):

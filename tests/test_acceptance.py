@@ -176,15 +176,15 @@ def test_criterion_4_closed_form_profile():
     a = np.full(3, 1.0 / math.sqrt(3.0))
     bad = []
 
-    pf = radial.partial_fractions(oracles.profile(spec, a), 2.0)
-    if not np.allclose(pf.roots, [-1.0, 1.0], atol=1e-12):
-        bad.append(("roots", pf.roots))
-    if not np.allclose(pf.weights, [1 / 3, 1 / 3], atol=1e-12):
-        bad.append(("residue_weights", pf.weights))
+    pf = radial.first_integral(oracles.profile(spec, a), 2.0)
     if abs(pf.prof.m - 3.0) > 1e-12:
         bad.append(("exponent", pf.prof.m))
 
     for beta in (1.5, 2.0, 10.0):
+        # psi^2 = 1 + (beta^2 - 1) r^-3: the tail law's C = (beta^2 - 1)/2
+        log_amp = replace(pf, beta=beta).log_amplitude
+        if abs(log_amp - math.log((beta * beta - 1.0) / 2.0)) > 1e-12:
+            bad.append(("log_amplitude", beta, log_amp))
         for route in ("numeric", "implicit"):
             sol = radial.solve_profile(replace(pf, beta=beta), r_max=1.0e4,
                                        route=route)
@@ -205,7 +205,7 @@ def test_criterion_5_route_agreement_and_decay(admissible_cases):
     bad = []
     for spec, a, beta in admissible_cases:
         m = weights.decay_exponent(spec, a)
-        pf = radial.partial_fractions(oracles.profile(spec, a), beta)
+        pf = radial.first_integral(oracles.profile(spec, a), beta)
         num = radial.solve_profile(pf, r_max=1.0e4, route="numeric")
         imp = radial.solve_profile(pf, r_max=1.0e4, route="implicit")
         gap = float(np.max(np.abs(num.psi - imp.psi)))
@@ -228,7 +228,7 @@ def test_criterion_5_route_agreement_and_decay(admissible_cases):
 def test_criterion_6_root_certification(admissible_cases):
     bad = []
     for spec, a, _beta in admissible_cases:
-        roots = phasepoly.ray_roots(spec, oracles.profile(spec, a).a)
+        roots = oracles.ray_roots(spec, oracles.profile(spec, a).a)
         if roots.size != spec.ray_degree:
             bad.append(("count", spec.n, spec.theta, roots.size))
         if abs(roots[-1] - 1.0) > 1e-9:
@@ -261,15 +261,15 @@ def test_criterion_7_subsolution_verification():
         if a4 is not None and weights.classify(spec4, a4).klass != \
                 "admissible":
             a4 = None
-    pf3 = radial.partial_fractions(
+    pf3 = radial.first_integral(
         oracles.profile(phasepoly.PhaseSpec(3, math.pi / 2), iso3), 1.0)
     # (problem, gamma) of each candidate; alpha never reaches the grid
     candidates = [
         (pf3, 1.0),
         (replace(pf3, beta=10.0), 1.0),
         (replace(pf3, beta=2.0), 1.5),
-        (radial.partial_fractions(oracles.profile(spec4, a4), 2.0), 1.0),
-        (radial.partial_fractions(
+        (radial.first_integral(oracles.profile(spec4, a4), 2.0), 1.0),
+        (radial.first_integral(
             oracles.profile(spec5, weights.iso_point(spec5)), 3.0), 1.0),
     ]
     bad = []
@@ -361,7 +361,7 @@ def test_criterion_8_property_suites():
     # domination inequality in place of the Perron construction:
     # Phi(x) <= x^T A x / 2 + (mu_gamma + alpha - gamma^2 / 2)
     iso3 = np.full(3, 1.0 / math.sqrt(3.0))
-    pf3 = radial.partial_fractions(
+    pf3 = radial.first_integral(
         oracles.profile(phasepoly.PhaseSpec(3, math.pi / 2), iso3), 2.0)
     for beta, gamma, alpha in ((2.0, 1.0, 0.0), (10.0, 1.5, 2.0)):
         pf = replace(pf3, beta=beta)

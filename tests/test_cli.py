@@ -29,7 +29,7 @@ def test_verify_passes(tmp_path):
     code, path = run(tmp_path, ["verify", "--grid", "40"])
     assert code == 0
     report = json.loads(path.read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["command"] == "verify"
     assert report["zstar_unit6"] == 192
     assert report["passed"] is True
@@ -418,8 +418,8 @@ def test_solve_closed_case(tmp_path):
     report = json.loads(path.read_text())
     assert report["admissibility"]["klass"] == "admissible"
     assert report["admissibility"]["m"] == pytest.approx(3.0, abs=1e-10)
-    assert report["partial_fractions"]["roots"] == \
-        pytest.approx([-1.0, 1.0], abs=1e-12)
+    assert report["first_integral"]["log_amplitude"] == \
+        pytest.approx(math.log(1.5), abs=1e-12)
     assert report["route_gap_max"] <= 1e-8
     assert report["decay_fit"]["m_est"] == pytest.approx(3.0, rel=2e-2)
     assert report["verification"]["passed"] is True
@@ -481,20 +481,6 @@ def test_solve_large_eigenvalues_pass_the_scale_free_gate(tmp_path):
     assert report["verification"]["passed"] is True
 
 
-@pytest.mark.parametrize("n", [80, 100])
-def test_solve_route_gap_above_criterion_fails(tmp_path, capsys, n):
-    # past n = 64 the grid still passes, but the two profile routes part by
-    # 2.1e-7 (n = 80) and 1.9e-4 (n = 100): the verdict must say FAIL
-    code, path = run(tmp_path, ["solve", "--family", "iso", "--n", str(n),
-                                "--theta", "critical", "--grid", "4"])
-    report = json.loads(path.read_text())
-    assert code == 1
-    assert capsys.readouterr().err.splitlines()[-1] == "FAIL"
-    assert report["route_gap_max"] > cli.ROUTE_GAP_TOL
-    assert report["verification"]["passed"] is True
-    assert report["passed"] is False
-
-
 def test_solve_fails_a_numeric_route_off_by_1e7(tmp_path, capsys,
                                                 monkeypatch):
     args = ["solve", "--family", "iso", "--n", "5", "--theta", "critical",
@@ -539,7 +525,7 @@ def test_solve_all_negative_data_runs_the_reflected_problem(tmp_path):
     assert neg["admissibility"] == {**pos["admissibility"], "reflected": True}
     assert neg["config"]["a"] == [-v for v in pos["config"]["a"]]
     assert neg["config"]["theta"] == -pos["config"]["theta"]
-    for key in ("partial_fractions", "trajectory", "verification"):
+    for key in ("first_integral", "trajectory", "verification"):
         assert neg[key] == pos[key]
     assert neg["passed"] is True
 
@@ -553,10 +539,10 @@ def test_solve_all_negative_data_runs_the_reflected_problem(tmp_path):
 ], ids=["iso", "a", "reflected a"])
 def test_solve_analyses_its_problem_once(tmp_path, monkeypatch, source):
     # classify checks (theta, a) and builds its profile, and
-    # partial_fractions reads that profile: one level check, one
-    # positivity check, one phase H(a), one sigma row and chain, and one
-    # root finder call per admissible solve.  The grid and the tail
-    # integral get that same profile object, not a copy of its fields
+    # first_integral reads that profile: one level check, one positivity
+    # check, one phase H(a), one sigma row and chain, and one first
+    # integral per admissible solve.  The grid and the tail integral get
+    # that same profile object, not a copy of its fields
     calls = {}
     seen = {}
 
@@ -578,8 +564,7 @@ def test_solve_analyses_its_problem_once(tmp_path, monkeypatch, source):
                  "classify"):
         count(weights, name)
     count(phasepoly, "phase")
-    count(radial, "ray_roots")
-    count(radial, "partial_fractions")
+    count(radial, "first_integral")
     count(radial, "tail_integral")
     count(subsol, "verify_subsolution")
     code, path = run(tmp_path, ["solve", *source, "--grid", "4"])
@@ -589,12 +574,11 @@ def test_solve_analyses_its_problem_once(tmp_path, monkeypatch, source):
     assert calls == {"weights._level_point": 1,
                      "weights._ascending_positive": 1, "weights._chain": 1,
                      "weights.phase": 1, "weights.classify": 1,
-                     "phasepoly.phase": 0, "radial.ray_roots": 1,
-                     "radial.partial_fractions": 1,
+                     "phasepoly.phase": 0, "radial.first_integral": 1,
                      "radial.tail_integral": 1,
                      "subsol.verify_subsolution": 1}
     adm = seen["weights.classify result"]
-    pf = seen["radial.partial_fractions result"]
+    pf = seen["radial.first_integral result"]
     assert pf.prof is adm.profile
     for key in ("radial.tail_integral", "subsol.verify_subsolution"):
         assert seen[key][0].prof is adm.profile
@@ -687,7 +671,9 @@ def test_solve_huge_gamma_exits_two(tmp_path, capsys):
                                  "--theta", "critical", "--gamma", "1e300",
                                  "--beta", beta])
         assert code == 2
-        assert "invalid input: R too large" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "invalid input: --gamma out of range: the grid radius 50*gamma "
+            "overflows\n")
 
 
 @pytest.mark.parametrize("gamma", ["1e308", "-1e308"])
@@ -755,61 +741,72 @@ def test_solve_sigma_overflow_exits_two(tmp_path, capsys, n, theta):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("n, message", [
-    (132, "tail amplitude overflows the float range"),
-    (137, "fitted tail amplitude overflows the float range"),
-    (156, "integration failed"), (170, "integration failed")])
-def test_solve_radial_failure_exits_two(n, message):
-    # the radial solvers' RuntimeErrors are reported like invalid input, in
-    # a fresh process, with no traceback
+@pytest.mark.parametrize("n, beta, message", [
+    (64, "1e6", "integration failed"),
+    (156, "2", "ray polynomial shifted to 1 leaves the float range"),
+    (170, "2", "ray polynomial shifted to 1 leaves the float range")])
+def test_solve_radial_failure_exits_two(n, beta, message):
+    # the radial solvers' errors are reported like invalid input, in a
+    # fresh process, with no traceback: the numeric route's D at psi = 1e6
+    # overflows at n = 64, the shifted ray polynomial from n = 155
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "slex.cli", "solve",
                            "--family", "iso", "--n", str(n), "--theta",
-                           "critical", "--grid", "4"], capture_output=True,
-                          text=True, env=env, timeout=120)
+                           "critical", "--beta", beta, "--grid", "4"],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
     assert proc.returncode == 2
     assert proc.stderr == f"invalid input: {message}\n"
     assert proc.stdout == ""
 
 
-def test_solve_large_beta_warns_once_without_a_path():
-    # a fresh process with the default warning filters: the one check of
-    # beta warns once, as one fixed line before the summary
+@pytest.mark.parametrize("flags", [(), ("-W", "error")])
+def test_solve_large_beta_does_not_warn(flags):
+    # a fresh process with the default warning filters, and one under
+    # python -W error: beta = 2000 binds like any beta in range, and the
+    # log of C never overflows, so no warning is raised
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("PYTHONWARNINGS", None)
-    proc = subprocess.run([sys.executable, "-m", "slex.cli", "solve",
-                           "--family", "iso", "--n", "4", "--theta", "3.6",
-                           "--beta", "2000", "--grid", "4"],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
-    assert proc.returncode == 0
-    lines = proc.stderr.splitlines()
-    assert [line for line in lines if line.startswith("warning:")] == \
-        ["warning: beta above 1e3: residue conditioning degrades"]
-    assert lines[0].startswith("warning:") and lines[-1] == "PASS"
-    for text in ("RuntimeWarning", ".py:", "<string>"):
-        assert text not in proc.stderr
-    assert json.loads(proc.stdout)["config"]["beta"] == 2000.0
-
-
-def test_solve_warning_made_an_error_exits_two():
-    # under python -W error the beta warning is raised, not recorded: it is
-    # reported like invalid input, on one line, with no report and no
-    # traceback
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("PYTHONWARNINGS", None)
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "slex.cli",
+    proc = subprocess.run([sys.executable, *flags, "-m", "slex.cli",
                            "solve", "--family", "iso", "--n", "4", "--theta",
                            "3.6", "--beta", "2000", "--grid", "4"],
                           capture_output=True, text=True, env=env,
                           timeout=120)
-    assert proc.returncode == 2
-    assert proc.stderr == ("invalid input: beta above 1e3: residue "
-                           "conditioning degrades\n")
-    assert proc.stdout == ""
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert proc.stderr.splitlines() == _solve_status(report) + ["PASS"]
+    assert report["config"]["beta"] == 2000.0
+
+
+def test_solve_warning_made_an_error_exits_two(tmp_path, capsys,
+                                               monkeypatch):
+    # a warning that the filters make an error (python -W error) is
+    # reported like invalid input, on one line, with no report and no
+    # traceback; without the error filter it is printed as "warning:"
+    real = radial.tail_integral
+
+    def warns(*args):
+        warnings.warn("tail integral warns", RuntimeWarning)
+        return real(*args)
+
+    monkeypatch.setattr(radial, "tail_integral", warns)
+    argv = ["solve", "--family", "iso", "--n", "4", "--theta", "3.6",
+            "--grid", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, path = run(tmp_path, argv)
+    assert code == 2
+    assert capsys.readouterr().err == "invalid input: tail integral warns\n"
+    assert not path.exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        code, path = run(tmp_path, argv)
+    assert code == 0
+    assert capsys.readouterr().err.splitlines() == (
+        ["warning: tail integral warns"]
+        + _solve_status(json.loads(path.read_text())) + ["PASS"])
 
 
 @pytest.mark.parametrize("entries", ["nan,1,1", "inf,1,1", "1,-inf,1"])
@@ -943,19 +940,6 @@ def test_stderr_status_lines(tmp_path, capsys, monkeypatch):
     code, report, lines = _status_lines(tmp_path, capsys, iso)
     assert code == 0
     assert lines == _solve_status(report) + ["PASS"]
-
-    # the beta warning is a RuntimeWarning, an error under the test
-    # filters: a fresh process with the default ones
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    env.pop("PYTHONWARNINGS", None)
-    proc = subprocess.run([sys.executable, "-m", "slex.cli", *iso,
-                           "--beta", "2000"], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0
-    assert proc.stderr.splitlines() == (
-        ["warning: beta above 1e3: residue conditioning degrades"]
-        + _solve_status(json.loads(proc.stdout)) + ["PASS"])
 
     code, report, lines = _status_lines(
         tmp_path, capsys, ["solve", "--family", "eps:0.25", "--grid", "4"])

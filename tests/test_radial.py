@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
@@ -22,7 +23,7 @@ SQRT3 = math.sqrt(3.0)
 SPEC3 = phasepoly.PhaseSpec(3, math.pi / 2)
 A3 = np.full(3, 1.0 / SQRT3)
 PF3_PROFILE = oracles.profile(SPEC3, A3)
-PF3 = radial.partial_fractions(PF3_PROFILE, 2.0)
+PF3 = radial.first_integral(PF3_PROFILE, 2.0)
 
 
 def closed_excess(r, beta):
@@ -61,7 +62,7 @@ def test_slope_field_derivative_at_one_is_minus_m():
     rng = np.random.default_rng(61)
     for _ in range(15):
         spec, a, m = admissible_sample(rng)
-        pf = radial.partial_fractions(oracles.profile(spec, a), 2.0)
+        pf = radial.first_integral(oracles.profile(spec, a), 2.0)
         h = 1e-6
         fd = (pf.slope(1.0 + h) - pf.slope(1.0 - h)) / (2 * h)
         assert fd == pytest.approx(-m, rel=1e-5)
@@ -74,7 +75,7 @@ def test_slope_field_limit_slope_band():
     for _ in range(15):
         spec, a, _m = admissible_sample(rng)
         n = spec.n
-        pf = radial.partial_fractions(oracles.profile(spec, a), 2.0)
+        pf = radial.first_integral(oracles.profile(spec, a), 2.0)
         limit = oracles.slope_deriv(pf, 1.0e9)
         assert -(n / (n - 1.0)) * (1.0 + 1e-6) <= limit <= -(1.0 - 1e-6)
 
@@ -86,11 +87,17 @@ def test_slope_field_denominator_guard():
 
 
 def test_partial_fractions_closed_case():
+    # den(nu) = nu^2 - 1 and num(nu) = 2 nu/3: D(x) = 2 + x,
+    # N(x) = 2 (1 + x)/3, E = 1, and log C = log((beta^2 - 1)/2)
     pf = PF3
     assert pf.prof.m == pytest.approx(3.0, abs=1e-12)
-    assert np.allclose(pf.roots, [-1.0, 1.0], atol=1e-12)
-    assert np.allclose(pf.weights, [1.0 / 3.0, 1.0 / 3.0], atol=1e-12)
-    assert pf.roots[-1] == 1.0
+    assert np.allclose(pf.d_coeffs, [2.0, 1.0], rtol=1e-12)
+    assert np.allclose(pf.n_coeffs, [2.0 / 3.0, 2.0 / 3.0], rtol=1e-12)
+    assert np.allclose(pf.e_coeffs, [1.0], rtol=1e-12)
+    for beta in (1.5, 2.0, 10.0, 1e6):
+        assert replace(pf, beta=beta).log_amplitude == \
+            pytest.approx(math.log((beta * beta - 1.0) / 2.0), abs=1e-12)
+    assert replace(pf, beta=1.0).log_amplitude == -math.inf
 
 
 def test_partial_fractions_holds_the_profile_and_copies_none_of_it():
@@ -98,21 +105,25 @@ def test_partial_fractions_holds_the_profile_and_copies_none_of_it():
     # refers to it and declares none of its fields again
     assert PF3.prof is PF3_PROFILE
     assert replace(PF3, beta=3.0).prof is PF3_PROFILE
-    names = {f.name for f in fields(radial.PartialFractions)}
+    names = {f.name for f in fields(radial.FirstIntegral)}
     assert "prof" in names
     assert not names & {f.name for f in fields(weights.WeightProfile)}
 
 
 def test_partial_fractions_residues_recombine():
+    # the residue N(0)/D(0) = 1/m at nu = 1 and the rest, E/(m D),
+    # recombine to num/den: num(1 + x)/den(1 + x) = (1 + x E/D)/(m x)
     rng = np.random.default_rng(63)
     for _ in range(15):
         spec, a, m = admissible_sample(rng)
-        pf = radial.partial_fractions(oracles.profile(spec, a), 2.0)
-        assert pf.weights[-1] == pytest.approx(1.0 / m, abs=1e-10)
-        num, den = pf.num, pf.den
+        pf = radial.first_integral(oracles.profile(spec, a), 2.0)
+        assert pf.n_coeffs[0] / pf.d_coeffs[0] == pytest.approx(1.0 / m,
+                                                               rel=1e-10)
         for nu in (1.37, 2.0, 5.0, 9.3):
-            direct = npoly.polyval(nu, num) / npoly.polyval(nu, den)
-            recombined = float(np.sum(pf.weights / (nu - pf.roots)))
+            x = nu - 1.0
+            direct = npoly.polyval(nu, pf.num) / npoly.polyval(nu, pf.den)
+            recombined = (1.0 + x * npoly.polyval(x, pf.e_coeffs)
+                          / npoly.polyval(x, pf.d_coeffs)) / (m * x)
             assert recombined == pytest.approx(direct, rel=1e-9)
 
 
@@ -125,7 +136,7 @@ def test_poly_pair_and_m_from_one_weight_profile_bitwise():
         prof = oracles.profile(spec, a)
         num, den = radial._slope_pair(prof)
         assert den.tobytes() == oracles.ray_poly(spec, a).tobytes()
-        pf = radial.partial_fractions(prof, 2.0)
+        pf = radial.first_integral(prof, 2.0)
         assert pf.prof.m == weights.decay_exponent(spec, a)
         assert pf.num == tuple(num.tolist())
         assert pf.den == tuple(den.tolist())
@@ -157,7 +168,7 @@ def test_routes_agree_on_random_admissible_cases():
     for _ in range(8):
         spec, a, _m = admissible_sample(rng)
         beta = float(rng.uniform(1.1, 10.0))
-        pf = radial.partial_fractions(oracles.profile(spec, a), beta)
+        pf = radial.first_integral(oracles.profile(spec, a), beta)
         sn = radial.solve_profile(pf, route="numeric")
         si = radial.solve_profile(pf, route="implicit")
         assert np.max(np.abs(sn.psi - si.psi)) <= 1e-8
@@ -173,7 +184,7 @@ def test_profile_monotone_in_beta():
     rng = np.random.default_rng(65)
     spec, a, _m = admissible_sample(rng)
     betas = (1.5, 2.5, 4.0, 9.0)
-    pf = radial.partial_fractions(oracles.profile(spec, a), betas[0])
+    pf = radial.first_integral(oracles.profile(spec, a), betas[0])
     sols = [radial.solve_profile(replace(pf, beta=b), route="implicit")
             for b in betas]
     for lo, hi in zip(sols, sols[1:]):
@@ -200,34 +211,35 @@ def test_solve_profile_validates_inputs():
 
 
 def test_partial_fractions_checks_beta():
-    # beta is checked where it is bound: by partial_fractions, and again by
+    # beta is checked where it is bound: by first_integral, and again by
     # dataclasses.replace
     for beta, message in ((0.5, "beta must be at least 1"),
                           (2.0e6, "beta above the supported cap 1e6"),
                           (float("nan"), "beta must be finite"),
                           (float("inf"), "beta must be finite")):
         with pytest.raises(ValueError, match=message):
-            radial.partial_fractions(PF3_PROFILE, beta)
+            radial.first_integral(PF3_PROFILE, beta)
         with pytest.raises(ValueError, match=message):
             replace(PF3, beta=beta)
     assert type(replace(PF3, beta=2).beta) is float
-    assert type(radial.partial_fractions(PF3_PROFILE, 2).beta) is float
-    with pytest.warns(RuntimeWarning, match="beta above 1e3"):
+    assert type(radial.first_integral(PF3_PROFILE, 2).beta) is float
+    # the whole range binds without a warning: C is held as log C
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert replace(PF3, beta=1.0e6).beta == 1.0e6
 
 
 def test_beta_enters_through_the_analysis_only():
     # beta and the tolerances are bound in one place each, so no stage
     # takes them as arguments
-    for fn in (radial.PartialFractions.excess_at, radial._excess_integrals,
-               radial.tail_amplitude, radial.solve_profile,
-               radial.tail_integral, subsol.verify_subsolution,
-               phasepoly.ray_roots, weights.decay_exponent,
+    for fn in (radial.FirstIntegral.excess_at, radial.tail_amplitude,
+               radial.solve_profile, radial.tail_integral,
+               subsol.verify_subsolution, weights.decay_exponent,
                weights.classify):
         params = inspect.signature(fn).parameters
         assert not {"beta", "tol", "level_tol", "tolerance"} & set(params), fn
     # the analysis classify made, and beta: nothing else
-    assert list(inspect.signature(radial.partial_fractions).parameters) == \
+    assert list(inspect.signature(radial.first_integral).parameters) == \
         ["prof", "beta"]
     # the grid takes the problem, gamma and the shell count: alpha never
     # reaches the Hessian, and the outer radius is GRID_RADIUS * gamma
@@ -235,22 +247,8 @@ def test_beta_enters_through_the_analysis_only():
         ["pf", "gamma", "shells"]
 
 
-def test_beta_warning_threshold():
-    # one warning per bound beta, however many stages read it
-    with pytest.warns(RuntimeWarning, match="beta above 1e3") as record:
-        pf = radial.partial_fractions(PF3_PROFILE, 2.0e3)
-        for route in ("numeric", "implicit"):
-            radial.solve_profile(pf, route=route)
-        radial.tail_integral(pf, (1.0,))
-        radial.tail_amplitude(pf)
-        radial._excess_integrals(pf, ((1.0, 2.0),))
-    assert len(record) == 1
-    with pytest.warns(RuntimeWarning, match="beta above 1e3"):
-        replace(PF3, beta=2.0e3)
-
-
 def test_tail_amplitude_closed_case():
-    # B(nu) = nu + 1: amplitude (beta-1)B(beta)/B(1)
+    # psi^2 = 1 + (beta^2 - 1) r^-3: amplitude C = (beta^2 - 1)/2
     assert radial.tail_amplitude(PF3) == pytest.approx(1.5, rel=1e-12)
     assert radial.tail_amplitude(replace(PF3, beta=10.0)) == \
         pytest.approx(49.5, rel=1e-12)
@@ -279,7 +277,7 @@ def test_tail_integral_properties():
     with pytest.raises(ValueError, match="integral may diverge"):
         spec = phasepoly.PhaseSpec(5, 5 * math.pi / 3)
         prof = oracles.profile(spec, weights.epsilon_family(math.pi / 12))
-        radial.tail_integral(radial.partial_fractions(prof, 2.0), (5.0,))
+        radial.tail_integral(radial.first_integral(prof, 2.0), (5.0,))
 
 
 def test_non_finite_and_overflowing_inputs_rejected():
@@ -290,23 +288,22 @@ def test_non_finite_and_overflowing_inputs_rejected():
         radial.solve_profile(PF3, r_max=float("inf"))
     with pytest.raises(ValueError, match="R must be at least 1"):
         radial.tail_integral(PF3, (float("nan"),))
-    # tau^2 at the quadrature cutoff 100 R would overflow a float, at
-    # beta = 1 too
-    for pf in (PF3, replace(PF3, beta=1.0)):
-        with pytest.raises(ValueError, match="R too large"):
-            radial.tail_integral(pf, (1e300,))
+    # no cutoff in r: far out the value is the tail law C R^(2-m)/(m-2)
+    # (C = 1.5, m = 3), and 0 at beta = 1
+    assert radial.tail_integral(PF3, (1e300,))[0] == \
+        pytest.approx(1.5e-300, rel=1e-12)
+    assert radial.tail_integral(replace(PF3, beta=1.0), (1e300,)) == (0.0,)
 
 
 def test_tail_integral_radii_in_one_pass_match_one_at_a_time():
-    # both radii share each quadrature level's excess_at call and still
-    # get the bits of their own one-radius calls; iso critical n = 8 at
-    # beta = 2.7 is a case where Newton overshoots its bracket by an ulp
+    # both radii share one table and one Newton solve and still get the
+    # bits of their own one-radius calls
     rng = np.random.default_rng(99)
     cases = [admissible_point(rng, n) for n in range(3, 13)]
     spec8 = phasepoly.PhaseSpec(8, 3 * math.pi)
     cases.append((spec8, weights.iso_point(spec8)))
     for spec, a in cases:
-        pf = radial.partial_fractions(oracles.profile(spec, a), 2.7)
+        pf = radial.first_integral(oracles.profile(spec, a), 2.7)
         one_at_a_time = (radial.tail_integral(pf, (1.0,))
                          + radial.tail_integral(pf, (10.0,)))
         assert radial.tail_integral(pf, (1.0, 10.0)) == one_at_a_time
@@ -337,7 +334,7 @@ def test_decay_fit_iso_recovers_dimension():
         theta = 0.85 * n * math.pi / 2
         spec = phasepoly.PhaseSpec(n, theta)
         prof = oracles.profile(spec, weights.iso_point(spec))
-        pf = radial.partial_fractions(prof, 2.0)
+        pf = radial.first_integral(prof, 2.0)
         sol = radial.solve_profile(pf, route="numeric")
         m_est, _amp = radial.decay_fit(sol)
         assert m_est == pytest.approx(n, rel=2e-2)
@@ -362,7 +359,7 @@ def test_decay_fit_window_on_positive_tail():
     # last decade of the radii whose excess is positive
     spec = phasepoly.PhaseSpec(36, 17 * math.pi)
     prof = oracles.profile(spec, weights.iso_point(spec))
-    pf = radial.partial_fractions(prof, 2.0)
+    pf = radial.first_integral(prof, 2.0)
     sol = radial.solve_profile(pf, r_max=1e30, route="implicit")
     assert sol.excess[-1] == 0.0
     m_est, _amp = radial.decay_fit(sol)
@@ -379,11 +376,13 @@ def test_decay_fit_window_on_positive_tail():
 # ------------------------------------------------------------- oracles
 #
 # The routes run on precomputed Python-float data.  The oracles below are
-# the plain formulas: numpy-scalar residues and coefficient arrays, with
-# every constant recomputed on each call, solved by scipy's brentq,
-# DOP853 and quad.  Where the arithmetic is the same (log B, the slope,
-# the integrator under a polyval right-hand side) the comparison is exact;
-# against scipy's solvers it is to a tolerance.
+# the plain formulas on numpy Polynomials (den and num composed with 1 + x
+# in numpy's polynomial arithmetic, not by pf's synthetic division), with
+# every constant recomputed on each call, integrated by one Gauss-Legendre
+# rule over the whole range and solved by scipy's brentq, DOP853 and quad.
+# Where the arithmetic is the same (the slope, the integrator under a
+# polyval right-hand side) the comparison is exact; against scipy's
+# solvers it is to a tolerance.
 
 # iso (n, theta, beta) whose eigenvalues, or whose beta, are large
 LARGE_EIGENVALUE_CASES = [(8, 11.0, 2.0), (12, 17.0, 2.0), (20, 30.0, 2.0),
@@ -413,30 +412,59 @@ def admissible_point(rng, n):
             return spec, a
 
 
-def oracle_log_b(pf, nu):
-    total = 0.0
-    for root, k in zip(pf.roots[:-1], pf.weights[:-1]):
-        total += pf.prof.m * k * math.log(nu - root)
-    return total
+def oracle_polynomials(pf):
+    """(D, N, E) as numpy Polynomials in x = nu - 1: den(1 + x) less its
+    constant term over x, num(1 + x), and (m N - D)/x less its constant
+    term, by numpy's composition with 1 + x."""
+    shift = Polynomial([1.0, 1.0])
+    d = Polynomial(Polynomial(pf.den)(shift).coef[1:])
+    n = Polynomial(pf.num)(shift)
+    return d, n, Polynomial((pf.prof.m * n - d).coef[1:])
 
 
+def oracle_log_r(pf, beta, u):
+    """m log r at u = log(psi - 1): log(beta - 1) - u plus the integral of
+    x E/D over [u, log(beta - 1)], by numpy's 20-point Gauss-Legendre rule
+    on pieces of width at most 2.  Below 200 under log(beta - 1) the
+    integrand is below e^-190 and dropped."""
+    d, _n, e = oracle_polynomials(pf)
+    top = math.log(beta - 1.0)
+    low = max(u, top - 200.0)
+    pieces = max(1, math.ceil((top - low) / 2.0))
+    h = (top - low) / pieces
+    nodes, weights_ = np.polynomial.legendre.leggauss(20)
+    x = np.exp(low + h * (np.arange(pieces)[:, None] + 0.5 * (1.0 + nodes)))
+    return top - u + 0.5 * h * float(np.sum(x * e(x) / d(x) * weights_))
 def oracle_excess(pf, beta, r):
+    """psi(r) - 1 by brentq on oracle_log_r(u) = m log r."""
     if beta == 1.0:
         return 0.0
-    target = math.log(beta - 1.0) + oracle_log_b(pf, beta) \
-        - pf.prof.m * math.log(r)
-    u_hi = math.log(beta - 1.0)
     if r == 1.0:
         return beta - 1.0
-
-    def gap(u):
-        return u + oracle_log_b(pf, 1.0 + math.exp(u)) - target
-
-    u_lo = min(target - oracle_log_b(pf, 1.0), u_hi - 1.0)
-    while gap(u_lo) > 0.0:
+    target = pf.prof.m * math.log(r)
+    u_hi = math.log(beta - 1.0)
+    u_lo = u_hi - target
+    while oracle_log_r(pf, beta, u_lo) < target:
         u_lo -= 2.0
-    return math.exp(brentq(gap, u_lo, u_hi, xtol=1e-14,
+    return math.exp(brentq(lambda u: oracle_log_r(pf, beta, u) - target,
+                           u_lo, u_hi, xtol=1e-14,
                            rtol=4 * np.finfo(float).eps))
+
+
+def oracle_mu(pf, beta, R):
+    """int_R^inf tau (psi - 1) dtau = int r(u)^2 (N/D)(x) x du over u up to
+    log(psi(R) - 1), by quad over oracle_log_r: no cutoff."""
+    d, n, _e = oracle_polynomials(pf)
+    m = pf.prof.m
+
+    def integrand(u):
+        x = math.exp(u)
+        return math.exp(2.0 * oracle_log_r(pf, beta, u) / m + u) * n(x) / d(x)
+
+    value, _err = quad(integrand, -math.inf,
+                       math.log(oracle_excess(pf, beta, R)),
+                       epsabs=0.0, epsrel=1e-12, limit=200)
+    return value
 
 
 def oracle_rhs(spec, a):
@@ -472,23 +500,13 @@ def oracle_dop853(spec, a, beta):
     return np.exp(sol.y[0])
 
 
-def oracle_excess_integral(pf, beta, r_lo, r_hi):
-    """int_{r_lo}^{r_hi} tau * excess by quad over the brentq oracle."""
-    def integrand(s):
-        return math.exp(2.0 * s) * oracle_excess(pf, beta, math.exp(s))
-
-    body, _err = quad(integrand, math.log(r_lo), math.log(r_hi),
-                      epsabs=1e-14, epsrel=1e-12, limit=400)
-    return body
-
-
 def test_implicit_excess_matches_brentq_oracle():
     rng = np.random.default_rng(91)
-    radii = np.concatenate(([1.0, 1.0 + 1e-12], np.geomspace(1.001, 1e5, 12),
-                            rng.uniform(1.0, 1e5, 4)))
+    radii = np.concatenate(([1.0, 1.0 + 1e-12], np.geomspace(1.001, 1e5, 6),
+                            rng.uniform(1.0, 1e5, 2)))
     for n in range(3, 13):
         spec, a = admissible_point(rng, n)
-        pf = radial.partial_fractions(oracles.profile(spec, a), 2.0)
+        pf = radial.first_integral(oracles.profile(spec, a), 2.0)
         for beta in (1.0, 1.01, 2.0, float(rng.uniform(1.5, 50.0)), 900.0):
             pf = replace(pf, beta=beta)
             got = pf.excess_at(radii)
@@ -498,15 +516,13 @@ def test_implicit_excess_matches_brentq_oracle():
                 if r == 1.0 or beta == 1.0:
                     assert value == expect, (n, beta, r)
                 else:
-                    assert abs(value - expect) <= 1e-13 * expect, (n, beta, r)
+                    assert abs(value - expect) <= 1e-12 * expect, (n, beta, r)
                 # one radius alone gives the same bits as in the batch
                 assert float(pf.excess_at(r)) == value
-    # the bit check alone at 16 or more sub-unit terms, where numpy sums
-    # one radius's column pairwise, not in term order
+    # the bit check alone at higher degree
     for n in (18, 24):
         spec, a = admissible_point(rng, n)
-        pf = radial.partial_fractions(oracles.profile(spec, a), 2.0)
-        assert pf.roots.size - 1 >= 16
+        pf = radial.first_integral(oracles.profile(spec, a), 2.0)
         for beta in (1.01, 2.0, 900.0):
             pf = replace(pf, beta=beta)
             got = pf.excess_at(radii)
@@ -514,45 +530,43 @@ def test_implicit_excess_matches_brentq_oracle():
                 assert float(pf.excess_at(r)) == value, (n, beta, r)
 
 
-def crafted_analysis(roots, mks, beta, m=3.0):
-    """A PartialFractions with hand-made sub-unit terms (root_j, m K_j),
-    on the closed case's profile with its exponent set to m."""
-    return radial.PartialFractions(
-        prof=replace(PF3_PROFILE, m=m), roots=np.array(list(roots) + [1.0]),
-        weights=np.array([k / m for k in mks] + [1.0 / m]),
-        num=(1.0,), den=(1.0,), beta=beta)
-
-
 def test_excess_at_safeguards_newton():
-    # residues of both signs: F' is about 1 on both sides of a steep middle,
-    # where plain Newton from log(beta - 1) overshoots and never settles;
-    # and a nearly flat F (F' down to 0.01), where Newton cycles between
-    # two floats at rounding level (so the tolerance is wider)
-    cases = [(crafted_analysis([0.9, 1.0 - 1e-4], [-20.0, 20.0], 1.5),
-              (1.5, 10.0, 1e3), np.geomspace(1.0, 1e8, 200), 1e-13),
-             (crafted_analysis([0.99], [-0.99], 1.5), (1.5,),
-              np.geomspace(1.0, 1e6, 60), 1e-11)]
-    for pf, betas, radii, tol in cases:
-        for beta in betas:
-            got = replace(pf, beta=beta).excess_at(radii)
+    # Newton starts from the secant between the two knots of the table
+    # that bracket log r, and every step is kept between them: at radii on
+    # the knots, where the root is an end of its bracket, and just inside
+    # them, the excess is the oracle's
+    rng = np.random.default_rng(90)
+    for n in (3, 5, 8, 12):
+        spec, a = admissible_point(rng, n)
+        for beta in (1.01, 2.0, 1e3):
+            pf = radial.first_integral(oracles.profile(spec, a), beta)
+            on_knots = np.exp(pf._knot_log_r[5::97])
+            radii = np.concatenate((on_knots, on_knots * (1.0 + 1e-9)))
+            got = pf.excess_at(radii)
             for r, value in zip(radii.tolist(), got.tolist()):
                 expect = oracle_excess(pf, beta, r)
-                assert abs(value - expect) <= tol * expect, (beta, r)
+                assert abs(value - expect) <= 1e-12 * expect, (n, beta, r)
 
 
-def test_excess_at_stops_on_newton_overshoot_by_an_ulp(monkeypatch):
-    # iso critical n = 8, beta = 2.7: at r = 177.83 the bracket's lower end
-    # is the root to an ulp and Newton proposes one ulp below it; bisecting
-    # from the upper end instead took 38 more steps for the whole batch
-    monkeypatch.setattr(radial, "_NEWTON_CAP", 15)
+def test_excess_at_stops_on_newton_overshoot_by_an_ulp():
+    # at a radius on a knot of the table the root is an end of its
+    # bracket, and a Newton step may propose a point an ulp past it: the
+    # step is kept on the bracket, which counts as converged, and the
+    # excess is the knot's own to rounding
     spec = phasepoly.PhaseSpec(8, 3 * math.pi)
-    prof = oracles.profile(spec, weights.iso_point(spec))
-    pf = radial.partial_fractions(prof, 2.7)
-    radii = np.geomspace(1.0, 1e4, 241)
-    got = pf.excess_at(radii)
-    for r, value in zip(radii.tolist(), got.tolist()):
-        expect = oracle_excess(pf, 2.7, r)
-        assert abs(value - expect) <= 1e-13 * expect, r
+    pf = radial.first_integral(
+        oracles.profile(spec, weights.iso_point(spec)), 2.7)
+    got = pf.excess_at(np.exp(pf._knot_log_r))
+    assert np.allclose(got, np.exp(pf._knots), rtol=1e-13, atol=0.0)
+
+
+def test_excess_at_raises_when_newton_has_not_converged(monkeypatch):
+    # from the secant start two steps reach the root to rounding; one step
+    # leaves the last move above 1e-10 max(1, |u|), which is reported
+    monkeypatch.setattr(radial, "_NEWTON_STEPS", 1)
+    with pytest.raises(RuntimeError, match="implicit Newton iteration did "
+                                           "not converge"):
+        PF3.excess_at(np.geomspace(1.0, 1e4, 241))
 
 
 def test_excess_at_validates_radii():
@@ -565,8 +579,7 @@ def test_excess_at_validates_radii():
 
 
 def test_excess_at_batch_invariant_across_the_reduction_switch():
-    # the terms are summed by np.add.reduce over two or more radii and by a
-    # row loop for one; a radius alone gets the same bits as inside
+    # no operation mixes radii: a radius alone gets the same bits as inside
     # batches of 2, 24, 241 and 1,033 radii, on iso and random points
     rng = np.random.default_rng(94)
     cases = []
@@ -575,7 +588,7 @@ def test_excess_at_batch_invariant_across_the_reduction_switch():
         cases.append((spec, weights.iso_point(spec)))
         cases.append(admissible_point(rng, n))
     for spec, a in cases:
-        pf = radial.partial_fractions(oracles.profile(spec, a),
+        pf = radial.first_integral(oracles.profile(spec, a),
                                       float(rng.uniform(1.5, 50.0)))
         batch = np.concatenate(([1.0, 1.0 + 1e-12],
                                 np.geomspace(1.0, 1e6, 1031)))
@@ -587,84 +600,6 @@ def test_excess_at_batch_invariant_across_the_reduction_switch():
                                   whole[start:start + size]), (spec.n, size)
         for i in rng.choice(batch.size, 12, replace=False).tolist():
             assert float(pf.excess_at(batch[i])) == whole[i], (spec.n, i)
-
-
-def levelwise_excess_integral(pf, r_lo, r_hi):
-    """(value, panels) of the excess quadrature with one excess_at call
-    per level: the reference that the shared first call must reproduce."""
-    s_lo = math.log(r_lo)
-    width = math.log(r_hi) - s_lo
-    prev = None
-    panels = radial._GL_PANELS
-    while panels <= radial._GL_MAX_PANELS:
-        h = width / panels
-        nodes = ((s_lo + h * np.arange(panels))[:, None]
-                 + (0.5 * h) * (1.0 + radial._GL_X)).ravel()
-        tau = np.exp(nodes)
-        w = np.tile(radial._GL_W, panels)
-        est = 0.5 * h * float(np.dot(w, tau * tau * pf.excess_at(tau)))
-        if prev is not None and abs(est - prev) <= max(
-                radial._QUAD_EPSABS, radial._QUAD_EPSREL * abs(est)):
-            return est, panels
-        prev = est
-        panels *= 2
-    raise AssertionError("no convergence")
-
-
-def test_tail_integral_first_two_levels_share_one_call(monkeypatch):
-    # the 8- and 16-panel nodes of both radii go into one excess_at call,
-    # and each doubling after that takes one more; each value keeps the
-    # bits of its interval integrated alone and of the level-by-level loop
-    rng = np.random.default_rng(95)
-    sizes = []
-    solve = radial.PartialFractions.excess_at
-
-    def counted(self, r):
-        sizes.append(np.size(r))
-        return solve(self, r)
-
-    monkeypatch.setattr(radial.PartialFractions, "excess_at", counted)
-    for n in range(3, 13):
-        spec, a = admissible_point(rng, n)
-        for beta in (1.5, 2.7, 100.0):
-            pf = radial.partial_fractions(oracles.profile(spec, a), beta)
-            for R in (1.0, 10.0, 1e3):
-                radii = (R, 10.0 * R)
-                del sizes[:]
-                got = radial.tail_integral(pf, radii)
-                calls = len(sizes)
-                # 8 + 16 panels of 16 nodes for each radius in the first
-                assert sizes[0] == 2 * 16 * (8 + 16)
-                finest = 16
-                for r, value in zip(radii, got):
-                    assert radial.tail_integral(pf, (r,)) == (value,)
-                    cut = max(1.0e3, 1.0e2 * r)
-                    body, panels = levelwise_excess_integral(pf, r, cut)
-                    finest = max(finest, panels)
-                    assert value == body + (radial.tail_amplitude(pf)
-                                            * cut ** (2.0 - pf.prof.m)
-                                            / (pf.prof.m - 2.0)), (n, beta, r)
-                # one call when both converge at 16 panels
-                assert calls == 1 + int(math.log2(finest // 16)), (n, beta)
-
-
-def test_excess_quadrature_gives_up_at_the_panel_cap(monkeypatch):
-    # an integrand that never settles runs every level up to
-    # _GL_MAX_PANELS, then raises
-    noise = np.random.default_rng(96)
-    sizes = []
-
-    def erratic(self, r):
-        sizes.append(np.size(r))
-        return noise.uniform(0.5, 1.5, np.shape(r))
-
-    monkeypatch.setattr(radial.PartialFractions, "excess_at", erratic)
-    with pytest.raises(RuntimeError, match="excess quadrature did not "
-                                           "converge"):
-        radial.tail_integral(PF3, (1.0, 10.0))
-    levels = [16 * 8 * 2 ** k for k in range(10)]
-    assert levels[-1] == 16 * radial._GL_MAX_PANELS
-    assert sizes == [2 * (levels[0] + levels[1])] + [2 * p for p in levels[2:]]
 
 
 # a level point of theta + offset, |offset| up to and just past LEVEL_TOL
@@ -687,12 +622,12 @@ def test_partial_fractions_accepts_what_classify_admits(kind, n, u, split,
                                                         offset, reflect,
                                                         beta):
     # the classifier and the solver agree on range: every point classify
-    # calls admissible or slow_decay gives a PartialFractions from its
+    # calls admissible or slow_decay gives a FirstIntegral from its
     # profile, at critical and supercritical theta, on all-negative data,
-    # with a phase error up to LEVEL_TOL and beta in [1, 1e3].  The root
-    # and residue checks allow the shift of the root 1 that the phase
-    # error makes; what classify calls "outside" fails decay_exponent's
-    # level check and has no profile
+    # with a phase error up to LEVEL_TOL and beta in [1, 1e3].  The sign
+    # test and the residue check read the pair shifted to 1 with den(1)
+    # dropped, so the phase error does not reach them; what classify calls
+    # "outside" fails decay_exponent's level check and has no profile
     if kind == "eps":
         # slow_decay past the family's crossing near eps = 0.2068
         n, theta = 5, 5 * math.pi / 3
@@ -729,18 +664,17 @@ def test_partial_fractions_accepts_what_classify_admits(kind, n, u, split,
             weights.decay_exponent(phasepoly.PhaseSpec(n, theta),
                                    np.abs(a))
         return
-    pf = radial.partial_fractions(adm.profile, beta)
+    pf = radial.first_integral(adm.profile, beta)
     assert pf.prof is adm.profile
     assert pf.prof.m == adm.m and pf.beta == beta
-    assert pf.prof.spec.theta == theta and pf.roots[-1] == 1.0
+    assert pf.prof.spec.theta == theta
     assert pf.prof.a.tobytes() == np.sort(np.abs(a)).tobytes()
 
 
 def test_level_edge_points_solve(tmp_path):
     # level points |H - theta| = 9e-11 from theta = pi that classify
-    # admits; a root check of 1e-9 in t and a residue check of 1e-10
-    # without the level tolerance's shift reject them (the residue at
-    # b = 10, the root at b = 100 and 1000)
+    # admits, whose root 1 moves by up to 2.3e-8: the checks read the pair
+    # shifted to 1 with den(1) dropped, so they pass
     for a in ("10.0,10.0,0.20202020211387478",
               "100.0,100.0,0.02000200010998367",
               "1000.0,1000.0,0.002000002090002129"):
@@ -757,28 +691,32 @@ EDGE_SPEC = phasepoly.PhaseSpec(3, math.pi)
 EDGE_A = np.array([0.002000002090002129, 1000.0, 1000.0])
 
 
-def test_root_check_scales_with_the_measured_phase_error():
+def test_root_check_rejects_a_ray_root_above_one(monkeypatch):
+    # off the level set the shift drops den(1), so the level edge point,
+    # whose root 1 moves by 2.3e-8, passes the sign test; a ray polynomial
+    # with a root above 1, or a double root at 1 (a shifted coefficient at
+    # 0), fails it
     prof = oracles.profile(EDGE_SPEC, EDGE_A)
-    assert prof.level_error > 8e-11
-    pf = radial.partial_fractions(prof, 2.0)
-    assert pf.roots[-1] == 1.0
-    # the same root with a phase error read as 0 is 2.3e-8 from 1, past
-    # the 1e-9 that an exact level point gets
-    with pytest.raises(ValueError, match="root certification failed"):
-        radial.partial_fractions(replace(prof, level_error=0.0), 2.0)
+    assert abs(phasepoly.phase(EDGE_A) - math.pi) > 8e-11
+    assert radial.first_integral(prof, 2.0).prof is prof
+    num = radial._slope_pair(PF3_PROFILE)[0]
+    for den in ([1.2, -2.2, 1.0], [1.0, -2.0, 1.0]):
+        monkeypatch.setattr(radial, "_slope_pair",
+                            lambda prof, den=den: (num, np.array(den)))
+        with pytest.raises(ValueError, match="root certification failed"):
+            radial.first_integral(PF3_PROFILE, 2.0)
 
 
 @pytest.mark.parametrize("a, scale", [
-    # an exact level point keeps the 1e-10 bound: a residue 1e-8/m off
-    # fails, though a bound from LEVEL_TOL alone would be 1.5e-7/m
+    # an exact level point and the level edge point: m and D(0)/N(0) are
+    # both den'(1)/num(1), so they agree to rounding whatever the phase
+    # error; num off by 1e-8 or 1e-6 moves the residue past the bound 1e-10
     (weights.complete_to_phase([1000.0, 1000.0], EDGE_SPEC), 1e-8),
-    # the edge point allows 1.4e-7/m for its phase error 9e-11, not 1e-6/m
     (EDGE_A, 1e-6),
 ])
-def test_residue_check_scales_with_the_measured_phase_error(monkeypatch, a,
-                                                            scale):
-    pf = radial.partial_fractions(oracles.profile(EDGE_SPEC, a), 2.0)
-    assert abs(pf.weights[-1] * pf.prof.m - 1.0) < scale / 10
+def test_residue_check_bounds_the_shift_rounding(monkeypatch, a, scale):
+    pf = radial.first_integral(oracles.profile(EDGE_SPEC, a), 2.0)
+    assert abs(pf.n_coeffs[0] * pf.prof.m / pf.d_coeffs[0] - 1.0) < 1e-13
     slope_pair = radial._slope_pair
 
     def off_by_scale(prof):
@@ -787,23 +725,20 @@ def test_residue_check_scales_with_the_measured_phase_error(monkeypatch, a,
 
     monkeypatch.setattr(radial, "_slope_pair", off_by_scale)
     with pytest.raises(ValueError, match="residue at 1 disagrees"):
-        radial.partial_fractions(oracles.profile(EDGE_SPEC, a), 2.0)
+        radial.first_integral(oracles.profile(EDGE_SPEC, a), 2.0)
 
 
-def test_log_b_terms_and_slope_bit_identical():
+def test_tail_amplitude_and_slope_bit_identical():
+    # C is exp(log C), and the slope polyval's -den/num
     rng = np.random.default_rng(92)
     for n in range(3, 13):
         spec, a = admissible_point(rng, n)
         prof = oracles.profile(spec, a)
-        pf = radial.partial_fractions(prof, 2.0)
+        pf = radial.first_integral(prof, 2.0)
         num, den = radial._slope_pair(prof)
         for nu in (1.0, 1.0 + 1e-13, 1.7, 42.0, 1e6):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # 1e6
-                pf = replace(pf, beta=nu)
-            assert radial.tail_amplitude(pf) == \
-                (nu - 1.0) * math.exp(oracle_log_b(pf, nu)
-                                      - oracle_log_b(pf, 1.0))
+            pf = replace(pf, beta=nu)
+            assert radial.tail_amplitude(pf) == math.exp(pf.log_amplitude)
             assert pf.slope(nu) == \
                 -float(npoly.polyval(nu, den)) / float(npoly.polyval(nu, num))
 
@@ -819,7 +754,7 @@ def test_numeric_route_bit_identical_to_polyval_rhs():
         expect = np.exp(radial._dormand_prince(
             oracle_rhs(spec, a), math.log(beta - 1.0), np.log(rs).tolist(),
             1e-12, 0.1 * 1e-12))
-        pf = radial.partial_fractions(oracles.profile(spec, a), beta)
+        pf = radial.first_integral(oracles.profile(spec, a), beta)
         sol = radial.solve_profile(pf, route="numeric")
         assert np.array_equal(sol.excess, expect)
         scipy_excess = oracle_dop853(spec, a, beta)
@@ -828,41 +763,36 @@ def test_numeric_route_bit_identical_to_polyval_rhs():
 
 
 def test_excess_integrals_match_quad_oracle():
+    # mu at R = 1 and 10 against quad over the oracle's log r, with no
+    # cutoff in r; the radial value against mu(gamma) - mu(r)
     rng = np.random.default_rng(97)
     for n in (3, 5, 8, 12):
         spec, a = admissible_point(rng, n)
         beta = float(rng.uniform(1.5, 4.0))
-        pf = radial.partial_fractions(oracles.profile(spec, a), beta)
+        pf = radial.first_integral(oracles.profile(spec, a), beta)
         for R in (1.0, 10.0):
-            r_cut = max(1.0e3, 1.0e2 * R)
-            tail = radial.tail_amplitude(pf) * r_cut ** (2.0 - pf.prof.m) \
-                / (pf.prof.m - 2.0)
-            expect = oracle_excess_integral(pf, beta, R, r_cut) + tail
+            expect = oracle_mu(pf, beta, R)
             got = radial.tail_integral(pf, (R,))[0]
             assert abs(got - expect) <= 1e-10 * abs(expect), (n, R)
+        mu_gamma = oracle_mu(pf, beta, 1.3)
         for r in (1.3 + 1e-9, 2.0, 40.0):
             quadratic = 0.5 + 0.5 * (r * r - 1.3 ** 2)
-            expect = quadratic + oracle_excess_integral(pf, beta, 1.3, r)
+            expect = quadratic + mu_gamma - oracle_mu(pf, beta, r)
             got = oracles.radial_value(pf, 0.5, 1.3, r)
             assert abs(got - expect) <= 1e-10 * abs(expect), (n, r)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="at beta = 1e6 the profile is not yet C r^-m at "
-                   "the fixed cutoff 1e3 (ROADMAP, the mu item)")
 def test_tail_integral_at_beta_1e6_matches_a_far_cutoff():
-    # solve --family iso --n 12 --theta 16.008 --beta 1e6 passes with
-    # mu = 7.69e39; integrated to r = 1e9 the value is 4.414e11.  When the
-    # cutoff is mended this test passes, and strict mode fails the run
-    # until the mark comes off.
+    # solve --family iso --n 12 --theta 16.008 --beta 1e6 reported
+    # mu = 7.69e39 when the tail integral stopped at the fixed cutoff
+    # r = 1e3; the iso first integral gives 4.41376503e11
     spec = phasepoly.PhaseSpec(12, 16.008)
-    with pytest.warns(RuntimeWarning, match="beta above 1e3"):
-        pf = radial.partial_fractions(
-            oracles.profile(spec, weights.iso_point(spec)), 1.0e6)
-    far = 1.0e9
-    expect = (radial._excess_integrals(pf, ((1.0, far),))[0]
-              + radial.tail_amplitude(pf) * far ** (2.0 - pf.prof.m)
-              / (pf.prof.m - 2.0))
+    a = weights.iso_point(spec)
+    pf = radial.first_integral(oracles.profile(spec, a), 1.0e6)
+    _excess, mu, _log_amp = oracles.iso_first_integral(12, float(a[0]), 1e6,
+                                                       dps=30)
+    expect = float(mu(1.0))
+    assert expect == pytest.approx(4.41376503e11, rel=1e-8)
     got = radial.tail_integral(pf, (1.0,))[0]
     assert abs(got - expect) <= 1e-6 * abs(expect)
 
@@ -875,19 +805,18 @@ def test_route_gap_within_1e_10(n, theta, beta):
     # far inside acceptance criterion 5's 1e-8
     spec = phasepoly.PhaseSpec(n, theta)
     a = weights.iso_point(spec)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # beta above 1e3
-        pf = radial.partial_fractions(oracles.profile(spec, a), beta)
+    pf = radial.first_integral(oracles.profile(spec, a), beta)
     sn = radial.solve_profile(pf, route="numeric")
     si = radial.solve_profile(pf, route="implicit")
     assert np.max(np.abs(sn.psi - si.psi)) <= 1e-10
 
 
 @pytest.mark.parametrize("kind", ["critical", "supercritical"])
-@pytest.mark.parametrize("n", list(range(3, 65)))
+@pytest.mark.parametrize("n", list(range(3, 65)) + [72, 80, 100, 120])
 def test_iso_solve_passes_up_to_dimension_64(tmp_path, n, kind):
     # regression cases: critical n = 37 and n = 39, where companion-matrix
-    # roots failed certification
+    # roots failed certification, and n = 72 to 120, where the residue
+    # route parted from the numeric one by 1.9e-8 to 1e8
     theta = "critical" if kind == "critical" else repr((n - 1) * math.pi / 2)
     path = tmp_path / "solve.json"
     code = cli.main(["solve", "--family", "iso", "--n", str(n),
@@ -898,14 +827,14 @@ def test_iso_solve_passes_up_to_dimension_64(tmp_path, n, kind):
 
 
 def test_route_gap_random_points_up_to_dimension_32():
-    # random level points (not iso) keep criterion 5's 1e-8 up to n = 56,
-    # with the residue denominators den'(t_k) in closed form; evaluated in
-    # the monomial basis they lost it past n = 32 (0.29 at n = 64)
+    # random level points (not iso) keep criterion 5's 1e-8 up to
+    # n = 120 on the first integral; the residue route kept it to n = 56
+    # only, and was off by 1.1e8 at n = 120
     rng = np.random.default_rng(2032)
-    for n in (16, 20, 24, 28, 32, 40, 48, 56):
+    for n in (16, 20, 24, 28, 32, 40, 48, 56, 64, 120):
         for _ in range(2):
             spec, a = admissible_point(rng, n)
-            pf = radial.partial_fractions(oracles.profile(spec, a), 2.0)
+            pf = radial.first_integral(oracles.profile(spec, a), 2.0)
             sn = radial.solve_profile(pf, route="numeric")
             si = radial.solve_profile(pf, route="implicit")
             assert np.max(np.abs(sn.psi - si.psi)) <= 1e-8, (n, spec.theta)
@@ -938,14 +867,19 @@ def iso_problem(n, kind, beta=2.0):
     theta = (n - 2 if kind == "critical" else n - 1) * math.pi / 2
     spec = phasepoly.PhaseSpec(n, theta)
     a = weights.iso_point(spec)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # beta above 1e3
-        return a, radial.partial_fractions(oracles.profile(spec, a), beta)
+    return a, radial.first_integral(oracles.profile(spec, a), beta)
 
 
 def assert_iso_route_matches_the_oracle(n, kind, route, rtol):
     # every 24th sample radius; where the exact excess leaves the normal
     # float range the route's excess must be below it too
+    if (n, kind) == (150, "supercritical"):
+        # the ray polynomial of degree 150 shifted to 1 overflows (ROADMAP
+        # item 6, the supported dimension)
+        with pytest.raises(ValueError, match="ray polynomial shifted to 1 "
+                                             "leaves the float range"):
+            iso_problem(n, kind)
+        return
     a, pf = iso_problem(n, kind)
     sol = radial.solve_profile(pf, route=route)
     excess, _mu, _log_amp = oracles.iso_first_integral(n, float(a[0]), 2.0)
@@ -960,47 +894,27 @@ def assert_iso_route_matches_the_oracle(n, kind, route, rtol):
 @pytest.mark.parametrize("kind", ["critical", "supercritical"])
 @pytest.mark.parametrize("n", ISO_ORACLE_DIMENSIONS)
 def test_iso_numeric_route_matches_the_first_integral(n, kind):
-    if (n, kind) == (150, "supercritical"):
-        # the Taylor-shifted ray polynomial of degree 150 overflows on the
-        # way (ROADMAP item 6, the supported dimension)
-        with pytest.raises(RuntimeError, match="integration failed"):
-            assert_iso_route_matches_the_oracle(n, kind, "numeric", 1e-10)
-        return
     assert_iso_route_matches_the_oracle(n, kind, "numeric", 1e-10)
 
 
-IMPLICIT_DEFECT = pytest.mark.xfail(
-    strict=True, raises=(AssertionError, ValueError, RuntimeError),
-    reason="the residue route loses accuracy with the dimension (ROADMAP "
-    "item 2, the root-free first integral)")
-
-
 @pytest.mark.parametrize("kind", ["critical", "supercritical"])
-@pytest.mark.parametrize("n", [
-    pytest.param(n, marks=IMPLICIT_DEFECT) if n >= 64 else n
-    for n in ISO_ORACLE_DIMENSIONS])
+@pytest.mark.parametrize("n", ISO_ORACLE_DIMENSIONS)
 def test_iso_implicit_route_matches_the_first_integral(n, kind):
     assert_iso_route_matches_the_oracle(n, kind, "implicit", 1e-10)
 
 
-MU_DEFECT = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="the tail integral's fixed cutoff misses a large beta (ROADMAP "
-    "item 2, the root-free first integral)")
-
-
 @pytest.mark.parametrize("n, theta, beta", [
-    pytest.param(n, theta, beta, marks=MU_DEFECT)
-    if beta >= 1e3 else (n, theta, beta)
+    (n, theta, beta)
     for n, theta in ((3, math.pi / 2), (5, 3 * math.pi / 2), (12, 16.008))
     for beta in (2.0, 1e3, 1e6)])
 def test_mu_matches_the_first_integral(n, theta, beta):
-    # mu at gamma = 1 and at 10 gamma, as solve reports them
+    # mu at gamma = 1 and at 10 gamma, as solve reports them.  At the
+    # critical angle and beta = 1e6 the two differ by up to 3.4e-11: the
+    # oracle's theta = n arctan(t) leaves a top coefficient of 1e-17 that
+    # the program's snapped critical coefficients set to 0
     spec = phasepoly.PhaseSpec(n, theta)
     a = weights.iso_point(spec)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # beta above 1e3
-        pf = radial.partial_fractions(oracles.profile(spec, a), beta)
+    pf = radial.first_integral(oracles.profile(spec, a), beta)
     _excess, mu, _log_amp = oracles.iso_first_integral(n, float(a[0]), beta,
                                                        dps=30)
     for R, got in zip((1.0, 10.0), radial.tail_integral(pf, (1.0, 10.0))):
@@ -1009,11 +923,10 @@ def test_mu_matches_the_first_integral(n, theta, beta):
 
 
 @pytest.mark.parametrize("kind", ["critical", "supercritical"])
-@pytest.mark.parametrize("n", [3, 5, 12, 32,
-                               pytest.param(64, marks=IMPLICIT_DEFECT)])
+@pytest.mark.parametrize("n", [3, 5, 12, 32, 64, 100, 130])
 def test_log_amplitude_matches_the_exact_iso_value(n, kind):
     # log C, C the limit of (psi - 1) r^n, against log Q(beta - 1) - log c_1
     a, pf = iso_problem(n, kind)
     _excess, _mu, log_amp = oracles.iso_first_integral(n, float(a[0]), 2.0)
-    assert abs(math.log(radial.tail_amplitude(pf)) - float(log_amp)) \
+    assert abs(pf.log_amplitude - float(log_amp)) \
         <= 1e-11 * max(1.0, abs(float(log_amp)))

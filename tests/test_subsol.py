@@ -1,7 +1,6 @@
 """Tests for generalized radially symmetric functions and verification."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +14,9 @@ A3 = np.full(3, 1.0 / SQRT3)
 
 
 def candidate(a, theta, beta=2.0):
-    """The problem (theta, a) at beta, as radial.partial_fractions binds
+    """The problem (theta, a) at beta, as radial.first_integral binds
     it: the one input of verify_subsolution besides gamma and the shells."""
-    return radial.partial_fractions(
+    return radial.first_integral(
         oracles.profile(phasepoly.PhaseSpec(len(a), theta), a), beta)
 
 
@@ -38,9 +37,9 @@ def test_subsolution_spec_validation():
                             np.array([1.0, 2.0, 3.0])).profile is None
     prof = oracles.profile(phasepoly.PhaseSpec(3, math.pi / 2), A3)
     with pytest.raises(ValueError, match="beta must be at least 1"):
-        radial.partial_fractions(prof, 0.5)
+        radial.first_integral(prof, 0.5)
     with pytest.raises(ValueError, match="beta must be finite"):
-        radial.partial_fractions(prof, float("nan"))
+        radial.first_integral(prof, float("nan"))
     # slow decay: classify does not admit it, and its tail integral, which
     # the candidate's constant needs, diverges
     eps = weights.epsilon_family(math.pi / 12)
@@ -48,6 +47,14 @@ def test_subsolution_spec_validation():
     assert adm.klass == "slow_decay"
     with pytest.raises(ValueError, match="integral may diverge"):
         radial.tail_integral(candidate(eps, 5 * math.pi / 3), (1.0,))
+
+
+@pytest.mark.parametrize("shells", [0, -2])
+def test_verify_subsolution_needs_a_shell(shells):
+    # a library call gets the solve command's message, not numpy's
+    with pytest.raises(ValueError, match="^the grid needs at least one "
+                                         "shell$"):
+        subsol.verify_subsolution(closed_pf(), 1.0, shells)
 
 
 def test_ellipsoid_radius():
@@ -246,9 +253,7 @@ def test_eigenvalue_convergence_rate_along_ray():
     (6, 7.0, 50.0)])
 def test_level_gate_is_scale_free(n, theta, beta):
     spec = phasepoly.PhaseSpec(n, theta)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        pf = candidate(weights.iso_point(spec), theta, beta=beta)
+    pf = candidate(weights.iso_point(spec), theta, beta=beta)
     rep = subsol.verify_subsolution(pf, 1.0, 120)
     assert rep.min_level_value < -1e-9  # raw value, reported unchanged
     assert rep.min_level_scaled >= -4.7e-13

@@ -252,7 +252,7 @@ def test_decay_exponent_range_on_level_samples():
 @pytest.mark.parametrize("n", range(3, 9))
 def test_subcritical_phase_rejected_like_ray_degree(n):
     # the range of PhaseSpec.ray_degree, which classify screens and
-    # partial_fractions enforces; the critical angle and the eps family's
+    # first_integral enforces; the critical angle and the eps family's
     # supercritical phase still give an exponent
     crit = (n - 2) * math.pi / 2
     for theta in (0.5 * crit if n > 2 else 0.5, crit - 0.05):
