@@ -21,16 +21,22 @@ Three subcommands:
             one problem object: first_integral holds it as pf.prof, and
             the grid takes only (pf, gamma, shells).
 
-One path through main serves every subcommand.  Its subparser records
-four things: the runner, which turns the parsed arguments into a report
-dict; the csv writer (none for solve, which emits JSON only); the summary,
-which gives the stderr lines; and the --format default.  main runs the
-runner, prints each warning it raised as "warning: <message>", writes the
-report, prints the summary and returns the exit code: 0 success, 1 check
-failure (including inadmissible input to solve), 2 invalid input (an --out
-path or a stdout that cannot be written, or a warning made an error by
-python -W error, included).  A subcommand accepts only the flags it
-reads, so argparse exits 2 on any other.
+One path through main serves every subcommand.  COMMANDS, one table,
+maps each to its runner, which turns the parsed flags into a report dict;
+its csv writer (none for solve, which emits JSON only); its summary, which
+gives the stderr lines; and its flags, --seed, --out and --format (with
+the command's default) common to all.  A flag maps to (dest, converter,
+default), --exact is a switch, and parse reads argv from the table
+alone: `--flag value` or `--flag=value`, the value the next token as given
+(so `--a -1,-2,-3` is a value), the last of a repeated flag winning, no
+abbreviations.  main runs the runner, prints each warning it raised as
+"warning: <message>", writes the report, prints the summary and returns
+the exit code: 0 success, 1 check failure (including inadmissible input to
+solve), 2 invalid input (a command line the table rejects, an --out path
+or a stdout that cannot be written, or a warning made an error by python
+-W error, included).  A rejected command line prints a usage line and the
+error to stderr; -h or --help prints the help built from the table to
+stdout and returns 0.  A subcommand accepts only the flags it reads.
 Identical configuration and seed produce byte-identical output; all
 numbers are emitted in shortest round-trip decimal form.  JSON reports go
 through a small recursive writer (_json_text) whose output is byte for
@@ -58,11 +64,7 @@ memoized, so a repeated (j, k, n) is a lookup.
 
 from __future__ import annotations
 
-import argparse
 import json
-# argparse's messages import locale (through gettext) on first use: a
-# one-time import, kept out of each command's run time
-import locale  # noqa: F401
 import math
 import operator
 import os
@@ -70,7 +72,8 @@ import sys
 import warnings
 from fractions import Fraction
 from itertools import chain
-from typing import Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 # numpy loads its random package lazily; verify's generator would pay that
@@ -443,7 +446,7 @@ def _newton_cases(vectors: list, scaled: list, rng, trials: int):
         yield ok, None if ok else {"lam": _floats(lam)}
 
 
-def _run_verify(args: argparse.Namespace) -> dict:
+def _run_verify(args: SimpleNamespace) -> dict:
     if args.seed < 0:
         raise ValueError("--seed must be a non-negative integer")
     trials = args.grid
@@ -509,7 +512,7 @@ def _closed_form_exponent(eps: float) -> float:
     return num / den
 
 
-def _run_scan(args: argparse.Namespace) -> dict:
+def _run_scan(args: SimpleNamespace) -> dict:
     grid_n = args.grid
     if grid_n < 2:
         raise ValueError("scan grid needs at least 2 points")
@@ -570,7 +573,7 @@ def _scan_summary(report: dict) -> list:
 
 # ------------------------------------------------------------------ solve
 
-def _resolve_vector(args: argparse.Namespace) -> tuple:
+def _resolve_vector(args: SimpleNamespace) -> tuple:
     family, a_text, theta, n = args.family, args.a, args.theta, args.n
     if (family is None) == (a_text is None):
         raise ValueError("provide exactly one of --a or --family")
@@ -608,7 +611,7 @@ def _parse_theta(text: str, n: int) -> float:
     return float(text)
 
 
-def _run_solve(args: argparse.Namespace) -> dict:
+def _run_solve(args: SimpleNamespace) -> dict:
     if args.fmt == "csv":
         raise ValueError("solve emits JSON only")
     # every flag is range-checked before the vector is read, so an invalid
@@ -626,8 +629,7 @@ def _run_solve(args: argparse.Namespace) -> dict:
     radial.check_beta(args.beta)
     if gamma < 1.0:
         raise ValueError("gamma must be finite and at least 1")
-    if r_max <= 1.0:
-        raise ValueError("r_max must be finite and exceed 1")
+    radial.check_rmax(r_max)
     vec, n, theta = _resolve_vector(args)
     adm = weights.classify(phasepoly.PhaseSpec(n, theta), vec)
     base = {
@@ -704,68 +706,159 @@ def _solve_summary(report: dict) -> list:
 
 # ------------------------------------------------------------------- main
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="slex",
-        description="identity verification, family scans, and subsolution "
-                    "runs for the exterior special Lagrangian construction")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValueError(f"invalid choice: {text!r} (choose from 'csv', "
+                         f"'json')")
+    return text
 
-    def command(name, text, run, to_csv, summary, fmt):
-        # the runner turns the parsed arguments into a report, to_csv (None:
-        # JSON only) writes it as csv and summary gives its stderr lines
-        p = sub.add_parser(name, help=text)
-        p.set_defaults(run=run, to_csv=to_csv, summary=summary)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default=fmt)
-        return p
 
-    pv = command("verify", "run identity and property suites",
-                 _run_verify, _verify_csv, _verify_summary, "json")
-    pv.add_argument("--exact", action="store_true",
-                    help="request exact rational arithmetic (the identity "
-                         "suites always use it)")
-    pv.add_argument("--grid", type=int, default=200,
-                    help="number of random vectors per suite")
+def _common(fmt: str) -> dict:
+    """The flags every command takes, --format defaulting to fmt."""
+    return {"--seed": ("seed", int, 42), "--out": ("out", str, None),
+            "--format": ("fmt", _format, fmt)}
 
-    ps = command("scan-eps", "scan the five-point family",
-                 _run_scan, _scan_csv, _scan_summary, "csv")
-    ps.add_argument("--grid", type=int, default=97,
-                    help="number of eps points on [0, pi/12]")
 
-    po = command("solve", "solve and verify one problem",
-                 _run_solve, None, _solve_summary, "json")
-    po.add_argument("--n", type=int, default=None)
-    po.add_argument("--theta", type=str, default=None,
-                    help="radians, or the literal 'critical'")
-    po.add_argument("--a", type=str, default=None,
-                    help="comma separated entries, all positive or all "
-                         "negative (solved through the sign reflection)")
-    po.add_argument("--family", type=str, default=None,
-                    help="'iso' or 'eps:<value>'")
-    po.add_argument("--beta", type=float, default=2.0)
-    po.add_argument("--gamma", type=float, default=1.0)
-    po.add_argument("--alpha", type=float, default=0.0)
-    po.add_argument("--rmax", type=float, default=1.0e4)
-    po.add_argument("--grid", type=int, default=120,
-                    help="number of radial shells in the verification grid")
-    return parser
+class Command(NamedTuple):
+    """One subcommand: its help line, the runner that turns the parsed
+    flags into a report dict, the csv writer (None: JSON only), the summary
+    that gives its stderr lines, and its flags.  A flag maps to (dest,
+    converter, default); the converter None makes it a switch."""
+    about: str
+    run: Callable
+    to_csv: Optional[Callable]
+    summary: Callable
+    flags: dict
+
+
+_DESCRIPTION = ("identity verification, family scans, and subsolution runs "
+                "for the exterior special Lagrangian construction")
+COMMANDS = {
+    "verify": Command(
+        "run identity and property suites",
+        _run_verify, _verify_csv, _verify_summary,
+        {**_common("json"), "--grid": ("grid", int, 200),
+         "--exact": ("exact", None, False)}),
+    "scan-eps": Command(
+        "scan the five-point family",
+        _run_scan, _scan_csv, _scan_summary,
+        {**_common("csv"), "--grid": ("grid", int, 97)}),
+    "solve": Command(
+        "solve and verify one problem",
+        _run_solve, None, _solve_summary,
+        {**_common("json"), "--n": ("n", int, None),
+         "--theta": ("theta", str, None), "--a": ("a", str, None),
+         "--family": ("family", str, None), "--beta": ("beta", float, 2.0),
+         "--gamma": ("gamma", float, 1.0), "--alpha": ("alpha", float, 0.0),
+         "--rmax": ("rmax", float, 1.0e4), "--grid": ("grid", int, 120)}),
+}
+
+
+class UsageExit(Exception):
+    """A command line that runs no command: code 0 with the help text for
+    stdout, or code 2 with the usage line and error for stderr."""
+
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code = code
+
+
+def _spelled(flag: str, convert) -> str:
+    return flag if convert is None else f"{flag} {flag[2:].upper()}"
+
+
+def _usage(name: Optional[str]) -> str:
+    if name is None:
+        return f"usage: slex [-h] {{{','.join(COMMANDS)}}} ..."
+    return " ".join([f"usage: slex {name} [-h]"] + [
+        f"[{_spelled(flag, spec[1])}]"
+        for flag, spec in COMMANDS[name].flags.items()])
+
+
+def _help(name: Optional[str]) -> str:
+    if name is None:
+        about = _DESCRIPTION
+        rows = [(cmd, COMMANDS[cmd].about) for cmd in COMMANDS]
+    else:
+        about = COMMANDS[name].about
+        rows = [(_spelled(flag, convert),
+                 "" if default is None or convert is None
+                 else f"default {default}")
+                for flag, (_dest, convert, default)
+                in COMMANDS[name].flags.items()]
+    return "\n".join([_usage(name), "", about, ""] + [
+        f"  {left:<16}  {text}".rstrip() for left, text in rows])
+
+
+def _reject(name: Optional[str], message: str) -> UsageExit:
+    prog = "slex" if name is None else f"slex {name}"
+    return UsageExit(2, f"{_usage(name)}\n{prog}: error: {message}")
+
+
+def parse(argv: list) -> tuple:
+    """(command, args) of a command line, args holding every flag's dest.
+
+    A flag is `--flag value` or `--flag=value`; the value is the next token
+    as given, and a repeated flag's last value wins.  UsageExit on -h or
+    --help, and on a line the table rejects: no or an unknown command, an
+    unknown flag or stray token, a missing value or one its converter
+    rejects.
+    """
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        raise UsageExit(0, _help(None))
+    command = COMMANDS.get(name)
+    if command is None:
+        raise _reject(None, "the following arguments are required: command"
+                      if name is None else
+                      f"argument command: invalid choice: {name!r} "
+                      f"(choose from {', '.join(map(repr, COMMANDS))})")
+    flags = command.flags
+    values = {dest: default for dest, _conv, default in flags.values()}
+    unknown = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            raise UsageExit(0, _help(name))
+        flag, eq, text = token.partition("=")
+        spec = flags.get(flag)
+        # a switch takes no value, so `--exact=1` is an unknown token
+        if spec is None or (eq and spec[1] is None):
+            unknown.append(token)
+            continue
+        dest, convert, _default = spec
+        if convert is None:
+            values[dest] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise _reject(name, f"argument {flag}: expected one argument")
+        try:
+            values[dest] = convert(text)
+        except ValueError as exc:
+            raise _reject(name, f"argument {flag}: {exc}") from None
+    if unknown:
+        raise _reject(name, f"unrecognized arguments: {' '.join(unknown)}")
+    return command, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        command, args = parse(sys.argv[1:] if argv is None else argv)
+    except UsageExit as exc:
+        print(exc, file=sys.stderr if exc.code else sys.stdout)
+        return exc.code
     try:
         with warnings.catch_warnings(record=True) as caught:
             try:
-                report = args.run(args)
+                report = command.run(args)
             finally:
                 for w in caught:
                     print(f"warning: {w.message}", file=sys.stderr)
-        _emit(args.to_csv(report) if args.fmt == "csv"
+        _emit(command.to_csv(report) if args.fmt == "csv"
               else _json_text(report) + "\n", args.out)
-        for line in args.summary(report):
+        for line in command.summary(report):
             print(line, file=sys.stderr)
     except (ValueError, RuntimeError, Warning) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

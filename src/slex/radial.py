@@ -127,6 +127,22 @@ def check_beta(beta: float) -> float:
     return beta
 
 
+def check_rmax(r_max: float) -> np.ndarray:
+    """The 241 log-spaced sample radii of [1, r_max] that solve_profile
+    takes, after checking 1 < r_max < inf and that the radii strictly
+    increase: an r_max within a few hundred ulps of 1 rounds some
+    together."""
+    if not (1.0 < r_max < math.inf):
+        raise ValueError("r_max must be finite and exceed 1")
+    rs = np.geomspace(1.0, r_max, _PROFILE_SAMPLES)
+    rs[0] = 1.0
+    if not np.all(np.diff(rs) > 0.0):
+        raise ValueError(f"--rmax {r_max!r} is too close to 1: its "
+                         f"{_PROFILE_SAMPLES} log-spaced sample radii do "
+                         f"not increase")
+    return rs
+
+
 def _slope_pair(prof: WeightProfile):
     """(num, den) from a weight profile's sigma row and selected chain.
 
@@ -458,12 +474,9 @@ def solve_profile(pf: FirstIntegral, r_max: float = 1.0e4,
     1e-16 without tiny steps.  route="implicit" solves the first integral
     at all sample radii at once (FirstIntegral.excess_at).
     """
-    if not (1.0 < r_max < math.inf):
-        raise ValueError("r_max must be finite and exceed 1")
+    rs = check_rmax(r_max)
     if route not in ("numeric", "implicit"):
         raise ValueError("route must be 'numeric' or 'implicit'")
-    rs = np.geomspace(1.0, r_max, _PROFILE_SAMPLES)
-    rs[0] = 1.0
 
     if route == "numeric" and pf.beta > 1.0:
         # _horner inlined for both polynomials in one loop: D and num each

@@ -1,10 +1,10 @@
 """Tests for the command line interface: exit codes, formats, determinism."""
 
-import argparse
 import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -48,33 +48,119 @@ def test_verify_exact_flag_and_seed(tmp_path):
     assert report["seed"] == 7
 
 
-def _options(parser):
-    return {opt for action in parser._actions
-            for opt in action.option_strings} - {"-h", "--help"}
-
-
 def test_cli_surface(tmp_path, capsys):
     # each subcommand takes only the flags it reads
-    commands = next(action.choices for action in cli.build_parser()._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    common = {"--seed", "--out", "--format"}
-    assert {name: _options(p) for name, p in commands.items()} == {
-        "verify": common | {"--exact", "--grid"},
-        "scan-eps": common | {"--grid"},
-        "solve": common | {"--n", "--theta", "--a", "--family", "--beta",
-                           "--gamma", "--alpha", "--rmax", "--grid"},
+    common = ["--seed", "--out", "--format"]
+    assert {name: list(c.flags) for name, c in cli.COMMANDS.items()} == {
+        "verify": common + ["--grid", "--exact"],
+        "scan-eps": common + ["--grid"],
+        "solve": common + ["--n", "--theta", "--a", "--family", "--beta",
+                           "--gamma", "--alpha", "--rmax", "--grid"],
     }
     for argv in (["scan-eps", "--grid", "5"],
                  ["solve", "--family", "iso", "--n", "3", "--theta",
                   "critical", "--grid", "4"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--exact", "--out", str(tmp_path / "x")])
-        assert exc.value.code == 2
+        assert cli.main(argv + ["--exact", "--out",
+                                str(tmp_path / "x")]) == 2
         assert "unrecognized arguments: --exact" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
     code, path = run(tmp_path, ["verify", "--grid", "3", "--exact"])
     assert code == 0
     assert json.loads(path.read_text())["exact_requested"] is True
+
+
+ISO3_SOLVE = ["solve", "--family", "iso", "--n", "3", "--theta", "critical",
+              "--grid", "4"]
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    # a value is the next token as given: a negative vector in the space
+    # form
+    (["solve", "--a", ",".join([repr(-1 / math.sqrt(3))] * 3), "--n", "3",
+      "--theta=" + repr(-math.pi / 2), "--grid", "4"], 0, "PASS\n"),
+    # the last of a repeated flag wins; both spellings are one flag
+    (["scan-eps", "--grid", "1", "--grid=3"], 0, "PASS\n"),
+    (["scan-eps", "--grid=3", "--grid", "1"], 2,
+     "invalid input: scan grid needs at least 2 points\n"),
+    # no command, or an unknown one
+    ([], 2, "slex: error: the following arguments are required: command"),
+    (["scan"], 2, "slex: error: argument command: invalid choice: 'scan'"),
+    (["--grid", "3"], 2, "argument command: invalid choice: '--grid'"),
+    # an unknown flag, an abbreviation or a stray token
+    (ISO3_SOLVE + ["--exact"], 2, "unrecognized arguments: --exact"),
+    (["verify", "--gri", "3"], 2, "unrecognized arguments: --gri 3"),
+    (["verify", "3"], 2, "unrecognized arguments: 3"),
+    (["verify", "--exact=1"], 2, "unrecognized arguments: --exact=1"),
+    # a missing value, or one its converter rejects
+    (["verify", "--grid"], 2, "argument --grid: expected one argument"),
+    (["verify", "--grid", "x"], 2, "argument --grid: invalid literal"),
+    (["verify", "--seed=1.5"], 2, "argument --seed: invalid literal"),
+    (ISO3_SOLVE + ["--beta", "two"], 2, "argument --beta: could not convert"),
+    (["scan-eps", "--format", "xml"], 2,
+     "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+])
+@pytest.mark.parametrize("via_sys_argv", [False, True])
+def test_command_line_contract(tmp_path, capsys, monkeypatch, argv, code,
+                               err, via_sys_argv):
+    # --out goes right after the command, so each case's last token stays
+    full = argv[:1] + ["--out", str(tmp_path / "x")] * bool(argv) + argv[1:]
+    if via_sys_argv:
+        # main() reads sys.argv[1:], the path the `slex` script takes
+        monkeypatch.setattr(sys, "argv", ["slex"] + full)
+        assert cli.main() == code
+    else:
+        assert cli.main(full) == code
+    captured = capsys.readouterr()
+    assert err in captured.err and captured.out == ""
+    assert (tmp_path / "x").exists() == (code != 2)
+    if code == 2 and not err.startswith("invalid input"):
+        name = argv[0] if argv and argv[0] in cli.COMMANDS else None
+        usage = "usage: slex" + ("" if name is None else f" {name}")
+        assert captured.err.startswith(usage + " [-h]")
+        assert captured.err.count("\n") == 2
+
+
+def test_parse_takes_the_next_token_and_the_last_value():
+    command, args = cli.parse(["solve", "--theta", "--n", "--out", "-h",
+                               "--a=-1,-2", "--a", "-3,-4", "--grid", "7"])
+    assert command is cli.COMMANDS["solve"]
+    assert vars(args) == {"seed": 42, "out": "-h", "fmt": "json", "n": None,
+                          "theta": "--n", "a": "-3,-4", "family": None,
+                          "beta": 2.0, "gamma": 1.0, "alpha": 0.0,
+                          "rmax": 1.0e4, "grid": 7}
+    _command, args = cli.parse(("verify", "--exact", "--exact"))
+    assert (args.exact, args.grid, args.fmt) == (True, 200, "json")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "-h"],
+                                  ["solve", "--n", "3", "--help"],
+                                  ["scan-eps", "--bogus", "-h"]])
+def test_help_comes_from_the_table(capsys, argv):
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    name = argv[0] if argv[0] in cli.COMMANDS else None
+    listed = cli.COMMANDS if name is None else cli.COMMANDS[name].flags
+    rows = captured.out.splitlines()[4:]
+    assert [row.split()[0] for row in rows] == list(listed)
+
+
+def test_readme_flag_table_is_the_parser_table():
+    # README's `| subcommand | flags |` rows name each command's flags in
+    # the table's order, and its --format default
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if (len(cells) == 2 and cells[0].startswith("`")
+                and cells[0].strip("`") in cli.COMMANDS):
+            rows[cells[0].strip("`")] = re.findall(r"`([^`]+)`", cells[1])
+    assert set(rows) == set(cli.COMMANDS)
+    for name, command in cli.COMMANDS.items():
+        words = rows[name]
+        assert [w for w in words if w.startswith("--")] == list(command.flags)
+        fmt = words[words.index("--format") + 1]
+        assert fmt == command.flags["--format"][2]
 
 
 def test_verify_deterministic_bytes(tmp_path):
@@ -296,8 +382,8 @@ def test_scan_eps_csv_is_the_per_value_join(tmp_path, grid):
     # one filled template gives the join of repr(float(x)) per value
     code, path = run(tmp_path, ["scan-eps", "--grid", str(grid)], "scan.csv")
     assert code == 0
-    args = cli.build_parser().parse_args(["scan-eps", "--grid", str(grid)])
-    rows = args.run(args)["rows"]
+    command, args = cli.parse(["scan-eps", "--grid", str(grid)])
+    rows = command.run(args)["rows"]
     want = "".join(
         f"{repr(float(row['eps']))},{repr(float(row['m_pipeline']))},"
         f"{repr(float(row['m_closed_form']))}\n" for row in rows)
@@ -843,6 +929,11 @@ OFF_LEVEL = ["--a", "1,2,3", "--n", "3", "--theta", "critical"]
     ("--beta=2e6", "beta above the supported cap 1e6"),
     ("--gamma=0.5", "gamma must be finite and at least 1"),
     ("--rmax=0.5", "r_max must be finite and exceed 1"),
+    # above 1, but the 241 log-spaced sample radii round together
+    ("--rmax=1.00000000000002", "--rmax 1.00000000000002 is too close to 1: "
+     "its 241 log-spaced sample radii do not increase"),
+    ("--rmax=1.00000000000005", "--rmax 1.00000000000005 is too close to 1: "
+     "its 241 log-spaced sample radii do not increase"),
 ])
 def test_solve_flag_out_of_range_exits_two_whatever_the_vector(
         tmp_path, capsys, flag, message):
@@ -968,20 +1059,22 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 seen = {"import": scipy_modules(),
-        "lazy": [m for m in ("numpy.random", "locale") if m in sys.modules]}
+        "lazy": [m for m in ("numpy.random", "argparse", "gettext", "locale")
+                 if m in sys.modules]}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         code = slex.cli.main(argv)
-    seen[" ".join(argv)] = [code, scipy_modules()]
+    seen[" ".join(argv)] = [code, scipy_modules() + [
+        m for m in ("argparse", "gettext", "locale") if m in sys.modules]]
 print(json.dumps(seen))
 """
 
 
 def test_no_command_imports_scipy():
-    # a cold `slex` pays no scipy import; numpy.random and locale (which
-    # argparse imports on first use) are loaded with the package, so no
-    # command imports them inside its run
+    # a cold `slex` pays no scipy import, and no argparse, gettext or
+    # locale: the flag table parses every command line; numpy.random is
+    # loaded with the package, so no command imports it inside its run
     argvs = [["solve", "--family", "iso", "--n", "5", "--theta", "critical",
               "--grid", "4"],
              ["solve", "--family", "eps:0.1", "--grid", "4"],
@@ -994,5 +1087,5 @@ def test_no_command_imports_scipy():
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert seen.pop("import") == []
-    assert seen.pop("lazy") == ["numpy.random", "locale"]
+    assert seen.pop("lazy") == ["numpy.random"]
     assert seen == {" ".join(argv): [0, []] for argv in argvs}

@@ -205,6 +205,11 @@ def test_profile_solution_invariants():
 def test_solve_profile_validates_inputs():
     with pytest.raises(ValueError, match="r_max must be finite and exceed 1"):
         radial.solve_profile(PF3, r_max=0.5)
+    # above 1, but within a few hundred ulps: the sample radii round together
+    for r_max in (1.00000000000002, 1.00000000000005):
+        with pytest.raises(ValueError, match="is too close to 1"):
+            radial.solve_profile(PF3, r_max=r_max)
+    assert np.all(np.diff(radial.check_rmax(1.0000000000000546)) > 0.0)
     for pf in (PF3, replace(PF3, beta=1.0)):
         with pytest.raises(ValueError, match="route must be 'numeric' or"):
             radial.solve_profile(pf, route="magic")

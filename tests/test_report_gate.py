@@ -23,8 +23,11 @@ def test_corpus_holds_readme_edge_cases_and_workloads():
             "--n", "3", "--theta", "critical", "--beta", "2", "--gamma", "1",
             "--out", "run.json") in readme
     assert len(readme) >= 6
-    assert all(argv[0] in ("verify", "scan-eps", "solve")
-               for _name, _flags, argv in cases)
+    # every command line names a command, but the two parser cases that
+    # give none or an unknown one
+    assert [argv for _name, _flags, argv in cases
+            if argv[:1] not in (("verify",), ("scan-eps",), ("solve",))] == \
+        [(), ("scan",)]
     workloads = [name.split(" #")[0] for name in names if " #" in name]
     per_workload = {w: workloads.count(w) for w in set(workloads)}
     assert per_workload == {"scan-fine": 25, "solve-sweep": 25,

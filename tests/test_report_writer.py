@@ -145,10 +145,10 @@ def test_writer_nested_and_empty_float_lists():
 
 
 def test_writer_whole_solve_report():
-    args = cli.build_parser().parse_args(
+    command, args = cli.parse(
         ["solve", "--family", "iso", "--n", "5", "--theta", "critical",
          "--grid", "8"])
-    report = args.run(args)
+    report = command.run(args)
     assert len(report["trajectory"]["psi_numeric"]) == 241
     assert cli._json_text(report) == dumps(report)
 
@@ -300,9 +300,9 @@ def test_writer_rows_raise_where_the_stdlib_raises(rows):
 
 
 def test_writer_whole_scan_report():
-    args = cli.build_parser().parse_args(
+    command, args = cli.parse(
         ["scan-eps", "--grid", "97", "--format", "json"])
-    report = args.run(args)
+    report = command.run(args)
     assert len(report["rows"]) == 97
     assert cli._json_flat(report["rows"], "\n    ") is not None
     assert cli._json_text(report) == dumps(report)

@@ -143,7 +143,7 @@ def test_scaled_suites_match_the_fraction_oracle(monkeypatch, fault):
     inject(monkeypatch)
     for seed in (0, 5, 42, 2024):
         for trials in (1, 7, 30):
-            args = cli.build_parser().parse_args(
+            _command, args = cli.parse(
                 ["verify", "--grid", str(trials), "--seed", str(seed)])
             report = cli._run_verify(args)
             got = {s["name"]: {k: v for k, v in s.items() if k != "name"}

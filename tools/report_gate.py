@@ -142,6 +142,19 @@ EDGE_CASES = [
                                    "--theta", "critical", flag))
       for flag in ("--gamma=0.5", "--beta=0.5", "--rmax=0.5",
                    "--beta=2000")),
+    # the command line parser: no or an unknown command, an unknown flag, a
+    # missing value or one its converter rejects, help, and a negative
+    # vector given in the space form (the value is the next token as given)
+    ("no command", (), ()),
+    ("unknown command", (), ("scan",)),
+    ("scan-eps unknown flag", (), ("scan-eps", "--grid", "5", "--exact")),
+    ("verify grid without value", (), ("verify", "--grid")),
+    ("verify grid=x", (), ("verify", "--grid", "x")),
+    ("scan-eps format=xml", (), ("scan-eps", "--format", "xml")),
+    ("solve help", (), ("solve", "--help")),
+    ("reflected data space form", (), ("solve", "--a", ",".join(
+        ["-0.5773502691896258"] * 3), "--n", "3",
+        "--theta=" + repr(-math.pi / 2), "--grid", "8")),
     # the smallest scans in both formats, and the one grid below them
     ("scan-eps grid=2 json", (), ("scan-eps", "--grid", "2", "--format",
                                   "json")),
