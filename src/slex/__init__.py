@@ -9,7 +9,7 @@ Submodules:
   phasepoly  phase polynomials, level coefficients
   weights    the selected weight chain, decay exponents, admissibility
   radial     the radial profile equation: its root-free first integral,
-             two independent routes, tail integrals, decay fits
+             two independent routes, tail integrals
   subsol     the subsolution candidate and its pointwise verification
              grid
   cli        the command line front end

@@ -10,7 +10,7 @@ Three subcommands:
             closed trigonometric form on a uniform grid over [0, pi/12],
             plus bisection for the crossing of the admissibility threshold.
   solve     one full problem: classification, the first integral, both
-            profile routes, tail integrals, decay fit, and the subsolution
+            profile routes, tail integrals, and the subsolution
             verification report, emitted as a single JSON document.  It
             passes when the grid verification passes and the two profile
             routes agree within ROUTE_GAP_TOL.  All-negative data runs as
@@ -83,7 +83,7 @@ import numpy.random  # noqa: F401
 from . import phasepoly, radial, subsol, symfun, weights
 from .symfun import clear_denominators  # by name: not a traced layer call
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 RNG_NAME = "numpy.random.default_rng(PCG64)"
 # the two profile routes of `solve` must agree this closely (criterion 5)
 ROUTE_GAP_TOL = 1e-8
@@ -656,11 +656,6 @@ def _run_solve(args: SimpleNamespace) -> dict:
     sol_imp = radial.solve_profile(pf, r_max=r_max, route="implicit")
     gap = float(np.max(np.abs(sol_num.psi - sol_imp.psi)))
 
-    fit = None
-    if pf.beta > 1.0 and r_max >= 1.0e3:
-        m_est, amp_est = radial.decay_fit(sol_imp)
-        fit = {"m_est": m_est, "amp_est": amp_est}
-
     mu_gamma, mu_10gamma = radial.tail_integral(pf, (gamma, 10.0 * gamma))
     mu = {"at_gamma": mu_gamma, "at_10gamma": mu_10gamma}
     rep = subsol.verify_subsolution(pf, gamma, args.grid)
@@ -678,9 +673,7 @@ def _run_solve(args: SimpleNamespace) -> dict:
             "excess_implicit": sol_imp.excess.tolist(),
         },
         "route_gap_max": gap,
-        "tail_amplitude": radial.tail_amplitude(pf),
         "mu": mu,
-        "decay_fit": fit,
         "verification": {
             "points": rep.points,
             "min_phase_gap": rep.min_phase_gap,

@@ -92,7 +92,6 @@ from numpy.polynomial import legendre
 from .weights import WeightProfile
 
 BETA_CAP = 1.0e6
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # the first integral's table: 16-point Gauss-Legendre panels of width 1 in
 # u = log(psi - 1), down past u = log(2^-64)
 _GL_X, _GL_W = legendre.leggauss(16)
@@ -383,11 +382,17 @@ def first_integral(prof: WeightProfile, beta: float) -> FirstIntegral:
     prof is the problem's analysis, weights.classify's
     Admissibility.profile: its check already passed, so no input is
     checked again.  The slope-field pair is shifted to 1 (den(1 + x) =
-    x D(x) + den(1), N(x) = num(1 + x)) and three checks follow, in this
-    order.  Every coefficient of D must exceed the shift's rounding bound,
-    (N + 1) eps times the same coefficient of |den| shifted, N the ray
-    degree ("root certification failed"): then D > 0 on x >= 0, and no
-    ray root lies above 1.  So must every coefficient of N, on |num|
+    x D(x) + den(1), N(x) = num(1 + x)).  The absolute shifted
+    coefficients of den and of m num must add up to a finite number ("ray
+    polynomial shifted to 1 leaves the float range"): as |E| <= m |N| + |D|
+    coefficientwise, that sum bounds every Horner sum of D, N and E the
+    routes and the table form (in x up to 1, in 1/x beyond).  Iso points
+    fail it from n = 154 at the critical angle and from n = 137 at
+    (n - 1) pi/2.  Three checks follow, in this order.  Every coefficient
+    of D must exceed the shift's rounding bound, (N + 1) eps times the
+    same coefficient of |den| shifted, N the ray degree ("root
+    certification failed"): then D > 0 on x >= 0, and no ray root lies
+    above 1.  So must every coefficient of N, on |num|
     ("slope-field denominator not certified positive"): then N > 0 on
     x >= 0.  And m N(0) must equal D(0) to 1e-10 relative plus those
     bounds ("residue at 1 disagrees with 1/m").  Then beta passes
@@ -398,29 +403,22 @@ def first_integral(prof: WeightProfile, beta: float) -> FirstIntegral:
     num, den = _slope_pair(prof)
     shifted = _taylor_shift(den)
     scale = _taylor_shift([abs(c) for c in den])
+    n, n_scale = _taylor_shift(num), _taylor_shift([abs(c) for c in num])
+    m = prof.m
+    if not math.isfinite(sum(scale) + m * sum(n_scale)):
+        raise ValueError("ray polynomial shifted to 1 leaves the float range")
     ulps = len(den) * np.finfo(float).eps
     d = shifted[1:]
-    if not math.isfinite(sum(scale)):
-        raise ValueError("ray polynomial shifted to 1 leaves the float range")
     if not all(c > ulps * b for c, b in zip(d, scale[1:])):
         raise ValueError("root certification failed")
-    n, n_scale = _taylor_shift(num), _taylor_shift([abs(c) for c in num])
     if not all(c > ulps * b for c, b in zip(n, n_scale)):
         raise ValueError("slope-field denominator not certified positive")
-    m = prof.m
     if abs(m * n[0] - d[0]) > 1e-10 * d[0] + ulps * (scale[1]
                                                     + m * n_scale[0]):
         raise ValueError("residue at 1 disagrees with 1/m")
     e = [m * a - b for a, b in zip(n[1:], d[1:])]
     return FirstIntegral(prof=prof, d_coeffs=tuple(d), n_coeffs=tuple(n),
                          e_coeffs=tuple(e), beta=beta)
-
-
-def tail_amplitude(pf: FirstIntegral) -> float:
-    """C = exp(log C), the tail's limit of (psi - 1) r^m, if finite."""
-    if pf.log_amplitude > _LOG_FLOAT_MAX:
-        raise RuntimeError("tail amplitude overflows the float range")
-    return math.exp(pf.log_amplitude)
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,26 +541,3 @@ def tail_integral(pf: FirstIntegral, radii: Sequence) -> tuple:
         raise RuntimeError("tail integral overflows the float range")
     return tuple(values.tolist())
 
-
-def decay_fit(sol: ProfileSolution) -> tuple:
-    """(m_est, amp_est) from log-log least squares over the last decade.
-
-    Requires a trajectory with beta > 1 reaching r >= 1e3 so the tail is in
-    its power-law regime; returns the fitted exponent and amplitude of
-    excess = amp * r^(-m_est).  Where the excess underflows to 0 (a suffix,
-    as it is nonincreasing) the fit covers the last decade of the positive
-    samples instead, and needs 5 of them.
-    """
-    if sol.beta <= 1.0:
-        raise ValueError("no decay to fit at beta = 1")
-    if sol.r[-1] < 1.0e3:
-        raise ValueError("trajectory must reach r = 1e3")
-    pos = sol.excess > 0.0
-    mask = pos & (sol.r >= np.max(sol.r, where=pos, initial=0.0) / 10.0)
-    if np.count_nonzero(mask) < 5:
-        raise ValueError("not enough positive tail samples to fit")
-    slope, intercept = np.polyfit(np.log(sol.r[mask]),
-                                  np.log(sol.excess[mask]), 1)
-    if intercept > _LOG_FLOAT_MAX:
-        raise RuntimeError("fitted tail amplitude overflows the float range")
-    return float(-slope), float(math.exp(intercept))

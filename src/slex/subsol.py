@@ -24,9 +24,9 @@ direction set: the 2n coordinate axis points, where the direction weights
 attain their extremes, plus DIRECTIONS low-discrepancy generic directions.
 The shells run from just outside the ellipsoid to GRID_RADIUS * gamma.
 It computes no eigenvalue: symfun.rank_one_phase_level gives the phase
-from the matrix determinant lemma and the level value from the rank-one
-update, at O(n) per point once each shell's O(n^3) exclusion rows are
-built.
+from the matrix determinant lemma and the scale-free level value from the
+rank-one update, at O(n) per point once each shell's O(n^3) exclusion rows
+are built.
 
 The problem is pf, the radial.FirstIntegral built on the WeightProfile
 that weights.classify made: pf.prof.a is diag(a), pf.prof.spec the phase
@@ -91,17 +91,15 @@ class VerificationReport:
     """Sampled minima of the two subsolution inequalities.
 
     min_phase_gap is the smallest H(lambda(D2Phi)) - theta over the grid,
-    min_level_value the smallest algebraic level value; worst_point is the
-    sample attaining the smaller of the two.  The level value equals
-    prod_j sqrt(1 + lambda_j^2) * sin(H - theta), so its size grows with
-    the eigenvalues; min_level_scaled is the smallest level value divided
-    by that product.  passed requires min_phase_gap and min_level_scaled
-    to clear -1e-9.
+    min_level_value the smallest level value
+    sum_k c_k sigma_k(lambda) / prod_j sqrt(1 + lambda_j^2), which equals
+    sin(H - theta) and so is dimensionless whatever the size of the
+    eigenvalues; worst_point is the sample attaining the smaller of the
+    two.  passed requires both minima to clear -1e-9.
     """
     points: int
     min_phase_gap: float
     min_level_value: float
-    min_level_scaled: float
     worst_point: np.ndarray
     passed: bool
 
@@ -119,9 +117,9 @@ def verify_subsolution(pf: FirstIntegral, gamma: float,
     on the excess so that it keeps its sign where psi rounds to 1, and
     symfun.rank_one_phase_level evaluates the phase gap and the level value
     of every point from (p, s, q o q) without an eigenvalue; their minima
-    are reported.  The level inequality is gated on the scale-free level
-    value (divided by prod_j sqrt(1 + lambda_j^2)), so the verdict does not
-    depend on the size of the eigenvalues.  ValueError when shells < 1.
+    are reported and gated.  The level value is the scale-free one (divided
+    by prod_j sqrt(1 + lambda_j^2)), so the verdict does not depend on the
+    size of the eigenvalues.  ValueError when shells < 1.
     """
     check_shells(shells)
     spec, a = pf.prof.spec, pf.prof.a
@@ -137,7 +135,7 @@ def verify_subsolution(pf: FirstIntegral, gamma: float,
     s = pf.slope(excess) / radii**2
     x = (radii[:, None] / ra)[:, :, None] * dirs
     q = x * a
-    phases, levels, scaled = rank_one_phase_level(
+    phases, levels = rank_one_phase_level(
         (1.0 + excess)[:, None] * a, s, q * q, spec.coeffs)
     gaps = phases.ravel() - spec.theta
     levels = levels.ravel()
@@ -148,12 +146,10 @@ def verify_subsolution(pf: FirstIntegral, gamma: float,
     worst = points[i_gap] if gaps[i_gap] <= levels[i_lev] else points[i_lev]
     min_gap = float(gaps[i_gap])
     min_level = float(levels[i_lev])
-    min_scaled = float(scaled.min())
     return VerificationReport(points=points.shape[0],
                               min_phase_gap=min_gap,
                               min_level_value=min_level,
-                              min_level_scaled=min_scaled,
                               worst_point=worst,
                               passed=bool(min_gap >= -_PASS_TOL
-                                          and min_scaled >= -_PASS_TOL))
+                                          and min_level >= -_PASS_TOL))
 

@@ -145,29 +145,32 @@ def sigma_rank_one(sig: Sequence, excl: Sequence, q: Sequence, s, k: int):
 
 def rank_one_phase_level(p: np.ndarray, s: np.ndarray, q2: np.ndarray,
                          c: Sequence) -> tuple:
-    """Phase, level value and scaled level of diag(p) + s q q^T, batched.
+    """Phase and scaled level value of diag(p) + s q q^T, batched.
 
     p has shape (S, n) and s shape (S,): one diagonal and one update scale
     per block.  q2 has shape (S, D, n): the squares q o q of the update
     vectors of D points per block.  c holds the level coefficients
-    c_0 .. c_n.  For each of the S*D matrices M the result is three (S, D)
+    c_0 .. c_n.  For each of the S*D matrices M the result is two (S, D)
     arrays, with lambda the eigenvalues of M:
 
-        H = sum_i arctan(lambda_i),   L = sum_k c_k sigma_k(lambda),
-        L / prod_i sqrt(1 + lambda_i^2).
+        H = sum_i arctan(lambda_i),
+        L = sum_k c_k sigma_k(lambda) / prod_i sqrt(1 + lambda_i^2).
 
-    No eigenvalue is computed.  By the matrix determinant lemma,
+    With c = PhaseSpec(n, theta).coeffs, L = sin(H - theta): it is
+    dimensionless whatever the size of the eigenvalues.  No eigenvalue is
+    computed.  By the matrix determinant lemma,
     prod_i (1 + i lambda_i) = prod_j (1 + i p_j) * w with
     w = 1 + i s sum_j q_j^2/(1 + i p_j).  Eigenvalue interlacing (Golub
     1973) keeps the update's share of H inside (-pi, pi), so
-    H = sum_j arctan(p_j) + Arg(w) with the principal Arg, and the scale
-    prod_i sqrt(1 + lambda_i^2) = prod_j sqrt(1 + p_j^2) |w| is formed as a
-    log so it cannot overflow.  L is sigma_rank_one's update summed against
-    c, a polynomial route independent of the arctangents:
-    L(p) + s sum_j q_j^2 dL/dp_j with dL/dp_j = sum_k c_k sigma_{k-1}(p with
-    entry j removed).  Those exclusion rows come from one elem_sym_stack
-    call on the (S*n, n-1) stack; per point the work is three length-n dot
-    products.
+    H = sum_j arctan(p_j) + Arg(w) with the principal Arg, and
+    prod_i sqrt(1 + lambda_i^2) = prod_j sqrt(1 + p_j^2) |w|.  The level is
+    sigma_rank_one's update summed against c, a polynomial route
+    independent of the arctangents: L(p) + s sum_j q_j^2 dL/dp_j with
+    dL/dp_j = sum_k c_k sigma_{k-1}(p with entry j removed).  Those
+    exclusion rows come from one elem_sym_stack call on the (S*n, n-1)
+    stack, already divided by the product of sqrt(1 + p_i^2) over the
+    entries they hold, so no unscaled sigma is formed; per point the work
+    is three length-n dot products.
     """
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)[:, None]
@@ -176,19 +179,19 @@ def rank_one_phase_level(p: np.ndarray, s: np.ndarray, q2: np.ndarray,
     others = np.array([np.delete(np.arange(n), j) for j in range(n)])
     rows = elem_sym_stack(p[:, others].reshape(blocks * n, n - 1))
     rows = rows.reshape(blocks, n, n)
-    grad = rows @ c[1:]
+    # row j lacks entry j's factor of prod_i sqrt(1 + p_i^2)
+    hyp = np.hypot(1.0, p)
+    grad = (rows @ c[1:]) / hyp
     # sigma_k(p) = sigma_k(p without p_0) + p_0 sigma_{k-1}(p without p_0)
-    base = rows[:, 0] @ c[:n] + p[:, 0] * grad[:, 0]
+    base = rows[:, 0] @ c[:n] / hyp[:, 0] + p[:, 0] * grad[:, 0]
     # w = 1 + s sum_j q_j^2 (p_j + i)/(1 + p_j^2)
     inv = 1.0 / (1.0 + p * p)
     dots = np.asarray(q2, dtype=float) @ np.stack([p * inv, inv, grad], axis=2)
     re = 1.0 + s * dots[..., 0]
     im = s * dots[..., 1]
     phase = np.arctan(p).sum(axis=1)[:, None] + np.arctan2(im, re)
-    level = base[:, None] + s * dots[..., 2]
-    log_scale = (np.log(np.hypot(1.0, p)).sum(axis=1)[:, None]
-                 + np.log(np.hypot(re, im)))
-    return phase, level, level * np.exp(-log_scale)
+    level = (base[:, None] + s * dots[..., 2]) / np.hypot(re, im)
+    return phase, level
 
 
 def signed_odd_binomial_sum(Q: int) -> int:
@@ -256,13 +259,16 @@ def newton_check(sig: Sequence) -> NewtonReport:
 
 
 def elem_sym_stack(lam: np.ndarray) -> np.ndarray:
-    """Row-wise sigma table for a stack of float vectors.
+    """Row-wise scaled sigma table for a stack of float vectors.
 
     lam has shape (P, n); the result has shape (P, n+1) with column k
-    holding sigma_k of each row.  Same recurrence as elem_sym_all, run on
-    whole columns at once: after entry i only sigma_1 .. sigma_{i+1} can
-    change, and they update together from the previous values, so each
-    entry costs one array operation on a contiguous block.
+    holding sigma_k of each row divided by prod_i sqrt(1 + lam_i^2) over
+    that row.  Same recurrence as elem_sym_all, run on whole columns at
+    once, with the row multiplied by 1/sqrt(1 + x^2) as each entry x
+    enters: every value is at most C(n, k) in size, so none overflows.  After
+    entry i only sigma_0 .. sigma_{i+1} can change, and they update
+    together from the previous values, so each entry costs two array
+    operations on a contiguous block.
     """
     lam = np.asarray(lam, dtype=float)
     p, n = lam.shape
@@ -270,4 +276,5 @@ def elem_sym_stack(lam: np.ndarray) -> np.ndarray:
     e[0] = 1.0
     for i, col in enumerate(np.ascontiguousarray(lam.T)):
         e[1:i + 2] += col * e[:i + 1]
+        e[:i + 2] *= 1.0 / np.hypot(1.0, col)
     return np.ascontiguousarray(e.T)

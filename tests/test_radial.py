@@ -253,10 +253,9 @@ def test_partial_fractions_checks_beta():
 def test_beta_enters_through_the_analysis_only():
     # beta and the tolerances are bound in one place each, so no stage
     # takes them as arguments
-    for fn in (radial.FirstIntegral.excess_at, radial.tail_amplitude,
-               radial.solve_profile, radial.tail_integral,
-               subsol.verify_subsolution, weights.decay_exponent,
-               weights.classify):
+    for fn in (radial.FirstIntegral.excess_at, radial.solve_profile,
+               radial.tail_integral, subsol.verify_subsolution,
+               weights.decay_exponent, weights.classify):
         params = inspect.signature(fn).parameters
         assert not {"beta", "tol", "level_tol", "tolerance"} & set(params), fn
     # the analysis classify made, and beta: nothing else
@@ -266,14 +265,6 @@ def test_beta_enters_through_the_analysis_only():
     # reaches the Hessian, and the outer radius is GRID_RADIUS * gamma
     assert list(inspect.signature(subsol.verify_subsolution).parameters) == \
         ["pf", "gamma", "shells"]
-
-
-def test_tail_amplitude_closed_case():
-    # psi^2 = 1 + (beta^2 - 1) r^-3: amplitude C = (beta^2 - 1)/2
-    assert radial.tail_amplitude(PF3) == pytest.approx(1.5, rel=1e-12)
-    assert radial.tail_amplitude(replace(PF3, beta=10.0)) == \
-        pytest.approx(49.5, rel=1e-12)
-    assert radial.tail_amplitude(replace(PF3, beta=1.0)) == 0.0
 
 
 def test_tail_integral_against_quadrature_oracle():
@@ -337,61 +328,6 @@ def test_tail_integral_scaling_in_cutoff():
     for R in (1.0e2, 1.0e3, 1.0e4):
         vals.append(radial.tail_integral(PF3, (R,))[0] * R ** (3.0 - 2.0))
     assert max(vals) / min(vals) < 1.10
-
-
-def test_decay_fit_closed_case():
-    sol = radial.solve_profile(PF3, route="implicit")
-    m_est, amp_est = radial.decay_fit(sol)
-    assert m_est == pytest.approx(3.0, rel=2e-2)
-    assert amp_est == pytest.approx(1.5, rel=5e-2)
-    sol10 = radial.solve_profile(replace(PF3, beta=10.0), route="implicit")
-    m10, amp10 = radial.decay_fit(sol10)
-    assert m10 == pytest.approx(3.0, rel=2e-2)
-    assert amp10 == pytest.approx(49.5, rel=5e-2)
-
-
-def test_decay_fit_iso_recovers_dimension():
-    for n in (3, 4, 5):
-        theta = 0.85 * n * math.pi / 2
-        spec = phasepoly.PhaseSpec(n, theta)
-        prof = oracles.profile(spec, weights.iso_point(spec))
-        pf = radial.first_integral(prof, 2.0)
-        sol = radial.solve_profile(pf, route="numeric")
-        m_est, _amp = radial.decay_fit(sol)
-        assert m_est == pytest.approx(n, rel=2e-2)
-
-
-def test_decay_fit_requires_decaying_tail():
-    with pytest.raises(ValueError):
-        radial.decay_fit(radial.solve_profile(replace(PF3, beta=1.0)))
-    with pytest.raises(ValueError):
-        radial.decay_fit(radial.solve_profile(PF3, r_max=100.0))
-
-
-def test_decay_fit_window_on_positive_tail():
-    # a positive tail keeps the last decade of the trajectory
-    sol = radial.solve_profile(PF3, route="implicit")
-    assert np.all(sol.excess > 0.0)
-    mask = sol.r >= sol.r[-1] / 10.0
-    slope, intercept = np.polyfit(np.log(sol.r[mask]),
-                                  np.log(sol.excess[mask]), 1)
-    assert radial.decay_fit(sol) == (-slope, math.exp(intercept))
-    # iso n = 36 underflows to 0 long before r = 1e30: the fit covers the
-    # last decade of the radii whose excess is positive
-    spec = phasepoly.PhaseSpec(36, 17 * math.pi)
-    prof = oracles.profile(spec, weights.iso_point(spec))
-    pf = radial.first_integral(prof, 2.0)
-    sol = radial.solve_profile(pf, r_max=1e30, route="implicit")
-    assert sol.excess[-1] == 0.0
-    m_est, _amp = radial.decay_fit(sol)
-    assert m_est == pytest.approx(36.0, rel=2e-2)
-    # fewer than 5 positive samples cannot be fitted
-    rs = np.geomspace(1.0, 1e4, 241)
-    excess = np.where(np.arange(241) < 4, 1.0 / rs, 0.0)
-    thin = radial.ProfileSolution(beta=2.0, r=rs, psi=1.0 + excess,
-                                  excess=excess)
-    with pytest.raises(ValueError, match="not enough positive tail samples"):
-        radial.decay_fit(thin)
 
 
 # ------------------------------------------------------------- oracles
@@ -758,8 +694,9 @@ def test_residue_check_bounds_the_shift_rounding(monkeypatch, a, scale):
 
 
 def test_tail_amplitude_and_slope_bit_identical():
-    # C is exp(log C), and the slope polyval's -x D/N on the pair shifted
-    # to 1, in 1/x on the reversed coefficients beyond x = 1
+    # past the table the excess is the tail law exp(log C - m log r), and
+    # the slope polyval's -x D/N on the pair shifted to 1, in 1/x on the
+    # reversed coefficients beyond x = 1
     rng = np.random.default_rng(92)
     for n in range(3, 13):
         spec, a = admissible_point(rng, n)
@@ -769,7 +706,9 @@ def test_tail_amplitude_and_slope_bit_identical():
         d, q = shift_to_one(den)[1:], shift_to_one(num)
         for x in (0.0, 1e-13, 0.7, 1.0, 41.0, 1e6 - 1.0):
             pf = replace(pf, beta=1.0 + x)
-            assert radial.tail_amplitude(pf) == math.exp(pf.log_amplitude)
+            far = np.array([1e30, 1e60])
+            assert np.array_equal(pf.excess_at(far), np.exp(
+                pf.log_amplitude - pf.prof.m * np.log(far)))
             if x > 1.0:
                 ratio = npoly.polyval(1.0 / x, d[::-1]) / npoly.polyval(
                     1.0 / x, q[::-1])
@@ -968,6 +907,33 @@ def test_numeric_route_at_beta_1e6(n, kind):
     sn = radial.solve_profile(pf, route="numeric")
     si = radial.solve_profile(pf, route="implicit")
     assert np.max(np.abs(sn.psi - si.psi)) <= 1e-8
+
+
+@pytest.mark.parametrize("kind, limit", [("critical", 154),
+                                         ("supercritical", 137)])
+def test_range_check_covers_the_table(kind, limit):
+    # |den| + m |num| shifted to 1 bounds every Horner sum of D, N and E:
+    # below the limit beta = 2 and 1e6 bind without a warning, from it on
+    # both raise the range error before the table is built.  One dimension
+    # below the shift's own overflow E/D used to overflow in the table
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(3, 175):
+            theta = (n - 2 if kind == "critical" else n - 1) * math.pi / 2
+            spec = phasepoly.PhaseSpec(n, theta)
+            try:
+                prof = weights.classify(spec, weights.iso_point(spec)).profile
+            except ValueError as exc:
+                # classify's own range, past this one
+                assert n > limit and "sigma row" in str(exc), (n, exc)
+                continue
+            for beta in (2.0, 1e6):
+                if n < limit:
+                    radial.first_integral(prof, beta)
+                    continue
+                with pytest.raises(ValueError, match="ray polynomial "
+                                   "shifted to 1 leaves the float range"):
+                    radial.first_integral(prof, beta)
 
 
 @pytest.mark.parametrize("kind", ["critical", "supercritical"])

@@ -246,8 +246,9 @@ def test_eigenvalue_convergence_rate_along_ray():
     assert slope == pytest.approx(-3.0, rel=1e-1)
 
 
-# Isotropic problems whose raw level minimum lies far below -1e-9 only
-# because prod sqrt(1 + lambda^2) is large; the phase gap is ~1e-13.
+# Isotropic problems whose raw level minimum, sum_k c_k sigma_k(lambda),
+# lies below -1e-9 only because prod sqrt(1 + lambda^2) is large; the phase
+# gap is ~1e-13.
 @pytest.mark.parametrize("n,theta,beta", [
     (8, 11.0, 2.0), (12, 17.0, 2.0), (20, 30.0, 2.0), (4, 3.6, 2000.0),
     (6, 7.0, 50.0)])
@@ -255,9 +256,7 @@ def test_level_gate_is_scale_free(n, theta, beta):
     spec = phasepoly.PhaseSpec(n, theta)
     pf = candidate(weights.iso_point(spec), theta, beta=beta)
     rep = subsol.verify_subsolution(pf, 1.0, 120)
-    assert rep.min_level_value < -1e-9  # raw value, reported unchanged
-    assert rep.min_level_scaled >= -4.7e-13
-    assert rep.min_level_scaled >= rep.min_level_value
+    assert rep.min_level_value >= -4.7e-13
     assert rep.min_phase_gap >= -1e-9
     assert rep.passed
 
@@ -272,7 +271,7 @@ def test_level_gate_still_fails_a_negative_level(monkeypatch):
     monkeypatch.setattr(symfun, "elem_sym_stack", lambda lam: -real(lam))
     rep = subsol.verify_subsolution(pf, 1.0, 10)
     assert rep.min_phase_gap >= -1e-9
-    assert rep.min_level_scaled < -1e-9
+    assert rep.min_level_value < -1e-9
     assert not rep.passed
 
 
@@ -287,12 +286,12 @@ def test_phase_gate_fails_a_doubled_rank_one_share(monkeypatch):
     real = subsol.rank_one_phase_level
 
     def doubled(p, s, q2, c):
-        phase, level, scaled = real(p, s, q2, c)
-        return 2.0 * phase - np.arctan(p).sum(axis=1)[:, None], level, scaled
+        phase, level = real(p, s, q2, c)
+        return 2.0 * phase - np.arctan(p).sum(axis=1)[:, None], level
 
     monkeypatch.setattr(subsol, "rank_one_phase_level", doubled)
     rep = subsol.verify_subsolution(pf, 1.0, 10)
-    assert rep.min_level_scaled >= -1e-9
+    assert rep.min_level_value >= -1e-9
     assert rep.min_phase_gap < -1e-9
     assert not rep.passed
 
@@ -301,7 +300,7 @@ def dense_phase_level(pf, x):
     """Test-only dense path: (H - theta, scaled level) from eigvalsh."""
     lam = np.linalg.eigvalsh(oracles.hessian(pf, x))
     c = np.asarray(pf.prof.spec.coeffs)
-    level = symfun.elem_sym_stack(lam[None])[0] @ c
+    level = np.array(symfun.elem_sym_all(lam.tolist())) @ c
     return (float(np.arctan(lam).sum()) - pf.prof.spec.theta,
             float(level * np.exp(-np.log(np.hypot(1.0, lam)).sum())))
 
@@ -334,7 +333,7 @@ def test_rank_one_phase_level_matches_dense_hessian_oracle(n):
             p.append(nu * diag)
             s.append(dpsi / r)
             q2.append((diag * x) ** 2)
-        phase, _, scaled = symfun.rank_one_phase_level(
+        phase, scaled = symfun.rank_one_phase_level(
             np.array(p), np.array(s), np.array(q2)[:, None, :],
             pspec.coeffs)
         for i, x in enumerate(xs):

@@ -300,13 +300,15 @@ def test_newton_check_exact_rational_nonnegative():
 
 
 def test_elem_sym_stack_matches_scalar_path():
+    # the scalar row divided by prod sqrt(1 + lambda_i^2)
     rng = np.random.default_rng(23)
     lam = rng.standard_normal((17, 5))
     table = symfun.elem_sym_stack(lam)
     assert table.shape == (17, 6)
     for row in range(17):
         sig = symfun.elem_sym_all(lam[row].tolist())
-        assert np.allclose(table[row], [float(v) for v in sig],
+        scale = float(np.prod(np.hypot(1.0, lam[row])))
+        assert np.allclose(table[row], [float(v) / scale for v in sig],
                            rtol=1e-12, atol=1e-12)
 
 
@@ -371,9 +373,9 @@ def test_rank_one_phase_level_matches_high_precision_oracle():
             if case >= 5:
                 size, sign = 1e8, (-1.0, 1.0, 1.0)[case - 5]
             s = sign * size / float(q @ q)
-            phase, level, scaled = symfun.rank_one_phase_level(
+            phase, scaled = symfun.rank_one_phase_level(
                 p[None], np.array([s]), (q * q)[None, None], c)
-            assert phase.shape == level.shape == scaled.shape == (1, 1)
+            assert phase.shape == scaled.shape == (1, 1)
             h, lev_scaled = mp_phase_level(p, s, q, c)
             assert abs(phase[0, 0] - h) <= 1e-12, (n, case)
             assert abs(scaled[0, 0] - lev_scaled) <= 1e-12, (n, case)

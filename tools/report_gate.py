@@ -65,7 +65,7 @@ EDGE_CASES = [
     ("sigma overflow n=200", (), ("solve", "--family", "iso", "--n", "200",
                                   "--theta", "critical", "--grid", "4")),
     # past n = 64: the routes agree to 2.5e-13 up to n = 150, and the
-    # shifted ray polynomial leaves the float range from n = 155
+    # shifted ray polynomial leaves the float range from n = 154
     ("iso critical n=80", (), ("solve", "--family", "iso", "--n", "80",
                                "--theta", "critical", "--grid", "4")),
     ("iso critical n=120", (), ("solve", "--family", "iso", "--n", "120",
@@ -111,12 +111,17 @@ EDGE_CASES = [
     ("n=12 beta=1e6", (), ("solve", "--family", "iso", "--n", "12",
                            "--theta", "16.008", "--beta", "1e6",
                            "--grid", "8")),
-    # beta = 1e6 past n = 44: the grid's rank-one update overflows (exit
-    # 1) at n = 48, and the tail amplitude leaves the float range (exit 2)
-    # at n = 64
+    # beta = 1e6 past n = 44, where C and the unscaled level value leave
+    # the float range: the report holds log C and the scaled level only,
+    # so every n up to 153 passes, and 154 exits 2 on the range check
     *((f"iso critical n={n} beta=1e6", (), (
         "solve", "--family", "iso", "--n", str(n), "--theta", "critical",
-        "--beta", "1e6", "--grid", "4")) for n in (48, 64)),
+        "--beta", "1e6", "--grid", "4")) for n in (48, 64, 153, 154)),
+    # (n - 1) pi/2 at beta = 1e6 fails both gates (exit 1): the phase gap
+    # reads -2.0e-9 and the scaled level -1.1e-9
+    ("iso n=12 theta=11pi/2 beta=1e6", (), (
+        "solve", "--family", "iso", "--n", "12", "--theta",
+        repr(11 * math.pi / 2), "--beta", "1e6", "--grid", "4")),
     # |H - theta| = 9e-11 at theta = pi: classify admits all three, whose
     # root 1 moves by about 2.3e-10, 2.3e-9 and 2.3e-8; the sign test and
     # the residue check read the pair shifted to 1, den(1) dropped
