@@ -19,7 +19,8 @@ Three subcommands:
             range-checked before the vector is read, so an invalid one
             exits 2 whatever the vector.  classify's WeightProfile is the
             one problem object: first_integral holds it as pf.prof, and
-            the grid takes only (pf, gamma, shells).
+            radial.invert solves its table once, after the numeric route,
+            for the implicit route, the grid and the tail integral.
 
 One path through main serves every subcommand.  COMMANDS, one table,
 maps each to its runner, which turns the parsed flags into a report dict;
@@ -629,7 +630,7 @@ def _run_solve(args: SimpleNamespace) -> dict:
     radial.check_beta(args.beta)
     if gamma < 1.0:
         raise ValueError("gamma must be finite and at least 1")
-    radial.check_rmax(r_max)
+    rs = radial.check_rmax(r_max)
     vec, n, theta = _resolve_vector(args)
     adm = weights.classify(phasepoly.PhaseSpec(n, theta), vec)
     base = {
@@ -652,13 +653,15 @@ def _run_solve(args: SimpleNamespace) -> dict:
     # every stage runs on the problem classify analysed: for all-negative
     # data the reflection (-theta, -a)
     pf = radial.first_integral(adm.profile, args.beta)
-    sol_num = radial.solve_profile(pf, r_max=r_max, route="numeric")
-    sol_imp = radial.solve_profile(pf, r_max=r_max, route="implicit")
+    sol_num = radial.solve_profile(pf, rs, route="numeric")
+    traj, shells, tail = radial.invert(
+        pf, rs, subsol.shell_radii(gamma, args.grid), (gamma, 10.0 * gamma))
+    sol_imp = radial.solve_profile(pf, traj, route="implicit")
     gap = float(np.max(np.abs(sol_num.psi - sol_imp.psi)))
 
-    mu_gamma, mu_10gamma = radial.tail_integral(pf, (gamma, 10.0 * gamma))
+    mu_gamma, mu_10gamma = radial.tail_integral(pf, tail)
     mu = {"at_gamma": mu_gamma, "at_10gamma": mu_10gamma}
-    rep = subsol.verify_subsolution(pf, gamma, args.grid)
+    rep = subsol.verify_subsolution(pf, shells)
 
     base.update({
         "first_integral": {

@@ -58,33 +58,35 @@ range-checked by check_beta, and C is only ever held as log C
 (FirstIntegral.log_amplitude), so no beta overflows on the way.
 
 The returned FirstIntegral holds the profile itself as pf.prof, and
-copies none of its fields.  It is the only input of both profile routes,
-the tail integrals and the subsol module, none of which takes beta; it
-also evaluates the slope g(1 + x) = -x D(x)/N(x) on the excess.  Ratios
-of D, N and E are evaluated by Horner's rule in x up to x = 1 and in 1/x
-beyond, the numeric route's on Python floats in numpy's polyval order,
-so every value is bit-identical to the array evaluation.
+copies none of its fields.  It is the only problem input of invert, both
+profile routes, the tail integrals and the subsol module, none of which
+takes beta; it also evaluates the slope g(1 + x) = -x D(x)/N(x) on the
+excess.  Ratios of D, N and E are evaluated by Horner's rule in x up to
+x = 1 and in 1/x beyond, the numeric route's on Python floats in numpy's
+polyval order, so every value is bit-identical to the array evaluation.
 
 Binding beta builds one table: 16-point Gauss-Legendre panels of width 1
 in u = log x, from u = log(beta - 1) down past x = 2^-64, below which the
 integral of E/D adds less than rounding and the profile is its tail law
 x = C r^(-m).  Each panel keeps the Legendre antiderivative of its
 16-node interpolant of x E(x)/D(x), so log r(u) anywhere is a cumulative
-panel sum plus one Clenshaw sum.  excess_at runs Newton's method on that
-table with the exact slope d(log r)/du = -N/D.  The tail integral
+panel sum plus one Clenshaw sum.  invert runs Newton's method on that
+table with the exact slope d(log r)/du = -N/D, once per solve: the
+implicit route and the grid read its excess, and tail_integral its log
+excess and panel in
 
-    mu(R) = int_R^inf tau (psi(tau) - 1) dtau = int_0^{x(R)} r(t)^2 N/D dt
+    mu(R) = int_R^inf tau (psi(tau) - 1) dtau = int_0^{x(R)} r(t)^2 N/D dt,
 
-(finite exactly when m > 2) is summed on the same panels, with no cutoff
-in r: below the table the integrand is C^(2/m) t^(-2/m)/m to rounding,
-integrated in closed form.
+the tail integral (finite exactly when m > 2), summed on the same panels
+with no cutoff in r: below the table the integrand is C^(2/m) t^(-2/m)/m
+to rounding, integrated in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -322,11 +324,38 @@ class FirstIntegral:
         x = np.asarray(x, dtype=float)
         return -x * _ratio(self.d_coeffs, self.n_coeffs, x)
 
-    def _solve(self, log_r: np.ndarray):
-        """(u, p): u = log(psi - 1) at each log r >= 0 of a flat array, and
-        its panel p, -1 past the table."""
-        knots, gap, knot_log_r = self._knots, self._gap, self._knot_log_r
-        m, top = self.prof.m, knots[-1]
+
+class Inversion(NamedTuple):
+    """A first integral read by invert at radii r (flat, all >= 1): u =
+    log(psi - 1) as Newton leaves it (log_excess), its table panel (-1
+    past the table), and the excess e^u, beta - 1 at r = 1."""
+    r: np.ndarray
+    excess: np.ndarray
+    log_excess: np.ndarray
+    panel: np.ndarray
+
+
+def invert(pf: FirstIntegral, *radii) -> tuple:
+    """One Inversion per sequence of radii (all >= 1), in order, from one
+    Newton solve of pf's table on all of them at once.
+
+    From the secant between the two knots whose log r bracket log r,
+    _NEWTON_STEPS steps with the exact slope -N/D, each kept between those
+    knots; the last must move u by at most 1e-10 max(1, |u|) (RuntimeError
+    otherwise).  log r is strictly decreasing in u, so the root is unique.
+    Past the table the tail law x = C r^(-m) holds to rounding and may
+    underflow to 0; at beta = 1 no step runs.  Every operation is
+    elementwise, so a radius gets the same bits alone as in any batch.
+    """
+    r = np.concatenate(radii, dtype=float)
+    if not np.all(r >= 1.0):
+        raise ValueError("r must be at least 1")
+    log_r, m = np.log(r), pf.prof.m
+    if pf.beta == 1.0:
+        u, p = np.full_like(r, -math.inf), np.full(r.shape, -1)
+    else:
+        knots, gap, knot_log_r = pf._knots, pf._gap, pf._knot_log_r
+        top = knots[-1]
         # knots j and j + 1, on panel j // 17, bracket log r
         j = np.searchsorted(-knot_log_r, -log_r, side="right") - 1
         below = j < 0
@@ -335,45 +364,26 @@ class FirstIntegral:
         l_lo, l_hi = knot_log_r[j], knot_log_r[j + 1]
         u = lo + (hi - lo) * np.minimum((l_lo - log_r) / (l_lo - l_hi), 1.0)
         p = j // 17
-        edge, above, rows = knots[17 * p], gap[17 * p + 17], self._rows[p].T
+        edge, above, rows = knots[17 * p], gap[17 * p + 17], pf._rows[p].T
         for _ in range(_NEWTON_STEPS):
             s = 2.0 * (u - edge) / _PANEL - 1.0
             resid = (top - u + above + legendre.legval(s, rows, tensor=False)
                      ) / m - log_r
             # d(log r)/du = -N/D
             new = np.minimum(np.maximum(
-                u + resid / _ratio(self.n_coeffs, self.d_coeffs, np.exp(u)),
+                u + resid / _ratio(pf.n_coeffs, pf.d_coeffs, np.exp(u)),
                 lo), hi)
             moved, u = np.abs(new - u), new
         if np.any((moved > _NEWTON_TOL * np.maximum(1.0, np.abs(u)))
                   & ~below):
             raise RuntimeError("implicit Newton iteration did not converge")
         # past the table: the tail law log x = log C - m log r
-        return (np.where(below, self.log_amplitude - m * log_r, u),
-                np.where(below, -1, p))
-
-    def excess_at(self, r) -> np.ndarray:
-        """psi(r, beta) - 1 at every radius of r (all >= 1), same shape.
-
-        Newton's method on the table for u = log(psi - 1): from the secant
-        between the two knots whose log r bracket log r, _NEWTON_STEPS
-        steps with the exact slope -N/D, each kept between those knots; the
-        last must move u by at most 1e-10 max(1, |u|) (RuntimeError
-        otherwise).
-        log r is strictly decreasing in u, so the root is unique.  Past
-        the table the tail law x = C r^(-m) holds to rounding and may
-        underflow to 0; r = 1 gives beta - 1 exactly.  Every operation is
-        elementwise, so a radius gets the same bits alone as in any batch.
-        """
-        rs = np.asarray(r, dtype=float)
-        if not np.all(rs >= 1.0):
-            raise ValueError("r must be at least 1")
-        if self.beta == 1.0:
-            return np.zeros_like(rs)
-        flat = rs.ravel()
-        out = np.exp(self._solve(np.log(flat))[0])
-        out[flat == 1.0] = self.beta - 1.0
-        return out.reshape(rs.shape)
+        u = np.where(below, pf.log_amplitude - m * log_r, u)
+        p = np.where(below, -1, p)
+    x = np.exp(u)
+    x[r == 1.0] = pf.beta - 1.0
+    cut = np.cumsum([len(rs) for rs in radii])[:-1]
+    return tuple(map(Inversion, *(np.split(v, cut) for v in (r, x, u, p))))
 
 
 def first_integral(prof: WeightProfile, beta: float) -> FirstIntegral:
@@ -443,25 +453,26 @@ class ProfileSolution:
             raise ValueError("profile is not nonincreasing")
 
 
-def solve_profile(pf: FirstIntegral, r_max: float = 1.0e4,
+def solve_profile(pf: FirstIntegral, samples,
                   route: str = "numeric") -> ProfileSolution:
-    """Sample the profile of the problem pf on 241 log-spaced radii in
-    [1, r_max].
+    """Sample the profile of the problem pf at increasing radii from 1.
 
-    pf, the problem's first_integral, supplies beta and the polynomials
-    to both routes.  route="numeric" integrates the log of the excess
-    with the Dormand-Prince 5(4) pair (rtol 1e-12, atol 1e-13), stepping
-    exactly onto every sample radius; it reads only pf.beta, pf.d_coeffs
-    and pf.n_coeffs, never the table.  In log variables the slope is smooth
-    and O(1), so the route stays accurate down to excesses far below
-    1e-16 without tiny steps.  route="implicit" solves the first integral
-    at all sample radii at once (FirstIntegral.excess_at).
+    route="numeric" takes the radii, as check_rmax returns them, and
+    integrates the log of the excess with the Dormand-Prince 5(4) pair
+    (rtol 1e-12, atol 1e-13), stepping exactly onto every radius; it reads
+    only pf.beta, pf.d_coeffs and pf.n_coeffs, never the table.  In log
+    variables the slope is smooth and O(1), so the route stays accurate
+    down to excesses far below 1e-16 without tiny steps.  route="implicit"
+    takes the radii's Inversion (invert) and reads its excess.
     """
-    rs = check_rmax(r_max)
-    if route not in ("numeric", "implicit"):
+    if route == "implicit":
+        rs, excess = samples.r, samples.excess
+    elif route != "numeric":
         raise ValueError("route must be 'numeric' or 'implicit'")
-
-    if route == "numeric" and pf.beta > 1.0:
+    elif pf.beta == 1.0:  # the constant profile
+        rs, excess = samples, np.zeros_like(samples)
+    else:
+        rs = samples
         # -D/N as _ratio takes it, _horner inlined for D and N in one loop
         # (their certified coefficients are positive, so polyval's + x*0
         # changes no bit): from the top in x = e^y up to 1, from the bottom
@@ -486,35 +497,31 @@ def solve_profile(pf: FirstIntegral, r_max: float = 1.0e4,
         excess = np.exp(_dormand_prince(rhs, math.log(pf.beta - 1.0),
                                         np.log(rs).tolist(), _PROFILE_TOL,
                                         0.1 * _PROFILE_TOL))
-    else:
-        # the implicit route, and the constant profile at beta = 1
-        excess = pf.excess_at(rs)
     return ProfileSolution(beta=pf.beta, r=rs, psi=1.0 + excess,
                            excess=excess)
 
 
-def tail_integral(pf: FirstIntegral, radii: Sequence) -> tuple:
+def tail_integral(pf: FirstIntegral, at: Inversion) -> tuple:
     """int_R^inf tau (psi(tau, beta) - 1) dtau for the problem pf, at each R.
 
-    radii is a sequence of R >= 1 (a 1-tuple for one radius); the values
-    come back as a tuple in its order.  Finite exactly when m > 2.  With
+    at is pf's Inversion at the radii R, and the values come back as a
+    tuple in their order.  Finite exactly when m > 2.  With
     x(R) = psi(R) - 1 the integral is int_0^{x(R)} r(t)^2 N/D dt, summed
     in u = log t on pf's table: the integrand at the panels' nodes (log r
     read off the table), the panel sums, and for R the part of its panel
-    above u(R) from the integrand's antiderivative rows.  Below the table
-    the integrand is C^(2/m) t^(-2/m)/m to rounding, and its integral
+    above u(R) from the integrand's antiderivative rows, with u(R) and its
+    panel read from at.log_excess and at.panel.  Below the table the
+    integrand is C^(2/m) t^(-2/m)/m to rounding, and its integral
     C^(2/m) x^(1 - 2/m)/(m - 2) is added (for R past the table it is the
     whole value, C R^(2-m)/(m - 2)).  No cutoff in r, so a large beta is
     integrated like any other.  At beta = 1 the values are 0.0.
     RuntimeError when a value overflows the float range.
     """
-    if not all(R >= 1.0 for R in radii):
-        raise ValueError("R must be at least 1")
     m = pf.prof.m
     if m <= 2.0:
         raise ValueError("integral may diverge")
     if pf.beta == 1.0:
-        return (0.0,) * len(radii)
+        return (0.0,) * at.r.size
     m_2, log_amp = m - 2.0, pf.log_amplitude
 
     def below(u):
@@ -531,7 +538,7 @@ def tail_integral(pf: FirstIntegral, radii: Sequence) -> tuple:
         rows = g @ _ANTIDERIVATIVE
         # the integral from 0 to each panel's top edge
         upto = below(knots[0, 0]) + np.cumsum(g @ _AT_KNOTS[:, 0])
-        u, p = pf._solve(np.log(np.array(radii, dtype=float)))
+        u, p = at.log_excess, at.panel
         inside = p >= 0
         p = np.maximum(p, 0)
         s = np.where(inside, 2.0 * (u - knots[p, 0]) / _PANEL - 1.0, 1.0)

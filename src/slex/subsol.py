@@ -17,12 +17,13 @@ the defining differential inequality
 
     sum_i arctan lambda_i(D2Phi(x)) >= theta
 
-holds everywhere outside the ellipsoid.  verify_subsolution(pf, gamma,
-shells) samples that inequality (and the equivalent algebraic level form,
-which must be >= 0) on log-spaced shells crossed with a deterministic
-direction set: the 2n coordinate axis points, where the direction weights
-attain their extremes, plus DIRECTIONS low-discrepancy generic directions.
-The shells run from just outside the ellipsoid to GRID_RADIUS * gamma.
+holds everywhere outside the ellipsoid.  verify_subsolution(pf, shells)
+samples that inequality (and the equivalent algebraic level form, which
+must be >= 0) on log-spaced shells crossed with a deterministic direction
+set: the 2n coordinate axis points, where the direction weights attain
+their extremes, plus DIRECTIONS low-discrepancy generic directions.  The
+shells, shell_radii(gamma, count), run from just outside the ellipsoid to
+GRID_RADIUS * gamma, and their excess comes from solve's one inversion.
 It computes no eigenvalue: symfun.rank_one_phase_level gives the phase
 from the matrix determinant lemma and the scale-free level value from the
 rank-one update, at O(n) per point once each shell's O(n^3) exclusion rows
@@ -34,7 +35,7 @@ target, and pf.beta the profile's start.  Nothing here re-checks it.  alpha
 shifts Phi by a constant and never reaches the Hessian, so the grid does
 not take it.  gamma >= 1 is the solve command's check; the shell count is
 checked by check_shells, which solve calls before it reads the vector and
-verify_subsolution again for a library caller.
+shell_radii again for a library caller.
 
 A is diagonal throughout: a general symmetric A enters through its
 eigenvalues, as the problem's vector a.
@@ -47,7 +48,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .radial import FirstIntegral
+from .radial import FirstIntegral, Inversion
 from .symfun import rank_one_phase_level
 
 _NORMAL = NormalDist()
@@ -104,33 +105,38 @@ class VerificationReport:
     passed: bool
 
 
-def verify_subsolution(pf: FirstIntegral, gamma: float,
-                       shells: int) -> VerificationReport:
+def shell_radii(gamma: float, shells: int) -> np.ndarray:
+    """The grid's shells log-spaced radii, from just outside the ellipsoid,
+    gamma * (1 + 1e-6), to GRID_RADIUS * gamma (ValueError if shells < 1)."""
+    check_shells(shells)
+    return np.geomspace(gamma * _R_MIN_SCALE, GRID_RADIUS * gamma, shells)
+
+
+def verify_subsolution(pf: FirstIntegral,
+                       shells: Inversion) -> VerificationReport:
     """Check both subsolution inequalities of the problem pf on the grid.
 
-    The grid has shells log-spaced radii from gamma * (1 + 1e-6), just
-    outside the excised ellipsoid, to GRID_RADIUS * gamma, each crossed
-    with the 2n signed coordinate axes and DIRECTIONS low-discrepancy
-    points, so every grid point sits strictly outside the ellipsoid.  On
-    the shell of radius rho the Hessian is diag(p) + s q q^T with
-    p = psi a, q = a o x and s = psi'/rho = pf.slope(psi - 1)/rho^2, read
-    on the excess so that it keeps its sign where psi rounds to 1, and
+    shells is pf's Inversion (radial.invert) at the grid's shell radii,
+    shell_radii(gamma, count); solve inverts them together with its other
+    radii.  Each shell is crossed with the 2n signed coordinate axes and
+    DIRECTIONS low-discrepancy points, so every grid point sits strictly
+    outside the ellipsoid.  On the shell of radius rho the Hessian is
+    diag(p) + s q q^T with p = psi a, q = a o x and
+    s = psi'/rho = pf.slope(psi - 1)/rho^2, read on the shell's excess so
+    that it keeps its sign where psi rounds to 1, and
     symfun.rank_one_phase_level evaluates the phase gap and the level value
     of every point from (p, s, q o q) without an eigenvalue; their minima
     are reported and gated.  The level value is the scale-free one (divided
     by prod_j sqrt(1 + lambda_j^2)), so the verdict does not depend on the
-    size of the eigenvalues.  ValueError when shells < 1.
+    size of the eigenvalues.
     """
-    check_shells(shells)
     spec, a = pf.prof.spec, pf.prof.a
     n = a.size
     axes = np.vstack([np.eye(n), -np.eye(n)])
     dirs = np.vstack([axes, sphere_directions(n, DIRECTIONS)])
     # radius of each direction point in the A-metric, for rescaling
     ra = np.sqrt((dirs * dirs) @ a)
-    radii = np.geomspace(gamma * _R_MIN_SCALE, GRID_RADIUS * gamma, shells)
-
-    excess = pf.excess_at(radii)
+    radii, excess = shells.r, shells.excess
     # the update scale s = psi'(rho)/rho of each shell, psi' = slope/rho
     s = pf.slope(excess) / radii**2
     x = (radii[:, None] / ra)[:, :, None] * dirs

@@ -176,7 +176,8 @@ def rank_one_phase_level(p: np.ndarray, s: np.ndarray, q2: np.ndarray,
     s = np.asarray(s, dtype=float)[:, None]
     c = np.asarray(c, dtype=float)
     blocks, n = p.shape
-    others = np.array([np.delete(np.arange(n), j) for j in range(n)])
+    idx = np.arange(n - 1)
+    others = idx + (idx >= np.arange(n)[:, None])
     rows = elem_sym_stack(p[:, others].reshape(blocks * n, n - 1))
     rows = rows.reshape(blocks, n, n)
     # row j lacks entry j's factor of prod_i sqrt(1 + p_i^2)

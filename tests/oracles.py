@@ -9,7 +9,8 @@ cut-off recurrence of the rank-one sigma formula, the numpy route by
 which the weights layer once read a vector, and the criticality class
 of a phase angle.  profile is the one way a test takes the analysis of a
 problem: the WeightProfile that weights.classify builds, as the solve
-command does.
+command does; excess is the one way it reads the first integral's
+profile, radial.invert's excess, at radii of any shape.
 iso_first_integral is the exact profile of an isotropic problem, in
 mpmath: the excess, mu and log C with no root, residue or ODE solver.
 The candidate matrix is diagonal, diag(a): a general symmetric A enters
@@ -22,7 +23,7 @@ import mpmath
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from slex import symfun, weights
+from slex import radial, symfun, weights
 
 
 def profile(spec, a):
@@ -32,6 +33,13 @@ def profile(spec, a):
     prof = weights.classify(spec, a).profile
     assert prof is not None, (spec, a)
     return prof
+
+
+def excess(pf, r):
+    """psi(r) - 1 of the problem pf at every radius of r (all >= 1), same
+    shape: the excess of radial.invert on the one radius set r."""
+    rs = np.asarray(r, dtype=float)
+    return radial.invert(pf, rs.ravel())[0].excess.reshape(rs.shape)
 
 
 # pi/2 to 4e-27 in two parts (fdlibm's pio2_1, pio2_1t): the first has 33
@@ -244,14 +252,14 @@ def profile_at(pf, r):
     """(psi, psi') at radius r >= 1 of the problem pf, from the implicit
     route: psi' = g(psi)/r, with g(1 + x) = -x D(x)/N(x) from
     excess_pair."""
-    x = float(pf.excess_at(r))
+    x = float(excess(pf, r))
     d, n = excess_pair(pf.prof)
     return 1.0 + x, -x * d(x) / n(x) / r
 
 
 def excess_integral(pf, r_lo, r_hi):
     """int_{r_lo}^{r_hi} tau (psi(tau) - 1) dtau, 1 <= r_lo <= r_hi, by
-    composite 16-point Gauss-Legendre in log tau on pf.excess_at: the panel
+    composite 16-point Gauss-Legendre in log tau on excess: the panel
     count doubles from 8 until two estimates agree within 1e-13 absolute
     or 1e-11 relative, and the finer one is returned."""
     if r_lo == r_hi or pf.beta == 1.0:
@@ -266,7 +274,7 @@ def excess_integral(pf, r_lo, r_hi):
         tau = np.exp(((s_lo + h * np.arange(panels))[:, None]
                       + (0.5 * h) * (1.0 + nodes)).ravel())
         est = 0.5 * h * float(np.dot(np.tile(weights_, panels),
-                                     tau * tau * pf.excess_at(tau)))
+                                     tau * tau * excess(pf, tau)))
         if prev is not None and abs(est - prev) <= max(1e-13,
                                                        1e-11 * abs(est)):
             return est

@@ -185,9 +185,11 @@ def test_criterion_4_closed_form_profile():
         log_amp = replace(pf, beta=beta).log_amplitude
         if abs(log_amp - math.log((beta * beta - 1.0) / 2.0)) > 1e-12:
             bad.append(("log_amplitude", beta, log_amp))
-        for route in ("numeric", "implicit"):
-            sol = radial.solve_profile(replace(pf, beta=beta), r_max=1.0e4,
-                                       route=route)
+        pf_beta = replace(pf, beta=beta)
+        rs = radial.check_rmax(1.0e4)
+        for route, samples in (("numeric", rs),
+                               ("implicit", radial.invert(pf_beta, rs)[0])):
+            sol = radial.solve_profile(pf_beta, samples, route=route)
             exact = np.sqrt(1.0 + (beta * beta - 1.0) * sol.r ** -3.0)
             gap = float(np.max(np.abs(sol.psi - exact)))
             if gap > 1e-8:
@@ -205,8 +207,10 @@ def test_criterion_5_route_agreement_and_decay(admissible_cases):
     bad = []
     for spec, a, beta in admissible_cases:
         pf = radial.first_integral(oracles.profile(spec, a), beta)
-        num = radial.solve_profile(pf, r_max=1.0e4, route="numeric")
-        imp = radial.solve_profile(pf, r_max=1.0e4, route="implicit")
+        rs = radial.check_rmax(1.0e4)
+        num = radial.solve_profile(pf, rs, route="numeric")
+        imp = radial.solve_profile(pf, *radial.invert(pf, rs),
+                                   route="implicit")
         gap = float(np.max(np.abs(num.psi - imp.psi)))
         if gap > 1e-8:
             bad.append(("route_gap", spec.n, spec.theta, gap))
@@ -277,7 +281,8 @@ def test_criterion_7_subsolution_verification():
     ]
     bad = []
     for i, (pf, gamma) in enumerate(candidates):
-        rep = subsol.verify_subsolution(pf, gamma, 120)
+        rep = subsol.verify_subsolution(
+            pf, *radial.invert(pf, subsol.shell_radii(gamma, 120)))
         if rep.points < 10 ** 4:
             bad.append(("points", i, rep.points))
         if rep.min_phase_gap < -1e-9:
@@ -368,7 +373,7 @@ def test_criterion_8_property_suites():
         oracles.profile(phasepoly.PhaseSpec(3, math.pi / 2), iso3), 2.0)
     for beta, gamma, alpha in ((2.0, 1.0, 0.0), (10.0, 1.5, 2.0)):
         pf = replace(pf3, beta=beta)
-        mu_gamma = radial.tail_integral(pf, (gamma,))[0]
+        mu_gamma = radial.tail_integral(pf, *radial.invert(pf, (gamma,)))[0]
         const = mu_gamma + alpha - gamma * gamma / 2.0
         for _ in range(100):
             x = rng.standard_normal(3) * rng.uniform(1.0, 40.0)

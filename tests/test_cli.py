@@ -629,7 +629,11 @@ def test_solve_analyses_its_problem_once(tmp_path, monkeypatch, source):
     # first_integral reads that profile: one level check, one positivity
     # check, one phase H(a), one sigma row and chain, and one first
     # integral per admissible solve.  The grid and the tail integral get
-    # that same profile object, not a copy of its fields
+    # that same profile object, not a copy of its fields.  The sample
+    # radii are made and checked once, and the table is inverted once for
+    # the implicit route, the grid and the tail integral: one Newton solve
+    # of _NEWTON_STEPS Clenshaw sums, and the tail integral's one.  At
+    # beta = 1 there is no table, and no sum reads one
     calls = {}
     seen = {}
 
@@ -652,6 +656,9 @@ def test_solve_analyses_its_problem_once(tmp_path, monkeypatch, source):
         count(weights, name)
     count(phasepoly, "phase")
     count(radial, "first_integral")
+    count(radial, "check_rmax")
+    count(radial, "invert")
+    count(radial.legendre, "legval")
     count(radial, "tail_integral")
     count(subsol, "verify_subsolution")
     code, path = run(tmp_path, ["solve", *source, "--grid", "4"])
@@ -662,13 +669,25 @@ def test_solve_analyses_its_problem_once(tmp_path, monkeypatch, source):
                      "weights._ascending_positive": 1, "weights._chain": 1,
                      "weights.phase": 1, "weights.classify": 1,
                      "phasepoly.phase": 0, "radial.first_integral": 1,
+                     "radial.check_rmax": 1, "radial.invert": 1,
+                     "legendre.legval": radial._NEWTON_STEPS + 1,
                      "radial.tail_integral": 1,
                      "subsol.verify_subsolution": 1}
     adm = seen["weights.classify result"]
     pf = seen["radial.first_integral result"]
     assert pf.prof is adm.profile
-    for key in ("radial.tail_integral", "subsol.verify_subsolution"):
+    for key in ("radial.invert", "radial.tail_integral",
+                "subsol.verify_subsolution"):
         assert seen[key][0].prof is adm.profile
+    calls.update(dict.fromkeys(calls, 0))
+    code, path = run(tmp_path, ["solve", *source, "--grid", "4",
+                                "--beta", "1"])
+    assert code == 0
+    report = json.loads(path.read_text())
+    assert set(report["trajectory"]["excess_implicit"]) == {0.0}
+    assert report["mu"] == {"at_gamma": 0.0, "at_10gamma": 0.0}
+    assert calls["legendre.legval"] == 0
+    assert calls["radial.check_rmax"] == calls["radial.invert"] == 1
 
 
 def test_solve_slow_decay_exits_one(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the radial profile equation and its two solution routes."""
 
 import inspect
+import itertools
 import json
 import math
 import warnings
@@ -24,6 +25,20 @@ SPEC3 = phasepoly.PhaseSpec(3, math.pi / 2)
 A3 = np.full(3, 1.0 / SQRT3)
 PF3_PROFILE = oracles.profile(SPEC3, A3)
 PF3 = radial.first_integral(PF3_PROFILE, 2.0)
+
+
+def sample(pf, route, r_max=1.0e4):
+    """solve_profile on r_max's sample radii as solve calls it: the radii
+    to the numeric route, their Inversion to the implicit route."""
+    rs = radial.check_rmax(r_max)
+    return radial.solve_profile(
+        pf, radial.invert(pf, rs)[0] if route == "implicit" else rs,
+        route=route)
+
+
+def tail(pf, radii):
+    """tail_integral at radii, read off their Inversion."""
+    return radial.tail_integral(pf, *radial.invert(pf, radii))
 
 
 def closed_excess(r, beta):
@@ -160,7 +175,7 @@ def test_poly_pair_and_m_from_one_weight_profile_bitwise():
 
 def test_profile_implicit_closed_case_values():
     def psi(beta, r):
-        return 1.0 + float(replace(PF3, beta=beta).excess_at(r))
+        return 1.0 + float(oracles.excess(replace(PF3, beta=beta), r))
 
     assert psi(2.0, 1.0) == pytest.approx(2.0, abs=1e-12)
     assert psi(1.0, 57.0) == 1.0
@@ -174,7 +189,7 @@ def test_both_routes_match_closed_form():
     for beta in (1.5, 2.0, 10.0):
         expect = 1.0 + closed_excess(rs, beta)
         for route in ("numeric", "implicit"):
-            sol = radial.solve_profile(replace(PF3, beta=beta), route=route)
+            sol = sample(replace(PF3, beta=beta), route)
             assert np.array_equal(sol.r, rs)
             assert np.max(np.abs(sol.psi - expect)) <= 1e-8
 
@@ -185,8 +200,8 @@ def test_routes_agree_on_random_admissible_cases():
         spec, a, _m = admissible_sample(rng)
         beta = float(rng.uniform(1.1, 10.0))
         pf = radial.first_integral(oracles.profile(spec, a), beta)
-        sn = radial.solve_profile(pf, route="numeric")
-        si = radial.solve_profile(pf, route="implicit")
+        sn = sample(pf, "numeric")
+        si = sample(pf, "implicit")
         assert np.max(np.abs(sn.psi - si.psi)) <= 1e-8
         # squeeze and slope-decay invariants on the numeric trajectory
         assert np.all(sn.psi[1:] < beta)
@@ -201,7 +216,7 @@ def test_profile_monotone_in_beta():
     spec, a, _m = admissible_sample(rng)
     betas = (1.5, 2.5, 4.0, 9.0)
     pf = radial.first_integral(oracles.profile(spec, a), betas[0])
-    sols = [radial.solve_profile(replace(pf, beta=b), route="implicit")
+    sols = [sample(replace(pf, beta=b), "implicit")
             for b in betas]
     for lo, hi in zip(sols, sols[1:]):
         assert np.all(hi.psi[1:] > lo.psi[1:])
@@ -209,7 +224,7 @@ def test_profile_monotone_in_beta():
 
 
 def test_profile_solution_invariants():
-    sol = radial.solve_profile(PF3, route="numeric")
+    sol = sample(PF3, "numeric")
     assert sol.r[0] == 1.0
     assert sol.psi[0] == pytest.approx(2.0, rel=1e-12)
     assert np.all(np.diff(sol.r) > 0)
@@ -219,16 +234,18 @@ def test_profile_solution_invariants():
 
 
 def test_solve_profile_validates_inputs():
+    # the sample radii are checked once, by check_rmax, before either
+    # route takes them
     with pytest.raises(ValueError, match="r_max must be finite and exceed 1"):
-        radial.solve_profile(PF3, r_max=0.5)
+        radial.check_rmax(0.5)
     # above 1, but within a few hundred ulps: the sample radii round together
     for r_max in (1.00000000000002, 1.00000000000005):
         with pytest.raises(ValueError, match="is too close to 1"):
-            radial.solve_profile(PF3, r_max=r_max)
+            radial.check_rmax(r_max)
     assert np.all(np.diff(radial.check_rmax(1.0000000000000546)) > 0.0)
     for pf in (PF3, replace(PF3, beta=1.0)):
         with pytest.raises(ValueError, match="route must be 'numeric' or"):
-            radial.solve_profile(pf, route="magic")
+            sample(pf, "magic")
 
 
 def test_partial_fractions_checks_beta():
@@ -253,18 +270,21 @@ def test_partial_fractions_checks_beta():
 def test_beta_enters_through_the_analysis_only():
     # beta and the tolerances are bound in one place each, so no stage
     # takes them as arguments
-    for fn in (radial.FirstIntegral.excess_at, radial.solve_profile,
-               radial.tail_integral, subsol.verify_subsolution,
+    for fn in (radial.invert, radial.solve_profile, radial.tail_integral,
+               subsol.shell_radii, subsol.verify_subsolution,
                weights.decay_exponent, weights.classify):
         params = inspect.signature(fn).parameters
         assert not {"beta", "tol", "level_tol", "tolerance"} & set(params), fn
     # the analysis classify made, and beta: nothing else
     assert list(inspect.signature(radial.first_integral).parameters) == \
         ["prof", "beta"]
-    # the grid takes the problem, gamma and the shell count: alpha never
-    # reaches the Hessian, and the outer radius is GRID_RADIUS * gamma
+    # the grid takes the problem and its shells' Inversion: alpha never
+    # reaches the Hessian, and the shells are shell_radii(gamma, count),
+    # the outer one GRID_RADIUS * gamma
     assert list(inspect.signature(subsol.verify_subsolution).parameters) == \
-        ["pf", "gamma", "shells"]
+        ["pf", "shells"]
+    assert list(inspect.signature(subsol.shell_radii).parameters) == \
+        ["gamma", "shells"]
 
 
 def test_tail_integral_against_quadrature_oracle():
@@ -278,47 +298,69 @@ def test_tail_integral_against_quadrature_oracle():
     t_cut = 1.0e4
     series_tail = 1.5 / t_cut - (9.0 / 32.0) * t_cut ** -4.0
     oracle = body + series_tail
-    val = radial.tail_integral(PF3, (10.0,))[0]
+    val = tail(PF3, (10.0,))[0]
     assert val == pytest.approx(oracle, rel=1e-6)
 
 
 def test_tail_integral_properties():
-    assert radial.tail_integral(replace(PF3, beta=1.0), (5.0,))[0] == 0.0
-    assert radial.tail_integral(PF3, (3.0,))[0] < \
-        radial.tail_integral(replace(PF3, beta=3.0), (3.0,))[0]
+    assert tail(replace(PF3, beta=1.0), (5.0,))[0] == 0.0
+    assert tail(PF3, (3.0,))[0] < tail(replace(PF3, beta=3.0), (3.0,))[0]
     with pytest.raises(ValueError, match="integral may diverge"):
         spec = phasepoly.PhaseSpec(5, 5 * math.pi / 3)
         prof = oracles.profile(spec, weights.epsilon_family(math.pi / 12))
-        radial.tail_integral(radial.first_integral(prof, 2.0), (5.0,))
+        tail(radial.first_integral(prof, 2.0), (5.0,))
 
 
 def test_non_finite_and_overflowing_inputs_rejected():
     # non-finite beta: test_partial_fractions_checks_beta
     with pytest.raises(ValueError, match="r_max must be finite"):
-        radial.solve_profile(PF3, r_max=float("nan"))
+        radial.check_rmax(float("nan"))
     with pytest.raises(ValueError, match="r_max must be finite"):
-        radial.solve_profile(PF3, r_max=float("inf"))
-    with pytest.raises(ValueError, match="R must be at least 1"):
-        radial.tail_integral(PF3, (float("nan"),))
+        radial.check_rmax(float("inf"))
+    with pytest.raises(ValueError, match="r must be at least 1"):
+        radial.invert(PF3, (float("nan"),))
     # no cutoff in r: far out the value is the tail law C R^(2-m)/(m-2)
     # (C = 1.5, m = 3), and 0 at beta = 1
-    assert radial.tail_integral(PF3, (1e300,))[0] == \
-        pytest.approx(1.5e-300, rel=1e-12)
-    assert radial.tail_integral(replace(PF3, beta=1.0), (1e300,)) == (0.0,)
+    assert tail(PF3, (1e300,))[0] == pytest.approx(1.5e-300, rel=1e-12)
+    assert tail(replace(PF3, beta=1.0), (1e300,)) == (0.0,)
 
 
 def test_tail_integral_radii_in_one_pass_match_one_at_a_time():
-    # both radii share one table and one Newton solve and still get the
-    # bits of their own one-radius calls
+    # solve inverts the table once, on the unsorted concatenation of its
+    # sample radii, the grid's shells and (gamma, 10 gamma): each share of
+    # that one inversion has, bit for bit, what its radii give alone, and
+    # the tail integral read off it what each radius gives alone.  The
+    # cases cover r = 1, radii past the table (panel -1), and batches where
+    # one share reads D/N in 1/x (x > 1) and another does not: the Newton
+    # iterates stay within a knot of the root, so an excess below 0.5
+    # keeps every iterate below 1 and one above 2 keeps it above
     rng = np.random.default_rng(99)
-    cases = [admissible_point(rng, n) for n in range(3, 13)]
-    spec8 = phasepoly.PhaseSpec(8, 3 * math.pi)
-    cases.append((spec8, weights.iso_point(spec8)))
+    cases = [admissible_point(rng, n) for n in (3, 5, 8, 12)]
+    for spec in (phasepoly.PhaseSpec(8, 3 * math.pi),
+                 phasepoly.PhaseSpec(5, 3 * math.pi / 2)):
+        cases.append((spec, weights.iso_point(spec)))
+    cases.append((phasepoly.PhaseSpec(5, 5 * math.pi / 3),
+                  weights.epsilon_family(0.1)))
+    seen = set()
     for spec, a in cases:
-        pf = radial.first_integral(oracles.profile(spec, a), 2.7)
-        one_at_a_time = (radial.tail_integral(pf, (1.0,))
-                         + radial.tail_integral(pf, (10.0,)))
-        assert radial.tail_integral(pf, (1.0, 10.0)) == one_at_a_time
+        prof = oracles.profile(spec, a)
+        for beta in (1.0001, 1.5, 2.0, 1e3, 1e6):
+            pf = radial.first_integral(prof, beta)
+            for gamma, r_max in itertools.product((1.0, 3.0, 1e3), (2.0, 1e4)):
+                radii = (radial.check_rmax(r_max),
+                         subsol.shell_radii(gamma, 24), (gamma, 10.0 * gamma))
+                joint = radial.invert(pf, *radii)
+                for share, alone in zip(joint, radii):
+                    for got, want in zip(share, radial.invert(pf, alone)[0]):
+                        assert got.tobytes() == want.tobytes(), (spec, beta)
+                    seen |= {"r = 1"} if np.any(share.r == 1.0) else set()
+                    seen |= {"past"} if np.any(share.panel == -1) else set()
+                peaks = [float(np.max(share.excess)) for share in joint]
+                if min(peaks) < 0.5 and max(peaks) > 2.0:
+                    seen.add("mixed branches")
+                one_at_a_time = tail(pf, (gamma,)) + tail(pf, (10.0 * gamma,))
+                assert radial.tail_integral(pf, joint[2]) == one_at_a_time
+    assert seen == {"r = 1", "past", "mixed branches"}
 
 
 def test_tail_integral_scaling_in_cutoff():
@@ -326,7 +368,7 @@ def test_tail_integral_scaling_in_cutoff():
     # by less than 10%
     vals = []
     for R in (1.0e2, 1.0e3, 1.0e4):
-        vals.append(radial.tail_integral(PF3, (R,))[0] * R ** (3.0 - 2.0))
+        vals.append(tail(PF3, (R,))[0] * R ** (3.0 - 2.0))
     assert max(vals) / min(vals) < 1.10
 
 
@@ -474,7 +516,7 @@ def test_implicit_excess_matches_brentq_oracle():
         pf = radial.first_integral(oracles.profile(spec, a), 2.0)
         for beta in (1.0, 1.01, 2.0, float(rng.uniform(1.5, 50.0)), 900.0):
             pf = replace(pf, beta=beta)
-            got = pf.excess_at(radii)
+            got = oracles.excess(pf, radii)
             assert got.shape == radii.shape
             for r, value in zip(radii.tolist(), got.tolist()):
                 expect = oracle_excess(pf, beta, r)
@@ -483,16 +525,16 @@ def test_implicit_excess_matches_brentq_oracle():
                 else:
                     assert abs(value - expect) <= 1e-12 * expect, (n, beta, r)
                 # one radius alone gives the same bits as in the batch
-                assert float(pf.excess_at(r)) == value
+                assert float(oracles.excess(pf, r)) == value
     # the bit check alone at higher degree
     for n in (18, 24):
         spec, a = admissible_point(rng, n)
         pf = radial.first_integral(oracles.profile(spec, a), 2.0)
         for beta in (1.01, 2.0, 900.0):
             pf = replace(pf, beta=beta)
-            got = pf.excess_at(radii)
+            got = oracles.excess(pf, radii)
             for r, value in zip(radii.tolist(), got.tolist()):
-                assert float(pf.excess_at(r)) == value, (n, beta, r)
+                assert float(oracles.excess(pf, r)) == value, (n, beta, r)
 
 
 def test_excess_at_safeguards_newton():
@@ -507,7 +549,7 @@ def test_excess_at_safeguards_newton():
             pf = radial.first_integral(oracles.profile(spec, a), beta)
             on_knots = np.exp(pf._knot_log_r[5::97])
             radii = np.concatenate((on_knots, on_knots * (1.0 + 1e-9)))
-            got = pf.excess_at(radii)
+            got = oracles.excess(pf, radii)
             for r, value in zip(radii.tolist(), got.tolist()):
                 expect = oracle_excess(pf, beta, r)
                 assert abs(value - expect) <= 1e-12 * expect, (n, beta, r)
@@ -521,7 +563,7 @@ def test_excess_at_stops_on_newton_overshoot_by_an_ulp():
     spec = phasepoly.PhaseSpec(8, 3 * math.pi)
     pf = radial.first_integral(
         oracles.profile(spec, weights.iso_point(spec)), 2.7)
-    got = pf.excess_at(np.exp(pf._knot_log_r))
+    got = oracles.excess(pf, np.exp(pf._knot_log_r))
     assert np.allclose(got, np.exp(pf._knots), rtol=1e-13, atol=0.0)
 
 
@@ -531,16 +573,16 @@ def test_excess_at_raises_when_newton_has_not_converged(monkeypatch):
     monkeypatch.setattr(radial, "_NEWTON_STEPS", 1)
     with pytest.raises(RuntimeError, match="implicit Newton iteration did "
                                            "not converge"):
-        PF3.excess_at(np.geomspace(1.0, 1e4, 241))
+        oracles.excess(PF3, np.geomspace(1.0, 1e4, 241))
 
 
 def test_excess_at_validates_radii():
     for bad in (0.5, float("nan"), [2.0, 0.999]):
         with pytest.raises(ValueError, match="r must be at least 1"):
-            PF3.excess_at(bad)
+            oracles.excess(PF3, bad)
     grid = np.geomspace(1.0, 50.0, 6).reshape(2, 3)
-    assert np.array_equal(PF3.excess_at(grid),
-                          PF3.excess_at(grid.ravel()).reshape(2, 3))
+    assert np.array_equal(oracles.excess(PF3, grid),
+                          oracles.excess(PF3, grid.ravel()).reshape(2, 3))
 
 
 def test_excess_at_batch_invariant_across_the_reduction_switch():
@@ -558,13 +600,14 @@ def test_excess_at_batch_invariant_across_the_reduction_switch():
         batch = np.concatenate(([1.0, 1.0 + 1e-12],
                                 np.geomspace(1.0, 1e6, 1031)))
         rng.shuffle(batch)
-        whole = pf.excess_at(batch)
+        whole = oracles.excess(pf, batch)
         for size in (2, 24, 241):
             start = int(rng.integers(0, batch.size - size))
-            assert np.array_equal(pf.excess_at(batch[start:start + size]),
+            part = batch[start:start + size]
+            assert np.array_equal(oracles.excess(pf, part),
                                   whole[start:start + size]), (spec.n, size)
         for i in rng.choice(batch.size, 12, replace=False).tolist():
-            assert float(pf.excess_at(batch[i])) == whole[i], (spec.n, i)
+            assert float(oracles.excess(pf, batch[i])) == whole[i], (spec.n, i)
 
 
 # a level point of theta + offset, |offset| up to and just past LEVEL_TOL
@@ -707,7 +750,7 @@ def test_tail_amplitude_and_slope_bit_identical():
         for x in (0.0, 1e-13, 0.7, 1.0, 41.0, 1e6 - 1.0):
             pf = replace(pf, beta=1.0 + x)
             far = np.array([1e30, 1e60])
-            assert np.array_equal(pf.excess_at(far), np.exp(
+            assert np.array_equal(oracles.excess(pf, far), np.exp(
                 pf.log_amplitude - pf.prof.m * np.log(far)))
             if x > 1.0:
                 ratio = npoly.polyval(1.0 / x, d[::-1]) / npoly.polyval(
@@ -730,7 +773,7 @@ def test_numeric_route_bit_identical_to_polyval_rhs():
             oracle_rhs(spec, a), math.log(beta - 1.0), np.log(rs).tolist(),
             1e-12, 0.1 * 1e-12))
         pf = radial.first_integral(oracles.profile(spec, a), beta)
-        sol = radial.solve_profile(pf, route="numeric")
+        sol = sample(pf, "numeric")
         assert np.array_equal(sol.excess, expect)
         scipy_excess = oracle_dop853(spec, a, beta)
         assert np.max(np.abs(sol.excess - scipy_excess) / scipy_excess) \
@@ -747,7 +790,7 @@ def test_excess_integrals_match_quad_oracle():
         pf = radial.first_integral(oracles.profile(spec, a), beta)
         for R in (1.0, 10.0):
             expect = oracle_mu(pf, beta, R)
-            got = radial.tail_integral(pf, (R,))[0]
+            got = tail(pf, (R,))[0]
             assert abs(got - expect) <= 1e-10 * abs(expect), (n, R)
         mu_gamma = oracle_mu(pf, beta, 1.3)
         for r in (1.3 + 1e-9, 2.0, 40.0):
@@ -768,7 +811,7 @@ def test_tail_integral_at_beta_1e6_matches_a_far_cutoff():
                                                        dps=30)
     expect = float(mu(1.0))
     assert expect == pytest.approx(4.41376503e11, rel=1e-8)
-    got = radial.tail_integral(pf, (1.0,))[0]
+    got = tail(pf, (1.0,))[0]
     assert abs(got - expect) <= 1e-6 * abs(expect)
 
 
@@ -781,8 +824,8 @@ def test_route_gap_within_1e_10(n, theta, beta):
     spec = phasepoly.PhaseSpec(n, theta)
     a = weights.iso_point(spec)
     pf = radial.first_integral(oracles.profile(spec, a), beta)
-    sn = radial.solve_profile(pf, route="numeric")
-    si = radial.solve_profile(pf, route="implicit")
+    sn = sample(pf, "numeric")
+    si = sample(pf, "implicit")
     assert np.max(np.abs(sn.psi - si.psi)) <= 1e-10
 
 
@@ -810,8 +853,8 @@ def test_route_gap_random_points_up_to_dimension_32():
         for _ in range(2):
             spec, a = admissible_point(rng, n)
             pf = radial.first_integral(oracles.profile(spec, a), 2.0)
-            sn = radial.solve_profile(pf, route="numeric")
-            si = radial.solve_profile(pf, route="implicit")
+            sn = sample(pf, "numeric")
+            si = sample(pf, "implicit")
             assert np.max(np.abs(sn.psi - si.psi)) <= 1e-8, (n, spec.theta)
 
 
@@ -856,7 +899,7 @@ def assert_iso_route_matches_the_oracle(n, kind, route, rtol):
             iso_problem(n, kind)
         return
     a, pf = iso_problem(n, kind)
-    sol = radial.solve_profile(pf, route=route)
+    sol = sample(pf, route)
     excess, _mu, _log_amp = oracles.iso_first_integral(n, float(a[0]), 2.0)
     for r, got in zip(sol.r[::24].tolist(), sol.excess[::24].tolist()):
         expect = float(excess(r, start=got))
@@ -892,7 +935,7 @@ def test_mu_matches_the_first_integral(n, theta, beta):
     pf = radial.first_integral(oracles.profile(spec, a), beta)
     _excess, mu, _log_amp = oracles.iso_first_integral(n, float(a[0]), beta,
                                                        dps=30)
-    for R, got in zip((1.0, 10.0), radial.tail_integral(pf, (1.0, 10.0))):
+    for R, got in zip((1.0, 10.0), tail(pf, (1.0, 10.0))):
         expect = float(mu(R))
         assert abs(got - expect) <= 1e-9 * expect, (R, got, expect)
 
@@ -904,8 +947,8 @@ def test_numeric_route_at_beta_1e6(n, kind):
     # the right-hand side reads D/N in 1/x beyond x = 1: evaluated in
     # powers of psi up to 1e6, num(psi) overflowed from n = 48
     _a, pf = iso_problem(n, kind, beta=1e6)
-    sn = radial.solve_profile(pf, route="numeric")
-    si = radial.solve_profile(pf, route="implicit")
+    sn = sample(pf, "numeric")
+    si = sample(pf, "implicit")
     assert np.max(np.abs(sn.psi - si.psi)) <= 1e-8
 
 

@@ -15,13 +15,25 @@ A3 = np.full(3, 1.0 / SQRT3)
 
 def candidate(a, theta, beta=2.0):
     """The problem (theta, a) at beta, as radial.first_integral binds
-    it: the one input of verify_subsolution besides gamma and the shells."""
+    it: the one input of verify_subsolution besides the shells' Inversion."""
     return radial.first_integral(
         oracles.profile(phasepoly.PhaseSpec(len(a), theta), a), beta)
 
 
 def closed_pf(beta=2.0):
     return candidate(A3, math.pi / 2, beta=beta)
+
+
+def grid(pf, gamma, shells):
+    """verify_subsolution on shell_radii(gamma, shells), reading their
+    Inversion as solve does."""
+    return subsol.verify_subsolution(
+        pf, *radial.invert(pf, subsol.shell_radii(gamma, shells)))
+
+
+def tail(pf, radii):
+    """tail_integral at radii, read off their Inversion."""
+    return radial.tail_integral(pf, *radial.invert(pf, radii))
 
 
 def test_subsolution_spec_validation():
@@ -46,15 +58,16 @@ def test_subsolution_spec_validation():
     adm = weights.classify(phasepoly.PhaseSpec(5, 5 * math.pi / 3), eps)
     assert adm.klass == "slow_decay"
     with pytest.raises(ValueError, match="integral may diverge"):
-        radial.tail_integral(candidate(eps, 5 * math.pi / 3), (1.0,))
+        tail(candidate(eps, 5 * math.pi / 3), (1.0,))
 
 
 @pytest.mark.parametrize("shells", [0, -2])
 def test_verify_subsolution_needs_a_shell(shells):
-    # a library call gets the solve command's message, not numpy's
+    # the count is checked where the grid's radii are made: a library call
+    # gets the solve command's message, not numpy's
     with pytest.raises(ValueError, match="^the grid needs at least one "
                                          "shell$"):
-        subsol.verify_subsolution(closed_pf(), 1.0, shells)
+        subsol.shell_radii(1.0, shells)
 
 
 def test_ellipsoid_radius():
@@ -95,11 +108,11 @@ def test_radial_value_asymptote():
     # phi(r) - r^2/2 climbs to mu_gamma + alpha - gamma^2/2, and the
     # shortfall at finite r is exactly the remaining tail integral
     pf = closed_pf(beta=2.0)
-    mu_gamma = radial.tail_integral(pf, (1.0,))[0]
+    mu_gamma = tail(pf, (1.0,))[0]
     limit = mu_gamma + 0.0 - 0.5
     for r in (1.0e3, 1.0e4):
         gap = oracles.radial_value(pf, 0.0, 1.0, r) - r * r / 2.0
-        mu_r = radial.tail_integral(pf, (r,))[0]
+        mu_r = tail(pf, (r,))[0]
         assert gap < limit
         assert gap + mu_r == pytest.approx(limit, rel=1e-9)
 
@@ -186,14 +199,14 @@ def test_sphere_directions_unit_norm_and_spread():
 
 
 def test_verify_subsolution_identity_case():
-    rep = subsol.verify_subsolution(closed_pf(beta=1.0), 1.0, 20)
+    rep = grid(closed_pf(beta=1.0), 1.0, 20)
     assert rep.passed
     assert abs(rep.min_phase_gap) <= 1e-11
     assert abs(rep.min_level_value) <= 1e-11
 
 
 def test_verify_subsolution_closed_case():
-    rep = subsol.verify_subsolution(closed_pf(beta=3.0), 1.0, 60)
+    rep = grid(closed_pf(beta=3.0), 1.0, 60)
     assert rep.passed
     assert rep.points == 60 * (96 + 6)
     assert rep.min_phase_gap >= -1e-9
@@ -205,7 +218,7 @@ def test_domination_inequality():
     # Phi(x) <= x^T A x / 2 + (mu_gamma + alpha - gamma^2/2)
     for beta, gamma, alpha in ((2.0, 1.0, 0.0), (10.0, 1.5, 2.0)):
         pf = closed_pf(beta=beta)
-        mu_gamma = radial.tail_integral(pf, (gamma,))[0]
+        mu_gamma = tail(pf, (gamma,))[0]
         const = mu_gamma + alpha - gamma * gamma / 2.0
         rng = np.random.default_rng(75)
         for _ in range(200):
@@ -221,7 +234,7 @@ def test_domination_inequality():
 def test_asymptotic_constant_residual_rate():
     # [phi - r^2/2] approaches its limit like r^(2-m); fit the rate
     pf = closed_pf(beta=2.0)
-    mu_gamma = radial.tail_integral(pf, (1.0,))[0]
+    mu_gamma = tail(pf, (1.0,))[0]
     limit = mu_gamma - 0.5
     rs = np.geomspace(1.0e2, 1.0e4, 25)
     resid = np.array([limit - (oracles.radial_value(pf, 0.0, 1.0, float(r))
@@ -255,7 +268,7 @@ def test_eigenvalue_convergence_rate_along_ray():
 def test_level_gate_is_scale_free(n, theta, beta):
     spec = phasepoly.PhaseSpec(n, theta)
     pf = candidate(weights.iso_point(spec), theta, beta=beta)
-    rep = subsol.verify_subsolution(pf, 1.0, 120)
+    rep = grid(pf, 1.0, 120)
     assert rep.min_level_value >= -4.7e-13
     assert rep.min_phase_gap >= -1e-9
     assert rep.passed
@@ -269,7 +282,7 @@ def test_level_gate_still_fails_a_negative_level(monkeypatch):
     pf = candidate(a, math.pi / 2, beta=3.0)
     real = symfun.elem_sym_stack
     monkeypatch.setattr(symfun, "elem_sym_stack", lambda lam: -real(lam))
-    rep = subsol.verify_subsolution(pf, 1.0, 10)
+    rep = grid(pf, 1.0, 10)
     assert rep.min_phase_gap >= -1e-9
     assert rep.min_level_value < -1e-9
     assert not rep.passed
@@ -290,7 +303,7 @@ def test_phase_gate_fails_a_doubled_rank_one_share(monkeypatch):
         return 2.0 * phase - np.arctan(p).sum(axis=1)[:, None], level
 
     monkeypatch.setattr(subsol, "rank_one_phase_level", doubled)
-    rep = subsol.verify_subsolution(pf, 1.0, 10)
+    rep = grid(pf, 1.0, 10)
     assert rep.min_level_value >= -1e-9
     assert rep.min_phase_gap < -1e-9
     assert not rep.passed
@@ -361,9 +374,8 @@ def test_grid_update_scales_come_from_the_slope_on_the_excess(monkeypatch,
         return real(p, s, q2, c)
 
     monkeypatch.setattr(subsol, "rank_one_phase_level", spy)
-    subsol.verify_subsolution(pf, 1.0, 24)
-    radii = np.geomspace(1.0 + 1e-6, subsol.GRID_RADIUS, 24)
-    excess = pf.excess_at(radii)
+    grid(pf, 1.0, 24)
+    excess = oracles.excess(pf, subsol.shell_radii(1.0, 24))
     assert np.all(excess > 0.0)
     assert np.all(seen[0] < 0.0)
     assert np.all(pf.slope(excess) < 0.0)

@@ -117,6 +117,16 @@ EDGE_CASES = [
     *((f"iso critical n={n} beta=1e6", (), (
         "solve", "--family", "iso", "--n", str(n), "--theta", "critical",
         "--beta", "1e6", "--grid", "4")) for n in (48, 64, 153, 154)),
+    # solve inverts the table once, on the sample radii, the shells and
+    # (gamma, 10 gamma) together: shells and tail radii all beyond the
+    # trajectory, 3 of the 8 shells past the table; and beta - 1 = 1e-6,
+    # where 79 of the 241 sample radii lie past the table
+    ("iso critical n=5 gamma=1000 rmax=10", (), (
+        "solve", "--family", "iso", "--n", "5", "--theta", "critical",
+        "--gamma", "1000", "--rmax", "10", "--grid", "8")),
+    ("iso critical n=5 beta=1.000001", (), (
+        "solve", "--family", "iso", "--n", "5", "--theta", "critical",
+        "--beta", "1.000001", "--grid", "8")),
     # (n - 1) pi/2 at beta = 1e6 fails both gates (exit 1): the phase gap
     # reads -2.0e-9 and the scaled level -1.1e-9
     ("iso n=12 theta=11pi/2 beta=1e6", (), (
