@@ -22,45 +22,33 @@ Three subcommands:
             radial.invert solves its table once, after the numeric route,
             for the implicit route, the grid and the tail integral.
 
-One path through main serves every subcommand.  COMMANDS, one table,
-maps each to its runner, which turns the parsed flags into a report dict;
-its csv writer (none for solve, which emits JSON only); its summary, which
-gives the stderr lines; and its flags, --seed, --out and --format (with
-the command's default) common to all.  A flag maps to (dest, converter,
-default), --exact is a switch, and parse reads argv from the table
-alone: `--flag value` or `--flag=value`, the value the next token as given
-(so `--a -1,-2,-3` is a value), the last of a repeated flag winning, no
-abbreviations.  main runs the runner, prints each warning it raised as
-"warning: <message>", writes the report, prints the summary and returns
-the exit code: 0 success, 1 check failure (including inadmissible input to
-solve), 2 invalid input (a command line the table rejects, an --out path
-or a stdout that cannot be written, or a warning made an error by python
--W error, included).  A rejected command line prints a usage line and the
-error to stderr; -h or --help prints the help built from the table to
-stdout and returns 0.  A subcommand accepts only the flags it reads.
-Identical configuration and seed produce byte-identical output; all
-numbers are emitted in shortest round-trip decimal form.  JSON reports go
-through a small recursive writer (_json_text) whose output is byte for
-byte json.dumps(report, indent=2, sort_keys=True), the stdlib's
-pure-Python encoder with indent; a list of float-valued dicts of one key
-set (scan-eps rows) fills one repeated row template of %r fields with a
-single %, a list of finite floats (a trajectory) is one join; the scan
-csv, too, is one repeated row template filled by a single %.  Identity
-suites always run in exact rational arithmetic; verify --exact records
-that request explicitly in the report.  The homogeneous ones (sigma
-recurrences, pair exclusion differences, product decompositions, Newton
-margins) compare Python ints: they run the kernels on each drawn
-vector's integer numerators p = D*a, D the lcm of its denominators, so
-every value of degree d comes out as D**d times its value at a.  That
-leaves every verdict as it is, and no Fraction is built.
-The rank-one suite draws every trial's (p, q, s) first, then runs
-numpy's eigvalsh once per dimension on the stack of that dimension's
-matrices.  Per trial it builds each sigma row once: the eigenvalues' row
-for the oracle, and sigma(p) with the n exclusion rows sigma(p | i) that
-symfun.sigma_rank_one reads for every k.  Each case of it, of
-newton_margins and of product_decomposition makes one kernel call
-(sigma_rank_one, newton_check, product_decomposition); the last is
-memoized, so a repeated (j, k, n) is a lookup.
+One path through main serves every subcommand.  COMMANDS, one table, maps
+each to its runner, which turns the parsed flags into a report dict; its
+csv writer (none for solve, which emits JSON only); its summary, which
+gives the stderr lines; and its flags.  Every flag maps to (dest,
+converter, default) and takes a value: `--flag value` or `--flag=value`,
+the value the next token as given (so `--a -1,-2,-3` is a value), the last
+of a repeated flag winning, no abbreviations.  Every command takes --out;
+--format only the commands with a csv writer; --seed only verify, the one
+command that draws vectors.  main runs the runner, prints each warning it
+raised as "warning: <message>", writes the report, prints the summary and
+returns the exit code: 0 success, 1 check failure (including inadmissible
+input to solve), 2 invalid input (a command line the table rejects, an
+--out path or a stdout that cannot be written, or a warning made an error
+by python -W error, included).  A rejected command line prints a usage
+line and the error to stderr; -h or --help writes the help built from the
+table to stdout, as a report is written, and returns 0.  A subcommand
+accepts only the flags it reads.  Identical configuration and seed produce
+byte-identical output; all numbers are emitted in shortest round-trip
+decimal form, and a JSON report is byte for byte json.dumps(report,
+indent=2, sort_keys=True).
+
+Identity suites always run in exact rational arithmetic.  The homogeneous
+ones (sigma recurrences, pair exclusion differences, product
+decompositions, Newton margins) compare Python ints: they run the kernels
+on each drawn vector's integer numerators p = D*a, D the lcm of its
+denominators, so every value of degree d comes out as D**d times its value
+at a.  That leaves every verdict as it is, and no Fraction is built.
 """
 
 from __future__ import annotations
@@ -84,7 +72,7 @@ import numpy.random  # noqa: F401
 from . import phasepoly, radial, subsol, symfun, weights
 from .symfun import clear_denominators  # by name: not a traced layer call
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 RNG_NAME = "numpy.random.default_rng(PCG64)"
 # the two profile routes of `solve` must agree this closely (criterion 5)
 ROUTE_GAP_TOL = 1e-8
@@ -478,7 +466,6 @@ def _run_verify(args: SimpleNamespace) -> dict:
         "rng": RNG_NAME,
         "trials": trials,
         "arithmetic": "exact rational identities + float property samples",
-        "exact_requested": args.exact,
         "zstar_unit6": int(phasepoly.ray_wronskian([1] * 6,
                                                    mode="closed_form")),
         "suites": suites,
@@ -537,7 +524,6 @@ def _run_scan(args: SimpleNamespace) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "scan-eps",
-        "seed": args.seed,
         "grid": grid_n,
         "rows": [{"eps": e, "m_pipeline": mp, "m_closed_form": mc}
                  for e, mp, mc in zip(eps_grid, pipe, closed)],
@@ -613,8 +599,6 @@ def _parse_theta(text: str, n: int) -> float:
 
 
 def _run_solve(args: SimpleNamespace) -> dict:
-    if args.fmt == "csv":
-        raise ValueError("solve emits JSON only")
     # every flag is range-checked before the vector is read, so an invalid
     # one exits 2 whatever the vector
     for name in ("beta", "gamma", "alpha", "rmax"):
@@ -636,7 +620,6 @@ def _run_solve(args: SimpleNamespace) -> dict:
     base = {
         "schema_version": SCHEMA_VERSION,
         "command": "solve",
-        "seed": args.seed,
         "config": {
             "n": n, "theta": theta, "a": np.sort(vec).tolist(),
             "beta": args.beta, "gamma": gamma, "alpha": args.alpha,
@@ -664,14 +647,9 @@ def _run_solve(args: SimpleNamespace) -> dict:
     rep = subsol.verify_subsolution(pf, shells)
 
     base.update({
-        "first_integral": {
-            "m": pf.prof.m,
-            "log_amplitude": pf.log_amplitude,
-        },
+        "first_integral": {"log_amplitude": pf.log_amplitude},
         "trajectory": {
             "r": sol_num.r.tolist(),
-            "psi_numeric": sol_num.psi.tolist(),
-            "psi_implicit": sol_imp.psi.tolist(),
             "excess_numeric": sol_num.excess.tolist(),
             "excess_implicit": sol_imp.excess.tolist(),
         },
@@ -709,17 +687,14 @@ def _format(text: str) -> str:
     return text
 
 
-def _common(fmt: str) -> dict:
-    """The flags every command takes, --format defaulting to fmt."""
-    return {"--seed": ("seed", int, 42), "--out": ("out", str, None),
-            "--format": ("fmt", _format, fmt)}
+_OUT = ("out", str, None)
 
 
 class Command(NamedTuple):
     """One subcommand: its help line, the runner that turns the parsed
     flags into a report dict, the csv writer (None: JSON only), the summary
     that gives its stderr lines, and its flags.  A flag maps to (dest,
-    converter, default); the converter None makes it a switch."""
+    converter, default)."""
     about: str
     run: Callable
     to_csv: Optional[Callable]
@@ -733,16 +708,18 @@ COMMANDS = {
     "verify": Command(
         "run identity and property suites",
         _run_verify, _verify_csv, _verify_summary,
-        {**_common("json"), "--grid": ("grid", int, 200),
-         "--exact": ("exact", None, False)}),
+        {"--seed": ("seed", int, 42), "--out": _OUT,
+         "--format": ("fmt", _format, "json"),
+         "--grid": ("grid", int, 200)}),
     "scan-eps": Command(
         "scan the five-point family",
         _run_scan, _scan_csv, _scan_summary,
-        {**_common("csv"), "--grid": ("grid", int, 97)}),
+        {"--out": _OUT, "--format": ("fmt", _format, "csv"),
+         "--grid": ("grid", int, 97)}),
     "solve": Command(
         "solve and verify one problem",
         _run_solve, None, _solve_summary,
-        {**_common("json"), "--n": ("n", int, None),
+        {"--out": _OUT, "--n": ("n", int, None),
          "--theta": ("theta", str, None), "--a": ("a", str, None),
          "--family": ("family", str, None), "--beta": ("beta", float, 2.0),
          "--gamma": ("gamma", float, 1.0), "--alpha": ("alpha", float, 0.0),
@@ -759,16 +736,15 @@ class UsageExit(Exception):
         self.code = code
 
 
-def _spelled(flag: str, convert) -> str:
-    return flag if convert is None else f"{flag} {flag[2:].upper()}"
+def _spelled(flag: str) -> str:
+    return f"{flag} {flag[2:].upper()}"
 
 
 def _usage(name: Optional[str]) -> str:
     if name is None:
         return f"usage: slex [-h] {{{','.join(COMMANDS)}}} ..."
     return " ".join([f"usage: slex {name} [-h]"] + [
-        f"[{_spelled(flag, spec[1])}]"
-        for flag, spec in COMMANDS[name].flags.items()])
+        f"[{_spelled(flag)}]" for flag in COMMANDS[name].flags])
 
 
 def _help(name: Optional[str]) -> str:
@@ -777,10 +753,9 @@ def _help(name: Optional[str]) -> str:
         rows = [(cmd, COMMANDS[cmd].about) for cmd in COMMANDS]
     else:
         about = COMMANDS[name].about
-        rows = [(_spelled(flag, convert),
-                 "" if default is None or convert is None
+        rows = [(_spelled(flag), "" if default is None
                  else f"default {default}")
-                for flag, (_dest, convert, default)
+                for flag, (_dest, _convert, default)
                 in COMMANDS[name].flags.items()]
     return "\n".join([_usage(name), "", about, ""] + [
         f"  {left:<16}  {text}".rstrip() for left, text in rows])
@@ -818,14 +793,10 @@ def parse(argv: list) -> tuple:
             raise UsageExit(0, _help(name))
         flag, eq, text = token.partition("=")
         spec = flags.get(flag)
-        # a switch takes no value, so `--exact=1` is an unknown token
-        if spec is None or (eq and spec[1] is None):
+        if spec is None:
             unknown.append(token)
             continue
         dest, convert, _default = spec
-        if convert is None:
-            values[dest] = True
-            continue
         if not eq:
             text = next(tokens, None)
             if text is None:
@@ -841,18 +812,23 @@ def parse(argv: list) -> tuple:
 
 def main(argv=None) -> int:
     try:
-        command, args = parse(sys.argv[1:] if argv is None else argv)
-    except UsageExit as exc:
-        print(exc, file=sys.stderr if exc.code else sys.stdout)
-        return exc.code
-    try:
+        try:
+            command, args = parse(sys.argv[1:] if argv is None else argv)
+        except UsageExit as exc:
+            if exc.code:
+                print(exc, file=sys.stderr)
+                return exc.code
+            # help is written as a report is: a failed write exits 2
+            _emit(f"{exc}\n", None)
+            return 0
         with warnings.catch_warnings(record=True) as caught:
             try:
                 report = command.run(args)
             finally:
                 for w in caught:
                     print(f"warning: {w.message}", file=sys.stderr)
-        _emit(command.to_csv(report) if args.fmt == "csv"
+        _emit(command.to_csv(report)
+              if command.to_csv and args.fmt == "csv"
               else _json_text(report) + "\n", args.out)
         for line in command.summary(report):
             print(line, file=sys.stderr)

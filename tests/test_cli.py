@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slex import cli, phasepoly, radial, subsol, symfun, weights
 
@@ -29,44 +31,34 @@ def test_verify_passes(tmp_path):
     code, path = run(tmp_path, ["verify", "--grid", "40"])
     assert code == 0
     report = json.loads(path.read_text())
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
     assert report["command"] == "verify"
     assert report["zstar_unit6"] == 192
     assert report["passed"] is True
-    assert report["exact_requested"] is False
     assert all(s["failures"] == 0 for s in report["suites"])
     assert {"wronskian_modes", "newton_margins"} <= \
         {s["name"] for s in report["suites"]}
 
 
-def test_verify_exact_flag_and_seed(tmp_path):
-    code, path = run(tmp_path, ["verify", "--grid", "25", "--exact",
-                                "--seed", "7"])
+def test_verify_records_its_seed(tmp_path):
+    code, path = run(tmp_path, ["verify", "--grid", "25", "--seed", "7"])
     assert code == 0
-    report = json.loads(path.read_text())
-    assert report["exact_requested"] is True
-    assert report["seed"] == 7
+    assert json.loads(path.read_text())["seed"] == 7
 
 
-def test_cli_surface(tmp_path, capsys):
-    # each subcommand takes only the flags it reads
-    common = ["--seed", "--out", "--format"]
+def test_cli_surface():
+    # each subcommand takes only the flags it reads: --seed only verify,
+    # which draws vectors, and --format only the commands with a csv writer
     assert {name: list(c.flags) for name, c in cli.COMMANDS.items()} == {
-        "verify": common + ["--grid", "--exact"],
-        "scan-eps": common + ["--grid"],
-        "solve": common + ["--n", "--theta", "--a", "--family", "--beta",
-                           "--gamma", "--alpha", "--rmax", "--grid"],
+        "verify": ["--seed", "--out", "--format", "--grid"],
+        "scan-eps": ["--out", "--format", "--grid"],
+        "solve": ["--out", "--n", "--theta", "--a", "--family", "--beta",
+                  "--gamma", "--alpha", "--rmax", "--grid"],
     }
-    for argv in (["scan-eps", "--grid", "5"],
-                 ["solve", "--family", "iso", "--n", "3", "--theta",
-                  "critical", "--grid", "4"]):
-        assert cli.main(argv + ["--exact", "--out",
-                                str(tmp_path / "x")]) == 2
-        assert "unrecognized arguments: --exact" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
-    code, path = run(tmp_path, ["verify", "--grid", "3", "--exact"])
-    assert code == 0
-    assert json.loads(path.read_text())["exact_requested"] is True
+    assert sum(len(c.flags) for c in cli.COMMANDS.values()) == 17
+    assert [name for name, c in cli.COMMANDS.items()
+            if "--format" in c.flags] == [
+        name for name, c in cli.COMMANDS.items() if c.to_csv is not None]
 
 
 ISO3_SOLVE = ["solve", "--family", "iso", "--n", "3", "--theta", "critical",
@@ -98,6 +90,12 @@ ISO3_SOLVE = ["solve", "--family", "iso", "--n", "3", "--theta", "critical",
     (ISO3_SOLVE + ["--beta", "two"], 2, "argument --beta: could not convert"),
     (["scan-eps", "--format", "xml"], 2,
      "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+    # the flags that changed no report are unknown flags, with no alias
+    (["verify", "--exact"], 2, "unrecognized arguments: --exact"),
+    (["scan-eps", "--seed", "3"], 2, "unrecognized arguments: --seed 3"),
+    (ISO3_SOLVE + ["--seed", "3"], 2, "unrecognized arguments: --seed 3"),
+    (ISO3_SOLVE + ["--format", "json"], 2,
+     "unrecognized arguments: --format json"),
 ])
 @pytest.mark.parametrize("via_sys_argv", [False, True])
 def test_command_line_contract(tmp_path, capsys, monkeypatch, argv, code,
@@ -124,12 +122,53 @@ def test_parse_takes_the_next_token_and_the_last_value():
     command, args = cli.parse(["solve", "--theta", "--n", "--out", "-h",
                                "--a=-1,-2", "--a", "-3,-4", "--grid", "7"])
     assert command is cli.COMMANDS["solve"]
-    assert vars(args) == {"seed": 42, "out": "-h", "fmt": "json", "n": None,
-                          "theta": "--n", "a": "-3,-4", "family": None,
-                          "beta": 2.0, "gamma": 1.0, "alpha": 0.0,
-                          "rmax": 1.0e4, "grid": 7}
-    _command, args = cli.parse(("verify", "--exact", "--exact"))
-    assert (args.exact, args.grid, args.fmt) == (True, 200, "json")
+    assert vars(args) == {"out": "-h", "n": None, "theta": "--n",
+                          "a": "-3,-4", "family": None, "beta": 2.0,
+                          "gamma": 1.0, "alpha": 0.0, "rmax": 1.0e4,
+                          "grid": 7}
+    _command, args = cli.parse(("verify", "--seed", "3", "--seed=5"))
+    assert vars(args) == {"seed": 5, "out": None, "fmt": "json", "grid": 200}
+
+
+_REMOVED_FLAGS = ["--exact", "--seed", "--format"]
+_FLAG = st.sampled_from(sorted(
+    {flag for c in cli.COMMANDS.values() for flag in c.flags}
+    | set(_REMOVED_FLAGS)))
+_VALUE = st.one_of(st.integers(-10, 10**6).map(str),
+                   st.floats(allow_nan=True).map(repr),
+                   st.sampled_from(["csv", "json", "iso", "critical",
+                                    "eps:0.1", "-1,-2,-3", "", "-h"]),
+                   st.text(max_size=12))
+
+
+@st.composite
+def _command_lines(draw):
+    """A command name, left out one time in four, then words: a flag and
+    its value in either spelling, a flag alone, help, or any text.  Flags
+    come from the command's own table as often as from every table and the
+    removed flags together."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    flag = st.one_of(st.sampled_from(list(cli.COMMANDS[name].flags)), _FLAG)
+    pair = st.tuples(flag, _VALUE)
+    words = draw(st.lists(st.one_of(
+        pair.map(list), pair.map(lambda p: ["=".join(p)]),
+        st.one_of(flag, st.sampled_from(["-h", "--help"]), _VALUE).map(
+            lambda word: [word])), max_size=6))
+    return [name] * (draw(st.integers(0, 3)) < 3) + sum(words, [])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(_command_lines())
+def test_parse_returns_the_command_dests_or_a_usage_exit(argv):
+    # parse only: no command runs
+    try:
+        command, args = cli.parse(argv)
+    except cli.UsageExit as exc:
+        assert exc.code in (0, 2)
+        return
+    assert command is cli.COMMANDS[argv[0]]
+    assert set(vars(args)) == {dest for dest, _convert, _default
+                               in command.flags.values()}
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "-h"],
@@ -147,7 +186,7 @@ def test_help_comes_from_the_table(capsys, argv):
 
 def test_readme_flag_table_is_the_parser_table():
     # README's `| subcommand | flags |` rows name each command's flags in
-    # the table's order, and its --format default
+    # the table's order, and the --format default of each that has one
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = {}
     for line in readme.splitlines():
@@ -159,8 +198,9 @@ def test_readme_flag_table_is_the_parser_table():
     for name, command in cli.COMMANDS.items():
         words = rows[name]
         assert [w for w in words if w.startswith("--")] == list(command.flags)
-        fmt = words[words.index("--format") + 1]
-        assert fmt == command.flags["--format"][2]
+        if "--format" in command.flags:
+            fmt = words[words.index("--format") + 1]
+            assert fmt == command.flags["--format"][2]
 
 
 def test_verify_deterministic_bytes(tmp_path):
@@ -507,13 +547,12 @@ def test_solve_closed_case(tmp_path):
     assert report["first_integral"]["log_amplitude"] == \
         pytest.approx(math.log(1.5), abs=1e-12)
     assert report["route_gap_max"] <= 1e-8
-    assert report["first_integral"]["m"] == pytest.approx(3.0, abs=1e-10)
     assert report["verification"]["passed"] is True
     assert report["verification"]["min_phase_gap"] >= -1e-9
     assert report["passed"] is True
     n_r = len(report["trajectory"]["r"])
-    assert n_r == len(report["trajectory"]["psi_numeric"])
-    assert n_r == len(report["trajectory"]["psi_implicit"])
+    assert n_r == len(report["trajectory"]["excess_numeric"])
+    assert n_r == len(report["trajectory"]["excess_implicit"])
 
 
 def test_solve_iso_family(tmp_path):
@@ -546,6 +585,57 @@ def test_solve_round_trip_bytes(tmp_path):
         # every float reparses and re-serializes to the identical document
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) \
             + "\n" == text, args
+
+
+def _shape(value):
+    """The nested key sets of a report: a dict as its keys with the shape
+    of each value, a list of dicts as the one shape its items share, and
+    any other value as None."""
+    if isinstance(value, dict):
+        return {key: _shape(item) for key, item in value.items()}
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        shapes = [_shape(item) for item in value]
+        assert all(shape == shapes[0] for shape in shapes)
+        return [shapes[0]]
+    return None
+
+
+_SOLVE_HEAD = {"schema_version": None, "command": None,
+               "config": dict.fromkeys(["n", "theta", "a", "beta", "gamma",
+                                        "alpha", "rmax", "grid"]),
+               "admissibility": {"klass": None, "m": None}, "passed": None}
+
+
+@pytest.mark.parametrize("argv, shape", [
+    (["verify", "--grid", "6"],
+     {"schema_version": None, "command": None, "seed": None, "rng": None,
+      "trials": None, "arithmetic": None, "zstar_unit6": None,
+      "suites": [dict.fromkeys(["name", "cases", "failures", "worst"])],
+      "passed": None}),
+    (["scan-eps", "--grid", "5", "--format", "json"],
+     {"schema_version": None, "command": None, "grid": None,
+      "rows": [dict.fromkeys(["eps", "m_pipeline", "m_closed_form"])],
+      "summary": dict.fromkeys(["m_at_zero", "m_at_endpoint",
+                                "max_discrepancy", "monotone_decreasing",
+                                "crossing_low", "crossing_high"]),
+      "passed": None}),
+    (ISO3_SOLVE,
+     {**_SOLVE_HEAD, "first_integral": {"log_amplitude": None},
+      "trajectory": dict.fromkeys(["r", "excess_numeric",
+                                   "excess_implicit"]),
+      "route_gap_max": None, "mu": dict.fromkeys(["at_gamma", "at_10gamma"]),
+      "verification": dict.fromkeys(["points", "min_phase_gap",
+                                     "min_level_value", "worst_point",
+                                     "passed"])}),
+    (["solve", "--family", "eps:0.25", "--grid", "4"], _SOLVE_HEAD),
+])
+def test_report_key_sets(tmp_path, argv, shape):
+    # schema 4 says each quantity once: a field that repeats another (psi
+    # beside the excess, m twice, a seed nothing reads) shows up here
+    _code, path = run(tmp_path, argv)
+    report = json.loads(path.read_text())
+    assert report["schema_version"] == 4
+    assert _shape(report) == shape
 
 
 def test_solve_deterministic_bytes(tmp_path):
@@ -751,8 +841,6 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
                      "--theta", "critical"]) == 2
     assert cli.main(["solve", "--n", "3", "--theta", "critical"]) == 2
     assert cli.main(["solve", "--family", "eps:0.1", "--n", "4"]) == 2
-    assert cli.main(["solve", "--family", "iso", "--n", "3", "--theta",
-                     "critical", "--format", "csv"]) == 2
     assert cli.main(["solve", "--a", "1.0,1.0", "--n", "3", "--theta",
                      "critical"]) == 2
     assert cli.main(["solve", "--family", "nope"]) == 2
@@ -812,12 +900,15 @@ def test_solve_gamma_below_one_names_gamma(tmp_path, capsys, gamma):
     ["scan-eps", "--grid", "3"],
     ["solve", "--family", "iso", "--n", "3", "--theta", "critical",
      "--grid", "4"],
+    ["-h"],
+    ["solve", "-h"],
 ])
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_unwritable_stdout_exits_two(args, unbuffered):
     # a fresh process whose stdout is full: the write error is invalid
-    # input, reported on one line, with no traceback.  Block-buffered, a short
-    # report fails only when flushed; unbuffered, at the write itself.
+    # input, reported on one line, with no traceback, for a report and for
+    # help alike.  Block-buffered, a short text fails only when flushed;
+    # unbuffered, at the write itself.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = src

@@ -149,7 +149,7 @@ def test_writer_whole_solve_report():
         ["solve", "--family", "iso", "--n", "5", "--theta", "critical",
          "--grid", "8"])
     report = command.run(args)
-    assert len(report["trajectory"]["psi_numeric"]) == 241
+    assert len(report["trajectory"]["excess_numeric"]) == 241
     assert cli._json_text(report) == dumps(report)
 
 

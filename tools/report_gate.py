@@ -45,11 +45,9 @@ _PI = repr(math.pi)
 # command
 EDGE_CASES = [
     ("verify default", (), ("verify",)),
-    # the smallest grid, csv with --exact, a large grid, and the exit-2
-    # inputs
+    # the smallest grid, csv, a large grid, and the exit-2 inputs
     ("verify grid=1", (), ("verify", "--grid", "1")),
-    ("verify grid=7 exact csv", (), ("verify", "--grid", "7", "--exact",
-                                     "--format", "csv")),
+    ("verify grid=7 csv", (), ("verify", "--grid", "7", "--format", "csv")),
     ("verify grid=1000", (), ("verify", "--grid", "1000", "--seed", "7")),
     ("verify grid=0", (), ("verify", "--grid", "0")),
     ("verify seed=-1", (), ("verify", "--seed", "-1")),
@@ -172,6 +170,14 @@ EDGE_CASES = [
     ("verify grid without value", (), ("verify", "--grid")),
     ("verify grid=x", (), ("verify", "--grid", "x")),
     ("scan-eps format=xml", (), ("scan-eps", "--format", "xml")),
+    # flags that changed no report are unknown flags
+    ("verify exact", (), ("verify", "--grid", "3", "--exact")),
+    ("scan-eps seed", (), ("scan-eps", "--grid", "5", "--seed", "3")),
+    ("solve seed", (), ("solve", "--family", "iso", "--n", "3", "--theta",
+                        "critical", "--grid", "4", "--seed", "3")),
+    ("solve format=json", (), ("solve", "--family", "iso", "--n", "3",
+                               "--theta", "critical", "--grid", "4",
+                               "--format", "json")),
     ("solve help", (), ("solve", "--help")),
     ("reflected data space form", (), ("solve", "--a", ",".join(
         ["-0.5773502691896258"] * 3), "--n", "3",
