@@ -158,8 +158,9 @@ def ray_wronskian(lam: Sequence, mode: str = "product"):
     """X*Yw - Y*Xw, the Wronskian of (X(t*lam), Y(t*lam)) at t = 1.
 
     mode="product" multiplies the alternating parts directly;
-    mode="closed_form" evaluates the equivalent all-positive expansion
-    sum_{p=0}^{n-1} T[p+1][p], T = symfun.gen_sym_table(lam).  The two
+    mode="closed_form" (any mode but "product") evaluates the equivalent
+    all-positive expansion sum_{p=0}^{n-1} T[p+1][p],
+    T = symfun.gen_sym_table(lam).  The two
     agree exactly in rational arithmetic, and the closed form makes
     positivity on the positive cone manifest.  For the all-ones vector the
     value is n * 2^(n-1).
@@ -178,8 +179,6 @@ def ray_wronskian(lam: Sequence, mode: str = "product"):
     and type are those of the plain Fraction route.  Float and other input
     run the same code with D = 1 and no final Fraction.
     """
-    if mode not in ("product", "closed_form"):
-        raise ValueError("mode must be 'product' or 'closed_form'")
     cleared = clear_denominators(lam)
     nums, d = (lam, 1) if cleared is None else cleared
     n = len(lam)

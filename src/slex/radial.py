@@ -119,10 +119,11 @@ _PROFILE_SAMPLES = 241  # log-spaced sample radii of solve_profile
 
 
 def check_beta(beta: float) -> float:
-    """beta as a float, after checking 1 <= beta <= BETA_CAP."""
+    """beta as a float, after checking 1 <= beta <= BETA_CAP.
+
+    solve has refused a non-finite --beta before it calls this; a NaN from
+    a library caller fails when FirstIntegral sizes its table."""
     beta = float(beta)
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
     if beta < 1.0:
         raise ValueError("beta must be at least 1")
     if beta > BETA_CAP:
@@ -336,8 +337,12 @@ class Inversion(NamedTuple):
 
 
 def invert(pf: FirstIntegral, *radii) -> tuple:
-    """One Inversion per sequence of radii (all >= 1), in order, from one
-    Newton solve of pf's table on all of them at once.
+    """One Inversion per sequence of radii, in order, from one Newton
+    solve of pf's table on all of them at once.
+
+    Every radius is at least 1, as solve's are: the sample radii from
+    check_rmax, the shells from gamma (1 + 1e-6) and (gamma, 10 gamma),
+    with gamma >= 1 checked.  Nothing checks it here.
 
     From the secant between the two knots whose log r bracket log r,
     _NEWTON_STEPS steps with the exact slope -N/D, each kept between those
@@ -348,8 +353,6 @@ def invert(pf: FirstIntegral, *radii) -> tuple:
     elementwise, so a radius gets the same bits alone as in any batch.
     """
     r = np.concatenate(radii, dtype=float)
-    if not np.all(r >= 1.0):
-        raise ValueError("r must be at least 1")
     log_r, m = np.log(r), pf.prof.m
     if pf.beta == 1.0:
         u, p = np.full_like(r, -math.inf), np.full(r.shape, -1)
@@ -463,12 +466,11 @@ def solve_profile(pf: FirstIntegral, samples,
     only pf.beta, pf.d_coeffs and pf.n_coeffs, never the table.  In log
     variables the slope is smooth and O(1), so the route stays accurate
     down to excesses far below 1e-16 without tiny steps.  route="implicit"
-    takes the radii's Inversion (invert) and reads its excess.
+    takes the radii's Inversion (invert) and reads its excess.  Any other
+    route is the numeric one.
     """
     if route == "implicit":
         rs, excess = samples.r, samples.excess
-    elif route != "numeric":
-        raise ValueError("route must be 'numeric' or 'implicit'")
     elif pf.beta == 1.0:  # the constant profile
         rs, excess = samples, np.zeros_like(samples)
     else:
@@ -505,7 +507,9 @@ def tail_integral(pf: FirstIntegral, at: Inversion) -> tuple:
     """int_R^inf tau (psi(tau, beta) - 1) dtau for the problem pf, at each R.
 
     at is pf's Inversion at the radii R, and the values come back as a
-    tuple in their order.  Finite exactly when m > 2.  With
+    tuple in their order.  Finite exactly when m > 2, which classify's
+    "admissible", the one class solve integrates, guarantees; at m <= 2
+    the closed-form part fails in math.log(m - 2).  With
     x(R) = psi(R) - 1 the integral is int_0^{x(R)} r(t)^2 N/D dt, summed
     in u = log t on pf's table: the integrand at the panels' nodes (log r
     read off the table), the panel sums, and for R the part of its panel
@@ -518,8 +522,6 @@ def tail_integral(pf: FirstIntegral, at: Inversion) -> tuple:
     RuntimeError when a value overflows the float range.
     """
     m = pf.prof.m
-    if m <= 2.0:
-        raise ValueError("integral may diverge")
     if pf.beta == 1.0:
         return (0.0,) * at.r.size
     m_2, log_amp = m - 2.0, pf.log_amplitude

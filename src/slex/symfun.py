@@ -75,21 +75,12 @@ def elem_sym_excl_all(a: Sequence, excl: Sequence[int] = ()) -> list:
     """sigma_0 .. sigma_{n-len(excl)} of a with the (1-based) indices in excl
     removed.
 
-    At most two indices may be excluded; they must be distinct and in range.
-    The reduced vector keeps the order of a, so every entry equals what
-    elem_sym_all gives on that reduced list.  An empty exclusion set
-    reduces to elem_sym_all(a).
+    The caller passes at most two indices, distinct and in range; nothing
+    checks them.  The reduced vector keeps the order of a, so every entry
+    equals what elem_sym_all gives on that reduced list.  An empty
+    exclusion set reduces to elem_sym_all(a).
     """
-    n = len(a)
-    idx = list(excl)
-    if len(idx) > 2:
-        raise ValueError("at most two indices may be excluded")
-    if len(set(idx)) != len(idx):
-        raise ValueError("exclusion index out of range or repeated")
-    for i in idx:
-        if not (1 <= i <= n):
-            raise ValueError("exclusion index out of range or repeated")
-    drop = {i - 1 for i in idx}
+    drop = {i - 1 for i in excl}
     return elem_sym_all([x for pos, x in enumerate(a) if pos not in drop])
 
 
@@ -129,16 +120,10 @@ def sigma_rank_one(sig: Sequence, excl: Sequence, q: Sequence, s, k: int):
     is performed.  The caller hands in the rows of p this reads, sig =
     elem_sym_all(p) and excl[i] = elem_sym_excl_all(p, (i+1,)), built once
     for every k; the result is their sigma_k + s * sum_i excl[i][k-1] q_i^2,
-    summed in index order.
+    summed in index order, for 1 <= k <= n.
     """
-    n = len(sig) - 1
-    if len(excl) != n or len(q) != n:
-        raise ValueError("need n exclusion rows and n entries of q for "
-                         "a sigma row of length n + 1")
-    if not (1 <= k <= n):
-        raise ValueError("need 1 <= k <= n")
     corr = 0
-    for i in range(n):
+    for i in range(len(sig) - 1):
         corr = corr + excl[i][k - 1] * q[i] * q[i]
     return sig[k] + s * corr
 
@@ -200,8 +185,6 @@ def signed_odd_binomial_sum(Q: int) -> int:
 
     Evaluates to 1 at Q = 0 and vanishes for every Q >= 1.
     """
-    if Q < 0:
-        raise ValueError("Q must be nonnegative")
     return sum((-1) ** q * (2 * q + 1) * math.comb(2 * Q + 1, Q - q)
                for q in range(Q + 1))
 
@@ -211,7 +194,8 @@ def product_decomposition(j: int, k: int, n: int) -> tuple:
     """Expansion of sigma_j * sigma_k over generalized symmetric values.
 
     Returns a tuple of (coeff, (K, J)) pairs such that, for every length-n
-    vector a, with sig = elem_sym_all(a) and T = gen_sym_table(a),
+    vector a and 0 <= j <= k <= n, with sig = elem_sym_all(a) and
+    T = gen_sym_table(a),
 
         sig[j] * sig[k] == sum coeff * T[K][J].
 
@@ -222,8 +206,6 @@ def product_decomposition(j: int, k: int, n: int) -> tuple:
     depends on (j, k, n) alone: it is memoized, and the tuple is immutable,
     so every caller can share it.
     """
-    if not (0 <= j <= k <= n):
-        raise ValueError("need 0 <= j <= k <= n")
     terms = []
     if j + k <= n:
         for h in range(j + 1):

@@ -30,14 +30,16 @@ which lies in (0, n], equals n exactly for the isotropic point
 tan(theta/n) * ones, and governs the tail rate r^(-decay) of the radial
 profile built in the radial module.
 
-One check decides whether (theta, a) is a supported problem: theta in
-PhaseSpec.ray_degree's range (the positive critical angle or above it), a
-positive vector of length n, and |H(a) - theta| <= LEVEL_TOL, in that
-order.  decay_exponent raises its ValueError; classify, after its sign
-reflection, calls the data that fails it "outside", so no stage computes
-an exponent classify would not give.  Data that passes is "admissible"
-when the exponent exceeds 2 (the tail integral converges) and
-"slow_decay" otherwise.
+One check decides whether (theta, a), with a a positive vector of length
+n, is a supported problem: theta in PhaseSpec.ray_degree's range (the
+positive critical angle or above it), then |H(a) - theta| <= LEVEL_TOL.
+decay_exponent raises its ValueError; classify, after its sign
+reflection, calls the data that fails it, or that is not of one sign,
+"outside", so no stage computes an exponent classify would not give.
+Data that passes is "admissible" when the exponent exceeds 2 (the tail
+integral converges) and "slow_decay" otherwise.  The length is the
+caller's to get right: solve checks --a against --n, and iso_point and
+epsilon_family build n and five entries.
 
 classify analyses a problem once.  The check's ascending values and
 _chain's exponent, sigma row and selected chain make one WeightProfile,
@@ -48,10 +50,11 @@ Everything runs on one ascending list of Python floats, through one
 routine (_chain) behind every exponent and selected chain.  It runs the
 three sigma recurrences in place, each value by elem_sym_all's
 operations in its order, and forms only the selected chain, so the bits
-are the ones the full rows and chains give.  A list of Python floats is
-read as it is; any other vector goes through one numpy conversion first.
-epsilon_family returns its five points as such a list, already
-ascending, so a scan row builds no array.  Arrays appear only in what
+are the ones the full rows and chains give.  There is one vector route:
+decay_exponent takes a list of Python floats, and classify hands its
+vector on as one (ndarray.tolist).  epsilon_family returns its five
+points as such a list, already ascending, so a scan row builds no
+array.  Arrays appear only in what
 the module hands out: the classified vector and the selected chain of a
 WeightProfile, and the points of complete_to_phase and iso_point.  A
 sigma row outside (0, F/(2n^2)), F the largest float, is rejected with
@@ -71,28 +74,6 @@ import numpy as np
 from .phasepoly import LEVEL_TOL, PhaseSpec, phase
 
 _FLOAT_MAX = sys.float_info.max
-_FLOAT = {float}
-
-
-def _ascending_positive(a, n: int) -> list:
-    """The entries of a as a new ascending list of n positive Python floats.
-
-    A list of Python floats is read as it is; any other input goes through
-    one numpy conversion to float, whose rules decide what is a vector.
-    An input that is not 1-D has the wrong length, as classify says.
-    """
-    if type(a) is not list or set(map(type, a)) != _FLOAT:
-        arr = np.asarray(a, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("vector length does not match the phase "
-                             "dimension")
-        a = arr.tolist()
-    # 0.0 < v is False for NaN, so NaN entries are rejected too
-    if not a or not all(map((0.0).__lt__, a)):
-        raise ValueError("vector must have all entries positive")
-    if len(a) != n:
-        raise ValueError("vector length does not match the phase dimension")
-    return sorted(a)
 
 
 def _chain(c: Sequence, vals: list) -> tuple:
@@ -147,11 +128,12 @@ def _chain(c: Sequence, vals: list) -> tuple:
     return math.fsum(num) / math.fsum(den), sig, selected
 
 
-def _level_point(spec: PhaseSpec, a: Sequence) -> list:
-    """a as an ascending list of floats, after the one check of a
-    supported problem (the module docstring's), which raises ValueError."""
+def _level_point(spec: PhaseSpec, a: list) -> list:
+    """The positive Python floats of a, n of them, as a new ascending list,
+    after the one check of a supported problem (the module docstring's),
+    which raises ValueError."""
     spec.ray_degree  # raises outside the supported range
-    vals = _ascending_positive(a, spec.n)
+    vals = sorted(a)
     if abs(phase(vals) - spec.theta) > LEVEL_TOL:
         raise ValueError("a not on the phase level set")
     return vals
@@ -173,8 +155,9 @@ class WeightProfile:
     selected: np.ndarray
 
 
-def decay_exponent(spec: PhaseSpec, a: Sequence) -> float:
-    """Decay exponent of a level-set point a; lies in (0, n].
+def decay_exponent(spec: PhaseSpec, a: list) -> float:
+    """Decay exponent of a level-set point a, a list of n positive Python
+    floats in any order; lies in (0, n].
 
     Raises ValueError unless (spec, a) passes the one check (_level_point).
     """
@@ -203,21 +186,22 @@ class Admissibility:
 
 
 def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
-    """Classify eigenvalue data lam (any order, either sign orientation).
+    """Classify eigenvalue data lam (any order, either sign orientation),
+    n = spec.n finite entries.
 
     All-negative data is handled through the sign reflection: negating the
     unknown flips both the eigenvalues and the phase target, so lam < 0 is
     classified via the exponent of (-theta, -lam).  Data that fails
     decay_exponent's check after the reflection, a subcritical phase
-    target included, is "outside": the construction, and every later
-    stage, covers only the critical and supercritical range.  Otherwise
-    the check's values and _chain's exponent, sigma row and selected
-    chain make the problem's WeightProfile.  A sigma row
-    outside the float range still raises ValueError.
+    target included, is "outside", and so is data of mixed sign: the
+    construction, and every later stage, covers only the critical and
+    supercritical range.  Otherwise the check, on the data as a list of
+    Python floats, gives its ascending values, and they and _chain's
+    exponent, sigma row and selected chain make the problem's
+    WeightProfile.  A sigma row outside the float range still raises
+    ValueError.
     """
     arr = np.asarray(lam, dtype=float)
-    if arr.ndim != 1 or arr.size != spec.n:
-        raise ValueError("vector length does not match the phase dimension")
     reflected = bool(np.all(arr < 0))
     if reflected:
         work_spec, work = PhaseSpec(spec.n, -spec.theta), -arr
@@ -226,7 +210,7 @@ def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
     else:
         return Admissibility(klass="outside", m=None)
     try:
-        vals = _level_point(work_spec, work)
+        vals = _level_point(work_spec, work.tolist())
     except ValueError:
         return Admissibility(klass="outside", m=None, reflected=reflected)
     m, sig, selected = _chain(work_spec.coeffs, vals)

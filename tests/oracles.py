@@ -141,27 +141,6 @@ def sigma_rank_one_cutoff(p, q, s, k):
     return symfun.elem_sym_all(p)[k] + s * corr
 
 
-def ascending_positive_ndarray(a, n):
-    """The entries of a as an ascending list of n positive Python floats,
-    by the numpy round trip weights._ascending_positive once made: one
-    np.asarray(a, dtype=float), the checks on the array's shape and on
-    its list, then an in-place sort.  Its values and its ValueError
-    messages are the contract the weights layer keeps; an array that is not
-    1-D has the wrong length, as weights.classify says."""
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("vector length does not match the phase dimension")
-    if arr.size == 0:
-        raise ValueError("vector must have all entries positive")
-    vals = arr.tolist()
-    if not all(map((0.0).__lt__, vals)):
-        raise ValueError("vector must have all entries positive")
-    if len(vals) != n:
-        raise ValueError("vector length does not match the phase dimension")
-    vals.sort()
-    return vals
-
-
 def level_value(spec, lam):
     """sum_k c_k(theta) sigma_k(lam); zero exactly when H(lam) = theta."""
     sig = symfun.elem_sym_all(lam)

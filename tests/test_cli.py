@@ -1,6 +1,8 @@
 """Tests for the command line interface: exit codes, formats, determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -169,6 +171,75 @@ def test_parse_returns_the_command_dests_or_a_usage_exit(argv):
     assert command is cli.COMMANDS[argv[0]]
     assert set(vars(args)) == {dest for dest, _convert, _default
                                in command.flags.values()}
+
+
+# a flag's value: left out two times in three, else in range, out of range or
+# non-finite
+_NUMBER = st.sampled_from([None] * 20 + ["2", "1", "1e6", "0.5", "0", "2e6",
+                                         "1e308", "nan", "inf", "-inf"])
+_ENTRY = st.one_of(
+    st.floats(0.0, 10.0).map(repr),
+    st.sampled_from(["0", "-0.0", "-1", "nan", "inf", "-inf", "1e200"]))
+
+
+@st.composite
+def _solve_lines(draw):
+    """solve command lines: valid and invalid vectors, families, n, theta,
+    out-of-range and non-finite flag values, and grids from -1 to 3.  Each
+    part is valid often enough that some lines pass or fail a check."""
+    n = draw(st.sampled_from([None, 1, 2, 3, 4, 5, 6, 7, 8]))
+    theta = draw(st.sampled_from(["critical"] * 4 + [None, "random", "nan",
+                                                     "inf", "-inf"]))
+    if theta == "random":
+        theta = repr(draw(st.floats(-15.0, 15.0)))
+    words = ["solve", "--grid", str(draw(st.sampled_from([-1, 0, 1, 2, 3,
+                                                          1, 2, 3])))]
+    source = draw(st.sampled_from(["a", "level a", "level a", "iso", "iso",
+                                   "eps", "family", "both", "neither"]))
+    # n entries, or a wrong length
+    size = draw(st.sampled_from([n or 3] * 3 + [1, 2, 9]))
+    if source in ("a", "both"):
+        words.append("--a=" + ",".join(draw(st.lists(
+            _ENTRY, min_size=size, max_size=size))))
+    elif source == "level a":
+        # the iso level point of (n, theta)
+        dim = n or 3
+        angle = (dim - 2) * math.pi / 2
+        if theta not in ("critical", None) and math.isfinite(float(theta)):
+            angle = float(theta)
+        words.append("--a=" + ",".join([repr(math.tan(angle / dim))] * size))
+    if source == "iso":
+        words += ["--family", "iso"]
+    elif source == "eps":
+        words.append("--family=eps:" + repr(draw(st.one_of(
+            st.floats(-0.1, 0.4), st.sampled_from([math.nan, math.inf])))))
+    elif source in ("family", "both"):
+        words += ["--family", draw(st.sampled_from(
+            ["iso", "eps:0.1", "eps:", "eps:x", "ISO", "cube", ""]))]
+    if n is not None:
+        words += ["--n", str(n)]
+    if theta is not None:
+        words.append("--theta=" + theta)
+    for flag in ("--beta", "--gamma", "--alpha", "--rmax"):
+        value = draw(_NUMBER)
+        if value is not None:
+            words.append(f"{flag}={value}")
+    return words
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_solve_lines())
+def test_solve_exit_code_contract(argv):
+    # 0 pass, 1 check failure, 2 invalid input, whatever the flags: on 2
+    # nothing reaches stdout and stderr ends in the reason
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith(("invalid input: ", "slex solve: error: "))
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "-h"],
@@ -741,8 +812,7 @@ def test_solve_analyses_its_problem_once(tmp_path, monkeypatch, source):
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("_level_point", "_ascending_positive", "_chain", "phase",
-                 "classify"):
+    for name in ("_level_point", "_chain", "phase", "classify"):
         count(weights, name)
     count(phasepoly, "phase")
     count(radial, "first_integral")
@@ -755,8 +825,7 @@ def test_solve_analyses_its_problem_once(tmp_path, monkeypatch, source):
     assert code == 0
     assert json.loads(path.read_text())["admissibility"]["klass"] == \
         "admissible"
-    assert calls == {"weights._level_point": 1,
-                     "weights._ascending_positive": 1, "weights._chain": 1,
+    assert calls == {"weights._level_point": 1, "weights._chain": 1,
                      "weights.phase": 1, "weights.classify": 1,
                      "phasepoly.phase": 0, "radial.first_integral": 1,
                      "radial.check_rmax": 1, "radial.invert": 1,

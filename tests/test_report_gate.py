@@ -1,6 +1,8 @@
 """tools/report_gate.py: its corpus, and one command compared both ways."""
 
 import importlib.util
+import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -23,11 +25,11 @@ def test_corpus_holds_readme_edge_cases_and_workloads():
             "--n", "3", "--theta", "critical", "--beta", "2", "--gamma", "1",
             "--out", "run.json") in readme
     assert len(readme) >= 6
-    # every command line names a command, but the two parser cases that
-    # give none or an unknown one
+    # every command line names a command, but the parser cases that give
+    # none or an unknown one, and the top-level help
     assert [argv for _name, _flags, argv in cases
             if argv[:1] not in (("verify",), ("scan-eps",), ("solve",))] == \
-        [(), ("scan",)]
+        [(), ("scan",), ("-h",)]
     workloads = [name.split(" #")[0] for name in names if " #" in name]
     per_workload = {w: workloads.count(w) for w in set(workloads)}
     assert per_workload == {"scan-fine": 25, "solve-sweep": 25,
@@ -54,3 +56,48 @@ def test_gate_rejects_a_tree_without_slex(tmp_path):
     with pytest.raises(SystemExit) as exc:
         gate.main([str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_json_moves_name_added_removed_and_changed_paths():
+    old = {"schema_version": 4, "passed": True, "mu": {"at_gamma": 1.5},
+           "trajectory": {"r": [1.0, 2.0, 3.0]}, "seed": 7,
+           "gap": float("nan")}
+    new = {"schema_version": 4, "passed": False, "mu": {"at_gamma": 1.5,
+                                                        "at_10gamma": 0.1},
+           "trajectory": {"r": [1.0, 2.5]}, "gap": float("nan")}
+    assert gate.json_moves(old, new) == [
+        ("added", "mu.at_10gamma"), ("changed", "passed"),
+        ("removed", "seed"), ("changed", "trajectory.r.1"),
+        ("removed", "trajectory.r.2")]
+    assert gate.json_moves(old, old) == []
+    assert gate.json_moves(1, 2) == [("changed", ".")]
+
+
+def test_report_moves_reads_json_outputs_only():
+    def record(stdout, out):
+        return {"stdout": stdout, "--out bytes": out}
+
+    old = json.dumps({"a": 1, "b": [1, 2]}).encode()
+    new = json.dumps({"a": 2, "b": [1, 2], "c": None}).encode()
+    many = json.dumps({f"k{i}": i for i in range(12)}).encode()
+    here = record(new, {"run.json": many, "table.csv": b"x\n2\n"})
+    there = record(old, {"run.json": b"{}", "table.csv": b"x\n1\n"})
+    assert gate.report_moves(here, there) == [
+        "stdout JSON: changed a, added c",
+        "--out run.json JSON: added k0, added k1, added k10, added k11, "
+        "added k2, added k3, added k4, added k5 (and 4 more)"]
+    assert gate.report_moves(here, here) == []
+    # 1.0 and 1 parse to equal values
+    assert gate.report_moves(record(b"[1.0]", {}), record(b"[1]", {})) == [
+        "stdout JSON: same values, other bytes"]
+
+
+def test_a_gate_run_writes_no_bytecode(tmp_path, monkeypatch):
+    # whatever the caller's environment says
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src" / "slex", tree / "src" / "slex",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    here = gate.run(tree, (), ("scan-eps", "--grid", "2"))
+    assert here["exit code"] == 0
+    assert list((tree / "src").rglob("__pycache__")) == []

@@ -101,12 +101,6 @@ def test_elem_sym_excl_all_is_the_single_k_row():
                 assert row == symfun.elem_sym_all(rest)
 
 
-def test_elem_sym_excl_all_validates():
-    for excl in ((1, 2, 3), (2, 2), (0,), (4,), (1, 4)):
-        with pytest.raises(ValueError):
-            symfun.elem_sym_excl_all((1, 2, 3), excl)
-
-
 def test_split_and_weighted_sum_identities_exact():
     rng = np.random.default_rng(14)
     for _ in range(30):
@@ -259,18 +253,6 @@ def test_sigma_rank_one_exact_rational():
                 expect += s * q[i - 1] ** 2 * oracles.elem_sym_excl(p, k - 1,
                                                                     (i,))
             assert symfun.sigma_rank_one(sig, excl, q, s, k) == expect
-
-
-def test_sigma_rank_one_validates():
-    sig, excl = oracles.rank_one_rows((1, 2))
-    with pytest.raises(ValueError):
-        symfun.sigma_rank_one(sig, excl, (1, 2, 3), 1, 1)
-    with pytest.raises(ValueError):
-        symfun.sigma_rank_one(sig, excl[:1], (1, 2), 1, 1)
-    with pytest.raises(ValueError):
-        symfun.sigma_rank_one(sig, excl, (1, 2), 1, 0)
-    with pytest.raises(ValueError):
-        symfun.sigma_rank_one(sig, excl, (1, 2), 1, 3)
 
 
 def test_newton_check_known_margins():

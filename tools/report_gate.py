@@ -4,10 +4,15 @@
 
 Every command of the corpus runs as a fresh `slex` process, once with
 PYTHONPATH=<this tree>/src and once with PYTHONPATH=OTHER_CHECKOUT/src,
-each in an empty working directory of its own.  The gate compares, per
-command, the exit code, the sha256 of stdout, stderr, and the bytes of
-the --out file.  It prints one line per command that differs and a
-summary, and exits 1 on any difference, 0 when every command agrees.
+each in an empty working directory of its own and with
+PYTHONDONTWRITEBYTECODE=1, so that neither checkout gains a bytecode
+cache it would later run from.  The gate compares, per command, the exit
+code, the sha256 of stdout, stderr, and the bytes of the --out file.  It
+prints one line per command that differs, and under it, where stdout or
+an --out file differs and both sides parse as JSON, up to MOVES_SHOWN of
+the dotted key paths that were added, removed or changed.  A summary
+line follows; the gate exits 1 on any difference, 0 when every command
+agrees.
 
 The corpus:
   * the `slex ...` command lines of README.md's shell blocks;
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import os
 import shlex
@@ -38,6 +44,10 @@ WORKLOAD_SEED = 11
 WORKLOAD_OPS = 25
 JOBS = 2  # commands run at once
 TIMEOUT_S = 600
+MOVES_SHOWN = 8  # key paths printed per differing JSON output
+# what decides whether a command agrees; a run's raw stdout is kept only to
+# say how a JSON report moved
+COMPARED = ("exit code", "stdout sha256", "stderr", "--out bytes")
 RUN = "import sys; from slex.cli import main; sys.exit(main(sys.argv[1:]))"
 
 _PI = repr(math.pi)
@@ -182,6 +192,33 @@ EDGE_CASES = [
     ("reflected data space form", (), ("solve", "--a", ",".join(
         ["-0.5773502691896258"] * 3), "--n", "3",
         "--theta=" + repr(-math.pi / 2), "--grid", "8")),
+    # every check a command line reaches, one line each: solve's vector
+    # source, the help, an --out that cannot be written, the phase, beta,
+    # r_max, eps and iso range checks
+    ("solve without a vector", (), ("solve", "--grid", "4")),
+    ("solve iso without n", (), ("solve", "--family", "iso", "--grid", "4")),
+    ("eps family n=4", (), ("solve", "--family", "eps:0.1", "--n", "4")),
+    ("eps family theta=1", (), ("solve", "--family", "eps:0.1",
+                                "--theta", "1")),
+    ("unknown family", (), ("solve", "--family", "cube")),
+    ("a without n", (), ("solve", "--a", "1,2,3")),
+    ("top-level help", (), ("-h",)),
+    ("out in a missing directory", (), (
+        "solve", "--family", "iso", "--n", "3", "--theta", "critical",
+        "--grid", "4", "--out", "missing/run.json")),
+    ("iso n=2", (), ("solve", "--family", "iso", "--n", "2", "--theta", "1",
+                     "--grid", "4")),
+    ("iso theta outside the range", (), ("solve", "--family", "iso", "--n",
+                                         "3", "--theta", "10", "--grid",
+                                         "4")),
+    ("beta=2e6", (), ("solve", "--family", "iso", "--n", "3", "--theta",
+                      "critical", "--beta", "2e6", "--grid", "4")),
+    ("rmax one ulp above 1", (), ("solve", "--family", "iso", "--n", "3",
+                                  "--theta", "critical", "--rmax",
+                                  "1.0000000000000002", "--grid", "4")),
+    ("eps:1", (), ("solve", "--family", "eps:1", "--grid", "4")),
+    ("iso theta=-1", (), ("solve", "--family", "iso", "--n", "3",
+                          "--theta", "-1", "--grid", "4")),
     # the smallest scans in both formats, and the one grid below them
     ("scan-eps grid=2 json", (), ("scan-eps", "--grid", "2", "--format",
                                   "json")),
@@ -238,22 +275,71 @@ def corpus() -> list:
 
 
 def run(tree: Path, flags: tuple, argv: tuple) -> dict:
-    """Exit code, stdout sha256, stderr and --out bytes of one command."""
+    """Exit code, stdout (and its sha256), stderr and --out bytes of one
+    command."""
     with tempfile.TemporaryDirectory() as work:
-        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run([sys.executable, *flags, "-c", RUN, *argv],
                               cwd=work, env=env, capture_output=True,
                               timeout=TIMEOUT_S)
         outputs = {path.name: path.read_bytes()
                    for path in sorted(Path(work).iterdir())}
     return {"exit code": proc.returncode,
+            "stdout": proc.stdout,
             "stdout sha256": hashlib.sha256(proc.stdout).hexdigest(),
             "stderr": proc.stderr,
             "--out bytes": outputs}
 
 
 def differences(here: dict, there: dict) -> list:
-    return [key for key in here if here[key] != there[key]]
+    return [key for key in COMPARED if here[key] != there[key]]
+
+
+def json_moves(old, new, path: str = "") -> list:
+    """("added" | "removed" | "changed", dotted key path) of every leaf where
+    the parsed JSON value new differs from old, in key and index order.  A
+    list index is a path component like a key; NaN equals NaN."""
+    if isinstance(old, (dict, list)) and type(new) is type(old):
+        if isinstance(old, list):
+            old, new = dict(enumerate(old)), dict(enumerate(new))
+        moves = []
+        for key in sorted(old.keys() | new.keys()):
+            sub = f"{path}.{key}" if path else str(key)
+            if key not in new:
+                moves.append(("removed", sub))
+            elif key not in old:
+                moves.append(("added", sub))
+            else:
+                moves += json_moves(old[key], new[key], sub)
+        return moves
+    same = old == new or (old != old and new != new)
+    return [] if same else [("changed", path or ".")]
+
+
+def report_moves(here: dict, there: dict) -> list:
+    """One line per differing stdout or --out file that parses as JSON on
+    both sides: its name and up to MOVES_SHOWN key paths that moved from
+    there to here."""
+    pairs = [("stdout", there["stdout"], here["stdout"])]
+    pairs += [(f"--out {name}", there["--out bytes"][name], data)
+              for name, data in here["--out bytes"].items()
+              if name in there["--out bytes"]]
+    lines = []
+    for label, old, new in pairs:
+        if old == new:
+            continue
+        try:
+            old, new = json.loads(old), json.loads(new)
+        except ValueError:  # not JSON on one side: a CSV, or a crash
+            continue
+        moves = json_moves(old, new)
+        shown = ", ".join(f"{kind} {path}" for kind, path
+                          in moves[:MOVES_SHOWN])
+        more = len(moves) - MOVES_SHOWN
+        lines.append(f"{label} JSON: {shown or 'same values, other bytes'}"
+                     + (f" (and {more} more)" if more > 0 else ""))
+    return lines
 
 
 def main(argv=None) -> int:
@@ -282,6 +368,8 @@ def main(argv=None) -> int:
                 print(f"DIFFER {name}: {', '.join(diff)} "
                       f"(exit {there['exit code']} -> {here['exit code']})"
                       f"\n    slex {shlex.join(cmd)}")
+                for line in report_moves(here, there):
+                    print(f"    {line}")
     print(f"{len(cases)} commands, {len(cases) - failed} identical, "
           f"{failed} differ (this tree against {other})")
     return 1 if failed else 0
