@@ -578,7 +578,8 @@ def _resolve_vector(args: SimpleNamespace) -> tuple:
             theta_val = 5 * math.pi / 3
             if theta is not None:
                 given = _parse_theta(theta, 5)
-                if abs(given - theta_val) > 1e-12:
+                # written so that a NaN theta is rejected too
+                if not abs(given - theta_val) <= 1e-12:
                     raise ValueError("the eps family lives at theta = 5*pi/3")
             return weights.epsilon_family(eps), 5, theta_val
         raise ValueError("family must be 'iso' or 'eps:<value>'")
@@ -610,8 +611,12 @@ def _run_solve(args: SimpleNamespace) -> dict:
     if not math.isfinite(radius * radius):
         raise ValueError(f"--gamma out of range: the grid radius "
                          f"{subsol.GRID_RADIUS:g}*gamma overflows")
-    subsol.check_shells(args.grid)
-    radial.check_beta(args.beta)
+    if args.grid < 1:
+        raise ValueError("the grid needs at least one shell")
+    if args.beta < 1.0:
+        raise ValueError("beta must be at least 1")
+    if args.beta > radial.BETA_CAP:
+        raise ValueError("beta above the supported cap 1e6")
     if gamma < 1.0:
         raise ValueError("gamma must be finite and at least 1")
     rs = radial.check_rmax(r_max)

@@ -54,8 +54,9 @@ coefficients of D share one sign (Descartes' rule of signs); each must
 clear the shift's rounding bound, and so must each of N, so N > 0 on
 x >= 0.  And the residue at 1, N(0)/D(0), must equal 1/m from the
 profile's chain, a scale-free check of the shift.  Then beta is bound,
-range-checked by check_beta, and C is only ever held as log C
-(FirstIntegral.log_amplitude), so no beta overflows on the way.
+as solve range-checked it (1 <= beta <= BETA_CAP), and C is only ever
+held as log C (FirstIntegral.log_amplitude), so no beta overflows on the
+way.
 
 The returned FirstIntegral holds the profile itself as pf.prof, and
 copies none of its fields.  It is the only problem input of invert, both
@@ -118,19 +119,6 @@ _PROFILE_TOL = 1e-12  # numeric route: rtol, and atol a tenth of it
 _PROFILE_SAMPLES = 241  # log-spaced sample radii of solve_profile
 
 
-def check_beta(beta: float) -> float:
-    """beta as a float, after checking 1 <= beta <= BETA_CAP.
-
-    solve has refused a non-finite --beta before it calls this; a NaN from
-    a library caller fails when FirstIntegral sizes its table."""
-    beta = float(beta)
-    if beta < 1.0:
-        raise ValueError("beta must be at least 1")
-    if beta > BETA_CAP:
-        raise ValueError("beta above the supported cap 1e6")
-    return beta
-
-
 def check_rmax(r_max: float) -> np.ndarray:
     """The 241 log-spaced sample radii of [1, r_max] that solve_profile
     takes, after checking 1 < r_max < inf and that the radii strictly
@@ -150,7 +138,7 @@ def check_rmax(r_max: float) -> np.ndarray:
 def _slope_pair(prof: WeightProfile):
     """(num, den) as lists from a weight profile's sigma row and selected
     chain: den holds the ray polynomial's coefficients c_k sigma_k."""
-    c, sig, sel = prof.spec.coeffs, prof.sigma, prof.selected.tolist()
+    c, sig, sel = prof.spec.coeffs, prof.sigma, prof.selected
     deg = prof.spec.ray_degree
     return ([sel[k] * c[k] * sig[k] for k in range(1, deg + 1)],
             [c[k] * sig[k] for k in range(deg + 1)])
@@ -276,10 +264,10 @@ class FirstIntegral:
     m are read as prof.spec, prof.a and prof.m.  d_coeffs, n_coeffs and
     e_coeffs are the ascending coefficients of D, N and E in the excess
     x = psi - 1, as Python floats: the only copy of the slope field.
-    beta = psi(1) passes check_beta on construction, and binding it,
-    dataclasses.replace(pf, beta=b) included, builds the Gauss-Legendre
-    table of log r over u = log x and log_amplitude, log C of the tail
-    law psi - 1 ~ C r^(-m) (-inf at beta = 1).
+    beta = psi(1) is taken as solve checked it, 1 <= beta <= BETA_CAP,
+    and binding it, dataclasses.replace(pf, beta=b) included, builds the
+    Gauss-Legendre table of log r over u = log x and log_amplitude, log C
+    of the tail law psi - 1 ~ C r^(-m) (-inf at beta = 1).
     """
     prof: WeightProfile
     d_coeffs: tuple
@@ -297,8 +285,7 @@ class FirstIntegral:
     _rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        beta = check_beta(self.beta)
-        object.__setattr__(self, "beta", beta)
+        beta = self.beta
         if beta == 1.0:
             object.__setattr__(self, "log_amplitude", -math.inf)
             return
@@ -408,9 +395,9 @@ def first_integral(prof: WeightProfile, beta: float) -> FirstIntegral:
     above 1.  So must every coefficient of N, on |num|
     ("slope-field denominator not certified positive"): then N > 0 on
     x >= 0.  And m N(0) must equal D(0) to 1e-10 relative plus those
-    bounds ("residue at 1 disagrees with 1/m").  Then beta passes
-    check_beta.  On 419 admissible points (n = 3..150, iso, random and
-    the eps family) the smallest coefficients of D and N are at least
+    bounds ("residue at 1 disagrees with 1/m").  Then beta is bound as
+    solve checked it.  On 419 admissible points (n = 3..150, iso, random
+    and the eps family) the smallest coefficients of D and N are at least
     1.9e-3 of their bounds' scale, against rounding near 1e-14.
     """
     num, den = _slope_pair(prof)

@@ -33,9 +33,9 @@ The problem is pf, the radial.FirstIntegral built on the WeightProfile
 that weights.classify made: pf.prof.a is diag(a), pf.prof.spec the phase
 target, and pf.beta the profile's start.  Nothing here re-checks it.  alpha
 shifts Phi by a constant and never reaches the Hessian, so the grid does
-not take it.  gamma >= 1 and the shell count are the solve command's
-checks, the count by check_shells, before it reads the vector; nothing
-here repeats them.
+not take it.  gamma >= 1 and a shell count of at least 1 are the solve
+command's checks, made before it reads the vector; nothing here repeats
+them.
 
 A is diagonal throughout: a general symmetric A enters through its
 eigenvalues, as the problem's vector a.
@@ -56,12 +56,6 @@ _PASS_TOL = 1e-9  # verify_subsolution's minima must clear -_PASS_TOL
 _R_MIN_SCALE = 1.0 + 1e-6  # the innermost shell, relative to gamma
 GRID_RADIUS = 50.0  # the outermost shell, relative to gamma
 DIRECTIONS = 96  # low-discrepancy directions per shell, besides the 2n axes
-
-
-def check_shells(shells: int) -> None:
-    """ValueError unless the grid has at least one shell."""
-    if shells < 1:
-        raise ValueError("the grid needs at least one shell")
 
 
 def sphere_directions(n: int, count: int) -> np.ndarray:
@@ -104,8 +98,8 @@ class VerificationReport:
 
 def shell_radii(gamma: float, shells: int) -> np.ndarray:
     """The grid's shells log-spaced radii, from just outside the ellipsoid,
-    gamma * (1 + 1e-6), to GRID_RADIUS * gamma; shells >= 1 has passed
-    check_shells."""
+    gamma * (1 + 1e-6), to GRID_RADIUS * gamma; solve has checked
+    shells >= 1."""
     return np.geomspace(gamma * _R_MIN_SCALE, GRID_RADIUS * gamma, shells)
 
 

@@ -152,7 +152,7 @@ class WeightProfile:
     a: np.ndarray
     m: float
     sigma: tuple
-    selected: np.ndarray
+    selected: tuple
 
 
 def decay_exponent(spec: PhaseSpec, a: list) -> float:
@@ -215,7 +215,7 @@ def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
         return Admissibility(klass="outside", m=None, reflected=reflected)
     m, sig, selected = _chain(work_spec.coeffs, vals)
     prof = WeightProfile(spec=work_spec, a=np.array(vals), m=m,
-                         sigma=tuple(sig), selected=np.array(selected))
+                         sigma=tuple(sig), selected=tuple(selected))
     klass = "admissible" if m > 2.0 else "slow_decay"
     return Admissibility(klass=klass, m=m, near_boundary=abs(m - 2.0) <= 1e-12,
                          reflected=reflected, profile=prof)

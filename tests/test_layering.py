@@ -25,12 +25,13 @@ Seven rules, for every module under src/slex:
     not only from members that are themselves unread.  Members are
     matched by name, since no type is known statically.  Dataclass fields
     are not definitions here: a field is data a report may serialize;
-  * every raise statement runs for some command line of RAISE_COMMANDS,
-    run through cli.main in process under a line tracer that sees only
-    package frames, or is on NUMERICAL_SAFETY with its reason.  The
-    package is what the commands reach, and that holds for its errors
-    too: a guard on an argument only the package itself passes is dead
-    code, however careful it looks.
+  * every raise statement runs for some command line, or is on
+    NUMERICAL_SAFETY with its reason.  The lines are the rows of
+    CONTRACT in tools/report_gate.py, help and an --out that cannot be
+    written, run through cli.main in process under a line tracer that
+    sees only package frames.  The package is what the commands reach,
+    and that holds for its errors too: a guard on an argument only the
+    package itself passes is dead code, however careful it looks.
 """
 
 import ast
@@ -40,6 +41,7 @@ from pathlib import Path
 
 import pytest
 
+import report_gate
 import slex
 from slex import cli
 
@@ -47,38 +49,6 @@ PACKAGE = Path(slex.__file__).resolve().parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 # public names no module of the package reads, kept for a reader outside it
 READ_OUTSIDE = ("complete_to_phase",)  # bench/workloads.py
-# command lines (grids of at most 4) that between them run every raise of
-# the package but those of NUMERICAL_SAFETY; "{tmp}" is a fresh directory
-_ISO3 = ("solve", "--family", "iso", "--n", "3", "--theta", "critical",
-         "--grid", "4")
-RAISE_COMMANDS = [
-    (), ("scan",), ("-h",), ("solve", "--help"), ("verify", "--grid"),
-    ("verify", "--grid", "x"), ("verify", "--exact"),
-    ("scan-eps", "--format", "xml"), ("verify", "--grid", "0"),
-    ("verify", "--grid", "1", "--seed", "-1"), ("scan-eps", "--grid", "1"),
-    ("solve",), ("solve", "--family", "iso"),
-    ("solve", "--family", "eps:0.1", "--n", "4"),
-    ("solve", "--family", "eps:0.1", "--theta", "1"),
-    ("solve", "--family", "eps:1"), ("solve", "--family", "cube"),
-    ("solve", "--a", "1,2,3"),
-    ("solve", "--a", "inf,1,1", "--n", "3", "--theta", "critical"),
-    ("solve", "--a", "1,2", "--n", "3", "--theta", "critical"),
-    ("solve", "--a", "1,2,3", "--n", "3", "--theta", "critical",
-     "--grid", "4"),
-    ("solve", "--family", "iso", "--n", "2", "--theta", "1"),
-    ("solve", "--family", "iso", "--n", "3", "--theta", "10"),
-    ("solve", "--family", "iso", "--n", "3", "--theta", "-1"),
-    ("solve", "--family", "iso", "--n", "4", "--theta", "1.0"),
-    ("solve", "--family", "iso", "--n", "154", "--theta", "critical",
-     "--grid", "4"),
-    ("solve", "--family", "iso", "--n", "200", "--theta", "critical",
-     "--grid", "4"),
-    _ISO3 + ("--beta", "nan"), _ISO3 + ("--gamma", "1e308"),
-    _ISO3 + ("--gamma", "0.5"), _ISO3 + ("--beta", "0.5"),
-    _ISO3 + ("--beta", "2e6"), _ISO3 + ("--rmax", "0.5"),
-    _ISO3 + ("--rmax", "1.0000000000000002"), _ISO3 + ("--grid", "0"),
-    _ISO3 + ("--out", "{tmp}/missing/run.json"),
-]
 # (module, function, message) of each raise no command line runs, with its
 # reason: checks that hold on every supported input, and the guards of a
 # reader outside the package
@@ -405,8 +375,11 @@ def test_every_public_member_is_read_by_the_package():
 
 
 def test_every_raise_runs_for_a_command_line(tmp_path, capsys):
-    argvs = [tuple(t.replace("{tmp}", str(tmp_path)) for t in argv)
-             for argv in RAISE_COMMANDS]
+    # the contract's lines, help, and an --out that cannot be written
+    argvs = [argv for argv, _code, _err in report_gate.CONTRACT] + [
+        ("-h",), ("solve", "--help"),
+        ("solve", "--family", "iso", "--n", "3", "--theta", "critical",
+         "--grid", "4", "--out", str(tmp_path / "missing" / "run.json"))]
     ran, codes = lines_run(argvs)
     capsys.readouterr()
     assert set(codes) == {0, 1, 2}
@@ -436,7 +409,7 @@ def test_checks_find_what_they_look_for():
         "from .phasepoly import _HALF_PI_LO, phase",
         "from .symfun import (elem_sym,",
         "                     _prune)",
-        "x = radial._horner((1.0,), 2.0) + w._chains + radial.check_beta",
+        "x = radial._horner((1.0,), 2.0) + w._chains + radial.check_rmax",
         "y = phase(math.pi) + Fraction(1)",
     ])
     assert private_reads(source) == [

@@ -105,9 +105,9 @@ def test_slope_field_denominator_guard():
     # negative, so N is not certified positive on x >= 0
     spec = phasepoly.PhaseSpec(5, 3 * math.pi / 2)
     prof = oracles.profile(spec, weights.iso_point(spec))
-    selected = prof.selected.copy()
+    selected = list(prof.selected)
     selected[spec.ray_degree] *= -1.0
-    crafted = replace(prof, selected=selected)
+    crafted = replace(prof, selected=tuple(selected))
     _d, n = oracles.excess_pair(crafted)
     assert n.coef[-1] < 0.0
     with pytest.raises(ValueError, match="slope-field denominator not "
@@ -246,20 +246,15 @@ def test_solve_profile_validates_inputs():
 
 
 def test_partial_fractions_checks_beta():
-    # beta is checked where it is bound: by first_integral, and again by
-    # dataclasses.replace
-    for beta, message in ((0.5, "beta must be at least 1"),
-                          (2.0e6, "beta above the supported cap 1e6")):
-        with pytest.raises(ValueError, match=message):
-            radial.first_integral(PF3_PROFILE, beta)
-        with pytest.raises(ValueError, match=message):
-            replace(PF3, beta=beta)
-    assert type(replace(PF3, beta=2).beta) is float
-    assert type(radial.first_integral(PF3_PROFILE, 2).beta) is float
-    # the whole range binds without a warning: C is held as log C
+    # solve checks beta's range; the whole of it binds without a warning,
+    # as C is held as log C, and dataclasses.replace rebuilds the table
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert replace(PF3, beta=1.0e6).beta == 1.0e6
+        for beta in (1.0, 1.000001, 2.0, 1.0e3, radial.BETA_CAP):
+            again = replace(PF3, beta=beta)
+            assert again.beta == beta
+            assert again.log_amplitude == \
+                radial.first_integral(PF3_PROFILE, beta).log_amplitude
 
 
 def test_beta_enters_through_the_analysis_only():

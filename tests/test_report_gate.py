@@ -1,17 +1,14 @@
 """tools/report_gate.py: its corpus, and one command compared both ways."""
 
-import importlib.util
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
+import report_gate as gate
+
 ROOT = Path(__file__).resolve().parent.parent
-_SPEC = importlib.util.spec_from_file_location(
-    "report_gate", ROOT / "tools" / "report_gate.py")
-gate = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(gate)
 
 
 def test_corpus_holds_readme_edge_cases_and_workloads():
@@ -25,16 +22,26 @@ def test_corpus_holds_readme_edge_cases_and_workloads():
             "--n", "3", "--theta", "critical", "--beta", "2", "--gamma", "1",
             "--out", "run.json") in readme
     assert len(readme) >= 6
-    # every command line names a command, but the parser cases that give
-    # none or an unknown one, and the top-level help
+    # every command line names a command, but the top-level help and the
+    # parser cases that give none or an unknown one
     assert [argv for _name, _flags, argv in cases
             if argv[:1] not in (("verify",), ("scan-eps",), ("solve",))] == \
-        [(), ("scan",), ("-h",)]
+        [("-h",), (), ("scan",), ("--grid", "3")]
     workloads = [name.split(" #")[0] for name in names if " #" in name]
     per_workload = {w: workloads.count(w) for w in set(workloads)}
     assert per_workload == {"scan-fine": 25, "solve-sweep": 25,
                             "verify-exact": 25}
-    assert len(cases) == len(readme) + len(gate.EDGE_CASES) + 75
+    assert len(cases) == (len(readme) + len(gate.EDGE_CASES)
+                          + len(gate.CONTRACT) + 75)
+
+
+def test_corpus_holds_each_contract_line_once():
+    # the contract's lines are written once, as CONTRACT rows: no other
+    # part of the corpus repeats one
+    argvs = [argv for _name, _flags, argv in gate.corpus()]
+    assert [argv for argv, _code, _err in gate.CONTRACT
+            if argvs.count(argv) != 1] == []
+    assert {code for _argv, code, _err in gate.CONTRACT} == {0, 1, 2}
 
 
 def test_one_command_compared_against_this_tree():

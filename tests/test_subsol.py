@@ -43,13 +43,9 @@ def test_subsolution_spec_validation():
     assert pf.prof.spec == phasepoly.PhaseSpec(3, math.pi / 2)
     for name in ("alpha", "gamma", "diag", "theta", "spec", "a", "m"):
         assert not hasattr(pf, name)
-    # an off-level vector has no analysis, and the analysis rejects a beta
-    # out of range
+    # an off-level vector has no analysis
     assert weights.classify(phasepoly.PhaseSpec(3, math.pi / 2),
                             np.array([1.0, 2.0, 3.0])).profile is None
-    prof = oracles.profile(phasepoly.PhaseSpec(3, math.pi / 2), A3)
-    with pytest.raises(ValueError, match="beta must be at least 1"):
-        radial.first_integral(prof, 0.5)
     # slow decay: classify does not admit it, as its tail integral, which
     # the candidate's constant needs, diverges
     eps = weights.epsilon_family(math.pi / 12)

@@ -571,12 +571,14 @@ def test_float_path_bit_identical_on_random_level_points():
     rng = np.random.default_rng(2024)
     for n in range(3, 13):
         for spec, a in level_points(rng, n, 12):
+            # decay_exponent takes a list; classify any sequence
+            assert bits(weights.decay_exponent(spec, a.tolist())) == \
+                bits(numpy_decay_exponent(spec, a)), (n, spec.theta)
             for form in (a.tolist(), tuple(a.tolist()), a):
-                assert bits(weights.decay_exponent(spec, form)) == \
-                    bits(numpy_decay_exponent(spec, form)), (n, spec.theta)
                 assert_profile_bits(spec, form)
             # off the level set: decay_exponent's error, no profile
-            assert message(weights.decay_exponent, spec, 1.01 * a) == \
+            assert message(weights.decay_exponent, spec,
+                           (1.01 * a).tolist()) == \
                 "a not on the phase level set"
             assert weights.classify(spec, 1.01 * a).profile is None
 
@@ -585,7 +587,8 @@ def assert_all_entry_points_bits(spec, a):
     """decay_exponent, classify(...).m and classify(...).profile against the
     numpy formula, bit for bit."""
     m = numpy_decay_exponent(spec, a)
-    assert bits(weights.decay_exponent(spec, a)) == bits(m), spec
+    vals = np.asarray(a, dtype=float).tolist()
+    assert bits(weights.decay_exponent(spec, vals)) == bits(m), spec
     adm = weights.classify(spec, a)
     assert adm.klass in ("admissible", "slow_decay")
     assert bits(adm.m) == bits(m), spec
@@ -608,7 +611,8 @@ def test_float_path_bit_identical_on_random_level_points_past_twelve():
     for n in range(13, 33):
         for spec, a in level_points(rng, n, 4):
             assert_all_entry_points_bits(spec, a)
-            assert message(weights.decay_exponent, spec, 1.01 * a) == \
+            assert message(weights.decay_exponent, spec,
+                           (1.01 * a).tolist()) == \
                 "a not on the phase level set"
             assert weights.classify(spec, 1.01 * a).profile is None
 

@@ -16,8 +16,12 @@ agrees.
 
 The corpus:
   * the `slex ...` command lines of README.md's shell blocks;
-  * EDGE_CASES below: inputs at the ends of the supported range and the
-    error paths (exit codes 0, 1 and 2);
+  * CONTRACT below: command lines with the exit code and stderr each
+    must give: every invalid input a command reaches (exit 2), check
+    failures (exit 1) and two parser cases that pass;
+  * EDGE_CASES below: inputs at the ends of the supported range, help,
+    the one line run under an interpreter flag (-W error) and an --out
+    in a missing directory;
   * 25 operations of each benchmark workload at seed 11, drawn by
     bench/workloads.py.
 
@@ -51,27 +55,188 @@ COMPARED = ("exit code", "stdout sha256", "stderr", "--out bytes")
 RUN = "import sys; from slex.cli import main; sys.exit(main(sys.argv[1:]))"
 
 _PI = repr(math.pi)
-# (name, interpreter flags, argv): edge inputs and error paths of every
-# command
+# (argv, exit code, stderr) of each command line whose outcome is the exit
+# code contract: 0 pass, 1 check failure, 2 invalid input.  err is the whole
+# of stderr for an "invalid input:" row, and a part of it otherwise (a
+# parser error, a verdict).  The gate runs every row; tests/test_cli.py
+# holds each to its code and err, and tests/test_layering.py runs each
+# under a line tracer to find the raises no command line reaches.
+_ISO3 = ("solve", "--family", "iso", "--n", "3", "--theta", "critical")
+_ISO3_GRID = _ISO3 + ("--grid", "4")
+_OFF_LEVEL = ("solve", "--a", "1,2,3", "--n", "3", "--theta", "critical")
+_EPS = ("solve", "--family", "eps:0.25", "--n", "5", "--theta",
+        repr(5 * math.pi / 3))
+_ISO_A = ",".join([repr(1.0 / math.sqrt(3.0))] * 3)
+_OUTSIDE = "inadmissible: klass=outside m=None\n"
+_NO_VECTOR = "provide exactly one of --a or --family"
+_GRID = "the grid needs at least one shell"
+_GAMMA = "gamma must be finite and at least 1"
+_RMAX = "r_max must be finite and exceed 1"
+_HUGE_GAMMA = "--gamma out of range: the grid radius 50*gamma overflows"
+_TOO_CLOSE = ("--rmax {0} is too close to 1: its 241 log-spaced sample "
+              "radii do not increase")
+_EPS_THETA = "the eps family lives at theta = 5*pi/3"
+_LENGTH = "--a length disagrees with --n"
+_INVALID = [
+    # verify and scan-eps: the grid and the seed
+    *((("verify",) + grid, "verify grid needs at least 1 vector")
+      for grid in (("--grid", "0"), ("--grid=0",), ("--grid=-3",))),
+    *((argv, "--seed must be a non-negative integer")
+      for argv in (("verify", "--seed", "-1"),
+                   ("verify", "--seed=-1", "--grid", "5"),
+                   ("verify", "--grid", "1", "--seed", "-1"))),
+    (("scan-eps", "--grid", "1"), "scan grid needs at least 2 points"),
+    # solve's flags, each before the vector is read and whatever it is,
+    # in the order checked: finite, the grid radius, the grid count, beta
+    # at least 1 and at most the cap, gamma at least 1, then r_max
+    *((_ISO3 + (f"--{name}={value}",), f"--{name} must be finite")
+      for name in ("beta", "gamma", "alpha", "rmax")
+      for value in ("nan", "inf", "-inf")),
+    (_ISO3 + ("--beta", "nan"), "--beta must be finite"),
+    (_ISO3_GRID + ("--beta", "nan"), "--beta must be finite"),
+    *((_ISO3 + gamma, _HUGE_GAMMA)
+      for gamma in (("--gamma", "1e300", "--beta", "2"),
+                    ("--gamma", "1e300", "--beta", "1"),
+                    ("--gamma", "1e300", "--grid", "4"),
+                    ("--gamma", "1e308"), ("--gamma=1e308",),
+                    ("--gamma=-1e308",), ("--grid", "4", "--gamma", "1e308"))),
+    *((source + (flag,), message)
+      for source in (_ISO3, _OFF_LEVEL)
+      for flag, message in (
+          ("--grid=0", _GRID), ("--grid=-2", _GRID),
+          ("--beta=0.5", "beta must be at least 1"),
+          ("--beta=2e6", "beta above the supported cap 1e6"),
+          ("--gamma=0.5", _GAMMA), ("--rmax=0.5", _RMAX),
+          ("--rmax=1.00000000000002", _TOO_CLOSE.format("1.00000000000002")),
+          ("--rmax=1.00000000000005",
+           _TOO_CLOSE.format("1.00000000000005")))),
+    *((_EPS + (grid,), _GRID) for grid in ("--grid=0", "--grid=-2")),
+    *((_ISO3_GRID + (flag,), message)
+      for flag, message in (("--grid=0", _GRID), ("--gamma=0.5", _GAMMA),
+                            ("--beta=0.5", "beta must be at least 1"),
+                            ("--rmax=0.5", _RMAX))),
+    (_ISO3_GRID + ("--grid", "0"), _GRID),
+    (_ISO3_GRID + ("--beta", "0.5"), "beta must be at least 1"),
+    *((argv, "beta above the supported cap 1e6")
+      for argv in (_ISO3_GRID + ("--beta", "2e6"),
+                   _ISO3 + ("--beta", "2e6", "--grid", "4"))),
+    (_ISO3_GRID + ("--gamma", "0.5"), _GAMMA),
+    (_ISO3 + ("--gamma", "0.5"), _GAMMA),
+    (_ISO3 + ("--gamma", "0.999"), _GAMMA),
+    (_ISO3_GRID + ("--rmax", "0.5"), _RMAX),
+    *((argv, _TOO_CLOSE.format("1.0000000000000002"))
+      for argv in (_ISO3_GRID + ("--rmax", "1.0000000000000002"),
+                   _ISO3 + ("--rmax", "1.0000000000000002", "--grid", "4"))),
+    # the vector's source: --a or --family, n, theta and the entries
+    (("solve",), _NO_VECTOR),
+    (("solve", "--grid", "4"), _NO_VECTOR),
+    (("solve", "--n", "3", "--theta", "critical"), _NO_VECTOR),
+    (("solve", "--a", _ISO_A) + _ISO3[1:], _NO_VECTOR),
+    (("solve", "--family", "iso"), "--family iso needs --n and --theta"),
+    (("solve", "--family", "iso", "--grid", "4"),
+     "--family iso needs --n and --theta"),
+    (("solve", "--family", "eps:0.1", "--n", "4"),
+     "the eps family is five dimensional"),
+    (("solve", "--family", "eps:0.1", "--theta", "1"), _EPS_THETA),
+    # a NaN theta is not 5 pi/3 either
+    (("solve", "--family", "eps:0.1", "--theta", "nan", "--grid", "2"),
+     _EPS_THETA),
+    (("solve", "--family", "eps:1"), "eps must lie in [0, pi/12]"),
+    (("solve", "--family", "eps:1", "--grid", "4"),
+     "eps must lie in [0, pi/12]"),
+    *((("solve", "--family", family), "family must be 'iso' or 'eps:<value>'")
+      for family in ("cube", "nope")),
+    (("solve", "--a", "1,2,3"), "--a needs --n and --theta"),
+    *((("solve", entries) + _ISO3[3:], "--a entries must be finite")
+      for entries in ("--a=nan,1,1", "--a=inf,1,1", "--a=1,-inf,1")),
+    (("solve", "--a", "inf,1,1") + _ISO3[3:], "--a entries must be finite"),
+    (("solve", "--a", "1,2") + _ISO3[3:], _LENGTH),
+    (("solve", "--a", "1.0,1.0") + _ISO3[3:], _LENGTH),
+    # the phase and the dimension, and vectors past the float range
+    *((("solve", "--family", "iso", "--n", "2", "--theta", "1") + grid,
+       "dimension must be at least 3") for grid in ((), ("--grid", "4"))),
+    *((("solve", "--family", "iso", "--n", "3", "--theta", "10") + grid,
+       "theta must lie strictly inside (-n*pi/2, n*pi/2)")
+      for grid in ((), ("--grid", "4"))),
+    *((("solve", "--family", "iso", "--n", "3", "--theta", "-1") + grid,
+       "phase out of supported range") for grid in ((), ("--grid", "4"))),
+    (("solve", "--family", "iso", "--n", "200", "--theta", "critical",
+      "--grid", "4"), "sigma row of the vector leaves the float range"),
+    *((("solve", "--family", "iso", "--n", "154", "--theta", "critical")
+       + beta + ("--grid", "4"),
+       "ray polynomial shifted to 1 leaves the float range")
+      for beta in ((), ("--beta", "1e6"))),
+]
+CONTRACT = [
+    # a value is the next token as given: a negative vector in the space
+    # form
+    (("solve", "--a", ",".join([repr(-1 / math.sqrt(3))] * 3), "--n", "3",
+      "--theta=" + repr(-math.pi / 2), "--grid", "4"), 0, "PASS\n"),
+    # the last of a repeated flag wins; both spellings are one flag
+    (("scan-eps", "--grid", "1", "--grid=3"), 0, "PASS\n"),
+    (("scan-eps", "--grid=3", "--grid", "1"), 2,
+     "invalid input: scan grid needs at least 2 points\n"),
+    # no command, or an unknown one
+    ((), 2, "slex: error: the following arguments are required: command"),
+    (("scan",), 2, "slex: error: argument command: invalid choice: 'scan'"),
+    (("--grid", "3"), 2, "argument command: invalid choice: '--grid'"),
+    # an unknown flag, an abbreviation or a stray token
+    (_ISO3_GRID + ("--exact",), 2, "unrecognized arguments: --exact"),
+    (("verify", "--gri", "3"), 2, "unrecognized arguments: --gri 3"),
+    (("verify", "3"), 2, "unrecognized arguments: 3"),
+    (("verify", "--exact=1"), 2, "unrecognized arguments: --exact=1"),
+    # a missing value, or one its converter rejects
+    (("verify", "--grid"), 2, "argument --grid: expected one argument"),
+    (("verify", "--grid", "x"), 2, "argument --grid: invalid literal"),
+    (("verify", "--seed=1.5"), 2, "argument --seed: invalid literal"),
+    (_ISO3_GRID + ("--beta", "two"), 2, "argument --beta: could not convert"),
+    (("scan-eps", "--format", "xml"), 2,
+     "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+    # the flags that changed no report are unknown flags, with no alias
+    (("verify", "--exact"), 2, "unrecognized arguments: --exact"),
+    (("scan-eps", "--seed", "3"), 2, "unrecognized arguments: --seed 3"),
+    (_ISO3_GRID + ("--seed", "3"), 2, "unrecognized arguments: --seed 3"),
+    (_ISO3_GRID + ("--format", "json"), 2,
+     "unrecognized arguments: --format json"),
+    *((argv, 2, "unrecognized arguments: --exact")
+      for argv in (("verify", "--grid", "3", "--exact"),
+                   ("scan-eps", "--grid", "5", "--exact"))),
+    (("scan-eps", "--grid", "5", "--seed", "3"), 2,
+     "unrecognized arguments: --seed 3"),
+    (_ISO3 + ("--format", "csv"), 2, "unrecognized arguments: --format csv"),
+    *((argv, 2, f"invalid input: {message}\n") for argv, message in _INVALID),
+    # check failures: off the level set, of mixed sign, subcritical, slow
+    # decay, and a grid check that fails
+    *((argv, 1, _OUTSIDE)
+      for argv in (_OFF_LEVEL, _OFF_LEVEL + ("--grid", "4"),
+                   _OFF_LEVEL + ("--beta=2000",),
+                   ("solve", "--a=-1,2,3") + _ISO3[3:],
+                   ("solve", "--a", "100,100,0.02", "--n", "3", "--theta",
+                    _PI, "--grid", "4"),
+                   ("solve", "--family", "iso", "--n", "4", "--theta", "1.0"),
+                   ("solve", "--a=-0.1,-0.1,-0.1", "--n", "3",
+                    "--theta=-0.3"))),
+    *((("solve", "--family", family), 1, "inadmissible: klass=slow_decay m=")
+      for family in ("eps:0.25", "eps:" + repr(math.pi / 12))),
+    # (n - 1) pi/2 at beta = 1e6 fails both gates: the phase gap reads
+    # -2.0e-9 and the scaled level -1.1e-9
+    (("solve", "--family", "iso", "--n", "12", "--theta",
+      repr(11 * math.pi / 2), "--beta", "1e6", "--grid", "4"), 1, "\nFAIL\n"),
+]
+# (name, interpreter flags, argv) of the lines the corpus holds besides the
+# contract's: inputs at the ends of the supported range, and the paths
+# that need a file system or interpreter flags
 EDGE_CASES = [
     ("verify default", (), ("verify",)),
-    # the smallest grid, csv, a large grid, and the exit-2 inputs
+    # the smallest grid, csv and a large grid
     ("verify grid=1", (), ("verify", "--grid", "1")),
     ("verify grid=7 csv", (), ("verify", "--grid", "7", "--format", "csv")),
     ("verify grid=1000", (), ("verify", "--grid", "1000", "--seed", "7")),
-    ("verify grid=0", (), ("verify", "--grid", "0")),
-    ("verify seed=-1", (), ("verify", "--seed", "-1")),
     ("iso critical n=5", (), ("solve", "--family", "iso", "--n", "5",
                               "--theta", "critical")),
     ("reflected data", (), ("solve", "--a=" + ",".join(
         ["-0.5773502691896258"] * 3), "--n", "3",
         "--theta=" + repr(-math.pi / 2), "--grid", "8")),
-    ("off-level a", (), ("solve", "--a", "1,2,3", "--n", "3",
-                         "--theta", "critical")),
-    ("subcritical theta", (), ("solve", "--family", "iso", "--n", "4",
-                               "--theta", "1.0")),
-    ("sigma overflow n=200", (), ("solve", "--family", "iso", "--n", "200",
-                                  "--theta", "critical", "--grid", "4")),
     # past n = 64: the routes agree to 2.5e-13 up to n = 150, and the
     # shifted ray polynomial leaves the float range from n = 154
     ("iso critical n=80", (), ("solve", "--family", "iso", "--n", "80",
@@ -92,39 +257,20 @@ EDGE_CASES = [
                         "critical", "--beta", "1", "--grid", "4")),
     ("beta=1 n=4", (), ("solve", "--family", "iso", "--n", "4", "--theta",
                         "3.6", "--beta", "1", "--grid", "4")),
-    ("beta=nan", (), ("solve", "--family", "iso", "--n", "3", "--theta",
-                      "critical", "--beta", "nan")),
     ("rmax=1e30", (), ("solve", "--family", "iso", "--n", "3", "--theta",
                        "critical", "--rmax", "1e30", "--grid", "4")),
-    ("gamma=1e300", (), ("solve", "--family", "iso", "--n", "3", "--theta",
-                         "critical", "--gamma", "1e300", "--grid", "4")),
-    ("gamma=1e308", (), ("solve", "--family", "iso", "--n", "3", "--theta",
-                         "critical", "--gamma", "1e308")),
-    ("eps:0.25", (), ("solve", "--family", "eps:0.25")),
-    # both ends of the eps family: the isotropic limit, and slow_decay
-    # (exit 1) at pi/12
+    # the isotropic end of the eps family; its slow_decay end (exit 1) at
+    # pi/12 is a CONTRACT row
     ("eps:0 iso limit", (), ("solve", "--family", "eps:0")),
-    ("eps:pi/12 slow_decay", (), ("solve", "--family",
-                                  "eps:" + repr(math.pi / 12))),
-    ("mixed signs", (), ("solve", "--a=-1,2,3", "--n", "3",
-                         "--theta", "critical")),
-    ("short a", (), ("solve", "--a", "1,2", "--n", "3",
-                     "--theta", "critical")),
-    ("inf entry", (), ("solve", "--a", "inf,1,1", "--n", "3",
-                       "--theta", "critical")),
-    ("reflected subcritical", (), ("solve", "--a=-0.1,-0.1,-0.1", "--n", "3",
-                                   "--theta=-0.3")),
-    ("solve as csv", (), ("solve", "--family", "iso", "--n", "3",
-                          "--theta", "critical", "--format", "csv")),
     ("n=12 beta=1e6", (), ("solve", "--family", "iso", "--n", "12",
                            "--theta", "16.008", "--beta", "1e6",
                            "--grid", "8")),
     # beta = 1e6 past n = 44, where C and the unscaled level value leave
     # the float range: the report holds log C and the scaled level only,
-    # so every n up to 153 passes, and 154 exits 2 on the range check
+    # so every n up to 153 passes (n = 154 exits 2, a CONTRACT row)
     *((f"iso critical n={n} beta=1e6", (), (
         "solve", "--family", "iso", "--n", str(n), "--theta", "critical",
-        "--beta", "1e6", "--grid", "4")) for n in (48, 64, 153, 154)),
+        "--beta", "1e6", "--grid", "4")) for n in (48, 64, 153)),
     # solve inverts the table once, on the sample radii, the shells and
     # (gamma, 10 gamma) together: shells and tail radii all beyond the
     # trajectory, 3 of the 8 shells past the table; and beta - 1 = 1e-6,
@@ -135,11 +281,6 @@ EDGE_CASES = [
     ("iso critical n=5 beta=1.000001", (), (
         "solve", "--family", "iso", "--n", "5", "--theta", "critical",
         "--beta", "1.000001", "--grid", "8")),
-    # (n - 1) pi/2 at beta = 1e6 fails both gates (exit 1): the phase gap
-    # reads -2.0e-9 and the scaled level -1.1e-9
-    ("iso n=12 theta=11pi/2 beta=1e6", (), (
-        "solve", "--family", "iso", "--n", "12", "--theta",
-        repr(11 * math.pi / 2), "--beta", "1e6", "--grid", "4")),
     # |H - theta| = 9e-11 at theta = pi: classify admits all three, whose
     # root 1 moves by about 2.3e-10, 2.3e-9 and 2.3e-8; the sign test and
     # the residue check read the pair shifted to 1, den(1) dropped
@@ -159,72 +300,22 @@ EDGE_CASES = [
     ("reflected level edge b=1000", (), (
         "solve", "--a=-1000.0,-1000.0,-0.002000002090002129", "--n", "3",
         "--theta=" + repr(-math.pi), "--grid", "4")),
-    ("off level b=100", (), ("solve", "--a", "100,100,0.02", "--n", "3",
-                             "--theta", _PI, "--grid", "4")),
-    # each solve flag out of range: exit 2 before the vector is classified,
-    # on an admissible and on an off-level vector alike; an in-range beta
-    # above 1e3 on the off-level vector binds nothing
-    *((f"iso {flag}", (), ("solve", "--family", "iso", "--n", "3", "--theta",
-                           "critical", "--grid", "4", flag))
-      for flag in ("--grid=0", "--gamma=0.5", "--beta=0.5", "--rmax=0.5")),
-    *((f"off-level a {flag}", (), ("solve", "--a", "1,2,3", "--n", "3",
-                                   "--theta", "critical", flag))
-      for flag in ("--gamma=0.5", "--beta=0.5", "--rmax=0.5",
-                   "--beta=2000")),
-    # the command line parser: no or an unknown command, an unknown flag, a
-    # missing value or one its converter rejects, help, and a negative
-    # vector given in the space form (the value is the next token as given)
-    ("no command", (), ()),
-    ("unknown command", (), ("scan",)),
-    ("scan-eps unknown flag", (), ("scan-eps", "--grid", "5", "--exact")),
-    ("verify grid without value", (), ("verify", "--grid")),
-    ("verify grid=x", (), ("verify", "--grid", "x")),
-    ("scan-eps format=xml", (), ("scan-eps", "--format", "xml")),
-    # flags that changed no report are unknown flags
-    ("verify exact", (), ("verify", "--grid", "3", "--exact")),
-    ("scan-eps seed", (), ("scan-eps", "--grid", "5", "--seed", "3")),
-    ("solve seed", (), ("solve", "--family", "iso", "--n", "3", "--theta",
-                        "critical", "--grid", "4", "--seed", "3")),
-    ("solve format=json", (), ("solve", "--family", "iso", "--n", "3",
-                               "--theta", "critical", "--grid", "4",
-                               "--format", "json")),
+    # help, and a negative vector given in the space form (the value is the
+    # next token as given)
     ("solve help", (), ("solve", "--help")),
+    ("top-level help", (), ("-h",)),
     ("reflected data space form", (), ("solve", "--a", ",".join(
         ["-0.5773502691896258"] * 3), "--n", "3",
         "--theta=" + repr(-math.pi / 2), "--grid", "8")),
-    # every check a command line reaches, one line each: solve's vector
-    # source, the help, an --out that cannot be written, the phase, beta,
-    # r_max, eps and iso range checks
-    ("solve without a vector", (), ("solve", "--grid", "4")),
-    ("solve iso without n", (), ("solve", "--family", "iso", "--grid", "4")),
-    ("eps family n=4", (), ("solve", "--family", "eps:0.1", "--n", "4")),
-    ("eps family theta=1", (), ("solve", "--family", "eps:0.1",
-                                "--theta", "1")),
-    ("unknown family", (), ("solve", "--family", "cube")),
-    ("a without n", (), ("solve", "--a", "1,2,3")),
-    ("top-level help", (), ("-h",)),
-    ("out in a missing directory", (), (
-        "solve", "--family", "iso", "--n", "3", "--theta", "critical",
-        "--grid", "4", "--out", "missing/run.json")),
-    ("iso n=2", (), ("solve", "--family", "iso", "--n", "2", "--theta", "1",
-                     "--grid", "4")),
-    ("iso theta outside the range", (), ("solve", "--family", "iso", "--n",
-                                         "3", "--theta", "10", "--grid",
-                                         "4")),
-    ("beta=2e6", (), ("solve", "--family", "iso", "--n", "3", "--theta",
-                      "critical", "--beta", "2e6", "--grid", "4")),
-    ("rmax one ulp above 1", (), ("solve", "--family", "iso", "--n", "3",
-                                  "--theta", "critical", "--rmax",
-                                  "1.0000000000000002", "--grid", "4")),
-    ("eps:1", (), ("solve", "--family", "eps:1", "--grid", "4")),
-    ("iso theta=-1", (), ("solve", "--family", "iso", "--n", "3",
-                          "--theta", "-1", "--grid", "4")),
-    # the smallest scans in both formats, and the one grid below them
+    # an --out that cannot be written: relative to the command's own
+    # working directory
+    ("out in a missing directory", (), _ISO3_GRID + ("--out",
+                                                     "missing/run.json")),
+    # the smallest scans in both formats, and a large scan in the default
+    # csv format
     ("scan-eps grid=2 json", (), ("scan-eps", "--grid", "2", "--format",
                                   "json")),
     ("scan-eps grid=3 csv", (), ("scan-eps", "--grid", "3")),
-    ("scan-eps grid=1", (), ("scan-eps", "--grid", "1")),
-    # a large scan in the default csv format
     ("scan-eps grid=8000 csv", (), ("scan-eps", "--grid", "8000")),
 ]
 
@@ -268,6 +359,8 @@ def corpus() -> list:
     cases = [(f"README: slex {' '.join(argv)}", (), argv)
              for argv in readme_commands(ROOT / "README.md")]
     cases += EDGE_CASES
+    cases += [(f"contract: slex {shlex.join(argv)}", (), argv)
+              for argv, _code, _err in CONTRACT]
     cases += [(name, (), argv)
               for name, argv in workload_commands(WORKLOAD_SEED,
                                                   WORKLOAD_OPS)]
