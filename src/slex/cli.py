@@ -43,6 +43,12 @@ byte-identical output; all numbers are emitted in shortest round-trip
 decimal form, and a JSON report is byte for byte json.dumps(report,
 indent=2, sort_keys=True).
 
+`verify` draws the numerators and denominators of all its rational
+vectors in one broadcast call, rng.integers((1, 1), (25, 9), size=(total,
+2)).  numpy takes each element's bounded draw from the generator's stream
+in element order, so the vectors, and every float draw after them, are
+those of one scalar call per numerator and per denominator.
+
 Identity suites always run in exact rational arithmetic.  The homogeneous
 ones (sigma recurrences, pair exclusion differences, product
 decompositions, Newton margins) compare Python ints: they run the kernels
@@ -60,7 +66,7 @@ import os
 import sys
 import warnings
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
@@ -216,9 +222,12 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 # ---------------------------------------------------------------- verify
 
-def _rational_vector(rng, n: int) -> list:
-    return [Fraction(int(rng.integers(1, 25)), int(rng.integers(1, 9)))
-            for _ in range(n)]
+def _rational_vectors(rng, sizes: list) -> list:
+    """One Fraction vector per size, entries p/q with 1 <= p <= 24 and
+    1 <= q <= 8, from one broadcast draw of every (p, q) pair: the stream
+    of one scalar call per p and per q (module docstring)."""
+    pairs = iter(rng.integers((1, 1), (25, 9), size=(sum(sizes), 2)).tolist())
+    return [[Fraction(p, q) for p, q in islice(pairs, n)] for n in sizes]
 
 
 def _int_rows(vec: list) -> tuple:
@@ -442,7 +451,7 @@ def _run_verify(args: SimpleNamespace) -> dict:
     if trials < 1:
         raise ValueError("verify grid needs at least 1 vector")
     rng = np.random.default_rng(args.seed)
-    vectors = [_rational_vector(rng, 3 + t % 6) for t in range(trials)]
+    vectors = _rational_vectors(rng, [3 + t % 6 for t in range(trials)])
     # one build of each vector's rows serves the recurrence, pair, product
     # and Newton suites; the float suites then draw from rng in list order
     scaled = [_int_rows(vec) for vec in vectors]

@@ -166,11 +166,12 @@ def ray_wronskian(lam: Sequence, mode: str = "product"):
     value is n * 2^(n-1).
 
     The closed form runs gen_sym_table's recurrence on the band
-    k - j in {0, 1} alone.  The update of T[k][k] reads T[k-1][k-1], and
-    that of T[k][k-1] reads T[k-1][k-1] and T[k-1][k-2]: the band never
-    reads outside itself.  So every T[p+1][p] sees the same operations in
-    the same order as in the full table, and comes out as the same int,
-    Fraction or float bits, in O(n^2) work instead of O(n^3).
+    k - j in {0, 1} alone, and triangular as that table: entry i (1-based)
+    updates the band's rows k = i .. 1.  The update of T[k][k] reads
+    T[k-1][k-1], and that of T[k][k-1] reads T[k-1][k-1] and T[k-1][k-2]:
+    the band never reads outside itself.  So every T[p+1][p] sees the same
+    operations in the same order as in gen_sym_table, and comes out as the
+    same int, Fraction or float bits, in O(n^2) work instead of O(n^3).
 
     Exact input that symfun.clear_denominators takes (lam_i = p_i / D)
     finishes on the integer scale: both modes run on the numerators p_i,
@@ -194,13 +195,13 @@ def ray_wronskian(lam: Sequence, mode: str = "product"):
         total = x * yw - y * xw
         scale = up[2 * n]
     else:
-        # diag[k] = T[k][k] and sub[k] = T[k][k-1], updated for k = n .. 1
+        # diag[k] = T[k][k] and sub[k] = T[k][k-1], updated for k = i .. 1
         # as gen_sym_table updates them
         diag = [1] + [0] * n
         sub = [0] * (n + 1)
-        for x in nums:
+        for i, x in enumerate(nums, 1):
             x2 = x * x
-            for k in range(n, 1, -1):
+            for k in range(i, 1, -1):
                 diag[k] = diag[k] + x2 * diag[k - 1]
                 sub[k] = sub[k] + x * diag[k - 1] + x2 * sub[k - 1]
             diag[1] = diag[1] + x2 * diag[0]

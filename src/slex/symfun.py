@@ -20,6 +20,18 @@ on that scale and build no ``Fraction``.  ``phasepoly.ray_wronskian``
 clears the denominators itself, computes its result from the integer row,
 and builds one ``Fraction`` for it.
 
+The recurrences are triangular.  After i entries only sigma_0 .. sigma_i
+(the rows T[0] .. T[i]) can be nonzero, so entry i updates those degrees
+alone.  A full-length update would also add x * 0 to each degree not yet
+reached.  For finite x that product is a zero, so such a degree would
+still hold a zero z when its first entry arrives: +0.0 for floats (as
+0 + -0.0 == +0.0), 0 or Fraction(0) for exact input.  The triangular loop
+holds the int 0 there instead.  Either way that entry adds its term v to
+the zero, and 0 + v has the value, type and bits of z + v, v = -0.0
+included.  So every value keeps the bits and the type of the full-length
+loop, which tests/test_exact_kernels.py writes out as the oracle.
+Non-finite entries are outside this: inf * 0 is nan.
+
 Exclusion indices are 1-based, matching the classical subscript notation
 for "sigma_k with the i-th variable removed".  ``elem_sym_excl_all`` returns
 the whole row sigma_0 .. sigma_{n-|excl|} of the reduced vector in one
@@ -60,14 +72,18 @@ def clear_denominators(a: Sequence):
 
 
 def elem_sym_all(a: Sequence) -> list:
-    """All values sigma_0(a) .. sigma_n(a) via the product recurrence."""
-    n = len(a)
-    e = [0] * (n + 1)
-    e[0] = 1
-    down = range(n, 0, -1)
-    for x in a:
-        for j in down:
+    """All values sigma_0(a) .. sigma_n(a) via the product recurrence.
+
+    Triangular: entry i (1-based) updates sigma_i .. sigma_1 alone, the
+    degrees it can reach.  The values keep the bits of the full-length
+    update (module docstring).
+    """
+    e = [1] + [0] * len(a)
+    for i, x in enumerate(a, 1):
+        j = i
+        while j:
             e[j] += x * e[j - 1]
+            j -= 1
     return e
 
 
@@ -76,12 +92,15 @@ def elem_sym_excl_all(a: Sequence, excl: Sequence[int] = ()) -> list:
     removed.
 
     The caller passes at most two indices, distinct and in range; nothing
-    checks them.  The reduced vector keeps the order of a, so every entry
-    equals what elem_sym_all gives on that reduced list.  An empty
-    exclusion set reduces to elem_sym_all(a).
+    checks them.  They are deleted by position, the larger first, so the
+    reduced vector keeps the order of a and every entry equals what
+    elem_sym_all gives on that reduced list.  An empty exclusion set
+    reduces to elem_sym_all(a).
     """
-    drop = {i - 1 for i in excl}
-    return elem_sym_all([x for pos, x in enumerate(a) if pos not in drop])
+    kept = list(a)
+    for i in sorted(excl, reverse=True):
+        del kept[i - 1]
+    return elem_sym_all(kept)
 
 
 def gen_sym_table(a: Sequence) -> list:
@@ -93,14 +112,16 @@ def gen_sym_table(a: Sequence) -> list:
     for the all-ones vector the value equals that product of binomials;
     j = 0 recovers sigma_k.  T[k][j] is the coefficient of x^k y^j in
     prod_i (1 + a_i x + a_i^2 x y), built by one pass of the bivariate
-    product recurrence.
+    product recurrence.  Triangular, as elem_sym_all: entry i (1-based)
+    updates rows i .. 1 alone, and every value keeps the bits of the
+    full-length update (module docstring).
     """
     n = len(a)
     table = [[0] * (k + 1) for k in range(n + 1)]
     table[0][0] = 1
-    for x in a:
+    for i, x in enumerate(a, 1):
         x2 = x * x
-        for k in range(n, 0, -1):
+        for k in range(i, 0, -1):
             row = table[k]
             prev = table[k - 1]
             # T[k][j] += x T[k-1][j] + x^2 T[k-1][j-1], the first term

@@ -83,11 +83,13 @@ def _chain(c: Sequence, vals: list) -> tuple:
 
     sigma(a | max) runs over all but the largest entry, sigma(a) is one more
     step of it, sigma(a | min) runs over all but the smallest.  A row grows
-    by one entry per step in place of adding x * 0 to a full-length row's
-    zeros, so every value sees elem_sym_all's operations in its order and
-    keeps its bits.  Raises ValueError, before sigma(a | min), unless every
-    sigma_k lies in (0, F/(2n^2)), F the largest float: then none of the
-    sums' n terms, of size up to n * sigma_k, can overflow.
+    by one degree per entry, as elem_sym_all's triangular loop reaches one
+    more degree per entry; the new top degree is appended as x * sigma_j,
+    which elem_sym_all adds to its int 0, the same float for the positive
+    entries here.  So every value sees elem_sym_all's operations in its
+    order and keeps its bits.  Raises ValueError, before sigma(a | min),
+    unless every sigma_k lies in (0, F/(2n^2)), F the largest float: then
+    none of the sums' n terms, of size up to n * sigma_k, can overflow.
     """
     n = len(vals)
     lo, hi = vals[0], vals[-1]

@@ -5,7 +5,8 @@ slex either computes by another route or does not need: the Hessian of a
 candidate and its sigma values, the candidate's radial value and excess
 integral, the direction weights and their extremes, the ray polynomial,
 its roots and the level values, the slope-field pair and g', the
-cut-off recurrence of the rank-one sigma formula, the numpy route by
+cut-off recurrence of the rank-one sigma formula, the per-entry draw of
+verify's rational vectors, the numpy route by
 which the weights layer once read a vector, and the criticality class
 of a phase angle.  profile is the one way a test takes the analysis of a
 problem: the WeightProfile that weights.classify builds, as the solve
@@ -18,6 +19,7 @@ slex through its eigenvalues.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -114,6 +116,14 @@ def elem_sym_excl(a, k, excl=()):
     symfun.elem_sym_excl_all, and 0 for k < 0 and k > n - len(excl)."""
     row = symfun.elem_sym_excl_all(a, excl)
     return row[k] if 0 <= k < len(row) else 0
+
+
+def rational_vector(rng, n):
+    """n entries p/q, 1 <= p <= 24 and 1 <= q <= 8, from two scalar
+    rng.integers calls per entry: the draw that cli._rational_vectors
+    makes in one broadcast call."""
+    return [Fraction(int(rng.integers(1, 25)), int(rng.integers(1, 9)))
+            for _ in range(n)]
 
 
 def rank_one_rows(p):

@@ -8,7 +8,6 @@ package contract; none may be loosened.
 import math
 import time
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -23,11 +22,6 @@ def _report(num: int, label: str, ok: bool, elapsed=None, budget=None):
     if budget is not None:
         timing = f" [{elapsed:.2f}s, budget {budget:.0f}s]"
     print(f"criterion {num} ({label}): {'PASS' if ok else 'FAIL'}{timing}")
-
-
-def _rational_vector(rng, n):
-    return [Fraction(int(rng.integers(1, 25)), int(rng.integers(1, 9)))
-            for _ in range(n)]
 
 
 def _level_sample(rng, n, theta):
@@ -67,7 +61,7 @@ def test_criterion_1_exact_identity_suite():
 
     for t in range(200):
         n = 3 + t % 6
-        vec = _rational_vector(rng, n)
+        vec = oracles.rational_vector(rng, n)
         # ray wronskian: product route vs all-positive closed form
         prod = phasepoly.ray_wronskian(vec, mode="product")
         closed = phasepoly.ray_wronskian(vec, mode="closed_form")
@@ -119,7 +113,7 @@ def test_criterion_2_closed_form_values():
     for n in range(3, 7):
         for theta in ((n - 2) * math.pi / 2, (n - 1) * math.pi / 2):
             spec = phasepoly.PhaseSpec(n, theta)
-            m = weights.decay_exponent(spec, weights.iso_point(spec))
+            m = weights.decay_exponent(spec, weights.iso_point(spec).tolist())
             if abs(m - n) > 1e-10:
                 bad.append(("iso_exponent", n, theta, m))
     ok = not bad
@@ -349,7 +343,8 @@ def test_criterion_8_property_suites():
         a = _level_sample(rng, n, theta)
         if a is None:
             continue
-        m = weights.decay_exponent(phasepoly.PhaseSpec(n, theta), a)
+        m = weights.decay_exponent(phasepoly.PhaseSpec(n, theta),
+                                    a.tolist())
         if not 0.0 < m <= n + 1e-12:
             bad.append(("exponent_range", n, theta, m))
         count += 1
@@ -361,7 +356,8 @@ def test_criterion_8_property_suites():
             a = _level_sample(rng, n, math.pi)
             if a is None:
                 continue
-            m = weights.decay_exponent(phasepoly.PhaseSpec(n, math.pi), a)
+            m = weights.decay_exponent(phasepoly.PhaseSpec(n, math.pi),
+                                        a.tolist())
             if not m > 2.0:
                 bad.append(("pi_exponent", n, a.tolist(), m))
             done += 1

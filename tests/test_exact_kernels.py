@@ -5,15 +5,18 @@ recurrence written out here, in value and in type; hold the integer
 numerators of a Fraction vector to the scale D**degree that `verify`'s
 exact suites rely on; hold float and numpy input to the plain loop bit
 for bit; and hold the rank-one formula, read from full exclusion rows, to
-the cut-off recurrence in tests/oracles.py.  Examples are drawn by hypothesis with a fixed derandomized seed,
-so every run checks the same cases.
+the cut-off recurrence in tests/oracles.py.  The plain loops update the
+full-length row for every entry, so they also hold the triangular kernels
+to the bits of that loop.  Examples are drawn by hypothesis with a fixed
+derandomized seed, so every run checks the same cases, and explicit ones
+add the inputs a triangular loop could get wrong.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -39,6 +42,23 @@ exact_vectors = st.one_of(fraction_vectors, st.lists(entry, max_size=12))
 floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
                    allow_infinity=False)
 float_vectors = st.lists(floats, max_size=12)
+
+# inputs the triangular loops could get wrong if they skipped an addition
+# to a zero: signed zeros, negative entries, the shortest vectors, a numpy
+# array, and exact vectors that lead with an int
+FLOAT_EXAMPLES = ([-0.0, 0.0, -1.5], [0.0, -2.0], [-0.0], [-1.0, -2.5, -3.0],
+                  [], [2.5], np.array([-0.0, 1.5, -2.0, 0.0]))
+EXACT_EXAMPLES = ([2, Fraction(-1, 3), 0, -5], [0, Fraction(-7, 4)],
+                  [Fraction(-3, 2), -1, Fraction(-7, 4)], [-4, -1, -2], [],
+                  [Fraction(-1, 2)], [3])
+
+
+def with_examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
 
 
 def plain_sigma(a):
@@ -108,12 +128,14 @@ def without(a, drop):
 
 @SETTINGS
 @given(exact_vectors)
+@with_examples(EXACT_EXAMPLES)
 def test_sigma_row_matches_plain_fraction_recurrence(a):
     same(symfun.elem_sym_all(a), plain_sigma(a))
 
 
 @SETTINGS
 @given(exact_vectors)
+@with_examples(EXACT_EXAMPLES)
 def test_exclusion_rows_match_plain_fraction_recurrence(a):
     n = len(a)
     same(symfun.elem_sym_excl_all(a), plain_sigma(a))
@@ -149,12 +171,14 @@ def test_integer_numerators_give_every_value_times_its_scale(a):
 
 @SETTINGS
 @given(exact_vectors)
+@with_examples(EXACT_EXAMPLES)
 def test_gen_sym_table_matches_plain_fraction_recurrence(a):
     same(symfun.gen_sym_table(a), plain_gen_table(a))
 
 
 @SETTINGS
 @given(exact_vectors)
+@with_examples(EXACT_EXAMPLES)
 def test_phase_parts_and_wronskians_match_plain_recurrence(a):
     sig = plain_sigma(a)
     parts, weighted = plain_parts(sig)
@@ -192,6 +216,7 @@ def test_newton_margins_match_plain_recurrence(a):
 
 @SETTINGS
 @given(exact_vectors)
+@with_examples(EXACT_EXAMPLES)
 def test_exact_results_keep_their_types(a):
     # sigma_0 and T[0][0] are the int 1; once a Fraction entry is in, every
     # other entry is a Fraction; all-int input stays all-int
@@ -208,6 +233,7 @@ def test_exact_results_keep_their_types(a):
 
 @SETTINGS
 @given(float_vectors)
+@with_examples(FLOAT_EXAMPLES)
 def test_float_and_numpy_input_keep_the_plain_loop(a):
     arr = np.array(a, dtype=float)
     for vec in (a, arr):
@@ -225,8 +251,12 @@ def test_float_and_numpy_input_keep_the_plain_loop(a):
         for p in range(len(vec)):
             closed = closed + table[p + 1][p]
         same(phasepoly.ray_wronskian(vec, mode="closed_form"), closed)
-    for i in range(1, len(a) + 1):
-        same(symfun.elem_sym_excl_all(a, (i,)), plain_sigma(without(a, {i})))
+        for i in range(1, len(vec) + 1):
+            same(symfun.elem_sym_excl_all(vec, (i,)),
+                 plain_sigma(without(vec, {i})))
+        for i, j in combinations(range(1, len(vec) + 1), 2):
+            same(symfun.elem_sym_excl_all(vec, (j, i)),
+                 plain_sigma(without(vec, {i, j})))
 
 
 def rank_one_inputs(vectors, entries):

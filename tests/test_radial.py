@@ -168,7 +168,7 @@ def test_poly_pair_and_m_from_one_weight_profile_bitwise():
         num, den = oracles.slope_pair(prof)
         assert den.tobytes() == oracles.ray_poly(spec, a).tobytes()
         pf = radial.first_integral(prof, 2.0)
-        assert pf.prof.m == weights.decay_exponent(spec, a)
+        assert pf.prof.m == weights.decay_exponent(spec, a.tolist())
         assert pf.d_coeffs == tuple(shift_to_one(den)[1:].tolist())
         assert pf.n_coeffs == tuple(shift_to_one(num).tolist())
 
@@ -651,7 +651,7 @@ def test_partial_fractions_accepts_what_classify_admits(kind, n, u, split,
         assert adm.profile is None
         with pytest.raises(ValueError, match="a not on the phase level set"):
             weights.decay_exponent(phasepoly.PhaseSpec(n, theta),
-                                   np.abs(a))
+                                   np.abs(a).tolist())
         return
     pf = radial.first_integral(adm.profile, beta)
     assert pf.prof is adm.profile

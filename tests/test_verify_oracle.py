@@ -8,7 +8,9 @@ checks the same cases one by one in plain Fraction arithmetic, on the same
 drawn vectors and through the same (possibly faulty) kernels, and every
 suite entry must come out equal: cases, failures, worst and the
 counterexample.  A fault is keyed on the call, not on the scalar type, so
-it fires on both scales.
+it fires on both scales.  The oracle draws its vectors by two scalar calls
+per entry (oracles.rational_vector); a second test holds verify's one
+broadcast draw to those vectors and to the generator state they leave.
 """
 
 from fractions import Fraction
@@ -16,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from slex import cli, phasepoly, symfun
 
 SUITES = ("sigma_recurrences", "pair_exclusion_difference",
@@ -32,7 +35,8 @@ def _entry(cases, fails, ce):
 
 def _fraction_oracle(seed: int, trials: int) -> dict:
     rng = np.random.default_rng(seed)
-    vectors = [cli._rational_vector(rng, 3 + t % 6) for t in range(trials)]
+    vectors = [oracles.rational_vector(rng, 3 + t % 6)
+               for t in range(trials)]
     text = [[f"{v.numerator}/{v.denominator}" for v in vec]
             for vec in vectors]
     fails = pair_fails = prod_fails = 0
@@ -83,6 +87,20 @@ def _fraction_oracle(seed: int, trials: int) -> dict:
             "pair_exclusion_difference": _entry(pair_cases, pair_fails,
                                                 pair_ce),
             "product_decomposition": _entry(prod_cases, prod_fails, prod_ce)}
+
+
+@pytest.mark.parametrize("trials", [1, 5, 60, 200])
+def test_one_call_draw_matches_the_per_entry_draw(trials):
+    # the same vectors, and the generator left in the same state: the
+    # float suites' draws after them are unchanged
+    sizes = [3 + t % 6 for t in range(trials)]
+    for seed in range(200):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = cli._rational_vectors(rng, sizes)
+        want = [oracles.rational_vector(ref, n) for n in sizes]
+        assert got == want, seed
+        assert all(type(x) is Fraction for vec in got for x in vec)
+        assert rng.standard_normal() == ref.standard_normal(), seed
 
 
 def _lying_wronskian(monkeypatch):

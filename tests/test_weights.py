@@ -147,7 +147,7 @@ def test_weight_profile_chains_equal_weight_bounds_bitwise():
             assert weights.classify(spec, a).profile is None
         else:
             prof = oracles.profile(spec, a)
-            assert prof.m == weights.decay_exponent(spec, a)
+            assert prof.m == weights.decay_exponent(spec, a.tolist())
             c = spec.coeffs
             for k in range(n + 1):
                 # the per-k formula on the sorted vector, bit for bit
@@ -192,7 +192,7 @@ def test_decay_exponent_iso_equals_dimension():
     for n in range(3, 7):
         for theta in ((n - 2) * math.pi / 2, (n - 1) * math.pi / 2):
             spec = phasepoly.PhaseSpec(n, theta)
-            m = weights.decay_exponent(spec, weights.iso_point(spec))
+            m = weights.decay_exponent(spec, weights.iso_point(spec).tolist())
             assert m == pytest.approx(n, abs=1e-10)
 
 
@@ -215,7 +215,7 @@ def test_decay_exponent_theta_pi_identity():
             if a is None:
                 continue
             spec = phasepoly.PhaseSpec(n, math.pi)
-            m = weights.decay_exponent(spec, a)
+            m = weights.decay_exponent(spec, a.tolist())
             lo1, _ = oracles.weight_bounds(a, 1)
             _, hi3 = oracles.weight_bounds(a, 3)
             assert m == pytest.approx(2.0 / (hi3 - lo1), rel=1e-9)
@@ -239,10 +239,10 @@ def test_decay_exponent_range_on_level_samples():
         if oracles.classification(spec) == "subcritical":
             with pytest.raises(ValueError,
                                match="phase out of supported range"):
-                weights.decay_exponent(spec, a)
+                weights.decay_exponent(spec, a.tolist())
             subcritical += 1
         else:
-            m = weights.decay_exponent(spec, a)
+            m = weights.decay_exponent(spec, a.tolist())
             assert 0.0 < m <= n + 1e-10
         count += 1
     assert 0 < subcritical < count
@@ -262,12 +262,13 @@ def test_subcritical_phase_rejected_like_ray_degree(n):
         with pytest.raises(ValueError, match="phase out of supported range"):
             spec.ray_degree
         with pytest.raises(ValueError, match="phase out of supported range"):
-            weights.decay_exponent(spec, a)
+            weights.decay_exponent(spec, a.tolist())
         assert weights.classify(spec, a).klass == "outside"
     spec = phasepoly.PhaseSpec(n, crit)
     a = weights.iso_point(spec)
-    assert weights.decay_exponent(spec, a) == pytest.approx(n, rel=1e-12)
-    assert oracles.profile(spec, a).m == weights.decay_exponent(spec, a)
+    m = weights.decay_exponent(spec, a.tolist())
+    assert m == pytest.approx(n, rel=1e-12)
+    assert oracles.profile(spec, a).m == m
     for eps in (0.0, 0.1, math.pi / 12):
         a5 = weights.epsilon_family(eps)
         m = weights.decay_exponent(SPEC5, a5)
@@ -278,10 +279,10 @@ def test_subcritical_phase_rejected_like_ray_degree(n):
 def test_decay_exponent_errors():
     with pytest.raises(ValueError, match="phase out of supported range"):
         weights.decay_exponent(phasepoly.PhaseSpec(3, -math.pi / 2),
-                               np.full(3, 1.0))
+                               [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="a not on the phase level set"):
         weights.decay_exponent(phasepoly.PhaseSpec(3, math.pi / 2),
-                               np.array([1.0, 2.0, 3.0]))
+                               [1.0, 2.0, 3.0])
 
 
 def test_classify_admissible_iso():
@@ -406,7 +407,7 @@ def test_classify_and_exponent_make_one_decision(n, theta_kind, u, split,
         assert abs(abs(phasepoly.phase(a) - theta) - abs(offset)) <= 2e-12
 
     try:
-        m = weights.decay_exponent(spec, a)
+        m = weights.decay_exponent(spec, a.tolist())
     except ValueError:
         m = None
     adm = (weights.classify(phasepoly.PhaseSpec(n, -theta), -a) if reflect
@@ -643,7 +644,7 @@ def test_float_path_error_messages_match_off_level_and_out_of_range():
         assert message(fn, spec, [1.0, 2.0, 3.0]) == \
             "a not on the phase level set"
         assert message(fn, phasepoly.PhaseSpec(3, -math.pi / 2),
-                       np.ones(3)) == "phase out of supported range"
+                       [1.0, 1.0, 1.0]) == "phase out of supported range"
 
 
 @pytest.mark.parametrize("n, theta", [(170, 266.0), (200, 99 * math.pi)])
@@ -726,7 +727,7 @@ def test_exponent_equals_chain_oracle_on_random_level_points():
         for spec, a in wide_level_points(rng, n, 4):
             assert oracles.classification(spec) in ("critical",
                                                     "supercritical")
-            assert bits(weights.decay_exponent(spec, a)) == \
+            assert bits(weights.decay_exponent(spec, a.tolist())) == \
                 bits(chain_exponent(spec, a)), (n, spec.theta)
 
 
@@ -735,7 +736,7 @@ def test_exponent_equals_chain_oracle_on_iso_points():
         for theta in ((n - 2) * math.pi / 2, (n - 1) * math.pi / 2):
             spec = phasepoly.PhaseSpec(n, theta)
             a = weights.iso_point(spec)
-            assert bits(weights.decay_exponent(spec, a)) == \
+            assert bits(weights.decay_exponent(spec, a.tolist())) == \
                 bits(chain_exponent(spec, a)), (n, theta)
 
 
