@@ -44,19 +44,19 @@ dropped.  Two independent routes are implemented:
 
 One problem (theta, a) is analysed once.  weights.classify checks it and
 builds its WeightProfile: the ascending vector, m, the sigma row and the
-selected chain.  first_integral takes that profile and
-beta, nothing else.  It re-checks nothing classify checked: it builds the
-slope-field pair (num, den) from the profile's sigma row and chain,
-keeps it only shifted to 1, and makes sign checks in place of root
-finding.  The ray polynomial is real-rooted (H(t a) increases strictly
-along the ray), so all its roots are at most 1 exactly when the
-coefficients of D share one sign (Descartes' rule of signs); each must
-clear the shift's rounding bound, and so must each of N, so N > 0 on
-x >= 0.  And the residue at 1, N(0)/D(0), must equal 1/m from the
-profile's chain, a scale-free check of the shift.  Then beta is bound,
-as solve range-checked it (1 <= beta <= BETA_CAP), and C is only ever
-held as log C (FirstIntegral.log_amplitude), so no beta overflows on the
-way.
+selected chain.  first_integral takes that profile and beta, nothing
+else.  It re-checks nothing classify checked: it builds the slope-field
+pair (num, den) from the profile's sigma row and chain and keeps it only
+shifted to 1, exactly, in ints, each coefficient rounded to a float
+once.  Exact sign checks take the place of root finding.  The ray
+polynomial is real-rooted (H(t a) increases strictly along the ray), so
+all its roots are at most 1 exactly when the coefficients of D share one
+sign (Descartes' rule of signs); each must be positive, and so must each
+of N, so N > 0 on x >= 0.  And the residue at 1, N(0)/D(0), must equal
+1/m from the profile's chain, a scale-free check of the shift.  Then
+beta is bound, as solve range-checked it (1 <= beta <= BETA_CAP), and C
+is only ever held as log C (FirstIntegral.log_amplitude), so no beta
+overflows on the way.
 
 The returned FirstIntegral holds the profile itself as pf.prof, and
 copies none of its fields.  It is the only problem input of invert, both
@@ -263,11 +263,12 @@ class FirstIntegral:
     and not copied: the phase spec, the sorted vector a and the exponent
     m are read as prof.spec, prof.a and prof.m.  d_coeffs, n_coeffs and
     e_coeffs are the ascending coefficients of D, N and E in the excess
-    x = psi - 1, as Python floats: the only copy of the slope field.
-    beta = psi(1) is taken as solve checked it, 1 <= beta <= BETA_CAP,
-    and binding it, dataclasses.replace(pf, beta=b) included, builds the
-    Gauss-Legendre table of log r over u = log x and log_amplitude, log C
-    of the tail law psi - 1 ~ C r^(-m) (-inf at beta = 1).
+    x = psi - 1, as Python floats rounded once from the exact shift
+    (first_integral): the only copy of the slope field.  beta = psi(1) is
+    taken as solve checked it, 1 <= beta <= BETA_CAP, and binding it,
+    dataclasses.replace(pf, beta=b) included, builds the Gauss-Legendre
+    table of log r over u = log x and log_amplitude, log C of the tail law
+    psi - 1 ~ C r^(-m) (-inf at beta = 1).
     """
     prof: WeightProfile
     d_coeffs: tuple
@@ -379,46 +380,44 @@ def invert(pf: FirstIntegral, *radii) -> tuple:
 def first_integral(prof: WeightProfile, beta: float) -> FirstIntegral:
     """The first integral of the problem prof at beta.
 
-    prof is the problem's analysis, weights.classify's
-    Admissibility.profile: its check already passed, so no input is
-    checked again.  The slope-field pair is shifted to 1 (den(1 + x) =
-    x D(x) + den(1), N(x) = num(1 + x)).  The absolute shifted
-    coefficients of den and of m num must add up to a finite number ("ray
-    polynomial shifted to 1 leaves the float range"): as |E| <= m |N| + |D|
-    coefficientwise, that sum bounds every Horner sum of D, N and E the
-    routes and the table form (in x up to 1, in 1/x beyond).  Iso points
-    fail it from n = 154 at the critical angle and from n = 137 at
-    (n - 1) pi/2.  Three checks follow, in this order.  Every coefficient
-    of D must exceed the shift's rounding bound, (N + 1) eps times the
-    same coefficient of |den| shifted, N the ray degree ("root
-    certification failed"): then D > 0 on x >= 0, and no ray root lies
-    above 1.  So must every coefficient of N, on |num|
-    ("slope-field denominator not certified positive"): then N > 0 on
-    x >= 0.  And m N(0) must equal D(0) to 1e-10 relative plus those
-    bounds ("residue at 1 disagrees with 1/m").  Then beta is bound as
-    solve checked it.  On 419 admissible points (n = 3..150, iso, random
-    and the eps family) the smallest coefficients of D and N are at least
-    1.9e-3 of their bounds' scale, against rounding near 1e-14.
+    prof is weights.classify's Admissibility.profile: its check already
+    passed, so no input is checked again.  The pair's floats are written
+    as ints over one power of two 2^k and shifted to 1 exactly (den(1 + x)
+    = x D(x) + den(1), N(x) = num(1 + x)); with m = p/q, m N - D =
+    x E(x) + (m N(0) - D(0)) is exact over q 2^k.  The absolute
+    coefficients of D and of m N must add up to less than 2^1023 ("ray
+    polynomial shifted to 1 leaves the float range"), one comparison of
+    bit lengths: as |E| <= m |N| + |D|, that bounds every Horner sum of
+    D, N and E the routes and the table form.  Iso points fail it from
+    n = 154 at the critical angle and n = 137 at (n - 1) pi/2.  Then each
+    coefficient is rounded to a float once (int / int rounds correctly);
+    a multiple of 2^-1074, its float is positive exactly when it is.
+    Every coefficient of D must be positive ("root certification
+    failed"): then no ray root lies above 1.  So must every one of N
+    ("slope-field denominator not certified positive"), so the Horner
+    sums of D and N add positive terms.  And m N(0) must equal D(0) to
+    1e-10 relative, compared in ints, as m is a rounded float ("residue
+    at 1 disagrees with 1/m").  Then beta is bound.
     """
     num, den = _slope_pair(prof)
-    shifted = _taylor_shift(den)
-    scale = _taylor_shift([abs(c) for c in den])
-    n, n_scale = _taylor_shift(num), _taylor_shift([abs(c) for c in num])
-    m = prof.m
-    if not math.isfinite(sum(scale) + m * sum(n_scale)):
+    ratios = [c.as_integer_ratio() for c in den + num]
+    k = max(q for _p, q in ratios).bit_length() - 1
+    ints = [p << k + 1 - q.bit_length() for p, q in ratios]
+    d, n = _taylor_shift(ints[:len(den)])[1:], _taylor_shift(ints[len(den):])
+    p, q = prof.m.as_integer_ratio()
+    if (q * sum(map(abs, d)) + p * sum(map(abs, n))).bit_length() \
+            >= 1023 + (q << k).bit_length():
         raise ValueError("ray polynomial shifted to 1 leaves the float range")
-    ulps = len(den) * np.finfo(float).eps
-    d = shifted[1:]
-    if not all(c > ulps * b for c, b in zip(d, scale[1:])):
+    d_coeffs, n_coeffs = (tuple(c / (1 << k) for c in cs) for cs in (d, n))
+    if not all(c > 0.0 for c in d_coeffs):
         raise ValueError("root certification failed")
-    if not all(c > ulps * b for c, b in zip(n, n_scale)):
+    if not all(c > 0.0 for c in n_coeffs):
         raise ValueError("slope-field denominator not certified positive")
-    if abs(m * n[0] - d[0]) > 1e-10 * d[0] + ulps * (scale[1]
-                                                    + m * n_scale[0]):
+    residue, *e = [p * a - q * b for a, b in zip(n, d)]
+    if 10 ** 10 * abs(residue) > q * d[0]:
         raise ValueError("residue at 1 disagrees with 1/m")
-    e = [m * a - b for a, b in zip(n[1:], d[1:])]
-    return FirstIntegral(prof=prof, d_coeffs=tuple(d), n_coeffs=tuple(n),
-                         e_coeffs=tuple(e), beta=beta)
+    return FirstIntegral(prof=prof, d_coeffs=d_coeffs, n_coeffs=n_coeffs,
+                         e_coeffs=tuple(c / (q << k) for c in e), beta=beta)
 
 
 @dataclass(frozen=True, eq=False)

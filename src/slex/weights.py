@@ -201,7 +201,8 @@ def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
     Python floats, gives its ascending values, and they and _chain's
     exponent, sigma row and selected chain make the problem's
     WeightProfile.  A sigma row outside the float range still raises
-    ValueError.
+    ValueError, at once when the product of the entries, sigma_n, is past
+    _chain's bound: a huge n costs no sigma rows.
     """
     arr = np.asarray(lam, dtype=float)
     reflected = bool(np.all(arr < 0))
@@ -215,6 +216,12 @@ def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
         vals = _level_point(work_spec, work.tolist())
     except ValueError:
         return Admissibility(klass="outside", m=None, reflected=reflected)
+    # sigma_n = prod a_i alone past _chain's bound, beyond rounding: _chain
+    # would raise, after its O(n^2) rows
+    logs, n = list(map(math.log, vals)), len(vals)
+    if math.fsum(logs) > math.log(_FLOAT_MAX / (2 * n * n)) + 1e-12 * (
+            n + math.fsum(map(abs, logs))):
+        raise ValueError("sigma row of the vector leaves the float range")
     m, sig, selected = _chain(work_spec.coeffs, vals)
     prof = WeightProfile(spec=work_spec, a=np.array(vals), m=m,
                          sigma=tuple(sig), selected=tuple(selected))

@@ -1,17 +1,17 @@
 """Reference formulas the tests compare slex against.
 
-No command reaches these.  Each is the direct formula for a quantity that
-slex either computes by another route or does not need: the Hessian of a
-candidate and its sigma values, the candidate's radial value and excess
-integral, the direction weights and their extremes, the ray polynomial,
-its roots and the level values, the slope-field pair and g', the
-cut-off recurrence of the rank-one sigma formula, the per-entry draw of
-verify's rational vectors, the numpy route by
-which the weights layer once read a vector, and the criticality class
-of a phase angle.  profile is the one way a test takes the analysis of a
-problem: the WeightProfile that weights.classify builds, as the solve
-command does; excess is the one way it reads the first integral's
-profile, radial.invert's excess, at radii of any shape.
+No command reaches these.  Each is the direct formula for a quantity
+that slex either computes by another route or does not need: the Hessian
+of a candidate and its sigma values, the candidate's radial value and
+excess integral, the direction weights and their extremes, the ray
+polynomial, its roots and the level values, the slope-field pair, its
+shift to 1 in exact arithmetic and g', the cut-off recurrence of the
+rank-one sigma formula, the per-entry draw of verify's rational vectors,
+the numpy route by which the weights layer once read a vector, and the
+criticality class of a phase angle.  profile is the one way a test takes
+the analysis of a problem: the WeightProfile that weights.classify
+builds, as the solve command does; excess is the one way it reads the
+first integral's profile, radial.invert's excess, at radii of any shape.
 iso_first_integral is the exact profile of an isotropic problem, in
 mpmath: the excess, mu and log C with no root, residue or ODE solver.
 The candidate matrix is diagonal, diag(a): a general symmetric A enters
@@ -220,6 +220,23 @@ def excess_pair(prof):
     num, den = slope_pair(prof)
     shift = Polynomial([1.0, 1.0])
     return Polynomial(Polynomial(den)(shift).coef[1:]), Polynomial(num)(shift)
+
+
+def shifted_pair(prof):
+    """(D, N, E) of the problem prof exactly, as lists of Fractions,
+    ascending in x = nu - 1: the float pair of slope_pair shifted to 1 by
+    the binomial expansion p(1 + x) = sum_j x^j sum_{i >= j} C(i, j) p_i,
+    den's constant term dropped, and E = (m N - D)/x less its constant
+    term, with m the profile's float.  radial.first_integral holds the
+    float of each coefficient."""
+    def shift(coeffs):
+        p = [Fraction(c) for c in coeffs.tolist()]
+        return [sum(math.comb(i, j) * p[i] for i in range(j, len(p)))
+                for j in range(len(p))]
+
+    num, den = slope_pair(prof)
+    d, n, m = shift(den)[1:], shift(num), Fraction(prof.m)
+    return d, n, [m * a - b for a, b in zip(n[1:], d[1:])]
 
 
 def slope_deriv(pf, x):

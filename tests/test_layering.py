@@ -59,12 +59,15 @@ NUMERICAL_SAFETY = {
     ("radial", "invert", "implicit Newton iteration did not converge"):
         "the third Newton step moves u by rounding only",
     ("radial", "first_integral", "root certification failed"):
-        "a ray root above 1 on a point classify admitted",
+        "a ray root above 1 on a point classify admitted: an exact sign "
+        "test of the pair shifted in ints",
     ("radial", "first_integral",
      "slope-field denominator not certified positive"):
-        "a slope-field denominator coefficient lost to rounding",
+        "a coefficient of N, the denominator shifted in ints, that is not "
+        "positive: an exact sign test",
     ("radial", "first_integral", "residue at 1 disagrees with 1/m"):
-        "the shifted pair disagrees with the profile's exponent",
+        "the exactly shifted pair disagrees with the profile's float "
+        "exponent by more than 1e-10",
     ("radial", "ProfileSolution.__post_init__",
      "profile fell below the barrier psi = 1"):
         "a route's excess turns negative",

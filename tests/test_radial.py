@@ -6,6 +6,7 @@ import json
 import math
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,18 +160,32 @@ def test_partial_fractions_residues_recombine():
 
 def test_poly_pair_and_m_from_one_weight_profile_bitwise():
     # den, built from the profile's sigma row, is the ray polynomial's own
-    # array, the analysis holds the pair only shifted to 1, and its m is
-    # the decay exponent's
+    # array, the analysis holds the pair only shifted to 1, each
+    # coefficient the float of the exact shift's, and its m is the decay
+    # exponent's.  Up to n = 150 at the critical angle and above it, the
+    # range check passes exactly when the exact |D| + m |N| sums to less
+    # than 2^1023
     rng = np.random.default_rng(64)
-    for n in range(3, 13):
-        spec, a = admissible_point(rng, n)
-        prof = oracles.profile(spec, a)
-        num, den = oracles.slope_pair(prof)
-        assert den.tobytes() == oracles.ray_poly(spec, a).tobytes()
-        pf = radial.first_integral(prof, 2.0)
-        assert pf.prof.m == weights.decay_exponent(spec, a.tolist())
-        assert pf.d_coeffs == tuple(shift_to_one(den)[1:].tolist())
-        assert pf.n_coeffs == tuple(shift_to_one(num).tolist())
+    for n in (*range(3, 13), 24, 48, 100, 130, 150):
+        for critical in (True, False):
+            spec, a = admissible_point(rng, n)
+            while spec.is_critical != critical:
+                spec, a = admissible_point(rng, n)
+            prof = oracles.profile(spec, a)
+            num, den = oracles.slope_pair(prof)
+            assert den.tobytes() == oracles.ray_poly(spec, a).tobytes()
+            assert prof.m == weights.decay_exponent(spec, a.tolist())
+            d, q, e = oracles.shifted_pair(prof)
+            if sum(map(abs, d)) + Fraction(prof.m) * sum(map(abs, q)) \
+                    >= 2 ** 1023:
+                with pytest.raises(ValueError, match="leaves the float"):
+                    radial.first_integral(prof, 2.0)
+                continue
+            pf = radial.first_integral(prof, 2.0)
+            assert pf.prof is prof
+            assert pf.d_coeffs == tuple(map(float, d)), (n, critical)
+            assert pf.n_coeffs == tuple(map(float, q)), (n, critical)
+            assert pf.e_coeffs == tuple(map(float, e)), (n, critical)
 
 
 def test_profile_implicit_closed_case_values():
@@ -388,10 +403,10 @@ def admissible_point(rng, n):
             continue
         try:
             a = weights.complete_to_phase(1.0 / np.tan(delta[:-1]), spec)
-        except ValueError:
+            if weights.classify(spec, a).klass == "admissible":
+                return spec, a
+        except ValueError:  # no completion, or a sigma row out of range
             continue
-        if weights.classify(spec, a).klass == "admissible":
-            return spec, a
 
 
 def oracle_polynomials(pf):
@@ -446,22 +461,16 @@ def oracle_mu(pf, beta, R):
     return value
 
 
-def shift_to_one(coeffs):
-    """Ascending coefficients of p(1 + x) from those of p(nu), by repeated
-    synthetic division on an array."""
-    shifted = coeffs.copy()
-    for j in range(shifted.size):
-        for i in range(shifted.size - 2, j - 1, -1):
-            shifted[i] += shifted[i + 1]
-    return shifted
+def floats(pair):
+    """The float arrays of an exact pair or triple of coefficient lists."""
+    return tuple(np.array([float(c) for c in p]) for p in pair)
 
 
 def oracle_rhs(spec, a):
     """The numeric route's right-hand side -D/N at x = e^y, on
     npoly.polyval arrays: in x up to x = 1, and on the reversed
     coefficients in 1/x beyond."""
-    num, den = oracles.slope_pair(oracles.profile(spec, a))
-    d, n = shift_to_one(den)[1:], shift_to_one(num)
+    d, n, _e = floats(oracles.shifted_pair(oracles.profile(spec, a)))
 
     def rhs(y):
         x = math.exp(y)
@@ -696,6 +705,55 @@ def test_root_check_rejects_a_ray_root_above_one(monkeypatch):
             radial.first_integral(PF3_PROFILE, 2.0)
 
 
+_RANGE = "ray polynomial shifted to 1 leaves the float range"
+_ROOT = "root certification failed"
+_DENOMINATOR = "slope-field denominator not certified positive"
+_RESIDUE = "residue at 1 disagrees with 1/m"
+_DELTA = 2.0 ** -50
+
+
+@pytest.mark.parametrize("num, den, message", [
+    # PF3's pair, den = nu^2 - 1 and num = 2 nu/3 with m = 3, scaled: near
+    # 1e+-300 it binds, and so it does at 1e307, where |D| + m |N| sums to
+    # 7e307; at 1e308 the sum passes 2^1023, and the shifted 2e308 would
+    # not round to a float.  In subnormals 2e-320/3 keeps about three
+    # digits, so the residue misses 1e-10
+    ([0.0, 2e300 / 3], [-1e300, 0.0, 1e300], None),
+    ([0.0, 2e-300 / 3], [-1e-300, 0.0, 1e-300], None),
+    ([0.0, 2e307 / 3], [-1e307, 0.0, 1e307], None),
+    ([0.0, 1e308 / 1.5], [-1e308, 0.0, 1e308], _RANGE),
+    ([0.0, 2e-320 / 3], [-1e-320, 0.0, 1e-320], _RESIDUE),
+    ([0.0, 1e307], [-1.0, 0.0, 1.0], _RESIDUE),
+    ([0.0, 1e308], [-1.0, 0.0, 1.0], _RANGE),
+    # negative and exact zeros
+    ([-0.0, 2.0 / 3.0], [-1.0, -0.0, 1.0], None),
+    ([0.0, 0.0], [-1.0, 0.0, 1.0], _DENOMINATOR),
+    ([-0.0, -0.0], [-1.0, -0.0, 1.0], _DENOMINATOR),
+    ([0.0, 2.0 / 3.0], [0.0, 0.0, 0.0], _ROOT),
+    ([-0.0, -0.0], [-0.0, -0.0, -0.0], _ROOT),
+    # den = (nu - 1)(nu - 1 + delta), delta = 2^-50, so D(x) = x + delta:
+    # its constant coefficient delta is below 3 eps (|den| shifted to 1)_1
+    # = 3 eps (4 - delta), the rounding bound of a float shift, which
+    # rejected it.  The shift in ints makes delta exactly, so the sign
+    # test certifies the root 1 - delta below 1
+    ([0.0, _DELTA / 3.0], [1.0 - _DELTA, -(2.0 - _DELTA), 1.0], None),
+])
+def test_exact_checks_at_the_edges(monkeypatch, num, den, message):
+    # whatever the floats of the pair, first_integral binds or raises one
+    # of its four ValueErrors: no OverflowError, ZeroDivisionError or
+    # float warning on the way
+    monkeypatch.setattr(radial, "_slope_pair", lambda prof: (num, den))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            pf = radial.first_integral(PF3_PROFILE, 2.0)
+            assert all(c > 0.0 for c in pf.d_coeffs + pf.n_coeffs)
+            assert math.isfinite(pf.log_amplitude)
+            return
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            radial.first_integral(PF3_PROFILE, 2.0)
+
+
 @pytest.mark.parametrize("a, scale", [
     # an exact level point and the level edge point: m and D(0)/N(0) are
     # both den'(1)/num(1), so they agree to rounding whatever the phase
@@ -726,8 +784,7 @@ def test_tail_amplitude_and_slope_bit_identical():
         spec, a = admissible_point(rng, n)
         prof = oracles.profile(spec, a)
         pf = radial.first_integral(prof, 2.0)
-        num, den = oracles.slope_pair(prof)
-        d, q = shift_to_one(den)[1:], shift_to_one(num)
+        d, q, _e = floats(oracles.shifted_pair(prof))
         for x in (0.0, 1e-13, 0.7, 1.0, 41.0, 1e6 - 1.0):
             pf = replace(pf, beta=1.0 + x)
             far = np.array([1e30, 1e60])

@@ -78,11 +78,21 @@ def test_json_moves_name_added_removed_and_changed_paths():
         ("removed", "trajectory.r.2")]
     assert gate.json_moves(old, old) == []
     assert gate.json_moves(1, 2) == [("changed", ".")]
+    # the float leaves that changed: r.1 moved by 0.5/2.5 = 0.2; an int, a
+    # bool, an added float and a NaN do not count
+    assert gate.largest_float_move(old, new) == (0.2, "trajectory.r.1")
+    assert gate.largest_float_move(old, old) is None
+    assert gate.largest_float_move({"n": 1, "nan": 1.0},
+                                   {"n": 2, "nan": float("nan"),
+                                    "x": 1.5}) is None
+    assert gate.largest_float_move([1.0, -2.0, 4.0],
+                                   [1.0, -2.5, 4.0 + 1e-12]) == (0.2, "1")
 
 
 def test_report_moves_reads_json_outputs_only():
-    def record(stdout, out):
-        return {"stdout": stdout, "--out bytes": out}
+    def record(stdout, out, code=0):
+        return {"stdout": stdout, "--out bytes": out, "exit code": code,
+                "stdout sha256": hash(stdout), "stderr": b""}
 
     old = json.dumps({"a": 1, "b": [1, 2]}).encode()
     new = json.dumps({"a": 2, "b": [1, 2], "c": None}).encode()
@@ -97,6 +107,16 @@ def test_report_moves_reads_json_outputs_only():
     # 1.0 and 1 parse to equal values
     assert gate.report_moves(record(b"[1.0]", {}), record(b"[1]", {})) == [
         "stdout JSON: same values, other bytes"]
+    # a float leaf that moved gives the largest relative move
+    assert gate.report_moves(record(b'{"mu": [2.0, 3.0000000000003]}', {}),
+                             record(b'{"mu": [2.0, 3.0]}', {})) == [
+        "stdout JSON: changed mu.1; largest relative move 1e-13 at mu.1"]
+    # the summary counts the commands that differ and those whose exit
+    # code moved
+    results = [(here, here), (here, there), (record(new, {}, 1), there)]
+    assert gate.summary(results, ROOT) == (
+        "3 commands, 1 identical, 2 differ, 1 with another exit code "
+        f"(this tree against {ROOT})")
 
 
 def test_a_gate_run_writes_no_bytecode(tmp_path, monkeypatch):

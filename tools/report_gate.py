@@ -10,9 +10,10 @@ cache it would later run from.  The gate compares, per command, the exit
 code, the sha256 of stdout, stderr, and the bytes of the --out file.  It
 prints one line per command that differs, and under it, where stdout or
 an --out file differs and both sides parse as JSON, up to MOVES_SHOWN of
-the dotted key paths that were added, removed or changed.  A summary
-line follows; the gate exits 1 on any difference, 0 when every command
-agrees.
+the dotted key paths that were added, removed or changed, and the
+largest relative move of a float leaf.  A summary line follows, with
+the count of commands whose exit code moved; the gate exits 1 on any
+difference, 0 when every command agrees.
 
 The corpus:
   * the `slex ...` command lines of README.md's shell blocks;
@@ -222,6 +223,14 @@ CONTRACT = [
     # -2.0e-9 and the scaled level -1.1e-9
     (("solve", "--family", "iso", "--n", "12", "--theta",
       repr(11 * math.pi / 2), "--beta", "1e6", "--grid", "4"), 1, "\nFAIL\n"),
+    # sigma_n, the product of the entries, is past the sigma row's bound
+    # from n = 175 on, as at n = 200 above: classify refuses it before
+    # _chain's O(n^2) rows.  At n = 174 only inner sigma_k are past it,
+    # and _chain finds them
+    *((("solve", "--family", "iso", "--n", str(n), "--theta", "critical",
+        "--grid", "4"), 2,
+       "invalid input: sigma row of the vector leaves the float range\n")
+      for n in (174, 8000)),
 ]
 # (name, interpreter flags, argv) of the lines the corpus holds besides the
 # contract's: inputs at the ends of the supported range, and the paths
@@ -389,31 +398,46 @@ def differences(here: dict, there: dict) -> list:
     return [key for key in COMPARED if here[key] != there[key]]
 
 
-def json_moves(old, new, path: str = "") -> list:
-    """("added" | "removed" | "changed", dotted key path) of every leaf where
-    the parsed JSON value new differs from old, in key and index order.  A
-    list index is a path component like a key; NaN equals NaN."""
+def _leaf_moves(old, new, path: str = ""):
+    """(kind, dotted key path, old leaf, new leaf) of every leaf where the
+    parsed JSON value new differs from old, in key and index order, kind
+    "added", "removed" or "changed" (a missing leaf is None).  A list
+    index is a path component like a key; NaN equals NaN."""
     if isinstance(old, (dict, list)) and type(new) is type(old):
         if isinstance(old, list):
             old, new = dict(enumerate(old)), dict(enumerate(new))
-        moves = []
         for key in sorted(old.keys() | new.keys()):
             sub = f"{path}.{key}" if path else str(key)
             if key not in new:
-                moves.append(("removed", sub))
+                yield "removed", sub, old[key], None
             elif key not in old:
-                moves.append(("added", sub))
+                yield "added", sub, None, new[key]
             else:
-                moves += json_moves(old[key], new[key], sub)
-        return moves
-    same = old == new or (old != old and new != new)
-    return [] if same else [("changed", path or ".")]
+                yield from _leaf_moves(old[key], new[key], sub)
+    elif not (old == new or (old != old and new != new)):
+        yield "changed", path or ".", old, new
+
+
+def json_moves(old, new) -> list:
+    """("added" | "removed" | "changed", dotted key path) of every leaf where
+    the parsed JSON value new differs from old, in key and index order."""
+    return [(kind, path) for kind, path, _old, _new in _leaf_moves(old, new)]
+
+
+def largest_float_move(old, new):
+    """(size, dotted key path) of the changed float leaf of two parsed JSON
+    values that moved most relative to its larger magnitude,
+    |new - old|/max(|old|, |new|); None when no finite float changed."""
+    return max(((abs(b - a) / max(abs(a), abs(b)), path)
+                for _kind, path, a, b in _leaf_moves(old, new)
+                if type(a) is float and type(b) is float
+                and math.isfinite(a) and math.isfinite(b)), default=None)
 
 
 def report_moves(here: dict, there: dict) -> list:
     """One line per differing stdout or --out file that parses as JSON on
-    both sides: its name and up to MOVES_SHOWN key paths that moved from
-    there to here."""
+    both sides: its name, up to MOVES_SHOWN key paths that moved from
+    there to here, and the largest relative move of a float leaf."""
     pairs = [("stdout", there["stdout"], here["stdout"])]
     pairs += [(f"--out {name}", there["--out bytes"][name], data)
               for name, data in here["--out bytes"].items()
@@ -430,9 +454,25 @@ def report_moves(here: dict, there: dict) -> list:
         shown = ", ".join(f"{kind} {path}" for kind, path
                           in moves[:MOVES_SHOWN])
         more = len(moves) - MOVES_SHOWN
+        largest = largest_float_move(old, new)
         lines.append(f"{label} JSON: {shown or 'same values, other bytes'}"
-                     + (f" (and {more} more)" if more > 0 else ""))
+                     + (f" (and {more} more)" if more > 0 else "")
+                     + ("" if largest is None else
+                        "; largest relative move {:.2g} at {}".format(
+                            *largest)))
     return lines
+
+
+def summary(results: list, other: Path) -> str:
+    """The gate's last line, from the (here, there) record of every
+    command: how many agree, how many differ, and in how many the exit
+    code moved."""
+    differ = sum(bool(differences(here, there)) for here, there in results)
+    moved = sum(here["exit code"] != there["exit code"]
+                for here, there in results)
+    return (f"{len(results)} commands, {len(results) - differ} identical, "
+            f"{differ} differ, {moved} with another exit code (this tree "
+            f"against {other})")
 
 
 def main(argv=None) -> int:
@@ -450,22 +490,21 @@ def main(argv=None) -> int:
         _name, flags, cmd = case
         return run(ROOT, flags, cmd), run(other, flags, cmd)
 
-    failed = 0
+    results = []
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
         for (name, _flags, cmd), (here, there) in zip(cases,
                                                       pool.map(compare,
                                                                cases)):
+            results.append((here, there))
             diff = differences(here, there)
             if diff:
-                failed += 1
                 print(f"DIFFER {name}: {', '.join(diff)} "
                       f"(exit {there['exit code']} -> {here['exit code']})"
                       f"\n    slex {shlex.join(cmd)}")
                 for line in report_moves(here, there):
                     print(f"    {line}")
-    print(f"{len(cases)} commands, {len(cases) - failed} identical, "
-          f"{failed} differ (this tree against {other})")
-    return 1 if failed else 0
+    print(summary(results, other))
+    return 1 if any(differences(*pair) for pair in results) else 0
 
 
 if __name__ == "__main__":
