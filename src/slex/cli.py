@@ -49,12 +49,15 @@ vectors in one broadcast call, rng.integers((1, 1), (25, 9), size=(total,
 in element order, so the vectors, and every float draw after them, are
 those of one scalar call per numerator and per denominator.
 
-Identity suites always run in exact rational arithmetic.  The homogeneous
-ones (sigma recurrences, pair exclusion differences, product
-decompositions, Newton margins) compare Python ints: they run the kernels
-on each drawn vector's integer numerators p = D*a, D the lcm of its
-denominators, so every value of degree d comes out as D**d times its value
-at a.  That leaves every verdict as it is, and no Fraction is built.
+Identity suites always run in exact arithmetic, on Python ints.  Each
+drawn vector a stays a list of int (numerator, denominator) pairs; its
+integer vector is p = D*a, D the lcm of the reduced denominators, formed
+from the pairs directly.  The homogeneous suites (sigma recurrences, pair
+exclusion differences, product decompositions, Newton margins) run the
+kernels on p, so every value of degree d comes out as D**d times its value
+at a, which leaves every verdict as it is.  The ray Wronskian is not
+homogeneous: its two modes are compared on p itself, a positive vector
+like a.  No Fraction is built.
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ import operator
 import os
 import sys
 import warnings
-from fractions import Fraction
 from itertools import chain, islice
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
@@ -76,7 +78,6 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from . import phasepoly, radial, subsol, symfun, weights
-from .symfun import clear_denominators  # by name: not a traced layer call
 
 SCHEMA_VERSION = 4
 RNG_NAME = "numpy.random.default_rng(PCG64)"
@@ -90,10 +91,6 @@ def _fmt(x) -> str:
 
 def _verdict(report: dict) -> str:
     return "PASS" if report["passed"] else "FAIL"
-
-
-def _frac_str(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
 
 
 def _json_text(value) -> str:
@@ -223,24 +220,30 @@ def _emit(text: str, out: Optional[str]) -> None:
 # ---------------------------------------------------------------- verify
 
 def _rational_vectors(rng, sizes: list) -> list:
-    """One Fraction vector per size, entries p/q with 1 <= p <= 24 and
-    1 <= q <= 8, from one broadcast draw of every (p, q) pair: the stream
-    of one scalar call per p and per q (module docstring)."""
+    """One rational vector per size, as int [p, q] pairs with
+    1 <= p <= 24 and 1 <= q <= 8, from one broadcast draw of every pair:
+    the stream of one scalar call per p and per q (module docstring)."""
     pairs = iter(rng.integers((1, 1), (25, 9), size=(sum(sizes), 2)).tolist())
-    return [[Fraction(p, q) for p, q in islice(pairs, n)] for n in sizes]
+    return [list(islice(pairs, n)) for n in sizes]
+
+
+def _scale(vec: list) -> tuple:
+    """(p, D) of a vector of int (num, den) pairs: D is the lcm of the
+    reduced denominators and p_i = num_i * D // den_i, exactly D * a_i."""
+    d = math.lcm(*(q // math.gcd(p, q) for p, q in vec))
+    return [p * d // q for p, q in vec], d
 
 
 def _int_rows(vec: list) -> tuple:
-    """(p, sig, rows, pairs) of a Fraction vector on its integer scale.
+    """(p, sig, rows, pairs) of a vector of int pairs on its integer scale.
 
-    With D the lcm of the denominators, p_i = a_i * D as ints (from
-    symfun.clear_denominators); sig is sigma(p), rows[i-1] is sigma(p | i)
-    and pairs[i-1] is sigma(p | i, n), each entry of degree e equal to
-    D**e times the value at a.  The trailing 0 on each exclusion row is
-    the zero convention at both ends, as row[-1] and row[len] read it.
+    p = D*a (_scale); sig is sigma(p), rows[i-1] is sigma(p | i) and
+    pairs[i-1] is sigma(p | i, n), each entry of degree e equal to D**e
+    times the value at a.  The trailing 0 on each exclusion row is the
+    zero convention at both ends, as row[-1] and row[len] read it.
     """
     n = len(vec)
-    p, _d = clear_denominators(vec)
+    p, _d = _scale(vec)
     sig = symfun.elem_sym_all(p)
     rows = [symfun.elem_sym_excl_all(p, (i,)) + [0] for i in range(1, n + 1)]
     pairs = [symfun.elem_sym_excl_all(p, (i, n)) + [0] for i in range(1, n)]
@@ -248,7 +251,12 @@ def _int_rows(vec: list) -> tuple:
 
 
 def _fracs(vec) -> list:
-    return [_frac_str(v) for v in vec]
+    # each pair as its reduced "p/q"
+    out = []
+    for p, q in vec:
+        g = math.gcd(p, q)
+        out.append(f"{p // g}/{q // g}")
+    return out
 
 
 def _floats(vec) -> list:
@@ -285,19 +293,20 @@ def _suite(name: str, cases, label: Optional[str] = "exact mismatch"
 
 # Each suite below yields its cases for _suite; a counterexample is built
 # only for a failing case.  The exact suites that read _int_rows compare
-# Python ints: every identity is homogeneous, so scaling both sides by
-# D**degree keeps each verdict.
+# Python ints.  Every identity but the Wronskian's is homogeneous, so
+# scaling both sides by D**degree keeps each verdict; the Wronskian's
+# holds for every vector, and is checked at p itself.
 
-def _wronskian_cases(vectors: list):
-    # product mode vs all-positive closed form, exact; plus the known
-    # all-ones values n * 2^(n-1)
-    for vec in vectors:
-        prod = phasepoly.ray_wronskian(vec, mode="product")
-        closed = phasepoly.ray_wronskian(vec, mode="closed_form")
+def _wronskian_cases(vectors: list, scaled: list):
+    # product mode vs all-positive closed form, exact, on each integer
+    # vector p = D*a; plus the known all-ones values n * 2^(n-1)
+    for vec, (p, _sig, _rows, _pairs) in zip(vectors, scaled):
+        prod = phasepoly.ray_wronskian(p, mode="product")
+        closed = phasepoly.ray_wronskian(p, mode="closed_form")
         ok = prod == closed and closed > 0
         yield ok, None if ok else {
-            "a": _fracs(vec), "product": _frac_str(Fraction(prod)),
-            "closed_form": _frac_str(Fraction(closed))}
+            "a": _fracs(vec), "D": str(_scale(vec)[1]),
+            "product": str(prod), "closed_form": str(closed)}
     for n in range(3, 13):
         ok = (phasepoly.ray_wronskian([1] * n, mode="closed_form")
               == n * 2 ** (n - 1))
@@ -367,8 +376,8 @@ def _combinatorial_cases():
 def _tangent_cases(rng, trials: int):
     # sampled float properties; the sign cases carry no margin
     for t in range(trials):
-        lam = rng.standard_normal(3 + t % 6) * 2.0
-        x, y = phasepoly.alternating_parts(lam.tolist())
+        lam = (rng.standard_normal(3 + t % 6) * 2.0).tolist()
+        x, y = phasepoly.alternating_parts(lam)
         h = phasepoly.phase(lam)
         if abs(math.cos(h)) > 1e-6 and abs(x) > 1e-6:
             margin = abs(y / x - math.tan(h)) / max(1.0, abs(math.tan(h)))
@@ -386,10 +395,10 @@ def _implication_cases(rng, trials: int):
     # positive-cone implication: wronskian > 0 forces the weighted level
     # combination at theta = H(lam) to be positive
     for t in range(trials):
-        lam = np.exp(rng.standard_normal(3 + t % 6))
-        wron = phasepoly.ray_wronskian(lam.tolist(), mode="closed_form")
+        lam = np.exp(rng.standard_normal(3 + t % 6)).tolist()
+        wron = phasepoly.ray_wronskian(lam, mode="closed_form")
         h = phasepoly.phase(lam)
-        xw, yw = phasepoly.alternating_parts_weighted(lam.tolist())
+        xw, yw = phasepoly.alternating_parts_weighted(lam)
         ok = wron > 0 and math.cos(h) * yw - math.sin(h) * xw > 0
         yield ok, None if ok else {"lam": _floats(lam)}
 
@@ -452,11 +461,11 @@ def _run_verify(args: SimpleNamespace) -> dict:
         raise ValueError("verify grid needs at least 1 vector")
     rng = np.random.default_rng(args.seed)
     vectors = _rational_vectors(rng, [3 + t % 6 for t in range(trials)])
-    # one build of each vector's rows serves the recurrence, pair, product
-    # and Newton suites; the float suites then draw from rng in list order
+    # one build of each vector's integer vector and rows serves every exact
+    # suite on it; the float suites then draw from rng in list order
     scaled = [_int_rows(vec) for vec in vectors]
     suites = [
-        _suite("wronskian_modes", _wronskian_cases(vectors)),
+        _suite("wronskian_modes", _wronskian_cases(vectors, scaled)),
         _suite("sigma_recurrences", _recurrence_cases(vectors, scaled)),
         _suite("pair_exclusion_difference", _pair_cases(vectors, scaled)),
         _suite("product_decomposition", _product_cases(vectors, scaled)),
@@ -475,8 +484,7 @@ def _run_verify(args: SimpleNamespace) -> dict:
         "rng": RNG_NAME,
         "trials": trials,
         "arithmetic": "exact rational identities + float property samples",
-        "zstar_unit6": int(phasepoly.ray_wronskian([1] * 6,
-                                                   mode="closed_form")),
+        "zstar_unit6": phasepoly.ray_wronskian([1] * 6, mode="closed_form"),
         "suites": suites,
         "passed": all(s["failures"] == 0 for s in suites),
     }

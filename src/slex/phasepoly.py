@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .symfun import clear_denominators, elem_sym_all
+from .symfun import elem_sym_all
 
 # |H(a) - theta| at or below this counts as membership in the level set.
 LEVEL_TOL = 1e-10
@@ -122,16 +121,18 @@ def alternating_parts(lam: Sequence):
 
 
 def _parts(sig: list):
-    # (X, Y) from the sigma row sigma_0..sigma_n
-    n = len(sig) - 1
+    # (X, Y) from the sigma row sigma_0..sigma_n: even k go to X, odd k to
+    # Y, and bit 2 of k gives the sign.  Negation is exact, so x + (-v)
+    # keeps the value, type and bits of x + (-1) * v.
     x = 0
     y = 0
-    for k in range(n + 1):
-        j, odd = divmod(k, 2)
-        if odd:
-            y = y + (-1) ** j * sig[k]
+    for k, v in enumerate(sig):
+        if k & 2:
+            v = -v
+        if k & 1:
+            y = y + v
         else:
-            x = x + (-1) ** j * sig[k]
+            x = x + v
     return x, y
 
 
@@ -141,16 +142,18 @@ def alternating_parts_weighted(lam: Sequence):
 
 
 def _weighted_parts(sig: list):
-    # (Xw, Yw) from the sigma row sigma_0..sigma_n
-    n = len(sig) - 1
+    # (Xw, Yw) from the sigma row sigma_0..sigma_n, signed as in _parts;
+    # -(k * v) has the bits of (-k) * v, as rounding is symmetric
     xw = 0
     yw = 0
-    for k in range(1, n + 1):
-        j, odd = divmod(k, 2)
-        if odd:
-            yw = yw + (-1) ** j * k * sig[k]
+    for k in range(1, len(sig)):
+        v = k * sig[k]
+        if k & 2:
+            v = -v
+        if k & 1:
+            yw = yw + v
         else:
-            xw = xw + (-1) ** j * k * sig[k]
+            xw = xw + v
     return xw, yw
 
 
@@ -173,43 +176,30 @@ def ray_wronskian(lam: Sequence, mode: str = "product"):
     operations in the same order as in gen_sym_table, and comes out as the
     same int, Fraction or float bits, in O(n^2) work instead of O(n^3).
 
-    Exact input that symfun.clear_denominators takes (lam_i = p_i / D)
-    finishes on the integer scale: both modes run on the numerators p_i,
-    with every term put on D**(2n) (product) or D**(2n-1) (closed form),
-    and build one Fraction at the end.  Fraction is canonical, so value
-    and type are those of the plain Fraction route.  Float and other input
-    run the same code with D = 1 and no final Fraction.
+    One plain loop serves every scalar type: int input gives an int,
+    Fraction input stays exact, and float input keeps the bits of the
+    plain loop.  `verify` hands in the integer vector p = D*a of each drawn
+    rational vector, so the identity is checked on the positive vector p,
+    with no Fraction built.
     """
-    cleared = clear_denominators(lam)
-    nums, d = (lam, 1) if cleared is None else cleared
-    n = len(lam)
-    up = [1]  # D**0 .. D**(2n)
-    for _ in range(2 * n):
-        up.append(up[-1] * d)
     if mode == "product":
-        # sigma_k of the numerators carries D**k: times D**(n-k) puts X, Y,
-        # Xw and Yw on D**n
-        sig = [v * up[n - k] for k, v in enumerate(elem_sym_all(nums))]
+        sig = elem_sym_all(lam)
         x, y = _parts(sig)
         xw, yw = _weighted_parts(sig)
-        total = x * yw - y * xw
-        scale = up[2 * n]
-    else:
-        # diag[k] = T[k][k] and sub[k] = T[k][k-1], updated for k = i .. 1
-        # as gen_sym_table updates them
-        diag = [1] + [0] * n
-        sub = [0] * (n + 1)
-        for i, x in enumerate(nums, 1):
-            x2 = x * x
-            for k in range(i, 1, -1):
-                diag[k] = diag[k] + x2 * diag[k - 1]
-                sub[k] = sub[k] + x * diag[k - 1] + x2 * sub[k - 1]
-            diag[1] = diag[1] + x2 * diag[0]
-            sub[1] = sub[1] + x * diag[0]
-        # T[p+1][p] carries D**(2p+1): times D**(2(n-1-p)) puts the sum on
-        # D**(2n-1)
-        total = 0
-        for p in range(n):
-            total = total + sub[p + 1] * up[2 * (n - 1 - p)]
-        scale = up[2 * n - 1]
-    return total if cleared is None else Fraction(total, scale)
+        return x * yw - y * xw
+    # diag[k] = T[k][k] and sub[k] = T[k][k-1], updated for k = i .. 1 as
+    # gen_sym_table updates them
+    n = len(lam)
+    diag = [1] + [0] * n
+    sub = [0] * (n + 1)
+    for i, x in enumerate(lam, 1):
+        x2 = x * x
+        for k in range(i, 1, -1):
+            diag[k] = diag[k] + x2 * diag[k - 1]
+            sub[k] = sub[k] + x * diag[k - 1] + x2 * sub[k - 1]
+        diag[1] = diag[1] + x2 * diag[0]
+        sub[1] = sub[1] + x * diag[0]
+    total = 0
+    for p in range(n):
+        total = total + sub[p + 1]
+    return total

@@ -13,12 +13,12 @@ subset enumeration; enumeration appears only in test oracles.
 The kernels run one plain loop on every scalar type.  On ``Fraction``
 input it keeps value and type: sigma_0 and T[0][0] are the int 1, every
 other entry a ``Fraction``.  On ints it stays on ints, and since sigma_k
-and T[k][j] are homogeneous, the numerators p = D*a of an exact vector
-(clear_denominators) give sigma_k(p) = D**k sigma_k(a) and
-T[k][j](p) = D**(k+j) T[k][j](a): `verify`'s homogeneous suites compare
-on that scale and build no ``Fraction``.  ``phasepoly.ray_wronskian``
-clears the denominators itself, computes its result from the integer row,
-and builds one ``Fraction`` for it.
+and T[k][j] are homogeneous, the integer vector p = D*a of a rational
+vector a (D the lcm of its denominators) gives sigma_k(p) = D**k
+sigma_k(a) and T[k][j](p) = D**(k+j) T[k][j](a): `verify` draws its
+rational vectors as int (numerator, denominator) pairs, forms p from them
+directly, and compares its homogeneous suites on that scale, so it builds
+no ``Fraction``.
 
 The recurrences are triangular.  After i entries only sigma_0 .. sigma_i
 (the rows T[0] .. T[i]) can be nonzero, so entry i updates those degrees
@@ -45,30 +45,10 @@ reads, so a caller that already has it builds no second one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-
-
-def clear_denominators(a: Sequence):
-    """(numerators, D) with a_i == numerators[i] / D, or None.
-
-    D is the lcm of the denominators.  Only exact input qualifies: the first
-    entry must be a Fraction and every entry an int or a Fraction.
-    """
-    if len(a) == 0 or type(a[0]) is not Fraction:
-        return None
-    d = 1
-    for x in a:
-        t = type(x)
-        if t is Fraction:
-            d = math.lcm(d, x.denominator)
-        elif t is not int:
-            return None
-    return [x.numerator * (d // x.denominator) for x in a], d
 
 
 def elem_sym_all(a: Sequence) -> list:
@@ -238,8 +218,7 @@ def product_decomposition(j: int, k: int, n: int) -> tuple:
     return tuple(terms)
 
 
-@dataclass(frozen=True)
-class NewtonReport:
+class NewtonReport(NamedTuple):
     """Per-index margins of Newton's inequality and an overall pass flag."""
     margins: dict
     passed: bool
@@ -251,15 +230,15 @@ def newton_check(sig: Sequence) -> NewtonReport:
 
     Newton's inequality makes every margin nonnegative for real entries;
     n = 1 passes vacuously.  The margins keep the row's scalar type.  Each
-    margin k has degree 2k, so the row of the integer numerators p = D*a
-    (clear_denominators) gives D**(2k) times a's margins as ints: the same
+    margin k has degree 2k, so the row of the integer vector p = D*a of a
+    rational vector a gives D**(2k) times a's margins as ints: the same
     signs, hence the same flag, with no Fraction built.
     """
     margins = {}
     for k in range(1, len(sig) - 1):
         margins[k] = sig[k] * sig[k] - sig[k - 1] * sig[k + 1]
     passed = all(v >= 0 for v in margins.values())
-    return NewtonReport(margins=margins, passed=passed)
+    return NewtonReport(margins, passed)
 
 
 def elem_sym_stack(lam: np.ndarray) -> np.ndarray:

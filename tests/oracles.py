@@ -6,12 +6,13 @@ of a candidate and its sigma values, the candidate's radial value and
 excess integral, the direction weights and their extremes, the ray
 polynomial, its roots and the level values, the slope-field pair, its
 shift to 1 in exact arithmetic and g', the cut-off recurrence of the
-rank-one sigma formula, the per-entry draw of verify's rational vectors,
-the numpy route by which the weights layer once read a vector, and the
-criticality class of a phase angle.  profile is the one way a test takes
-the analysis of a problem: the WeightProfile that weights.classify
-builds, as the solve command does; excess is the one way it reads the
-first integral's profile, radial.invert's excess, at radii of any shape.
+rank-one sigma formula, the per-entry draw of verify's rational vectors
+and the Fraction route to their integer scale, the numpy route by which
+the weights layer once read a vector, and the criticality class of a
+phase angle.  profile is the one way a test takes the analysis of a
+problem: the WeightProfile that weights.classify builds, as the solve
+command does; excess is the one way it reads the first integral's
+profile, radial.invert's excess, at radii of any shape.
 iso_first_integral is the exact profile of an isotropic problem, in
 mpmath: the excess, mu and log C with no root, residue or ODE solver.
 The candidate matrix is diagonal, diag(a): a general symmetric A enters
@@ -119,11 +120,28 @@ def elem_sym_excl(a, k, excl=()):
 
 
 def rational_vector(rng, n):
-    """n entries p/q, 1 <= p <= 24 and 1 <= q <= 8, from two scalar
+    """n int [p, q] pairs, 1 <= p <= 24 and 1 <= q <= 8, from two scalar
     rng.integers calls per entry: the draw that cli._rational_vectors
     makes in one broadcast call."""
-    return [Fraction(int(rng.integers(1, 25)), int(rng.integers(1, 9)))
+    return [[int(rng.integers(1, 25)), int(rng.integers(1, 9))]
             for _ in range(n)]
+
+
+def clear_denominators(a):
+    """(numerators, D) with a_i == numerators[i] / D for an exact vector a
+    that leads with a Fraction (every entry an int or a Fraction), else
+    None.  D is the lcm of the denominators: the Fraction route to the
+    integer vector p = D*a that cli._int_rows forms from int pairs."""
+    if len(a) == 0 or type(a[0]) is not Fraction:
+        return None
+    d = 1
+    for x in a:
+        t = type(x)
+        if t is Fraction:
+            d = math.lcm(d, x.denominator)
+        elif t is not int:
+            return None
+    return [x.numerator * (d // x.denominator) for x in a], d
 
 
 def rank_one_rows(p):

@@ -8,6 +8,7 @@ package contract; none may be loosened.
 import math
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -61,7 +62,8 @@ def test_criterion_1_exact_identity_suite():
 
     for t in range(200):
         n = 3 + t % 6
-        vec = oracles.rational_vector(rng, n)
+        vec = [Fraction(p, q)
+               for p, q in oracles.rational_vector(rng, n)]
         # ray wronskian: product route vs all-positive closed form
         prod = phasepoly.ray_wronskian(vec, mode="product")
         closed = phasepoly.ray_wronskian(vec, mode="closed_form")

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -289,20 +290,27 @@ def test_verify_csv_format(tmp_path):
 
 
 def test_verify_fault_injection(tmp_path, monkeypatch):
+    # a failing wronskian_modes case names a as reduced p/q strings, and D
+    # and both Wronskians of the integer vector p = D*a as decimal ints
     real = cli.phasepoly.ray_wronskian
-
-    def lying(values, mode="product"):
-        out = real(values, mode=mode)
-        return out + 1 if mode == "product" else out
-
-    monkeypatch.setattr(cli.phasepoly, "ray_wronskian", lying)
+    monkeypatch.setattr(cli.phasepoly, "ray_wronskian",
+                        _product_plus_one(real))
     code, path = run(tmp_path, ["verify", "--grid", "10"], "bad.json")
     assert code == 1
-    report = json.loads(path.read_text())
-    assert report["passed"] is False
-    broken = [s for s in report["suites"] if s["failures"] > 0]
-    assert broken
-    assert any("counterexample" in s for s in broken)
+    assert _failing_suites(path) == {"wronskian_modes"}
+    entry = json.loads(path.read_text())["suites"][0]
+    ce = entry["counterexample"]
+    assert set(ce) == {"a", "D", "product", "closed_form"}
+    a = [Fraction(v) for v in ce["a"]]
+    assert ce["a"] == [f"{v.numerator}/{v.denominator}" for v in a]
+    d = math.lcm(*(v.denominator for v in a))
+    assert ce["D"] == str(d)
+    p = [int(v * d) for v in a]
+    assert [Fraction(v, d) for v in p] == a
+    closed = real(p, mode="closed_form")
+    assert type(closed) is int and closed > 0
+    assert ce["closed_form"] == str(closed)
+    assert ce["product"] == str(closed + 1)
 
 
 def _failing_suites(path):

@@ -33,7 +33,7 @@ small = st.one_of(st.integers(min_value=-3, max_value=3),
                             st.integers(min_value=1, max_value=4)))
 entry = st.one_of(ints, fracs, small)
 # exact vectors of length 1..12 that lead with a Fraction, the input
-# clear_denominators takes
+# oracles.clear_denominators takes
 fraction_vectors = st.builds(lambda lead, rest: [lead] + rest, fracs,
                              st.lists(entry, max_size=11))
 # exact vectors of length 0..12; most lead with a Fraction, the rest with
@@ -151,7 +151,7 @@ def test_exclusion_rows_match_plain_fraction_recurrence(a):
 def test_integer_numerators_give_every_value_times_its_scale(a):
     # p = D*a: each value of degree d on p is the int D**d times its value
     # at a, the scale verify's homogeneous suites compare on
-    p, d = symfun.clear_denominators(a)
+    p, d = oracles.clear_denominators(a)
     n = len(a)
 
     def scaled(got, want, degree):
@@ -205,7 +205,7 @@ def test_newton_margins_match_plain_recurrence(a):
     assert report.passed == all(v >= 0 for v in margins.values())
     # on the integer numerators p = D*a margin k is the int D**(2k) times
     # a's, so the flag is the same
-    cleared = symfun.clear_denominators(a)
+    cleared = oracles.clear_denominators(a)
     if cleared is not None:
         p, d = cleared
         scaled = symfun.newton_check(symfun.elem_sym_all(p))

@@ -1,6 +1,6 @@
 """Module hygiene of the slex package, checked with the stdlib's ast.
 
-Seven rules, for every module under src/slex:
+Eight rules, for every module under src/slex:
 
   * no module reaches into another slex module's private names, neither
     by importing one (`from .radial import _horner`) nor by reading one
@@ -31,7 +31,10 @@ Seven rules, for every module under src/slex:
     written, run through cli.main in process under a line tracer that
     sees only package frames.  The package is what the commands reach,
     and that holds for its errors too: a guard on an argument only the
-    package itself passes is dead code, however careful it looks.
+    package itself passes is dead code, however careful it looks;
+  * no module imports `fractions`: the exact suites of `verify` run on
+    ints, drawn as int (numerator, denominator) pairs, so the package
+    needs no Fraction.
 """
 
 import ast
@@ -119,6 +122,18 @@ def private_reads(source: str) -> list:
                 and isinstance(node.value, ast.Name)
                 and node.value.id in modules):
             found.append((node.lineno, f"reads {node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def imported_modules(source: str) -> list:
+    """(line, top-level package) of every absolute import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[0])
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.split(".")[0]))
     return sorted(found)
 
 
@@ -358,6 +373,12 @@ def test_no_unused_imports(module):
 
 
 @pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_fractions(module):
+    assert [found for found in imported_modules(
+        (PACKAGE / module).read_text()) if found[1] == "fractions"] == []
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_no_unread_private_names(module):
     assert unread_privates((PACKAGE / module).read_text()) == []
 
@@ -420,6 +441,8 @@ def test_checks_find_what_they_look_for():
         (8, "reads radial._horner"), (8, "reads w._chains")]
     assert unused_imports(source) == [(5, "_HALF_PI_LO"), (6, "elem_sym"),
                                       (7, "_prune")]
+    assert imported_modules(source) == [(1, "math"), (2, "locale"),
+                                        (3, "fractions")]
     source = "\n".join([
         "def check(x):",
         "    if x < 0:",

@@ -10,13 +10,17 @@ suite entry must come out equal: cases, failures, worst and the
 counterexample.  A fault is keyed on the call, not on the scalar type, so
 it fires on both scales.  The oracle draws its vectors by two scalar calls
 per entry (oracles.rational_vector); a second test holds verify's one
-broadcast draw to those vectors and to the generator state they leave.
+broadcast draw to those int pairs and to the generator state they leave,
+and a third holds the integer vector and rows that verify forms from the
+pairs to the Fraction route (oracles.clear_denominators).
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from slex import cli, phasepoly, symfun
@@ -35,8 +39,8 @@ def _entry(cases, fails, ce):
 
 def _fraction_oracle(seed: int, trials: int) -> dict:
     rng = np.random.default_rng(seed)
-    vectors = [oracles.rational_vector(rng, 3 + t % 6)
-               for t in range(trials)]
+    vectors = [[Fraction(p, q) for p, q in oracles.rational_vector(
+        rng, 3 + t % 6)] for t in range(trials)]
     text = [[f"{v.numerator}/{v.denominator}" for v in vec]
             for vec in vectors]
     fails = pair_fails = prod_fails = 0
@@ -99,8 +103,37 @@ def test_one_call_draw_matches_the_per_entry_draw(trials):
         got = cli._rational_vectors(rng, sizes)
         want = [oracles.rational_vector(ref, n) for n in sizes]
         assert got == want, seed
-        assert all(type(x) is Fraction for vec in got for x in vec)
+        assert all(type(x) is int for vec in got for pair in vec
+                   for x in pair)
         assert rng.standard_normal() == ref.standard_normal(), seed
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(st.lists(st.tuples(st.integers(min_value=-10**6, max_value=10**6),
+                          st.integers(min_value=1, max_value=10**6)),
+                min_size=1, max_size=10))
+def test_int_rows_match_the_fraction_route(pairs):
+    # p and the sigma, exclusion and pair rows that verify forms from int
+    # pairs are the Fraction vector's numerators and its rows, each entry
+    # of degree k times D**k, all as ints
+    a = [Fraction(*pair) for pair in pairs]
+    p, d = oracles.clear_denominators(a)
+    n = len(a)
+
+    def scaled(row):
+        return [int(v * d ** k) for k, v in enumerate(row)] + [0]
+
+    want = (p, scaled(symfun.elem_sym_all(a))[:-1],
+            [scaled(symfun.elem_sym_excl_all(a, (i,)))
+             for i in range(1, n + 1)],
+            [scaled(symfun.elem_sym_excl_all(a, (i, n)))
+             for i in range(1, n)])
+    vec = [list(pair) for pair in pairs]
+    got = cli._int_rows(vec)
+    assert got == want
+    assert all(type(v) is int for v in got[0] + got[1]
+               + [v for rows in got[2:] for row in rows for v in row])
+    assert cli._scale(vec) == (p, d)
 
 
 def _lying_wronskian(monkeypatch):
