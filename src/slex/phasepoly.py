@@ -9,7 +9,10 @@ polynomials
 
 and their degree-weighted companions Xw = -2 sigma_2 + 4 sigma_4 - ... and
 Yw = sigma_1 - 3 sigma_3 + 5 sigma_5 - ..., which are the t-derivatives of
-X(t*lam), Y(t*lam) at t = 1.
+X(t*lam), Y(t*lam) at t = 1.  alternating_parts returns all four from one
+pass over the sigma row; ray_wronskian gives X*Yw - Y*Xw by its
+all-positive closed form, which `verify` compares with the product of the
+four parts.
 
 For a phase target theta the level combination is
 
@@ -113,80 +116,46 @@ def phase(lam: Sequence) -> float:
 
 
 def alternating_parts(lam: Sequence):
-    """(X, Y): real and imaginary parts of prod_i (1 + i*lam_i).
+    """(X, Y, Xw, Yw): the real and imaginary parts of prod_i (1 + i*lam_i)
+    and their degree-weighted companions, the ray derivatives at t = 1.
 
-    Exact for int/Fraction entries.
+    One pass over the row sigma_0 .. sigma_n: even k go to X and Xw, odd k
+    to Y and Yw, and bit 2 of k gives the sign.  Negation is exact, so
+    x + (-v) keeps the value, type and bits of x + (-1) * v, and -(k * v)
+    has the bits of (-k) * v, as rounding is symmetric.  The k = 0 term of
+    Xw is the int 0 * sigma_0 = 0.  Exact for int/Fraction entries.
     """
-    return _parts(elem_sym_all(lam))
-
-
-def _parts(sig: list):
-    # (X, Y) from the sigma row sigma_0..sigma_n: even k go to X, odd k to
-    # Y, and bit 2 of k gives the sign.  Negation is exact, so x + (-v)
-    # keeps the value, type and bits of x + (-1) * v.
-    x = 0
-    y = 0
-    for k, v in enumerate(sig):
+    x = y = xw = yw = 0
+    for k, v in enumerate(elem_sym_all(lam)):
+        w = k * v
         if k & 2:
-            v = -v
+            v, w = -v, -w
         if k & 1:
             y = y + v
+            yw = yw + w
         else:
             x = x + v
-    return x, y
+            xw = xw + w
+    return x, y, xw, yw
 
 
-def alternating_parts_weighted(lam: Sequence):
-    """(Xw, Yw): degree-weighted parts, the ray derivatives of (X, Y) at t=1."""
-    return _weighted_parts(elem_sym_all(lam))
+def ray_wronskian(lam: Sequence):
+    """X*Yw - Y*Xw, the Wronskian of (X(t*lam), Y(t*lam)) at t = 1, by its
+    all-positive expansion sum_{p=0}^{n-1} T[p+1][p], T =
+    symfun.gen_sym_table(lam).
 
+    It equals the product of alternating_parts exactly in rational
+    arithmetic, and makes positivity on the positive cone manifest.  For
+    the all-ones vector the value is n * 2^(n-1).
 
-def _weighted_parts(sig: list):
-    # (Xw, Yw) from the sigma row sigma_0..sigma_n, signed as in _parts;
-    # -(k * v) has the bits of (-k) * v, as rounding is symmetric
-    xw = 0
-    yw = 0
-    for k in range(1, len(sig)):
-        v = k * sig[k]
-        if k & 2:
-            v = -v
-        if k & 1:
-            yw = yw + v
-        else:
-            xw = xw + v
-    return xw, yw
-
-
-def ray_wronskian(lam: Sequence, mode: str = "product"):
-    """X*Yw - Y*Xw, the Wronskian of (X(t*lam), Y(t*lam)) at t = 1.
-
-    mode="product" multiplies the alternating parts directly;
-    mode="closed_form" (any mode but "product") evaluates the equivalent
-    all-positive expansion sum_{p=0}^{n-1} T[p+1][p],
-    T = symfun.gen_sym_table(lam).  The two
-    agree exactly in rational arithmetic, and the closed form makes
-    positivity on the positive cone manifest.  For the all-ones vector the
-    value is n * 2^(n-1).
-
-    The closed form runs gen_sym_table's recurrence on the band
-    k - j in {0, 1} alone, and triangular as that table: entry i (1-based)
-    updates the band's rows k = i .. 1.  The update of T[k][k] reads
-    T[k-1][k-1], and that of T[k][k-1] reads T[k-1][k-1] and T[k-1][k-2]:
-    the band never reads outside itself.  So every T[p+1][p] sees the same
-    operations in the same order as in gen_sym_table, and comes out as the
-    same int, Fraction or float bits, in O(n^2) work instead of O(n^3).
-
-    One plain loop serves every scalar type: int input gives an int,
-    Fraction input stays exact, and float input keeps the bits of the
-    plain loop.  `verify` hands in the integer vector p = D*a of each drawn
-    rational vector, so the identity is checked on the positive vector p,
-    with no Fraction built.
+    It runs gen_sym_table's recurrence on the band k - j in {0, 1} alone,
+    and triangular as that table: entry i (1-based) updates the band's
+    rows k = i .. 1.  The update of T[k][k] reads T[k-1][k-1], and that of
+    T[k][k-1] reads T[k-1][k-1] and T[k-1][k-2]: the band never reads
+    outside itself.  So every T[p+1][p] sees the same operations in the
+    same order as in gen_sym_table, and comes out as the same int,
+    Fraction or float bits, in O(n^2) work instead of O(n^3).
     """
-    if mode == "product":
-        sig = elem_sym_all(lam)
-        x, y = _parts(sig)
-        xw, yw = _weighted_parts(sig)
-        return x * yw - y * xw
     # diag[k] = T[k][k] and sub[k] = T[k][k-1], updated for k = i .. 1 as
     # gen_sym_table updates them
     n = len(lam)

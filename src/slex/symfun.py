@@ -39,14 +39,15 @@ recurrence pass; a caller that needs many k for the same exclusion set
 builds that row once and indexes it.  ``sigma_rank_one`` takes the rows it
 reads, sigma(p) and the n rows sigma(p | i), so a caller that needs every
 k of one p builds them once; ``newton_check`` takes the row sigma(a) it
-reads, so a caller that already has it builds no second one.
+reads, so a caller that already has it builds no second one, and returns
+the margins alone: each caller judges them by its own rule.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,15 +68,14 @@ def elem_sym_all(a: Sequence) -> list:
     return e
 
 
-def elem_sym_excl_all(a: Sequence, excl: Sequence[int] = ()) -> list:
+def elem_sym_excl_all(a: Sequence, excl: Sequence[int]) -> list:
     """sigma_0 .. sigma_{n-len(excl)} of a with the (1-based) indices in excl
     removed.
 
-    The caller passes at most two indices, distinct and in range; nothing
+    The caller passes one or two indices, distinct and in range; nothing
     checks them.  They are deleted by position, the larger first, so the
     reduced vector keeps the order of a and every entry equals what
-    elem_sym_all gives on that reduced list.  An empty exclusion set
-    reduces to elem_sym_all(a).
+    elem_sym_all gives on that reduced list.
     """
     kept = list(a)
     for i in sorted(excl, reverse=True):
@@ -218,27 +218,18 @@ def product_decomposition(j: int, k: int, n: int) -> tuple:
     return tuple(terms)
 
 
-class NewtonReport(NamedTuple):
-    """Per-index margins of Newton's inequality and an overall pass flag."""
-    margins: dict
-    passed: bool
-
-
-def newton_check(sig: Sequence) -> NewtonReport:
-    """Margins sigma_k^2 - sigma_{k-1} sigma_{k+1} for k = 1 .. n-1 of the
-    sigma row sig = elem_sym_all(a) of a vector a of length n.
+def newton_check(sig: Sequence) -> list:
+    """Margins sigma_k^2 - sigma_{k-1} sigma_{k+1} for k = 1 .. n-1, in
+    order, of the sigma row sig = elem_sym_all(a) of a vector a of length n.
 
     Newton's inequality makes every margin nonnegative for real entries;
-    n = 1 passes vacuously.  The margins keep the row's scalar type.  Each
+    n = 1 gives no margin.  The margins keep the row's scalar type.  Each
     margin k has degree 2k, so the row of the integer vector p = D*a of a
     rational vector a gives D**(2k) times a's margins as ints: the same
-    signs, hence the same flag, with no Fraction built.
+    signs, with no Fraction built.
     """
-    margins = {}
-    for k in range(1, len(sig) - 1):
-        margins[k] = sig[k] * sig[k] - sig[k - 1] * sig[k + 1]
-    passed = all(v >= 0 for v in margins.values())
-    return NewtonReport(margins, passed)
+    return [sig[k] * sig[k] - sig[k - 1] * sig[k + 1]
+            for k in range(1, len(sig) - 1)]
 
 
 def elem_sym_stack(lam: np.ndarray) -> np.ndarray:

@@ -64,10 +64,10 @@ def test_criterion_1_exact_identity_suite():
         n = 3 + t % 6
         vec = [Fraction(p, q)
                for p, q in oracles.rational_vector(rng, n)]
-        # ray wronskian: product route vs all-positive closed form
-        prod = phasepoly.ray_wronskian(vec, mode="product")
-        closed = phasepoly.ray_wronskian(vec, mode="closed_form")
-        if prod != closed:
+        # ray wronskian: product of the alternating parts vs the
+        # all-positive closed form
+        x, y, xw, yw = phasepoly.alternating_parts(vec)
+        if x * yw - y * xw != phasepoly.ray_wronskian(vec):
             bad.append(("wronskian", vec))
         # sigma_j sigma_k decompositions recombine exactly
         table = symfun.gen_sym_table(vec)
@@ -107,10 +107,11 @@ def test_criterion_1_exact_identity_suite():
 def test_criterion_2_closed_form_values():
     bad = []
     for n in range(3, 13):
-        val = phasepoly.ray_wronskian([1] * n, mode="closed_form")
+        val = phasepoly.ray_wronskian([1] * n)
         if val != n * 2 ** (n - 1):
             bad.append(("wronskian_unit", n, val))
-        if phasepoly.ray_wronskian([1] * n, mode="product") != val:
+        x, y, xw, yw = phasepoly.alternating_parts([1] * n)
+        if x * yw - y * xw != val:
             bad.append(("wronskian_unit_product", n))
     for n in range(3, 7):
         for theta in ((n - 2) * math.pi / 2, (n - 1) * math.pi / 2):

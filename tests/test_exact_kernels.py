@@ -44,13 +44,18 @@ floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
 float_vectors = st.lists(floats, max_size=12)
 
 # inputs the triangular loops could get wrong if they skipped an addition
-# to a zero: signed zeros, negative entries, the shortest vectors, a numpy
-# array, and exact vectors that lead with an int
+# to a zero: signed zeros, negative entries, the shortest vectors, numpy
+# arrays, and exact vectors that lead with an int.  The longer ones reach
+# every sign of k mod 4 in alternating_parts' one pass over the row
 FLOAT_EXAMPLES = ([-0.0, 0.0, -1.5], [0.0, -2.0], [-0.0], [-1.0, -2.5, -3.0],
-                  [], [2.5], np.array([-0.0, 1.5, -2.0, 0.0]))
+                  [], [2.5], np.array([-0.0, 1.5, -2.0, 0.0]),
+                  [-0.0, -0.0, -0.0, -0.0, 0.0], [0.0, -0.0, 1.0, -0.0],
+                  np.array([1.5, -0.0, 2.0, -3.25, 0.5]))
 EXACT_EXAMPLES = ([2, Fraction(-1, 3), 0, -5], [0, Fraction(-7, 4)],
                   [Fraction(-3, 2), -1, Fraction(-7, 4)], [-4, -1, -2], [],
-                  [Fraction(-1, 2)], [3])
+                  [Fraction(-1, 2)], [3],
+                  [3, Fraction(-2, 5), 1, Fraction(7, 3), -2],
+                  [1, 2, 3, 4, 5, 6])
 
 
 def with_examples(cases):
@@ -89,6 +94,8 @@ def plain_gen_table(a):
 
 
 def plain_parts(sig):
+    # two plain loops, signs as (-1)**j: the oracle of alternating_parts'
+    # one pass
     x = y = xw = yw = 0
     for k in range(len(sig)):
         j, odd = divmod(k, 2)
@@ -102,7 +109,7 @@ def plain_parts(sig):
             yw = yw + (-1) ** j * k * sig[k]
         else:
             xw = xw + (-1) ** j * k * sig[k]
-    return (x, y), (xw, yw)
+    return x, y, xw, yw
 
 
 def same(got, want):
@@ -138,7 +145,6 @@ def test_sigma_row_matches_plain_fraction_recurrence(a):
 @with_examples(EXACT_EXAMPLES)
 def test_exclusion_rows_match_plain_fraction_recurrence(a):
     n = len(a)
-    same(symfun.elem_sym_excl_all(a), plain_sigma(a))
     for i in range(1, n + 1):
         same(symfun.elem_sym_excl_all(a, (i,)), plain_sigma(without(a, {i})))
     for i, j in combinations(range(1, n + 1), 2):
@@ -180,17 +186,15 @@ def test_gen_sym_table_matches_plain_fraction_recurrence(a):
 @given(exact_vectors)
 @with_examples(EXACT_EXAMPLES)
 def test_phase_parts_and_wronskians_match_plain_recurrence(a):
-    sig = plain_sigma(a)
-    parts, weighted = plain_parts(sig)
+    parts = plain_parts(plain_sigma(a))
     same(phasepoly.alternating_parts(a), parts)
-    same(phasepoly.alternating_parts_weighted(a), weighted)
-    (x, y), (xw, yw) = parts, weighted
-    same(phasepoly.ray_wronskian(a, mode="product"), x * yw - y * xw)
+    x, y, xw, yw = parts
     table = plain_gen_table(a)
     closed = 0
     for p in range(len(a)):
         closed = closed + table[p + 1][p]
-    same(phasepoly.ray_wronskian(a, mode="closed_form"), closed)
+    same(phasepoly.ray_wronskian(a), closed)
+    # the product of the parts, as verify forms it, is the closed form
     assert x * yw - y * xw == closed
 
 
@@ -198,20 +202,16 @@ def test_phase_parts_and_wronskians_match_plain_recurrence(a):
 @given(exact_vectors)
 def test_newton_margins_match_plain_recurrence(a):
     sig = plain_sigma(a)
-    margins = {k: sig[k] * sig[k] - sig[k - 1] * sig[k + 1]
-               for k in range(1, len(a))}
-    report = symfun.newton_check(symfun.elem_sym_all(a))
-    same(report.margins, margins)
-    assert report.passed == all(v >= 0 for v in margins.values())
+    margins = [sig[k] * sig[k] - sig[k - 1] * sig[k + 1]
+               for k in range(1, len(a))]
+    same(symfun.newton_check(symfun.elem_sym_all(a)), margins)
     # on the integer numerators p = D*a margin k is the int D**(2k) times
-    # a's, so the flag is the same
+    # a's, so every sign is the same
     cleared = oracles.clear_denominators(a)
     if cleared is not None:
         p, d = cleared
-        scaled = symfun.newton_check(symfun.elem_sym_all(p))
-        same(scaled.margins, {k: int(v * d ** (2 * k))
-                              for k, v in margins.items()})
-        assert scaled.passed == report.passed
+        same(symfun.newton_check(symfun.elem_sym_all(p)),
+             [int(v * d ** (2 * k)) for k, v in enumerate(margins, 1)])
 
 
 @SETTINGS
@@ -239,18 +239,14 @@ def test_float_and_numpy_input_keep_the_plain_loop(a):
     for vec in (a, arr):
         same(symfun.elem_sym_all(vec), plain_sigma(vec))
         same(symfun.gen_sym_table(vec), plain_gen_table(vec))
-        parts, weighted = plain_parts(plain_sigma(vec))
-        same(phasepoly.alternating_parts(vec), parts)
-        same(phasepoly.alternating_parts_weighted(vec), weighted)
-        (x, y), (xw, yw) = parts, weighted
-        same(phasepoly.ray_wronskian(vec, mode="product"), x * yw - y * xw)
+        same(phasepoly.alternating_parts(vec), plain_parts(plain_sigma(vec)))
         # the closed form runs on the band of the table: its sub-diagonal
         # summed in order, bit for bit
         table = plain_gen_table(vec)
         closed = 0
         for p in range(len(vec)):
             closed = closed + table[p + 1][p]
-        same(phasepoly.ray_wronskian(vec, mode="closed_form"), closed)
+        same(phasepoly.ray_wronskian(vec), closed)
         for i in range(1, len(vec) + 1):
             same(symfun.elem_sym_excl_all(vec, (i,)),
                  plain_sigma(without(vec, {i})))

@@ -57,15 +57,16 @@ def test_phase_converts_each_entry_as_float_does():
 
 
 def test_alternating_parts_known_values():
-    assert phasepoly.alternating_parts([0.0] * 5) == (1.0, 0.0)
-    assert phasepoly.alternating_parts([1] * 4) == (-4, 0)
-    assert phasepoly.alternating_parts([1, 0, 0, 0, 0]) == (1, 1)
+    assert phasepoly.alternating_parts([0.0] * 5) == (1.0, 0.0, 0.0, 0.0)
+    assert phasepoly.alternating_parts([1] * 4) == (-4, 0, -8, -8)
+    assert phasepoly.alternating_parts([1, 0, 0, 0, 0]) == (1, 1, 0, 1)
 
 
 def test_alternating_parts_weighted_known_values():
-    assert phasepoly.alternating_parts_weighted([0.0] * 4) == (0.0, 0.0)
-    assert phasepoly.alternating_parts_weighted([1] * 3) == (-6, 0)
-    assert phasepoly.alternating_parts_weighted([1, 0, 0, 0]) == (0, 1)
+    # the weighted pair (Xw, Yw), the last two parts
+    assert phasepoly.alternating_parts([0.0] * 4)[2:] == (0.0, 0.0)
+    assert phasepoly.alternating_parts([1] * 3)[2:] == (-6, 0)
+    assert phasepoly.alternating_parts([1, 0, 0, 0])[2:] == (0, 1)
 
 
 def test_parts_match_complex_product_oracle():
@@ -76,7 +77,7 @@ def test_parts_match_complex_product_oracle():
         prod = complex(1.0)
         for v in lam:
             prod *= 1.0 + 1j * v
-        x, y = phasepoly.alternating_parts(lam.tolist())
+        x, y, _xw, _yw = phasepoly.alternating_parts(lam.tolist())
         assert x == pytest.approx(prod.real, rel=1e-10, abs=1e-10)
         assert y == pytest.approx(prod.imag, rel=1e-10, abs=1e-10)
 
@@ -91,11 +92,11 @@ def test_weighted_parts_are_ray_derivatives():
         lam = rng.standard_normal(n)
 
         def parts(t):
-            return phasepoly.alternating_parts((t * lam).tolist())
+            return phasepoly.alternating_parts((t * lam).tolist())[:2]
 
         xp, yp = parts(1.0 + h)
         xm, ym = parts(1.0 - h)
-        xhat, yhat = phasepoly.alternating_parts_weighted(lam.tolist())
+        _x, _y, xhat, yhat = phasepoly.alternating_parts(lam.tolist())
         assert xhat == pytest.approx((xp - xm) / (2 * h), rel=1e-6, abs=1e-4)
         assert yhat == pytest.approx((yp - ym) / (2 * h), rel=1e-6, abs=1e-4)
 
@@ -105,7 +106,7 @@ def test_tangent_ratio_and_sign_lemma_sampled():
     for _ in range(300):
         n = int(rng.integers(3, 9))
         lam = rng.standard_normal(n) * 2.0
-        x, y = phasepoly.alternating_parts(lam.tolist())
+        x, y, _xw, _yw = phasepoly.alternating_parts(lam.tolist())
         h = phasepoly.phase(lam)
         if abs(x) > 1e-6 and abs(math.cos(h)) > 1e-6:
             assert y / x == pytest.approx(math.tan(h), rel=1e-10, abs=1e-10)
@@ -132,7 +133,7 @@ def test_phase_coeffs_reproduce_level_combination():
         theta = float(rng.uniform(-0.49, 0.49)) * n * math.pi
         spec = phasepoly.PhaseSpec(n, theta)
         lam = rng.standard_normal(n) * 2.0
-        x, y = phasepoly.alternating_parts(lam.tolist())
+        x, y, _xw, _yw = phasepoly.alternating_parts(lam.tolist())
         z = oracles.level_value(spec, lam)
         assert z == pytest.approx(math.cos(theta) * y - math.sin(theta) * x,
                                   rel=1e-10, abs=1e-10)
@@ -152,7 +153,8 @@ def test_level_value_zero_on_level_set():
             theta = frac * n * math.pi / 2
             spec = phasepoly.PhaseSpec(n, theta)
             lam = np.full(n, math.tan(theta / n))
-            scale = math.hypot(*phasepoly.alternating_parts(lam.tolist()))
+            x, y, _xw, _yw = phasepoly.alternating_parts(lam.tolist())
+            scale = math.hypot(x, y)
             assert abs(oracles.level_value(spec, lam)) < 1e-12 * scale
 
 
@@ -193,23 +195,28 @@ def test_sign_dichotomy_bands():
             count += 1
 
 
+def parts_product(lam):
+    # X*Yw - Y*Xw, the Wronskian as verify forms it from the parts
+    x, y, xw, yw = phasepoly.alternating_parts(lam)
+    return x * yw - y * xw
+
+
 def test_ray_wronskian_all_ones():
     for n in range(3, 13):
-        assert phasepoly.ray_wronskian([1] * n,
-                                       mode="closed_form") == n * 2 ** (n - 1)
-        assert phasepoly.ray_wronskian([1] * n,
-                                       mode="product") == n * 2 ** (n - 1)
-    assert phasepoly.ray_wronskian([1, 0, 0, 0], mode="product") == 1
+        assert phasepoly.ray_wronskian([1] * n) == n * 2 ** (n - 1)
+        assert parts_product([1] * n) == n * 2 ** (n - 1)
+    assert phasepoly.ray_wronskian([1, 0, 0, 0]) == 1
+    assert parts_product([1, 0, 0, 0]) == 1
 
 
 def test_ray_wronskian_modes_agree_exactly():
+    # the closed form against the product of the alternating parts
     rng = np.random.default_rng(37)
     for _ in range(120):
         n = int(rng.integers(3, 9))
         vals = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
                 for _ in range(n)]
-        assert phasepoly.ray_wronskian(vals, mode="product") == \
-            phasepoly.ray_wronskian(vals, mode="closed_form")
+        assert parts_product(vals) == phasepoly.ray_wronskian(vals)
 
 
 def test_ray_wronskian_positive_on_positive_cone():
@@ -217,8 +224,7 @@ def test_ray_wronskian_positive_on_positive_cone():
     for _ in range(100):
         n = int(rng.integers(3, 9))
         vals = np.exp(rng.standard_normal(n))
-        assert phasepoly.ray_wronskian(vals.tolist(),
-                                       mode="closed_form") > 0.0
+        assert phasepoly.ray_wronskian(vals.tolist()) > 0.0
 
 
 def test_ray_degree_known_values():

@@ -138,19 +138,15 @@ def test_int_rows_match_the_fraction_route(pairs):
 
 def _lying_wronskian(monkeypatch):
     real = phasepoly.ray_wronskian
-
-    def lying(values, mode="product"):
-        out = real(values, mode=mode)
-        return out + 1 if mode == "product" else out
-
-    monkeypatch.setattr(cli.phasepoly, "ray_wronskian", lying)
+    monkeypatch.setattr(cli.phasepoly, "ray_wronskian",
+                        lambda values: real(values) + 1)
 
 
 def _lying_sigma_1_excl_1(shift):
     def inject(monkeypatch):
         real = symfun.elem_sym_excl_all
 
-        def lying(values, excl=()):
+        def lying(values, excl):
             row = real(values, excl)
             if tuple(excl) == (1,):
                 row[1] = row[1] + shift
@@ -176,7 +172,7 @@ def _lying_gen_sym_table(monkeypatch):
 # fault -> (injection, the three suites that must fail under it)
 FAULTS = {
     "none": (lambda monkeypatch: None, set()),
-    "wronskian_product": (_lying_wronskian, set()),
+    "wronskian_closed_form": (_lying_wronskian, set()),
     "sigma_1_excl_1_plus_1": (_lying_sigma_1_excl_1(1),
                               {"sigma_recurrences",
                                "pair_exclusion_difference"}),

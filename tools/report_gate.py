@@ -280,6 +280,12 @@ EDGE_CASES = [
     *((f"iso critical n={n} beta=1e6", (), (
         "solve", "--family", "iso", "--n", str(n), "--theta", "critical",
         "--beta", "1e6", "--grid", "4")) for n in (48, 64, 153)),
+    # beta = 1e6 with --rmax 1e100: valid input that exits 1, because the
+    # route gate is absolute in psi (ROADMAP item 3, the route gap in log
+    # x); that fix shows here as an exit-code move
+    *((f"iso critical n={n} beta=1e6 rmax=1e100", (), (
+        "solve", "--family", "iso", "--n", str(n), "--theta", "critical",
+        "--beta", "1e6", "--rmax", "1e100", "--grid", "4")) for n in (3, 12)),
     # solve inverts the table once, on the sample radii, the shells and
     # (gamma, 10 gamma) together: shells and tail radii all beyond the
     # trajectory, 3 of the 8 shells past the table; and beta - 1 = 1e-6,
