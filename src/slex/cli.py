@@ -61,9 +61,7 @@ homogeneous: the product of p's alternating parts and its closed form are
 compared on p itself, a positive vector like a.  No Fraction is built.
 """
 
-from __future__ import annotations
-
-import json
+import gc
 import math
 import operator
 import os
@@ -74,8 +72,10 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-# numpy loads its random package lazily; verify's generator would pay that
-# one-time import inside the command's run time
+# numpy loads its random package lazily, and only verify draws from it.
+# The import stays eager, at import time, for every command: the benchmark
+# counts import and main apart, and a lazy import would move its cost into
+# verify's run time (ROADMAP items 4 and 11)
 import numpy.random  # noqa: F401
 
 from . import phasepoly, radial, subsol, symfun, weights
@@ -97,14 +97,15 @@ def _verdict(report: dict) -> str:
 def _json_text(value) -> str:
     """value as json.dumps(value, indent=2, sort_keys=True) writes it.
 
-    Byte for byte: dict keys in sorted order; keys and strings through the
-    stdlib's ASCII escaper, which raises TypeError on a non-str key; ints
-    and floats (float subclasses such as np.float64 included) through
-    int.__repr__ and float.__repr__, with NaN/Infinity/-Infinity for the
-    non-finite floats as the stdlib writes them.  Anything else raises
-    TypeError.  A list or tuple of finite exact floats is one join, one of
-    plain dicts with one str key set and finite exact float values (the
-    scan rows) fills one row template (_json_flat); any other recurses.
+    Byte for byte: dict keys in sorted order; keys and strings through
+    _json_str, the stdlib's ASCII escaper to the byte, which raises
+    TypeError on a non-str key; ints and floats (float subclasses such as
+    np.float64 included) through int.__repr__ and float.__repr__, with
+    NaN/Infinity/-Infinity for the non-finite floats as the stdlib writes
+    them.  Anything else raises TypeError.  A list or tuple of finite
+    exact floats is one join, one of plain dicts with one str key set and
+    finite exact float values (the scan rows) fills one row template
+    (_json_flat); any other recurses.
     """
     parts = []
     _json_parts(value, "\n", parts.append)
@@ -189,7 +190,35 @@ def _json_flat(items, inner: str) -> Optional[str]:
 # float.__repr__ spells the non-finite floats as Python literals; JSON text
 # takes the stdlib's spelling
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_json_str = json.encoder.encode_basestring_ascii
+
+
+class _Escapes(dict):
+    """str.translate's table for _json_str: the ASCII escapes it holds,
+    and beyond them \\uXXXX for a code point of the BMP, lone surrogates
+    included, and the \\uXXXX\\uXXXX surrogate pair for one above it."""
+
+    def __missing__(self, code):
+        if code < 0x10000:
+            return f"\\u{code:04x}"
+        code -= 0x10000
+        return f"\\u{0xd800 | code >> 10:04x}\\u{0xdc00 | code & 0x3ff:04x}"
+
+
+# printable ASCII stands for itself, but for the quote and the backslash
+_ESCAPES = _Escapes({code: chr(code) if 0x20 <= code < 0x7f
+                     else f"\\u{code:04x}" for code in range(0x80)})
+_ESCAPES.update({ord(ch): "\\" + esc
+                 for ch, esc in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
+
+
+def _json_str(s: str) -> str:
+    """s as a JSON string, byte for byte the stdlib's
+    json.encoder.encode_basestring_ascii: quoted, printable ASCII as it
+    is but for the quote and the backslash, every other code point
+    escaped.  A non-str raises TypeError, from str.isascii."""
+    if str.isascii(s) and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    return '"' + s.translate(_ESCAPES) + '"'
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -862,6 +891,12 @@ def main(argv=None) -> int:
         return 2
     return 0 if report["passed"] else 1
 
+
+# What the import made lives as long as a command's process.  Frozen into
+# the collector's permanent generation, it is traversed by no later
+# collection, in the command's run or at exit, wherever the import left
+# the generation counts
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

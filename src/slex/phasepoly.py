@@ -30,10 +30,7 @@ them without computing any; a root finder lives with the tests, as the
 reference of the acceptance criteria (tests/oracles.py).
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -46,21 +43,32 @@ LEVEL_TOL = 1e-10
 _CRITICAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class PhaseSpec:
     """Dimension and phase angle, with criticality classification.
 
     Requires n >= 3 and |theta| < n*pi/2.  The angle is critical when
     |theta| equals (n-2)*pi/2 (within 1e-12), supercritical beyond that.
+    Two specs are equal, and hash alike, when their n and theta are.
     """
-    n: int
-    theta: float
 
-    def __post_init__(self):
-        if self.n < 3:
+    def __init__(self, n: int, theta: float):
+        if n < 3:
             raise ValueError("dimension must be at least 3")
-        if not (-self.n * math.pi / 2 < self.theta < self.n * math.pi / 2):
+        if not (-n * math.pi / 2 < theta < n * math.pi / 2):
             raise ValueError("theta must lie strictly inside (-n*pi/2, n*pi/2)")
+        self.n = n
+        self.theta = theta
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.theta) == (other.n, other.theta)
+
+    def __hash__(self):
+        return hash((self.n, self.theta))
+
+    def __repr__(self):
+        return f"PhaseSpec(n={self.n!r}, theta={self.theta!r})"
 
     @property
     def critical_angle(self) -> float:

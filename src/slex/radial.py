@@ -83,33 +83,90 @@ with no cutoff in r: below the table the integrand is C^(2/m) t^(-2/m)/m
 to rounding, integrated in closed form.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import legendre
 
 from .weights import WeightProfile
 
 BETA_CAP = 1.0e6
 # the first integral's table: 16-point Gauss-Legendre panels of width 1 in
-# u = log(psi - 1), down past u = log(2^-64)
-_GL_X, _GL_W = legendre.leggauss(16)
+# u = log(psi - 1), down past u = log(2^-64).  The nodes and weights are
+# numpy.polynomial.legendre.leggauss(16) to the bit
+_GL_X = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+    -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+    -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+    0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+    0.9894009349916499])
+_GL_W = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+    0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+    0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+    0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+    0.027152459411754176])
 _PANEL = 1.0
 _U_FLOOR = -64.0 * math.log(2.0)
+
+
+def _legval(x, c):
+    """sum_k c[k] P_k(x) down the first axis of c (len(c) >= 3), x
+    broadcast over the rest: numpy's legval(x, c, tensor=False), by its
+    Clenshaw recurrence with its operations in its order, so the bits are
+    numpy's."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = (c[nd - 2] - c1 * ((nd - 1) / nd),
+                  c0 + c1 * x * ((2 * nd - 1) / nd))
+    return c0 + c1 * x
+
+
+def _legvander(x: np.ndarray, deg: int) -> np.ndarray:
+    """V[i, k] = P_k(x[i]), k = 0..deg >= 1, for a 1-d float x: numpy's
+    legvander by its forward recurrence, in its order and its memory
+    layout (the transpose of a (deg + 1, x.size) array)."""
+    x = x + 0.0
+    v = np.empty((deg + 1, x.size))
+    v[0] = x * 0 + 1
+    v[1] = x
+    for i in range(2, deg + 1):
+        v[i] = (v[i - 1] * x * (2 * i - 1) - v[i - 2] * (i - 1)) / i
+    return v.T
+
+
+def _legint(c: np.ndarray, scl: float) -> np.ndarray:
+    """Along axis 1 of a 2-d float c (3 or more columns), the Legendre
+    coefficients of scl times the integral from 1 of the series c: numpy's
+    legint(c, lbnd=1, scl=scl, axis=1), by its operations in its order and
+    in its memory layout."""
+    c = c.T * scl
+    n = len(c)
+    out = np.empty((n + 1, c.shape[1]))
+    out[0] = c[0] * 0
+    out[1] = c[0]
+    out[2] = c[1] / 3
+    for j in range(2, n):
+        t = c[j] / (2 * j + 1)
+        out[j + 1] = t
+        out[j - 1] -= t
+    # numpy's integration constant: k = 0 minus the series at the bound
+    out[0] += 0 - _legval(1, out)
+    return out.T
+
+
 # a panel's knots in its coordinate s: the lower edge, then the nodes
 _KNOT_S = np.append(-1.0, _GL_X)
 # node values @ _ANTIDERIVATIVE: the Legendre coefficients in s of
 # int_s^1 of the panel's degree-15 interpolant, in u (the rule is exact on
 # the products P_j P_k, so weights give the interpolant's coefficients);
 # node values @ _AT_KNOTS: that integral at each knot, s = -1 first
-_ANTIDERIVATIVE = legendre.legint(
-    legendre.legvander(_GL_X, 15) * _GL_W[:, None] * (np.arange(16) + 0.5),
-    lbnd=1, scl=-0.5 * _PANEL, axis=1)
-_AT_KNOTS = _ANTIDERIVATIVE @ legendre.legvander(_KNOT_S, 16).T
+_ANTIDERIVATIVE = _legint(
+    _legvander(_GL_X, 15) * _GL_W[:, None] * (np.arange(16) + 0.5),
+    -0.5 * _PANEL)
+_AT_KNOTS = _ANTIDERIVATIVE @ _legvander(_KNOT_S, 16).T
 # Newton from the secant between two knots: on iso, random and eps-family
 # points (n = 3..150, beta up to 1e6) the second step moves u by at most
 # 2e-7 and the third by rounding only; the third must stay below this
@@ -254,10 +311,9 @@ def _dormand_prince(f: Callable[[float], float], y0: float, s_out: list,
     return ys
 
 
-@dataclass(frozen=True, eq=False)
-class FirstIntegral:
+class FirstIntegral(NamedTuple):
     """The first integral of one problem, bound to beta, that every route
-    reuses.
+    reuses; first_integral builds it, table included.
 
     prof is the problem's WeightProfile, the one classify built, shared
     and not copied: the phase spec, the sorted vector a and the exponent
@@ -265,47 +321,26 @@ class FirstIntegral:
     e_coeffs are the ascending coefficients of D, N and E in the excess
     x = psi - 1, as Python floats rounded once from the exact shift
     (first_integral): the only copy of the slope field.  beta = psi(1) is
-    taken as solve checked it, 1 <= beta <= BETA_CAP, and binding it,
-    dataclasses.replace(pf, beta=b) included, builds the Gauss-Legendre
-    table of log r over u = log x and log_amplitude, log C of the tail law
-    psi - 1 ~ C r^(-m) (-inf at beta = 1).
+    taken as solve checked it, 1 <= beta <= BETA_CAP, and binding it
+    builds the Gauss-Legendre table of log r over u = log x and
+    log_amplitude, log C of the tail law psi - 1 ~ C r^(-m) (-inf at
+    beta = 1, where there is no table).  To bind another beta, call
+    first_integral again.
     """
     prof: WeightProfile
     d_coeffs: tuple
     n_coeffs: tuple
     e_coeffs: tuple
     beta: float
-    log_amplitude: float = field(init=False)
+    log_amplitude: float
     # the table: its knots in u, ascending (each panel's lower edge and
     # its 16 nodes, then the top log(beta - 1)), the integral of E/D from
     # each knot to beta - 1, log r at each knot, and each panel's
     # antiderivative row of x E/D (see _ANTIDERIVATIVE)
-    _knots: np.ndarray = field(init=False, repr=False)
-    _gap: np.ndarray = field(init=False, repr=False)
-    _knot_log_r: np.ndarray = field(init=False, repr=False)
-    _rows: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        beta = self.beta
-        if beta == 1.0:
-            object.__setattr__(self, "log_amplitude", -math.inf)
-            return
-        top = math.log(beta - 1.0)
-        panels = math.ceil((top - _U_FLOOR) / _PANEL)
-        knots = (top - _PANEL * np.arange(panels, 0, -1.0))[:, None] + (
-            0.5 * _PANEL * (1.0 + _KNOT_S))
-        f = _ratio(self.e_coeffs, self.d_coeffs, np.exp(knots[:, 1:]))
-        # from each knot to its panel's top, plus from there to the top
-        within = f @ _AT_KNOTS
-        above = np.cumsum(within[::-1, 0])[::-1]
-        gap = np.append((within + np.append(above[1:], 0.0)[:, None]).ravel(),
-                        0.0)
-        knots = np.append(knots.ravel(), top)
-        for name, value in (("log_amplitude", top + float(above[0])),
-                            ("_knots", knots), ("_gap", gap),
-                            ("_knot_log_r", (top - knots + gap) / self.prof.m),
-                            ("_rows", f @ _ANTIDERIVATIVE)):
-            object.__setattr__(self, name, value)
+    knots: Optional[np.ndarray] = None
+    gap: Optional[np.ndarray] = None
+    knot_log_r: Optional[np.ndarray] = None
+    rows: Optional[np.ndarray] = None
 
     def slope(self, x) -> np.ndarray:
         """g(1 + x) = -x D(x)/N(x) at every excess x >= 0 of x, same shape:
@@ -345,7 +380,7 @@ def invert(pf: FirstIntegral, *radii) -> tuple:
     if pf.beta == 1.0:
         u, p = np.full_like(r, -math.inf), np.full(r.shape, -1)
     else:
-        knots, gap, knot_log_r = pf._knots, pf._gap, pf._knot_log_r
+        knots, gap, knot_log_r = pf.knots, pf.gap, pf.knot_log_r
         top = knots[-1]
         # knots j and j + 1, on panel j // 17, bracket log r
         j = np.searchsorted(-knot_log_r, -log_r, side="right") - 1
@@ -355,11 +390,10 @@ def invert(pf: FirstIntegral, *radii) -> tuple:
         l_lo, l_hi = knot_log_r[j], knot_log_r[j + 1]
         u = lo + (hi - lo) * np.minimum((l_lo - log_r) / (l_lo - l_hi), 1.0)
         p = j // 17
-        edge, above, rows = knots[17 * p], gap[17 * p + 17], pf._rows[p].T
+        edge, above, rows = knots[17 * p], gap[17 * p + 17], pf.rows[p].T
         for _ in range(_NEWTON_STEPS):
             s = 2.0 * (u - edge) / _PANEL - 1.0
-            resid = (top - u + above + legendre.legval(s, rows, tensor=False)
-                     ) / m - log_r
+            resid = (top - u + above + _legval(s, rows)) / m - log_r
             # d(log r)/du = -N/D
             new = np.minimum(np.maximum(
                 u + resid / _ratio(pf.n_coeffs, pf.d_coeffs, np.exp(u)),
@@ -397,7 +431,8 @@ def first_integral(prof: WeightProfile, beta: float) -> FirstIntegral:
     ("slope-field denominator not certified positive"), so the Horner
     sums of D and N add positive terms.  And m N(0) must equal D(0) to
     1e-10 relative, compared in ints, as m is a rounded float ("residue
-    at 1 disagrees with 1/m").  Then beta is bound.
+    at 1 disagrees with 1/m").  Then beta is bound: log C and the table
+    (FirstIntegral), none at beta = 1.
     """
     num, den = _slope_pair(prof)
     ratios = [c.as_integer_ratio() for c in den + num]
@@ -416,30 +451,38 @@ def first_integral(prof: WeightProfile, beta: float) -> FirstIntegral:
     residue, *e = [p * a - q * b for a, b in zip(n, d)]
     if 10 ** 10 * abs(residue) > q * d[0]:
         raise ValueError("residue at 1 disagrees with 1/m")
-    return FirstIntegral(prof=prof, d_coeffs=d_coeffs, n_coeffs=n_coeffs,
-                         e_coeffs=tuple(c / (q << k) for c in e), beta=beta)
+    e_coeffs = tuple(c / (q << k) for c in e)
+    if beta == 1.0:
+        return FirstIntegral(prof, d_coeffs, n_coeffs, e_coeffs, beta,
+                             -math.inf)
+    top = math.log(beta - 1.0)
+    panels = math.ceil((top - _U_FLOOR) / _PANEL)
+    knots = (top - _PANEL * np.arange(panels, 0, -1.0))[:, None] + (
+        0.5 * _PANEL * (1.0 + _KNOT_S))
+    f = _ratio(e_coeffs, d_coeffs, np.exp(knots[:, 1:]))
+    # from each knot to its panel's top, plus from there to the top
+    within = f @ _AT_KNOTS
+    above = np.cumsum(within[::-1, 0])[::-1]
+    gap = np.append((within + np.append(above[1:], 0.0)[:, None]).ravel(),
+                    0.0)
+    knots = np.append(knots.ravel(), top)
+    return FirstIntegral(prof, d_coeffs, n_coeffs, e_coeffs, beta,
+                         top + float(above[0]), knots, gap,
+                         (top - knots + gap) / prof.m, f @ _ANTIDERIVATIVE)
 
 
-@dataclass(frozen=True, eq=False)
-class ProfileSolution:
+class ProfileSolution(NamedTuple):
     """A sampled trajectory of the profile.
 
     r is increasing from 1; psi = 1 + excess is nonincreasing with
     1 <= psi <= beta; excess carries the tail at full precision where psi
-    itself would round to 1.
+    itself would round to 1.  solve_profile checks the excess before it
+    builds one.
     """
     beta: float
     r: np.ndarray
     psi: np.ndarray
     excess: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.excess < 0.0):
-            raise ValueError("profile fell below the barrier psi = 1")
-        if np.any(self.excess > (self.beta - 1.0) * (1.0 + 1e-9) + 1e-12):
-            raise ValueError("profile exceeded its initial value beta")
-        if np.any(np.diff(self.excess) > 1e-9 * self.excess[:-1] + 1e-300):
-            raise ValueError("profile is not nonincreasing")
 
 
 def solve_profile(pf: FirstIntegral, samples,
@@ -453,7 +496,9 @@ def solve_profile(pf: FirstIntegral, samples,
     variables the slope is smooth and O(1), so the route stays accurate
     down to excesses far below 1e-16 without tiny steps.  route="implicit"
     takes the radii's Inversion (invert) and reads its excess.  Any other
-    route is the numeric one.
+    route is the numeric one.  Either route's excess must be nonnegative,
+    at most beta - 1 and nonincreasing, to 1e-9 relative (ValueError
+    otherwise).
     """
     if route == "implicit":
         rs, excess = samples.r, samples.excess
@@ -485,8 +530,13 @@ def solve_profile(pf: FirstIntegral, samples,
         excess = np.exp(_dormand_prince(rhs, math.log(pf.beta - 1.0),
                                         np.log(rs).tolist(), _PROFILE_TOL,
                                         0.1 * _PROFILE_TOL))
-    return ProfileSolution(beta=pf.beta, r=rs, psi=1.0 + excess,
-                           excess=excess)
+    if np.any(excess < 0.0):
+        raise ValueError("profile fell below the barrier psi = 1")
+    if np.any(excess > (pf.beta - 1.0) * (1.0 + 1e-9) + 1e-12):
+        raise ValueError("profile exceeded its initial value beta")
+    if np.any(np.diff(excess) > 1e-9 * excess[:-1] + 1e-300):
+        raise ValueError("profile is not nonincreasing")
+    return ProfileSolution(pf.beta, rs, 1.0 + excess, excess)
 
 
 def tail_integral(pf: FirstIntegral, at: Inversion) -> tuple:
@@ -517,9 +567,9 @@ def tail_integral(pf: FirstIntegral, at: Inversion) -> tuple:
         return np.exp(((2.0 * log_amp + m_2 * u) / m) - math.log(m_2))
 
     # r^2 (N/D) x, the integrand in u, at the nodes of every panel
-    knots = pf._knots[:-1].reshape(-1, 17)
+    knots = pf.knots[:-1].reshape(-1, 17)
     nodes = knots[:, 1:]
-    log_r = pf._knot_log_r[:-1].reshape(-1, 17)[:, 1:]
+    log_r = pf.knot_log_r[:-1].reshape(-1, 17)[:, 1:]
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.exp(2.0 * log_r + nodes) * _ratio(pf.n_coeffs, pf.d_coeffs,
                                                  np.exp(nodes))
@@ -530,8 +580,8 @@ def tail_integral(pf: FirstIntegral, at: Inversion) -> tuple:
         inside = p >= 0
         p = np.maximum(p, 0)
         s = np.where(inside, 2.0 * (u - knots[p, 0]) / _PANEL - 1.0, 1.0)
-        values = np.where(inside, upto[p] - legendre.legval(
-            s, rows[p].T, tensor=False), below(u))
+        values = np.where(inside, upto[p] - _legval(s, rows[p].T),
+                          below(u))
     if not np.all(np.isfinite(values)):
         raise RuntimeError("tail integral overflows the float range")
     return tuple(values.tolist())

@@ -41,10 +41,8 @@ A is diagonal throughout: a general symmetric A enters through its
 eigenvalues, as the problem's vector a.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +76,7 @@ def sphere_directions(n: int, count: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1)[:, None]
 
 
-@dataclass(frozen=True, eq=False)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Sampled minima of the two subsolution inequalities.
 
     min_phase_gap is the smallest H(lambda(D2Phi)) - theta over the grid,

@@ -43,8 +43,6 @@ reads, so a caller that already has it builds no second one, and returns
 the margins alone: each caller judges them by its own rule.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 from typing import Sequence

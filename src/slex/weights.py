@@ -62,12 +62,9 @@ ValueError before any chain or exponent is formed: Python floats
 overflow silently.
 """
 
-from __future__ import annotations
-
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -141,8 +138,7 @@ def _level_point(spec: PhaseSpec, a: list) -> list:
     return vals
 
 
-@dataclass(frozen=True, eq=False)
-class WeightProfile:
+class WeightProfile(NamedTuple):
     """The analysis of one supported problem (spec, a), made by classify.
 
     a is the ascending float array of the classified vector; m is the
@@ -166,8 +162,7 @@ def decay_exponent(spec: PhaseSpec, a: list) -> float:
     return _chain(spec.coeffs, _level_point(spec, a))[0]
 
 
-@dataclass(frozen=True)
-class Admissibility:
+class Admissibility(NamedTuple):
     """Classification of eigenvalue data against a phase target.
 
     klass is "admissible" (definite sign, critical or supercritical phase,
@@ -183,8 +178,7 @@ class Admissibility:
     m: Optional[float]
     near_boundary: bool = False
     reflected: bool = False
-    profile: Optional[WeightProfile] = field(default=None, compare=False,
-                                             repr=False)
+    profile: Optional[WeightProfile] = None
 
 
 def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:

@@ -7,7 +7,6 @@ package contract; none may be loosened.
 
 import math
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -179,10 +178,10 @@ def test_criterion_4_closed_form_profile():
 
     for beta in (1.5, 2.0, 10.0):
         # psi^2 = 1 + (beta^2 - 1) r^-3: the tail law's C = (beta^2 - 1)/2
-        log_amp = replace(pf, beta=beta).log_amplitude
+        log_amp = radial.first_integral(pf.prof, beta).log_amplitude
         if abs(log_amp - math.log((beta * beta - 1.0) / 2.0)) > 1e-12:
             bad.append(("log_amplitude", beta, log_amp))
-        pf_beta = replace(pf, beta=beta)
+        pf_beta = radial.first_integral(pf.prof, beta)
         rs = radial.check_rmax(1.0e4)
         for route, samples in (("numeric", rs),
                                ("implicit", radial.invert(pf_beta, rs)[0])):
@@ -270,8 +269,8 @@ def test_criterion_7_subsolution_verification():
     # (problem, gamma) of each candidate; alpha never reaches the grid
     candidates = [
         (pf3, 1.0),
-        (replace(pf3, beta=10.0), 1.0),
-        (replace(pf3, beta=2.0), 1.5),
+        (radial.first_integral(pf3.prof, 10.0), 1.0),
+        (radial.first_integral(pf3.prof, 2.0), 1.5),
         (radial.first_integral(oracles.profile(spec4, a4), 2.0), 1.0),
         (radial.first_integral(
             oracles.profile(spec5, weights.iso_point(spec5)), 3.0), 1.0),
@@ -371,7 +370,7 @@ def test_criterion_8_property_suites():
     pf3 = radial.first_integral(
         oracles.profile(phasepoly.PhaseSpec(3, math.pi / 2), iso3), 2.0)
     for beta, gamma, alpha in ((2.0, 1.0, 0.0), (10.0, 1.5, 2.0)):
-        pf = replace(pf3, beta=beta)
+        pf = radial.first_integral(pf3.prof, beta)
         mu_gamma = radial.tail_integral(pf, *radial.invert(pf, (gamma,)))[0]
         const = mu_gamma + alpha - gamma * gamma / 2.0
         for _ in range(100):

@@ -1,7 +1,6 @@
 """Tests for the command line interface: exit codes, formats, determinism."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -743,7 +742,7 @@ def test_solve_fails_a_numeric_route_off_by_1e7(tmp_path, capsys,
     def shifted(*args, **kwargs):
         sol = real(*args, **kwargs)
         if kwargs.get("route") == "numeric":
-            sol = dataclasses.replace(sol, psi=sol.psi + 1e-7)
+            sol = sol._replace(psi=sol.psi + 1e-7)
         return sol
 
     monkeypatch.setattr(radial, "solve_profile", shifted)
@@ -862,7 +861,7 @@ def test_solve_analyses_its_problem_once(tmp_path, monkeypatch, source):
     count(radial, "first_integral")
     count(radial, "check_rmax")
     count(radial, "invert")
-    count(radial.legendre, "legval")
+    count(radial, "_legval")
     count(radial, "tail_integral")
     count(subsol, "verify_subsolution")
     code, path = run(tmp_path, ["solve", *source, "--grid", "4"])
@@ -873,7 +872,7 @@ def test_solve_analyses_its_problem_once(tmp_path, monkeypatch, source):
                      "weights.phase": 1, "weights.classify": 1,
                      "phasepoly.phase": 0, "radial.first_integral": 1,
                      "radial.check_rmax": 1, "radial.invert": 1,
-                     "legendre.legval": radial._NEWTON_STEPS + 1,
+                     "radial._legval": radial._NEWTON_STEPS + 1,
                      "radial.tail_integral": 1,
                      "subsol.verify_subsolution": 1}
     adm = seen["weights.classify result"]
@@ -889,7 +888,7 @@ def test_solve_analyses_its_problem_once(tmp_path, monkeypatch, source):
     report = json.loads(path.read_text())
     assert set(report["trajectory"]["excess_implicit"]) == {0.0}
     assert report["mu"] == {"at_gamma": 0.0, "at_10gamma": 0.0}
-    assert calls["legendre.legval"] == 0
+    assert calls["radial._legval"] == 0
     assert calls["radial.check_rmax"] == calls["radial.invert"] == 1
 
 

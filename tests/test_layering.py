@@ -1,6 +1,7 @@
-"""Module hygiene of the slex package, checked with the stdlib's ast.
+"""Module hygiene of the slex package, checked with the stdlib's ast and
+one fresh import.
 
-Eight rules, for every module under src/slex:
+Nine rules, for every module under src/slex:
 
   * no module reaches into another slex module's private names, neither
     by importing one (`from .radial import _horner`) nor by reading one
@@ -23,8 +24,9 @@ Eight rules, for every module under src/slex:
   * every public method and property of a package class is read as an
     attribute somewhere in the package outside its own definition, and
     not only from members that are themselves unread.  Members are
-    matched by name, since no type is known statically.  Dataclass fields
-    are not definitions here: a field is data a report may serialize;
+    matched by name, since no type is known statically.  Class fields
+    (a NamedTuple's, or attributes set in __init__) are not definitions
+    here: a field is data a report may serialize;
   * every raise statement runs for some command line, or is on
     NUMERICAL_SAFETY with its reason.  The lines are the rows of
     CONTRACT in tools/report_gate.py, help and an --out that cannot be
@@ -34,11 +36,21 @@ Eight rules, for every module under src/slex:
     package itself passes is dead code, however careful it looks;
   * no module imports `fractions`: the exact suites of `verify` run on
     ints, drawn as int (numerator, denominator) pairs, so the package
-    needs no Fraction.
+    needs no Fraction;
+  * a fresh `import slex.cli` loads no module that no command needs in
+    that form: none of `numpy.polynomial` (the Gauss-Legendre table and
+    its Legendre sums are radial's own), `dataclasses` (the classes are
+    NamedTuples and one plain class), `json` (cli writes its reports
+    itself) or `__future__`.  Beyond numpy, `numpy.random` and the
+    package it loads only the built-in `gc`, and `statistics`, with
+    `fractions` and `decimal` behind it, for subsol's normal quantile
+    (ROADMAP item 7A).
 """
 
 import ast
 import functools
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -71,13 +83,13 @@ NUMERICAL_SAFETY = {
     ("radial", "first_integral", "residue at 1 disagrees with 1/m"):
         "the exactly shifted pair disagrees with the profile's float "
         "exponent by more than 1e-10",
-    ("radial", "ProfileSolution.__post_init__",
+    ("radial", "solve_profile",
      "profile fell below the barrier psi = 1"):
         "a route's excess turns negative",
-    ("radial", "ProfileSolution.__post_init__",
+    ("radial", "solve_profile",
      "profile exceeded its initial value beta"):
         "a route's excess grows past beta - 1",
-    ("radial", "ProfileSolution.__post_init__",
+    ("radial", "solve_profile",
      "profile is not nonincreasing"):
         "a route's excess increases with r",
     ("radial", "tail_integral", "tail integral overflows the float range"):
@@ -143,8 +155,6 @@ def unused_imports(source: str) -> list:
     lines = source.splitlines()
     bound = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 line = getattr(alias, "lineno", node.lineno)
@@ -422,6 +432,30 @@ def test_every_raise_runs_for_a_command_line(tmp_path, capsys):
     # every allowlisted site exists
     assert allowed_run == []
     assert set(NUMERICAL_SAFETY) <= keys
+
+
+# modules a fresh `import slex.cli` may load beyond numpy's: the package,
+# the interpreter's built-in gc, and subsol's statistics with what it
+# imports (ROADMAP item 7A)
+IMPORT_EXTRAS = ("slex", "gc", "statistics", "_statistics", "fractions",
+                 "decimal", "_decimal")
+# what no command needs in that form at import
+IMPORT_BANNED = ("numpy.polynomial", "dataclasses", "json", "__future__")
+
+
+def test_import_loads_only_what_the_commands_run():
+    code = ("import sys; import numpy, numpy.random; before = set(sys.modules)"
+            "; import slex.cli; print(' '.join(sorted(sys.modules)))"
+            "; print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    loaded, extra = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True).stdout.splitlines()
+    assert [name for name in loaded.split() if any(
+        name == banned or name.startswith(banned + ".")
+        for banned in IMPORT_BANNED)] == []
+    assert [name for name in extra.split()
+            if name.split(".")[0] not in IMPORT_EXTRAS] == []
 
 
 def test_checks_find_what_they_look_for():

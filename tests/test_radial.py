@@ -5,14 +5,13 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.polynomial import Polynomial
+from numpy.polynomial import Polynomial, legendre
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
@@ -108,7 +107,7 @@ def test_slope_field_denominator_guard():
     prof = oracles.profile(spec, weights.iso_point(spec))
     selected = list(prof.selected)
     selected[spec.ray_degree] *= -1.0
-    crafted = replace(prof, selected=tuple(selected))
+    crafted = prof._replace(selected=tuple(selected))
     _d, n = oracles.excess_pair(crafted)
     assert n.coef[-1] < 0.0
     with pytest.raises(ValueError, match="slope-field denominator not "
@@ -125,19 +124,19 @@ def test_partial_fractions_closed_case():
     assert np.allclose(pf.n_coeffs, [2.0 / 3.0, 2.0 / 3.0], rtol=1e-12)
     assert np.allclose(pf.e_coeffs, [1.0], rtol=1e-12)
     for beta in (1.5, 2.0, 10.0, 1e6):
-        assert replace(pf, beta=beta).log_amplitude == \
+        assert radial.first_integral(pf.prof, beta).log_amplitude == \
             pytest.approx(math.log((beta * beta - 1.0) / 2.0), abs=1e-12)
-    assert replace(pf, beta=1.0).log_amplitude == -math.inf
+    assert radial.first_integral(pf.prof, 1.0).log_amplitude == -math.inf
 
 
 def test_partial_fractions_holds_the_profile_and_copies_none_of_it():
     # the problem lives on the WeightProfile classify built; the analysis
     # refers to it and declares none of its fields again
     assert PF3.prof is PF3_PROFILE
-    assert replace(PF3, beta=3.0).prof is PF3_PROFILE
-    names = {f.name for f in fields(radial.FirstIntegral)}
+    assert radial.first_integral(PF3_PROFILE, 3.0).prof is PF3_PROFILE
+    names = set(radial.FirstIntegral._fields)
     assert "prof" in names
-    assert not names & {f.name for f in fields(weights.WeightProfile)}
+    assert not names & set(weights.WeightProfile._fields)
 
 
 def test_partial_fractions_residues_recombine():
@@ -190,7 +189,8 @@ def test_poly_pair_and_m_from_one_weight_profile_bitwise():
 
 def test_profile_implicit_closed_case_values():
     def psi(beta, r):
-        return 1.0 + float(oracles.excess(replace(PF3, beta=beta), r))
+        pf = radial.first_integral(PF3_PROFILE, beta)
+        return 1.0 + float(oracles.excess(pf, r))
 
     assert psi(2.0, 1.0) == pytest.approx(2.0, abs=1e-12)
     assert psi(1.0, 57.0) == 1.0
@@ -204,7 +204,7 @@ def test_both_routes_match_closed_form():
     for beta in (1.5, 2.0, 10.0):
         expect = 1.0 + closed_excess(rs, beta)
         for route in ("numeric", "implicit"):
-            sol = sample(replace(PF3, beta=beta), route)
+            sol = sample(radial.first_integral(PF3_PROFILE, beta), route)
             assert np.array_equal(sol.r, rs)
             assert np.max(np.abs(sol.psi - expect)) <= 1e-8
 
@@ -231,7 +231,7 @@ def test_profile_monotone_in_beta():
     spec, a, _m = admissible_sample(rng)
     betas = (1.5, 2.5, 4.0, 9.0)
     pf = radial.first_integral(oracles.profile(spec, a), betas[0])
-    sols = [sample(replace(pf, beta=b), "implicit")
+    sols = [sample(radial.first_integral(pf.prof, b), "implicit")
             for b in betas]
     for lo, hi in zip(sols, sols[1:]):
         assert np.all(hi.psi[1:] > lo.psi[1:])
@@ -262,14 +262,19 @@ def test_solve_profile_validates_inputs():
 
 def test_partial_fractions_checks_beta():
     # solve checks beta's range; the whole of it binds without a warning,
-    # as C is held as log C, and dataclasses.replace rebuilds the table
+    # as C is held as log C, and each binding builds its own table (none
+    # at beta = 1), with the closed-form log C = log((beta - 1)(beta + 1)/2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for beta in (1.0, 1.000001, 2.0, 1.0e3, radial.BETA_CAP):
-            again = replace(PF3, beta=beta)
+            again = radial.first_integral(PF3_PROFILE, beta)
             assert again.beta == beta
-            assert again.log_amplitude == \
-                radial.first_integral(PF3_PROFILE, beta).log_amplitude
+            assert (again.knots is None) == (beta == 1.0)
+            if beta == 1.0:
+                assert again.log_amplitude == -math.inf
+            else:
+                assert again.log_amplitude == pytest.approx(
+                    math.log((beta - 1.0) * (beta + 1.0) / 2.0), abs=1e-12)
 
 
 def test_beta_enters_through_the_analysis_only():
@@ -308,8 +313,9 @@ def test_tail_integral_against_quadrature_oracle():
 
 
 def test_tail_integral_properties():
-    assert tail(replace(PF3, beta=1.0), (5.0,))[0] == 0.0
-    assert tail(PF3, (3.0,))[0] < tail(replace(PF3, beta=3.0), (3.0,))[0]
+    assert tail(radial.first_integral(PF3_PROFILE, 1.0), (5.0,))[0] == 0.0
+    assert tail(PF3, (3.0,))[0] < tail(radial.first_integral(PF3_PROFILE, 3.0),
+                                       (3.0,))[0]
 
 
 def test_non_finite_and_overflowing_inputs_rejected():
@@ -320,7 +326,7 @@ def test_non_finite_and_overflowing_inputs_rejected():
     # no cutoff in r: far out the value is the tail law C R^(2-m)/(m-2)
     # (C = 1.5, m = 3), and 0 at beta = 1
     assert tail(PF3, (1e300,))[0] == pytest.approx(1.5e-300, rel=1e-12)
-    assert tail(replace(PF3, beta=1.0), (1e300,)) == (0.0,)
+    assert tail(radial.first_integral(PF3_PROFILE, 1.0), (1e300,)) == (0.0,)
 
 
 def test_tail_integral_radii_in_one_pass_match_one_at_a_time():
@@ -407,6 +413,41 @@ def admissible_point(rng, n):
                 return spec, a
         except ValueError:  # no completion, or a sigma row out of range
             continue
+
+
+def test_gauss_legendre_table_is_numpys_to_the_bit():
+    # radial builds its table without numpy.polynomial: the nodes and
+    # weights are literals, the two matrices come from its own copies of
+    # legvander and legint.  Each equals numpy's in every bit, and the
+    # matrices in memory layout too, as a matmul may sum in another order
+    # on another layout
+    nodes, weights_ = legendre.leggauss(16)
+    assert radial._GL_X.tobytes() == nodes.tobytes()
+    assert radial._GL_W.tobytes() == weights_.tobytes()
+    antiderivative = legendre.legint(
+        legendre.legvander(nodes, 15) * weights_[:, None]
+        * (np.arange(16) + 0.5), lbnd=1, scl=-0.5 * radial._PANEL, axis=1)
+    at_knots = antiderivative @ legendre.legvander(
+        np.append(-1.0, nodes), 16).T
+    for got, want in ((radial._ANTIDERIVATIVE, antiderivative),
+                      (radial._AT_KNOTS, at_knots)):
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(3, 20).flatmap(lambda size: st.integers(1, 6).flatmap(
+    lambda count: st.tuples(
+        st.lists(st.lists(st.floats(-1e6, 1e6), min_size=count,
+                          max_size=count), min_size=size, max_size=size),
+        st.lists(st.floats(-2.0, 2.0), min_size=count,
+                 max_size=count)))))
+def test_legendre_sum_is_numpys_to_the_bit(case):
+    # invert and tail_integral sum each point's own row by radial's
+    # Clenshaw loop: numpy's legval(s, rows, tensor=False), every bit
+    rows, s = map(np.array, case)
+    assert radial._legval(s, rows).tobytes() == legendre.legval(
+        s, rows, tensor=False).tobytes()
 
 
 def oracle_polynomials(pf):
@@ -507,7 +548,7 @@ def test_implicit_excess_matches_brentq_oracle():
         spec, a = admissible_point(rng, n)
         pf = radial.first_integral(oracles.profile(spec, a), 2.0)
         for beta in (1.0, 1.01, 2.0, float(rng.uniform(1.5, 50.0)), 900.0):
-            pf = replace(pf, beta=beta)
+            pf = radial.first_integral(pf.prof, beta)
             got = oracles.excess(pf, radii)
             assert got.shape == radii.shape
             for r, value in zip(radii.tolist(), got.tolist()):
@@ -523,7 +564,7 @@ def test_implicit_excess_matches_brentq_oracle():
         spec, a = admissible_point(rng, n)
         pf = radial.first_integral(oracles.profile(spec, a), 2.0)
         for beta in (1.01, 2.0, 900.0):
-            pf = replace(pf, beta=beta)
+            pf = radial.first_integral(pf.prof, beta)
             got = oracles.excess(pf, radii)
             for r, value in zip(radii.tolist(), got.tolist()):
                 assert float(oracles.excess(pf, r)) == value, (n, beta, r)
@@ -539,7 +580,7 @@ def test_excess_at_safeguards_newton():
         spec, a = admissible_point(rng, n)
         for beta in (1.01, 2.0, 1e3):
             pf = radial.first_integral(oracles.profile(spec, a), beta)
-            on_knots = np.exp(pf._knot_log_r[5::97])
+            on_knots = np.exp(pf.knot_log_r[5::97])
             radii = np.concatenate((on_knots, on_knots * (1.0 + 1e-9)))
             got = oracles.excess(pf, radii)
             for r, value in zip(radii.tolist(), got.tolist()):
@@ -555,8 +596,8 @@ def test_excess_at_stops_on_newton_overshoot_by_an_ulp():
     spec = phasepoly.PhaseSpec(8, 3 * math.pi)
     pf = radial.first_integral(
         oracles.profile(spec, weights.iso_point(spec)), 2.7)
-    got = oracles.excess(pf, np.exp(pf._knot_log_r))
-    assert np.allclose(got, np.exp(pf._knots), rtol=1e-13, atol=0.0)
+    got = oracles.excess(pf, np.exp(pf.knot_log_r))
+    assert np.allclose(got, np.exp(pf.knots), rtol=1e-13, atol=0.0)
 
 
 def test_excess_at_raises_when_newton_has_not_converged(monkeypatch):
@@ -786,7 +827,7 @@ def test_tail_amplitude_and_slope_bit_identical():
         pf = radial.first_integral(prof, 2.0)
         d, q, _e = floats(oracles.shifted_pair(prof))
         for x in (0.0, 1e-13, 0.7, 1.0, 41.0, 1e6 - 1.0):
-            pf = replace(pf, beta=1.0 + x)
+            pf = radial.first_integral(pf.prof, 1.0 + x)
             far = np.array([1e30, 1e60])
             assert np.array_equal(oracles.excess(pf, far), np.exp(
                 pf.log_amplitude - pf.prof.m * np.log(far)))

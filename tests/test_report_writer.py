@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slex import cli
@@ -74,6 +74,18 @@ def test_writer_empty_containers_at_every_depth():
     for tree in ({}, [], (), {"a": {}}, {"a": []}, [{}, [], ()],
                  {"a": {"b": {"c": {}}}}, [[[[]]]], {"a": [{}, {"b": []}]}):
         assert cli._json_text(tree) == dumps(tree)
+
+
+# every code point: DEL, the control characters, lone surrogates and the
+# planes above the BMP included
+@SETTINGS
+@given(st.one_of(st.text(), st.text(st.characters(exclude_categories=()))))
+@example("")
+@example('plain "quoted" \\ %')
+@example("\x7f\x00\x1f\b\f\n\r\t")
+@example("\ud800a\udfff\U0001f600\U0010ffff\x80\xff\u20ac")
+def test_string_escaper_is_the_stdlibs(text):
+    assert cli._json_str(text) == json.encoder.encode_basestring_ascii(text)
 
 
 @pytest.mark.parametrize("tree", [
