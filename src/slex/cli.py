@@ -44,6 +44,9 @@ byte-identical output; all numbers are emitted in shortest round-trip
 decimal form, and a JSON report is byte for byte json.dumps(report,
 indent=2, sort_keys=True).
 
+Imported before numpy, the module sets OPENBLAS_NUM_THREADS to 1 unless
+the caller set it, and runs no garbage collection while it imports.
+
 `verify` draws the numerators and denominators of all its rational
 vectors in one broadcast call, rng.integers((1, 1), (25, 9), size=(total,
 2)).  numpy takes each element's bounded draw from the generator's stream
@@ -71,14 +74,29 @@ from itertools import chain, islice
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
-import numpy as np
-# numpy loads its random package lazily, and only verify draws from it.
-# The import stays eager, at import time, for every command: the benchmark
-# counts import and main apart, and a lazy import would move its cost into
-# verify's run time (ROADMAP items 4 and 11)
-import numpy.random  # noqa: F401
+# No command's BLAS call is large enough to gain from a thread pool, so
+# OpenBLAS starts none unless the caller set its own count.  What the
+# imports make lives as long as the process: the cyclic collector stays
+# off until the gc.freeze() at the end of this module
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+_COLLECTING = gc.isenabled()
+_IMPORTED = False
+gc.disable()
+try:
+    import numpy as np
+    # numpy loads its random package lazily, and only verify draws from
+    # it.  The import stays eager, at import time, for every command: the
+    # benchmark counts import and main apart, and a lazy import would move
+    # its cost into verify's run time (ROADMAP items 4 and 11)
+    import numpy.random  # noqa: F401
 
-from . import phasepoly, radial, subsol, symfun, weights
+    from . import phasepoly, radial, subsol, symfun, weights
+    _IMPORTED = True
+finally:
+    # a failed import leaves the collector as the importer had it
+    if _COLLECTING and not _IMPORTED:
+        gc.enable()
 
 SCHEMA_VERSION = 4
 RNG_NAME = "numpy.random.default_rng(PCG64)"
@@ -895,8 +913,11 @@ def main(argv=None) -> int:
 # What the import made lives as long as a command's process.  Frozen into
 # the collector's permanent generation, it is traversed by no later
 # collection, in the command's run or at exit, wherever the import left
-# the generation counts
+# the generation counts.  Then the collector runs again if it ran when
+# the import began
 gc.freeze()
+if _COLLECTING:
+    gc.enable()
 
 if __name__ == "__main__":
     sys.exit(main())

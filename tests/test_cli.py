@@ -1223,3 +1223,39 @@ def test_no_command_imports_scipy():
     assert seen.pop("import") == []
     assert seen.pop("lazy") == ["numpy.random"]
     assert seen == {" ".join(argv): [0, []] for argv in argvs}
+
+
+def _random_admissible_argv(n, seed):
+    """solve on a random admissible --a point of critical phase: deficits
+    pi/2 - arctan(a_j) from a Dirichlet split of pi, the last entry
+    completed to the level set."""
+    rng = np.random.default_rng(seed)
+    spec = phasepoly.PhaseSpec(n, (n - 2) * math.pi / 2)
+    while True:
+        deficit = rng.dirichlet(np.full(n, 4.0)) * math.pi
+        if np.all(deficit > 1e-3) and np.all(deficit < math.pi / 2 - 0.05):
+            vec = weights.complete_to_phase(1.0 / np.tan(deficit[:-1]), spec)
+            if weights.classify(spec, vec).klass == "admissible":
+                return ["solve", "--a", ",".join(repr(float(v)) for v in vec),
+                        "--n", str(n), "--theta", "critical", "--grid", "24"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--grid", "200", "--seed", "9"],
+    ["solve", "--family", "iso", "--n", "132", "--theta", "critical",
+     "--grid", "4"],
+    ["solve", "--family", "iso", "--n", "40", "--theta", "62.0", "--beta",
+     "1e6", "--grid", "24"],
+    _random_admissible_argv(8, seed=8),
+], ids=["verify", "iso-132", "iso-40-beta-1e6", "random-8"])
+def test_reports_do_not_depend_on_the_blas_thread_count(argv):
+    # cli starts one BLAS thread unless the caller sets a count: the
+    # report of every command must be that of a threaded BLAS, byte for byte
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = [subprocess.run(
+        [sys.executable, "-m", "slex.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+        capture_output=True, timeout=120) for threads in ("1", "2")]
+    assert runs[0].returncode in (0, 1) and runs[0].stdout
+    assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode,
+                                                    runs[0].stdout)

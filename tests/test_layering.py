@@ -1,7 +1,7 @@
 """Module hygiene of the slex package, checked with the stdlib's ast and
 one fresh import.
 
-Nine rules, for every module under src/slex:
+Ten rules, for every module under src/slex:
 
   * no module reaches into another slex module's private names, neither
     by importing one (`from .radial import _horner`) nor by reading one
@@ -45,10 +45,16 @@ Nine rules, for every module under src/slex:
     package it loads only the built-in `gc`, and `statistics`, with
     `fractions` and `decimal` behind it, for subsol's normal quantile
     (ROADMAP item 7A).
+  * a fresh `import slex.cli`, numpy not yet loaded, leaves the process
+    one thread: OPENBLAS_NUM_THREADS reads "1", or the count the caller
+    set.  No collection runs once numpy begins to load, the collector is
+    on or off after the import as it was before, and the import ends
+    frozen, the older generations' counts at zero.
 """
 
 import ast
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -456,6 +462,67 @@ def test_import_loads_only_what_the_commands_run():
         for banned in IMPORT_BANNED)] == []
     assert [name for name in extra.split()
             if name.split(".")[0] not in IMPORT_EXTRAS] == []
+
+
+# argv[1] is the collector's state when the import begins, "on" or "off".
+# Each collection records whether numpy had begun to load: cli turns the
+# collector off before it imports numpy, but the interpreter may collect
+# while it compiles cli itself
+IMPORT_STATE = """
+import gc, json, os, sys
+gc.enable() if sys.argv[1] == "on" else gc.disable()
+collections = []
+gc.callbacks.append(lambda phase, info: phase == "start"
+                    and collections.append("numpy" in sys.modules))
+import slex.cli
+task = "/proc/self/task"
+print(json.dumps({
+    "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": len(os.listdir(task)) if os.path.isdir(task) else None,
+    "collecting": gc.isenabled(), "frozen": gc.get_freeze_count() > 0,
+    "older_counts": gc.get_count()[1:],
+    "collections_past_numpy": collections.count(True)}))
+"""
+
+
+def _import_state(collector, **env):
+    base = {k: v for k, v in os.environ.items()
+            if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_STATE, collector],
+        env=dict(base, PYTHONPATH=str(PACKAGE.parent), **env),
+        capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("collector", ["on", "off"])
+def test_import_starts_no_blas_pool_and_no_collection(collector):
+    state = _import_state(collector)
+    assert state.pop("threads") in (1, None)
+    assert state == {"blas": "1", "collecting": collector == "on",
+                     "frozen": True, "older_counts": [0, 0],
+                     "collections_past_numpy": 0}
+    # a count the caller set is kept
+    assert _import_state(collector, OPENBLAS_NUM_THREADS="2")["blas"] == "2"
+
+
+# an import that fails, here of numpy.random, leaves the collector on
+FAILED_IMPORT = """
+import gc, sys
+sys.modules["numpy.random"] = None
+try:
+    import slex.cli
+except ImportError:
+    print(gc.isenabled())
+"""
+
+
+def test_a_failed_import_restores_the_collector():
+    proc = subprocess.run(
+        [sys.executable, "-c", FAILED_IMPORT],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "True\n"
 
 
 def test_checks_find_what_they_look_for():
