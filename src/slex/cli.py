@@ -42,7 +42,9 @@ table to stdout, as a report is written, and returns 0.  A subcommand
 accepts only the flags it reads.  Identical configuration and seed produce
 byte-identical output; all numbers are emitted in shortest round-trip
 decimal form, and a JSON report is byte for byte json.dumps(report,
-indent=2, sort_keys=True).
+indent=2, sort_keys=True).  Its strings are printable ASCII with no quote
+or backslash, which JSON writes unescaped; the writer raises TypeError on
+any other.
 
 Imported before numpy, the module sets OPENBLAS_NUM_THREADS to 1 unless
 the caller set it, and runs no garbage collection while it imports.
@@ -116,8 +118,9 @@ def _json_text(value) -> str:
     """value as json.dumps(value, indent=2, sort_keys=True) writes it.
 
     Byte for byte: dict keys in sorted order; keys and strings through
-    _json_str, the stdlib's ASCII escaper to the byte, which raises
-    TypeError on a non-str key; ints and floats (float subclasses such as
+    _json_str, which writes the strings a report holds (printable ASCII
+    with no quote or backslash) and raises TypeError on any other string
+    and on a non-str key; ints and floats (float subclasses such as
     np.float64 included) through int.__repr__ and float.__repr__, with
     NaN/Infinity/-Infinity for the non-finite floats as the stdlib writes
     them.  Anything else raises TypeError.  A list or tuple of finite
@@ -210,33 +213,15 @@ def _json_flat(items, inner: str) -> Optional[str]:
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-class _Escapes(dict):
-    """str.translate's table for _json_str: the ASCII escapes it holds,
-    and beyond them \\uXXXX for a code point of the BMP, lone surrogates
-    included, and the \\uXXXX\\uXXXX surrogate pair for one above it."""
-
-    def __missing__(self, code):
-        if code < 0x10000:
-            return f"\\u{code:04x}"
-        code -= 0x10000
-        return f"\\u{0xd800 | code >> 10:04x}\\u{0xdc00 | code & 0x3ff:04x}"
-
-
-# printable ASCII stands for itself, but for the quote and the backslash
-_ESCAPES = _Escapes({code: chr(code) if 0x20 <= code < 0x7f
-                     else f"\\u{code:04x}" for code in range(0x80)})
-_ESCAPES.update({ord(ch): "\\" + esc
-                 for ch, esc in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
-
-
 def _json_str(s: str) -> str:
-    """s as a JSON string, byte for byte the stdlib's
-    json.encoder.encode_basestring_ascii: quoted, printable ASCII as it
-    is but for the quote and the backslash, every other code point
-    escaped.  A non-str raises TypeError, from str.isascii."""
+    """s as a JSON string, when it is one a report holds: printable ASCII
+    with no quote and no backslash, which JSON writes as it is, quoted, as
+    the stdlib's json.encoder.encode_basestring_ascii does.  Any other str
+    raises TypeError, and so does a non-str, from str.isascii."""
     if str.isascii(s) and s.isprintable() and '"' not in s and "\\" not in s:
         return '"' + s + '"'
-    return '"' + s.translate(_ESCAPES) + '"'
+    raise TypeError(f"a report string must be printable ASCII with no "
+                    f"quote or backslash, not {s!r}")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -708,10 +693,10 @@ def _run_solve(args: SimpleNamespace) -> dict:
     # every stage runs on the problem classify analysed: for all-negative
     # data the reflection (-theta, -a)
     pf = radial.first_integral(adm.profile, args.beta)
-    sol_num = radial.solve_profile(pf, rs, route="numeric")
+    sol_num = radial.profile_numeric(pf, rs)
     traj, shells, tail = radial.invert(
         pf, rs, subsol.shell_radii(gamma, args.grid), (gamma, 10.0 * gamma))
-    sol_imp = radial.solve_profile(pf, traj, route="implicit")
+    sol_imp = radial.profile_implicit(pf, traj)
     gap = float(np.max(np.abs(sol_num.psi - sol_imp.psi)))
 
     mu_gamma, mu_10gamma = radial.tail_integral(pf, tail)

@@ -48,7 +48,6 @@ class PhaseSpec:
 
     Requires n >= 3 and |theta| < n*pi/2.  The angle is critical when
     |theta| equals (n-2)*pi/2 (within 1e-12), supercritical beyond that.
-    Two specs are equal, and hash alike, when their n and theta are.
     """
 
     def __init__(self, n: int, theta: float):
@@ -58,14 +57,6 @@ class PhaseSpec:
             raise ValueError("theta must lie strictly inside (-n*pi/2, n*pi/2)")
         self.n = n
         self.theta = theta
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.theta) == (other.n, other.theta)
-
-    def __hash__(self):
-        return hash((self.n, self.theta))
 
     def __repr__(self):
         return f"PhaseSpec(n={self.n!r}, theta={self.theta!r})"

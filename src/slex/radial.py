@@ -21,15 +21,18 @@ psi = 1), and N(x) = num(1 + x).  Then D(0)/N(0) = m, and
     E(x) = (m N(x) - D(x))/x
 
 is a polynomial once the rounding-level constant term of m N - D is
-dropped.  Two independent routes are implemented:
+dropped.  Two independent routes are implemented, one function each,
+and both hand their excess to one check (nonnegative, at most beta - 1,
+nonincreasing):
 
-  * numeric: the Dormand-Prince 5(4) pair (Dormand & Prince 1980,
-    J. Comput. Appl. Math. 6) on d(log x)/ds = -D(x)/N(x) in s = log r.
-    Working in the log of the excess keeps the tail representable (x
-    reaches 1e-24 and below for large m) where psi itself would round
-    to 1.  It integrates the ODE and reads D and N only.
-  * implicit: the ODE's first integral.  d(log r)/dx = -N/(x D) =
-    -(1/m) (1/x + E/D) integrates, with no root of den, to
+  * numeric (profile_numeric): the Dormand-Prince 5(4) pair (Dormand &
+    Prince 1980, J. Comput. Appl. Math. 6) on d(log x)/ds = -D(x)/N(x)
+    in s = log r.  Working in the log of the excess keeps the tail
+    representable (x reaches 1e-24 and below for large m) where psi
+    itself would round to 1.  It integrates the ODE and reads D and N
+    only.
+  * implicit (profile_implicit): the ODE's first integral.  d(log r)/dx
+    = -N/(x D) = -(1/m) (1/x + E/D) integrates, with no root of den, to
 
         log r(x) = (1/m) [log((beta - 1)/x) + int_x^{beta-1} E/D dt],
 
@@ -172,13 +175,12 @@ _AT_KNOTS = _ANTIDERIVATIVE @ _legvander(_KNOT_S, 16).T
 # 2e-7 and the third by rounding only; the third must stay below this
 _NEWTON_STEPS = 3
 _NEWTON_TOL = 1e-10
-_PROFILE_TOL = 1e-12  # numeric route: rtol, and atol a tenth of it
-_PROFILE_SAMPLES = 241  # log-spaced sample radii of solve_profile
+_PROFILE_SAMPLES = 241  # log-spaced sample radii of both profile routes
 
 
 def check_rmax(r_max: float) -> np.ndarray:
-    """The 241 log-spaced sample radii of [1, r_max] that solve_profile
-    takes, after checking 1 < r_max < inf and that the radii strictly
+    """The 241 log-spaced sample radii of [1, r_max] that both profile
+    routes take, after checking 1 < r_max < inf and that the radii strictly
     increase: an r_max within a few hundred ulps of 1 rounds some
     together."""
     if not (1.0 < r_max < math.inf):
@@ -251,29 +253,31 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
-def _dormand_prince(f: Callable[[float], float], y0: float, s_out: list,
-                    rtol: float, atol: float) -> list:
+def _dormand_prince(f: Callable[[float], float], y0: float,
+                    s_out: list) -> list:
     """y at every point of s_out for y' = f(y), y(s_out[0]) = y0.
 
     The Dormand-Prince 5(4) pair on Python floats with local extrapolation
     and the standard step control: a step is accepted when its error
-    estimate is at most atol + rtol * max(|y|, |y_new|), and the next step
-    is scaled by 0.9 * err^(-1/5) clipped to [0.2, 10] (at most 1 right
-    after a rejection).  s_out must increase; steps are cut to land exactly
-    on each of its points, so no dense output is needed.  The first trial
-    step is the first output interval.  Raises RuntimeError when the error
-    estimate is not finite or the step collapses below 10 ulps of s.
+    estimate is at most 1e-13 + 1e-12 * max(|y|, |y_new|), and the next
+    step is scaled by 0.9 * err^(-1/5) clipped to [0.2, 10] (at most 1
+    right after a rejection).  s_out must increase and hold two points or
+    more; steps are cut to land exactly on each of them, so no dense
+    output is needed.  The first trial step is the first output interval.
+    Raises RuntimeError when the error estimate is not finite or the step
+    collapses below 10 ulps of s.
     """
     a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
     a51, a52, a53, a54 = _A51, _A52, _A53, _A54
     a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
     b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
     e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    rtol, atol = 1e-12, 1e-13  # the numeric route's tolerances
     ulp, isfinite = math.ulp, math.isfinite
     ys = [y0]
     s, y = s_out[0], y0
     k1 = f(y)
-    h = s_out[1] - s if len(s_out) > 1 else 0.0
+    h = s_out[1] - s
     rejected = False
     for s_next in s_out[1:]:
         while s < s_next:
@@ -476,7 +480,7 @@ class ProfileSolution(NamedTuple):
 
     r is increasing from 1; psi = 1 + excess is nonincreasing with
     1 <= psi <= beta; excess carries the tail at full precision where psi
-    itself would round to 1.  solve_profile checks the excess before it
+    itself would round to 1.  _checked_profile checks the excess before it
     builds one.
     """
     beta: float
@@ -485,51 +489,11 @@ class ProfileSolution(NamedTuple):
     excess: np.ndarray
 
 
-def solve_profile(pf: FirstIntegral, samples,
-                  route: str = "numeric") -> ProfileSolution:
-    """Sample the profile of the problem pf at increasing radii from 1.
-
-    route="numeric" takes the radii, as check_rmax returns them, and
-    integrates the log of the excess with the Dormand-Prince 5(4) pair
-    (rtol 1e-12, atol 1e-13), stepping exactly onto every radius; it reads
-    only pf.beta, pf.d_coeffs and pf.n_coeffs, never the table.  In log
-    variables the slope is smooth and O(1), so the route stays accurate
-    down to excesses far below 1e-16 without tiny steps.  route="implicit"
-    takes the radii's Inversion (invert) and reads its excess.  Any other
-    route is the numeric one.  Either route's excess must be nonnegative,
-    at most beta - 1 and nonincreasing, to 1e-9 relative (ValueError
-    otherwise).
-    """
-    if route == "implicit":
-        rs, excess = samples.r, samples.excess
-    elif pf.beta == 1.0:  # the constant profile
-        rs, excess = samples, np.zeros_like(samples)
-    else:
-        rs = samples
-        # -D/N as _ratio takes it, _horner inlined for D and N in one loop
-        # (their certified coefficients are positive, so polyval's + x*0
-        # changes no bit): from the top in x = e^y up to 1, from the bottom
-        # in 1/x beyond
-        d, n = pf.d_coeffs, pf.n_coeffs
-        small = (d[-1], n[-1], tuple(zip(d[-2::-1], n[-2::-1])))
-        big = (d[0], n[0], tuple(zip(d[1:], n[1:])))
-        exp = math.exp
-
-        def rhs(y):
-            x = exp(y)
-            if x > 1.0:
-                x = 1.0 / x
-                p, q, rest = big
-            else:
-                p, q, rest = small
-            for c, e in rest:
-                p = c + p * x
-                q = e + q * x
-            return -p / q
-
-        excess = np.exp(_dormand_prince(rhs, math.log(pf.beta - 1.0),
-                                        np.log(rs).tolist(), _PROFILE_TOL,
-                                        0.1 * _PROFILE_TOL))
+def _checked_profile(pf: FirstIntegral, rs: np.ndarray,
+                     excess: np.ndarray) -> ProfileSolution:
+    """The profile of pf with this excess at the radii rs, once the excess
+    is nonnegative, at most beta - 1 and nonincreasing, to 1e-9 relative
+    (ValueError otherwise)."""
     if np.any(excess < 0.0):
         raise ValueError("profile fell below the barrier psi = 1")
     if np.any(excess > (pf.beta - 1.0) * (1.0 + 1e-9) + 1e-12):
@@ -537,6 +501,49 @@ def solve_profile(pf: FirstIntegral, samples,
     if np.any(np.diff(excess) > 1e-9 * excess[:-1] + 1e-300):
         raise ValueError("profile is not nonincreasing")
     return ProfileSolution(pf.beta, rs, 1.0 + excess, excess)
+
+
+def profile_numeric(pf: FirstIntegral, rs: np.ndarray) -> ProfileSolution:
+    """The numeric route: the profile of pf at the radii rs, as check_rmax
+    returns them.
+
+    It integrates the log of the excess with the Dormand-Prince 5(4) pair
+    (rtol 1e-12, atol 1e-13), stepping exactly onto every radius, and
+    reads only pf.beta, pf.d_coeffs and pf.n_coeffs, never the table.  In
+    log variables the slope is smooth and O(1), so the route stays
+    accurate down to excesses far below 1e-16 without tiny steps.
+    """
+    if pf.beta == 1.0:  # the constant profile
+        return _checked_profile(pf, rs, np.zeros_like(rs))
+    # -D/N as _ratio takes it, _horner inlined for D and N in one loop
+    # (their certified coefficients are positive, so polyval's + x*0
+    # changes no bit): from the top in x = e^y up to 1, from the bottom in
+    # 1/x beyond
+    d, n = pf.d_coeffs, pf.n_coeffs
+    small = (d[-1], n[-1], tuple(zip(d[-2::-1], n[-2::-1])))
+    big = (d[0], n[0], tuple(zip(d[1:], n[1:])))
+    exp = math.exp
+
+    def rhs(y):
+        x = exp(y)
+        if x > 1.0:
+            x = 1.0 / x
+            p, q, rest = big
+        else:
+            p, q, rest = small
+        for c, e in rest:
+            p = c + p * x
+            q = e + q * x
+        return -p / q
+
+    return _checked_profile(pf, rs, np.exp(_dormand_prince(
+        rhs, math.log(pf.beta - 1.0), np.log(rs).tolist())))
+
+
+def profile_implicit(pf: FirstIntegral, at: Inversion) -> ProfileSolution:
+    """The implicit route: the profile of pf at the radii of at, their
+    Inversion (invert), read off its excess."""
+    return _checked_profile(pf, at.r, at.excess)
 
 
 def tail_integral(pf: FirstIntegral, at: Inversion) -> tuple:

@@ -133,7 +133,8 @@ def _level_point(spec: PhaseSpec, a: list) -> list:
     which raises ValueError."""
     spec.ray_degree  # raises outside the supported range
     vals = sorted(a)
-    if abs(phase(vals) - spec.theta) > LEVEL_TOL:
+    # written so that a NaN phase is off the level set too
+    if not abs(phase(vals) - spec.theta) <= LEVEL_TOL:
         raise ValueError("a not on the phase level set")
     return vals
 

@@ -183,9 +183,10 @@ def test_criterion_4_closed_form_profile():
             bad.append(("log_amplitude", beta, log_amp))
         pf_beta = radial.first_integral(pf.prof, beta)
         rs = radial.check_rmax(1.0e4)
-        for route, samples in (("numeric", rs),
-                               ("implicit", radial.invert(pf_beta, rs)[0])):
-            sol = radial.solve_profile(pf_beta, samples, route=route)
+        for route, sol in (
+                ("numeric", radial.profile_numeric(pf_beta, rs)),
+                ("implicit", radial.profile_implicit(
+                    pf_beta, *radial.invert(pf_beta, rs)))):
             exact = np.sqrt(1.0 + (beta * beta - 1.0) * sol.r ** -3.0)
             gap = float(np.max(np.abs(sol.psi - exact)))
             if gap > 1e-8:
@@ -204,9 +205,8 @@ def test_criterion_5_route_agreement_and_decay(admissible_cases):
     for spec, a, beta in admissible_cases:
         pf = radial.first_integral(oracles.profile(spec, a), beta)
         rs = radial.check_rmax(1.0e4)
-        num = radial.solve_profile(pf, rs, route="numeric")
-        imp = radial.solve_profile(pf, *radial.invert(pf, rs),
-                                   route="implicit")
+        num = radial.profile_numeric(pf, rs)
+        imp = radial.profile_implicit(pf, *radial.invert(pf, rs))
         gap = float(np.max(np.abs(num.psi - imp.psi)))
         if gap > 1e-8:
             bad.append(("route_gap", spec.n, spec.theta, gap))

@@ -737,15 +737,13 @@ def test_solve_fails_a_numeric_route_off_by_1e7(tmp_path, capsys,
             "--grid", "4"]
     code, path = run(tmp_path, args, "good.json")
     assert code == 0 and json.loads(path.read_text())["passed"] is True
-    real = radial.solve_profile
+    real = radial.profile_numeric
 
-    def shifted(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        if kwargs.get("route") == "numeric":
-            sol = sol._replace(psi=sol.psi + 1e-7)
-        return sol
+    def shifted(pf, rs):
+        sol = real(pf, rs)
+        return sol._replace(psi=sol.psi + 1e-7)
 
-    monkeypatch.setattr(radial, "solve_profile", shifted)
+    monkeypatch.setattr(radial, "profile_numeric", shifted)
     capsys.readouterr()
     code, path = run(tmp_path, args, "bad.json")
     report = json.loads(path.read_text())
@@ -911,6 +909,32 @@ def test_solve_off_level_exits_one(tmp_path):
     report = json.loads(path.read_text())
     assert report["admissibility"]["klass"] == "outside"
     assert report["admissibility"]["m"] is None
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["--family", "iso", "--n", "5", "--theta", "critical"], 1),
+    (["--family", "iso", "--n", "4", "--theta", "3.6", "--beta", "1"], 1),
+    (["--family", "eps:0.25"], 0),
+    (["--a", "1.0,2.0,3.0", "--n", "3", "--theta", "critical"], 0),
+])
+def test_solve_calls_each_profile_route_once(tmp_path, monkeypatch, argv,
+                                             calls):
+    # the benchmark's replay reads each route's profile by these two names
+    seen = []
+
+    def counted(name):
+        real = getattr(radial, name)
+
+        def call(*args):
+            seen.append(name)
+            return real(*args)
+        return call
+
+    for name in ("profile_numeric", "profile_implicit"):
+        monkeypatch.setattr(radial, name, counted(name))
+    code, _path = run(tmp_path, ["solve", *argv, "--grid", "4"])
+    assert code == 1 - calls
+    assert seen == ["profile_numeric", "profile_implicit"] * calls
 
 
 @pytest.mark.parametrize("source", [["--family", "iso"],

@@ -89,19 +89,23 @@ NUMERICAL_SAFETY = {
     ("radial", "first_integral", "residue at 1 disagrees with 1/m"):
         "the exactly shifted pair disagrees with the profile's float "
         "exponent by more than 1e-10",
-    ("radial", "solve_profile",
+    ("radial", "_checked_profile",
      "profile fell below the barrier psi = 1"):
         "a route's excess turns negative",
-    ("radial", "solve_profile",
+    ("radial", "_checked_profile",
      "profile exceeded its initial value beta"):
         "a route's excess grows past beta - 1",
-    ("radial", "solve_profile",
+    ("radial", "_checked_profile",
      "profile is not nonincreasing"):
         "a route's excess increases with r",
     ("radial", "tail_integral", "tail integral overflows the float range"):
         "mu overflows, which no supported beta and gamma reach",
     ("cli", "_json_parts", "Object of type "):
         "a report value of a type the writer does not know",
+    ("cli", "_json_str",
+     "a report string must be printable ASCII with no quote or backslash, "
+     "not "):
+        "a report string JSON would have to escape, which no report holds",
     ("weights", "complete_to_phase", "prefix must be n-1 positive entries"):
         "the benchmark's workload generator draws its points with it",
     ("weights", "complete_to_phase", "no positive completion"):

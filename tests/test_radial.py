@@ -28,12 +28,12 @@ PF3 = radial.first_integral(PF3_PROFILE, 2.0)
 
 
 def sample(pf, route, r_max=1.0e4):
-    """solve_profile on r_max's sample radii as solve calls it: the radii
-    to the numeric route, their Inversion to the implicit route."""
+    """The route on r_max's sample radii as solve calls it: the radii to
+    profile_numeric, their Inversion to profile_implicit."""
     rs = radial.check_rmax(r_max)
-    return radial.solve_profile(
-        pf, radial.invert(pf, rs)[0] if route == "implicit" else rs,
-        route=route)
+    if route == "implicit":
+        return radial.profile_implicit(pf, radial.invert(pf, rs)[0])
+    return radial.profile_numeric(pf, rs)
 
 
 def tail(pf, radii):
@@ -248,7 +248,7 @@ def test_profile_solution_invariants():
     assert np.all(sol.psi <= 2.0 * (1.0 + 1e-9))
 
 
-def test_solve_profile_validates_inputs():
+def test_check_rmax_validates_inputs():
     # the sample radii are checked once, by check_rmax, before either
     # route takes them
     with pytest.raises(ValueError, match="r_max must be finite and exceed 1"):
@@ -280,7 +280,8 @@ def test_partial_fractions_checks_beta():
 def test_beta_enters_through_the_analysis_only():
     # beta and the tolerances are bound in one place each, so no stage
     # takes them as arguments
-    for fn in (radial.invert, radial.solve_profile, radial.tail_integral,
+    for fn in (radial.invert, radial.profile_numeric,
+               radial.profile_implicit, radial.tail_integral,
                subsol.shell_radii, subsol.verify_subsolution,
                weights.decay_exponent, weights.classify):
         params = inspect.signature(fn).parameters
@@ -849,8 +850,7 @@ def test_numeric_route_bit_identical_to_polyval_rhs():
         beta = float(rng.uniform(1.5, 40.0))
         rs = sample_radii()
         expect = np.exp(radial._dormand_prince(
-            oracle_rhs(spec, a), math.log(beta - 1.0), np.log(rs).tolist(),
-            1e-12, 0.1 * 1e-12))
+            oracle_rhs(spec, a), math.log(beta - 1.0), np.log(rs).tolist()))
         pf = radial.first_integral(oracles.profile(spec, a), beta)
         sol = sample(pf, "numeric")
         assert np.array_equal(sol.excess, expect)
@@ -939,14 +939,13 @@ def test_route_gap_random_points_up_to_dimension_32():
 
 def test_dormand_prince_failures():
     with pytest.raises(RuntimeError, match="integration failed"):
-        radial._dormand_prince(lambda y: float("nan"), 0.0, [0.0, 1.0],
-                               1e-12, 1e-13)
+        radial._dormand_prince(lambda y: float("nan"), 0.0, [0.0, 1.0])
     # a blow-up y' = y^2 from y = 1 cannot pass s = 1: the step collapses
     with pytest.raises(RuntimeError, match="integration failed"):
-        radial._dormand_prince(lambda y: y * y, 1.0, [0.0, 2.0], 1e-12, 1e-13)
+        radial._dormand_prince(lambda y: y * y, 1.0, [0.0, 2.0])
     # y' = -y lands on every output point
     s_out = [0.0, 0.5, 1.0, 3.0]
-    ys = radial._dormand_prince(lambda y: -y, 1.0, s_out, 1e-12, 1e-13)
+    ys = radial._dormand_prince(lambda y: -y, 1.0, s_out)
     assert ys[0] == 1.0
     assert np.allclose(ys, np.exp(-np.array(s_out)), rtol=1e-10, atol=0.0)
 

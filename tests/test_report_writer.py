@@ -4,8 +4,10 @@
 document byte for byte on every tree of dicts (str keys), lists, tuples,
 strings, None, bools, ints and floats, float subclasses such as np.float64
 included, and raise TypeError where the stdlib does, and on a non-str key.
-Trees are drawn by hypothesis with a fixed derandomized seed, so every run
-checks the same cases.
+Its strings are those reports hold: printable ASCII with no quote and no
+backslash, which JSON writes unescaped.  It raises TypeError on any other
+string.  Trees are drawn by hypothesis with a fixed derandomized seed, so
+every run checks the same cases, and their strings from that alphabet.
 """
 
 import json
@@ -26,15 +28,25 @@ def dumps(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
 
 
+def held(text: str) -> bool:
+    """Whether a report may hold text: printable ASCII with no quote and
+    no backslash."""
+    return all(" " <= ch <= "~" and ch not in '"\\' for ch in text)
+
+
+# the strings reports hold
+REPORT_CHARS = st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                             exclude_characters='"\\')
+report_text = st.text(REPORT_CHARS)
 scalars = st.one_of(
     st.none(), st.booleans(), st.integers(),
     st.integers(min_value=-2 ** 200, max_value=2 ** 200),
-    st.floats(), st.floats().map(np.float64), st.text())
+    st.floats(), st.floats().map(np.float64), report_text)
 trees = st.recursive(
     scalars,
     lambda children: st.one_of(st.lists(children),
                                st.lists(children).map(tuple),
-                               st.dictionaries(st.text(), children)),
+                               st.dictionaries(report_text, children)),
     max_leaves=40)
 
 
@@ -51,7 +63,19 @@ SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
 SPECIAL_INTS = [0, -1, 2 ** 64, -(10 ** 40), 3 ** 200, True, False]
 SPECIAL_TEXT = ['', '"', '\\', '\\"', 'a"b\\c', '\x00\x01\x1f\x7f',
                 '\n\r\t\b\f', 'héllo', '  ', '日本語',
-                '\U0001f600', '\ud800']
+                '\U0001f600', '\ud800',
+                " !#$%&'()*+,-./:;<=>?@[]^_`{|}~", "a b"]
+
+
+def written_or_refused(tree, text: str) -> None:
+    """The stdlib's document for a tree holding text, where a report may
+    hold text (the empty string and the last two of SPECIAL_TEXT), and
+    TypeError where it may not (the rest)."""
+    if held(text):
+        assert cli._json_text(tree) == dumps(tree)
+    else:
+        with pytest.raises(TypeError, match="printable ASCII"):
+            cli._json_text(tree)
 
 
 @pytest.mark.parametrize("value", SPECIAL_FLOATS + SPECIAL_INTS
@@ -61,13 +85,13 @@ def test_writer_scalars_at_every_depth(value):
              {"a": [{"b": (value, None, [], {}, ())}]},
              {"z": value, "a": [value, {}, []], "m": {"": value}}]
     for tree in trees:
-        assert cli._json_text(tree) == dumps(tree)
+        written_or_refused(tree, value if isinstance(value, str) else "")
 
 
 @pytest.mark.parametrize("key", SPECIAL_TEXT + ["a", "B", "10", "9"])
 def test_writer_keys_escaped_and_sorted(key):
     tree = {key: 1, "b": {key: [key], "a": None}, "A": key}
-    assert cli._json_text(tree) == dumps(tree)
+    written_or_refused(tree, key)
 
 
 def test_writer_empty_containers_at_every_depth():
@@ -76,16 +100,31 @@ def test_writer_empty_containers_at_every_depth():
         assert cli._json_text(tree) == dumps(tree)
 
 
-# every code point: DEL, the control characters, lone surrogates and the
-# planes above the BMP included
 @SETTINGS
-@given(st.one_of(st.text(), st.text(st.characters(exclude_categories=()))))
+@given(report_text)
 @example("")
-@example('plain "quoted" \\ %')
+@example("plain 'quoted' / %")
+@example(" !#$%&'()*+,-./:;<=>?@[]^_`{|}~")
+def test_report_strings_are_written_as_the_stdlib_writes_them(text):
+    assert cli._json_str(text) == json.encoder.encode_basestring_ascii(text)
+
+
+# every code point: DEL, the control characters, lone surrogates and the
+# planes above the BMP included, at least one of them outside the alphabet
+@SETTINGS
+@given(st.one_of(st.text(), st.text(st.characters(exclude_categories=())))
+       .filter(lambda text: not held(text)))
+@example('plain "quoted"')
+@example("back\\slash")
 @example("\x7f\x00\x1f\b\f\n\r\t")
 @example("\ud800a\udfff\U0001f600\U0010ffff\x80\xff\u20ac")
-def test_string_escaper_is_the_stdlibs(text):
-    assert cli._json_str(text) == json.encoder.encode_basestring_ascii(text)
+def test_writer_refuses_strings_reports_do_not_hold(text):
+    with pytest.raises(TypeError, match="printable ASCII"):
+        cli._json_str(text)
+    for tree in (text, [text], {"k": text}, {text: 0.5},
+                 [{text: 0.5, "b": 1.5}] * 2):
+        with pytest.raises(TypeError, match="printable ASCII"):
+            cli._json_text(tree)
 
 
 @pytest.mark.parametrize("tree", [
@@ -173,9 +212,9 @@ class Flo(float):
     pass
 
 
-ROW_KEYS = st.text(st.sampled_from(['%', 's', '"', '\\', 'a', 'n', 'é',
-                                    '日', '\x00', '\U0001f600']),
-                   max_size=4) | st.text(max_size=6)
+ROW_KEYS = st.text(st.sampled_from(['%', 's', 'r', '(', ')', 'a', 'n', ' ',
+                                    "'", '/']),
+                   max_size=4) | st.text(REPORT_CHARS, max_size=6)
 ROW_FLOATS = st.floats() | st.sampled_from(FLOAT_EDGES)
 ROW_VALUES = (ROW_FLOATS | ROW_FLOATS.map(np.float64) | ROW_FLOATS.map(Flo)
               | scalars)
@@ -256,7 +295,7 @@ def test_writer_rows_with_one_other_value_take_the_recursive_path(bad):
 @pytest.mark.parametrize("rows", [
     ROWS, ROWS[:1], tuple(ROWS), ROWS * 40,
     [{"%": 0.5, "%s": 1.5}, {"%s": 2.5, "%": 3.5}],
-    [{'"': 0.5, "\\": 1.5, "é": 2.5, "日本": 3.5, "\U0001f600": -0.0}],
+    [{"'": 0.5, "/": 1.5, "~": 2.5, "{}": 3.5, " ": -0.0}],
     [{"a%%d": 1e22, "%(b)s": 1e16}] * 3,
 ])
 def test_writer_rows_fill_one_template(rows):

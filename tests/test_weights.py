@@ -283,6 +283,10 @@ def test_decay_exponent_errors():
     with pytest.raises(ValueError, match="a not on the phase level set"):
         weights.decay_exponent(phasepoly.PhaseSpec(3, math.pi / 2),
                                [1.0, 2.0, 3.0])
+    # a NaN entry makes the phase NaN, which is off the level set too
+    with pytest.raises(ValueError, match="a not on the phase level set"):
+        weights.decay_exponent(phasepoly.PhaseSpec(5, 5 * math.pi / 3),
+                               [math.nan, 1.0, 2.0, 3.0, 4.0])
 
 
 def test_classify_admissible_iso():
