@@ -682,7 +682,8 @@ def _run_solve(args: SimpleNamespace) -> dict:
             "beta": args.beta, "gamma": gamma, "alpha": args.alpha,
             "rmax": r_max, "grid": args.grid,
         },
-        "admissibility": {"klass": adm.klass, "m": adm.m},
+        "admissibility": {"klass": adm.klass,
+                          "m": adm.profile and adm.profile.m},
     }
     if adm.reflected:
         base["admissibility"]["reflected"] = True

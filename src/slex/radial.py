@@ -483,7 +483,6 @@ class ProfileSolution(NamedTuple):
     itself would round to 1.  _checked_profile checks the excess before it
     builds one.
     """
-    beta: float
     r: np.ndarray
     psi: np.ndarray
     excess: np.ndarray
@@ -500,7 +499,7 @@ def _checked_profile(pf: FirstIntegral, rs: np.ndarray,
         raise ValueError("profile exceeded its initial value beta")
     if np.any(np.diff(excess) > 1e-9 * excess[:-1] + 1e-300):
         raise ValueError("profile is not nonincreasing")
-    return ProfileSolution(pf.beta, rs, 1.0 + excess, excess)
+    return ProfileSolution(rs, 1.0 + excess, excess)
 
 
 def profile_numeric(pf: FirstIntegral, rs: np.ndarray) -> ProfileSolution:

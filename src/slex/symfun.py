@@ -26,11 +26,12 @@ alone.  A full-length update would also add x * 0 to each degree not yet
 reached.  For finite x that product is a zero, so such a degree would
 still hold a zero z when its first entry arrives: +0.0 for floats (as
 0 + -0.0 == +0.0), 0 or Fraction(0) for exact input.  The triangular loop
-holds the int 0 there instead.  Either way that entry adds its term v to
-the zero, and 0 + v has the value, type and bits of z + v, v = -0.0
-included.  So every value keeps the bits and the type of the full-length
-loop, which tests/test_exact_kernels.py writes out as the oracle.
-Non-finite entries are outside this: inf * 0 is nan.
+holds the int 0 there instead, or appends the new top degree as 0 + v
+(elem_sym_all: no int zero rides its inner loop).  Either way that entry
+adds its term v to the zero, and 0 + v has the value, type and bits of
+z + v, v = -0.0 included.  So every value keeps the bits and the type of
+the full-length loop, which tests/test_exact_kernels.py writes out as the
+oracle.  Non-finite entries are outside this: inf * 0 is nan.
 
 Exclusion indices are 1-based, matching the classical subscript notation
 for "sigma_k with the i-th variable removed".  ``elem_sym_excl_all`` returns
@@ -53,13 +54,14 @@ import numpy as np
 def elem_sym_all(a: Sequence) -> list:
     """All values sigma_0(a) .. sigma_n(a) via the product recurrence.
 
-    Triangular: entry i (1-based) updates sigma_i .. sigma_1 alone, the
-    degrees it can reach.  The values keep the bits of the full-length
-    update (module docstring).
+    Triangular, and grown by append: entry i (1-based) appends sigma_i as
+    0 + x * sigma_{i-1}, then updates sigma_{i-1} .. sigma_1.  The values
+    keep the bits of the full-length update (module docstring).
     """
-    e = [1] + [0] * len(a)
-    for i, x in enumerate(a, 1):
-        j = i
+    e = [1]
+    for x in a:
+        j = len(e) - 1
+        e.append(0 + x * e[j])
         while j:
             e[j] += x * e[j - 1]
             j -= 1

@@ -26,9 +26,11 @@ The decay exponent of a level-set point a is then
 
     decay = sum_k k c_k sigma_k(a) / sum_k selected_k c_k sigma_k(a),
 
-which lies in (0, n], equals n exactly for the isotropic point
-tan(theta/n) * ones, and governs the tail rate r^(-decay) of the radial
-profile built in the radial module.
+which governs the tail rate r^(-decay) of the radial profile built in the
+radial module.  Exactly, it lies in (0, n] and is n at the isotropic point
+tan(theta/n) * ones; the float is not: on 444 iso points (n = 3..150, at
+the critical angle, pi/4 above it and (n - 1) pi/2) m != n on 414 and
+m > n on 215, with |m/n - 1| at most 1.88 n eps (n = 99, critical).
 
 One check decides whether (theta, a), with a a positive vector of length
 n, is a supported problem: theta in PhaseSpec.ray_degree's range (the
@@ -80,13 +82,13 @@ def _chain(c: Sequence, vals: list) -> tuple:
 
     sigma(a | max) runs over all but the largest entry, sigma(a) is one more
     step of it, sigma(a | min) runs over all but the smallest.  A row grows
-    by one degree per entry, as elem_sym_all's triangular loop reaches one
-    more degree per entry; the new top degree is appended as x * sigma_j,
-    which elem_sym_all adds to its int 0, the same float for the positive
-    entries here.  So every value sees elem_sym_all's operations in its
-    order and keeps its bits.  Raises ValueError, before sigma(a | min),
-    unless every sigma_k lies in (0, F/(2n^2)), F the largest float: then
-    none of the sums' n terms, of size up to n * sigma_k, can overflow.
+    by one degree per entry, as in elem_sym_all; the new top degree is
+    appended as x * sigma_j, where elem_sym_all appends 0 + x * sigma_j,
+    the same float for the positive entries here.  So every value sees
+    elem_sym_all's operations in its order and keeps its bits.  Raises
+    ValueError, before sigma(a | min), unless every sigma_k lies in
+    (0, F/(2n^2)), F the largest float: then none of the sums' n terms, of
+    size up to n * sigma_k, can overflow.
     """
     n = len(vals)
     lo, hi = vals[0], vals[-1]
@@ -156,7 +158,7 @@ class WeightProfile(NamedTuple):
 
 def decay_exponent(spec: PhaseSpec, a: list) -> float:
     """Decay exponent of a level-set point a, a list of n positive Python
-    floats in any order; lies in (0, n].
+    floats in any order; in (0, n] up to rounding (module docstring).
 
     Raises ValueError unless (spec, a) passes the one check (_level_point).
     """
@@ -168,16 +170,14 @@ class Admissibility(NamedTuple):
 
     klass is "admissible" (definite sign, critical or supercritical phase,
     on the level set, exponent > 2), "slow_decay" (same but exponent <= 2),
-    or "outside".  near_boundary flags an exponent within 1e-12 of the
-    strict threshold 2.  reflected is true when the data was all negative
-    and was classified as the problem (-theta, -lam).  With an exponent m,
-    profile is the analysis of that classified problem (the reflection of
-    the input when reflected), the one input of radial.first_integral;
-    without one it is None.
+    or "outside".  reflected is true when the data was all negative and
+    was classified as the problem (-theta, -lam).  Unless klass is
+    "outside", profile is the analysis of that classified problem (the
+    reflection of the input when reflected), the one input of
+    radial.first_integral, and holds the exponent as profile.m; otherwise
+    it is None.
     """
     klass: str
-    m: Optional[float]
-    near_boundary: bool = False
     reflected: bool = False
     profile: Optional[WeightProfile] = None
 
@@ -196,8 +196,8 @@ def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
     Python floats, gives its ascending values, and they and _chain's
     exponent, sigma row and selected chain make the problem's
     WeightProfile.  A sigma row outside the float range still raises
-    ValueError, at once when the product of the entries, sigma_n, is past
-    _chain's bound: a huge n costs no sigma rows.
+    ValueError, before any row when sigma_n = math.prod(vals), the float
+    _chain would test, is out of range: a huge n costs no sigma rows.
     """
     arr = np.asarray(lam, dtype=float)
     reflected = bool(np.all(arr < 0))
@@ -206,22 +206,18 @@ def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
     elif np.all(arr > 0):
         work_spec, work = spec, arr
     else:
-        return Admissibility(klass="outside", m=None)
+        return Admissibility(klass="outside")
     try:
         vals = _level_point(work_spec, work.tolist())
     except ValueError:
-        return Admissibility(klass="outside", m=None, reflected=reflected)
-    # sigma_n = prod a_i alone past _chain's bound, beyond rounding: _chain
-    # would raise, after its O(n^2) rows
-    logs, n = list(map(math.log, vals)), len(vals)
-    if math.fsum(logs) > math.log(_FLOAT_MAX / (2 * n * n)) + 1e-12 * (
-            n + math.fsum(map(abs, logs))):
+        return Admissibility(klass="outside", reflected=reflected)
+    # _chain's test of sigma_n alone, before its O(n^2) rows
+    if not 0.0 < math.prod(vals) < _FLOAT_MAX / (2 * len(vals) ** 2):
         raise ValueError("sigma row of the vector leaves the float range")
     m, sig, selected = _chain(work_spec.coeffs, vals)
     prof = WeightProfile(spec=work_spec, a=np.array(vals), m=m,
                          sigma=tuple(sig), selected=tuple(selected))
-    klass = "admissible" if m > 2.0 else "slow_decay"
-    return Admissibility(klass=klass, m=m, near_boundary=abs(m - 2.0) <= 1e-12,
+    return Admissibility(klass="admissible" if m > 2.0 else "slow_decay",
                          reflected=reflected, profile=prof)
 
 

@@ -1,7 +1,7 @@
 """Module hygiene of the slex package, checked with the stdlib's ast and
 one fresh import.
 
-Ten rules, for every module under src/slex:
+Eleven rules, for every module under src/slex:
 
   * no module reaches into another slex module's private names, neither
     by importing one (`from .radial import _horner`) nor by reading one
@@ -25,8 +25,13 @@ Ten rules, for every module under src/slex:
     attribute somewhere in the package outside its own definition, and
     not only from members that are themselves unread.  Members are
     matched by name, since no type is known statically.  Class fields
-    (a NamedTuple's, or attributes set in __init__) are not definitions
-    here: a field is data a report may serialize;
+    (a NamedTuple's, or attributes set in __init__) are not members
+    here; the next rule holds a NamedTuple's;
+  * every field of a package NamedTuple is read as an attribute
+    somewhere in src/slex, bench/ or tools/ (their test files aside),
+    matched by name as members are, or is on READ_BY_TESTS with the
+    reason a test needs it.  A field that nothing reads is data that no
+    report serializes and no stage uses;
   * every raise statement runs for some command line, or is on
     NUMERICAL_SAFETY with its reason.  The lines are the rows of
     CONTRACT in tools/report_gate.py, help and an --out that cannot be
@@ -67,9 +72,20 @@ import slex
 from slex import cli
 
 PACKAGE = Path(slex.__file__).resolve().parent
+ROOT = PACKAGE.parent.parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 # public names no module of the package reads, kept for a reader outside it
 READ_OUTSIDE = ("complete_to_phase",)  # bench/workloads.py
+# (module, Class.field) of each NamedTuple field that only tests read, with
+# the reason they need it
+READ_BY_TESTS = {
+    ("radial", "FirstIntegral.e_coeffs"):
+        "tests/test_radial.py holds E to the exact integer shift through it",
+}
+# the code outside the package whose attribute reads count for a field
+READERS = [p for p in sorted([*ROOT.glob("bench/*.py"),
+                              *ROOT.glob("tools/*.py")])
+           if not p.name.startswith("test_")]
 # (module, function, message) of each raise no command line runs, with its
 # reason: checks that hold on every supported input, and the guards of a
 # reader outside the package
@@ -289,6 +305,34 @@ def unread_members(sources: dict) -> list:
         dead = unread
 
 
+def unread_fields(sources: dict, readers=()) -> list:
+    """(module, line, Class.field) of each field of a NamedTuple class in
+    sources (name -> text) that neither sources nor readers (more texts)
+    read as an attribute.
+
+    A read of .field on any object counts for every field of that name.
+    """
+    defined = {}  # (module, Class.field) -> line
+    read = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(base, "id", getattr(base, "attr", None))
+                    == "NamedTuple" for base in node.bases):
+                for stmt in node.body:
+                    if (isinstance(stmt, ast.AnnAssign)
+                            and isinstance(stmt.target, ast.Name)):
+                        key = (module, f"{node.name}.{stmt.target.id}")
+                        defined[key] = stmt.lineno
+    for source in (*sources.values(), *readers):
+        read.update(node.attr for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load))
+    return sorted((module, line, field)
+                  for (module, field), line in defined.items()
+                  if field.split(".")[1] not in read)
+
+
 def raise_sites(source: str) -> list:
     """(line, function, message) of every raise statement in source.
 
@@ -416,6 +460,15 @@ def test_every_public_name_is_read_by_the_package():
 def test_every_public_member_is_read_by_the_package():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unread_members(sources) == []
+
+
+def test_every_field_is_read():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    found = [(module, field) for module, _line, field in unread_fields(
+        sources, [p.read_text() for p in READERS])]
+    assert [key for key in found if key not in READ_BY_TESTS] == []
+    # every listed field exists and is still read by tests alone
+    assert set(READ_BY_TESTS) <= set(found)
 
 
 def test_every_raise_runs_for_a_command_line(tmp_path, capsys):
@@ -660,3 +713,24 @@ def test_checks_find_what_they_look_for():
     assert unread_members(sources) == [
         ("kernel", 8, "Spec.only_dead"), ("kernel", 10, "Spec.dead"),
         ("kernel", 12, "Spec.recursive")]
+    sources = {
+        "kernel": "\n".join([
+            "import typing",
+            "from typing import NamedTuple",
+            "class Report(NamedTuple):",
+            "    used: float",
+            "    unread: float",
+            "    written: int = 0",
+            "    outside: str = ''",
+            "class Bare(typing.NamedTuple):",
+            "    flag: bool",
+            "class Plain:",
+            "    ignored: int",
+            "def main(r):",
+            "    r.written = 1",
+            "    return r.used",
+        ]),
+    }
+    assert unread_fields(sources, ["def show(r):\n    print(r.outside)"]) \
+        == [("kernel", 5, "Report.unread"), ("kernel", 6, "Report.written"),
+            ("kernel", 9, "Bare.flag")]
