@@ -72,7 +72,7 @@ import operator
 import os
 import sys
 import warnings
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
@@ -272,14 +272,16 @@ def _int_rows(vec: list) -> tuple:
 
     p = D*a (_scale); sig is sigma(p), rows[i-1] is sigma(p | i) and
     pairs[i-1] is sigma(p | i, n), each entry of degree e equal to D**e
-    times the value at a.  The trailing 0 on each exclusion row is the
-    zero convention at both ends, as row[-1] and row[len] read it.
+    times the value at a.  Each pair row divides exactly out of r =
+    rows[i-1], as r(t) = s(t) (1 + p_n t): s_0 = 1, s_k = r_k - p_n s_{k-1}.
+    The trailing 0 on each exclusion row is the zero convention at both
+    ends, as row[-1] and row[len] read it.
     """
-    n = len(vec)
     p, _d = _scale(vec)
     sig = symfun.elem_sym_all(p)
-    rows = [symfun.elem_sym_excl_all(p, (i,)) + [0] for i in range(1, n + 1)]
-    pairs = [symfun.elem_sym_excl_all(p, (i, n)) + [0] for i in range(1, n)]
+    rows = [symfun.elem_sym_excl_all(p, i) + [0] for i in range(1, len(p) + 1)]
+    pairs = [[*accumulate(r[1:-2], lambda s, x: x - p[-1] * s, initial=1), 0]
+             for r in rows[:-1]]
     return p, sig, rows, pairs
 
 
@@ -462,7 +464,7 @@ def _rank_one_cases(rng, trials: int):
         row = symfun.elem_sym_all(lam)
         # the rows sigma_rank_one reads, built once for every k
         sig = symfun.elem_sym_all(p)
-        excl = [symfun.elem_sym_excl_all(p, (i,)) for i in range(1, n + 1)]
+        excl = [symfun.elem_sym_excl_all(p, i) for i in range(1, n + 1)]
         for k in range(1, n + 1):
             direct = symfun.sigma_rank_one(sig, excl, q, s, k)
             oracle = row[k]

@@ -34,14 +34,14 @@ the full-length loop, which tests/test_exact_kernels.py writes out as the
 oracle.  Non-finite entries are outside this: inf * 0 is nan.
 
 Exclusion indices are 1-based, matching the classical subscript notation
-for "sigma_k with the i-th variable removed".  ``elem_sym_excl_all`` returns
-the whole row sigma_0 .. sigma_{n-|excl|} of the reduced vector in one
-recurrence pass; a caller that needs many k for the same exclusion set
-builds that row once and indexes it.  ``sigma_rank_one`` takes the rows it
-reads, sigma(p) and the n rows sigma(p | i), so a caller that needs every
-k of one p builds them once; ``newton_check`` takes the row sigma(a) it
-reads, so a caller that already has it builds no second one, and returns
-the margins alone: each caller judges them by its own rule.
+for "sigma_k with the i-th variable removed".  ``elem_sym_excl_all``
+returns the whole row sigma_0 .. sigma_{n-1} of a without entry i in one
+recurrence pass; a caller that needs many k for the same exclusion builds
+that row once and indexes it.  ``sigma_rank_one`` takes the rows it reads,
+sigma(p) and the n rows sigma(p | i), so a caller that needs every k of
+one p builds them once; ``newton_check`` takes the row sigma(a) it reads,
+so a caller that already has it builds no second one, and returns the
+margins alone: each caller judges them by its own rule.
 """
 
 import math
@@ -68,18 +68,12 @@ def elem_sym_all(a: Sequence) -> list:
     return e
 
 
-def elem_sym_excl_all(a: Sequence, excl: Sequence[int]) -> list:
-    """sigma_0 .. sigma_{n-len(excl)} of a with the (1-based) indices in excl
-    removed.
-
-    The caller passes one or two indices, distinct and in range; nothing
-    checks them.  They are deleted by position, the larger first, so the
-    reduced vector keeps the order of a and every entry equals what
-    elem_sym_all gives on that reduced list.
-    """
+def elem_sym_excl_all(a: Sequence, i: int) -> list:
+    """sigma_0 .. sigma_{n-1} of a with its (1-based) entry i removed:
+    elem_sym_all of the other entries, in their order.  The caller passes
+    i in range; nothing checks it."""
     kept = list(a)
-    for i in sorted(excl, reverse=True):
-        del kept[i - 1]
+    del kept[i - 1]
     return elem_sym_all(kept)
 
 
@@ -119,7 +113,7 @@ def sigma_rank_one(sig: Sequence, excl: Sequence, q: Sequence, s, k: int):
     The update is linear in s: sigma_k(p) plus s times the sum over i of
     sigma_{k-1}(p with entry i removed) * q_i^2.  No eigenvalue computation
     is performed.  The caller hands in the rows of p this reads, sig =
-    elem_sym_all(p) and excl[i] = elem_sym_excl_all(p, (i+1,)), built once
+    elem_sym_all(p) and excl[i] = elem_sym_excl_all(p, i+1), built once
     for every k; the result is their sigma_k + s * sum_i excl[i][k-1] q_i^2,
     summed in index order, for 1 <= k <= n.
     """

@@ -49,8 +49,8 @@ returned as Admissibility.profile.  It is the only input of
 radial.first_integral, which checks nothing that classify checked.
 
 Everything runs on one ascending list of Python floats, through one
-routine (_chain) behind every exponent and selected chain.  It runs the
-three sigma recurrences in place, each value by elem_sym_all's
+routine (_chain) behind every exponent and selected chain.  It grows its
+three sigma rows by one recurrence (_grow), each value by elem_sym_all's
 operations in its order, and forms only the selected chain, so the bits
 are the ones the full rows and chains give.  There is one vector route:
 decay_exponent takes a list of Python floats, and classify hands its
@@ -75,47 +75,41 @@ from .phasepoly import LEVEL_TOL, PhaseSpec, phase
 _FLOAT_MAX = sys.float_info.max
 
 
+def _grow(row: list, xs) -> list:
+    """row, a sigma row of some entries, grown in place by the entries xs,
+    one degree per entry as in elem_sym_all; the new top degree is
+    appended as x * sigma_j, where elem_sym_all appends 0 + x * sigma_j,
+    the same float for the positive entries here."""
+    for x in xs:
+        j = len(row) - 1
+        row.append(x * row[j])
+        while j:
+            row[j] += x * row[j - 1]
+            j -= 1
+    return row
+
+
 def _chain(c: Sequence, vals: list) -> tuple:
     """(m, sigma, selected) of an ascending positive list of n >= 2 entries
     under the level coefficients c: selected_k is the upper weight where c_k > 0, else the
     lower one, and m = sum k c_k sigma_k / sum selected_k c_k sigma_k.
 
-    sigma(a | max) runs over all but the largest entry, sigma(a) is one more
-    step of it, sigma(a | min) runs over all but the smallest.  A row grows
-    by one degree per entry, as in elem_sym_all; the new top degree is
-    appended as x * sigma_j, where elem_sym_all appends 0 + x * sigma_j,
-    the same float for the positive entries here.  So every value sees
-    elem_sym_all's operations in its order and keeps its bits.  Raises
-    ValueError, before sigma(a | min), unless every sigma_k lies in
-    (0, F/(2n^2)), F the largest float: then none of the sums' n terms, of
-    size up to n * sigma_k, can overflow.
+    _grow builds all three rows: sigma(a | max) from all but the largest
+    entry, sigma(a) as one more step of it, sigma(a | min) from all but
+    the smallest.  So every value sees elem_sym_all's operations in its
+    order and keeps its bits.  Raises ValueError, before sigma(a | min),
+    unless every sigma_k lies in (0, F/(2n^2)), F the largest float: then
+    none of the sums' n terms, of size up to n * sigma_k, can overflow.
     """
     n = len(vals)
     lo, hi = vals[0], vals[-1]
-    sig = [1, lo]
-    for x in vals[1:-1]:
-        j = len(sig) - 1
-        sig.append(x * sig[j])
-        while j:
-            sig[j] += x * sig[j - 1]
-            j -= 1
-    less_max = sig[:]
-    sig.append(hi * sig[-1])
-    j = n - 1
-    while j:
-        sig[j] += hi * sig[j - 1]
-        j -= 1
+    less_max = _grow([1, lo], vals[1:-1])
+    sig = _grow(less_max[:], (hi,))
     top = _FLOAT_MAX / (2 * n * n)
     for s in sig:
         if not 0.0 < s < top:
             raise ValueError("sigma row of the vector leaves the float range")
-    less_min = [1, *vals[1:2]]
-    for x in vals[2:]:
-        j = len(less_min) - 1
-        less_min.append(x * less_min[j])
-        while j:
-            less_min[j] += x * less_min[j - 1]
-            j -= 1
+    less_min = _grow([1, vals[1]], vals[2:])
     selected, num, den = [0.0], [], []
     for k in range(1, n):
         ck, sk = c[k], sig[k]

@@ -112,10 +112,20 @@ def classification(spec):
     return "subcritical"
 
 
+def elem_sym_excl_row(a, excl):
+    """sigma_0 .. sigma_{n-len(excl)} of a with the (1-based) indices in
+    excl removed: elem_sym_all of the kept entries, in their order.  The
+    reference for symfun.elem_sym_excl_all, which removes one index, and
+    for the pair rows sigma(p | i, n) that cli._int_rows divides out of
+    sigma(p | i)."""
+    return symfun.elem_sym_all([x for pos, x in enumerate(a, 1)
+                                if pos not in excl])
+
+
 def elem_sym_excl(a, k, excl=()):
     """sigma_k of a with the (1-based) indices in excl removed: one entry of
-    symfun.elem_sym_excl_all, and 0 for k < 0 and k > n - len(excl)."""
-    row = symfun.elem_sym_excl_all(a, excl)
+    elem_sym_excl_row, and 0 for k < 0 and k > n - len(excl)."""
+    row = elem_sym_excl_row(a, excl)
     return row[k] if 0 <= k < len(row) else 0
 
 
@@ -146,9 +156,9 @@ def clear_denominators(a):
 
 def rank_one_rows(p):
     """(sig, excl) as symfun.sigma_rank_one reads them for the vector p:
-    sig = elem_sym_all(p) and excl[i] = elem_sym_excl_all(p, (i+1,))."""
+    sig = elem_sym_all(p) and excl[i] = elem_sym_excl_all(p, i+1)."""
     return (symfun.elem_sym_all(p),
-            [symfun.elem_sym_excl_all(p, (i,)) for i in range(1, len(p) + 1)])
+            [symfun.elem_sym_excl_all(p, i) for i in range(1, len(p) + 1)])
 
 
 def sigma_rank_one_cutoff(p, q, s, k):

@@ -13,7 +13,6 @@ add the inputs a triangular loop could get wrong.
 """
 
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -146,10 +145,7 @@ def test_sigma_row_matches_plain_fraction_recurrence(a):
 def test_exclusion_rows_match_plain_fraction_recurrence(a):
     n = len(a)
     for i in range(1, n + 1):
-        same(symfun.elem_sym_excl_all(a, (i,)), plain_sigma(without(a, {i})))
-    for i, j in combinations(range(1, n + 1), 2):
-        same(symfun.elem_sym_excl_all(a, (j, i)),
-             plain_sigma(without(a, {i, j})))
+        same(symfun.elem_sym_excl_all(a, i), plain_sigma(without(a, {i})))
 
 
 @SETTINGS
@@ -165,10 +161,9 @@ def test_integer_numerators_give_every_value_times_its_scale(a):
         assert got == [d ** (degree + e) * v for e, v in enumerate(want)]
 
     scaled(symfun.elem_sym_all(p), symfun.elem_sym_all(a), 0)
-    for excl in [*combinations(range(1, n + 1), 1),
-                 *combinations(range(1, n + 1), 2)]:
-        scaled(symfun.elem_sym_excl_all(p, excl),
-               symfun.elem_sym_excl_all(a, excl), 0)
+    for i in range(1, n + 1):
+        scaled(symfun.elem_sym_excl_all(p, i),
+               symfun.elem_sym_excl_all(a, i), 0)
     table, want = symfun.gen_sym_table(p), symfun.gen_sym_table(a)
     assert len(table) == len(want)
     for k, (got_row, want_row) in enumerate(zip(table, want)):
@@ -248,11 +243,8 @@ def test_float_and_numpy_input_keep_the_plain_loop(a):
             closed = closed + table[p + 1][p]
         same(phasepoly.ray_wronskian(vec), closed)
         for i in range(1, len(vec) + 1):
-            same(symfun.elem_sym_excl_all(vec, (i,)),
+            same(symfun.elem_sym_excl_all(vec, i),
                  plain_sigma(without(vec, {i})))
-        for i, j in combinations(range(1, len(vec) + 1), 2):
-            same(symfun.elem_sym_excl_all(vec, (j, i)),
-                 plain_sigma(without(vec, {i, j})))
 
 
 def rank_one_inputs(vectors, entries):

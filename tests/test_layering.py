@@ -1,7 +1,7 @@
 """Module hygiene of the slex package, checked with the stdlib's ast and
 one fresh import.
 
-Eleven rules, for every module under src/slex:
+Twelve rules, for every module under src/slex:
 
   * no module reaches into another slex module's private names, neither
     by importing one (`from .radial import _horner`) nor by reading one
@@ -55,6 +55,9 @@ Eleven rules, for every module under src/slex:
     set.  No collection runs once numpy begins to load, the collector is
     on or off after the import as it was before, and the import ends
     frozen, the older generations' counts at zero.
+  * a RuntimeWarning raised in any module of the package is an error
+    under the test run's filters, and so it would be in a module added
+    later: pyproject.toml holds one filter for the whole package.
 """
 
 import ast
@@ -63,6 +66,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -450,6 +454,18 @@ def test_no_unread_private_names(module):
 @pytest.mark.parametrize("module", MODULES)
 def test_no_forwarding_properties(module):
     assert forwarding_properties((PACKAGE / module).read_text()) == []
+
+
+# "checks" is no module yet: the filter must catch it when it is added
+@pytest.mark.parametrize("module", [
+    *(name[:-3] for name in MODULES if name != "__init__.py"), "checks"])
+def test_runtime_warnings_in_the_package_are_errors(module):
+    # the warning numpy raises for a float error, as if from that module
+    name = f"slex.{module}"
+    with pytest.raises(RuntimeWarning):
+        warnings.warn_explicit("overflow encountered in multiply",
+                               RuntimeWarning, f"{module}.py", 1,
+                               module=name)
 
 
 def test_every_public_name_is_read_by_the_package():

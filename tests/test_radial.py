@@ -7,6 +7,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -434,6 +435,67 @@ def test_gauss_legendre_table_is_numpys_to_the_bit():
                       (radial._AT_KNOTS, at_knots)):
         assert got.shape == want.shape and got.strides == want.strides
         assert got.tobytes() == want.tobytes()
+
+
+def _panel_problems():
+    # iso points at both angles and beta in {2, 1e6}, and two random
+    # admissible points
+    for n in (3, 12, 48):
+        for theta in ((n - 2) * math.pi / 2, (n - 1) * math.pi / 2):
+            spec = phasepoly.PhaseSpec(n, theta)
+            for beta in (2.0, 1e6):
+                yield (f"iso-{n}-{theta:.3f}-{beta:g}",
+                       oracles.profile(spec, weights.iso_point(spec)), beta)
+    rng = np.random.default_rng(44)
+    for beta in (2.0, 1e3):
+        spec, a, _m = admissible_sample(rng, 4, 8)
+        yield f"random-{spec.n}-{beta:g}", oracles.profile(spec, a), beta
+
+
+PANEL_PROBLEMS = {name: (prof, beta) for name, prof, beta in _panel_problems()}
+
+
+@pytest.mark.parametrize("name", sorted(PANEL_PROBLEMS))
+def test_panel_sums_err_by_rounding_only(name):
+    # each panel's 16-point sum of x E/D in u, as first_integral forms it,
+    # against a 30-digit mpmath.quad of the same float coefficients: within
+    # Trefethen's truncation bound (radial module docstring) plus 16 eps
+    # times the sum of |w_i f_i|.  Measured: at most 3.2 eps of that sum
+    prof, beta = PANEL_PROBLEMS[name]
+    pf = radial.first_integral(prof, beta)
+    e, d = pf.e_coeffs, pf.d_coeffs
+    ctx = mpmath.MPContext()
+    ctx.dps = 30
+    e_desc = [ctx.mpf(c) for c in e[::-1]]
+    d_desc = [ctx.mpf(c) for c in d[::-1]]
+
+    def f(u):
+        x = ctx.exp(u)
+        return x * ctx.polyval(e_desc, x) / ctx.polyval(d_desc, x)
+
+    # |f| sampled on the Bernstein ellipse of parameter rho round each
+    # panel, evaluated in 1/x beyond |x| = 1 (x E/D = E~(1/x)/D~(1/x) on
+    # the reversed coefficients); rho < 2 pi + sqrt(4 pi^2 + 1) keeps the
+    # poles at Im u = pi outside
+    rho = 12.0
+    z = rho * np.exp(2j * np.pi * np.arange(64) / 64)
+    # the table's own knots: each panel's lower edge, then its 16 nodes
+    for lower, *nodes in pf.knots[:-1].reshape(-1, 17):
+        fx = radial._ratio(e, d, np.exp(nodes))
+        rule = fx @ radial._AT_KNOTS[:, 0]
+        x = np.exp(lower + 0.5 * radial._PANEL * (1.0 + 0.5 * (z + 1 / z)))
+        y = np.where(abs(x) <= 1.0, x, 1 / x)
+        big = np.abs(np.where(
+            abs(x) <= 1.0, x * npoly.polyval(y, e) / npoly.polyval(y, d),
+            npoly.polyval(y, e[::-1]) / npoly.polyval(y, d[::-1]))).max()
+        truncation = (0.5 * radial._PANEL * 64 / 15 * big * rho ** -32
+                      / (rho ** 2 - 1))
+        rounding = 16 * np.finfo(float).eps * np.abs(
+            0.5 * radial._PANEL * radial._GL_W * fx).sum()
+        ref = ctx.quad(f, [lower, lower + radial._PANEL],
+                       method="gauss-legendre")
+        assert abs(float(ctx.mpf(rule) - ref)) <= truncation + rounding, \
+            (name, lower)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)

@@ -5,14 +5,16 @@ product_decomposition on each vector's integer scale: the kernels run on
 the integer numerators p = D*a, D the lcm of the vector's denominators,
 so every value of degree d is D**d times its value at a.  The oracle here
 checks the same cases one by one in plain Fraction arithmetic, on the same
-drawn vectors and through the same (possibly faulty) kernels, and every
+drawn vectors and through the same (possibly faulty) kernels, each pair
+row divided out of its exclusion row as verify divides it, and every
 suite entry must come out equal: cases, failures, worst and the
 counterexample.  A fault is keyed on the call, not on the scalar type, so
 it fires on both scales.  The oracle draws its vectors by two scalar calls
 per entry (oracles.rational_vector); a second test holds verify's one
 broadcast draw to those int pairs and to the generator state they leave,
 and a third holds the integer vector and rows that verify forms from the
-pairs to the Fraction route (oracles.clear_denominators).
+pairs to the Fraction route (oracles.clear_denominators), each pair row
+to the recurrence on the reduced list (oracles.elem_sym_excl_row).
 """
 
 from fractions import Fraction
@@ -37,6 +39,15 @@ def _entry(cases, fails, ce):
     return entry
 
 
+def _deflated(row, last):
+    # sigma(a | i, n) from r = sigma(a | i) + [0]: s_0 = 1 and
+    # s_k = r_k - a_n s_{k-1}, with the trailing 0
+    out = [1]
+    for r in row[1:-2]:
+        out.append(r - last * out[-1])
+    return out + [0]
+
+
 def _fraction_oracle(seed: int, trials: int) -> dict:
     rng = np.random.default_rng(seed)
     vectors = [[Fraction(p, q) for p, q in oracles.rational_vector(
@@ -49,10 +60,10 @@ def _fraction_oracle(seed: int, trials: int) -> dict:
     for vec, a in zip(vectors, text):
         n = len(vec)
         sig = symfun.elem_sym_all(vec)
-        rows = [symfun.elem_sym_excl_all(vec, (i,)) + [0]
+        rows = [symfun.elem_sym_excl_all(vec, i) + [0]
                 for i in range(1, n + 1)]
-        pairs = [symfun.elem_sym_excl_all(vec, (i, n)) + [0]
-                 for i in range(1, n)]
+        # each pair row divided out of its row, as verify derives it
+        pairs = [_deflated(row, vec[-1]) for row in rows[:-1]]
         for k in range(n + 1):
             acc = 0
             for i in range(1, n + 1):
@@ -124,9 +135,9 @@ def test_int_rows_match_the_fraction_route(pairs):
         return [int(v * d ** k) for k, v in enumerate(row)] + [0]
 
     want = (p, scaled(symfun.elem_sym_all(a))[:-1],
-            [scaled(symfun.elem_sym_excl_all(a, (i,)))
+            [scaled(symfun.elem_sym_excl_all(a, i))
              for i in range(1, n + 1)],
-            [scaled(symfun.elem_sym_excl_all(a, (i, n)))
+            [scaled(oracles.elem_sym_excl_row(a, (i, n)))
              for i in range(1, n)])
     vec = [list(pair) for pair in pairs]
     got = cli._int_rows(vec)
@@ -146,9 +157,9 @@ def _lying_sigma_1_excl_1(shift):
     def inject(monkeypatch):
         real = symfun.elem_sym_excl_all
 
-        def lying(values, excl):
-            row = real(values, excl)
-            if tuple(excl) == (1,):
+        def lying(values, i):
+            row = real(values, i)
+            if i == 1:
                 row[1] = row[1] + shift
             return row
 

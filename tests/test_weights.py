@@ -482,8 +482,8 @@ def numpy_chains(arr):
     al = arr.tolist()
     n = len(al)
     sig = symfun.elem_sym_all(al)
-    less_min = symfun.elem_sym_excl_all(al, (1,))
-    less_max = symfun.elem_sym_excl_all(al, (n,))
+    less_min = symfun.elem_sym_excl_all(al, 1)
+    less_max = symfun.elem_sym_excl_all(al, n)
     lower = np.empty(n + 1)
     upper = np.empty(n + 1)
     lower[0] = upper[0] = 0.0

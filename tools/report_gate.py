@@ -286,6 +286,12 @@ EDGE_CASES = [
     *((f"iso critical n={n} beta=1e6 rmax=1e100", (), (
         "solve", "--family", "iso", "--n", str(n), "--theta", "critical",
         "--beta", "1e6", "--rmax", "1e100", "--grid", "4")) for n in (3, 12)),
+    # gamma = 1e152: valid input that exits 1 with nan minima, because the
+    # grid forms rho^2 a_i, which overflows (ROADMAP item 2, a scale-free
+    # grid); that fix shows here as an exit-code move
+    ("iso n=5 theta=7.5 gamma=1e152", (), (
+        "solve", "--family", "iso", "--n", "5", "--theta", "7.5",
+        "--gamma", "1e152", "--grid", "4")),
     # solve inverts the table once, on the sample radii, the shells and
     # (gamma, 10 gamma) together: shells and tail radii all beyond the
     # trajectory, 3 of the 8 shells past the table; and beta - 1 = 1e-6,
