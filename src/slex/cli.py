@@ -90,7 +90,7 @@ try:
     # numpy loads its random package lazily, and only verify draws from
     # it.  The import stays eager, at import time, for every command: the
     # benchmark counts import and main apart, and a lazy import would move
-    # its cost into verify's run time (ROADMAP items 4 and 11)
+    # its cost into verify's run time (ROADMAP items 4 and 13)
     import numpy.random  # noqa: F401
 
     from . import phasepoly, radial, subsol, symfun, weights
@@ -336,8 +336,8 @@ def _wronskian_cases(vectors: list, scaled: list):
     # product of the alternating parts vs the all-positive closed form,
     # exact, on each integer vector p = D*a; plus the known all-ones values
     # n * 2^(n-1)
-    for vec, (p, _sig, _rows, _pairs) in zip(vectors, scaled):
-        x, y, xw, yw = phasepoly.alternating_parts(p)
+    for vec, (p, sig, _rows, _pairs) in zip(vectors, scaled):
+        x, y, xw, yw = phasepoly.alternating_parts(sig)
         prod = x * yw - y * xw
         closed = phasepoly.ray_wronskian(p)
         ok = prod == closed and closed > 0
@@ -413,7 +413,7 @@ def _tangent_cases(rng, trials: int):
     # sampled float properties; the sign cases carry no margin
     for t in range(trials):
         lam = (rng.standard_normal(3 + t % 6) * 2.0).tolist()
-        x, y, _xw, _yw = phasepoly.alternating_parts(lam)
+        x, y, _xw, _yw = phasepoly.alternating_parts(symfun.elem_sym_all(lam))
         h = phasepoly.phase(lam)
         if abs(math.cos(h)) > 1e-6 and abs(x) > 1e-6:
             margin = abs(y / x - math.tan(h)) / max(1.0, abs(math.tan(h)))
@@ -434,7 +434,7 @@ def _implication_cases(rng, trials: int):
         lam = np.exp(rng.standard_normal(3 + t % 6)).tolist()
         wron = phasepoly.ray_wronskian(lam)
         h = phasepoly.phase(lam)
-        _x, _y, xw, yw = phasepoly.alternating_parts(lam)
+        _x, _y, xw, yw = phasepoly.alternating_parts(symfun.elem_sym_all(lam))
         ok = wron > 0 and math.cos(h) * yw - math.sin(h) * xw > 0
         yield ok, None if ok else {"lam": _floats(lam)}
 
@@ -559,7 +559,7 @@ def _run_scan(args: SimpleNamespace) -> dict:
     if grid_n < 2:
         raise ValueError("scan grid needs at least 2 points")
     eps_grid = np.linspace(0.0, math.pi / 12, grid_n).tolist()
-    spec = phasepoly.PhaseSpec(5, 5 * math.pi / 3)
+    spec = weights.EPS_SPEC
     exponent, family = weights.decay_exponent, weights.epsilon_family
     # one exponent per row, in row order, before the bisection's
     pipe = [exponent(spec, family(eps)) for eps in eps_grid]
@@ -627,15 +627,15 @@ def _resolve_vector(args: SimpleNamespace) -> tuple:
             return vec, n, theta_val
         if family.startswith("eps:"):
             eps = float(family[4:])
-            if n is not None and n != 5:
+            spec = weights.EPS_SPEC
+            if n is not None and n != spec.n:
                 raise ValueError("the eps family is five dimensional")
-            theta_val = 5 * math.pi / 3
             if theta is not None:
-                given = _parse_theta(theta, 5)
+                given = _parse_theta(theta, spec.n)
                 # written so that a NaN theta is rejected too
-                if not abs(given - theta_val) <= 1e-12:
+                if not abs(given - spec.theta) <= 1e-12:
                     raise ValueError("the eps family lives at theta = 5*pi/3")
-            return weights.epsilon_family(eps), 5, theta_val
+            return weights.epsilon_family(eps), spec.n, spec.theta
         raise ValueError("family must be 'iso' or 'eps:<value>'")
     if n is None or theta is None:
         raise ValueError("--a needs --n and --theta")

@@ -10,9 +10,11 @@ polynomials
 and their degree-weighted companions Xw = -2 sigma_2 + 4 sigma_4 - ... and
 Yw = sigma_1 - 3 sigma_3 + 5 sigma_5 - ..., which are the t-derivatives of
 X(t*lam), Y(t*lam) at t = 1.  alternating_parts returns all four from one
-pass over the sigma row; ray_wronskian gives X*Yw - Y*Xw by its
-all-positive closed form, which `verify` compares with the product of the
-four parts.
+pass over the sigma row sigma_0 .. sigma_n that its caller holds
+(symfun.elem_sym_all(lam)), so a caller with the row builds no second one;
+ray_wronskian gives X*Yw - Y*Xw by its all-positive closed form, which
+`verify` compares with the product of the four parts.  The module imports
+no other slex module.
 
 For a phase target theta the level combination is
 
@@ -33,8 +35,6 @@ reference of the acceptance criteria (tests/oracles.py).
 import math
 from functools import cached_property
 from typing import Sequence
-
-from .symfun import elem_sym_all
 
 # |H(a) - theta| at or below this counts as membership in the level set.
 LEVEL_TOL = 1e-10
@@ -114,18 +114,19 @@ def phase(lam: Sequence) -> float:
     return math.fsum(map(math.atan, lam))
 
 
-def alternating_parts(lam: Sequence):
+def alternating_parts(sig: Sequence):
     """(X, Y, Xw, Yw): the real and imaginary parts of prod_i (1 + i*lam_i)
     and their degree-weighted companions, the ray derivatives at t = 1.
 
-    One pass over the row sigma_0 .. sigma_n: even k go to X and Xw, odd k
+    Reads the row sig = sigma_0(lam) .. sigma_n(lam) its caller holds
+    (symfun.elem_sym_all(lam)), in one pass: even k go to X and Xw, odd k
     to Y and Yw, and bit 2 of k gives the sign.  Negation is exact, so
     x + (-v) keeps the value, type and bits of x + (-1) * v, and -(k * v)
     has the bits of (-k) * v, as rounding is symmetric.  The k = 0 term of
     Xw is the int 0 * sigma_0 = 0.  Exact for int/Fraction entries.
     """
     x = y = xw = yw = 0
-    for k, v in enumerate(elem_sym_all(lam)):
+    for k, v in enumerate(sig):
         w = k * v
         if k & 2:
             v, w = -v, -w

@@ -39,9 +39,10 @@ returns the whole row sigma_0 .. sigma_{n-1} of a without entry i in one
 recurrence pass; a caller that needs many k for the same exclusion builds
 that row once and indexes it.  ``sigma_rank_one`` takes the rows it reads,
 sigma(p) and the n rows sigma(p | i), so a caller that needs every k of
-one p builds them once; ``newton_check`` takes the row sigma(a) it reads,
-so a caller that already has it builds no second one, and returns the
-margins alone: each caller judges them by its own rule.
+one p builds them once; ``newton_check`` and
+``phasepoly.alternating_parts`` take the row sigma(a) they read, so a
+caller that already has it builds no second one.  newton_check returns
+the margins alone: each caller judges them by its own rule.
 """
 
 import math

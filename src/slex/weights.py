@@ -231,6 +231,10 @@ def complete_to_phase(prefix: Sequence, spec: PhaseSpec) -> np.ndarray:
     return np.sort(np.append(pre, math.tan(rem)))
 
 
+# the problem the eps family lives on: n = 5 at theta = 5*pi/3
+EPS_SPEC = PhaseSpec(5, 5 * math.pi / 3)
+
+
 def epsilon_family(eps: float) -> list:
     """The five-point level family tan(pi/3 + k*eps), k = -2..2, as an
     ascending list of Python floats.

@@ -65,12 +65,12 @@ def test_criterion_1_exact_identity_suite():
                for p, q in oracles.rational_vector(rng, n)]
         # ray wronskian: product of the alternating parts vs the
         # all-positive closed form
-        x, y, xw, yw = phasepoly.alternating_parts(vec)
+        sig = symfun.elem_sym_all(vec)
+        x, y, xw, yw = phasepoly.alternating_parts(sig)
         if x * yw - y * xw != phasepoly.ray_wronskian(vec):
             bad.append(("wronskian", vec))
         # sigma_j sigma_k decompositions recombine exactly
         table = symfun.gen_sym_table(vec)
-        sig = symfun.elem_sym_all(vec)
         for j in range(n + 1):
             for k in range(j, n + 1):
                 combo = sum(c * table[kk][jj] for c, (kk, jj)
@@ -109,7 +109,8 @@ def test_criterion_2_closed_form_values():
         val = phasepoly.ray_wronskian([1] * n)
         if val != n * 2 ** (n - 1):
             bad.append(("wronskian_unit", n, val))
-        x, y, xw, yw = phasepoly.alternating_parts([1] * n)
+        x, y, xw, yw = phasepoly.alternating_parts(
+            symfun.elem_sym_all([1] * n))
         if x * yw - y * xw != val:
             bad.append(("wronskian_unit_product", n))
     for n in range(3, 7):

@@ -385,8 +385,8 @@ def test_verify_exact_suites_hand_the_kernels_ints(tmp_path, monkeypatch):
     assert code == 0
     # per drawn vector (n = 3..8, twice): n exclusion rows, each one
     # elem_sym_all call inside (the n - 1 pair rows divide out of them),
-    # one sigma row (which newton_check reads too) and one table;
-    # combinatorial_sums adds ten all-ones tables
+    # one sigma row (which newton_check and alternating_parts read too) and
+    # one table; combinatorial_sums adds ten all-ones tables
     assert int_calls == {"elem_sym_all": 66 + 12,
                          "elem_sym_excl_all": 66, "gen_sym_table": 22}
 
@@ -806,6 +806,77 @@ def test_solve_huge_gamma_iso_passes(tmp_path):
     # every flag check passes: they bound (50 gamma)^2 only
     assert run(tmp_path, ["solve", "--family", "iso", "--n", "5", "--theta",
                           "7.5", "--gamma", "1e152", "--grid", "4"])[0] == 0
+
+
+def _phase_minus_1e6(real):
+    def lying(*args):
+        phases, levels = real(*args)
+        return phases - 1e-6, levels
+    return lying
+
+
+def _log_amplitude_up(real):
+    def lying(prof, beta):
+        pf = real(prof, beta)
+        return pf._replace(log_amplitude=pf.log_amplitude * (1 + 1e-3))
+    return lying
+
+
+def _mu_times_ten(real):
+    return lambda pf, at: tuple(10 * v for v in real(pf, at))
+
+
+def _shell_excess_scrambled(real):
+    # the second Inversion is the shells': each excess times a seeded
+    # U[0.5, 2] factor
+    def lying(pf, *radii):
+        traj, shells, *rest = real(pf, *radii)
+        factor = np.random.default_rng(0).uniform(0.5, 2.0,
+                                                  shells.excess.size)
+        return (traj, shells._replace(excess=shells.excess * factor), *rest)
+    return lying
+
+
+# solve fault -> (layer, callable, fault, report field it corrupts, None or
+# the reason no gate catches it yet).  Every row expects exit 1; the route
+# checks' faults, which exit 2 today, wait for ROADMAP item 1's exit rule
+SOLVE_FAULTS = {
+    "phase_gap": ("subsol", "rank_one_phase_level", _phase_minus_1e6,
+                  ("verification", "min_phase_gap"), None),
+    "log_amplitude": ("radial", "first_integral", _log_amplitude_up,
+                      ("first_integral", "log_amplitude"),
+                      "no gate reads log C; ROADMAP item 3, the numeric "
+                      "route for the tail law, checks it"),
+    "mu": ("radial", "tail_integral", _mu_times_ten, ("mu", "at_gamma"),
+           "no gate reads mu; ROADMAP item 3 checks it on the numeric "
+           "route"),
+    "shell_excess": ("radial", "invert", _shell_excess_scrambled,
+                     ("verification", "min_level_value"),
+                     "the grid checks the algebra at each shell's excess, "
+                     "not the profile there; ROADMAP item 3 or 14 checks "
+                     "the excess"),
+}
+
+
+@pytest.mark.parametrize("n", [3, 12])
+@pytest.mark.parametrize("fault", [
+    pytest.param(name, marks=() if reason is None else pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=reason))
+    for name, (*_row, reason) in SOLVE_FAULTS.items()])
+def test_solve_fault_injection_exits_one(tmp_path, monkeypatch, fault, n):
+    layer, kernel, lying, (section, field), _reason = SOLVE_FAULTS[fault]
+    argv = ["solve", "--family", "iso", "--n", str(n), "--theta",
+            "critical", "--grid", "8"]
+    code, path = run(tmp_path, argv, "good.json")
+    assert code == 0
+    good = json.loads(path.read_text())[section][field]
+    module = getattr(cli, layer)
+    monkeypatch.setattr(module, kernel, lying(getattr(module, kernel)))
+    code, path = run(tmp_path, argv, "bad.json")
+    if json.loads(path.read_text())[section][field] == good:
+        # not an AssertionError: a strict xfail must not swallow it
+        pytest.fail(f"the fault leaves {section}.{field} as it was")
+    assert code == 1
 
 
 def test_solve_all_negative_data_runs_the_reflected_problem(tmp_path):

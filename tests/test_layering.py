@@ -1,7 +1,7 @@
 """Module hygiene of the slex package, checked with the stdlib's ast and
 one fresh import.
 
-Twelve rules, for every module under src/slex:
+Thirteen rules, for every module under src/slex:
 
   * no module reaches into another slex module's private names, neither
     by importing one (`from .radial import _horner`) nor by reading one
@@ -49,7 +49,7 @@ Twelve rules, for every module under src/slex:
     itself) or `__future__`.  Beyond numpy, `numpy.random` and the
     package it loads only the built-in `gc`, and `statistics`, with
     `fractions` and `decimal` behind it, for subsol's normal quantile
-    (ROADMAP item 7A).
+    (ROADMAP item 8A).
   * a fresh `import slex.cli`, numpy not yet loaded, leaves the process
     one thread: OPENBLAS_NUM_THREADS reads "1", or the count the caller
     set.  No collection runs once numpy begins to load, the collector is
@@ -57,7 +57,10 @@ Twelve rules, for every module under src/slex:
     frozen, the older generations' counts at zero.
   * a RuntimeWarning raised in any module of the package is an error
     under the test run's filters, and so it would be in a module added
-    later: pyproject.toml holds one filter for the whole package.
+    later: pyproject.toml holds one filter for the whole package;
+  * the kernel modules, symfun and phasepoly, import no slex module: a
+    kernel takes the rows it reads from its caller, so the layers above
+    build each row once and hand it down.
 """
 
 import ast
@@ -176,6 +179,18 @@ def imported_modules(source: str) -> list:
                       for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.append((node.lineno, node.module.split(".")[0]))
+    return sorted(found)
+
+
+def slex_imports(source: str) -> list:
+    """(line, statement) of every import of a slex module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.ImportFrom) and _slex_import(node)
+                or isinstance(node, ast.Import) and any(
+                    alias.name.split(".")[0] == "slex"
+                    for alias in node.names)):
+            found.append((node.lineno, ast.get_source_segment(source, node)))
     return sorted(found)
 
 
@@ -446,6 +461,11 @@ def test_no_module_imports_fractions(module):
         (PACKAGE / module).read_text()) if found[1] == "fractions"] == []
 
 
+@pytest.mark.parametrize("module", ["symfun.py", "phasepoly.py"])
+def test_kernel_modules_import_no_slex_module(module):
+    assert slex_imports((PACKAGE / module).read_text()) == []
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unread_private_names(module):
     assert unread_privates((PACKAGE / module).read_text()) == []
@@ -515,7 +535,7 @@ def test_every_raise_runs_for_a_command_line(tmp_path, capsys):
 
 # modules a fresh `import slex.cli` may load beyond numpy's: the package,
 # the interpreter's built-in gc, and subsol's statistics with what it
-# imports (ROADMAP item 7A)
+# imports (ROADMAP item 8A)
 IMPORT_EXTRAS = ("slex", "gc", "statistics", "_statistics", "fractions",
                  "decimal", "_decimal")
 # what no command needs in that form at import
@@ -617,6 +637,10 @@ def test_checks_find_what_they_look_for():
                                       (7, "_prune")]
     assert imported_modules(source) == [(1, "math"), (2, "locale"),
                                         (3, "fractions")]
+    assert [line for line, _text in slex_imports(source)] == [4, 5, 6]
+    assert slex_imports("import numpy\nimport slex.radial as r\n"
+                        "from slex import cli\n") == [
+        (2, "import slex.radial as r"), (3, "from slex import cli")]
     source = "\n".join([
         "def check(x):",
         "    if x < 0:",

@@ -8,11 +8,16 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import oracles
-from slex import phasepoly, weights
+from slex import phasepoly, symfun, weights
 
 
 A3 = np.full(3, 1.0 / math.sqrt(3.0))
 SPEC3 = phasepoly.PhaseSpec(3, math.pi / 2)
+
+
+def parts_of(lam):
+    # alternating_parts reads the sigma row its caller holds
+    return phasepoly.alternating_parts(symfun.elem_sym_all(lam))
 
 
 def test_phase_spec_validation():
@@ -57,16 +62,18 @@ def test_phase_converts_each_entry_as_float_does():
 
 
 def test_alternating_parts_known_values():
-    assert phasepoly.alternating_parts([0.0] * 5) == (1.0, 0.0, 0.0, 0.0)
-    assert phasepoly.alternating_parts([1] * 4) == (-4, 0, -8, -8)
-    assert phasepoly.alternating_parts([1, 0, 0, 0, 0]) == (1, 1, 0, 1)
+    assert parts_of([0.0] * 5) == (1.0, 0.0, 0.0, 0.0)
+    assert parts_of([1] * 4) == (-4, 0, -8, -8)
+    assert parts_of([1, 0, 0, 0, 0]) == (1, 1, 0, 1)
+    # the kernel reads the row it is handed: sigma([1] * 4)
+    assert phasepoly.alternating_parts([1, 4, 6, 4, 1]) == (-4, 0, -8, -8)
 
 
 def test_alternating_parts_weighted_known_values():
     # the weighted pair (Xw, Yw), the last two parts
-    assert phasepoly.alternating_parts([0.0] * 4)[2:] == (0.0, 0.0)
-    assert phasepoly.alternating_parts([1] * 3)[2:] == (-6, 0)
-    assert phasepoly.alternating_parts([1, 0, 0, 0])[2:] == (0, 1)
+    assert parts_of([0.0] * 4)[2:] == (0.0, 0.0)
+    assert parts_of([1] * 3)[2:] == (-6, 0)
+    assert parts_of([1, 0, 0, 0])[2:] == (0, 1)
 
 
 def test_parts_match_complex_product_oracle():
@@ -77,7 +84,7 @@ def test_parts_match_complex_product_oracle():
         prod = complex(1.0)
         for v in lam:
             prod *= 1.0 + 1j * v
-        x, y, _xw, _yw = phasepoly.alternating_parts(lam.tolist())
+        x, y, _xw, _yw = parts_of(lam.tolist())
         assert x == pytest.approx(prod.real, rel=1e-10, abs=1e-10)
         assert y == pytest.approx(prod.imag, rel=1e-10, abs=1e-10)
 
@@ -92,11 +99,11 @@ def test_weighted_parts_are_ray_derivatives():
         lam = rng.standard_normal(n)
 
         def parts(t):
-            return phasepoly.alternating_parts((t * lam).tolist())[:2]
+            return parts_of((t * lam).tolist())[:2]
 
         xp, yp = parts(1.0 + h)
         xm, ym = parts(1.0 - h)
-        _x, _y, xhat, yhat = phasepoly.alternating_parts(lam.tolist())
+        _x, _y, xhat, yhat = parts_of(lam.tolist())
         assert xhat == pytest.approx((xp - xm) / (2 * h), rel=1e-6, abs=1e-4)
         assert yhat == pytest.approx((yp - ym) / (2 * h), rel=1e-6, abs=1e-4)
 
@@ -106,7 +113,7 @@ def test_tangent_ratio_and_sign_lemma_sampled():
     for _ in range(300):
         n = int(rng.integers(3, 9))
         lam = rng.standard_normal(n) * 2.0
-        x, y, _xw, _yw = phasepoly.alternating_parts(lam.tolist())
+        x, y, _xw, _yw = parts_of(lam.tolist())
         h = phasepoly.phase(lam)
         if abs(x) > 1e-6 and abs(math.cos(h)) > 1e-6:
             assert y / x == pytest.approx(math.tan(h), rel=1e-10, abs=1e-10)
@@ -133,7 +140,7 @@ def test_phase_coeffs_reproduce_level_combination():
         theta = float(rng.uniform(-0.49, 0.49)) * n * math.pi
         spec = phasepoly.PhaseSpec(n, theta)
         lam = rng.standard_normal(n) * 2.0
-        x, y, _xw, _yw = phasepoly.alternating_parts(lam.tolist())
+        x, y, _xw, _yw = parts_of(lam.tolist())
         z = oracles.level_value(spec, lam)
         assert z == pytest.approx(math.cos(theta) * y - math.sin(theta) * x,
                                   rel=1e-10, abs=1e-10)
@@ -153,7 +160,7 @@ def test_level_value_zero_on_level_set():
             theta = frac * n * math.pi / 2
             spec = phasepoly.PhaseSpec(n, theta)
             lam = np.full(n, math.tan(theta / n))
-            x, y, _xw, _yw = phasepoly.alternating_parts(lam.tolist())
+            x, y, _xw, _yw = parts_of(lam.tolist())
             scale = math.hypot(x, y)
             assert abs(oracles.level_value(spec, lam)) < 1e-12 * scale
 
@@ -197,7 +204,7 @@ def test_sign_dichotomy_bands():
 
 def parts_product(lam):
     # X*Yw - Y*Xw, the Wronskian as verify forms it from the parts
-    x, y, xw, yw = phasepoly.alternating_parts(lam)
+    x, y, xw, yw = parts_of(lam)
     return x * yw - y * xw
 
 

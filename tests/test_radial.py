@@ -1033,7 +1033,7 @@ def assert_iso_route_matches_the_oracle(n, kind, route, rtol):
     # float range the route's excess must be below it too
     if (n, kind) == (150, "supercritical"):
         # the ray polynomial of degree 150 shifted to 1 overflows (ROADMAP
-        # item 6, the supported dimension)
+        # item 9, the supported dimension)
         with pytest.raises(ValueError, match="ray polynomial shifted to 1 "
                                              "leaves the float range"):
             iso_problem(n, kind)
