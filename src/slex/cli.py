@@ -268,21 +268,25 @@ def _scale(vec: list) -> tuple:
 
 
 def _int_rows(vec: list) -> tuple:
-    """(p, sig, rows, pairs) of a vector of int pairs on its integer scale.
+    """(p, sig, table, rows, pairs) of a vector of int pairs on its integer
+    scale.
 
-    p = D*a (_scale); sig is sigma(p), rows[i-1] is sigma(p | i) and
-    pairs[i-1] is sigma(p | i, n), each entry of degree e equal to D**e
-    times the value at a.  Each pair row divides exactly out of r =
-    rows[i-1], as r(t) = s(t) (1 + p_n t): s_0 = 1, s_k = r_k - p_n s_{k-1}.
-    The trailing 0 on each exclusion row is the zero convention at both
-    ends, as row[-1] and row[len] read it.
+    p = D*a (_scale); sig is sigma(p), table is gen_sym_table(p), rows[i-1]
+    is sigma(p | i) and pairs[i-1] is sigma(p | i, n), each entry of degree
+    e equal to D**e times the value at a (T[k][j] has degree k + j).  The
+    Wronskian and product suites both read the one table.  Each pair row
+    divides exactly out of r = rows[i-1], as r(t) = s(t) (1 + p_n t):
+    s_0 = 1, s_k = r_k - p_n s_{k-1}.  The trailing 0 on each exclusion
+    row is the zero convention at both ends, as row[-1] and row[len] read
+    it.
     """
     p, _d = _scale(vec)
     sig = symfun.elem_sym_all(p)
+    table = symfun.gen_sym_table(p)
     rows = [symfun.elem_sym_excl_all(p, i) + [0] for i in range(1, len(p) + 1)]
     pairs = [[*accumulate(r[1:-2], lambda s, x: x - p[-1] * s, initial=1), 0]
              for r in rows[:-1]]
-    return p, sig, rows, pairs
+    return p, sig, table, rows, pairs
 
 
 def _fracs(vec) -> list:
@@ -332,26 +336,26 @@ def _suite(name: str, cases, label: Optional[str] = "exact mismatch"
 # scaling both sides by D**degree keeps each verdict; the Wronskian's
 # holds for every vector, and is checked at p itself.
 
-def _wronskian_cases(vectors: list, scaled: list):
+def _wronskian_cases(vectors: list, scaled: list, ones: dict):
     # product of the alternating parts vs the all-positive closed form,
     # exact, on each integer vector p = D*a; plus the known all-ones values
     # n * 2^(n-1)
-    for vec, (p, sig, _rows, _pairs) in zip(vectors, scaled):
+    for vec, (_p, sig, table, _rows, _pairs) in zip(vectors, scaled):
         x, y, xw, yw = phasepoly.alternating_parts(sig)
         prod = x * yw - y * xw
-        closed = phasepoly.ray_wronskian(p)
+        closed = phasepoly.ray_wronskian(table)
         ok = prod == closed and closed > 0
         yield ok, None if ok else {
             "a": _fracs(vec), "D": str(_scale(vec)[1]),
             "product": str(prod), "closed_form": str(closed)}
     for n in range(3, 13):
-        ok = phasepoly.ray_wronskian([1] * n) == n * 2 ** (n - 1)
+        ok = phasepoly.ray_wronskian(ones[n]) == n * 2 ** (n - 1)
         yield ok, None if ok else {"a": ["1"] * n}
 
 
 def _recurrence_cases(vectors: list, scaled: list):
     # sigma split and weighted-sum recurrences, exact
-    for vec, (p, sig, rows, _pairs) in zip(vectors, scaled):
+    for vec, (p, sig, _table, rows, _pairs) in zip(vectors, scaled):
         n = len(vec)
         for k in range(0, n + 1):
             acc = 0
@@ -369,7 +373,7 @@ def _recurrence_cases(vectors: list, scaled: list):
 
 def _pair_cases(vectors: list, scaled: list):
     # pairwise exclusion difference against the last entry j = n, exact
-    for vec, (p, _sig, rows, pairs) in zip(vectors, scaled):
+    for vec, (p, _sig, _table, rows, pairs) in zip(vectors, scaled):
         j = len(vec)
         for k in range(1, j + 1):
             last = p[j - 1] * rows[j - 1][k - 1]
@@ -384,9 +388,8 @@ def _product_cases(vectors: list, scaled: list):
     # product decompositions, exact, all (j, k) per vector, on the same
     # integer scale: T[K][J] has degree K + J, which is j + k for every
     # term of the (j, k) expansion
-    for vec, (p, sig, _rows, _pairs) in zip(vectors, scaled):
+    for vec, (_p, sig, table, _rows, _pairs) in zip(vectors, scaled):
         n = len(vec)
-        table = symfun.gen_sym_table(p)
         for j in range(0, n + 1):
             for k in range(j, n + 1):
                 combo = 0
@@ -396,13 +399,13 @@ def _product_cases(vectors: list, scaled: list):
                 yield ok, None if ok else {"a": _fracs(vec), "j": j, "k": k}
 
 
-def _combinatorial_cases():
+def _combinatorial_cases(ones: dict):
     # signed odd binomial sum and all-ones gen_sym_table counts, exact
     for q in range(0, 21):
         ok = symfun.signed_odd_binomial_sum(q) == (1 if q == 0 else 0)
         yield ok, None if ok else {"Q": q}
     for n in range(1, 11):
-        table = symfun.gen_sym_table([1] * n)
+        table = ones[n]
         for k in range(n + 1):
             for j in range(k + 1):
                 ok = table[k][j] == math.comb(n, k) * math.comb(k, j)
@@ -432,7 +435,7 @@ def _implication_cases(rng, trials: int):
     # combination at theta = H(lam) to be positive
     for t in range(trials):
         lam = np.exp(rng.standard_normal(3 + t % 6)).tolist()
-        wron = phasepoly.ray_wronskian(lam)
+        wron = phasepoly.ray_wronskian(symfun.gen_sym_table(lam))
         h = phasepoly.phase(lam)
         _x, _y, xw, yw = phasepoly.alternating_parts(symfun.elem_sym_all(lam))
         ok = wron > 0 and math.cos(h) * yw - math.sin(h) * xw > 0
@@ -478,7 +481,7 @@ def _newton_cases(vectors: list, scaled: list, rng, trials: int):
     # Newton inequality margins: on rationals every margin >= 0, exactly
     # (the integer row's margins carry D**(2k) and keep their signs); on
     # floats every margin >= -1e-9 * max(1, largest |margin|)
-    for vec, (_p, sig, _rows, _pairs) in zip(vectors, scaled):
+    for vec, (_p, sig, _table, _rows, _pairs) in zip(vectors, scaled):
         ok = all(v >= 0 for v in symfun.newton_check(sig))
         yield ok, None if ok else {"a": _fracs(vec)}
     for t in range(trials):
@@ -498,15 +501,18 @@ def _run_verify(args: SimpleNamespace) -> dict:
         raise ValueError("verify grid needs at least 1 vector")
     rng = np.random.default_rng(args.seed)
     vectors = _rational_vectors(rng, [3 + t % 6 for t in range(trials)])
-    # one build of each vector's integer vector and rows serves every exact
-    # suite on it; the float suites then draw from rng in list order
+    # one build of each vector's integer vector, rows and table serves
+    # every exact suite on it, and one build of the all-ones tables the
+    # combinatorial counts, the all-ones Wronskians and zstar_unit6; the
+    # float suites then draw from rng in list order
     scaled = [_int_rows(vec) for vec in vectors]
+    ones = {n: symfun.gen_sym_table([1] * n) for n in range(1, 13)}
     suites = [
-        _suite("wronskian_modes", _wronskian_cases(vectors, scaled)),
+        _suite("wronskian_modes", _wronskian_cases(vectors, scaled, ones)),
         _suite("sigma_recurrences", _recurrence_cases(vectors, scaled)),
         _suite("pair_exclusion_difference", _pair_cases(vectors, scaled)),
         _suite("product_decomposition", _product_cases(vectors, scaled)),
-        _suite("combinatorial_sums", _combinatorial_cases()),
+        _suite("combinatorial_sums", _combinatorial_cases(ones)),
         _suite("tangent_and_sign", _tangent_cases(rng, trials), None),
         _suite("wronskian_implication", _implication_cases(rng, trials),
                "implication failed"),
@@ -521,7 +527,7 @@ def _run_verify(args: SimpleNamespace) -> dict:
         "rng": RNG_NAME,
         "trials": trials,
         "arithmetic": "exact rational identities + float property samples",
-        "zstar_unit6": phasepoly.ray_wronskian([1] * 6),
+        "zstar_unit6": phasepoly.ray_wronskian(ones[6]),
         "suites": suites,
         "passed": all(s["failures"] == 0 for s in suites),
     }

@@ -12,9 +12,11 @@ Yw = sigma_1 - 3 sigma_3 + 5 sigma_5 - ..., which are the t-derivatives of
 X(t*lam), Y(t*lam) at t = 1.  alternating_parts returns all four from one
 pass over the sigma row sigma_0 .. sigma_n that its caller holds
 (symfun.elem_sym_all(lam)), so a caller with the row builds no second one;
-ray_wronskian gives X*Yw - Y*Xw by its all-positive closed form, which
-`verify` compares with the product of the four parts.  The module imports
-no other slex module.
+ray_wronskian gives X*Yw - Y*Xw by its all-positive closed form, a sum
+over the generalized symmetric table symfun.gen_sym_table(lam) that its
+caller holds, which `verify` compares with the product of the four parts.
+The module imports no other slex module and runs no symmetric-function
+recurrence.
 
 For a phase target theta the level combination is
 
@@ -139,36 +141,18 @@ def alternating_parts(sig: Sequence):
     return x, y, xw, yw
 
 
-def ray_wronskian(lam: Sequence):
+def ray_wronskian(table: Sequence):
     """X*Yw - Y*Xw, the Wronskian of (X(t*lam), Y(t*lam)) at t = 1, by its
-    all-positive expansion sum_{p=0}^{n-1} T[p+1][p], T =
-    symfun.gen_sym_table(lam).
+    all-positive expansion sum_{p=0}^{n-1} T[p+1][p].
 
-    It equals the product of alternating_parts exactly in rational
-    arithmetic, and makes positivity on the positive cone manifest.  For
-    the all-ones vector the value is n * 2^(n-1).
-
-    It runs gen_sym_table's recurrence on the band k - j in {0, 1} alone,
-    and triangular as that table: entry i (1-based) updates the band's
-    rows k = i .. 1.  The update of T[k][k] reads T[k-1][k-1], and that of
-    T[k][k-1] reads T[k-1][k-1] and T[k-1][k-2]: the band never reads
-    outside itself.  So every T[p+1][p] sees the same operations in the
-    same order as in gen_sym_table, and comes out as the same int,
-    Fraction or float bits, in O(n^2) work instead of O(n^3).
+    Reads the table T = symfun.gen_sym_table(lam) its caller holds and sums
+    its sub-diagonal in order, so the value has the type and bits of those
+    entries: an int, Fraction or float.  It equals the product of
+    alternating_parts exactly in rational arithmetic, and makes positivity
+    on the positive cone manifest.  For the all-ones vector the value is
+    n * 2^(n-1).
     """
-    # diag[k] = T[k][k] and sub[k] = T[k][k-1], updated for k = i .. 1 as
-    # gen_sym_table updates them
-    n = len(lam)
-    diag = [1] + [0] * n
-    sub = [0] * (n + 1)
-    for i, x in enumerate(lam, 1):
-        x2 = x * x
-        for k in range(i, 1, -1):
-            diag[k] = diag[k] + x2 * diag[k - 1]
-            sub[k] = sub[k] + x * diag[k - 1] + x2 * sub[k - 1]
-        diag[1] = diag[1] + x2 * diag[0]
-        sub[1] = sub[1] + x * diag[0]
     total = 0
-    for p in range(n):
-        total = total + sub[p + 1]
+    for p in range(len(table) - 1):
+        total = total + table[p + 1][p]
     return total

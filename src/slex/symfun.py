@@ -40,8 +40,10 @@ recurrence pass; a caller that needs many k for the same exclusion builds
 that row once and indexes it.  ``sigma_rank_one`` takes the rows it reads,
 sigma(p) and the n rows sigma(p | i), so a caller that needs every k of
 one p builds them once; ``newton_check`` and
-``phasepoly.alternating_parts`` take the row sigma(a) they read, so a
-caller that already has it builds no second one.  newton_check returns
+``phasepoly.alternating_parts`` take the row sigma(a) they read, and
+``phasepoly.ray_wronskian`` the table gen_sym_table(a) it reads, so a
+caller that already has one builds no second one.  gen_sym_table is the
+package's one generalized-symmetric recurrence.  newton_check returns
 the margins alone: each caller judges them by its own rule.
 """
 

@@ -8,12 +8,12 @@ polynomial, its roots and the level values, the slope-field pair, its
 shift to 1 in exact arithmetic and g', the cut-off recurrence of the
 rank-one sigma formula, the per-entry draw of verify's rational vectors
 and the Fraction route to their integer scale, the numpy route by which
-the weights layer once read a vector, and the criticality class of a
-phase angle.  profile is the one way a test takes the analysis of a
-problem: the WeightProfile that weights.classify builds, as the solve
-command does; excess is the one way it reads the first integral's
-profile, radial.invert's excess, at radii of any shape.
-iso_first_integral is the exact profile of an isotropic problem, in
+the weights layer once read a vector, the criticality class of a phase
+angle, and the valid-input sweep's command lines (sweep_argv).  profile
+is the one way a test takes the analysis of a problem: the WeightProfile
+that weights.classify builds, as the solve command does; excess is the
+one way it reads the first integral's profile, radial.invert's excess,
+at radii of any shape.  iso_first_integral is the exact profile of an isotropic problem, in
 mpmath: the excess, mu and log C with no root, residue or ODE solver.
 The candidate matrix is diagonal, diag(a): a general symmetric A enters
 slex through its eigenvalues.
@@ -418,3 +418,48 @@ def iso_first_integral(n, t, beta, dps=40):
         return ctx.quad(integrand, [-ctx.inf, v_top - 40, v_top - 8, v_top])
 
     return excess, mu, log_amplitude
+
+
+# the largest deficit pi/2 - arctan(a_i) of a sweep entry: every entry
+# stays positive
+CAP = 0.999 * math.pi / 2
+
+
+def sweep_argv(unit, beta_max=1e4, rmax_box=None) -> list:
+    """A `solve` command line at --grid 4 for one valid problem, from the
+    uniform draws in [0, 1] that unit() returns, taken in a fixed order.
+
+    n is log-uniform in 3..150; theta the critical angle (n-2)*pi/2, or
+    above it by up to 0.9*pi; beta log-uniform in [1, beta_max] and gamma
+    in [1, 1e100]; --rmax log-uniform in rmax_box = (lo, hi), or left at
+    its default without one.  The vector is the iso point, or n - 1 drawn
+    positive entries completed to the level set.  The entries share the
+    deficit n*pi/2 - theta = sum_i (pi/2 - arctan(a_i)): each drawn entry
+    takes between 0.05 and 1.95 times an even share of what is left,
+    clipped so that it and every entry after it stay under CAP, and the
+    last entry is tan of the phase left.  Such a problem is admissible or
+    slow_decay, or past the float range invalid input.
+    """
+    n = int(3 * 50 ** unit())
+    critical = (n - 2) * math.pi / 2
+    theta = critical if unit() < 0.5 else critical + 0.9 * math.pi * unit()
+    flags = ["--n", str(n), "--theta",
+             "critical" if theta == critical else repr(theta),
+             "--beta", repr(beta_max ** unit()),
+             "--gamma", repr(1e100 ** unit())]
+    if rmax_box is not None:
+        lo, hi = rmax_box
+        flags += ["--rmax", repr(lo * (hi / lo) ** unit())]
+    flags += ["--grid", "4"]
+    if unit() < 0.5:
+        return ["solve", "--family", "iso", *flags]
+    rest = n * math.pi / 2 - theta
+    prefix = []
+    for k in range(n, 1, -1):
+        # k entries share rest, each under CAP
+        share = rest / k * (0.05 + 1.9 * unit())
+        deficit = min(CAP, max(rest - (k - 1) * CAP, share))
+        prefix.append(1.0 / math.tan(deficit))
+        rest -= deficit
+    last = math.tan(theta - math.fsum(map(math.atan, prefix)))
+    return ["solve", "--a", ",".join(map(repr, prefix + [last])), *flags]

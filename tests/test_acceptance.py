@@ -67,10 +67,10 @@ def test_criterion_1_exact_identity_suite():
         # all-positive closed form
         sig = symfun.elem_sym_all(vec)
         x, y, xw, yw = phasepoly.alternating_parts(sig)
-        if x * yw - y * xw != phasepoly.ray_wronskian(vec):
+        table = symfun.gen_sym_table(vec)
+        if x * yw - y * xw != phasepoly.ray_wronskian(table):
             bad.append(("wronskian", vec))
         # sigma_j sigma_k decompositions recombine exactly
-        table = symfun.gen_sym_table(vec)
         for j in range(n + 1):
             for k in range(j, n + 1):
                 combo = sum(c * table[kk][jj] for c, (kk, jj)
@@ -106,7 +106,7 @@ def test_criterion_1_exact_identity_suite():
 def test_criterion_2_closed_form_values():
     bad = []
     for n in range(3, 13):
-        val = phasepoly.ray_wronskian([1] * n)
+        val = phasepoly.ray_wronskian(symfun.gen_sym_table([1] * n))
         if val != n * 2 ** (n - 1):
             bad.append(("wronskian_unit", n, val))
         x, y, xw, yw = phasepoly.alternating_parts(

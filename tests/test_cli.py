@@ -307,7 +307,7 @@ def test_verify_fault_injection(tmp_path, monkeypatch):
     assert ce["D"] == str(d)
     p = [int(v * d) for v in a]
     assert [Fraction(v, d) for v in p] == a
-    closed = real(p)
+    closed = real(cli.symfun.gen_sym_table(p))
     assert type(closed) is int and closed > 0
     assert ce["product"] == str(closed)
     assert ce["closed_form"] == str(closed + 1)
@@ -386,9 +386,11 @@ def test_verify_exact_suites_hand_the_kernels_ints(tmp_path, monkeypatch):
     # per drawn vector (n = 3..8, twice): n exclusion rows, each one
     # elem_sym_all call inside (the n - 1 pair rows divide out of them),
     # one sigma row (which newton_check and alternating_parts read too) and
-    # one table; combinatorial_sums adds ten all-ones tables
+    # one table (which ray_wronskian and the product suite read); the
+    # all-ones tables n = 1..12 add twelve, built once for
+    # combinatorial_sums, the all-ones Wronskians and zstar_unit6
     assert int_calls == {"elem_sym_all": 66 + 12,
-                         "elem_sym_excl_all": 66, "gen_sym_table": 22}
+                         "elem_sym_excl_all": 66, "gen_sym_table": 12 + 12}
 
 
 def _closed_form_plus_one(real):
@@ -808,18 +810,24 @@ def test_solve_huge_gamma_iso_passes(tmp_path):
                           "7.5", "--gamma", "1e152", "--grid", "4"])[0] == 0
 
 
-def _phase_minus_1e6(real):
-    def lying(*args):
-        phases, levels = real(*args)
-        return phases - 1e-6, levels
-    return lying
+def _phase_level_down(phase, level):
+    # every phase less phase, every level less level
+    def fault(real):
+        def lying(*args):
+            phases, levels = real(*args)
+            return phases - phase, levels - level
+        return lying
+    return fault
 
 
-def _log_amplitude_up(real):
-    def lying(prof, beta):
-        pf = real(prof, beta)
-        return pf._replace(log_amplitude=pf.log_amplitude * (1 + 1e-3))
-    return lying
+def _log_amplitude_up(rel):
+    # log C times (1 + rel)
+    def fault(real):
+        def lying(prof, beta):
+            pf = real(prof, beta)
+            return pf._replace(log_amplitude=pf.log_amplitude * (1 + rel))
+        return lying
+    return fault
 
 
 def _mu_times_ten(real):
@@ -841,12 +849,22 @@ def _shell_excess_scrambled(real):
 # the reason no gate catches it yet).  Every row expects exit 1; the route
 # checks' faults, which exit 2 today, wait for ROADMAP item 1's exit rule
 SOLVE_FAULTS = {
-    "phase_gap": ("subsol", "rank_one_phase_level", _phase_minus_1e6,
+    "phase_gap": ("subsol", "rank_one_phase_level",
+                  _phase_level_down(1e-6, 0.0),
                   ("verification", "min_phase_gap"), None),
-    "log_amplitude": ("radial", "first_integral", _log_amplitude_up,
+    "level_value": ("subsol", "rank_one_phase_level",
+                    _phase_level_down(0.0, 1e-6),
+                    ("verification", "min_level_value"), None),
+    "log_amplitude": ("radial", "first_integral", _log_amplitude_up(1e-3),
                       ("first_integral", "log_amplitude"),
                       "no gate reads log C; ROADMAP item 3, the numeric "
                       "route for the tail law, checks it"),
+    "log_amplitude_1e9": ("radial", "first_integral",
+                          _log_amplitude_up(1e-9),
+                          ("first_integral", "log_amplitude"),
+                          "no gate reads log C, and a relative shift of "
+                          "1e-9 must FAIL; ROADMAP item 3's gap on the "
+                          "numeric route for the tail law checks it"),
     "mu": ("radial", "tail_integral", _mu_times_ten, ("mu", "at_gamma"),
            "no gate reads mu; ROADMAP item 3 checks it on the numeric "
            "route"),

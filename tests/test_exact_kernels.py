@@ -188,7 +188,7 @@ def test_phase_parts_and_wronskians_match_plain_recurrence(a):
     closed = 0
     for p in range(len(a)):
         closed = closed + table[p + 1][p]
-    same(phasepoly.ray_wronskian(a), closed)
+    same(phasepoly.ray_wronskian(symfun.gen_sym_table(a)), closed)
     # the product of the parts, as verify forms it, is the closed form
     assert x * yw - y * xw == closed
 
@@ -236,13 +236,13 @@ def test_float_and_numpy_input_keep_the_plain_loop(a):
         same(symfun.gen_sym_table(vec), plain_gen_table(vec))
         same(phasepoly.alternating_parts(symfun.elem_sym_all(vec)),
              plain_parts(plain_sigma(vec)))
-        # the closed form runs on the band of the table: its sub-diagonal
-        # summed in order, bit for bit
+        # the closed form sums the table's sub-diagonal in order, bit for
+        # bit
         table = plain_gen_table(vec)
         closed = 0
         for p in range(len(vec)):
             closed = closed + table[p + 1][p]
-        same(phasepoly.ray_wronskian(vec), closed)
+        same(phasepoly.ray_wronskian(symfun.gen_sym_table(vec)), closed)
         for i in range(1, len(vec) + 1):
             same(symfun.elem_sym_excl_all(vec, i),
                  plain_sigma(without(vec, {i})))

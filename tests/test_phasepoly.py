@@ -210,9 +210,12 @@ def parts_product(lam):
 
 def test_ray_wronskian_all_ones():
     for n in range(3, 13):
-        assert phasepoly.ray_wronskian([1] * n) == n * 2 ** (n - 1)
+        assert phasepoly.ray_wronskian(symfun.gen_sym_table([1] * n)) == \
+            n * 2 ** (n - 1)
         assert parts_product([1] * n) == n * 2 ** (n - 1)
-    assert phasepoly.ray_wronskian([1, 0, 0, 0]) == 1
+    # the kernel reads the table it is handed: T[1][0] + T[2][1] of (1, 1)
+    assert phasepoly.ray_wronskian([[1], [2, 2], [1, 2, 1]]) == 4
+    assert phasepoly.ray_wronskian(symfun.gen_sym_table([1, 0, 0, 0])) == 1
     assert parts_product([1, 0, 0, 0]) == 1
 
 
@@ -223,7 +226,8 @@ def test_ray_wronskian_modes_agree_exactly():
         n = int(rng.integers(3, 9))
         vals = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
                 for _ in range(n)]
-        assert parts_product(vals) == phasepoly.ray_wronskian(vals)
+        assert parts_product(vals) == \
+            phasepoly.ray_wronskian(symfun.gen_sym_table(vals))
 
 
 def test_ray_wronskian_positive_on_positive_cone():
@@ -231,7 +235,8 @@ def test_ray_wronskian_positive_on_positive_cone():
     for _ in range(100):
         n = int(rng.integers(3, 9))
         vals = np.exp(rng.standard_normal(n))
-        assert phasepoly.ray_wronskian(vals.tolist()) > 0.0
+        assert phasepoly.ray_wronskian(
+            symfun.gen_sym_table(vals.tolist())) > 0.0
 
 
 def test_ray_degree_known_values():

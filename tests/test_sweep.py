@@ -1,0 +1,43 @@
+"""The valid-input sweep: a right answer must PASS (ROADMAP item 7).
+
+The construction holds on the whole admissible set, so every valid
+problem inside the flag ranges must exit 0 when it is admissible and 1
+when it is slow_decay; past the float range it may exit 2, with one of
+the float-range messages of CONTRACT.  The draws are tests/oracles.py's
+sweep_argv: n log-uniform in 3..150, theta the critical angle or up to
+0.9*pi above it, beta log-uniform in [1, 1e4], gamma log-uniform in
+[1, 1e100] and --rmax at its default, the vector the iso point or a
+random admissible one, each run through cli.main in process at --grid 4.
+
+The box leaves out the regions where valid problems FAIL today, each
+pinned by a strict xfail in tests/test_cli.py and reachable with
+tools/sweep.py, which runs the same generator over the wide box:
+  * a wide --rmax: the route gate is absolute in psi and FAILs at large
+    beta and --rmax (ROADMAP item 3; test_solve_huge_rmax_iso_passes);
+  * beta >= 1e5 at a supercritical angle: the grid's fixed gate FAILs
+    exact solutions (ROADMAP item 2);
+  * gamma near 7e151 and above: the grid forms rho^2 a_i, which
+    overflows to nan minima (ROADMAP item 2;
+    test_solve_huge_gamma_iso_passes).
+"""
+
+import shlex
+
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+import oracles
+import sweep
+
+UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data())
+def test_valid_problems_pass(data):
+    argv = oracles.sweep_argv(lambda: data.draw(UNIT))
+    code, report, err = sweep.run(argv)
+    kind = sweep.outcome(code, report, err)
+    event(kind)
+    assert kind != "fail", \
+        (f"slex {shlex.join(argv)}", code, err)

@@ -124,9 +124,10 @@ def test_one_call_draw_matches_the_per_entry_draw(trials):
                           st.integers(min_value=1, max_value=10**6)),
                 min_size=1, max_size=10))
 def test_int_rows_match_the_fraction_route(pairs):
-    # p and the sigma, exclusion and pair rows that verify forms from int
-    # pairs are the Fraction vector's numerators and its rows, each entry
-    # of degree k times D**k, all as ints
+    # p and the sigma row, table, exclusion and pair rows that verify forms
+    # from int pairs are the Fraction vector's numerators and its rows,
+    # each entry of degree k times D**k (T[k][j] of degree k + j), all as
+    # ints
     a = [Fraction(*pair) for pair in pairs]
     p, d = oracles.clear_denominators(a)
     n = len(a)
@@ -135,6 +136,8 @@ def test_int_rows_match_the_fraction_route(pairs):
         return [int(v * d ** k) for k, v in enumerate(row)] + [0]
 
     want = (p, scaled(symfun.elem_sym_all(a))[:-1],
+            [[int(v * d ** (k + j)) for j, v in enumerate(row)]
+             for k, row in enumerate(symfun.gen_sym_table(a))],
             [scaled(symfun.elem_sym_excl_all(a, i))
              for i in range(1, n + 1)],
             [scaled(oracles.elem_sym_excl_row(a, (i, n)))
