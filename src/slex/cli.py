@@ -14,14 +14,15 @@ Three subcommands:
             profile routes, tail integrals, and the subsolution
             verification report, emitted as a single JSON document.  It
             passes when the grid verification passes and the two profile
-            routes agree within ROUTE_GAP_TOL.  All-negative data runs as
-            its sign reflection (-theta, -a), the problem classify
-            analyses, and the report marks it reflected.  Every flag is
-            range-checked before the vector is read, so an invalid one
-            exits 2 whatever the vector.  classify's WeightProfile is the
-            one problem object: first_integral holds it as pf.prof, and
-            radial.invert solves its table once, after the numeric route,
-            for the implicit route, the grid and the tail integral.
+            routes agree within ROUTE_GAP_TOL.  All-negative data, the
+            iso point at theta < 0 included, runs as its sign reflection
+            (-theta, -a), the problem classify analyses, and the report
+            marks it reflected.  Every flag is range-checked before the
+            vector is read, so an invalid one exits 2 whatever the
+            vector.  classify's WeightProfile is the one problem object:
+            first_integral holds it as pf.prof, and radial.invert solves
+            its table once, after the numeric route, for the implicit
+            route, the grid and the tail integral.
 
 One path through main serves every subcommand.  COMMANDS, one table, maps
 each to its runner, which turns the parsed flags into a report dict; its
@@ -621,6 +622,8 @@ def _scan_summary(report: dict) -> list:
 # ------------------------------------------------------------------ solve
 
 def _resolve_vector(args: SimpleNamespace) -> tuple:
+    """(vector, PhaseSpec) of the problem the flags give: the spec built
+    for the iso family or for --a, or weights.EPS_SPEC."""
     family, a_text, theta, n = args.family, args.a, args.theta, args.n
     if (family is None) == (a_text is None):
         raise ValueError("provide exactly one of --a or --family")
@@ -628,9 +631,8 @@ def _resolve_vector(args: SimpleNamespace) -> tuple:
         if family == "iso":
             if n is None or theta is None:
                 raise ValueError("--family iso needs --n and --theta")
-            theta_val = _parse_theta(theta, n)
-            vec = weights.iso_point(phasepoly.PhaseSpec(n, theta_val))
-            return vec, n, theta_val
+            spec = phasepoly.PhaseSpec(n, _parse_theta(theta, n))
+            return weights.iso_point(spec), spec
         if family.startswith("eps:"):
             eps = float(family[4:])
             spec = weights.EPS_SPEC
@@ -641,7 +643,7 @@ def _resolve_vector(args: SimpleNamespace) -> tuple:
                 # written so that a NaN theta is rejected too
                 if not abs(given - spec.theta) <= 1e-12:
                     raise ValueError("the eps family lives at theta = 5*pi/3")
-            return weights.epsilon_family(eps), spec.n, spec.theta
+            return weights.epsilon_family(eps), spec
         raise ValueError("family must be 'iso' or 'eps:<value>'")
     if n is None or theta is None:
         raise ValueError("--a needs --n and --theta")
@@ -650,7 +652,7 @@ def _resolve_vector(args: SimpleNamespace) -> tuple:
         raise ValueError("--a entries must be finite")
     if vec.size != n:
         raise ValueError("--a length disagrees with --n")
-    return vec, n, _parse_theta(theta, n)
+    return vec, phasepoly.PhaseSpec(n, _parse_theta(theta, n))
 
 
 def _parse_theta(text: str, n: int) -> float:
@@ -680,13 +682,13 @@ def _run_solve(args: SimpleNamespace) -> dict:
     if gamma < 1.0:
         raise ValueError("gamma must be finite and at least 1")
     rs = radial.check_rmax(r_max)
-    vec, n, theta = _resolve_vector(args)
-    adm = weights.classify(phasepoly.PhaseSpec(n, theta), vec)
+    vec, spec = _resolve_vector(args)
+    adm = weights.classify(spec, vec)
     base = {
         "schema_version": SCHEMA_VERSION,
         "command": "solve",
         "config": {
-            "n": n, "theta": theta, "a": np.sort(vec).tolist(),
+            "n": spec.n, "theta": spec.theta, "a": np.sort(vec).tolist(),
             "beta": args.beta, "gamma": gamma, "alpha": args.alpha,
             "rmax": r_max, "grid": args.grid,
         },

@@ -118,7 +118,7 @@ def verify_subsolution(pf: FirstIntegral,
     by prod_j sqrt(1 + lambda_j^2)), so the verdict does not depend on the
     size of the eigenvalues.
     """
-    spec, a = pf.prof.spec, pf.prof.a
+    spec, a = pf.prof.spec, np.array(pf.prof.a)
     n = a.size
     axes = np.vstack([np.eye(n), -np.eye(n)])
     dirs = np.vstack([axes, sphere_directions(n, DIRECTIONS)])

@@ -32,15 +32,17 @@ tan(theta/n) * ones; the float is not: on 444 iso points (n = 3..150, at
 the critical angle, pi/4 above it and (n - 1) pi/2) m != n on 414 and
 m > n on 215, with |m/n - 1| at most 1.88 n eps (n = 99, critical).
 
-One check decides whether (theta, a), with a a positive vector of length
-n, is a supported problem: theta in PhaseSpec.ray_degree's range (the
-positive critical angle or above it), then |H(a) - theta| <= LEVEL_TOL.
-decay_exponent raises its ValueError; classify, after its sign
-reflection, calls the data that fails it, or that is not of one sign,
-"outside", so no stage computes an exponent classify would not give.
-Data that passes is "admissible" when the exponent exceeds 2 (the tail
-integral converges) and "slow_decay" otherwise.  The length is the
-caller's to get right: solve checks --a against --n, and iso_point and
+PhaseSpec bounds |theta| < n*pi/2.  classify's sign rule classifies
+all-negative data as its reflection (-theta, -a), since the operator is
+odd, and calls data of mixed sign "outside".  One check then decides
+whether (theta, a), with a a positive vector of length n, is a supported
+problem: theta in PhaseSpec.ray_degree's range (the positive critical
+angle or above it), then |H(a) - theta| <= LEVEL_TOL.  decay_exponent
+raises its ValueError; classify calls the data that fails it "outside",
+so no stage computes an exponent classify would not give.  Data that
+passes is "admissible" when the exponent exceeds 2 (the tail integral
+converges) and "slow_decay" otherwise.  The length is the caller's to
+get right: solve checks --a against --n, and iso_point and
 epsilon_family build n and five entries.
 
 classify analyses a problem once.  The check's ascending values and
@@ -53,15 +55,14 @@ routine (_chain) behind every exponent and selected chain.  It grows its
 three sigma rows by one recurrence (_grow), each value by elem_sym_all's
 operations in its order, and forms only the selected chain, so the bits
 are the ones the full rows and chains give.  There is one vector route:
-decay_exponent takes a list of Python floats, and classify hands its
-vector on as one (ndarray.tolist).  epsilon_family returns its five
-points as such a list, already ascending, so a scan row builds no
-array.  Arrays appear only in what
-the module hands out: the classified vector and the selected chain of a
-WeightProfile, and the points of complete_to_phase and iso_point.  A
-sigma row outside (0, F/(2n^2)), F the largest float, is rejected with
-ValueError before any chain or exponent is formed: Python floats
-overflow silently.
+decay_exponent takes a list of Python floats, and classify makes one of
+its data.  epsilon_family returns its five points as such a list,
+already ascending, so a scan row builds no array, and a WeightProfile
+holds tuples.  Arrays appear only in the points of complete_to_phase and
+iso_point.  _chain rejects a sigma row outside (0, F/(2n^2)), F the
+largest float, with ValueError before any chain or exponent is formed,
+since Python floats overflow silently; it tests sigma_n first, in O(n),
+so a huge n builds no row.
 """
 
 import math
@@ -103,15 +104,18 @@ def _chain(c: Sequence, vals: list) -> tuple:
     _grow builds all three rows: sigma(a | max) from all but the largest
     entry, sigma(a) as one more step of it, sigma(a | min) from all but
     the smallest.  So every value sees elem_sym_all's operations in its
-    order and keeps its bits.  Raises ValueError, before sigma(a | min),
-    unless every sigma_k lies in (0, F/(2n^2)), F the largest float: then
-    none of the sums' n terms, of size up to n * sigma_k, can overflow.
+    order and keeps its bits.  Raises ValueError unless every sigma_k lies
+    in (0, F/(2n^2)), F the largest float: then none of the sums' n terms,
+    of size up to n * sigma_k, can overflow.  sigma_n goes first, in O(n),
+    as math.prod(vals): the rows' float, as IEEE multiplication commutes.
     """
     n = len(vals)
+    top = _FLOAT_MAX / (2 * n * n)
+    if not 0.0 < math.prod(vals) < top:
+        raise ValueError("sigma row of the vector leaves the float range")
     lo, hi = vals[0], vals[-1]
     less_max = _grow([1, lo], vals[1:-1])
     sig = _grow(less_max[:], (hi,))
-    top = _FLOAT_MAX / (2 * n * n)
     for s in sig:
         if not 0.0 < s < top:
             raise ValueError("sigma row of the vector leaves the float range")
@@ -144,13 +148,13 @@ def _level_point(spec: PhaseSpec, a: list) -> list:
 class WeightProfile(NamedTuple):
     """The analysis of one supported problem (spec, a), made by classify.
 
-    a is the ascending float array of the classified vector; m is the
-    decay exponent, sigma the row sigma_0..sigma_n of a as
-    elem_sym_all gives it (Python floats after sigma_0 = 1), and selected
-    the theta-selected weight chain, length n+1 (index k = 0..n).
+    a is the classified vector, ascending; m is the decay exponent, sigma
+    the row sigma_0..sigma_n of a as elem_sym_all gives it (Python floats
+    after sigma_0 = 1), and selected the theta-selected weight chain,
+    length n+1 (index k = 0..n).  a, sigma and selected are tuples.
     """
     spec: PhaseSpec
-    a: np.ndarray
+    a: tuple
     m: float
     sigma: tuple
     selected: tuple
@@ -186,37 +190,29 @@ def classify(spec: PhaseSpec, lam: Sequence) -> Admissibility:
     """Classify eigenvalue data lam (any order, either sign orientation),
     n = spec.n finite entries.
 
-    All-negative data is handled through the sign reflection: negating the
+    The sign rule, on the data as a list of Python floats: negating the
     unknown flips both the eigenvalues and the phase target, so lam < 0 is
-    classified via the exponent of (-theta, -lam).  Data that fails
-    decay_exponent's check after the reflection, a subcritical phase
-    target included, is "outside", and so is data of mixed sign: the
-    construction, and every later stage, covers only the critical and
-    supercritical range.  Otherwise the check, on the data as a list of
-    Python floats, gives its ascending values, and they and _chain's
-    exponent, sigma row and selected chain make the problem's
-    WeightProfile.  A sigma row outside the float range still raises
-    ValueError, before any row when sigma_n = math.prod(vals), the float
-    _chain would test, is out of range: a huge n costs no sigma rows.
+    classified as (-theta, -lam); data of mixed sign is "outside".  So is
+    data that then fails decay_exponent's check, a subcritical phase
+    target included: the construction, and every later stage, covers only
+    the critical and supercritical range.  Otherwise the check gives the
+    ascending values, and they and _chain's exponent, sigma row and
+    selected chain make the problem's WeightProfile.  _chain raises on a
+    sigma row outside the float range.
     """
-    arr = np.asarray(lam, dtype=float)
-    reflected = bool(np.all(arr < 0))
+    vals = list(map(float, lam))
+    reflected = all(x < 0 for x in vals)
     if reflected:
-        work_spec, work = PhaseSpec(spec.n, -spec.theta), -arr
-    elif np.all(arr > 0):
-        work_spec, work = spec, arr
-    else:
+        spec, vals = PhaseSpec(spec.n, -spec.theta), [-x for x in vals]
+    elif not all(x > 0 for x in vals):
         return Admissibility(klass="outside")
     try:
-        vals = _level_point(work_spec, work.tolist())
+        vals = _level_point(spec, vals)
     except ValueError:
         return Admissibility(klass="outside", reflected=reflected)
-    # _chain's test of sigma_n alone, before its O(n^2) rows
-    if not 0.0 < math.prod(vals) < _FLOAT_MAX / (2 * len(vals) ** 2):
-        raise ValueError("sigma row of the vector leaves the float range")
-    m, sig, selected = _chain(work_spec.coeffs, vals)
-    prof = WeightProfile(spec=work_spec, a=np.array(vals), m=m,
-                         sigma=tuple(sig), selected=tuple(selected))
+    m, sig, selected = _chain(spec.coeffs, vals)
+    prof = WeightProfile(spec=spec, a=tuple(vals), m=m, sigma=tuple(sig),
+                         selected=tuple(selected))
     return Admissibility(klass="admissible" if m > 2.0 else "slow_decay",
                          reflected=reflected, profile=prof)
 
@@ -257,7 +253,7 @@ def epsilon_family(eps: float) -> list:
 
 
 def iso_point(spec: PhaseSpec) -> np.ndarray:
-    """The isotropic level-set point tan(theta/n) * ones(n)."""
-    if not (0.0 < spec.theta < spec.n * math.pi / 2):
-        raise ValueError("phase out of supported range")
+    """The isotropic level-set point tan(theta/n) * ones(n), finite as
+    |theta| < n*pi/2; at theta < 0 the reflection of the point at -theta,
+    which classify solves as such."""
     return np.full(spec.n, math.tan(spec.theta / spec.n))

@@ -68,7 +68,7 @@ def ray_roots(spec, arr) -> np.ndarray:
     sum's convexity makes it monotone, bisects when a step would leave the
     bracket, and stops after a step of at most 4 eps |x| or one landing on
     an end of the bracket.  arr is not checked: tests hand in a
-    profile's array, which weights.classify checked.
+    profile's vector as an array, which weights.classify checked.
     """
     n = spec.n
     # phi_k = theta0 - j*pi/2; a critical angle counts as exactly
@@ -329,7 +329,7 @@ def hessian(pf, x):
     """D2Phi(x) = psi diag(a) + (psi'/r) (a o x)(a o x)^T, outside the
     ellipsoid."""
     xv = np.asarray(x, dtype=float)
-    a = pf.prof.a
+    a = np.array(pf.prof.a)
     r = ellipsoid_radius(a, xv)
     nu, dpsi = profile_at(pf, r)
     q = a * xv
@@ -340,7 +340,7 @@ def hessian_sigma(pf, x, k):
     """sigma_k of the eigenvalues of D2Phi(x), by symfun.sigma_rank_one with
     p = psi a, q = a o x and s = psi'/r."""
     xv = np.asarray(x, dtype=float)
-    a = pf.prof.a
+    a = np.array(pf.prof.a)
     r = ellipsoid_radius(a, xv)
     nu, dpsi = profile_at(pf, r)
     sig, excl = rank_one_rows((nu * a).tolist())
@@ -430,15 +430,16 @@ def sweep_argv(unit, beta_max=1e4, rmax_box=None) -> list:
     uniform draws in [0, 1] that unit() returns, taken in a fixed order.
 
     n is log-uniform in 3..150; theta the critical angle (n-2)*pi/2, or
-    above it by up to 0.9*pi; beta log-uniform in [1, beta_max] and gamma
-    in [1, 1e100]; --rmax log-uniform in rmax_box = (lo, hi), or left at
-    its default without one.  The vector is the iso point, or n - 1 drawn
-    positive entries completed to the level set.  The entries share the
-    deficit n*pi/2 - theta = sum_i (pi/2 - arctan(a_i)): each drawn entry
-    takes between 0.05 and 1.95 times an even share of what is left,
-    clipped so that it and every entry after it stay under CAP, and the
-    last entry is tan of the phase left.  Such a problem is admissible or
-    slow_decay, or past the float range invalid input.
+    above it by up to 0.9*pi; beta log-uniform in [1, beta_max]; gamma 1 on
+    half the draws, where the grid's shells reach psi near beta, else
+    log-uniform in [1, 1e100]; --rmax log-uniform in rmax_box = (lo, hi),
+    or left at its default without one.  The vector is the iso point, or
+    n - 1 drawn positive entries completed to the level set.  The entries
+    share the deficit n*pi/2 - theta = sum_i (pi/2 - arctan(a_i)): each
+    drawn entry takes between 0.05 and 1.95 times an even share of what
+    is left, clipped so that it and every entry after it stay under CAP,
+    and the last entry is tan of the phase left.  Such a problem is
+    admissible or slow_decay, or past the float range invalid input.
     """
     n = int(3 * 50 ** unit())
     critical = (n - 2) * math.pi / 2
@@ -446,7 +447,7 @@ def sweep_argv(unit, beta_max=1e4, rmax_box=None) -> list:
     flags = ["--n", str(n), "--theta",
              "critical" if theta == critical else repr(theta),
              "--beta", repr(beta_max ** unit()),
-             "--gamma", repr(1e100 ** unit())]
+             "--gamma", repr(1.0 if unit() < 0.5 else 1e100 ** unit())]
     if rmax_box is not None:
         lo, hi = rmax_box
         flags += ["--rmax", repr(lo * (hi / lo) ** unit())]

@@ -232,7 +232,7 @@ def test_criterion_5_route_agreement_and_decay(admissible_cases):
 def test_criterion_6_root_certification(admissible_cases):
     bad = []
     for spec, a, _beta in admissible_cases:
-        roots = oracles.ray_roots(spec, oracles.profile(spec, a).a)
+        roots = oracles.ray_roots(spec, np.array(oracles.profile(spec, a).a))
         if roots.size != spec.ray_degree:
             bad.append(("count", spec.n, spec.theta, roots.size))
         if abs(roots[-1] - 1.0) > 1e-9:
@@ -287,7 +287,7 @@ def test_criterion_7_subsolution_verification():
         if rep.min_level_value < -1e-9:
             bad.append(("level_value", i, rep.min_level_value))
         # rank-one sigma values against the dense eigenvalue oracle
-        n = pf.prof.a.size
+        n = len(pf.prof.a)
         checked = 0
         while checked < 40:
             x = rng.standard_normal(n) * rng.uniform(1.0, 30.0)

@@ -770,7 +770,7 @@ def test_partial_fractions_accepts_what_classify_admits(kind, n, u, split,
     assert pf.prof is adm.profile
     assert pf.beta == beta
     assert pf.prof.spec.theta == theta
-    assert pf.prof.a.tobytes() == np.sort(np.abs(a)).tobytes()
+    assert np.array(pf.prof.a).tobytes() == np.sort(np.abs(a)).tobytes()
 
 
 def test_level_edge_points_solve(tmp_path):

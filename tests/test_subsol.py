@@ -320,7 +320,7 @@ def test_rank_one_phase_level_matches_dense_hessian_oracle(n):
         dirs = np.vstack([np.eye(n)[rng.permutation(n)[:3]],
                           rng.standard_normal((9, n))])
         radii = 10.0 ** rng.uniform(1e-7, 2.0, len(dirs))
-        diag = pf.prof.a
+        diag = np.array(pf.prof.a)
         xs = radii[:, None] * dirs / np.sqrt((dirs * dirs) @ diag)[:, None]
         p, s, q2 = [], [], []
         for x in xs:

@@ -668,17 +668,21 @@ def test_chains_reject_a_sigma_row_out_of_float_range():
 def test_classify_refuses_sigma_n_out_of_range_before_any_row(monkeypatch):
     # sigma_n alone decides these, in O(n): the iso critical point at
     # n = 8000, where it overflows, and a point of its own phase where it
-    # underflows to 0
+    # underflows to 0.  _chain makes the test, so decay_exponent refuses
+    # them before any row too
     def no_rows(*_args):
-        raise AssertionError("classify formed the sigma rows")
+        raise AssertionError("a sigma row was formed")
 
-    monkeypatch.setattr(weights, "_chain", no_rows)
+    monkeypatch.setattr(weights, "_grow", no_rows)
     iso = phasepoly.PhaseSpec(8000, 3999 * math.pi)
     tiny = [1e-200, 1e-200, 1e20, 1e20]
     for spec, a in ((iso, weights.iso_point(iso)),
                     (phasepoly.PhaseSpec(4, phasepoly.phase(tiny)), tiny)):
         assert message(weights.classify, spec, a) == \
             "sigma row of the vector leaves the float range"
+    assert message(weights.decay_exponent, iso,
+                   weights.iso_point(iso).tolist()) == \
+        "sigma row of the vector leaves the float range"
 
 
 # --------------------------------------------- exponent vs both full chains

@@ -153,14 +153,15 @@ _INVALID = [
     (("solve", "--a", "inf,1,1") + _ISO3[3:], "--a entries must be finite"),
     (("solve", "--a", "1,2") + _ISO3[3:], _LENGTH),
     (("solve", "--a", "1.0,1.0") + _ISO3[3:], _LENGTH),
-    # the phase and the dimension, and vectors past the float range
+    # the phase and the dimension
     *((("solve", "--family", "iso", "--n", "2", "--theta", "1") + grid,
        "dimension must be at least 3") for grid in ((), ("--grid", "4"))),
     *((("solve", "--family", "iso", "--n", "3", "--theta", "10") + grid,
        "theta must lie strictly inside (-n*pi/2, n*pi/2)")
       for grid in ((), ("--grid", "4"))),
-    *((("solve", "--family", "iso", "--n", "3", "--theta", "-1") + grid,
-       "phase out of supported range") for grid in ((), ("--grid", "4"))),
+]
+# vectors past the float range
+_PAST_FLOAT_RANGE = [
     (("solve", "--family", "iso", "--n", "200", "--theta", "critical",
       "--grid", "4"), "sigma row of the vector leaves the float range"),
     *((("solve", "--family", "iso", "--n", "154", "--theta", "critical")
@@ -206,6 +207,13 @@ CONTRACT = [
      "unrecognized arguments: --seed 3"),
     (_ISO3 + ("--format", "csv"), 2, "unrecognized arguments: --format csv"),
     *((argv, 2, f"invalid input: {message}\n") for argv, message in _INVALID),
+    # the iso point at theta = -1 is all negative, and its reflection, at
+    # theta = 1, is subcritical.  Rows keep their places and new ones go
+    # last: the contract test names each row by its index
+    *((("solve", "--family", "iso", "--n", "3", "--theta", "-1") + grid, 1,
+       _OUTSIDE) for grid in ((), ("--grid", "4"))),
+    *((argv, 2, f"invalid input: {message}\n")
+      for argv, message in _PAST_FLOAT_RANGE),
     # check failures: off the level set, of mixed sign, subcritical, slow
     # decay, and a grid check that fails
     *((argv, 1, _OUTSIDE)
@@ -231,6 +239,10 @@ CONTRACT = [
         "--grid", "4"), 2,
        "invalid input: sigma row of the vector leaves the float range\n")
       for n in (174, 8000)),
+    # the iso point at a negative theta is all negative: the problem of
+    # the first row, reflected
+    (("solve", "--family", "iso", "--n", "3",
+      "--theta=" + repr(-math.pi / 2), "--grid", "4"), 0, "PASS\n"),
 ]
 # (name, interpreter flags, argv) of the lines the corpus holds besides the
 # contract's: inputs at the ends of the supported range, and the paths

@@ -11,8 +11,11 @@ The uniform draws come from numpy.random.default_rng(S).  Every draw runs
 through cli.main in process.  An admissible problem must exit 0, a
 slow_decay one 1, and one past the float range 2 with a float-range
 message of CONTRACT (tools/report_gate.py).  Each draw that does not is
-printed as its exit code and stderr, with its command line under them; a
-summary line follows.  The tool exits 1 when some draw fails, else 0.
+printed as its exit code and stderr, with the gates its report failed
+and its command line under them: `route` when route_gap_max exceeds
+cli.ROUTE_GAP_TOL, `grid` when the grid verification failed.  A summary
+line follows, which counts each gate among the failures.  The tool exits
+1 when some draw fails, else 0.
 """
 
 from __future__ import annotations
@@ -66,6 +69,16 @@ def outcome(code: int, report, err: str) -> str:
     return "fail"
 
 
+def failed_gates(report) -> list:
+    """The gates a solve report failed, of "route" and "grid"; none for a
+    problem that did not reach them."""
+    if not report or "verification" not in report:
+        return []
+    return [gate for gate, failed in (
+        ("route", report["route_gap_max"] > cli.ROUTE_GAP_TOL),
+        ("grid", not report["verification"]["passed"])) if failed]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--draws", type=int, default=300)
@@ -73,16 +86,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rng = np.random.default_rng(args.seed)
     tally = dict.fromkeys(("pass", "slow_decay", "float range", "fail"), 0)
+    gates = dict.fromkeys(("route", "grid"), 0)
     for _ in range(args.draws):
         line = oracles.sweep_argv(rng.random, **WIDE)
         code, report, err = run(line)
         kind = outcome(code, report, err)
         tally[kind] += 1
         if kind == "fail":
+            failed = failed_gates(report)
+            for gate in failed:
+                gates[gate] += 1
             print(f"exit {code}: {' | '.join(err.splitlines())}")
+            print(f"  gates: {' '.join(failed) or 'none'}")
             print(f"  slex {shlex.join(line)}")
-    print(f"{args.draws} draws, seed {args.seed}: "
-          + ", ".join(f"{count} {kind}" for kind, count in tally.items()))
+    counts = [f"{count} {kind}" for kind, count in tally.items()]
+    by_gate = [f"{count} {gate}" for gate, count in gates.items()]
+    print(f"{args.draws} draws, seed {args.seed}: {', '.join(counts)} "
+          f"({', '.join(by_gate)})")
     return 1 if tally["fail"] else 0
 
 
