@@ -668,7 +668,8 @@ def _run_solve(args: SimpleNamespace) -> dict:
         if not math.isfinite(getattr(args, name)):
             raise ValueError(f"--{name} must be finite")
     gamma, r_max = args.gamma, args.rmax
-    # the grid squares its radii
+    # worst_point = rho d/sqrt(a^T (d o d)), rho up to 50 gamma, must stay
+    # finite: a finite (50 gamma)^2 keeps it so for every a_i above 1/max
     radius = subsol.GRID_RADIUS * gamma
     if not math.isfinite(radius * radius):
         raise ValueError(f"--gamma out of range: the grid radius "

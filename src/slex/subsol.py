@@ -27,7 +27,8 @@ GRID_RADIUS * gamma, and their excess comes from solve's one inversion.
 It computes no eigenvalue: symfun.rank_one_phase_level gives the phase
 from the matrix determinant lemma and the scale-free level value from the
 rank-one update, at O(n) per point once each shell's O(n^3) exclusion rows
-are built.
+are built.  psi' = g(psi)/r is scale-free, so the grid needs one direction
+table and one slope per shell, and forms no point array and no rho^2.
 
 The problem is pf, the radial.FirstIntegral built on the WeightProfile
 that weights.classify made: pf.prof.a is diag(a), pf.prof.spec the phase
@@ -108,42 +109,39 @@ def verify_subsolution(pf: FirstIntegral,
     shell_radii(gamma, count); solve inverts them together with its other
     radii.  Each shell is crossed with the 2n signed coordinate axes and
     DIRECTIONS low-discrepancy points, so every grid point sits strictly
-    outside the ellipsoid.  On the shell of radius rho the Hessian is
-    diag(p) + s q q^T with p = psi a, q = a o x and
-    s = psi'/rho = pf.slope(psi - 1)/rho^2, read on the shell's excess so
-    that it keeps its sign where psi rounds to 1, and
-    symfun.rank_one_phase_level evaluates the phase gap and the level value
-    of every point from (p, s, q o q) without an eigenvalue; their minima
-    are reported and gated.  The level value is the scale-free one (divided
-    by prod_j sqrt(1 + lambda_j^2)), so the verdict does not depend on the
+    outside the ellipsoid.  Direction d meets the shell of radius rho at
+    x = rho d/ra, ra = sqrt(a^T (d o d)), where the Hessian is
+    diag(p) + s u u^T with p = psi a, u = a o d/ra and s = rho psi' =
+    pf.slope(psi - 1), read on the shell's excess so that it keeps its sign
+    where psi rounds to 1.  symfun.rank_one_phase_level evaluates the phase
+    gap and the level value of every point from (p, s, u o u) without an
+    eigenvalue; their minima are reported and gated, and worst_point is the
+    one point built.  The level value is the scale-free one (divided by
+    prod_j sqrt(1 + lambda_j^2)), so the verdict does not depend on the
     size of the eigenvalues.
     """
     spec, a = pf.prof.spec, np.array(pf.prof.a)
     n = a.size
     axes = np.vstack([np.eye(n), -np.eye(n)])
     dirs = np.vstack([axes, sphere_directions(n, DIRECTIONS)])
-    # radius of each direction point in the A-metric, for rescaling
     ra = np.sqrt((dirs * dirs) @ a)
+    u = dirs * a / ra[:, None]
     radii, excess = shells.r, shells.excess
-    # the update scale s = psi'(rho)/rho of each shell, psi' = slope/rho
-    s = pf.slope(excess) / radii**2
-    x = (radii[:, None] / ra)[:, :, None] * dirs
-    q = x * a
     phases, levels = rank_one_phase_level(
-        (1.0 + excess)[:, None] * a, s, q * q, spec.coeffs)
+        (1.0 + excess)[:, None] * a, pf.slope(excess), u * u, spec.coeffs)
     gaps = phases.ravel() - spec.theta
     levels = levels.ravel()
-    points = x.reshape(-1, n)
 
     i_gap = int(np.argmin(gaps))
     i_lev = int(np.argmin(levels))
-    worst = points[i_gap] if gaps[i_gap] <= levels[i_lev] else points[i_lev]
+    shell, d = divmod(i_gap if gaps[i_gap] <= levels[i_lev] else i_lev,
+                      len(dirs))
     min_gap = float(gaps[i_gap])
     min_level = float(levels[i_lev])
-    return VerificationReport(points=points.shape[0],
+    return VerificationReport(points=gaps.size,
                               min_phase_gap=min_gap,
                               min_level_value=min_level,
-                              worst_point=worst,
+                              worst_point=(radii[shell] / ra[d]) * dirs[d],
                               passed=bool(min_gap >= -_PASS_TOL
                                           and min_level >= -_PASS_TOL))
 

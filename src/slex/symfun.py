@@ -131,8 +131,8 @@ def rank_one_phase_level(p: np.ndarray, s: np.ndarray, q2: np.ndarray,
     """Phase and scaled level value of diag(p) + s q q^T, batched.
 
     p has shape (S, n) and s shape (S,): one diagonal and one update scale
-    per block.  q2 has shape (S, D, n): the squares q o q of the update
-    vectors of D points per block.  c holds the level coefficients
+    per block.  q2 has shape (D, n): the squares q o q of the D update
+    vectors that every block shares.  c holds the level coefficients
     c_0 .. c_n.  For each of the S*D matrices M the result is two (S, D)
     arrays, with lambda the eigenvalues of M:
 

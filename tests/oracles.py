@@ -20,13 +20,14 @@ slex through its eigenvalues.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from slex import radial, symfun, weights
+from slex import radial, subsol, symfun, weights
 
 
 def profile(spec, a):
@@ -423,6 +424,9 @@ def iso_first_integral(n, t, beta, dps=40):
 # the largest deficit pi/2 - arctan(a_i) of a sweep entry: every entry
 # stays positive
 CAP = 0.999 * math.pi / 2
+# the largest gamma solve admits: its grid radius GRID_RADIUS * gamma
+# squared stays finite
+GAMMA_TOP = math.sqrt(sys.float_info.max) / subsol.GRID_RADIUS
 
 
 def sweep_argv(unit, beta_max=1e4, rmax_box=None) -> list:
@@ -431,23 +435,27 @@ def sweep_argv(unit, beta_max=1e4, rmax_box=None) -> list:
 
     n is log-uniform in 3..150; theta the critical angle (n-2)*pi/2, or
     above it by up to 0.9*pi; beta log-uniform in [1, beta_max]; gamma 1 on
-    half the draws, where the grid's shells reach psi near beta, else
-    log-uniform in [1, 1e100]; --rmax log-uniform in rmax_box = (lo, hi),
-    or left at its default without one.  The vector is the iso point, or
-    n - 1 drawn positive entries completed to the level set.  The entries
-    share the deficit n*pi/2 - theta = sum_i (pi/2 - arctan(a_i)): each
-    drawn entry takes between 0.05 and 1.95 times an even share of what
-    is left, clipped so that it and every entry after it stay under CAP,
-    and the last entry is tan of the phase left.  Such a problem is
-    admissible or slow_decay, or past the float range invalid input.
+    a third of the draws, where the grid's shells reach psi near beta,
+    GAMMA_TOP * 10**(-3u) on a third, the top of the flag range, and
+    log-uniform in [1, 1e100] on the rest; --rmax log-uniform in
+    rmax_box = (lo, hi), or left at its default without one.  The vector
+    is the iso point, or n - 1 drawn positive entries completed to the
+    level set.  The entries share the deficit
+    n*pi/2 - theta = sum_i (pi/2 - arctan(a_i)): each drawn entry takes
+    between 0.05 and 1.95 times an even share of what is left, clipped so
+    that it and every entry after it stay under CAP, and the last entry is
+    tan of the phase left.  Such a problem is admissible or slow_decay, or
+    past the float range invalid input.
     """
     n = int(3 * 50 ** unit())
     critical = (n - 2) * math.pi / 2
     theta = critical if unit() < 0.5 else critical + 0.9 * math.pi * unit()
+    beta, pick = beta_max ** unit(), 3 * unit()
+    gamma = (1.0 if pick < 1 else GAMMA_TOP * 10 ** (-3 * unit()) if pick < 2
+             else 1e100 ** unit())
     flags = ["--n", str(n), "--theta",
              "critical" if theta == critical else repr(theta),
-             "--beta", repr(beta_max ** unit()),
-             "--gamma", repr(1.0 if unit() < 0.5 else 1e100 ** unit())]
+             "--beta", repr(beta), "--gamma", repr(gamma)]
     if rmax_box is not None:
         lo, hi = rmax_box
         flags += ["--rmax", repr(lo * (hi / lo) ** unit())]

@@ -802,15 +802,19 @@ def test_solve_huge_rmax_iso_passes(tmp_path):
         [0, 0]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the grid forms rho^2 a_i, which overflows past "
-                   "gamma = 7.1e151 at a_i = tan(1.5), where the update "
-                   "scale has underflowed to 0: 0 * inf is nan; ROADMAP "
-                   "item 2's scale-free grid mends it")
+# near the top of the gamma range, where (50 gamma)^2 a_i overflows while
+# the slope over rho^2 underflows: a grid that formed either read nan minima
+HUGE_GAMMA_ISO = [
+    ["--n", "5", "--theta", "7.5", "--gamma", "1e152"],
+    ["--n", "7", "--theta", "10.33555561666806", "--beta",
+     "426.75584263235277", "--gamma", "2.1531312310596963e+152"],
+    ["--n", "12", "--theta", "critical", "--gamma", "2.68e152"]]
+
+
 def test_solve_huge_gamma_iso_passes(tmp_path):
-    # every flag check passes: they bound (50 gamma)^2 only
-    assert run(tmp_path, ["solve", "--family", "iso", "--n", "5", "--theta",
-                          "7.5", "--gamma", "1e152", "--grid", "4"])[0] == 0
+    assert [run(tmp_path, ["solve", "--family", "iso", *flags,
+                           "--grid", "4"])[0]
+            for flags in HUGE_GAMMA_ISO] == [0, 0, 0]
 
 
 # supercritical iso problems at large beta are valid input that exit 1 on

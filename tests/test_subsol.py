@@ -329,6 +329,8 @@ def test_rank_one_phase_level_matches_dense_hessian_oracle(n):
             p.append(nu * diag)
             s.append(dpsi / r)
             q2.append((diag * x) ** 2)
+        # one point per block: q2 of shape (S, 1, n), which the kernel's
+        # matmul broadcasts like the grid's shared (D, n) table
         phase, scaled = symfun.rank_one_phase_level(
             np.array(p), np.array(s), np.array(q2)[:, None, :],
             pspec.coeffs)
@@ -336,6 +338,31 @@ def test_rank_one_phase_level_matches_dense_hessian_oracle(n):
             gap, lev_scaled = dense_phase_level(pf, x)
             assert abs(phase[i, 0] - theta - gap) <= 1e-12, (theta, i)
             assert abs(scaled[i, 0] - lev_scaled) <= 1e-12, (theta, i)
+
+
+@pytest.mark.parametrize("n, theta, perturbed, gamma", [
+    (5, 7.5, False, 1.0), (12, 16.008, True, 1.0), (8, 9.9, True, 30.0),
+    (5, 7.5, False, 1e152)])
+def test_worst_point_is_the_grid_point_of_the_reported_minimum(n, theta,
+                                                               perturbed,
+                                                               gamma):
+    # worst_point is built from the argmin's shell and direction alone: it
+    # lies on a shell, and the dense Hessian there gives the smaller
+    # reported minimum
+    spec = phasepoly.PhaseSpec(n, theta)
+    a = weights.iso_point(spec)
+    if perturbed:
+        scale = np.exp(np.random.default_rng(n).uniform(-0.1, 0.1, n))
+        a = weights.complete_to_phase((a * scale)[:-1], spec)
+    pf = candidate(a, theta)
+    rep = grid(pf, gamma, 8)
+    r = oracles.ellipsoid_radius(np.array(pf.prof.a), rep.worst_point)
+    assert np.min(np.abs(subsol.shell_radii(gamma, 8) - r)) <= 1e-12 * r
+    gap, level = dense_phase_level(pf, rep.worst_point)
+    if rep.min_phase_gap <= rep.min_level_value:
+        assert abs(gap - rep.min_phase_gap) <= 1e-12
+    else:
+        assert abs(level - rep.min_level_value) <= 1e-12
 
 
 @pytest.mark.parametrize("n, theta", [
@@ -353,15 +380,18 @@ def test_grid_update_scales_come_from_the_slope_on_the_excess(monkeypatch,
     real, seen = subsol.rank_one_phase_level, []
 
     def spy(p, s, q2, c):
-        seen.append(s)
+        seen.append((s, q2))
         return real(p, s, q2, c)
 
     monkeypatch.setattr(subsol, "rank_one_phase_level", spy)
     grid(pf, 1.0, 24)
     excess = oracles.excess(pf, subsol.shell_radii(1.0, 24))
     assert np.all(excess > 0.0)
-    assert np.all(seen[0] < 0.0)
-    assert np.all(pf.slope(excess) < 0.0)
+    # one scale per shell, rho psi', and one u o u per direction
+    (scales, q2), = seen
+    assert np.array_equal(scales, pf.slope(excess))
+    assert q2.shape == (2 * n + subsol.DIRECTIONS, n)
+    assert np.all(scales < 0.0)
     d, q = oracles.excess_pair(pf.prof)
     xs = np.append(excess[excess >= 1e-20], np.geomspace(1e-20, 1.0, 21))
     expect = -xs * d(xs) / q(xs)

@@ -5,11 +5,13 @@ problem inside the flag ranges must exit 0 when it is admissible and 1
 when it is slow_decay; past the float range it may exit 2, with one of
 the float-range messages of CONTRACT.  The draws are tests/oracles.py's
 sweep_argv: n log-uniform in 3..150, theta the critical angle or up to
-0.9*pi above it, beta log-uniform in [1, 1e4], gamma 1 on half the draws
+0.9*pi above it, beta log-uniform in [1, 1e4], gamma 1 on a third of the
+draws, within a factor 1e3 of the largest gamma solve admits on a third
 and log-uniform in [1, 1e100] on the rest, --rmax at its default, the
 vector the iso point or a random admissible one, each run through
 cli.main in process at --grid 4.  At gamma = 1 the grid's shells reach
-psi near beta, where the grid gate reads its rounding.
+psi near beta, where the grid gate reads its rounding; at the top of the
+gamma range the grid's radii would overflow if squared.
 
 The box leaves out the regions where valid problems FAIL today, each
 pinned by a strict xfail in tests/test_cli.py and reachable with
@@ -19,10 +21,7 @@ names the gate each FAIL failed:
     beta and --rmax (ROADMAP item 3; test_solve_huge_rmax_iso_passes);
   * beta above the box at a supercritical angle: the grid's fixed gate
     FAILs exact solutions, from beta = 3e4 at n = 100 (ROADMAP item 2;
-    test_solve_supercritical_large_beta_iso_passes);
-  * gamma near 7e151 and above: the grid forms rho^2 a_i, which
-    overflows to nan minima (ROADMAP item 2;
-    test_solve_huge_gamma_iso_passes).
+    test_solve_supercritical_large_beta_iso_passes).
 """
 
 import shlex

@@ -298,9 +298,8 @@ EDGE_CASES = [
     *((f"iso critical n={n} beta=1e6 rmax=1e100", (), (
         "solve", "--family", "iso", "--n", str(n), "--theta", "critical",
         "--beta", "1e6", "--rmax", "1e100", "--grid", "4")) for n in (3, 12)),
-    # gamma = 1e152: valid input that exits 1 with nan minima, because the
-    # grid forms rho^2 a_i, which overflows (ROADMAP item 2, a scale-free
-    # grid); that fix shows here as an exit-code move
+    # gamma = 1e152, near the top of the flag range: the grid forms no
+    # rho^2, so its minima stay finite and the problem passes
     ("iso n=5 theta=7.5 gamma=1e152", (), (
         "solve", "--family", "iso", "--n", "5", "--theta", "7.5",
         "--gamma", "1e152", "--grid", "4")),
@@ -350,6 +349,10 @@ EDGE_CASES = [
                                   "json")),
     ("scan-eps grid=3 csv", (), ("scan-eps", "--grid", "3")),
     ("scan-eps grid=8000 csv", (), ("scan-eps", "--grid", "8000")),
+    # gamma within 0.1 % of the largest the flag check admits
+    ("iso critical n=12 gamma=2.68e152", (), (
+        "solve", "--family", "iso", "--n", "12", "--theta", "critical",
+        "--gamma", "2.68e152", "--grid", "4")),
 ]
 
 

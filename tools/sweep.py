@@ -7,6 +7,7 @@ Each draw is a `solve` command line at --grid 4 for one valid problem,
 from tests/oracles.py's sweep_argv, with beta log-uniform in [1, 1e6] and
 --rmax log-uniform in [2, 1e100] (ROADMAP item 7's wide box; the tier-1
 sweep, tests/test_sweep.py, keeps beta up to 1e4 and the default --rmax).
+Both draw gamma by sweep_argv's law, up to the largest gamma solve admits.
 The uniform draws come from numpy.random.default_rng(S).  Every draw runs
 through cli.main in process.  An admissible problem must exit 0, a
 slow_decay one 1, and one past the float range 2 with a float-range
