@@ -13,13 +13,13 @@ Three subcommands:
   solve     one full problem: classification, the first integral, both
             profile routes, tail integrals, and the subsolution
             verification report, emitted as a single JSON document.  It
-            passes when the grid verification passes and the two profile
-            routes agree within ROUTE_GAP_TOL.  All-negative data, the
-            iso point at theta < 0 included, runs as its sign reflection
-            (-theta, -a), the problem classify analyses, and the report
-            marks it reflected.  Every flag is range-checked before the
-            vector is read, so an invalid one exits 2 whatever the
-            vector.  classify's WeightProfile is the one problem object:
+            passes when every row of GATES holds, and the FAIL line names
+            the rows that failed.  All-negative data, the iso point at
+            theta < 0 included, runs as its sign reflection (-theta, -a),
+            the problem classify analyses, and the report marks it
+            reflected.  Every flag is range-checked before the vector is
+            read, so an invalid one exits 2 whatever the vector.
+            classify's WeightProfile is the one problem object:
             first_integral holds it as pf.prof, and radial.invert solves
             its table once, after the numeric route, for the implicit
             route, the grid and the tail integral.
@@ -101,10 +101,14 @@ finally:
     if _COLLECTING and not _IMPORTED:
         gc.enable()
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 RNG_NAME = "numpy.random.default_rng(PCG64)"
-# the two profile routes of `solve` must agree this closely (criterion 5)
-ROUTE_GAP_TOL = 1e-8
+# the verdict of `solve`, written once: (name, the dotted report field it
+# reads, sense, bound) per gate, and a report passes when every row holds
+GATES = (("route", "route_gap_max", "<=", 1e-8),
+         ("phase", "verification.min_phase_gap", ">=", -1e-9),
+         ("level", "verification.min_level_value", ">=", -1e-9))
+_SENSES = {"<=": operator.le, ">=": operator.ge}
 
 
 def _fmt(x) -> str:
@@ -113,6 +117,12 @@ def _fmt(x) -> str:
 
 def _verdict(report: dict) -> str:
     return "PASS" if report["passed"] else "FAIL"
+
+
+def _field(report: dict, path: str):
+    for key in path.split("."):
+        report = report[key]
+    return report
 
 
 def _json_text(value) -> str:
@@ -672,8 +682,9 @@ def _run_solve(args: SimpleNamespace) -> dict:
     # finite: a finite (50 gamma)^2 keeps it so for every a_i above 1/max
     radius = subsol.GRID_RADIUS * gamma
     if not math.isfinite(radius * radius):
-        raise ValueError(f"--gamma out of range: the grid radius "
-                         f"{subsol.GRID_RADIUS:g}*gamma overflows")
+        raise ValueError(f"--gamma out of range: the grid points, up to "
+                         f"{subsol.GRID_RADIUS:g}*gamma/sqrt(min a_i) from "
+                         f"the origin, may overflow")
     if args.grid < 1:
         raise ValueError("the grid needs at least one shell")
     if args.beta < 1.0:
@@ -709,7 +720,6 @@ def _run_solve(args: SimpleNamespace) -> dict:
     traj, shells, tail = radial.invert(
         pf, rs, subsol.shell_radii(gamma, args.grid), (gamma, 10.0 * gamma))
     sol_imp = radial.profile_implicit(pf, traj)
-    gap = float(np.max(np.abs(sol_num.psi - sol_imp.psi)))
 
     mu_gamma, mu_10gamma = radial.tail_integral(pf, tail)
     mu = {"at_gamma": mu_gamma, "at_10gamma": mu_10gamma}
@@ -722,17 +732,16 @@ def _run_solve(args: SimpleNamespace) -> dict:
             "excess_numeric": sol_num.excess.tolist(),
             "excess_implicit": sol_imp.excess.tolist(),
         },
-        "route_gap_max": gap,
+        "route_gap_max": float(np.max(np.abs(sol_num.psi - sol_imp.psi))),
         "mu": mu,
-        "verification": {
-            "points": rep.points,
-            "min_phase_gap": rep.min_phase_gap,
-            "min_level_value": rep.min_level_value,
-            "worst_point": rep.worst_point.tolist(),
-            "passed": rep.passed,
-        },
-        "passed": rep.passed and gap <= ROUTE_GAP_TOL,
+        "verification": {**rep._asdict(),
+                         "worst_point": rep.worst_point.tolist()},
     })
+    base["gates"] = [
+        {"name": name, "field": field, "sense": sense, "bound": bound,
+         "passed": _SENSES[sense](_field(base, field), bound)}
+        for name, field, sense, bound in GATES]
+    base["passed"] = all(row["passed"] for row in base["gates"])
     return base
 
 
@@ -740,11 +749,11 @@ def _solve_summary(report: dict) -> list:
     adm = report["admissibility"]
     if adm["klass"] != "admissible":
         return [f"inadmissible: klass={adm['klass']} m={adm['m']}"]
-    check = report["verification"]
-    return [f"route_gap_max={_fmt(report['route_gap_max'])} "
-            f"min_phase_gap={_fmt(check['min_phase_gap'])} "
-            f"min_level_value={_fmt(check['min_level_value'])}",
-            _verdict(report)]
+    rows = report["gates"]
+    failed = ", ".join(row["name"] for row in rows if not row["passed"])
+    return [" ".join(f"{row['field'].rpartition('.')[2]}="
+                     f"{_fmt(_field(report, row['field']))}" for row in rows),
+            f"FAIL: {failed}" if failed else "PASS"]
 
 
 # ------------------------------------------------------------------- main

@@ -51,7 +51,6 @@ from .radial import FirstIntegral, Inversion
 from .symfun import rank_one_phase_level
 
 _NORMAL = NormalDist()
-_PASS_TOL = 1e-9  # verify_subsolution's minima must clear -_PASS_TOL
 _R_MIN_SCALE = 1.0 + 1e-6  # the innermost shell, relative to gamma
 GRID_RADIUS = 50.0  # the outermost shell, relative to gamma
 DIRECTIONS = 96  # low-discrepancy directions per shell, besides the 2n axes
@@ -85,13 +84,13 @@ class VerificationReport(NamedTuple):
     sum_k c_k sigma_k(lambda) / prod_j sqrt(1 + lambda_j^2), which equals
     sin(H - theta) and so is dimensionless whatever the size of the
     eigenvalues; worst_point is the sample attaining the smaller of the
-    two.  passed requires both minima to clear -1e-9.
+    two.  The report measures and does not judge: cli.GATES holds the
+    bounds the minima must clear.
     """
     points: int
     min_phase_gap: float
     min_level_value: float
     worst_point: np.ndarray
-    passed: bool
 
 
 def shell_radii(gamma: float, shells: int) -> np.ndarray:
@@ -115,10 +114,10 @@ def verify_subsolution(pf: FirstIntegral,
     pf.slope(psi - 1), read on the shell's excess so that it keeps its sign
     where psi rounds to 1.  symfun.rank_one_phase_level evaluates the phase
     gap and the level value of every point from (p, s, u o u) without an
-    eigenvalue; their minima are reported and gated, and worst_point is the
-    one point built.  The level value is the scale-free one (divided by
-    prod_j sqrt(1 + lambda_j^2)), so the verdict does not depend on the
-    size of the eigenvalues.
+    eigenvalue; their minima are reported, for cli.GATES to judge, and
+    worst_point is the one point built.  The level value is the scale-free
+    one (divided by prod_j sqrt(1 + lambda_j^2)), so the verdict does not
+    depend on the size of the eigenvalues.
     """
     spec, a = pf.prof.spec, np.array(pf.prof.a)
     n = a.size
@@ -136,12 +135,8 @@ def verify_subsolution(pf: FirstIntegral,
     i_lev = int(np.argmin(levels))
     shell, d = divmod(i_gap if gaps[i_gap] <= levels[i_lev] else i_lev,
                       len(dirs))
-    min_gap = float(gaps[i_gap])
-    min_level = float(levels[i_lev])
     return VerificationReport(points=gaps.size,
-                              min_phase_gap=min_gap,
-                              min_level_value=min_level,
-                              worst_point=(radii[shell] / ra[d]) * dirs[d],
-                              passed=bool(min_gap >= -_PASS_TOL
-                                          and min_level >= -_PASS_TOL))
+                              min_phase_gap=float(gaps[i_gap]),
+                              min_level_value=float(levels[i_lev]),
+                              worst_point=(radii[shell] / ra[d]) * dirs[d])
 

@@ -35,7 +35,7 @@ def test_verify_passes(tmp_path):
     code, path = run(tmp_path, ["verify", "--grid", "40"])
     assert code == 0
     report = json.loads(path.read_text())
-    assert report["schema_version"] == 4
+    assert report["schema_version"] == 5
     assert report["command"] == "verify"
     assert report["zstar_unit6"] == 192
     assert report["passed"] is True
@@ -623,7 +623,7 @@ def test_solve_closed_case(tmp_path):
     assert report["first_integral"]["log_amplitude"] == \
         pytest.approx(math.log(1.5), abs=1e-12)
     assert report["route_gap_max"] <= 1e-8
-    assert report["verification"]["passed"] is True
+    assert all(row["passed"] for row in report["gates"])
     assert report["verification"]["min_phase_gap"] >= -1e-9
     assert report["passed"] is True
     n_r = len(report["trajectory"]["r"])
@@ -689,8 +689,8 @@ SOLVE_SHAPE = {
     "trajectory": dict.fromkeys(["r", "excess_numeric", "excess_implicit"]),
     "route_gap_max": None, "mu": dict.fromkeys(["at_gamma", "at_10gamma"]),
     "verification": dict.fromkeys(["points", "min_phase_gap",
-                                   "min_level_value", "worst_point",
-                                   "passed"])}
+                                   "min_level_value", "worst_point"]),
+    "gates": [dict.fromkeys(["name", "field", "sense", "bound", "passed"])]}
 
 
 @pytest.mark.parametrize("argv, shape", [
@@ -710,11 +710,12 @@ SOLVE_SHAPE = {
     (["solve", "--family", "eps:0.25", "--grid", "4"], _SOLVE_HEAD),
 ])
 def test_report_key_sets(tmp_path, argv, shape):
-    # schema 4 says each quantity once: a field that repeats another (psi
-    # beside the excess, m twice, a seed nothing reads) shows up here
+    # schema 5 says each quantity once: a field that repeats another (psi
+    # beside the excess, m twice, a seed nothing reads, a gated value in
+    # its gates row) shows up here
     _code, path = run(tmp_path, argv)
     report = json.loads(path.read_text())
-    assert report["schema_version"] == 4
+    assert report["schema_version"] == 5
     assert _shape(report) == shape
 
 
@@ -735,37 +736,15 @@ def test_solve_large_eigenvalues_pass_the_scale_free_gate(tmp_path):
     report = json.loads(path.read_text())
     assert report["verification"]["min_level_value"] >= -4.7e-13
     assert report["passed"] is True
-    assert report["verification"]["passed"] is True
-
-
-def test_solve_fails_a_numeric_route_off_by_1e7(tmp_path, capsys,
-                                                monkeypatch):
-    args = ["solve", "--family", "iso", "--n", "5", "--theta", "critical",
-            "--grid", "4"]
-    code, path = run(tmp_path, args, "good.json")
-    assert code == 0 and json.loads(path.read_text())["passed"] is True
-    real = radial.profile_numeric
-
-    def shifted(pf, rs):
-        sol = real(pf, rs)
-        return sol._replace(psi=sol.psi + 1e-7)
-
-    monkeypatch.setattr(radial, "profile_numeric", shifted)
-    capsys.readouterr()
-    code, path = run(tmp_path, args, "bad.json")
-    report = json.loads(path.read_text())
-    assert code == 1
-    assert capsys.readouterr().err.splitlines()[-1] == "FAIL"
-    assert report["route_gap_max"] == pytest.approx(1e-7, rel=1e-6)
-    assert report["verification"]["passed"] is True
-    assert report["passed"] is False
+    assert all(row["passed"] for row in report["gates"])
 
 
 # iso critical at --beta 1e6 and --rmax 1e100 is valid input that exits 1.
 # route_gap_max reads 1.26e-7 (n = 3) and 1.43e-7 (n = 12) at r = 2.61,
-# where the excess is 2.4e5 and 3.5e5, against the absolute ROUTE_GAP_TOL
-# of 1e-8: the gate is absolute in psi, so at that size it asks for about
-# 4e-14 relative.  The default --rmax passes (gap 1.6e-9 at beta = 1e6).
+# where the excess is 2.4e5 and 3.5e5, against the route gate's absolute
+# 1e-8 (cli.GATES): the gate is absolute in psi, so at that size it asks
+# for about 4e-14 relative.  The default --rmax passes (gap 1.6e-9 at
+# beta = 1e6).
 HUGE_RMAX_ISO = {n: ["solve", "--family", "iso", "--n", str(n), "--theta",
                      "critical", "--beta", "1e6", "--rmax", "1e100",
                      "--grid", "4"] for n in (3, 12)}
@@ -858,6 +837,16 @@ def _log_amplitude_up(rel):
     return fault
 
 
+def _numeric_psi_up(shift):
+    # the numeric route's psi plus shift, its excess as it was
+    def fault(real):
+        def lying(pf, rs):
+            sol = real(pf, rs)
+            return sol._replace(psi=sol.psi + shift)
+        return lying
+    return fault
+
+
 def _mu_times_ten(real):
     return lambda pf, at: tuple(10 * v for v in real(pf, at))
 
@@ -873,31 +862,35 @@ def _shell_excess_scrambled(real):
     return lying
 
 
-# solve fault -> (layer, callable, fault, report field it corrupts, None or
-# the reason no gate catches it yet).  Every row expects exit 1; the route
-# checks' faults, which exit 2 today, wait for ROADMAP item 1's exit rule
+# solve fault -> (layer, callable, fault, dotted report field it corrupts,
+# None or the reason no gate catches it yet).  Every row expects exit 1
+# and the failure of exactly the cli.GATES rows that read its field.  By
+# the exit rule above report_gate.CONTRACT a fault that trips a route's
+# own check exits 2, not 1, so no row here trips one
 SOLVE_FAULTS = {
     "phase_gap": ("subsol", "rank_one_phase_level",
                   _phase_level_down(1e-6, 0.0),
-                  ("verification", "min_phase_gap"), None),
+                  "verification.min_phase_gap", None),
     "level_value": ("subsol", "rank_one_phase_level",
                     _phase_level_down(0.0, 1e-6),
-                    ("verification", "min_level_value"), None),
+                    "verification.min_level_value", None),
+    "route_gap": ("radial", "profile_numeric", _numeric_psi_up(1e-7),
+                  "route_gap_max", None),
     "log_amplitude": ("radial", "first_integral", _log_amplitude_up(1e-3),
-                      ("first_integral", "log_amplitude"),
+                      "first_integral.log_amplitude",
                       "no gate reads log C; ROADMAP item 3, the numeric "
                       "route for the tail law, checks it"),
     "log_amplitude_1e9": ("radial", "first_integral",
                           _log_amplitude_up(1e-9),
-                          ("first_integral", "log_amplitude"),
+                          "first_integral.log_amplitude",
                           "no gate reads log C, and a relative shift of "
                           "1e-9 must FAIL; ROADMAP item 3's gap on the "
                           "numeric route for the tail law checks it"),
-    "mu": ("radial", "tail_integral", _mu_times_ten, ("mu", "at_gamma"),
+    "mu": ("radial", "tail_integral", _mu_times_ten, "mu.at_gamma",
            "no gate reads mu; ROADMAP item 3 checks it on the numeric "
            "route"),
     "shell_excess": ("radial", "invert", _shell_excess_scrambled,
-                     ("verification", "min_level_value"),
+                     "verification.min_level_value",
                      "the grid checks the algebra at each shell's excess, "
                      "not the profile there; ROADMAP item 3 or 14 checks "
                      "the excess"),
@@ -906,14 +899,14 @@ SOLVE_FAULTS = {
 
 # each numeric field of the solve report that no SOLVE_FAULTS row corrupts
 # yet -> the ROADMAP item that adds its row.  m's fault trips
-# first_integral's residue check, which exits 2 until item 1's exit rule;
+# first_integral's residue check, which exits 2 by the exit rule above
+# report_gate.CONTRACT, so m waits for a gate that reads it (item 1);
 # item 2's row shifts one axis point's phase, which moves worst_point;
 # item 8A's axis grid sets the points per shell
 SOLVE_FIELDS_AWAITING_A_FAULT = {
     "admissibility.m": "1",
     "trajectory.r": "3", "trajectory.excess_numeric": "3",
-    "trajectory.excess_implicit": "3", "route_gap_max": "3",
-    "mu.at_10gamma": "3",
+    "trajectory.excess_implicit": "3", "mu.at_10gamma": "3",
     "verification.worst_point": "2", "verification.points": "8A",
 }
 
@@ -933,15 +926,18 @@ def _numeric_leaves(value, path=()):
 def test_every_numeric_solve_field_has_a_fault_or_an_item(tmp_path):
     # a new report field fails here until a SOLVE_FAULTS row corrupts it
     # or SOLVE_FIELDS_AWAITING_A_FAULT names the item that will; config
-    # is the input and schema_version the format, not results
+    # is the input and schema_version the format, not results.  Every
+    # gated field has a row that no xfail marks
     _code, path = run(tmp_path, SOLVE_ISO3)
     report = json.loads(path.read_text())
     assert _shape(report) == SOLVE_SHAPE
     del report["config"], report["schema_version"]
-    faulted = {".".join(row[3]) for row in SOLVE_FAULTS.values()}
+    faulted = {row[3] for row in SOLVE_FAULTS.values()}
     assert not faulted & set(SOLVE_FIELDS_AWAITING_A_FAULT)
     assert _numeric_leaves(report) == \
         faulted | set(SOLVE_FIELDS_AWAITING_A_FAULT)
+    caught = {row[3] for row in SOLVE_FAULTS.values() if row[4] is None}
+    assert {row["field"] for row in report["gates"]} <= caught
 
 
 @pytest.mark.parametrize("n", [3, 12])
@@ -949,20 +945,28 @@ def test_every_numeric_solve_field_has_a_fault_or_an_item(tmp_path):
     pytest.param(name, marks=() if reason is None else pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=reason))
     for name, (*_row, reason) in SOLVE_FAULTS.items()])
-def test_solve_fault_injection_exits_one(tmp_path, monkeypatch, fault, n):
-    layer, kernel, lying, (section, field), _reason = SOLVE_FAULTS[fault]
+def test_solve_fault_injection_exits_one(tmp_path, monkeypatch, capsys,
+                                        fault, n):
+    layer, kernel, lying, field, _reason = SOLVE_FAULTS[fault]
     argv = ["solve", "--family", "iso", "--n", str(n), "--theta",
             "critical", "--grid", "8"]
     code, path = run(tmp_path, argv, "good.json")
-    assert code == 0
-    good = json.loads(path.read_text())[section][field]
+    good = json.loads(path.read_text())
+    assert code == 0 and good["passed"] is True
     module = getattr(cli, layer)
     monkeypatch.setattr(module, kernel, lying(getattr(module, kernel)))
+    capsys.readouterr()
     code, path = run(tmp_path, argv, "bad.json")
-    if json.loads(path.read_text())[section][field] == good:
+    bad = json.loads(path.read_text())
+    if cli._field(bad, field) == cli._field(good, field):
         # not an AssertionError: a strict xfail must not swallow it
-        pytest.fail(f"the fault leaves {section}.{field} as it was")
-    assert code == 1
+        pytest.fail(f"the fault leaves {field} as it was")
+    assert code == 1 and bad["passed"] is False
+    failed = [row["name"] for row in bad["gates"] if not row["passed"]]
+    assert failed == [name for name, read, *_gate in cli.GATES
+                      if read == field]
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"FAIL: {', '.join(failed)}"
 
 
 def test_solve_all_negative_data_runs_the_reflected_problem(tmp_path):

@@ -9,9 +9,10 @@ sweep_argv: n log-uniform in 3..150, theta the critical angle or up to
 draws, within a factor 1e3 of the largest gamma solve admits on a third
 and log-uniform in [1, 1e100] on the rest, --rmax at its default, the
 vector the iso point or a random admissible one, each run through
-cli.main in process at --grid 4.  At gamma = 1 the grid's shells reach
-psi near beta, where the grid gate reads its rounding; at the top of the
-gamma range the grid's radii would overflow if squared.
+cli.main in process at --grid 4.  Each admissible report must agree
+with its own gates list, whatever its verdict.  At gamma = 1 the grid's
+shells reach psi near beta, where the grid gates read their rounding; at
+the top of the gamma range the grid's radii would overflow if squared.
 
 The box leaves out the regions where valid problems FAIL today, each
 pinned by a strict xfail in tests/test_cli.py and reachable with
@@ -24,6 +25,7 @@ names the gate each FAIL failed:
     test_solve_supercritical_large_beta_iso_passes).
 """
 
+import operator
 import shlex
 
 from hypothesis import event, given, settings
@@ -31,8 +33,26 @@ from hypothesis import strategies as st
 
 import oracles
 import sweep
+from slex import cli
 
 UNIT = st.floats(min_value=0.0, max_value=1.0)
+SENSES = {"<=": operator.le, ">=": operator.ge}
+
+
+def check_gates(report):
+    """An admissible report agrees with its own gates: one row per row of
+    cli.GATES, each row's verdict its sense and bound applied to the
+    value in its field, and passed their conjunction.  This is the one
+    reader of the verdict rule besides cli."""
+    rows = report["gates"]
+    assert [(row["name"], row["field"], row["sense"], row["bound"])
+            for row in rows] == list(cli.GATES)
+    for row in rows:
+        value = report
+        for key in row["field"].split("."):
+            value = value[key]
+        assert row["passed"] is SENSES[row["sense"]](value, row["bound"])
+    assert report["passed"] is all(row["passed"] for row in rows)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -44,3 +64,5 @@ def test_valid_problems_pass(data):
     event(kind)
     assert kind != "fail", \
         (f"slex {shlex.join(argv)}", code, err)
+    if report and report["admissibility"]["klass"] == "admissible":
+        check_gates(report)

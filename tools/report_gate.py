@@ -73,7 +73,8 @@ _NO_VECTOR = "provide exactly one of --a or --family"
 _GRID = "the grid needs at least one shell"
 _GAMMA = "gamma must be finite and at least 1"
 _RMAX = "r_max must be finite and exceed 1"
-_HUGE_GAMMA = "--gamma out of range: the grid radius 50*gamma overflows"
+_HUGE_GAMMA = ("--gamma out of range: the grid points, up to "
+               "50*gamma/sqrt(min a_i) from the origin, may overflow")
 _TOO_CLOSE = ("--rmax {0} is too close to 1: its 241 log-spaced sample "
               "radii do not increase")
 _EPS_THETA = "the eps family lives at theta = 5*pi/3"
@@ -88,7 +89,7 @@ _INVALID = [
                    ("verify", "--grid", "1", "--seed", "-1"))),
     (("scan-eps", "--grid", "1"), "scan grid needs at least 2 points"),
     # solve's flags, each before the vector is read and whatever it is,
-    # in the order checked: finite, the grid radius, the grid count, beta
+    # in the order checked: finite, the grid's reach, the grid count, beta
     # at least 1 and at most the cap, gamma at least 1, then r_max
     *((_ISO3 + (f"--{name}={value}",), f"--{name} must be finite")
       for name in ("beta", "gamma", "alpha", "rmax")
@@ -169,6 +170,10 @@ _PAST_FLOAT_RANGE = [
        "ray polynomial shifted to 1 leaves the float range")
       for beta in ((), ("--beta", "1e6"))),
 ]
+# solve's exit rule (ROADMAP items 1 and 18): exit 1 is an inadmissible
+# problem or a failed cli.GATES row.  A route that fails its own check (a
+# ProfileSolution or residue check) on valid input exits 2, as invalid
+# input does: no gate reads it, and a fault still never exits 0
 CONTRACT = [
     # a value is the next token as given: a negative vector in the space
     # form
@@ -227,10 +232,11 @@ CONTRACT = [
                     "--theta=-0.3"))),
     *((("solve", "--family", family), 1, "inadmissible: klass=slow_decay m=")
       for family in ("eps:0.25", "eps:" + repr(math.pi / 12))),
-    # (n - 1) pi/2 at beta = 1e6 fails both gates: the phase gap reads
-    # -2.0e-9 and the scaled level -1.1e-9
+    # (n - 1) pi/2 at beta = 1e6 fails both grid gates: the phase gap
+    # reads -2.0e-9 and the scaled level -1.1e-9
     (("solve", "--family", "iso", "--n", "12", "--theta",
-      repr(11 * math.pi / 2), "--beta", "1e6", "--grid", "4"), 1, "\nFAIL\n"),
+      repr(11 * math.pi / 2), "--beta", "1e6", "--grid", "4"), 1,
+     "\nFAIL: phase, level\n"),
     # sigma_n, the product of the entries, is past the sigma row's bound
     # from n = 175 on, as at n = 200 above: classify refuses it before
     # _chain's O(n^2) rows.  At n = 174 only inner sigma_k are past it,

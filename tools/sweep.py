@@ -12,11 +12,10 @@ The uniform draws come from numpy.random.default_rng(S).  Every draw runs
 through cli.main in process.  An admissible problem must exit 0, a
 slow_decay one 1, and one past the float range 2 with a float-range
 message of CONTRACT (tools/report_gate.py).  Each draw that does not is
-printed as its exit code and stderr, with the gates its report failed
-and its command line under them: `route` when route_gap_max exceeds
-cli.ROUTE_GAP_TOL, `grid` when the grid verification failed.  A summary
-line follows, which counts each gate among the failures.  The tool exits
-1 when some draw fails, else 0.
+printed as its exit code and stderr, with the names of the gates rows
+its report failed and its command line under them.  A summary line
+follows, which counts each gate of cli.GATES among the failures.  The
+tool exits 1 when some draw fails, else 0.
 """
 
 from __future__ import annotations
@@ -70,16 +69,6 @@ def outcome(code: int, report, err: str) -> str:
     return "fail"
 
 
-def failed_gates(report) -> list:
-    """The gates a solve report failed, of "route" and "grid"; none for a
-    problem that did not reach them."""
-    if not report or "verification" not in report:
-        return []
-    return [gate for gate, failed in (
-        ("route", report["route_gap_max"] > cli.ROUTE_GAP_TOL),
-        ("grid", not report["verification"]["passed"])) if failed]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--draws", type=int, default=300)
@@ -87,14 +76,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rng = np.random.default_rng(args.seed)
     tally = dict.fromkeys(("pass", "slow_decay", "float range", "fail"), 0)
-    gates = dict.fromkeys(("route", "grid"), 0)
+    gates = dict.fromkeys((name for name, *_row in cli.GATES), 0)
     for _ in range(args.draws):
         line = oracles.sweep_argv(rng.random, **WIDE)
         code, report, err = run(line)
         kind = outcome(code, report, err)
         tally[kind] += 1
         if kind == "fail":
-            failed = failed_gates(report)
+            failed = [row["name"] for row in (report or {}).get("gates", ())
+                      if not row["passed"]]
             for gate in failed:
                 gates[gate] += 1
             print(f"exit {code}: {' | '.join(err.splitlines())}")
