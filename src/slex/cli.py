@@ -4,8 +4,9 @@ Three subcommands:
 
   verify    exact-arithmetic identity suites (the ray Wronskian as a
             product of alternating parts and in closed form, product
-            decompositions, the signed odd binomial sum, the sigma split
-            and weighted-sum recurrences) plus sampled floating-point
+            decompositions, the Gaussian-integer product form of the
+            sigma row, the signed odd binomial sum, the sigma split and
+            weighted-sum recurrences) plus sampled floating-point
             property suites, with a replayable report.
   scan-eps  the five-point family scan: pipeline decay exponent vs the
             closed trigonometric form on a uniform grid over [0, pi/12],
@@ -60,11 +61,12 @@ Identity suites always run in exact arithmetic, on Python ints.  Each
 drawn vector a stays a list of int (numerator, denominator) pairs; its
 integer vector is p = D*a, D the lcm of the reduced denominators, formed
 from the pairs directly.  The homogeneous suites (sigma recurrences, pair
-exclusion differences, product decompositions, Newton margins) run the
-kernels on p, so every value of degree d comes out as D**d times its value
-at a, which leaves every verdict as it is.  The ray Wronskian is not
-homogeneous: the product of p's alternating parts and its closed form are
-compared on p itself, a positive vector like a.  No Fraction is built.
+exclusion differences, product decompositions, the Gaussian product,
+Newton margins) run the kernels on p, so every value of degree d comes out
+as D**d times its value at a, which leaves every verdict as it is.  The
+ray Wronskian is not homogeneous: the product of p's alternating parts and
+its closed form are compared on p itself, a positive vector like a.  No
+Fraction is built.
 """
 
 import gc
@@ -279,25 +281,25 @@ def _scale(vec: list) -> tuple:
 
 
 def _int_rows(vec: list) -> tuple:
-    """(p, sig, table, rows, pairs) of a vector of int pairs on its integer
-    scale.
+    """(p, D, sig, table, rows, pairs) of a vector of int pairs on its
+    integer scale.
 
-    p = D*a (_scale); sig is sigma(p), table is gen_sym_table(p), rows[i-1]
-    is sigma(p | i) and pairs[i-1] is sigma(p | i, n), each entry of degree
-    e equal to D**e times the value at a (T[k][j] has degree k + j).  The
-    Wronskian and product suites both read the one table.  Each pair row
-    divides exactly out of r = rows[i-1], as r(t) = s(t) (1 + p_n t):
-    s_0 = 1, s_k = r_k - p_n s_{k-1}.  The trailing 0 on each exclusion
-    row is the zero convention at both ends, as row[-1] and row[len] read
-    it.
+    p = D*a and D come from _scale; sig is sigma(p), table is
+    gen_sym_table(p), rows[i-1] is sigma(p | i) and pairs[i-1] is
+    sigma(p | i, n), each entry of degree e equal to D**e times the value
+    at a (T[k][j] has degree k + j).  The Wronskian and product suites
+    both read the one table.  Each pair row divides exactly out of
+    r = rows[i-1], as r(t) = s(t) (1 + p_n t): s_0 = 1,
+    s_k = r_k - p_n s_{k-1}.  The trailing 0 on each exclusion row is the
+    zero convention at both ends, as row[-1] and row[len] read it.
     """
-    p, _d = _scale(vec)
+    p, d = _scale(vec)
     sig = symfun.elem_sym_all(p)
     table = symfun.gen_sym_table(p)
     rows = [symfun.elem_sym_excl_all(p, i) + [0] for i in range(1, len(p) + 1)]
     pairs = [[*accumulate(r[1:-2], lambda s, x: x - p[-1] * s, initial=1), 0]
              for r in rows[:-1]]
-    return p, sig, table, rows, pairs
+    return p, d, sig, table, rows, pairs
 
 
 def _fracs(vec) -> list:
@@ -351,13 +353,13 @@ def _wronskian_cases(vectors: list, scaled: list, ones: dict):
     # product of the alternating parts vs the all-positive closed form,
     # exact, on each integer vector p = D*a; plus the known all-ones values
     # n * 2^(n-1)
-    for vec, (_p, sig, table, _rows, _pairs) in zip(vectors, scaled):
+    for vec, (_p, d, sig, table, _rows, _pairs) in zip(vectors, scaled):
         x, y, xw, yw = phasepoly.alternating_parts(sig)
         prod = x * yw - y * xw
         closed = phasepoly.ray_wronskian(table)
         ok = prod == closed and closed > 0
         yield ok, None if ok else {
-            "a": _fracs(vec), "D": str(_scale(vec)[1]),
+            "a": _fracs(vec), "D": str(d),
             "product": str(prod), "closed_form": str(closed)}
     for n in range(3, 13):
         ok = phasepoly.ray_wronskian(ones[n]) == n * 2 ** (n - 1)
@@ -366,7 +368,7 @@ def _wronskian_cases(vectors: list, scaled: list, ones: dict):
 
 def _recurrence_cases(vectors: list, scaled: list):
     # sigma split and weighted-sum recurrences, exact
-    for vec, (p, sig, _table, rows, _pairs) in zip(vectors, scaled):
+    for vec, (p, _d, sig, _table, rows, _pairs) in zip(vectors, scaled):
         n = len(vec)
         for k in range(0, n + 1):
             acc = 0
@@ -384,7 +386,7 @@ def _recurrence_cases(vectors: list, scaled: list):
 
 def _pair_cases(vectors: list, scaled: list):
     # pairwise exclusion difference against the last entry j = n, exact
-    for vec, (p, _sig, _table, rows, pairs) in zip(vectors, scaled):
+    for vec, (p, _d, _sig, _table, rows, pairs) in zip(vectors, scaled):
         j = len(vec)
         for k in range(1, j + 1):
             last = p[j - 1] * rows[j - 1][k - 1]
@@ -399,7 +401,7 @@ def _product_cases(vectors: list, scaled: list):
     # product decompositions, exact, all (j, k) per vector, on the same
     # integer scale: T[K][J] has degree K + J, which is j + k for every
     # term of the (j, k) expansion
-    for vec, (_p, sig, table, _rows, _pairs) in zip(vectors, scaled):
+    for vec, (_p, _d, sig, table, _rows, _pairs) in zip(vectors, scaled):
         n = len(vec)
         for j in range(0, n + 1):
             for k in range(j, n + 1):
@@ -408,6 +410,22 @@ def _product_cases(vectors: list, scaled: list):
                     combo += coeff * table[kk][jj]
                 ok = combo == sig[j] * sig[k]
                 yield ok, None if ok else {"a": _fracs(vec), "j": j, "k": k}
+
+
+def _gaussian_cases(vectors: list, scaled: list):
+    # the product form the grid's level value rests on, exact in Gaussian
+    # integers as int pairs: prod_j (D + i p_j) = sum_k i^k D^(n-k)
+    # sigma_k(p), both D^n prod_j (1 + i a_j); the sum by Horner's rule
+    for vec, (p, d, sig, _table, _rows, _pairs) in zip(vectors, scaled):
+        prod = (1, 0)
+        for x in p:
+            prod = (prod[0] * d - prod[1] * x, prod[0] * x + prod[1] * d)
+        acc, unit = (0, 0), (1, 0)
+        for v in sig:
+            acc = (acc[0] * d + unit[0] * v, acc[1] * d + unit[1] * v)
+            unit = (-unit[1], unit[0])
+        ok = prod == acc
+        yield ok, None if ok else {"a": _fracs(vec), "D": str(d)}
 
 
 def _combinatorial_cases(ones: dict):
@@ -492,7 +510,7 @@ def _newton_cases(vectors: list, scaled: list, rng, trials: int):
     # Newton inequality margins: on rationals every margin >= 0, exactly
     # (the integer row's margins carry D**(2k) and keep their signs); on
     # floats every margin >= -1e-9 * max(1, largest |margin|)
-    for vec, (_p, sig, _table, _rows, _pairs) in zip(vectors, scaled):
+    for vec, (_p, _d, sig, _table, _rows, _pairs) in zip(vectors, scaled):
         ok = all(v >= 0 for v in symfun.newton_check(sig))
         yield ok, None if ok else {"a": _fracs(vec)}
     for t in range(trials):
@@ -523,6 +541,7 @@ def _run_verify(args: SimpleNamespace) -> dict:
         _suite("sigma_recurrences", _recurrence_cases(vectors, scaled)),
         _suite("pair_exclusion_difference", _pair_cases(vectors, scaled)),
         _suite("product_decomposition", _product_cases(vectors, scaled)),
+        _suite("gaussian_product", _gaussian_cases(vectors, scaled)),
         _suite("combinatorial_sums", _combinatorial_cases(ones)),
         _suite("tangent_and_sign", _tangent_cases(rng, trials), None),
         _suite("wronskian_implication", _implication_cases(rng, trials),

@@ -26,9 +26,10 @@ shells, shell_radii(gamma, count), run from just outside the ellipsoid to
 GRID_RADIUS * gamma, and their excess comes from solve's one inversion.
 It computes no eigenvalue: symfun.rank_one_phase_level gives the phase
 from the matrix determinant lemma and the scale-free level value from the
-rank-one update, at O(n) per point once each shell's O(n^3) exclusion rows
-are built.  psi' = g(psi)/r is scale-free, so the grid needs one direction
-table and one slope per shell, and forms no point array and no rho^2.
+rank-one update of the level polynomial in product form, at O(n) per shell
+and per point, with no sigma row.  psi' = g(psi)/r is scale-free, so the
+grid needs one direction table and one slope per shell, and forms no point
+array and no rho^2.
 
 The problem is pf, the radial.FirstIntegral built on the WeightProfile
 that weights.classify made: pf.prof.a is diag(a), pf.prof.spec the phase

@@ -4,11 +4,13 @@ Conventions used throughout (and by every module built on top of this one):
 
     sigma_{-1}(a) == 0,   sigma_0(a) == 1,   sigma_k(a) == 0 for k > n,
 
-where n = len(a).  All kernels are generic over the scalar type: handing in
-``fractions.Fraction`` (or int) entries keeps every computation exact, while
-float entries give the ordinary fast path.  Evaluation always goes through
+where n = len(a).  The sigma kernels are generic over the scalar type:
+handing in ``fractions.Fraction`` (or int) entries keeps every computation
+exact, while float entries give the ordinary fast path.  They go through
 the coefficient recurrence for prod_i (1 + t*a_i), never through explicit
-subset enumeration; enumeration appears only in test oracles.
+subset enumeration, which appears only in test oracles.  The grid's float
+kernel rank_one_phase_level forms no sigma row: it reads the level in
+product form, Im(e^(-i theta) prod_j (1 + i p_j)), at O(n) per diagonal.
 
 The kernels run one plain loop on every scalar type.  On ``Fraction``
 input it keeps value and type: sigma_0 and T[0][0] are the int 1, every
@@ -132,49 +134,45 @@ def rank_one_phase_level(p: np.ndarray, s: np.ndarray, q2: np.ndarray,
 
     p has shape (S, n) and s shape (S,): one diagonal and one update scale
     per block.  q2 has shape (D, n): the squares q o q of the D update
-    vectors that every block shares.  c holds the level coefficients
-    c_0 .. c_n.  For each of the S*D matrices M the result is two (S, D)
-    arrays, with lambda the eigenvalues of M:
+    vectors that every block shares.  c is PhaseSpec(n, theta).coeffs,
+    c_k = Im(e^(-i theta) i^k), of which the kernel reads c_0 and c_1.
+    For each of the S*D matrices M the result is two (S, D) arrays, with
+    lambda the eigenvalues of M:
 
         H = sum_i arctan(lambda_i),
-        L = sum_k c_k sigma_k(lambda) / prod_i sqrt(1 + lambda_i^2).
+        L = sum_k c_k sigma_k(lambda) / prod_i sqrt(1 + lambda_i^2),
 
-    With c = PhaseSpec(n, theta).coeffs, L = sin(H - theta): it is
-    dimensionless whatever the size of the eigenvalues.  No eigenvalue is
-    computed.  By the matrix determinant lemma,
-    prod_i (1 + i lambda_i) = prod_j (1 + i p_j) * w with
+    and L = sin(H - theta): it is dimensionless whatever the size of the
+    eigenvalues.  No eigenvalue is computed.  By the matrix determinant
+    lemma, prod_i (1 + i lambda_i) = prod_j (1 + i p_j) * w with
     w = 1 + i s sum_j q_j^2/(1 + i p_j).  Eigenvalue interlacing (Golub
     1973) keeps the update's share of H inside (-pi, pi), so
     H = sum_j arctan(p_j) + Arg(w) with the principal Arg, and
     prod_i sqrt(1 + lambda_i^2) = prod_j sqrt(1 + p_j^2) |w|.  The level is
-    sigma_rank_one's update summed against c, a polynomial route
-    independent of the arctangents: L(p) + s sum_j q_j^2 dL/dp_j with
-    dL/dp_j = sum_k c_k sigma_{k-1}(p with entry j removed).  Those
-    exclusion rows come from one elem_sym_stack call on the (S*n, n-1)
-    stack, already divided by the product of sqrt(1 + p_i^2) over the
-    entries they hold, so no unscaled sigma is formed; per point the work
-    is three length-n dot products.
+    the rank-one update L(p) + s sum_j q_j^2 dL/dp_j, a polynomial route
+    independent of the arctangents, in product form: sum_k c_k sigma_k(p)
+    = Im(e^(-i theta) prod_j (1 + i p_j)).  With z_j = (1 + i p_j)/
+    sqrt(1 + p_j^2), of modulus 1, and omega = (c_1 + i c_0) prod_j z_j
+    (e^(-i theta) from the snapped coefficients, so a critical angle stays
+    exact), the scaled L(p) is Im omega and the scaled dL/dp_j is
+    Im(i omega conj(z_j))/sqrt(1 + p_j^2).  No sigma row is formed and no
+    factor leaves the unit circle, so nothing overflows; per point the
+    work is three length-n dot products.
     """
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)[:, None]
-    c = np.asarray(c, dtype=float)
-    blocks, n = p.shape
-    idx = np.arange(n - 1)
-    others = idx + (idx >= np.arange(n)[:, None])
-    rows = elem_sym_stack(p[:, others].reshape(blocks * n, n - 1))
-    rows = rows.reshape(blocks, n, n)
-    # row j lacks entry j's factor of prod_i sqrt(1 + p_i^2)
     hyp = np.hypot(1.0, p)
-    grad = (rows @ c[1:]) / hyp
-    # sigma_k(p) = sigma_k(p without p_0) + p_0 sigma_{k-1}(p without p_0)
-    base = rows[:, 0] @ c[:n] / hyp[:, 0] + p[:, 0] * grad[:, 0]
+    z = (1.0 + 1j * p) / hyp
+    omega = complex(c[1], c[0]) * np.prod(z, axis=1)
+    # Im(i omega conj(z_j)) = Re(omega conj(z_j))
+    grad = (omega[:, None] * z.conj()).real / hyp
     # w = 1 + s sum_j q_j^2 (p_j + i)/(1 + p_j^2)
     inv = 1.0 / (1.0 + p * p)
     dots = np.asarray(q2, dtype=float) @ np.stack([p * inv, inv, grad], axis=2)
     re = 1.0 + s * dots[..., 0]
     im = s * dots[..., 1]
     phase = np.arctan(p).sum(axis=1)[:, None] + np.arctan2(im, re)
-    level = (base[:, None] + s * dots[..., 2]) / np.hypot(re, im)
+    level = (omega.imag[:, None] + s * dots[..., 2]) / np.hypot(re, im)
     return phase, level
 
 
@@ -228,24 +226,3 @@ def newton_check(sig: Sequence) -> list:
     return [sig[k] * sig[k] - sig[k - 1] * sig[k + 1]
             for k in range(1, len(sig) - 1)]
 
-
-def elem_sym_stack(lam: np.ndarray) -> np.ndarray:
-    """Row-wise scaled sigma table for a stack of float vectors.
-
-    lam has shape (P, n); the result has shape (P, n+1) with column k
-    holding sigma_k of each row divided by prod_i sqrt(1 + lam_i^2) over
-    that row.  Same recurrence as elem_sym_all, run on whole columns at
-    once, with the row multiplied by 1/sqrt(1 + x^2) as each entry x
-    enters: every value is at most C(n, k) in size, so none overflows.  After
-    entry i only sigma_0 .. sigma_{i+1} can change, and they update
-    together from the previous values, so each entry costs two array
-    operations on a contiguous block.
-    """
-    lam = np.asarray(lam, dtype=float)
-    p, n = lam.shape
-    e = np.zeros((n + 1, p))
-    e[0] = 1.0
-    for i, col in enumerate(np.ascontiguousarray(lam.T)):
-        e[1:i + 2] += col * e[:i + 1]
-        e[:i + 2] *= 1.0 / np.hypot(1.0, col)
-    return np.ascontiguousarray(e.T)

@@ -421,6 +421,15 @@ def _table_11_plus_one(real):
     return lying
 
 
+def _sigma_1_plus_one(real):
+    # sigma_1 plus one on every row
+    def lying(values):
+        row = real(values)
+        row[1] = row[1] + 1
+        return row
+    return lying
+
+
 def _flip_y(real):
     def lying(values):
         x, y, xw, yw = real(values)
@@ -443,6 +452,7 @@ VERIFY_FAULTS = {
     "pair_exclusion_difference": ("symfun", "elem_sym_excl_all",
                                   _excl_row_plus_one(True)),
     "product_decomposition": ("symfun", "gen_sym_table", _table_11_plus_one),
+    "gaussian_product": ("symfun", "elem_sym_all", _sigma_1_plus_one),
     "combinatorial_sums": ("symfun", "signed_odd_binomial_sum",
                            lambda real: lambda q: real(q) + 1),
     "tangent_and_sign": ("phasepoly", "alternating_parts", _flip_y),
@@ -1344,7 +1354,7 @@ def test_stderr_status_lines(tmp_path, capsys, monkeypatch):
     # the exact stderr of each outcome; the numbers come from the report
     code, report, lines = _status_lines(tmp_path, capsys,
                                         ["verify", "--grid", "10"])
-    assert code == 0 and len(report["suites"]) == 9
+    assert code == 0 and len(report["suites"]) == 10
     assert lines == _verify_status(report) + ["PASS"]
 
     code, report, lines = _status_lines(

@@ -78,15 +78,22 @@ def test_json_moves_name_added_removed_and_changed_paths():
         ("removed", "trajectory.r.2")]
     assert gate.json_moves(old, old) == []
     assert gate.json_moves(1, 2) == [("changed", ".")]
-    # the float leaves that changed: r.1 moved by 0.5/2.5 = 0.2; an int, a
-    # bool, an added float and a NaN do not count
-    assert gate.largest_float_move(old, new) == (0.2, "trajectory.r.1")
-    assert gate.largest_float_move(old, old) is None
-    assert gate.largest_float_move({"n": 1, "nan": 1.0},
-                                   {"n": 2, "nan": float("nan"),
-                                    "x": 1.5}) is None
-    assert gate.largest_float_move([1.0, -2.0, 4.0],
-                                   [1.0, -2.5, 4.0 + 1e-12]) == (0.2, "1")
+    # the float leaves that changed: r.1 moved by 0.5, 0.5/2.5 = 0.2
+    # relative; an int, a bool, an added float and a NaN do not count
+    assert gate.largest_float_moves(old, new) == ((0.2, "trajectory.r.1"),
+                                                  (0.5, "trajectory.r.1"))
+    assert gate.largest_float_moves(old, old) is None
+    assert gate.largest_float_moves({"n": 1, "nan": 1.0},
+                                    {"n": 2, "nan": float("nan"),
+                                     "x": 1.5}) is None
+    assert gate.largest_float_moves([1.0, -2.0, 4.0],
+                                    [1.0, -2.5, 4.0 + 1e-12]) == \
+        ((0.2, "1"), (0.5, "1"))
+    # a minimum near zero leads the relative moves, a large leaf the
+    # absolute ones
+    assert gate.largest_float_moves({"min": 1e-15, "big": 1000.0},
+                                    {"min": 2e-15, "big": 1000.5}) == \
+        ((0.5, "min"), (0.5, "big"))
 
 
 def test_report_moves_reads_json_outputs_only():
@@ -107,10 +114,11 @@ def test_report_moves_reads_json_outputs_only():
     # 1.0 and 1 parse to equal values
     assert gate.report_moves(record(b"[1.0]", {}), record(b"[1]", {})) == [
         "stdout JSON: same values, other bytes"]
-    # a float leaf that moved gives the largest relative move
+    # a float leaf that moved gives the largest relative and absolute moves
     assert gate.report_moves(record(b'{"mu": [2.0, 3.0000000000003]}', {}),
                              record(b'{"mu": [2.0, 3.0]}', {})) == [
-        "stdout JSON: changed mu.1; largest relative move 1e-13 at mu.1"]
+        "stdout JSON: changed mu.1; largest relative move 1e-13 at mu.1, "
+        "absolute 3e-13 at mu.1"]
     # the summary counts the commands that differ and those whose exit
     # code moved
     results = [(here, here), (here, there), (record(new, {}, 1), there)]

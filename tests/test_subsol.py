@@ -268,8 +268,13 @@ def test_level_gate_still_fails_a_negative_level(monkeypatch):
     pspec = phasepoly.PhaseSpec(3, math.pi / 2)
     a = weights.complete_to_phase((0.4, 0.9), pspec)
     pf = candidate(a, math.pi / 2, beta=3.0)
-    real = symfun.elem_sym_stack
-    monkeypatch.setattr(symfun, "elem_sym_stack", lambda lam: -real(lam))
+    real = subsol.rank_one_phase_level
+
+    def negated(p, s, q2, c):
+        phase, level = real(p, s, q2, c)
+        return phase, -level
+
+    monkeypatch.setattr(subsol, "rank_one_phase_level", negated)
     rep = grid(pf, 1.0, 10)
     assert rep.min_phase_gap >= BOUND["phase"]
     assert rep.min_level_value < BOUND["level"]
@@ -306,7 +311,8 @@ def dense_phase_level(pf, x):
             float(level * np.exp(-np.log(np.hypot(1.0, lam)).sum())))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 16, 24, 32, 48, 64])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 16, 24, 32, 48, 64,
+                               100, 120])
 def test_rank_one_phase_level_matches_dense_hessian_oracle(n):
     # the kernel on the Hessian oracle's own (nu, psi'/r, a o x), point by
     # point: iso critical and supercritical problems and a perturbed

@@ -277,19 +277,6 @@ def test_newton_check_exact_rational_nonnegative():
                    for v in symfun.newton_check(symfun.elem_sym_all(vals)))
 
 
-def test_elem_sym_stack_matches_scalar_path():
-    # the scalar row divided by prod sqrt(1 + lambda_i^2)
-    rng = np.random.default_rng(23)
-    lam = rng.standard_normal((17, 5))
-    table = symfun.elem_sym_stack(lam)
-    assert table.shape == (17, 6)
-    for row in range(17):
-        sig = symfun.elem_sym_all(lam[row].tolist())
-        scale = float(np.prod(np.hypot(1.0, lam[row])))
-        assert np.allclose(table[row], [float(v) / scale for v in sig],
-                           rtol=1e-12, atol=1e-12)
-
-
 def level_set_vector(rng, n):
     """A level-set point (spec, a) whose entries spread over 1e-3 .. 1e6.
 

@@ -124,8 +124,9 @@ def test_one_call_draw_matches_the_per_entry_draw(trials):
                           st.integers(min_value=1, max_value=10**6)),
                 min_size=1, max_size=10))
 def test_int_rows_match_the_fraction_route(pairs):
-    # p and the sigma row, table, exclusion and pair rows that verify forms
-    # from int pairs are the Fraction vector's numerators and its rows,
+    # p, D and the sigma row, table, exclusion and pair rows that verify
+    # forms from int pairs are the Fraction vector's numerators, the lcm
+    # of its denominators and its rows,
     # each entry of degree k times D**k (T[k][j] of degree k + j), all as
     # ints
     a = [Fraction(*pair) for pair in pairs]
@@ -135,7 +136,7 @@ def test_int_rows_match_the_fraction_route(pairs):
     def scaled(row):
         return [int(v * d ** k) for k, v in enumerate(row)] + [0]
 
-    want = (p, scaled(symfun.elem_sym_all(a))[:-1],
+    want = (p, d, scaled(symfun.elem_sym_all(a))[:-1],
             [[int(v * d ** (k + j)) for j, v in enumerate(row)]
              for k, row in enumerate(symfun.gen_sym_table(a))],
             [scaled(symfun.elem_sym_excl_all(a, i))
@@ -145,8 +146,8 @@ def test_int_rows_match_the_fraction_route(pairs):
     vec = [list(pair) for pair in pairs]
     got = cli._int_rows(vec)
     assert got == want
-    assert all(type(v) is int for v in got[0] + got[1]
-               + [v for rows in got[2:] for row in rows for v in row])
+    assert all(type(v) is int for v in got[0] + [got[1]] + got[2]
+               + [v for rows in got[3:] for row in rows for v in row])
     assert cli._scale(vec) == (p, d)
 
 

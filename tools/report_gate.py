@@ -11,7 +11,9 @@ code, the sha256 of stdout, stderr, and the bytes of the --out file.  It
 prints one line per command that differs, and under it, where stdout or
 an --out file differs and both sides parse as JSON, up to MOVES_SHOWN of
 the dotted key paths that were added, removed or changed, and the
-largest relative move of a float leaf.  A summary line follows, with
+largest relative and the largest absolute move of a float leaf (a
+minimum near zero can move far relative to itself while it moves at
+rounding level).  A summary line follows, with
 the count of commands whose exit code moved; the gate exits 1 on any
 difference, 0 when every command agrees.
 
@@ -457,20 +459,26 @@ def json_moves(old, new) -> list:
     return [(kind, path) for kind, path, _old, _new in _leaf_moves(old, new)]
 
 
-def largest_float_move(old, new):
-    """(size, dotted key path) of the changed float leaf of two parsed JSON
-    values that moved most relative to its larger magnitude,
-    |new - old|/max(|old|, |new|); None when no finite float changed."""
-    return max(((abs(b - a) / max(abs(a), abs(b)), path)
-                for _kind, path, a, b in _leaf_moves(old, new)
-                if type(a) is float and type(b) is float
-                and math.isfinite(a) and math.isfinite(b)), default=None)
+def largest_float_moves(old, new):
+    """((size, dotted key path), (size, dotted key path)) of the changed
+    float leaves of two parsed JSON values that moved most relative to
+    their larger magnitude, |new - old|/max(|old|, |new|), and most in
+    absolute size, |new - old|; None when no finite float changed."""
+    moved = [(abs(b - a), max(abs(a), abs(b)), path)
+             for _kind, path, a, b in _leaf_moves(old, new)
+             if type(a) is float and type(b) is float
+             and math.isfinite(a) and math.isfinite(b)]
+    if not moved:
+        return None
+    return (max((size / scale, path) for size, scale, path in moved),
+            max((size, path) for size, _scale, path in moved))
 
 
 def report_moves(here: dict, there: dict) -> list:
     """One line per differing stdout or --out file that parses as JSON on
     both sides: its name, up to MOVES_SHOWN key paths that moved from
-    there to here, and the largest relative move of a float leaf."""
+    there to here, and the largest relative and absolute moves of a float
+    leaf."""
     pairs = [("stdout", there["stdout"], here["stdout"])]
     pairs += [(f"--out {name}", there["--out bytes"][name], data)
               for name, data in here["--out bytes"].items()
@@ -487,12 +495,12 @@ def report_moves(here: dict, there: dict) -> list:
         shown = ", ".join(f"{kind} {path}" for kind, path
                           in moves[:MOVES_SHOWN])
         more = len(moves) - MOVES_SHOWN
-        largest = largest_float_move(old, new)
+        largest = largest_float_moves(old, new)
         lines.append(f"{label} JSON: {shown or 'same values, other bytes'}"
                      + (f" (and {more} more)" if more > 0 else "")
                      + ("" if largest is None else
-                        "; largest relative move {:.2g} at {}".format(
-                            *largest)))
+                        "; largest relative move {:.2g} at {}, absolute "
+                        "{:.2g} at {}".format(*largest[0], *largest[1])))
     return lines
 
 
